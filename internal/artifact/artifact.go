@@ -58,8 +58,9 @@ import (
 // every artifact identity (the version is part of the key preimage),
 // so readers of the new version never even look at old files.
 // Version 2 added the per-section CRC-32C that the mapped load path
-// verifies in place of the whole-file digest.
-const FormatVersion = 2
+// verifies in place of the whole-file digest; version 3 re-encodes the
+// trace section as a static-tuple dictionary plus two 4-byte columns.
+const FormatVersion = 3
 
 // Ext is the artifact file extension.
 const Ext = ".rpaf"
@@ -204,15 +205,39 @@ func branchPlaneIdentity(workloadKey, predictor string) string {
 	return fmt.Sprintf("v%d|branchplane|workload=%s|pred=%s", FormatVersion, workloadKey, predictor)
 }
 
+// payload is a section's content: anything that knows its exact
+// encoded size up front (the trace and plane codecs, raw scalar bytes).
+type payload interface {
+	io.WriterTo
+	EncodedSize() int64
+}
+
+// raw is a payload that is already encoded.
+type raw []byte
+
+func (r raw) EncodedSize() int64 { return int64(len(r)) }
+
+func (r raw) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(r)
+	return int64(n), err
+}
+
 // section is one named payload inside an artifact file.
 type section struct {
 	name    string
-	payload []byte
+	payload payload
 }
 
-// encode renders a complete artifact file image.
-func encode(kind Kind, identity string, sections []section) []byte {
-	var buf bytes.Buffer
+// encode renders a complete artifact file image. The buffer is sized
+// exactly from the section lengths and every payload encodes straight
+// into it, so a save holds one file image, never a second copy of a
+// section or a growth copy.
+func encode(kind Kind, identity string, sections []section) ([]byte, error) {
+	size := int64(len(magic) + 4 + 1 + 4 + len(identity) + 4 + sha256.Size)
+	for _, sec := range sections {
+		size += int64(4+len(sec.name)+8+4) + sec.payload.EncodedSize()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
 	buf.Write(magic[:])
 	le := binary.LittleEndian
 	var u32 [4]byte
@@ -229,15 +254,18 @@ func encode(kind Kind, identity string, sections []section) []byte {
 		le.PutUint32(u32[:], uint32(len(sec.name)))
 		buf.Write(u32[:])
 		buf.WriteString(sec.name)
-		le.PutUint64(u64[:], uint64(len(sec.payload)))
+		le.PutUint64(u64[:], uint64(sec.payload.EncodedSize()))
 		buf.Write(u64[:])
-		buf.Write(sec.payload)
-		le.PutUint32(u32[:], crc32.Checksum(sec.payload, castagnoli))
+		start := buf.Len()
+		if _, err := sec.payload.WriteTo(buf); err != nil {
+			return nil, fmt.Errorf("artifact: encoding section %q: %w", sec.name, err)
+		}
+		le.PutUint32(u32[:], crc32.Checksum(buf.Bytes()[start:], castagnoli))
 		buf.Write(u32[:])
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
 
 // secView is one parsed section: its payload plus the CRC-32C the
@@ -402,17 +430,15 @@ func (s *Store) SaveWorkload(id WorkloadID, tr *trace.Trace, prof *profile.Profi
 	if s == nil {
 		return "", nil
 	}
-	var tb bytes.Buffer
-	tb.Grow(int(tr.EncodedSize()))
-	if _, err := tr.WriteTo(&tb); err != nil {
-		return "", fmt.Errorf("artifact: encoding trace: %w", err)
-	}
 	identity := id.Identity()
 	key := KeyOf(identity)
-	data := encode(KindWorkload, identity, []section{
-		{"trace", tb.Bytes()},
-		{"profile", encodeProfile(prof)},
+	data, err := encode(KindWorkload, identity, []section{
+		{"trace", tr},
+		{"profile", raw(encodeProfile(prof))},
 	})
+	if err != nil {
+		return "", err
+	}
 	if err := s.write(key, data); err != nil {
 		return "", err
 	}
@@ -423,11 +449,11 @@ func (s *Store) SaveWorkload(id WorkloadID, tr *trace.Trace, prof *profile.Profi
 // returns ErrNotFound; an unusable one returns an error wrapping
 // ErrInvalid — in both cases the caller profiles fresh.
 //
-// The load is mapped-first: on platforms with mmap the trace's hot
-// columns alias a read-only file mapping (see mapped.go) instead of
-// being decoded and copied. Any mapped-path failure falls through to
-// the portable decode path below, which determines the error the
-// caller sees.
+// The load is mapped-first: on platforms with mmap the trace decodes
+// straight out of a read-only file mapping (see mapped.go), skipping
+// the read copy and the whole-file digest. Any mapped-path failure
+// falls through to the portable decode path below, which determines
+// the error the caller sees.
 func (s *Store) LoadWorkload(id WorkloadID) (*trace.Trace, *profile.Profile, error) {
 	if tr, prof, err := s.loadWorkloadMapped(id); err == nil {
 		return tr, prof, nil
@@ -471,16 +497,14 @@ func (s *Store) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classe
 	if s == nil {
 		return nil
 	}
-	var pb bytes.Buffer
-	pb.Grow(int(classes.EncodedSize()))
-	if _, err := classes.WriteTo(&pb); err != nil {
-		return fmt.Errorf("artifact: encoding mem plane: %w", err)
-	}
 	identity := memPlaneIdentity(workloadKey, h)
-	data := encode(KindMemPlane, identity, []section{
-		{"classes", pb.Bytes()},
-		{"stats", encodeCacheStats(st)},
+	data, err := encode(KindMemPlane, identity, []section{
+		{"classes", classes},
+		{"stats", raw(encodeCacheStats(st))},
 	})
+	if err != nil {
+		return err
+	}
 	return s.write(KeyOf(identity), data)
 }
 
@@ -519,13 +543,11 @@ func (s *Store) SaveBranchPlane(workloadKey, predictor string, p *trace.BitPlane
 	if s == nil {
 		return nil
 	}
-	var pb bytes.Buffer
-	pb.Grow(int(p.EncodedSize()))
-	if _, err := p.WriteTo(&pb); err != nil {
-		return fmt.Errorf("artifact: encoding branch plane: %w", err)
-	}
 	identity := branchPlaneIdentity(workloadKey, predictor)
-	data := encode(KindBranchPlane, identity, []section{{"mispredicts", pb.Bytes()}})
+	data, err := encode(KindBranchPlane, identity, []section{{"mispredicts", p}})
+	if err != nil {
+		return err
+	}
 	return s.write(KeyOf(identity), data)
 }
 

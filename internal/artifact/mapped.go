@@ -10,19 +10,20 @@ import (
 	"repro/internal/trace"
 )
 
-// Memory-mapped artifact rehydration: the store's loads try a
-// zero-copy read path first. The artifact file is mapped read-only,
-// framing is parsed in place, and the chunked column payloads are
-// handed to trace.MapTrace / trace.MapBytePlane, which alias the hot
-// single-byte columns straight out of the mapping instead of
-// decode-and-copy. The whole-file SHA-256 pass is skipped; integrity
-// comes from the same checks at finer grain:
+// Memory-mapped artifact rehydration: the store's loads try a mapped
+// read path first. The artifact file is mapped read-only, framing is
+// parsed in place, and the chunked payloads are handed to
+// trace.MapBytePlane, which aliases the plane bytes straight out of
+// the mapping, or decoded from it (trace.MapTrace, bit planes) without
+// a read copy. The whole-file SHA-256 pass is skipped; integrity comes
+// from the same checks at finer grain:
 //
 //   - framing is bounds-checked against the mapped length, and each
 //     codec requires its stream to be exactly the size its header
 //     implies — truncation is caught at open, not by a page fault;
 //   - chunked sections (trace, classes, mispredicts) verify their
-//     per-chunk CRC-32C inside the codec;
+//     per-chunk CRC-32C inside the codec, and the trace its dictionary
+//     CRC-32C and the range of every tuple and id;
 //   - scalar sections (profile, stats) verify the per-section CRC-32C
 //     that format version 2 records;
 //   - the identity string must match, so a mapped file can never be
@@ -40,8 +41,7 @@ import (
 var mappedLoads atomic.Int64
 
 // MappedLoadCount reports how many artifact loads have been served
-// zero-copy from a file mapping (tests and metrics pin warm paths on
-// it).
+// through a file mapping (tests and metrics pin warm paths on it).
 func MappedLoadCount() int64 { return mappedLoads.Load() }
 
 // readMapped maps the artifact stored under identity and parses its
@@ -82,31 +82,30 @@ func scalarSection(secs map[string]secView, name string) ([]byte, error) {
 	return sv.payload, nil
 }
 
-// loadWorkloadMapped is LoadWorkload's zero-copy path. The returned
-// trace aliases the mapping; the profile is a copy.
+// loadWorkloadMapped is LoadWorkload's mapped path. The trace and the
+// profile are decoded straight out of the mapping (the trace's two
+// 4-byte columns cannot alias it: their alignment varies with the
+// dictionary size), and the mapping is released immediately.
 func (s *Store) loadWorkloadMapped(id WorkloadID) (*trace.Trace, *profile.Profile, error) {
 	secs, m, err := s.readMapped(KindWorkload, id.Identity())
 	if err != nil {
 		return nil, nil, err
 	}
+	defer m.Close()
 	tb, ok := secs["trace"]
 	if !ok {
-		_ = m.Close()
 		return nil, nil, ErrInvalid
 	}
 	pb, err := scalarSection(secs, "profile")
 	if err != nil {
-		_ = m.Close()
 		return nil, nil, err
 	}
 	prof, err := decodeProfile(pb)
 	if err != nil {
-		_ = m.Close()
 		return nil, nil, err
 	}
-	tr, err := trace.MapTrace(tb.payload, m)
+	tr, err := trace.MapTrace(tb.payload)
 	if err != nil {
-		_ = m.Close()
 		return nil, nil, err
 	}
 	mappedLoads.Add(1)

@@ -1,14 +1,20 @@
 package artifact_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
 	"runtime"
 	"testing"
 
 	"repro/internal/artifact"
 	"repro/internal/cache"
+	"repro/internal/harness"
+	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/uarch"
+	"repro/internal/workloads"
 )
 
 // mmapPlatform reports whether this build serves loads through the
@@ -22,9 +28,9 @@ func mmapPlatform() bool {
 }
 
 // TestLoadWorkloadUsesMappedPath pins that a healthy artifact is
-// served zero-copy: the load increments the mapped counter and the
-// returned trace aliases a file mapping, while remaining bit-identical
-// to what was saved.
+// served through the mapping: the load increments the mapped counter
+// and the returned trace is bit-identical to what was saved, down to
+// its memory footprint.
 func TestLoadWorkloadUsesMappedPath(t *testing.T) {
 	if !mmapPlatform() {
 		t.Skip("mmap unsupported on this platform")
@@ -43,10 +49,7 @@ func TestLoadWorkloadUsesMappedPath(t *testing.T) {
 	if artifact.MappedLoadCount() != before+1 {
 		t.Fatal("LoadWorkload did not take the mapped path on a healthy artifact")
 	}
-	if !tr.Mapped() {
-		t.Fatal("loaded trace does not report a backing mapping")
-	}
-	if tr.Len() != pw.Trace.Len() || *prof != *pw.Prof {
+	if tr.Len() != pw.Trace.Len() || tr.SizeBytes() != pw.Trace.SizeBytes() || *prof != *pw.Prof {
 		t.Fatal("mapped load differs from the saved workload")
 	}
 	for i := int64(0); i < tr.Len(); i += 509 {
@@ -144,10 +147,97 @@ func TestMappedLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// resignTraceSection applies mutate to the trace stream inside an
+// artifact file image, then recomputes the section CRC and the
+// whole-file digest, so every checksum on the way passes.
+func resignTraceSection(d []byte, mutate func(stream []byte)) []byte {
+	le := binary.LittleEndian
+	off := 9 // magic, version, kind
+	off += 4 + int(le.Uint32(d[off:]))
+	nsec := int(le.Uint32(d[off:]))
+	off += 4
+	for i := 0; i < nsec; i++ {
+		nameLen := int(le.Uint32(d[off:]))
+		name := string(d[off+4 : off+4+nameLen])
+		off += 4 + nameLen
+		n := int(le.Uint64(d[off:]))
+		off += 8
+		if name == "trace" {
+			mutate(d[off : off+n])
+			le.PutUint32(d[off+n:], crc32c(d[off:off+n]))
+		}
+		off += n + 4
+	}
+	return resign(d)
+}
+
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+
+// TestLoadRejectsResignedOutOfRangeTrace damages a stored trace behind
+// re-signed checksums — an instruction referencing an entry past the
+// dictionary, a dictionary entry naming a register outside the ISA —
+// so only the trace decoders' range checks can reject it. Both load
+// paths must refuse it, and the cached profiling entry point must fall
+// back to fresh profiling.
+func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
+	le := binary.LittleEndian
+	const tupleBytes = 14 // encoded dictionary entry
+	cases := map[string]func(stream []byte){
+		"dictionary-id": func(st []byte) {
+			m := le.Uint32(st[8:])
+			chunk0 := 12 + tupleBytes*int(m) + 4
+			body := st[chunk0 : chunk0+8*int(min(le.Uint64(st), trace.ChunkLen))]
+			le.PutUint32(body, m)
+			le.PutUint32(st[chunk0+len(body):], crc32c(body))
+		},
+		"register": func(st []byte) {
+			dictEnd := 12 + tupleBytes*int(le.Uint32(st[8:]))
+			st[12+11] = isa.NumRegs // entry 0's Dst byte
+			le.PutUint32(st[dictEnd:], crc32c(st[8:dictEnd]))
+		},
+	}
+	spec, err := workloads.ByName("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := openStore(t)
+			fresh, hit, err := harness.ProfileProgramCached(s, "sha", 0, spec.Build)
+			if err != nil || hit {
+				t.Fatalf("cold profile: hit=%v err=%v", hit, err)
+			}
+			id := artifact.WorkloadID{Name: "sha", Code: spec.Build().Fingerprint()}
+			path := storedPath(s, s.WorkloadKey(id))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, resignTraceSection(data, mutate), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := artifact.MappedLoadCount()
+			if _, _, err := s.LoadWorkload(id); !errors.Is(err, artifact.ErrInvalid) {
+				t.Fatalf("LoadWorkload err = %v, want ErrInvalid", err)
+			}
+			if artifact.MappedLoadCount() != before {
+				t.Fatal("corrupt trace was served through the mapped path")
+			}
+			pw, hit, err := harness.ProfileProgramCached(s, "sha", 0, spec.Build)
+			if err != nil || hit {
+				t.Fatalf("corrupt artifact: hit=%v err=%v, want a fresh profile", hit, err)
+			}
+			if pw.Trace.Len() != fresh.Trace.Len() || pw.Trace.At(0) != fresh.Trace.At(0) {
+				t.Fatal("fallback profile differs from the original")
+			}
+		})
+	}
+}
+
 // TestMappedLoadSurvivesRewrite pins the concurrent-rewrite contract:
-// re-saving a key replaces the directory entry atomically, and a
-// trace mapped from the old file keeps reading the old inode's pages
-// unchanged while new loads see the new file.
+// re-saving a key replaces the directory entry atomically, a trace
+// loaded from the old file stays unchanged, and new loads see the new
+// file.
 func TestMappedLoadSurvivesRewrite(t *testing.T) {
 	if !mmapPlatform() {
 		t.Skip("mmap unsupported on this platform")

@@ -47,7 +47,8 @@ func AnnotateMispredictsStatsCtx(ctx context.Context, tr *trace.Trace, p Predict
 			return b.Plane(), s, nil
 		}
 		for j := 0; j < ck.N; j++ {
-			fl := ck.Flags[j]
+			st := &ck.Static[ck.ID[j]]
+			fl := st.Flags
 			if fl&(trace.FlagBranch|trace.FlagJump) != trace.FlagBranch {
 				if fl&trace.FlagJump != 0 {
 					s.Jumps++
@@ -55,7 +56,7 @@ func AnnotateMispredictsStatsCtx(ctx context.Context, tr *trace.Trace, p Predict
 				b.Append(false)
 				continue
 			}
-			pc := int64(ck.PC[j])
+			pc := int64(st.PC)
 			taken := fl&trace.FlagTaken != 0
 			pred := p.Predict(pc)
 			p.Update(pc, taken)

@@ -158,19 +158,20 @@ func SimulateAnnotatedCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config
 				idx := g.start
 				ck := &cols[idx>>trace.ChunkShift]
 				j := int(idx & trace.ChunkMask)
-				fl := ck.Flags[j]
+				st := &ck.Static[ck.ID[j]]
+				fl := st.Flags
 				if maxRegReady > cycle {
 					// Some register is still being produced; check this
 					// instruction's sources (at most two).
 					if numSrc := fl >> trace.NumSrcShift; numSrc > 0 {
-						if r := regReady[ck.Src1[j]]; r > cycle {
+						if r := regReady[st.Src1]; r > cycle {
 							depBlocked = true
 							if r > depReady {
 								depReady = r
 							}
 						}
 						if numSrc > 1 {
-							if r := regReady[ck.Src2[j]]; r > cycle {
+							if r := regReady[st.Src2]; r > cycle {
 								depBlocked = true
 								if r > depReady {
 									depReady = r
@@ -190,14 +191,14 @@ func SimulateAnnotatedCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config
 				lastAdmit = cycle
 				stop := false
 
-				switch class := ck.Class[j]; class {
+				switch class := st.Class; class {
 				case isa.ClassMul, isa.ClassDiv:
 					lat := mulLat
 					if class == isa.ClassDiv {
 						lat = divLat
 					}
 					if fl&trace.FlagHasDst != 0 {
-						regReady[ck.Dst[j]] = cycle + lat
+						regReady[st.Dst] = cycle + lat
 						if cycle+lat > maxRegReady {
 							maxRegReady = cycle + lat
 						}
@@ -215,14 +216,14 @@ func SimulateAnnotatedCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config
 					if fl&(trace.FlagLoad|trace.FlagHasDst) == trace.FlagLoad|trace.FlagHasDst {
 						// Load value forwarded when it leaves the
 						// memory stage.
-						regReady[ck.Dst[j]] = cycle + 2 + memCum
+						regReady[st.Dst] = cycle + 2 + memCum
 						if cycle+2+memCum > maxRegReady {
 							maxRegReady = cycle + 2 + memCum
 						}
 					}
 				default:
 					if fl&trace.FlagHasDst != 0 {
-						regReady[ck.Dst[j]] = cycle + 1
+						regReady[st.Dst] = cycle + 1
 						if cycle+1 > maxRegReady {
 							maxRegReady = cycle + 1
 						}
@@ -283,7 +284,7 @@ func SimulateAnnotatedCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config
 			for pos < lim && pos < n {
 				ci := pos >> trace.ChunkShift
 				j := int(pos & trace.ChunkMask)
-				fl := cols[ci].Flags[j]
+				fl := cols[ci].Static[cols[ci].ID[j]].Flags
 				mb := mem[ci][j]
 				if fl&(trace.FlagJump|trace.FlagBranch) == 0 && mb&trace.AnnSideMask == 0 {
 					// Common case: no control transfer, fetch hits

@@ -126,23 +126,24 @@ func buildUops(tr *trace.Trace, mem *trace.BytePlane) (uops []uint32, ev []uint6
 		mb := memCh[ci]
 		base := ci << trace.ChunkShift
 		for j := 0; j < ck.N; j++ {
-			fl := ck.Flags[j]
+			st := &ck.Static[ck.ID[j]]
+			fl := st.Flags
 			m := mb[j]
 			s1, s2, dst := uint32(uRegDummy), uint32(uRegDummy), uint32(uRegTrash)
 			switch fl >> trace.NumSrcShift {
 			case 2:
-				s2 = uint32(ck.Src2[j])
+				s2 = uint32(st.Src2)
 				fallthrough
 			case 1:
-				s1 = uint32(ck.Src1[j])
+				s1 = uint32(st.Src1)
 			}
 			if fl&trace.FlagHasDst != 0 {
-				dst = uint32(ck.Dst[j])
+				dst = uint32(st.Dst)
 			}
 			u := s1 | s2<<uSrc2Shift | dst<<uDstShift |
 				uint32(m&trace.AnnSideMask)<<uIClsShift |
 				uint32((m>>trace.AnnDShift)&trace.AnnSideMask)<<uDClsShift
-			switch ck.Class[j] {
+			switch st.Class {
 			case isa.ClassMul:
 				u |= ukMul << uKindShift
 				llBlocks++

@@ -76,9 +76,10 @@ type group struct {
 func (g *group) empty() bool { return g.head >= g.n }
 
 // Simulate replays tr on the design point cfg. The inner loops read
-// the trace's columns directly — flags, classes, registers, PCs and
-// effective addresses are contiguous per chunk — instead of decoding
-// DynInst records, so the replay streams compact arrays.
+// the trace's columns directly — each instruction's dictionary id and
+// effective address, with its static fields from the L1-resident
+// dictionary — instead of decoding DynInst records, so the replay
+// streams compact arrays.
 func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -148,20 +149,21 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 			idx := g.idx[g.head]
 			ck := &cols[idx>>trace.ChunkShift]
 			j := int(idx & trace.ChunkMask)
-			fl := ck.Flags[j]
+			st := &ck.Static[ck.ID[j]]
+			fl := st.Flags
 			srcOK := true
 			if maxRegReady > cycle {
 				// Some register is still being produced; check this
 				// instruction's sources (at most two).
 				if numSrc := fl >> trace.NumSrcShift; numSrc > 0 {
-					if r := regReady[ck.Src1[j]]; r > cycle {
+					if r := regReady[st.Src1]; r > cycle {
 						srcOK = false
 						if r > depReady {
 							depReady = r
 						}
 					}
 					if numSrc > 1 {
-						if r := regReady[ck.Src2[j]]; r > cycle {
+						if r := regReady[st.Src2]; r > cycle {
 							srcOK = false
 							if r > depReady {
 								depReady = r
@@ -182,14 +184,14 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 			lastAdmit = cycle
 			stop := false
 
-			switch class := ck.Class[j]; class {
+			switch class := st.Class; class {
 			case isa.ClassMul, isa.ClassDiv:
 				lat := mulLat
 				if class == isa.ClassDiv {
 					lat = divLat
 				}
 				if fl&trace.FlagHasDst != 0 {
-					regReady[ck.Dst[j]] = cycle + lat
+					regReady[st.Dst] = cycle + lat
 					if cycle+lat > maxRegReady {
 						maxRegReady = cycle + lat
 					}
@@ -199,7 +201,7 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 				stop = true // newer instructions stall behind the blocked EX
 			case isa.ClassLoad, isa.ClassStore:
 				var extra int64
-				eff := ck.EffAddr[j]
+				eff := int64(ck.EffAddr[j])
 				isStore := fl&trace.FlagStore != 0
 				if !hier.AccessDWarm(eff, isStore) {
 					r := hier.AccessD(eff, isStore)
@@ -220,14 +222,14 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 					// Load value forwarded when it leaves the memory
 					// stage: entered MEM at cycle+1, plus blocking time
 					// of this and earlier memory ops in the group.
-					regReady[ck.Dst[j]] = cycle + 2 + memCum
+					regReady[st.Dst] = cycle + 2 + memCum
 					if cycle+2+memCum > maxRegReady {
 						maxRegReady = cycle + 2 + memCum
 					}
 				}
 			default:
 				if fl&trace.FlagHasDst != 0 {
-					regReady[ck.Dst[j]] = cycle + 1
+					regReady[st.Dst] = cycle + 1
 					if cycle+1 > maxRegReady {
 						maxRegReady = cycle + 1
 					}
@@ -285,9 +287,9 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 			redirected := false
 			for ng.n < W && pos < n {
 				ck := &cols[pos>>trace.ChunkShift]
-				j := int(pos & trace.ChunkMask)
-				pc := int64(ck.PC[j])
-				fl := ck.Flags[j]
+				st := &ck.Static[ck.ID[pos&trace.ChunkMask]]
+				pc := int64(st.PC)
+				fl := st.Flags
 				var extra int64
 				if hier.IWarmHit(pc) {
 					warmIFetches++

@@ -10,7 +10,7 @@ import (
 )
 
 // mmapPlatform reports whether artifact loads go through the mapped
-// zero-copy path on this build (the !unix fallback always decodes).
+// path on this build (the !unix fallback always decodes).
 func mmapPlatform() bool {
 	switch runtime.GOOS {
 	case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly":

@@ -1,12 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -22,21 +22,24 @@ import (
 //
 // Layout (all integers little-endian):
 //
-//	Trace:      u64 n, then per chunk: the column arrays in fixed
-//	            order (PC i32, Op u8, Class u8, Flags u8, Dst u8,
-//	            Src1 u8, Src2 u8, EffAddr i64, Target i32), each
-//	            truncated to the chunk's live length, followed by a
-//	            u32 CRC-32C of the chunk's encoded bytes.
+//	Trace:      u64 n; the dictionary: u32 count m, m tuples of 14
+//	            bytes (PC i32, Target i32, Op u8, Class u8, Flags u8,
+//	            Dst u8, Src1 u8, Src2 u8), u32 CRC-32C of the count and
+//	            tuples; then per chunk: the ID column then the EffAddr
+//	            column (u32 each, truncated to the chunk's live
+//	            length), followed by a u32 CRC-32C of the chunk's
+//	            encoded bytes.
 //	BytePlane:  u64 n, then per chunk: the live bytes + u32 CRC-32C.
 //	BitPlane:   u64 n, then per chunk: the live u64 words + u32 CRC-32C.
 //
 // Derivable framing (chunk count, per-chunk lengths, Base) is not
-// stored: it all follows from n and the fixed chunk geometry, so a
-// reader can also predict the exact encoded size up front and reject a
-// stream whose length disagrees before allocating anything.
+// stored: it all follows from n (and m) and the fixed chunk geometry,
+// so a reader can also predict the exact encoded size up front and
+// reject a stream whose length disagrees before allocating anything.
 
 // ErrCorrupt is wrapped by every decode failure caused by damaged
-// input (bad checksum, impossible length, truncation). Callers that
+// input (bad checksum, impossible length, truncation, out-of-range
+// value). Callers that
 // fall back to recomputation match it with errors.Is.
 var ErrCorrupt = errors.New("trace: corrupt encoded stream")
 
@@ -66,9 +69,12 @@ func decodeLen(r io.Reader, what string) (int64, error) {
 	return n, nil
 }
 
-// traceInstBytes is the encoded size of one instruction across all
-// columns.
-const traceInstBytes = 4 + 1 + 1 + 1 + 1 + 1 + 1 + 8 + 4
+// Encoded sizes of one dictionary tuple and of one instruction (its
+// dictionary id and word address).
+const (
+	staticEncBytes = 4 + 4 + 6
+	traceInstBytes = 4 + 4
+)
 
 // chunkCount returns the number of chunks holding n entries.
 func chunkCount(n int64) int64 {
@@ -84,27 +90,44 @@ func chunkLive(n int64, c int64) int {
 	return int(live)
 }
 
+// traceEncodedSize is the exact stream size of n instructions over an
+// m-entry dictionary.
+func traceEncodedSize(n, m int64) int64 {
+	return 8 + 4 + m*staticEncBytes + 4 + n*traceInstBytes + 4*chunkCount(n)
+}
+
 // EncodedSize returns the exact number of bytes WriteTo will produce.
 func (t *Trace) EncodedSize() int64 {
-	n := t.Len()
-	return 8 + n*traceInstBytes + 4*chunkCount(n)
+	return traceEncodedSize(t.Len(), int64(len(t.Dictionary())))
 }
 
 // WriteTo serializes the trace; it implements io.WriterTo. The stream
 // is deterministic: equal traces encode to equal bytes.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(t.Len()))
-	if _, err := cw.Write(hdr[:]); err != nil {
+	le := binary.LittleEndian
+	dict := t.Dictionary()
+	enc := le.AppendUint64(make([]byte, 0, 16+len(dict)*staticEncBytes), uint64(t.Len()))
+	enc = le.AppendUint32(enc, uint32(len(dict)))
+	for _, s := range dict {
+		enc = le.AppendUint32(enc, uint32(s.PC))
+		enc = le.AppendUint32(enc, uint32(s.Target))
+		enc = append(enc, uint8(s.Op), uint8(s.Class), s.Flags, uint8(s.Dst), uint8(s.Src1), uint8(s.Src2))
+	}
+	enc = le.AppendUint32(enc, crc32.Checksum(enc[8:], crcTable))
+	if _, err := cw.Write(enc); err != nil {
 		return cw.n, err
 	}
-	buf := make([]byte, ChunkLen*traceInstBytes+4)
-	for ci := range t.Chunks() {
-		ck := &t.chunks[ci]
-		enc := encodeTraceChunk(buf[:0], ck)
-		crc := crc32.Checksum(enc, crcTable)
-		enc = binary.LittleEndian.AppendUint32(enc, crc)
+	buf := make([]byte, 0, ChunkLen*traceInstBytes+4)
+	for _, ck := range t.Chunks() {
+		enc := buf[:0]
+		for _, v := range ck.ID[:ck.N] {
+			enc = le.AppendUint32(enc, v)
+		}
+		for _, v := range ck.EffAddr[:ck.N] {
+			enc = le.AppendUint32(enc, v)
+		}
+		enc = le.AppendUint32(enc, crc32.Checksum(enc, crcTable))
 		if _, err := cw.Write(enc); err != nil {
 			return cw.n, err
 		}
@@ -112,196 +135,94 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// encodeTraceChunk appends chunk ck's live columns to dst in the fixed
-// column order.
-func encodeTraceChunk(dst []byte, ck *Columns) []byte {
-	n := ck.N
-	for _, v := range ck.PC[:n] {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	for _, v := range ck.Op[:n] {
-		dst = append(dst, uint8(v))
-	}
-	for _, v := range ck.Class[:n] {
-		dst = append(dst, uint8(v))
-	}
-	dst = append(dst, ck.Flags[:n]...)
-	for _, v := range ck.Dst[:n] {
-		dst = append(dst, uint8(v))
-	}
-	for _, v := range ck.Src1[:n] {
-		dst = append(dst, uint8(v))
-	}
-	for _, v := range ck.Src2[:n] {
-		dst = append(dst, uint8(v))
-	}
-	for _, v := range ck.EffAddr[:n] {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-	}
-	for _, v := range ck.Target[:n] {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
-}
-
 // ReadTraceFrom decodes a stream produced by Trace.WriteTo. The
-// returned trace is bit-identical to the one that was written —
-// chunks are allocated at full capacity exactly like the Builder's, so
-// even SizeBytes matches. Damaged input yields an error wrapping
-// ErrCorrupt; the reader never allocates more than the stream's
-// declared (and length-validated) size.
+// returned trace is bit-identical to the one that was written, down to
+// SizeBytes. Damaged input yields an error wrapping ErrCorrupt: a bad
+// checksum or length, a dictionary tuple whose opcode, class, register
+// or source count lies outside this binary's ISA, or an id beyond the
+// dictionary — consumers index fixed-size tables with all of these.
+// The reader never allocates ahead of the bytes really present.
 func ReadTraceFrom(r io.Reader) (*Trace, error) {
+	le := binary.LittleEndian
 	n, err := decodeLen(r, "trace")
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{n: n}
-	nc := chunkCount(n)
+	var mb [4]byte
+	if _, err := io.ReadFull(r, mb[:]); err != nil {
+		return nil, fmt.Errorf("%w: reading trace dictionary header: %v", ErrCorrupt, err)
+	}
+	m := int64(le.Uint32(mb[:]))
+	if m > n {
+		// Every entry of a built dictionary is used at least once.
+		return nil, fmt.Errorf("%w: trace dictionary of %d entries for %d instructions", ErrCorrupt, m, n)
+	}
+	enc, err := io.ReadAll(io.LimitReader(r, m*staticEncBytes+4))
+	if err != nil || int64(len(enc)) != m*staticEncBytes+4 {
+		return nil, fmt.Errorf("%w: trace dictionary truncated", ErrCorrupt)
+	}
+	body, tail := enc[:len(enc)-4], enc[len(enc)-4:]
+	if got, want := crc32.Update(crc32.Checksum(mb[:], crcTable), crcTable, body), le.Uint32(tail); got != want {
+		return nil, fmt.Errorf("%w: trace dictionary checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
+	}
+	t := &Trace{n: n, static: make([]Static, m)}
+	for i := range t.static {
+		b := body[i*staticEncBytes:]
+		s := Static{
+			PC: int32(le.Uint32(b)), Target: int32(le.Uint32(b[4:])),
+			Op: isa.Op(b[8]), Class: isa.Class(b[9]), Flags: b[10],
+			Dst: isa.Reg(b[11]), Src1: isa.Reg(b[12]), Src2: isa.Reg(b[13]),
+		}
+		if int(s.Op) >= isa.NumOps || int(s.Class) >= isa.NumClasses || s.Flags>>NumSrcShift > 2 ||
+			s.Dst >= isa.NumRegs || s.Src1 >= isa.NumRegs || s.Src2 >= isa.NumRegs {
+			return nil, fmt.Errorf("%w: trace dictionary entry %d out of range: %+v", ErrCorrupt, i, s)
+		}
+		t.static[i] = s
+	}
 	buf := make([]byte, ChunkLen*traceInstBytes+4)
-	for c := int64(0); c < nc; c++ {
+	for c := int64(0); c < chunkCount(n); c++ {
 		live := chunkLive(n, c)
 		enc := buf[:live*traceInstBytes+4]
 		if _, err := io.ReadFull(r, enc); err != nil {
 			return nil, fmt.Errorf("%w: trace chunk %d truncated: %v", ErrCorrupt, c, err)
 		}
 		body, tail := enc[:len(enc)-4], enc[len(enc)-4:]
-		if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
+		if got, want := crc32.Checksum(body, crcTable), le.Uint32(tail); got != want {
 			return nil, fmt.Errorf("%w: trace chunk %d checksum mismatch (got %08x, want %08x)", ErrCorrupt, c, got, want)
 		}
-		ck := newChunk(c << ChunkShift)
-		ck.N = live
-		decodeTraceChunk(body, &ck)
+		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static, ID: make([]uint32, live), EffAddr: make([]uint32, live)}
+		for i := range ck.ID {
+			if ck.ID[i] = le.Uint32(body[4*i:]); int64(ck.ID[i]) >= m {
+				return nil, fmt.Errorf("%w: trace instruction %d references dictionary entry %d of %d", ErrCorrupt, ck.Base+int64(i), ck.ID[i], m)
+			}
+			ck.EffAddr[i] = le.Uint32(body[4*(live+i):])
+		}
 		t.chunks = append(t.chunks, ck)
 	}
 	return t, nil
 }
 
-// decodeTraceChunk fills ck's columns from body (already
-// checksum-verified, length exactly ck.N*traceInstBytes).
-func decodeTraceChunk(body []byte, ck *Columns) {
-	n := ck.N
-	off := 0
-	for i := 0; i < n; i++ {
-		ck.PC[i] = int32(binary.LittleEndian.Uint32(body[off+4*i:]))
-	}
-	off += 4 * n
-	for i := 0; i < n; i++ {
-		ck.Op[i] = isa.Op(body[off+i])
-	}
-	off += n
-	for i := 0; i < n; i++ {
-		ck.Class[i] = isa.Class(body[off+i])
-	}
-	off += n
-	copy(ck.Flags[:n], body[off:])
-	off += n
-	for i := 0; i < n; i++ {
-		ck.Dst[i] = isa.Reg(body[off+i])
-	}
-	off += n
-	for i := 0; i < n; i++ {
-		ck.Src1[i] = isa.Reg(body[off+i])
-	}
-	off += n
-	for i := 0; i < n; i++ {
-		ck.Src2[i] = isa.Reg(body[off+i])
-	}
-	off += n
-	for i := 0; i < n; i++ {
-		ck.EffAddr[i] = int64(binary.LittleEndian.Uint64(body[off+8*i:]))
-	}
-	off += 8 * n
-	for i := 0; i < n; i++ {
-		ck.Target[i] = int32(binary.LittleEndian.Uint32(body[off+4*i:]))
-	}
-}
-
-// aliasColumn reinterprets a byte slice as a single-byte column type
-// without copying. All reinterpreted column types (isa.Op, isa.Class,
-// isa.Reg) have underlying type uint8, so alignment and size are
-// trivially compatible.
-func aliasColumn[T ~uint8](b []byte) []T {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b))
-}
-
-// MapTrace builds a Trace directly over an encoded stream pinned in
-// memory — the zero-copy counterpart of ReadTraceFrom for artifacts
-// rehydrated through a read-only file mapping. The six single-byte
-// columns (Op, Class, Flags, Dst, Src1, Src2) alias the mapped bytes;
-// the multi-byte columns (PC, EffAddr, Target) are decoded into
-// exact-size slices because their in-stream alignment depends on the
-// chunk's live length. Column slices are exactly live-sized (no spare
-// capacity) and must not be written.
-//
-// Validation matches the decode path's guarantees at the same
-// boundary: the stream length must equal the exact size its header
-// implies (which also validates the header itself), and every chunk's
-// CRC-32C is verified before the trace is returned — a corrupt stream
-// yields ErrCorrupt here, never a trace that fails later, so callers'
-// fall-back-to-fresh-profiling logic stays at the load site.
-//
-// owner, if non-nil, is retained by the returned trace so the mapping
-// outlives every alias.
-func MapTrace(data []byte, owner *Mapping) (*Trace, error) {
-	if len(data) < 8 {
+// MapTrace decodes a trace stream pinned in memory, typically a
+// read-only file mapping. The stream must be exactly the size its
+// header and dictionary count imply — truncation and trailing bytes
+// are rejected before any decoding — and then passes ReadTraceFrom's
+// checks, so a corrupt stream yields ErrCorrupt here, never a trace
+// that fails later. Both columns are decoded into exact-size slices
+// (their in-stream alignment varies), so the trace shares no memory
+// with data and the caller may release the mapping on return.
+func MapTrace(data []byte) (*Trace, error) {
+	if len(data) < 12 {
 		return nil, fmt.Errorf("%w: trace stream shorter than its header", ErrCorrupt)
 	}
 	n := int64(binary.LittleEndian.Uint64(data))
 	if n < 0 || n > maxDecodeLen {
 		return nil, fmt.Errorf("%w: implausible trace length %d", ErrCorrupt, uint64(n))
 	}
-	if want := 8 + n*traceInstBytes + 4*chunkCount(n); int64(len(data)) != want {
+	if want := traceEncodedSize(n, int64(binary.LittleEndian.Uint32(data[8:]))); int64(len(data)) != want {
 		return nil, fmt.Errorf("%w: trace stream is %d bytes, header implies %d", ErrCorrupt, len(data), want)
 	}
-	t := &Trace{n: n, owner: owner}
-	nc := chunkCount(n)
-	t.chunks = make([]Columns, 0, nc)
-	off := int64(8)
-	for c := int64(0); c < nc; c++ {
-		live := int64(chunkLive(n, c))
-		body := data[off : off+live*traceInstBytes]
-		off += live * traceInstBytes
-		if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(data[off:]); got != want {
-			return nil, fmt.Errorf("%w: trace chunk %d checksum mismatch (got %08x, want %08x)", ErrCorrupt, c, got, want)
-		}
-		off += 4
-		ck := Columns{Base: c << ChunkShift, N: int(live)}
-		ck.PC = make([]int32, live)
-		for i := range ck.PC {
-			ck.PC[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
-		}
-		p := 4 * int(live)
-		ck.Op = aliasColumn[isa.Op](body[p : p+int(live)])
-		p += int(live)
-		ck.Class = aliasColumn[isa.Class](body[p : p+int(live)])
-		p += int(live)
-		ck.Flags = body[p : p+int(live) : p+int(live)]
-		p += int(live)
-		ck.Dst = aliasColumn[isa.Reg](body[p : p+int(live)])
-		p += int(live)
-		ck.Src1 = aliasColumn[isa.Reg](body[p : p+int(live)])
-		p += int(live)
-		ck.Src2 = aliasColumn[isa.Reg](body[p : p+int(live)])
-		p += int(live)
-		ck.EffAddr = make([]int64, live)
-		for i := range ck.EffAddr {
-			ck.EffAddr[i] = int64(binary.LittleEndian.Uint64(body[p+8*i:]))
-		}
-		p += 8 * int(live)
-		ck.Target = make([]int32, live)
-		for i := range ck.Target {
-			ck.Target[i] = int32(binary.LittleEndian.Uint32(body[p+4*i:]))
-		}
-		t.chunks = append(t.chunks, ck)
-	}
-	return t, nil
+	return ReadTraceFrom(bytes.NewReader(data))
 }
-
-// Mapped reports whether this trace's columns alias a file mapping.
-func (t *Trace) Mapped() bool { return t != nil && t.owner != nil }
 
 // MapBytePlane builds a BytePlane directly over an encoded stream
 // pinned in memory: every chunk aliases the mapped bytes (the plane's

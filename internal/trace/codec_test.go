@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/program"
 )
 
 // buildTestTrace synthesizes a deterministic trace exercising every
@@ -29,7 +31,7 @@ func buildTestTrace(n int64) *Trace {
 			HasDst:   r&1 != 0,
 			Src:      [2]isa.Reg{isa.Reg((r >> 8) % isa.NumRegs), isa.Reg((r >> 16) % isa.NumRegs)},
 			NumSrc:   int(r % 3),
-			EffAddr:  int64(r >> 24),
+			EffAddr:  int64(r>>24) % program.MaxMemWords,
 			Taken:    r&2 != 0,
 			Target:   int64(uint32(r>>4) % 5000),
 			IsLoad:   r&4 != 0,
@@ -139,6 +141,88 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 		}
 		if _, err := ReadBitPlaneFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("implausible bit-plane length: err = %v, want ErrCorrupt", err)
+		}
+	})
+}
+
+// resignedCorruptions damages an encoded trace behind valid checksums,
+// so only the decoders' range checks stand between the damage and a
+// consumer indexing past a table: one instruction references the entry
+// after the dictionary's last, and dictionary entry 0 names a
+// destination register outside the ISA.
+func resignedCorruptions(enc []byte) map[string][]byte {
+	le := binary.LittleEndian
+	m := int(le.Uint32(enc[8:]))
+	dictEnd := 12 + m*staticEncBytes
+	chunk0 := dictEnd + 4
+	live := int(min(int64(le.Uint64(enc)), ChunkLen))
+
+	badID := append([]byte(nil), enc...)
+	le.PutUint32(badID[chunk0:], uint32(m))
+	body := badID[chunk0 : chunk0+live*traceInstBytes]
+	le.PutUint32(badID[chunk0+len(body):], crc32.Checksum(body, crcTable))
+
+	badReg := append([]byte(nil), enc...)
+	badReg[12+11] = isa.NumRegs // entry 0's Dst byte
+	le.PutUint32(badReg[dictEnd:], crc32.Checksum(badReg[8:dictEnd], crcTable))
+	return map[string][]byte{"dictionary-id": badID, "register": badReg}
+}
+
+func TestTraceCodecRejectsResignedOutOfRange(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := buildTestTrace(ChunkLen + 123).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range resignedCorruptions(buf.Bytes()) {
+		if _, err := ReadTraceFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadTraceFrom err = %v, want ErrCorrupt", name, err)
+		}
+		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: MapTrace err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// FuzzTraceCodec feeds arbitrary bytes to both trace decoders. Each
+// must reject the input as ErrCorrupt or return a trace that decodes
+// every instruction and re-encodes to exactly the bytes it consumed.
+func FuzzTraceCodec(f *testing.F) {
+	// Small seeds keep the minimization of new inputs fast.
+	for _, n := range []int64{0, 1, 40} {
+		var buf bytes.Buffer
+		if _, err := buildTestTrace(n).WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		if n == 40 {
+			for _, bad := range resignedCorruptions(buf.Bytes()) {
+				f.Add(bad)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decoders := map[string]func([]byte) (*Trace, error){
+			"ReadTraceFrom": func(b []byte) (*Trace, error) { return ReadTraceFrom(bytes.NewReader(b)) },
+			"MapTrace":      MapTrace,
+		}
+		for name, decode := range decoders {
+			tr, err := decode(data)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+				}
+				continue
+			}
+			if got := int64(len(tr.Materialize())); got != tr.Len() {
+				t.Fatalf("%s: Materialize gave %d of %d instructions", name, got, tr.Len())
+			}
+			var buf bytes.Buffer
+			if _, err := tr.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, buf.Bytes()) || (name == "MapTrace" && buf.Len() != len(data)) {
+				t.Fatalf("%s: accepted stream does not re-encode byte-identically", name)
+			}
 		}
 	})
 }

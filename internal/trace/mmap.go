@@ -7,13 +7,14 @@ import (
 )
 
 // Mapping is a read-only memory mapping of an encoded artifact file.
-// It backs the zero-copy rehydration path: MapTrace and MapBytePlane
-// build column stores whose hot slices alias the mapped bytes instead
-// of decode-and-copy, so a warm boot touches only the pages it reads
-// and shares them with every other process mapping the same file.
+// It backs the mapped rehydration path: MapBytePlane builds a plane
+// whose chunks alias the mapped bytes instead of decode-and-copy, so a
+// warm boot touches only the pages it reads and shares them with every
+// other process mapping the same file; MapTrace decodes straight out
+// of the mapping into owned columns.
 //
 // The mapping is released by the garbage collector once the Mapping —
-// and every store aliasing it (each holds an owner reference) — is
+// and every plane aliasing it (each holds an owner reference) — is
 // unreachable. Close releases it eagerly; it is only safe when no
 // mapped store is alive, so production code calls it solely on load
 // error paths before any alias has been handed out.

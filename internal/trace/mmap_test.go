@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/program"
 )
 
 // mapTestTrace builds a trace spanning a partial last chunk so mapped
@@ -26,7 +27,7 @@ func mapTestTrace(t *testing.T, n int) *Trace {
 		d.Src[0] = isa.Reg(i % 31)
 		d.Src[1] = isa.Reg(i % 23)
 		d.NumSrc = i % 3
-		d.EffAddr = int64(i) * 524287
+		d.EffAddr = int64(i) * 524287 % program.MaxMemWords
 		d.Taken = i%7 == 0
 		d.Target = int64((i * 13) % 911)
 		if d.Taken {
@@ -57,23 +58,29 @@ func TestMapTraceMatchesDecodePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := MapTrace(enc, nil)
+	mapped, err := MapTrace(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mapped.Len() != tr.Len() {
 		t.Fatalf("mapped trace has %d instructions, want %d", mapped.Len(), tr.Len())
 	}
+	if mapped.SizeBytes() != tr.SizeBytes() || decoded.SizeBytes() != tr.SizeBytes() {
+		t.Fatalf("SizeBytes: built %d, decoded %d, mapped %d", tr.SizeBytes(), decoded.SizeBytes(), mapped.SizeBytes())
+	}
 	for i := int64(0); i < tr.Len(); i++ {
 		if a, b := mapped.At(i), decoded.At(i); a != b {
 			t.Fatalf("instruction %d differs between mapped and decoded trace:\n mapped  %+v\n decoded %+v", i, a, b)
 		}
 	}
-	// The mapped columns alias the stream: entry 0's Op must share
-	// storage with the encoded bytes, not a copy.
-	enc[8+4*ChunkLen] ^= 0x01 // chunk 0's first Op byte (after the PC column)
-	if mapped.Chunks()[0].Op[0] == decoded.Chunks()[0].Op[0] {
-		t.Fatal("mapped Op column does not alias the encoded stream")
+	// The mapped trace owns its columns: scribbling over the stream
+	// (as unmapping would) must not reach it.
+	want := mapped.At(0)
+	for i := range enc {
+		enc[i] = 0xFF
+	}
+	if got := mapped.At(0); got != want {
+		t.Fatalf("mapped trace aliases the encoded stream: %+v -> %+v", want, got)
 	}
 }
 
@@ -83,19 +90,19 @@ func TestMapTraceRejectsCorruption(t *testing.T) {
 
 	flipped := append([]byte(nil), enc...)
 	flipped[len(flipped)/2] ^= 0xFF
-	if _, err := MapTrace(flipped, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := MapTrace(flipped); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped chunk byte: err = %v, want ErrCorrupt", err)
 	}
 
-	if _, err := MapTrace(enc[:len(enc)-5], nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := MapTrace(enc[:len(enc)-5]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated stream: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := MapTrace(enc[:4], nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := MapTrace(enc[:4]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short header: err = %v, want ErrCorrupt", err)
 	}
 
 	grown := append(append([]byte(nil), enc...), 0)
-	if _, err := MapTrace(grown, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := MapTrace(grown); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversize stream: err = %v, want ErrCorrupt", err)
 	}
 
@@ -103,7 +110,7 @@ func TestMapTraceRejectsCorruption(t *testing.T) {
 	// framing check rejects it even though no chunk CRC is reachable.
 	badLen := append([]byte(nil), enc...)
 	badLen[0] ^= 0x01
-	if _, err := MapTrace(badLen, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := MapTrace(badLen); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted length header: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -141,7 +148,7 @@ func TestMapBytePlaneMatchesDecodePath(t *testing.T) {
 
 // TestOpenMappedTraceRoundTrip exercises the real mmap syscall path:
 // a trace encoded to a file, mapped, and replayed must match the
-// original byte for byte, and the mapping must be reported.
+// original byte for byte, and must outlive the mapping.
 func TestOpenMappedTraceRoundTrip(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("mmap unsupported on this platform")
@@ -155,20 +162,20 @@ func TestOpenMappedTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := MapTrace(m.Bytes(), m)
+	mapped, err := MapTrace(m.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mapped.Mapped() {
-		t.Fatal("trace built over a mapping does not report Mapped")
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 	for i := int64(0); i < tr.Len(); i += 101 {
 		if a, b := mapped.At(i), tr.At(i); a != b {
 			t.Fatalf("instruction %d differs after mmap round trip", i)
 		}
 	}
-	// Unlinking the file must not invalidate the mapping (the inode
-	// stays alive), mirroring what a concurrent store rewrite does.
+	// Unlinking the file must not affect the trace either, mirroring
+	// what a concurrent store rewrite does.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}

@@ -2,19 +2,24 @@ package trace
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"unsafe"
 
 	"repro/internal/isa"
 )
 
-// Trace is the compact in-memory trace store: a chunked, columnar
-// (structure-of-arrays) encoding of the dynamic instruction stream.
-// Compared with []DynInst it drops the derivable fields — Seq is
-// implicit in position, NextPC follows from the taken flag and target —
-// and packs the six booleans plus the source count into one flag byte,
-// for roughly 22 bytes per instruction instead of 72. Hot columns (PC,
-// Op/Class, flags, EffAddr) are contiguous within each chunk, so
-// replay and detailed simulation scan cache-friendly arrays instead of
-// striding through 72-byte records.
+// Trace is the compact in-memory trace store: a chunked,
+// dictionary-encoded form of the dynamic instruction stream. Everything
+// a dynamic instruction shares with other executions of the same static
+// instruction — PC, opcode, class, registers, flags (including the
+// taken outcome) and target — is stored once, as a Static tuple in a
+// per-trace dictionary. Each dynamic instruction keeps only a uint32
+// dictionary id and a uint32 effective word address: 8 bytes per
+// instruction instead of 72 for []DynInst. Seq is implicit in position
+// and NextPC follows from the taken flag and target. Real workloads
+// have a few hundred tuples, so the dictionary stays L1-resident while
+// replay and detailed simulation stream the two columns.
 //
 // A Trace is built once through a Builder and is immutable (and safe
 // for concurrent readers) afterwards. Three access paths exist:
@@ -26,19 +31,15 @@ import (
 //   - At / Materialize reconstruct individual records or the whole
 //     legacy slice (the seedref differential-test adapter).
 type Trace struct {
+	static []Static
 	chunks []Columns
 	n      int64
-
-	// owner pins the memory mapping whose pages back this trace's
-	// single-byte column slices (see MapTrace); nil for traces built
-	// in memory or decoded by ReadTraceFrom. Holding the reference
-	// keeps the mapping's finalizer from unmapping under a live trace.
-	owner *Mapping
 }
 
 // Chunk geometry: 1<<ChunkShift instructions per chunk. Random access
-// is two shifts; a chunk's columns total ~360 KiB, comfortably inside
-// L2, and small traces waste at most one partial chunk.
+// is two shifts; a chunk's two columns total 128 KiB, comfortably
+// inside L2, and only the last chunk is partial (stored at its live
+// size).
 const (
 	ChunkShift = 14
 	ChunkLen   = 1 << ChunkShift
@@ -60,42 +61,54 @@ const (
 // flag byte.
 const NumSrcShift = 6
 
-// Columns is the raw column view of one chunk. Entries [0, N) are
-// valid; Base is the dynamic sequence number (= trace index) of entry
-// 0. PC and Target are static instruction indices and fit in 32 bits
-// by construction (instruction memory is an in-memory Go slice).
+// Static is one dictionary entry: the fields shared by every execution
+// of one static instruction that goes the same way. A conditional
+// branch contributes up to two entries (taken and not taken), an
+// indirect jump one per target. PC and Target are static instruction
+// indices and fit in 32 bits by construction (instruction memory is an
+// in-memory Go slice).
+type Static struct {
+	PC     int32
+	Target int32
+	Op     isa.Op
+	Class  isa.Class
+	Flags  uint8
+	Dst    isa.Reg
+	Src1   isa.Reg
+	Src2   isa.Reg
+}
+
+// Columns is the raw view of one chunk. Entries [0, N) are valid; Base
+// is the dynamic sequence number (= trace index) of entry 0. The static
+// fields of entry j are Static[ID[j]], where Static is the trace-wide
+// dictionary shared by every chunk.
 type Columns struct {
 	Base int64
 	N    int
 
-	PC      []int32
-	Op      []isa.Op
-	Class   []isa.Class
-	Flags   []uint8
-	Dst     []isa.Reg
-	Src1    []isa.Reg
-	Src2    []isa.Reg
-	EffAddr []int64
-	Target  []int32
+	Static  []Static
+	ID      []uint32 // dictionary id
+	EffAddr []uint32 // effective word address (loads and stores)
 }
 
 // Decode reconstructs entry j into d. The derived fields follow the
 // functional simulator's invariants: Seq is Base+j and NextPC is the
 // target when the taken flag is set, the fall-through PC otherwise.
 func (ck *Columns) Decode(j int, d *DynInst) {
-	fl := ck.Flags[j]
-	pc := int64(ck.PC[j])
-	tgt := int64(ck.Target[j])
+	s := &ck.Static[ck.ID[j]]
+	fl := s.Flags
+	pc := int64(s.PC)
+	tgt := int64(s.Target)
 	d.Seq = ck.Base + int64(j)
 	d.PC = pc
-	d.Op = ck.Op[j]
-	d.Class = ck.Class[j]
-	d.Dst = ck.Dst[j]
+	d.Op = s.Op
+	d.Class = s.Class
+	d.Dst = s.Dst
 	d.HasDst = fl&FlagHasDst != 0
-	d.Src[0] = ck.Src1[j]
-	d.Src[1] = ck.Src2[j]
+	d.Src[0] = s.Src1
+	d.Src[1] = s.Src2
 	d.NumSrc = int(fl >> NumSrcShift)
-	d.EffAddr = ck.EffAddr[j]
+	d.EffAddr = int64(ck.EffAddr[j])
 	d.Taken = fl&FlagTaken != 0
 	d.Target = tgt
 	if fl&FlagTaken != 0 {
@@ -135,9 +148,16 @@ func (t *Trace) Chunks() []Columns {
 	return t.chunks
 }
 
-// At reconstructs instruction i; i must be in [0, Len()). Chunks are
-// allocated at full capacity, so without this check an out-of-range i
-// in the last chunk would silently decode a zeroed record.
+// Dictionary returns the static tuples in id order (first appearance
+// in the stream). The slice must not be modified.
+func (t *Trace) Dictionary() []Static {
+	if t == nil {
+		return nil
+	}
+	return t.static
+}
+
+// At reconstructs instruction i; i must be in [0, Len()).
 func (t *Trace) At(i int64) DynInst {
 	if i < 0 || i >= t.Len() {
 		panic("trace: At index out of range")
@@ -233,19 +253,16 @@ func (t *Trace) Materialize() []DynInst {
 	}
 }
 
-// SizeBytes returns the memory footprint of the column data, counting
-// full chunk capacity (partial last chunks are accounted at their
-// allocated size).
+// SizeBytes returns the memory footprint: the dictionary plus both
+// columns at their allocated capacity. Built, decoded and mapped
+// traces of equal contents report equal sizes.
 func (t *Trace) SizeBytes() int64 {
 	if t == nil {
 		return 0
 	}
-	var sz int64
+	sz := int64(cap(t.static)) * int64(unsafe.Sizeof(Static{}))
 	for i := range t.chunks {
-		ck := &t.chunks[i]
-		sz += int64(cap(ck.PC))*4 + int64(cap(ck.Target))*4 + int64(cap(ck.EffAddr))*8 +
-			int64(cap(ck.Op)) + int64(cap(ck.Class)) + int64(cap(ck.Flags)) +
-			int64(cap(ck.Dst)) + int64(cap(ck.Src1)) + int64(cap(ck.Src2))
+		sz += 4 * int64(cap(t.chunks[i].ID)+cap(t.chunks[i].EffAddr))
 	}
 	return sz
 }
@@ -263,9 +280,21 @@ func Of(ds ...DynInst) *Trace {
 // existing data (no doubling growth), so no sizing pre-pass is needed.
 // It implements Consumer, so it can sit directly on the functional
 // simulator's sink.
+//
+// Interning is exact for any record stream. Each PC and branch
+// direction remembers the id of the last tuple seen there, which the
+// next execution almost always repeats; a map over every tuple catches
+// the rest (indirect jumps, synthetic streams). Ids are assigned in
+// first-appearance order, so equal streams encode to equal bytes.
 type Builder struct {
-	t Trace
+	t    Trace
+	last []uint32          // per-(PC, taken) id+1 of the last tuple seen there; 0 = none
+	ids  map[Static]uint32 // every interned tuple
 }
+
+// maxSlot bounds the slot table; tuples at larger PCs intern through
+// the map alone.
+const maxSlot = 1 << 21
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder { return &Builder{} }
@@ -276,18 +305,13 @@ func (b *Builder) Len() int64 { return b.t.n }
 // Append encodes d at the next position. Seq and NextPC are not
 // stored: Seq is implicit in position and NextPC is re-derived on
 // decode from the taken flag, target and PC (the invariant every
-// funcsim-produced record satisfies).
+// funcsim-produced record satisfies). Effective addresses are word
+// addresses below program.MaxMemWords; one outside 32 bits breaks that
+// invariant and panics.
 func (b *Builder) Append(d *DynInst) {
-	cs := b.t.chunks
-	if len(cs) == 0 || cs[len(cs)-1].N == ChunkLen {
-		b.t.chunks = append(cs, newChunk(b.t.n))
-		cs = b.t.chunks
+	if uint64(d.EffAddr) > math.MaxUint32 {
+		panic(fmt.Sprintf("trace: effective word address %d outside 32 bits", d.EffAddr))
 	}
-	ck := &cs[len(cs)-1]
-	j := ck.N
-	ck.PC[j] = int32(d.PC)
-	ck.Op[j] = d.Op
-	ck.Class[j] = d.Class
 	fl := uint8(d.NumSrc) << NumSrcShift
 	if d.HasDst {
 		fl |= FlagHasDst
@@ -307,35 +331,77 @@ func (b *Builder) Append(d *DynInst) {
 	if d.IsJump {
 		fl |= FlagJump
 	}
-	ck.Flags[j] = fl
-	ck.Dst[j] = d.Dst
-	ck.Src1[j] = d.Src[0]
-	ck.Src2[j] = d.Src[1]
-	ck.EffAddr[j] = d.EffAddr
-	ck.Target[j] = int32(d.Target)
-	ck.N = j + 1
+	s := Static{
+		PC: int32(d.PC), Target: int32(d.Target),
+		Op: d.Op, Class: d.Class, Flags: fl,
+		Dst: d.Dst, Src1: d.Src[0], Src2: d.Src[1],
+	}
+	cs := b.t.chunks
+	if len(cs) == 0 || cs[len(cs)-1].N == ChunkLen {
+		b.t.chunks = append(cs, Columns{
+			Base:    b.t.n,
+			Static:  b.t.static,
+			ID:      make([]uint32, 0, ChunkLen),
+			EffAddr: make([]uint32, 0, ChunkLen),
+		})
+		cs = b.t.chunks
+	}
+	ck := &cs[len(cs)-1]
+	ck.ID = append(ck.ID, b.intern(&s, ck))
+	ck.EffAddr = append(ck.EffAddr, uint32(d.EffAddr))
+	ck.N++
 	b.t.n++
+}
+
+// intern returns s's dictionary id, adding s if it is new (and
+// refreshing the current chunk's view of the grown dictionary).
+func (b *Builder) intern(s *Static, ck *Columns) uint32 {
+	slot := uint32(s.PC)<<1 | uint32(s.Flags&FlagTaken)>>1
+	if slot < uint32(len(b.last)) {
+		if id := b.last[slot]; id != 0 && b.t.static[id-1] == *s {
+			return id - 1
+		}
+	}
+	id, ok := b.ids[*s]
+	if !ok {
+		if b.ids == nil {
+			b.ids = make(map[Static]uint32)
+		}
+		id = uint32(len(b.t.static))
+		b.t.static = append(b.t.static, *s)
+		b.ids[*s] = id
+		ck.Static = b.t.static
+	}
+	if slot < maxSlot {
+		for uint32(len(b.last)) <= slot {
+			b.last = append(b.last, 0)
+		}
+		b.last[slot] = id + 1
+	}
+	return id
 }
 
 // Consume implements Consumer.
 func (b *Builder) Consume(d *DynInst) { b.Append(d) }
 
-// Trace returns the built trace. The pointer stays valid across
-// further appends (the builder and the trace share storage); callers
-// that need a stable snapshot should finish appending first.
-func (b *Builder) Trace() *Trace { return &b.t }
-
-func newChunk(base int64) Columns {
-	return Columns{
-		Base:    base,
-		PC:      make([]int32, ChunkLen),
-		Op:      make([]isa.Op, ChunkLen),
-		Class:   make([]isa.Class, ChunkLen),
-		Flags:   make([]uint8, ChunkLen),
-		Dst:     make([]isa.Reg, ChunkLen),
-		Src1:    make([]isa.Reg, ChunkLen),
-		Src2:    make([]isa.Reg, ChunkLen),
-		EffAddr: make([]int64, ChunkLen),
-		Target:  make([]int32, ChunkLen),
+// Trace returns the built trace, with the dictionary and the partial
+// last chunk trimmed to their live sizes. The pointer stays valid
+// across further appends (the builder and the trace share storage);
+// callers that need a stable snapshot should finish appending first.
+func (b *Builder) Trace() *Trace {
+	t := &b.t
+	if cap(t.static) > len(t.static) {
+		t.static = append(make([]Static, 0, len(t.static)), t.static...)
 	}
+	for i := range t.chunks {
+		t.chunks[i].Static = t.static
+	}
+	if k := len(t.chunks); k > 0 {
+		ck := &t.chunks[k-1]
+		if cap(ck.ID) > ck.N {
+			ck.ID = append(make([]uint32, 0, ck.N), ck.ID...)
+			ck.EffAddr = append(make([]uint32, 0, ck.N), ck.EffAddr...)
+		}
+	}
+	return t
 }

@@ -1,8 +1,11 @@
 package trace_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -153,6 +156,86 @@ func TestEmptyTrace(t *testing.T) {
 	tr := trace.NewBuilder().Trace()
 	if tr.Len() != 0 || len(tr.Materialize()) != 0 {
 		t.Error("fresh builder trace not empty")
+	}
+}
+
+// record runs p into a fresh Builder.
+func record(t *testing.T, p *program.Program) *trace.Trace {
+	t.Helper()
+	tb := trace.NewBuilder()
+	if _, err := funcsim.RunProgram(p, tb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Trace()
+}
+
+// encode serializes tr.
+func encode(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceDensity pins the dictionary encoding's footprint: 8 bytes
+// per instruction plus the dictionary's share, reported identically by
+// built, decoded and mapped traces.
+func TestTraceDensity(t *testing.T) {
+	for _, name := range []string{"gsm_c", "bitcount"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := record(t, spec.Build())
+		dict := int64(len(tr.Dictionary())) * int64(unsafe.Sizeof(trace.Static{}))
+		if perInst := float64(tr.SizeBytes()-dict) / float64(tr.Len()); perInst > 8 {
+			t.Errorf("%s: %.3f bytes/inst beyond the dictionary's %d bytes, want <= 8", name, perInst, dict)
+		}
+		enc := encode(t, tr)
+		decoded, err := trace.ReadTraceFrom(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := trace.MapTrace(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decoded.SizeBytes() != tr.SizeBytes() || mapped.SizeBytes() != tr.SizeBytes() {
+			t.Errorf("%s: SizeBytes built %d, decoded %d, mapped %d", name, tr.SizeBytes(), decoded.SizeBytes(), mapped.SizeBytes())
+		}
+	}
+}
+
+// TestMaterializeRoundTrips rebuilds every named workload's trace, and
+// seeded generated ones, from its materialized records: the rebuilt
+// trace must encode to the same bytes (same dictionary, same ids), and
+// the decoded stream must materialize to the same records.
+func TestMaterializeRoundTrips(t *testing.T) {
+	progs := map[string]*program.Program{}
+	for _, spec := range workloads.All() {
+		progs[spec.Name] = spec.Build()
+	}
+	for seed := int64(11); seed <= 14; seed++ {
+		cfg := randprog.Default(seed)
+		cfg.OuterTrips = 20
+		progs[fmt.Sprintf("randprog-%d", seed)] = randprog.Generate(cfg)
+	}
+	for name, p := range progs {
+		tr := record(t, p)
+		mat := tr.Materialize()
+		enc := encode(t, tr)
+		if !bytes.Equal(encode(t, trace.Of(mat...)), enc) {
+			t.Errorf("%s: trace rebuilt from Materialize encodes differently", name)
+		}
+		decoded, err := trace.ReadTraceFrom(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(decoded.Materialize(), mat) {
+			t.Errorf("%s: decoded trace materializes differently", name)
+		}
 	}
 }
 
