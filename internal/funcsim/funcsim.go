@@ -1,7 +1,7 @@
 // Package funcsim is the functional (instruction-set) simulator. It
 // plays the role M5's functional mode plays in the paper: it executes a
-// program to produce the dynamic instruction stream that profiling and
-// timing simulation consume.
+// program to record the dynamic instruction stream (a trace.Trace) that
+// profiling and timing simulation consume.
 //
 // The simulator is architecturally simple: 32 64-bit registers (r0
 // hardwired to zero) and a flat word-addressed data memory. Instruction
@@ -51,6 +51,16 @@ type Machine struct {
 
 	// MaxInstructions bounds the run; DefaultMaxInstructions if zero.
 	MaxInstructions int64
+
+	// prog is the program New built the machine for; data caches its
+	// initial data image as (address, value) pairs for Reset.
+	prog *program.Program
+	data [][2]int64
+
+	// ids caches, per (PC, taken) slot, 1 + the dictionary id of the
+	// slot's tuple in the builder idsFor (0: not interned yet).
+	ids    []uint32
+	idsFor *trace.Builder
 }
 
 // New builds a machine for the program: it assembles the IR, allocates
@@ -68,7 +78,7 @@ func New(p *program.Program) (*Machine, error) {
 	if p.MemWords > program.MaxMemWords {
 		return nil, fmt.Errorf("funcsim: program %q wants %d memory words, above the %d-word ceiling", p.Name, p.MemWords, int64(program.MaxMemWords))
 	}
-	m := &Machine{Instrs: ins, Mem: make([]int64, p.MemWords)}
+	m := &Machine{Instrs: ins, Mem: make([]int64, p.MemWords), prog: p}
 	for a, v := range p.Data {
 		if a < 0 || a >= p.MemWords {
 			return nil, fmt.Errorf("funcsim: program %q: data init address %d out of range [0,%d)", p.Name, a, p.MemWords)
@@ -87,13 +97,31 @@ func MustNew(p *program.Program) *Machine {
 	return m
 }
 
-// Run executes until HALT, streaming every retired instruction to sink
-// (which may be nil to execute without observation; a *trace.Builder
-// sink records the run into the columnar store). It returns the number
-// of dynamically executed instructions (HALT itself is not counted or
-// streamed: it never enters the modeled pipeline's trace).
-func (m *Machine) Run(sink trace.Consumer) (int64, error) {
-	return m.RunCtx(context.Background(), sink)
+// Reset returns the machine to the state New left it in, so the program
+// can run again without being re-assembled. The first Reset caches the
+// data image, so single runs never pay for it and later resets do not
+// re-walk the program's data map.
+func (m *Machine) Reset() {
+	if m.data == nil && m.prog != nil {
+		m.data = make([][2]int64, 0, len(m.prog.Data))
+		for a, v := range m.prog.Data {
+			m.data = append(m.data, [2]int64{a, v})
+		}
+	}
+	clear(m.Mem)
+	for _, w := range m.data {
+		m.Mem[w[0]] = w[1]
+	}
+	m.Regs = [isa.NumRegs]int64{}
+	m.PC, m.Retired, m.Halted = 0, 0, false
+}
+
+// Run executes until HALT, recording every retired instruction into b
+// (which may be nil to execute without observation). It returns the
+// number of dynamically executed instructions (HALT itself is not
+// counted or recorded: it never enters the modeled pipeline's trace).
+func (m *Machine) Run(b *trace.Builder) (int64, error) {
+	return m.RunCtx(context.Background(), b)
 }
 
 // RunCtx is Run under a context: every ctxCheckInterval retired
@@ -101,15 +129,23 @@ func (m *Machine) Run(sink trace.Consumer) (int64, error) {
 // stops even a tight infinite loop promptly (returning ctx.Err() with
 // the partial retirement count). A background context adds no per-
 // instruction work; Run and RunCtx retire identical streams.
-func (m *Machine) RunCtx(ctx context.Context, sink trace.Consumer) (int64, error) {
+//
+// Recording costs a table lookup and two stores per instruction: every
+// execution of one static instruction that goes the same way records
+// the same trace.Static tuple, so the tuple is derived and interned
+// once per (PC, taken) and its id cached. The cache belongs to b, and
+// persists across runs into the same builder.
+func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 	maxN := m.MaxInstructions
 	if maxN <= 0 {
 		maxN = DefaultMaxInstructions
 	}
-	record := sink != nil
+	record := b != nil
+	if record && m.idsFor != b {
+		m.ids, m.idsFor = make([]uint32, 2*len(m.Instrs)), b
+	}
+	ids := m.ids
 	watched := ctx.Done() != nil
-	var local trace.DynInst
-	d := &local
 	memLen := int64(len(m.Mem))
 	for !m.Halted {
 		if watched && m.Retired&(ctxCheckInterval-1) == 0 {
@@ -130,17 +166,7 @@ func (m *Machine) RunCtx(ctx context.Context, sink trace.Consumer) (int64, error
 		}
 
 		nextPC := m.PC + 1
-		if record {
-			// Unobserved runs skip the record build; stale fields are
-			// never read.
-			*d = trace.DynInst{
-				Seq:   m.Retired,
-				PC:    m.PC,
-				Op:    in.Op,
-				Class: isa.ClassOf(in.Op),
-			}
-		}
-
+		var ea, taken int64 // effective word address; 1 if control transferred
 		s1 := m.Regs[in.Src1]
 		s2 := m.Regs[in.Src2]
 		var wval int64
@@ -201,83 +227,116 @@ func (m *Machine) RunCtx(ctx context.Context, sink trace.Consumer) (int64, error
 			}
 			writes = true
 		case isa.LD:
-			addr := s1 + in.Imm
-			if addr < 0 || addr >= memLen {
-				return m.Retired, fmt.Errorf("%w: load address %d at PC %d (%v)", ErrMemFault, addr, m.PC, in)
+			ea = s1 + in.Imm
+			if ea < 0 || ea >= memLen {
+				return m.Retired, fmt.Errorf("%w: load address %d at PC %d (%v)", ErrMemFault, ea, m.PC, in)
 			}
-			wval, writes = m.Mem[addr], true
-			d.EffAddr, d.IsLoad = addr, true
+			wval, writes = m.Mem[ea], true
 		case isa.ST:
-			addr := s1 + in.Imm
-			if addr < 0 || addr >= memLen {
-				return m.Retired, fmt.Errorf("%w: store address %d at PC %d (%v)", ErrMemFault, addr, m.PC, in)
+			ea = s1 + in.Imm
+			if ea < 0 || ea >= memLen {
+				return m.Retired, fmt.Errorf("%w: store address %d at PC %d (%v)", ErrMemFault, ea, m.PC, in)
 			}
-			m.Mem[addr] = s2
-			d.EffAddr, d.IsStore = addr, true
+			m.Mem[ea] = s2
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-			taken := false
+			var t bool
 			switch in.Op {
 			case isa.BEQ:
-				taken = s1 == s2
+				t = s1 == s2
 			case isa.BNE:
-				taken = s1 != s2
+				t = s1 != s2
 			case isa.BLT:
-				taken = s1 < s2
+				t = s1 < s2
 			case isa.BGE:
-				taken = s1 >= s2
+				t = s1 >= s2
 			}
-			d.IsBranch, d.Taken, d.Target = true, taken, int64(in.Target)
-			if taken {
-				nextPC = int64(in.Target)
+			if t {
+				nextPC, taken = int64(in.Target), 1
 			}
 		case isa.JMP:
-			d.IsJump, d.Taken, d.Target = true, true, int64(in.Target)
-			nextPC = int64(in.Target)
+			nextPC, taken = int64(in.Target), 1
 		case isa.JAL:
-			d.IsJump, d.Taken, d.Target = true, true, int64(in.Target)
 			if in.Dst != isa.Zero {
 				wval, writes = m.PC+1, true
 			}
-			nextPC = int64(in.Target)
+			nextPC, taken = int64(in.Target), 1
 		default:
 			return m.Retired, fmt.Errorf("funcsim: unimplemented opcode %v at PC %d", in.Op, m.PC)
 		}
 
 		if writes && in.Dst != isa.Zero {
 			m.Regs[in.Dst] = wval
-			d.Dst, d.HasDst = in.Dst, true
 		}
 		if record {
-			if in.Src1 != isa.Zero || in.Src2 != isa.Zero {
-				d.NumSrc = 0
-				var tmp [4]isa.Reg
-				for _, r := range in.SrcRegs(tmp[:0]) {
-					if d.NumSrc < 2 {
-						d.Src[d.NumSrc] = r
-						d.NumSrc++
-					}
-				}
+			slot := m.PC<<1 | taken
+			id := ids[slot]
+			if id == 0 {
+				id = m.intern(b, slot)
 			}
-			d.NextPC = nextPC
+			// Addresses are below memLen <= program.MaxMemWords.
+			b.AppendID(id-1, uint32(ea))
 		}
 
 		m.PC = nextPC
 		m.Retired++
-		if sink != nil {
-			sink.Consume(d)
-		}
 	}
 	return m.Retired, nil
 }
 
-// RunProgram assembles and runs p, streaming to sink. Convenience for
-// the common one-shot case.
-func RunProgram(p *program.Program, sink trace.Consumer) (int64, error) {
+// intern interns the tuple of slot (PC<<1 | taken) into b and caches
+// 1 + its id.
+func (m *Machine) intern(b *trace.Builder, slot int64) uint32 {
+	pc := slot >> 1
+	id := b.Intern(static(pc, &m.Instrs[pc], slot&1 != 0)) + 1
+	m.ids[slot] = id
+	return id
+}
+
+// static derives the trace tuple that every execution of in at pc
+// records when it goes the given way: the register sources it actually
+// reads (never the zero register), its destination if the write is
+// architecturally visible, and for control instructions the target and
+// direction.
+func static(pc int64, in *isa.Instr, taken bool) trace.Static {
+	s := trace.Static{PC: int32(pc), Op: in.Op, Class: isa.ClassOf(in.Op)}
+	if in.HasDst() {
+		s.Dst, s.Flags = in.Dst, trace.FlagHasDst
+	}
+	var tmp [2]isa.Reg
+	srcs := in.SrcRegs(tmp[:0])
+	s.Flags |= uint8(len(srcs)) << trace.NumSrcShift
+	if len(srcs) > 0 {
+		s.Src1 = srcs[0]
+	}
+	if len(srcs) > 1 {
+		s.Src2 = srcs[1]
+	}
+	switch s.Class {
+	case isa.ClassLoad:
+		s.Flags |= trace.FlagLoad
+	case isa.ClassStore:
+		s.Flags |= trace.FlagStore
+	case isa.ClassBranch:
+		s.Flags |= trace.FlagBranch
+		s.Target = int32(in.Target)
+		if taken {
+			s.Flags |= trace.FlagTaken
+		}
+	case isa.ClassJump:
+		s.Flags |= trace.FlagJump | trace.FlagTaken
+		s.Target = int32(in.Target)
+	}
+	return s
+}
+
+// RunProgram assembles and runs p, recording into b (nil for an
+// unobserved run). Convenience for the common one-shot case.
+func RunProgram(p *program.Program, b *trace.Builder) (int64, error) {
 	m, err := New(p)
 	if err != nil {
 		return 0, err
 	}
-	return m.Run(sink)
+	return m.Run(b)
 }
 
 func boolTo64(b bool) int64 {

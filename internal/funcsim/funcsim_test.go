@@ -2,6 +2,8 @@ package funcsim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -212,15 +214,15 @@ func TestTraceRecords(t *testing.T) {
 	b.Nop()
 	b = p.Block("x")
 	b.Halt()
-	rec := &trace.Recorder{}
-	n, err := RunProgram(p, rec)
+	tb := trace.NewBuilder()
+	n, err := RunProgram(p, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
 		t.Fatalf("retired %d, want 4 (HALT not counted)", n)
 	}
-	ds := rec.Insts
+	ds := tb.Trace().Materialize()
 	if !ds[1].IsStore || ds[1].EffAddr != 9 {
 		t.Errorf("store record = %+v", ds[1])
 	}
@@ -240,6 +242,176 @@ func TestTraceRecords(t *testing.T) {
 		if d.Seq != int64(i) {
 			t.Errorf("seq %d at position %d", d.Seq, i)
 		}
+	}
+}
+
+// TestRecordedStatic checks, for every opcode and both directions of
+// each conditional branch, the dictionary tuple a run records, field by
+// field, plus the per-instruction effective address and next PC. The
+// instruction under test sits at PC 0 with destination r3, sources r5
+// and r7 and target 2; r5 holds 4, so memory accesses hit word 5.
+func TestRecordedStatic(t *testing.T) {
+	const (
+		fl  = 0
+		dst = trace.FlagHasDst
+		ld  = trace.FlagLoad
+		st  = trace.FlagStore
+		br  = trace.FlagBranch
+		jmp = trace.FlagJump | trace.FlagTaken
+	)
+	type want struct {
+		class      isa.Class
+		src1, src2 isa.Reg // recorded sources, packed first
+		nsrc       uint8
+		flags      uint8
+		target     int32
+	}
+	rr := func(c isa.Class, f uint8) want { return want{c, 5, 7, 2, f, 0} }
+	ri := func(c isa.Class, f uint8) want { return want{c, 5, 0, 1, f, 0} }
+	ops := map[isa.Op]want{
+		isa.NOP: {isa.ClassNop, 0, 0, 0, fl, 0},
+		isa.ADD: rr(isa.ClassALU, dst), isa.SUB: rr(isa.ClassALU, dst),
+		isa.AND: rr(isa.ClassALU, dst), isa.OR: rr(isa.ClassALU, dst),
+		isa.XOR: rr(isa.ClassALU, dst), isa.SHL: rr(isa.ClassALU, dst),
+		isa.SHR: rr(isa.ClassALU, dst), isa.SRA: rr(isa.ClassALU, dst),
+		isa.SLT:  rr(isa.ClassALU, dst),
+		isa.ADDI: ri(isa.ClassALU, dst), isa.ANDI: ri(isa.ClassALU, dst),
+		isa.ORI: ri(isa.ClassALU, dst), isa.XORI: ri(isa.ClassALU, dst),
+		isa.SHLI: ri(isa.ClassALU, dst), isa.SHRI: ri(isa.ClassALU, dst),
+		isa.SRAI: ri(isa.ClassALU, dst), isa.SLTI: ri(isa.ClassALU, dst),
+		isa.LUI: {isa.ClassALU, 0, 0, 0, dst, 0},
+		isa.MUL: rr(isa.ClassMul, dst), isa.DIV: rr(isa.ClassDiv, dst),
+		isa.REM: rr(isa.ClassDiv, dst),
+		isa.LD:  ri(isa.ClassLoad, dst|ld), isa.ST: rr(isa.ClassStore, st),
+		isa.BEQ: {isa.ClassBranch, 5, 7, 2, br, 2}, isa.BNE: {isa.ClassBranch, 5, 7, 2, br, 2},
+		isa.BLT: {isa.ClassBranch, 5, 7, 2, br, 2}, isa.BGE: {isa.ClassBranch, 5, 7, 2, br, 2},
+		isa.JMP: {isa.ClassJump, 0, 0, 0, jmp, 2},
+		isa.JAL: {isa.ClassJump, 0, 0, 0, dst | jmp, 2},
+	}
+	// r7 values that make each conditional branch go each way (r5 = 4).
+	r7 := map[isa.Op]map[bool]int64{
+		isa.BEQ: {true: 4, false: 5}, isa.BNE: {true: 5, false: 4},
+		isa.BLT: {true: 5, false: 4}, isa.BGE: {true: 4, false: 5},
+	}
+	check := func(t *testing.T, in isa.Instr, v7 int64, w want) {
+		t.Helper()
+		m := &Machine{Instrs: []isa.Instr{in, {Op: isa.HALT}, {Op: isa.HALT}}, Mem: make([]int64, 16)}
+		m.Regs[5], m.Regs[7] = 4, v7
+		tb := trace.NewBuilder()
+		if n, err := m.Run(tb); err != nil || n != 1 {
+			t.Fatalf("retired %d, err %v", n, err)
+		}
+		tr := tb.Trace()
+		if len(tr.Dictionary()) != 1 {
+			t.Fatalf("dictionary has %d tuples, want 1", len(tr.Dictionary()))
+		}
+		s := tr.Dictionary()[0]
+		wantDst := isa.Reg(0)
+		if w.flags&trace.FlagHasDst != 0 {
+			wantDst = in.Dst
+		}
+		for _, f := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"PC", int64(s.PC), 0},
+			{"Target", int64(s.Target), int64(w.target)},
+			{"Op", int64(s.Op), int64(in.Op)},
+			{"Class", int64(s.Class), int64(w.class)},
+			{"Flags", int64(s.Flags &^ (3 << trace.NumSrcShift)), int64(w.flags)},
+			{"NumSrc", int64(s.Flags >> trace.NumSrcShift), int64(w.nsrc)},
+			{"Dst", int64(s.Dst), int64(wantDst)},
+			{"Src1", int64(s.Src1), int64(w.src1)},
+			{"Src2", int64(s.Src2), int64(w.src2)},
+		} {
+			if f.got != f.want {
+				t.Errorf("%v: %s = %d, want %d", in, f.name, f.got, f.want)
+			}
+		}
+		d := tr.At(0)
+		wantEA, wantNext := int64(0), int64(1)
+		if w.class == isa.ClassLoad || w.class == isa.ClassStore {
+			wantEA = 5
+		}
+		if w.flags&trace.FlagTaken != 0 {
+			wantNext = 2
+		}
+		if d.EffAddr != wantEA || d.NextPC != wantNext {
+			t.Errorf("%v: EffAddr %d NextPC %d, want %d and %d", in, d.EffAddr, d.NextPC, wantEA, wantNext)
+		}
+	}
+	for op := isa.Op(0); op < isa.HALT; op++ {
+		w, ok := ops[op]
+		if !ok {
+			t.Errorf("no expected tuple for %v", op)
+			continue
+		}
+		in := isa.Instr{Op: op, Dst: 3, Src1: 5, Src2: 7, Imm: 1, Target: 2}
+		if dirs, ok := r7[op]; ok {
+			for _, taken := range []bool{false, true} {
+				wt := w
+				if taken {
+					wt.flags |= trace.FlagTaken
+				}
+				t.Run(fmt.Sprintf("%v/taken=%v", op, taken), func(t *testing.T) { check(t, in, dirs[taken], wt) })
+			}
+			continue
+		}
+		t.Run(op.String(), func(t *testing.T) { check(t, in, 0, w) })
+	}
+	// The zero register is never a recorded source or destination.
+	t.Run("zero-register", func(t *testing.T) {
+		check(t, isa.Instr{Op: isa.ADD, Dst: 0, Src1: 0, Src2: 7}, 0, want{isa.ClassALU, 7, 0, 1, fl, 0})
+		check(t, isa.Instr{Op: isa.JAL, Dst: 0, Target: 2}, 0, want{isa.ClassJump, 0, 0, 0, jmp, 2})
+		check(t, isa.Instr{Op: isa.LUI, Dst: 3, Src1: 5, Src2: 7, Imm: 9}, 0, want{isa.ClassALU, 0, 0, 0, dst, 0})
+	})
+}
+
+// TestResetRerunsIdentically: a reset machine runs the program again
+// from its initial data image, and a second run into the same builder
+// reuses the first run's dictionary ids.
+func TestResetRerunsIdentically(t *testing.T) {
+	p := program.New("t", 64)
+	p.SetDataSlice(0, []int64{9, 8, 7})
+	b := p.Block("main")
+	b.Li(1, 0).Li(2, 3).Li(3, 0)
+	b = p.Block("loop")
+	b.Ld(4, 1, 0).Add(3, 3, 4).St(3, 1, 0).Addi(1, 1, 1).Blt(1, 2, "loop")
+	p.Block("end").Halt()
+
+	m := MustNew(p)
+	tb := trace.NewBuilder()
+	n1, err := m.Run(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem1 := append([]int64(nil), m.Mem...)
+	regs1 := m.Regs
+	m.Reset()
+	if m.PC != 0 || m.Retired != 0 || m.Halted || m.Regs != ([isa.NumRegs]int64{}) || m.Mem[1] != 8 {
+		t.Fatalf("Reset left PC %d retired %d halted %v mem[1] %d", m.PC, m.Retired, m.Halted, m.Mem[1])
+	}
+	n2, err := m.Run(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n2 != n1 || m.Regs != regs1 || !slices.Equal(m.Mem, mem1) {
+		t.Fatalf("second run differs: n %d/%d, r3 %d/%d", n1, n2, regs1[3], m.Regs[3])
+	}
+	tr := tb.Trace()
+	first, second := tr.Materialize()[:n1], tr.Materialize()[n1:]
+	for i := range first {
+		second[i].Seq -= n1
+		if first[i] != second[i] {
+			t.Fatalf("record %d differs between runs:\n %+v\n %+v", i, first[i], second[i])
+		}
+	}
+	fresh := trace.NewBuilder()
+	if _, err := MustNew(p).Run(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tr.Dictionary(), fresh.Trace().Dictionary()) {
+		t.Error("the second run grew the dictionary")
 	}
 }
 

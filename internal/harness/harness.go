@@ -67,44 +67,7 @@ func ProfileProgramScaled(p *program.Program, minDyn int64) (*Profiled, error) {
 // satisfy the profile's invariants), so with minDyn ≤ one run's length
 // the func behaves like the uncancellable original.
 func ProfileProgramScaledCtx(ctx context.Context, p *program.Program, minDyn int64) (*Profiled, error) {
-	b := trace.NewBuilder()
-	col := profile.NewCollector(p.Name)
-	var total int64
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		m, err := funcsim.New(p)
-		if err != nil {
-			return nil, fmt.Errorf("harness: profiling %q: %w", p.Name, err)
-		}
-		var sink trace.Consumer
-		if total == 0 {
-			sink = trace.Tee{b, col}
-		} else {
-			// Repeat runs restart the machine's Seq at 0; shift it to
-			// the global position so the profile's dependency
-			// distances see one continuous stream (the builder derives
-			// Seq from position and is unaffected).
-			base := total
-			sink = trace.Tee{b, trace.ConsumerFunc(func(d *trace.DynInst) {
-				d.Seq += base
-				col.Consume(d)
-			})}
-		}
-		n, err := m.Run(sink)
-		if err != nil {
-			return nil, fmt.Errorf("harness: profiling %q: %w", p.Name, err)
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("harness: program %q executed zero instructions", p.Name)
-		}
-		total += n
-		if total >= minDyn {
-			break
-		}
-	}
-	return &Profiled{Name: p.Name, Trace: b.Trace(), Prof: col.Result()}, nil
+	return profileRuns(ctx, context.Background(), p, minDyn, 0)
 }
 
 // ProfileProgramSandboxedCtx is ProfileProgramScaledCtx hardened for
@@ -113,7 +76,7 @@ func ProfileProgramScaledCtx(ctx context.Context, p *program.Program, minDyn int
 // would be exceeded before the minDyn floor is met), the context is
 // polled inside each run at chunk granularity (funcsim.RunCtx), so a
 // wall-clock deadline stops even a tight infinite loop, and a panic
-// anywhere in the build/execute/collect stack is converted into an
+// anywhere in the build/execute/profile stack is converted into an
 // error — a hostile submission can fail only itself, never the
 // process. maxDyn ≤ 0 means funcsim.DefaultMaxInstructions per run.
 func ProfileProgramSandboxedCtx(ctx context.Context, p *program.Program, minDyn, maxDyn int64) (pw *Profiled, err error) {
@@ -122,35 +85,34 @@ func ProfileProgramSandboxedCtx(ctx context.Context, p *program.Program, minDyn,
 			pw, err = nil, fmt.Errorf("harness: profiling %q panicked: %v", p.Name, rec)
 		}
 	}()
+	return profileRuns(ctx, ctx, p, minDyn, maxDyn)
+}
+
+// profileRuns executes p into one trace, resetting the machine between
+// runs, until at least minDyn instructions are recorded, then profiles
+// the trace. ctx is checked before every run and runCtx polled inside
+// each (see funcsim.RunCtx); maxDyn > 0 caps the instructions of all
+// runs together.
+func profileRuns(ctx, runCtx context.Context, p *program.Program, minDyn, maxDyn int64) (*Profiled, error) {
+	m, err := funcsim.New(p)
+	if err != nil {
+		return nil, fmt.Errorf("harness: profiling %q: %w", p.Name, err)
+	}
 	b := trace.NewBuilder()
-	col := profile.NewCollector(p.Name)
-	var total int64
-	for {
+	for total := int64(0); total == 0 || total < minDyn; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		m, err := funcsim.New(p)
-		if err != nil {
-			return nil, fmt.Errorf("harness: profiling %q: %w", p.Name, err)
+		if total > 0 {
+			m.Reset()
 		}
 		if maxDyn > 0 {
-			remaining := maxDyn - total
-			if remaining <= 0 {
+			if total >= maxDyn {
 				return nil, fmt.Errorf("harness: profiling %q: %w (budget %d)", p.Name, funcsim.ErrMaxInstructions, maxDyn)
 			}
-			m.MaxInstructions = remaining
+			m.MaxInstructions = maxDyn - total
 		}
-		var sink trace.Consumer
-		if total == 0 {
-			sink = trace.Tee{b, col}
-		} else {
-			base := total
-			sink = trace.Tee{b, trace.ConsumerFunc(func(d *trace.DynInst) {
-				d.Seq += base
-				col.Consume(d)
-			})}
-		}
-		n, err := m.RunCtx(ctx, sink)
+		n, err := m.RunCtx(runCtx, b)
 		if err != nil {
 			return nil, fmt.Errorf("harness: profiling %q: %w", p.Name, err)
 		}
@@ -158,11 +120,9 @@ func ProfileProgramSandboxedCtx(ctx context.Context, p *program.Program, minDyn,
 			return nil, fmt.Errorf("harness: program %q executed zero instructions", p.Name)
 		}
 		total += n
-		if total >= minDyn {
-			break
-		}
 	}
-	return &Profiled{Name: p.Name, Trace: b.Trace(), Prof: col.Result()}, nil
+	tr := b.Trace()
+	return &Profiled{Name: p.Name, Trace: tr, Prof: profile.Of(p.Name, tr)}, nil
 }
 
 // Fresh returns a Profiled sharing this one's trace and profile but

@@ -10,6 +10,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -85,16 +86,8 @@ type Profile struct {
 	DepsLd   DepProfile // producer is a load
 }
 
-// Collector streams a trace into a Profile.
-type Collector struct {
-	P Profile
-
-	// lastWriter[r] is the dynamic sequence number of the most recent
-	// writer of register r, or -1. writerKind mirrors it.
-	lastWriter [isa.NumRegs]int64
-	writerKind [isa.NumRegs]producerKind
-}
-
+// producerKind classifies a register's writer for the dependency
+// profiles.
 type producerKind uint8
 
 const (
@@ -103,95 +96,106 @@ const (
 	prodLoad
 )
 
-// NewCollector returns a collector for a program with the given name.
-func NewCollector(name string) *Collector {
-	c := &Collector{}
-	c.P.Name = name
-	for i := range c.lastWriter {
-		c.lastWriter[i] = -1
-	}
-	return c
-}
+// Register slots of the dependency pass beyond the architectural
+// registers: noSrc stands in for a missing source and is never written;
+// noDst absorbs the writes of instructions without a destination and is
+// never read.
+const (
+	noSrc = isa.NumRegs + iota
+	noDst
+)
 
-// Consume implements trace.Consumer.
-func (c *Collector) Consume(d *trace.DynInst) {
-	p := &c.P
-	p.N++
-	p.ByClass[d.Class]++
-	p.ByOp[d.Op]++
-
-	switch d.Class {
-	case isa.ClassMul:
-		p.NMul++
-	case isa.ClassDiv:
-		p.NDiv++
-	case isa.ClassLoad:
-		p.NLoad++
-	case isa.ClassStore:
-		p.NStore++
-	case isa.ClassBranch:
-		p.NBranch++
-		if d.Taken {
-			p.NTaken++
-		}
-	case isa.ClassJump:
-		p.NJump++
-	}
-
-	// Dependency profiling: find the nearest producer among the sources.
-	if d.NumSrc > 0 {
-		bestDist := int64(-1)
-		bestKind := prodUnit
-		for i := 0; i < d.NumSrc; i++ {
-			r := d.Src[i]
-			w := c.lastWriter[r]
-			if w < 0 {
-				continue
-			}
-			dist := d.Seq - w
-			if bestDist < 0 || dist < bestDist ||
-				(dist == bestDist && kindPriority(c.writerKind[r]) > kindPriority(bestKind)) {
-				bestDist = dist
-				bestKind = c.writerKind[r]
-			}
-		}
-		if bestDist >= 1 && bestDist <= MaxDepDist {
-			switch bestKind {
-			case prodLoad:
-				p.DepsLd.Count[bestDist]++
-			case prodLL:
-				p.DepsLL.Count[bestDist]++
-			default:
-				p.DepsUnit.Count[bestDist]++
-			}
-		}
-	}
-
-	if d.HasDst {
-		c.lastWriter[d.Dst] = d.Seq
-		switch d.Class {
+// Of computes the profile of a recorded trace in one pass over its
+// dictionary-id column. Everything but the dependency distances is a
+// property of the dictionary tuple alone, so the counts are folded from
+// a histogram of ids. For the distances each tuple's sources,
+// destination and producer kind are precomputed; the pass keeps, per
+// register, the position of its last writer and that writer's kind.
+// Positions are trace positions, so a trace that concatenates several
+// runs of a program is profiled as one continuous execution.
+func Of(name string, tr *trace.Trace) *Profile {
+	type deps struct{ src1, src2, dst, kind uint8 }
+	dict := tr.Dictionary()
+	meta := make([]deps, len(dict))
+	for id, s := range dict {
+		e := deps{src1: noSrc, src2: noSrc, dst: noDst, kind: uint8(prodUnit)}
+		switch s.Class {
 		case isa.ClassMul, isa.ClassDiv:
-			c.writerKind[d.Dst] = prodLL
+			e.kind = uint8(prodLL)
 		case isa.ClassLoad:
-			c.writerKind[d.Dst] = prodLoad
-		default:
-			c.writerKind[d.Dst] = prodUnit
+			e.kind = uint8(prodLoad)
+		}
+		if n := s.Flags >> trace.NumSrcShift; n >= 1 {
+			e.src1 = uint8(s.Src1)
+			if n >= 2 {
+				e.src2 = uint8(s.Src2)
+			}
+		}
+		if s.Flags&trace.FlagHasDst != 0 {
+			e.dst = uint8(s.Dst)
+		}
+		meta[id] = e
+	}
+
+	// last[r] is position<<2 | kind of register r's latest writer. The
+	// nearest producer of two sources is then the larger entry: equal
+	// positions are one writer, so its kind is unambiguous. "No writer"
+	// sits far enough below every position that its distance is never
+	// counted. 256 entries let a uint8 index go unchecked.
+	const none = math.MinInt64
+	var last [256]int64
+	for r := range last {
+		last[r] = none
+	}
+	var dist [4][MaxDepDist + 1]int64
+	hist := make([]int64, len(dict))
+	for cur := tr.Cursor(); ; {
+		ck, ok := cur.Next()
+		if !ok {
+			break
+		}
+		i := ck.Base
+		for _, id := range ck.ID[:ck.N] {
+			hist[id]++
+			e := meta[id]
+			w := max(last[e.src1], last[e.src2])
+			if d := i - w>>2; uint64(d-1) < MaxDepDist {
+				dist[w&3][d]++
+			}
+			last[e.dst] = i<<2 | int64(e.kind)
+			i++
 		}
 	}
-}
 
-func kindPriority(k producerKind) int {
-	switch k {
-	case prodLoad:
-		return 2
-	case prodLL:
-		return 1
+	p := &Profile{Name: name}
+	p.DepsUnit.Count = dist[prodUnit]
+	p.DepsLL.Count = dist[prodLL]
+	p.DepsLd.Count = dist[prodLoad]
+	for id, n := range hist {
+		s := &dict[id]
+		p.N += n
+		p.ByClass[s.Class] += n
+		p.ByOp[s.Op] += n
+		switch s.Class {
+		case isa.ClassMul:
+			p.NMul += n
+		case isa.ClassDiv:
+			p.NDiv += n
+		case isa.ClassLoad:
+			p.NLoad += n
+		case isa.ClassStore:
+			p.NStore += n
+		case isa.ClassBranch:
+			p.NBranch += n
+			if s.Flags&trace.FlagTaken != 0 {
+				p.NTaken += n
+			}
+		case isa.ClassJump:
+			p.NJump += n
+		}
 	}
-	return 0
+	return p
 }
-
-// Result returns the collected profile.
-func (c *Collector) Result() *Profile { return &c.P }
 
 // Mix returns the fraction of dynamic instructions in the given class.
 func (p *Profile) Mix(cl isa.Class) float64 {

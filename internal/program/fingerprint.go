@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 )
 
 // Fingerprint returns a SHA-256 content hash of the program: every
@@ -16,21 +15,23 @@ import (
 // silently rehydrating a stale trace.
 //
 // The hash is length-prefixed field by field, so adjacent variable-
-// length values (labels, block boundaries) can never alias.
+// length values (labels, block boundaries) can never alias. Fields are
+// encoded into a buffer that is hashed in large writes.
 func (p *Program) Fingerprint() string {
 	h := sha256.New()
-	ws := func(s string) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(len(s)))
-		h.Write(b[:])
-		_, _ = io.WriteString(h, s)
-	}
+	var buf []byte
 	wi := func(vs ...int64) {
-		var b [8]byte
 		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], uint64(v))
-			h.Write(b[:])
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 		}
+		if len(buf) >= 32<<10 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	ws := func(s string) {
+		wi(int64(len(s)))
+		buf = append(buf, s...)
 	}
 	ws(p.Name)
 	wi(p.MemWords, int64(len(p.Blocks)))
@@ -53,5 +54,6 @@ func (p *Program) Fingerprint() string {
 	for _, a := range addrs {
 		wi(a, p.Data[a])
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -10,7 +10,7 @@ package program
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -212,7 +212,7 @@ func (p *Program) DataAddrs() []int64 {
 	for a := range p.Data {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -126,12 +126,12 @@ func TestModelTracksSimulatorOnRandomPrograms(t *testing.T) {
 func TestProfilerAccountsEveryInstruction(t *testing.T) {
 	for seed := int64(300); seed < 300+fuzzSeeds; seed++ {
 		p := Generate(Default(seed))
-		col := profile.NewCollector(p.Name)
-		n, err := funcsim.RunProgram(p, col)
+		tb := trace.NewBuilder()
+		n, err := funcsim.RunProgram(p, tb)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		prof := col.Result()
+		prof := profile.Of(p.Name, tb.Trace())
 		if prof.N != n {
 			t.Errorf("seed %d: profile N=%d, executed %d", seed, prof.N, n)
 		}

@@ -20,12 +20,12 @@ func TestReplayCtx(t *testing.T) {
 	}
 	tr := b.Trace()
 
-	var count Counter
-	if err := tr.ReplayCtx(context.Background(), &count); err != nil {
+	var count int64
+	if err := tr.ReplayCtx(context.Background(), ConsumerFunc(func(*DynInst) { count++ })); err != nil {
 		t.Fatalf("ReplayCtx with live context: %v", err)
 	}
-	if count.Total != n {
-		t.Fatalf("ReplayCtx observed %d instructions, want %d", count.Total, n)
+	if count != n {
+		t.Fatalf("ReplayCtx observed %d instructions, want %d", count, n)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -194,7 +194,7 @@ func (c *Cursor) Next() (*Columns, bool) {
 // Replay streams every instruction to sink as a reconstructed
 // *DynInst, reusing one record — the compatibility path for
 // per-instruction consumers. The record must not be retained across
-// calls (copy it, as Recorder does).
+// calls (copy it to keep it).
 func (t *Trace) Replay(sink Consumer) {
 	var d DynInst
 	for cur := t.Cursor(); ; {
@@ -278,36 +278,78 @@ func Of(ds ...DynInst) *Trace {
 
 // Builder accumulates a Trace chunk by chunk: appends never copy
 // existing data (no doubling growth), so no sizing pre-pass is needed.
-// It implements Consumer, so it can sit directly on the functional
-// simulator's sink.
 //
-// Interning is exact for any record stream. Each PC and branch
-// direction remembers the id of the last tuple seen there, which the
-// next execution almost always repeats; a map over every tuple catches
-// the rest (indirect jumps, synthetic streams). Ids are assigned in
-// first-appearance order, so equal streams encode to equal bytes.
+// Recording is two calls. Intern maps a Static tuple to its dictionary
+// id, assigning ids in first-appearance order so that equal streams
+// encode to equal bytes; AppendID writes one instruction as its id and
+// effective word address. A recorder that derives each tuple once and
+// caches its id, as the functional simulator does per (PC, taken),
+// records an instruction with two stores.
 type Builder struct {
-	t    Trace
-	last []uint32          // per-(PC, taken) id+1 of the last tuple seen there; 0 = none
-	ids  map[Static]uint32 // every interned tuple
+	static []Static          // the dictionary, in id order
+	index  map[Static]uint32 // every interned tuple
+
+	// The chunks appended so far; the last, cur, holds fill entries.
+	// fill == ChunkLen means a new chunk is due.
+	bufs []*chunkBuf
+	cur  *chunkBuf
+	fill int
 }
 
-// maxSlot bounds the slot table; tuples at larger PCs intern through
-// the map alone.
-const maxSlot = 1 << 21
+// chunkBuf holds one chunk's two columns while it is being filled.
+type chunkBuf struct{ id, addr [ChunkLen]uint32 }
 
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder { return &Builder{} }
+func NewBuilder() *Builder { return &Builder{fill: ChunkLen} }
 
 // Len returns the number of instructions appended so far.
-func (b *Builder) Len() int64 { return b.t.n }
+func (b *Builder) Len() int64 {
+	if len(b.bufs) == 0 {
+		return 0
+	}
+	return int64(len(b.bufs)-1)*ChunkLen + int64(b.fill)
+}
 
-// Append encodes d at the next position. Seq and NextPC are not
-// stored: Seq is implicit in position and NextPC is re-derived on
-// decode from the taken flag, target and PC (the invariant every
-// funcsim-produced record satisfies). Effective addresses are word
-// addresses below program.MaxMemWords; one outside 32 bits breaks that
-// invariant and panics.
+// Intern returns s's dictionary id, adding s if it is new.
+func (b *Builder) Intern(s Static) uint32 {
+	id, ok := b.index[s]
+	if !ok {
+		if b.index == nil {
+			b.index = make(map[Static]uint32)
+		}
+		id = uint32(len(b.static))
+		b.static = append(b.static, s)
+		b.index[s] = id
+	}
+	return id
+}
+
+// AppendID appends one instruction: id is a dictionary id returned by
+// Intern and word its effective word address (0 for instructions that
+// do not access memory). It is small enough to inline into a
+// recorder's loop.
+func (b *Builder) AppendID(id, word uint32) {
+	if b.fill == ChunkLen {
+		b.grow()
+	}
+	b.cur.id[b.fill&ChunkMask] = id
+	b.cur.addr[b.fill&ChunkMask] = word
+	b.fill++
+}
+
+// grow starts a new chunk.
+func (b *Builder) grow() {
+	b.cur, b.fill = new(chunkBuf), 0
+	b.bufs = append(b.bufs, b.cur)
+}
+
+// Append encodes d at the next position, interning its static fields.
+// Seq and NextPC are not stored: Seq is implicit in position and NextPC
+// is re-derived on decode from the taken flag, target and PC (the
+// invariant every funcsim-produced record satisfies). Effective
+// addresses are word addresses below program.MaxMemWords; one outside
+// 32 bits breaks that invariant and panics. Append is the adapter for
+// explicit records (Of and tests); recorders call Intern and AppendID.
 func (b *Builder) Append(d *DynInst) {
 	if uint64(d.EffAddr) > math.MaxUint32 {
 		panic(fmt.Sprintf("trace: effective word address %d outside 32 bits", d.EffAddr))
@@ -331,77 +373,30 @@ func (b *Builder) Append(d *DynInst) {
 	if d.IsJump {
 		fl |= FlagJump
 	}
-	s := Static{
+	b.AppendID(b.Intern(Static{
 		PC: int32(d.PC), Target: int32(d.Target),
 		Op: d.Op, Class: d.Class, Flags: fl,
 		Dst: d.Dst, Src1: d.Src[0], Src2: d.Src[1],
-	}
-	cs := b.t.chunks
-	if len(cs) == 0 || cs[len(cs)-1].N == ChunkLen {
-		b.t.chunks = append(cs, Columns{
-			Base:    b.t.n,
-			Static:  b.t.static,
-			ID:      make([]uint32, 0, ChunkLen),
-			EffAddr: make([]uint32, 0, ChunkLen),
-		})
-		cs = b.t.chunks
-	}
-	ck := &cs[len(cs)-1]
-	ck.ID = append(ck.ID, b.intern(&s, ck))
-	ck.EffAddr = append(ck.EffAddr, uint32(d.EffAddr))
-	ck.N++
-	b.t.n++
+	}), uint32(d.EffAddr))
 }
-
-// intern returns s's dictionary id, adding s if it is new (and
-// refreshing the current chunk's view of the grown dictionary).
-func (b *Builder) intern(s *Static, ck *Columns) uint32 {
-	slot := uint32(s.PC)<<1 | uint32(s.Flags&FlagTaken)>>1
-	if slot < uint32(len(b.last)) {
-		if id := b.last[slot]; id != 0 && b.t.static[id-1] == *s {
-			return id - 1
-		}
-	}
-	id, ok := b.ids[*s]
-	if !ok {
-		if b.ids == nil {
-			b.ids = make(map[Static]uint32)
-		}
-		id = uint32(len(b.t.static))
-		b.t.static = append(b.t.static, *s)
-		b.ids[*s] = id
-		ck.Static = b.t.static
-	}
-	if slot < maxSlot {
-		for uint32(len(b.last)) <= slot {
-			b.last = append(b.last, 0)
-		}
-		b.last[slot] = id + 1
-	}
-	return id
-}
-
-// Consume implements Consumer.
-func (b *Builder) Consume(d *DynInst) { b.Append(d) }
 
 // Trace returns the built trace, with the dictionary and the partial
-// last chunk trimmed to their live sizes. The pointer stays valid
-// across further appends (the builder and the trace share storage);
-// callers that need a stable snapshot should finish appending first.
+// last chunk copied at their live sizes, so that the trace does not
+// keep the builder's spare capacity alive. Call it once appending is
+// done: the trace shares the builder's full chunks.
 func (b *Builder) Trace() *Trace {
-	t := &b.t
-	if cap(t.static) > len(t.static) {
-		t.static = append(make([]Static, 0, len(t.static)), t.static...)
+	t := &Trace{n: b.Len(), static: exact(b.static), chunks: make([]Columns, len(b.bufs))}
+	for i, cb := range b.bufs {
+		t.chunks[i] = Columns{Base: int64(i) * ChunkLen, N: ChunkLen, Static: t.static, ID: cb.id[:], EffAddr: cb.addr[:]}
 	}
-	for i := range t.chunks {
-		t.chunks[i].Static = t.static
-	}
-	if k := len(t.chunks); k > 0 {
+	if k := len(t.chunks); k > 0 && b.fill < ChunkLen {
 		ck := &t.chunks[k-1]
-		if cap(ck.ID) > ck.N {
-			ck.ID = append(make([]uint32, 0, ck.N), ck.ID...)
-			ck.EffAddr = append(make([]uint32, 0, ck.N), ck.EffAddr...)
-		}
+		ck.N = b.fill
+		ck.ID = exact(ck.ID[:ck.N])
+		ck.EffAddr = exact(ck.EffAddr[:ck.N])
 	}
 	return t
 }
+
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/funcsim"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/pipeline/seedref"
 	"repro/internal/program"
@@ -19,41 +20,42 @@ import (
 	"repro/internal/workloads"
 )
 
-// recordBoth executes p twice — once into the legacy array-of-structs
-// Recorder, once into the columnar Builder — so the two encodings of
-// the same deterministic run can be compared.
-func recordBoth(t *testing.T, p *program.Program) (*trace.Trace, []trace.DynInst) {
-	t.Helper()
-	rec := &trace.Recorder{}
-	if _, err := funcsim.RunProgram(p, rec); err != nil {
-		t.Fatal(err)
-	}
-	tb := trace.NewBuilder()
-	if _, err := funcsim.RunProgram(p, tb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Trace(), rec.Insts
-}
-
-// TestTraceRoundTripsRecorder verifies the columnar store reproduces
-// the legacy Recorder trace bit-exactly, record by record — including
-// the derived Seq and NextPC fields.
+// TestTraceRoundTripsRecorder verifies that what the functional
+// simulator records reads back consistently through every access path:
+// At and Materialize agree record by record, Seq is the position, every
+// record carries the static fields of the program's instruction at its
+// PC, and NextPC is the next record's PC. The exact encodings are
+// pinned separately, by the golden digests in internal/harness.
 func TestTraceRoundTripsRecorder(t *testing.T) {
-	for name, build := range roundTripCorpus(t) {
+	for name, p := range roundTripCorpus(t) {
 		t.Run(name, func(t *testing.T) {
-			tr, aos := recordBoth(t, build)
-			if tr.Len() != int64(len(aos)) {
-				t.Fatalf("Len = %d, want %d", tr.Len(), len(aos))
+			ins, err := p.Build()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range aos {
-				if got := tr.At(int64(i)); got != aos[i] {
-					t.Fatalf("inst %d:\n got  %+v\n want %+v", i, got, aos[i])
-				}
-			}
+			tr := record(t, p)
 			mat := tr.Materialize()
-			for i := range aos {
-				if mat[i] != aos[i] {
-					t.Fatalf("Materialize[%d]:\n got  %+v\n want %+v", i, mat[i], aos[i])
+			if tr.Len() != int64(len(mat)) {
+				t.Fatalf("Len = %d, Materialize has %d", tr.Len(), len(mat))
+			}
+			for i, d := range mat {
+				if got := tr.At(int64(i)); got != d {
+					t.Fatalf("inst %d:\n At          %+v\n Materialize %+v", i, got, d)
+				}
+				in := ins[d.PC]
+				var srcs [2]isa.Reg
+				n := copy(srcs[:], in.SrcRegs(nil))
+				ctl := in.IsControl()
+				if d.Seq != int64(i) || d.Op != in.Op || d.Class != isa.ClassOf(in.Op) ||
+					d.HasDst != in.HasDst() || (d.HasDst && d.Dst != in.Dst) ||
+					d.Src != srcs || d.NumSrc != n ||
+					d.IsLoad != (in.Op == isa.LD) || d.IsStore != (in.Op == isa.ST) ||
+					d.IsBranch != (d.Class == isa.ClassBranch) || d.IsJump != (d.Class == isa.ClassJump) ||
+					(ctl && d.Target != int64(in.Target)) || (!ctl && d.Taken) {
+					t.Fatalf("inst %d %+v does not match %v at PC %d", i, d, in, d.PC)
+				}
+				if i+1 < len(mat) && d.NextPC != mat[i+1].PC {
+					t.Fatalf("inst %d: NextPC %d, next PC %d", i, d.NextPC, mat[i+1].PC)
 				}
 			}
 		})
@@ -68,7 +70,8 @@ func TestTraceReplayMatchesAoSDownstream(t *testing.T) {
 	cfg := uarch.Default()
 	for name, build := range roundTripCorpus(t) {
 		t.Run(name, func(t *testing.T) {
-			tr, aos := recordBoth(t, build)
+			tr := record(t, build)
+			aos := tr.Materialize()
 
 			collect := func(feed func(trace.Consumer)) (cache.Stats, branch.Stats) {
 				h, err := cache.NewHierarchy(cfg.Hier)

@@ -1,13 +1,13 @@
-// Package trace defines the dynamic-instruction record produced by the
+// Package trace defines the dynamic-instruction stream produced by the
 // functional simulator and consumed by the profiler, the cache and
 // branch-predictor simulators and the detailed pipeline simulator.
 //
-// Traces are streamed through a callback (Consumer) during execution —
-// a single profiling pass feeds several consumers at once (see Tee) —
-// and materialized in the chunked, columnar Trace store (see store.go)
-// for replay across every machine configuration of interest. The
-// DynInst struct remains the per-instruction exchange record; Trace is
-// its compact resting form.
+// The functional simulator records a run straight into the chunked,
+// dictionary-encoded Trace store (see store.go) through a Builder, at
+// two stores per instruction; the trace is then replayed across every
+// machine configuration of interest. Consumers read its columns
+// directly, or receive reconstructed DynInst records through Replay
+// and a Consumer.
 package trace
 
 import "repro/internal/isa"
@@ -53,25 +53,4 @@ func (t Tee) Consume(d *DynInst) {
 	for _, c := range t {
 		c.Consume(d)
 	}
-}
-
-// Recorder materializes a trace in memory; intended for tests and small
-// programs only.
-type Recorder struct {
-	Insts []DynInst
-}
-
-// Consume appends a copy of d.
-func (r *Recorder) Consume(d *DynInst) { r.Insts = append(r.Insts, *d) }
-
-// Counter counts dynamic instructions by class.
-type Counter struct {
-	Total   int64
-	ByClass [isa.NumClasses]int64
-}
-
-// Consume tallies d.
-func (c *Counter) Consume(d *DynInst) {
-	c.Total++
-	c.ByClass[d.Class]++
 }

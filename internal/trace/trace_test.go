@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"testing"
-
-	"repro/internal/isa"
-)
+import "testing"
 
 func TestTeeFansOutInOrder(t *testing.T) {
 	var order []string
@@ -21,28 +17,5 @@ func TestTeeFansOutInOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestRecorderCopies(t *testing.T) {
-	r := &Recorder{}
-	d := DynInst{Seq: 1, Op: isa.ADD}
-	r.Consume(&d)
-	d.Seq = 99 // mutate after consumption
-	if r.Insts[0].Seq != 1 {
-		t.Error("Recorder aliases the consumed instruction")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := &Counter{}
-	c.Consume(&DynInst{Class: isa.ClassALU})
-	c.Consume(&DynInst{Class: isa.ClassALU})
-	c.Consume(&DynInst{Class: isa.ClassLoad})
-	if c.Total != 3 {
-		t.Errorf("Total = %d, want 3", c.Total)
-	}
-	if c.ByClass[isa.ClassALU] != 2 || c.ByClass[isa.ClassLoad] != 1 {
-		t.Errorf("ByClass = %v", c.ByClass)
 	}
 }

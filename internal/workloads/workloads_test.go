@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 func TestRegistry(t *testing.T) {
@@ -101,11 +102,11 @@ func TestWorkloadCharacters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := profile.NewCollector(name)
-		if _, err := funcsim.RunProgram(s.Build(), c); err != nil {
+		tb := trace.NewBuilder()
+		if _, err := funcsim.RunProgram(s.Build(), tb); err != nil {
 			t.Fatal(err)
 		}
-		return c.Result()
+		return profile.Of(name, tb.Trace())
 	}
 
 	sha := prof("sha")
