@@ -12,6 +12,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 	"unsafe"
 
@@ -275,7 +276,8 @@ func BenchmarkDetailedSimulation(b *testing.B) {
 
 // BenchmarkDetailedSimulationAnnotated measures the annotation-plane
 // fast path for the same design point: machine events precomputed,
-// timing-only replay (annotation cost excluded — it is paid once per
+// timing-only replay as a one-lane batch, the shape single-point
+// validation uses (annotation cost excluded — it is paid once per
 // machine component and shared across the whole design space).
 func BenchmarkDetailedSimulationAnnotated(b *testing.B) {
 	pw := profiledFor(b, "gsm_c")
@@ -284,9 +286,10 @@ func BenchmarkDetailedSimulationAnnotated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pts := []pipeline.BatchPoint{{Cfg: cfg, Ann: ann}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.SimulateAnnotated(pw.Trace, cfg, ann); err != nil {
+		if _, err := pipeline.SimulateAnnotatedBatch(context.Background(), pw.Trace, pts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		artDir   = flag.String("artifact-dir", "", "persistent artifact store directory: profiling and annotation results are reused across runs, bit-identically (empty = disabled)")
-		replay   = flag.String("replay", "batch", "detailed-replay kernel: batch (config-parallel, whole space per chunk pass) or scalar (one replay per design point, for bisection)")
 		space    = flag.String("space", "table2", "design space to explore: table2 or extended")
 		search   = flag.Bool("search", false, "heuristic Pareto search over the space instead of the exhaustive sweep")
 		budget   = flag.Int("budget", 0, "search evaluation budget (0 = default, always clamped to the space cardinality)")
@@ -61,11 +60,6 @@ func main() {
 	)
 	flag.Parse()
 	par.SetDefault(*workers)
-	rm, err := harness.ParseReplayMode(*replay)
-	if err != nil {
-		log.Fatal(err)
-	}
-	harness.SetDefaultReplay(rm)
 	stopProf, err := proftool.Start(*cpuProf, *memProf)
 	if err != nil {
 		log.Fatal(err)

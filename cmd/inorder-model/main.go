@@ -31,7 +31,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/harness"
 	"repro/internal/par"
-	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/proftool"
 	"repro/internal/uarch"
@@ -55,7 +54,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		artDir   = flag.String("artifact-dir", "", "persistent artifact store directory: profiling results are reused across runs, bit-identically (empty = disabled)")
-		replay   = flag.String("replay", "batch", "detailed-replay kernel for -validate: batch (config-parallel) or scalar (per-point, for bisection)")
 		space    = flag.String("space", "table2", "design space for -search: table2 or extended")
 		search   = flag.Bool("search", false, "run the Pareto-aware heuristic search over -space instead of predicting one design point")
 		budget   = flag.Int("budget", 0, "search evaluation budget (0 = default, clamped to the space cardinality)")
@@ -63,11 +61,6 @@ func main() {
 	)
 	flag.Parse()
 	par.SetDefault(*workers)
-	rm, err := harness.ParseReplayMode(*replay)
-	if err != nil {
-		log.Fatal(err)
-	}
-	harness.SetDefaultReplay(rm)
 	var store *artifact.Store
 	if *artDir != "" {
 		var err error
@@ -229,21 +222,11 @@ func report(w io.Writer, spec workloads.Spec, cfg uarch.Config, validate bool, d
 	}
 
 	if validate {
-		// -replay selects the kernel: the batch path (default) exercises
-		// the config-parallel kernel even for one point, scalar the
-		// per-point kernel — both bit-identical, so either validates.
-		var sim pipeline.Result
-		if harness.DefaultReplay() == harness.ReplayScalar {
-			sim, err = pw.SimulateDetailed(cfg)
-		} else {
-			var sims []pipeline.Result
-			if sims, err = pw.SimulateDetailedBatch([]uarch.Config{cfg}, 0); err == nil {
-				sim = sims[0]
-			}
-		}
+		sims, err := pw.SimulateDetailedBatchCtx(context.Background(), []uarch.Config{cfg}, 0)
 		if err != nil {
 			return err
 		}
+		sim := sims[0]
 		errPct := 100 * abs(st.CPI()-sim.CPI()) / sim.CPI()
 		fmt.Fprintf(w, "\ndetailed simulation: cycles=%d CPI=%.4f  (model error %.2f%%)\n",
 			sim.Cycles, sim.CPI(), errPct)

@@ -2,6 +2,7 @@ package artifact_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -96,16 +97,16 @@ func TestWorkloadRoundTripAcrossStores(t *testing.T) {
 	cfg := uarch.Default()
 	fresh := &harness.Profiled{Name: "sha", Trace: pw.Trace, Prof: pw.Prof}
 	loaded := &harness.Profiled{Name: "sha", Trace: tr, Prof: prof}
-	fr, err := fresh.SimulateDetailed(cfg)
+	fr, err := fresh.SimulateDetailedBatchCtx(context.Background(), []uarch.Config{cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := loaded.SimulateDetailed(cfg)
+	lr, err := loaded.SimulateDetailedBatchCtx(context.Background(), []uarch.Config{cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr != lr {
-		t.Fatalf("detailed simulation differs after disk round trip:\n fresh  %+v\n loaded %+v", fr, lr)
+	if fr[0] != lr[0] {
+		t.Fatalf("detailed simulation differs after disk round trip:\n fresh  %+v\n loaded %+v", fr[0], lr[0])
 	}
 }
 

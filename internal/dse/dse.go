@@ -143,34 +143,22 @@ func fillSim(p *Point, sim pipeline.Result, src inputsSource, pm power.Model) er
 // configuration, in parallel across workers (≤0 means the process
 // default, see par.SetDefault). The trace is annotated once per
 // distinct hierarchy and once per distinct predictor of the space
-// (itself in parallel); the detailed runs are then timing-only replays
-// over the shared planes, bit-identical to pipeline.Simulate. The
-// replay kernel is chosen by harness.DefaultReplay(): the
-// config-parallel batch kernel sweeps the whole space in one pass per
-// trace chunk (with the model inputs fused into the annotation
-// traversals — a cold 192-point sweep touches the trace once per
-// distinct component and once for timing); -replay=scalar on the CLIs
-// selects the per-point kernel instead.
+// (itself in parallel), with the model inputs fused into the
+// annotation traversals; every memo-missing design point then replays
+// together through the config-parallel timing kernel in one pass per
+// trace chunk. A cold 192-point sweep therefore touches the trace once
+// per distinct component and once for timing, and each detailed result
+// is bit-identical to pipeline.Simulate's.
 func ExploreValidated(pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([]Point, error) {
 	return ExploreValidatedCtx(context.Background(), pw, cfgs, pm, workers)
 }
 
 // ExploreValidatedCtx is ExploreValidated under a request context.
 // Cancellation cuts every stage — the statistics pass, the annotation
-// fan-out, and the detailed replays — at chunk/cycle-batch boundaries:
-// no new design point starts and running replays abort, returning
-// ctx.Err(). Completed points are discarded, never returned partially.
+// fan-out, and the detailed replays — at chunk boundaries: no new
+// design point starts and running replays abort, returning ctx.Err().
+// Completed points are discarded, never returned partially.
 func ExploreValidatedCtx(ctx context.Context, pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([]Point, error) {
-	if harness.DefaultReplay() == harness.ReplayScalar {
-		return exploreValidatedScalar(ctx, pw, cfgs, pm, workers)
-	}
-	return exploreValidatedBatch(ctx, pw, cfgs, pm, workers)
-}
-
-// exploreValidatedBatch is the config-parallel path: one fused
-// annotation+inputs pass over the trace, then every memo-missing
-// design point replays together in a single pass per trace chunk.
-func exploreValidatedBatch(ctx context.Context, pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([]Point, error) {
 	memo, err := pw.ExploreInputsCtx(ctx, cfgs, workers)
 	if err != nil {
 		return nil, err
@@ -187,34 +175,6 @@ func exploreValidatedBatch(ctx context.Context, pw *harness.Profiled, cfgs []uar
 		if err := fillSim(&pts[i], sims[i], memo, pm); err != nil {
 			return nil, err
 		}
-	}
-	return pts, nil
-}
-
-// exploreValidatedScalar is the pre-batch path, kept verbatim for
-// -replay=scalar bisection: one statistics replay, then one timing
-// replay per memo-missing design point fanned out across workers.
-func exploreValidatedScalar(ctx context.Context, pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([]Point, error) {
-	memo, err := pw.MultiInputsCtx(ctx, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := explore(memo, cfgs, pm)
-	if err != nil {
-		return nil, err
-	}
-	if err := pw.EnsureAnnotatedCtx(ctx, cfgs, workers); err != nil {
-		return nil, err
-	}
-	err = par.ForEachCtx(ctx, workers, len(pts), func(i int) error {
-		sim, err := pw.SimulateDetailedCtx(ctx, pts[i].Cfg)
-		if err != nil {
-			return err
-		}
-		return fillSim(&pts[i], sim, memo, pm)
-	})
-	if err != nil {
-		return nil, err
 	}
 	return pts, nil
 }

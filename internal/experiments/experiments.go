@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -200,24 +201,26 @@ func Fig4() (*Fig4Result, error) {
 		if err != nil {
 			return err
 		}
-		// The width sweep stays sequential: the benchmark fan-out above
-		// already consumes the worker budget, and nesting pools would
-		// multiply concurrency past the -workers contract.
+		// The width sweep stays on one worker: the benchmark fan-out
+		// above already consumes the worker budget, and nesting pools
+		// would multiply concurrency past the -workers contract. All
+		// four widths share one hierarchy and predictor, so the
+		// annotation is computed once and the widths replay together.
+		cfgs := make([]uarch.Config, widths)
+		for wi := range cfgs {
+			cfgs[wi] = base.WithWidth(wi + 1)
+		}
+		sims, err := pw.SimulateDetailedBatchCtx(context.Background(), cfgs, 1)
+		if err != nil {
+			return err
+		}
 		ws := make([]WidthStack, widths)
-		for wi := 0; wi < widths; wi++ {
-			cfg := base.WithWidth(wi + 1)
+		for wi, cfg := range cfgs {
 			st, err := core.Predict(in, cfg)
 			if err != nil {
 				return err
 			}
-			// All four widths share one hierarchy and predictor, so the
-			// annotation is computed once and each width is a
-			// timing-only replay.
-			sim, err := pw.SimulateDetailed(cfg)
-			if err != nil {
-				return err
-			}
-			ws[wi] = WidthStack{Width: wi + 1, Stack: st, SimCPI: sim.CPI()}
+			ws[wi] = WidthStack{Width: wi + 1, Stack: st, SimCPI: sims[wi].CPI()}
 		}
 		rows[bi] = ws
 		return nil

@@ -170,17 +170,6 @@ func safeAnnotateBranch(ctx context.Context, tr *trace.Trace, pk uarch.Predictor
 	return p, bs, nil
 }
 
-// safeSimulateAnnotated runs the timing replay with the same panic
-// protection (see safeAnnotateFront).
-func safeSimulateAnnotated(ctx context.Context, tr *trace.Trace, cfg uarch.Config, ann pipeline.Annotation) (res pipeline.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = pipeline.Result{}, fmt.Errorf("harness: detailed simulation of %s panicked: %v", cfg, r)
-		}
-	}()
-	return pipeline.SimulateAnnotatedCtx(ctx, tr, cfg, ann)
-}
-
 // AnnotateCaches computes memory-event planes for every distinct
 // hierarchy in hiers, one trace traversal per distinct L1/TLB front.
 // Fronts are annotated in parallel across workers (≤0 means the
@@ -445,9 +434,10 @@ func (st *annotStore) evictLocked() {
 	}
 }
 
-// timingKey captures every input of SimulateAnnotated other than the
-// trace: the timing parameters of the design point and the identity of
-// the (canonicalized) annotation planes. Two design points with equal
+// timingKey captures every input of one design point's replay in
+// pipeline.SimulateAnnotatedBatch other than the trace: the timing
+// parameters of the design point and the identity of the
+// (canonicalized) annotation planes. Two design points with equal
 // keys replay to the same timing Result — only their Result.Cache
 // (stamped from MemPlane.Stats afterwards) can differ — so e.g. the
 // Table 2 space's 192 points collapse to one replay per distinct
@@ -474,7 +464,7 @@ func timingKeyOf(cfg uarch.Config, mem *trace.BytePlane, br *trace.BitPlane) tim
 // traversal per distinct front covers all its L2 geometries, and each
 // distinct predictor is annotated once. Front and predictor traversals
 // are independent, so they all fan out through one worker pool.
-// Subsequent Annotation/SimulateDetailed calls for these
+// Subsequent Annotation/SimulateDetailedBatchCtx calls for these
 // configurations are cache hits; a component whose annotation failed
 // is evicted so a later call can retry it.
 func (pw *Profiled) EnsureAnnotated(cfgs []uarch.Config, workers int) error {
@@ -899,83 +889,6 @@ func (pw *Profiled) annotation(ctx context.Context, cfg uarch.Config) (pipeline.
 		bp = be.val
 	}
 	return pipeline.Annotation{Mem: mp.Classes, MemStats: mp.Stats, Br: bp}, nil
-}
-
-// SimulateDetailed runs the detailed cycle-accurate simulation of one
-// design point through the annotated fast path: machine events come
-// from the (cached) planes and the replay is timing-only arithmetic.
-// Timing results are additionally memoized by (timing parameters,
-// plane identity) — design points whose planes canonicalized to the
-// same objects share one replay, and only the hierarchy statistics are
-// stamped per configuration. The Result is bit-identical to
-// pipeline.Simulate's.
-func (pw *Profiled) SimulateDetailed(cfg uarch.Config) (pipeline.Result, error) {
-	return pw.SimulateDetailedCtx(context.Background(), cfg)
-}
-
-// SimulateDetailedCtx is SimulateDetailed under a request context:
-// annotation and the timing replay abort at chunk/cycle-batch
-// boundaries once ctx ends, waits on another request's in-flight
-// replay abandon promptly, and a memo entry that failed with some
-// other request's cancellation is recomputed rather than reported
-// (the same contract as EnsureAnnotatedCtx).
-func (pw *Profiled) SimulateDetailedCtx(ctx context.Context, cfg uarch.Config) (pipeline.Result, error) {
-	for {
-		res, err := pw.simulateDetailed(ctx, cfg)
-		if err != nil && isCancellation(err) && ctx.Err() == nil {
-			continue
-		}
-		return res, err
-	}
-}
-
-func (pw *Profiled) simulateDetailed(ctx context.Context, cfg uarch.Config) (pipeline.Result, error) {
-	ann, err := pw.annotation(ctx, cfg)
-	if err != nil {
-		return pipeline.Result{}, err
-	}
-	key := timingKeyOf(cfg, ann.Mem, ann.Br)
-	st := &pw.annot
-	st.mu.Lock()
-	if st.timing == nil {
-		st.timing = make(map[timingKey]*annotEntry[pipeline.Result])
-	}
-	e, ok := st.timing[key]
-	if !ok {
-		e = &annotEntry[pipeline.Result]{done: make(chan struct{})}
-		st.timing[key] = e
-	} else {
-		st.touchLocked(&e.lastUse)
-	}
-	st.mu.Unlock()
-	if ok {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return pipeline.Result{}, ctx.Err()
-		}
-		if e.err != nil {
-			return pipeline.Result{}, e.err
-		}
-		res := e.val
-		res.Cache = ann.MemStats
-		return res, nil
-	}
-	res, err := safeSimulateAnnotated(ctx, pw.Trace, cfg, ann)
-	st.mu.Lock()
-	e.err = err
-	if err == nil {
-		e.val = res
-		e.val.Cache = cache.Stats{} // stamped per configuration on reuse
-		st.chargeTimingLocked(key, e)
-	} else if st.timing[key] == e {
-		// Failed entries are removed so a later call can retry.
-		delete(st.timing, key)
-	}
-	close(e.done)
-	st.evictLocked()
-	st.mu.Unlock()
-	return res, err
 }
 
 // SetAnnotBudget bounds the resident bytes of the annotation-plane and

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -8,10 +9,21 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestSimulateDetailedMatchesSimulate pins the harness-level fast
-// path (plane cache + timing memo) against the self-contained
-// simulator, including the memoized-reuse path: two configurations
-// sharing planes and timing must both come out bit-identical.
+// simulateOne is single-point detailed simulation: a one-element
+// SimulateDetailedBatchCtx on one worker.
+func simulateOne(pw *Profiled, cfg uarch.Config) (pipeline.Result, error) {
+	res, err := pw.SimulateDetailedBatchCtx(context.Background(), []uarch.Config{cfg}, 1)
+	if err != nil {
+		return pipeline.Result{}, err
+	}
+	return res[0], nil
+}
+
+// TestSimulateDetailedMatchesSimulate pins single-point detailed
+// simulation (plane cache + timing memo + one-lane batch replay)
+// against the self-contained simulator, including the memoized-reuse
+// path: two configurations sharing planes and timing must both come
+// out bit-identical.
 func TestSimulateDetailedMatchesSimulate(t *testing.T) {
 	spec, err := workloads.ByName("dijkstra")
 	if err != nil {
@@ -26,7 +38,7 @@ func TestSimulateDetailedMatchesSimulate(t *testing.T) {
 		base.WithWidth(2).WithPredictor(uarch.PredHybrid3_5KB),
 	}
 	for i, cfg := range cfgs {
-		got, err := pw.SimulateDetailed(cfg)
+		got, err := simulateOne(pw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +47,7 @@ func TestSimulateDetailedMatchesSimulate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("cfg %d (%s): SimulateDetailed diverges:\n got  %+v\n want %+v", i, cfg, got, want)
+			t.Errorf("cfg %d (%s): single-point simulation diverges:\n got  %+v\n want %+v", i, cfg, got, want)
 		}
 	}
 }
@@ -58,7 +70,7 @@ func TestEnsureAnnotatedFailureIsRetryable(t *testing.T) {
 		t.Fatal("EnsureAnnotated accepted an invalid hierarchy")
 	}
 	// The valid hierarchy from the same batch must be usable.
-	if _, err := pw.SimulateDetailed(good); err != nil {
+	if _, err := simulateOne(pw, good); err != nil {
 		t.Errorf("valid config poisoned by batch-mate's failure: %v", err)
 	}
 	// The invalid one must fail again (fresh attempt, not a stale
@@ -66,7 +78,7 @@ func TestEnsureAnnotatedFailureIsRetryable(t *testing.T) {
 	if err := pw.EnsureAnnotated([]uarch.Config{bad}, 1); err == nil {
 		t.Error("second EnsureAnnotated of invalid hierarchy did not error")
 	}
-	if _, err := pw.SimulateDetailed(good); err != nil {
+	if _, err := simulateOne(pw, good); err != nil {
 		t.Errorf("valid config broken after retry of invalid one: %v", err)
 	}
 }

@@ -36,7 +36,7 @@ func TestAnnotBudgetKeepsBytesBounded(t *testing.T) {
 		pw := MustProfileProgram(spec.Build())
 		pw.SetAnnotBudget(budget)
 		for _, cfg := range budgetSpaceConfigs() {
-			got, err := pw.SimulateDetailed(cfg)
+			got, err := simulateOne(pw, cfg)
 			if err != nil {
 				t.Fatalf("budget %d, cfg %s: %v", budget, cfg, err)
 			}
@@ -45,7 +45,7 @@ func TestAnnotBudgetKeepsBytesBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Errorf("budget %d, cfg %s: SimulateDetailed diverges under eviction:\n got  %+v\n want %+v",
+				t.Errorf("budget %d, cfg %s: single-point simulation diverges under eviction:\n got  %+v\n want %+v",
 					budget, cfg, got, want)
 			}
 			if used := pw.AnnotBytes(); used > budget {
@@ -71,7 +71,7 @@ func TestAnnotBudgetUnsetNeverEvicts(t *testing.T) {
 	}
 	pw := MustProfileProgram(spec.Build())
 	for _, cfg := range budgetSpaceConfigs() {
-		if _, err := pw.SimulateDetailed(cfg); err != nil {
+		if _, err := simulateOne(pw, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestSetAnnotBudgetEvictsRetroactively(t *testing.T) {
 	}
 	pw := MustProfileProgram(spec.Build())
 	for _, cfg := range budgetSpaceConfigs() {
-		if _, err := pw.SimulateDetailed(cfg); err != nil {
+		if _, err := simulateOne(pw, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestSetAnnotBudgetEvictsRetroactively(t *testing.T) {
 	}
 	// The store keeps answering correctly after the purge.
 	cfg := uarch.Default()
-	got, err := pw.SimulateDetailed(cfg)
+	got, err := simulateOne(pw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +119,6 @@ func TestSetAnnotBudgetEvictsRetroactively(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("post-purge SimulateDetailed diverges:\n got  %+v\n want %+v", got, want)
+		t.Errorf("post-purge single-point simulation diverges:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -104,11 +104,11 @@ func TestPoolDiskTierWriteThroughAndWarm(t *testing.T) {
 		if *mc != *mw {
 			t.Fatalf("%s: model prediction differs between fresh and rehydrated workload", cfg)
 		}
-		sc, err := pwCold.SimulateDetailed(cfg)
+		sc, err := simulateOne(pwCold, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := pwWarm.SimulateDetailed(cfg)
+		sw, err := simulateOne(pwWarm, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestPlaneDiskTier(t *testing.T) {
 	}
 	coldRes := make([]pipeline.Result, len(cfgs))
 	for i, cfg := range cfgs {
-		r, err := pwCold.SimulateDetailed(cfg)
+		r, err := simulateOne(pwCold, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestPlaneDiskTier(t *testing.T) {
 		t.Fatalf("warm run annotated %d hierarchies, %d predictors; want 0 (planes must come from disk)", dc, db)
 	}
 	for i, cfg := range cfgs {
-		r, err := pwWarm.SimulateDetailed(cfg)
+		r, err := simulateOne(pwWarm, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestPlaneDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2, b2 := CacheAnnotationCount(), BranchAnnotationCount()
-	r, err := pwOne.SimulateDetailed(cfgs[0])
+	r, err := simulateOne(pwOne, cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +361,11 @@ func TestArtifactRoundTripRandprog(t *testing.T) {
 		if *mf != *ml {
 			t.Fatalf("seed %d: prediction differs after disk round trip", seed)
 		}
-		sf, err := fresh.SimulateDetailed(cfg)
+		sf, err := simulateOne(fresh, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sl, err := loaded.SimulateDetailed(cfg)
+		sl, err := simulateOne(loaded, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

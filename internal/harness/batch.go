@@ -11,39 +11,39 @@ import (
 	"repro/internal/uarch"
 )
 
-// safeSimulateAnnotatedBatch runs the config-parallel replay kernel
-// with panics converted to errors (see safeAnnotateFront): a panic
+// safeSimulateAnnotatedBatch runs the timing replay kernel with
+// panics converted to errors (see safeAnnotateFront): a panic
 // unwinding past claimed timing entries would wedge their waiters.
 func safeSimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []pipeline.BatchPoint) (res []pipeline.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("harness: batch detailed simulation of %d points panicked: %v", len(pts), r)
+			res, err = nil, fmt.Errorf("harness: detailed simulation of %d points panicked: %v", len(pts), r)
 		}
 	}()
-	return pipeline.SimulateAnnotatedBatchCtx(ctx, tr, pts)
+	return pipeline.SimulateAnnotatedBatch(ctx, tr, pts)
 }
 
-// SimulateDetailedBatch runs the detailed cycle-accurate simulation of
-// every design point in cfgs through the config-parallel batch kernel:
-// the trace is annotated once per distinct component, the points are
-// deduplicated through the same timing memo as SimulateDetailed, and
-// all memo-missing points replay together in one pass over each trace
-// chunk (pipeline.SimulateAnnotatedBatch), sharded across workers.
-// Results are indexed like cfgs and each is bit-identical to
-// pipeline.Simulate's — and to SimulateDetailed's, whose memo entries
-// this path shares: a point simulated by either path is a memo hit for
-// the other.
-func (pw *Profiled) SimulateDetailedBatch(cfgs []uarch.Config, workers int) ([]pipeline.Result, error) {
-	return pw.SimulateDetailedBatchCtx(context.Background(), cfgs, workers)
-}
-
-// SimulateDetailedBatchCtx is SimulateDetailedBatch under a request
-// context, with the same claimant/waiter contract as
-// SimulateDetailedCtx: own replays abort at chunk boundaries once ctx
-// ends, waits on other requests' in-flight entries abandon promptly,
-// and another request's cancellation is recomputed rather than
-// reported. A cancelled batch resolves and removes every timing entry
-// it claimed — no partial memo entries survive.
+// SimulateDetailedBatchCtx runs the detailed cycle-accurate simulation
+// of every design point in cfgs — one point is a one-element slice.
+// The trace is annotated once per distinct hierarchy and predictor
+// (cached on pw), and the points are deduplicated through a timing
+// memo keyed by (timing parameters, plane identity): design points
+// whose planes canonicalized to the same objects share one replay, and
+// only the hierarchy statistics are stamped per configuration. All
+// memo-missing points replay together in one pass over each trace
+// chunk (pipeline.SimulateAnnotatedBatch), sharded across workers (≤0
+// means the process default). Results are indexed like cfgs and each
+// is bit-identical to pipeline.Simulate's. A front-end depth above 16
+// is an error (the replay kernel's drain ring has 16 slots), although
+// uarch.Config.Validate accepts it; Table 2 and the extended domain
+// stop at 6.
+//
+// Own replays abort at chunk boundaries once ctx ends, waits on other
+// requests' in-flight entries abandon promptly, and an entry that
+// failed with another request's cancellation is recomputed rather
+// than reported (the same contract as EnsureAnnotatedCtx). A failed or
+// cancelled batch resolves and removes every timing entry it claimed —
+// no partial memo entries survive.
 func (pw *Profiled) SimulateDetailedBatchCtx(ctx context.Context, cfgs []uarch.Config, workers int) ([]pipeline.Result, error) {
 	for {
 		res, err := pw.simulateDetailedBatch(ctx, cfgs, workers)

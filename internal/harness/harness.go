@@ -231,7 +231,7 @@ func (pw *Profiled) Validate(cfg uarch.Config) (Validation, error) {
 }
 
 // ValidateOpts is Validate with explicit model options. The detailed
-// reference runs through the annotated fast path (SimulateDetailed):
+// reference is a one-point SimulateDetailedBatchCtx on one worker:
 // bit-identical to pipeline.Simulate, and the annotation is cached on
 // pw for every later design point sharing its hierarchy or predictor.
 func (pw *Profiled) ValidateOpts(cfg uarch.Config, opt core.Options) (Validation, error) {
@@ -239,10 +239,11 @@ func (pw *Profiled) ValidateOpts(cfg uarch.Config, opt core.Options) (Validation
 	if err != nil {
 		return Validation{}, err
 	}
-	sim, err := pw.SimulateDetailed(cfg)
+	sims, err := pw.SimulateDetailedBatchCtx(context.Background(), []uarch.Config{cfg}, 1)
 	if err != nil {
 		return Validation{}, err
 	}
+	sim := sims[0]
 	return Validation{
 		Name:     pw.Name,
 		Cfg:      cfg,

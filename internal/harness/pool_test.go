@@ -174,7 +174,7 @@ func TestPoolPlaneBudgetSlices(t *testing.T) {
 	base := uarch.Default()
 	for _, kb := range []int{128, 256, 512, 1024} {
 		for _, ways := range []int{8, 16} {
-			if _, err := pw.SimulateDetailed(base.WithL2(kb, ways)); err != nil {
+			if _, err := simulateOne(pw, base.WithL2(kb, ways)); err != nil {
 				t.Fatal(err)
 			}
 			if got := pw.AnnotBytes(); got > budget/2 {

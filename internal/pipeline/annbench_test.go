@@ -23,26 +23,6 @@ func BenchmarkSimulate(b *testing.B) {
 	b.SetBytes(pw.Trace.Len())
 }
 
-// BenchmarkSimulateAnnotated measures the plane-consuming fast path:
-// the same design point replayed as timing-only arithmetic over the
-// precomputed annotation planes (annotation cost excluded — it is paid
-// once per machine component, not per design point).
-func BenchmarkSimulateAnnotated(b *testing.B) {
-	pw := profiledBench(b, "gsm_c")
-	cfg := uarch.Default()
-	ann, err := pw.Annotation(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.SimulateAnnotated(pw.Trace, cfg, ann); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(pw.Trace.Len())
-}
-
 // BenchmarkAnnotate measures the one-time annotation pass for one
 // hierarchy plus one predictor — the cost amortized across every
 // design point sharing those components.

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/branch"
@@ -47,18 +48,45 @@ func branchPlane(tr *trace.Trace, pk uarch.PredictorKind) *trace.BitPlane {
 	return branch.AnnotateMispredicts(tr, pk.New())
 }
 
+// simulateOne replays a single annotated design point as a one-lane
+// batch, the shape single-point validation uses.
+func simulateOne(ctx context.Context, tr *trace.Trace, cfg uarch.Config, ann pipeline.Annotation) (pipeline.Result, error) {
+	res, err := pipeline.SimulateAnnotatedBatch(ctx, tr, []pipeline.BatchPoint{{Cfg: cfg, Ann: ann}})
+	if err != nil {
+		return pipeline.Result{}, err
+	}
+	return res[0], nil
+}
+
 // diffResults fails the test unless the two full Results are
 // bit-identical.
 func diffResults(t *testing.T, label string, want, got pipeline.Result) {
 	t.Helper()
 	if want != got {
-		t.Errorf("%s:\n  Simulate          %+v\n  SimulateAnnotated %+v", label, want, got)
+		t.Errorf("%s:\n  want %+v\n  got  %+v", label, want, got)
 	}
 }
 
-// TestAnnotatedMatchesSimulateTable2 pins SimulateAnnotated ==
-// Simulate (the full Result struct, not just CPI) on a real workload
-// trace across every one of the 192 Table 2 design points.
+// checkAnnotatedMatchesSimulate pins each config's one-lane annotated
+// replay against Simulate (the full Result struct, not just CPI).
+func checkAnnotatedMatchesSimulate(t *testing.T, tr *trace.Trace, cfgs []uarch.Config) {
+	t.Helper()
+	for _, cfg := range cfgs {
+		want, err := pipeline.Simulate(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := simulateOne(context.Background(), tr, cfg, annotationFor(t, tr, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffResults(t, cfg.Name, want, got)
+	}
+}
+
+// TestAnnotatedMatchesSimulateTable2 pins the single-point annotated
+// replay against Simulate on a real workload trace across every one
+// of the 192 Table 2 design points, each replayed as its own batch.
 func TestAnnotatedMatchesSimulateTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("192-config differential sweep")
@@ -71,23 +99,13 @@ func TestAnnotatedMatchesSimulateTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range dse.Space(uarch.Default()) {
-		want, err := pipeline.Simulate(pw.Trace, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pipeline.SimulateAnnotated(pw.Trace, cfg, annotationFor(t, pw.Trace, cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResults(t, cfg.Name, want, got)
-	}
+	checkAnnotatedMatchesSimulate(t, pw.Trace, dse.Space(uarch.Default()))
 }
 
 // TestAnnotatedMatchesSimulateRandom differentially tests the
-// annotated fast path on random programs across randomized Table 2
-// configurations (every width, depth, L2 geometry and predictor
-// appears).
+// single-point annotated replay on random programs across randomized
+// Table 2 configurations (every width, depth, L2 geometry and
+// predictor appears).
 func TestAnnotatedMatchesSimulateRandom(t *testing.T) {
 	space := dse.Space(uarch.Default())
 	for seed := int64(1); seed <= 6; seed++ {
@@ -96,19 +114,16 @@ func TestAnnotatedMatchesSimulateRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A deterministic, seed-dependent stride samples the space so
-		// all 192 points appear across the six seeds.
-		for i := int(seed) - 1; i < len(space); i += 6 {
-			cfg := space[i]
-			want, err := pipeline.Simulate(pw.Trace, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pipeline.SimulateAnnotated(pw.Trace, cfg, annotationFor(t, pw.Trace, cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, cfg.Name, want, got)
-		}
+		checkAnnotatedMatchesSimulate(t, pw.Trace, strided(space, seed))
 	}
+}
+
+// strided samples the space with a deterministic, seed-dependent
+// stride so all 192 points appear across seeds 1..6.
+func strided(space []uarch.Config, seed int64) []uarch.Config {
+	var cfgs []uarch.Config
+	for i := int(seed) - 1; i < len(space); i += 6 {
+		cfgs = append(cfgs, space[i])
+	}
+	return cfgs
 }

@@ -11,9 +11,11 @@ import (
 	"repro/internal/uarch"
 )
 
-// The config-parallel batch replay evaluates every resident design
-// point in one chunk-major sweep over the trace. It is built on two
-// observations about SimulateAnnotated's machine:
+// The config-parallel batch replay is the timing kernel behind every
+// detailed validation: it evaluates every resident design point (one
+// or many) in one chunk-major sweep over the trace, with the cache
+// hierarchy and branch predictor replaced by precomputed annotation
+// planes. It is built on two observations about Simulate's machine:
 //
 //  1. The partition of the trace into fetch groups is a pure function
 //     of (width, flags, I-side annotation classes, mispredict bits) —
@@ -36,7 +38,7 @@ import (
 //     refill latency, or the resolving branch's admission cycle + 1
 //     after a mispredict; d_{k-D} is when the D-deep conveyor frees
 //     its fetch slot). Admission within the group replays the same
-//     burst arithmetic as the scalar kernel — dependence stalls,
+//     burst arithmetic as Simulate's execute stage — dependence stalls,
 //     mul/div execute blocking, memory-stage occupancy — but only
 //     touches cycles where something happens.
 //
@@ -44,8 +46,9 @@ import (
 // (sources, destination, class kind, latency classes, control flags)
 // built once per distinct memory plane and shared by every lane, so a
 // chunk's working set stays cache-resident while the config axis
-// streams. Results are bit-identical to SimulateAnnotated for every
-// point, differentially tested across the full Table 2 space.
+// streams. Results are bit-identical to Simulate for every point,
+// differentially tested across the full Table 2 space, both as one
+// batch and as one-lane batches.
 
 // BatchPoint pairs one design point with its annotation planes. Points
 // sharing a component should share the plane pointers (the harness's
@@ -183,7 +186,7 @@ type bmem struct {
 }
 
 // blane is one design point's private timing state. Everything here is
-// the analytic image of the scalar kernel's mutable state.
+// the analytic image of Simulate's per-cycle pipeline state.
 type blane struct {
 	out      *Result
 	extraTab [8]int64
@@ -196,9 +199,10 @@ type blane struct {
 	nf    int64 // next-fetch constraint
 	fPrev int64 // previous group's fetch cycle
 	dPrev int64 // previous group's drain cycle
-	// dRing holds the last depth drain cycles (depth <= 9 in the Table 2
-	// domain); a fixed-size array lets the runners index it with ri&15,
-	// which the compiler proves in-bounds.
+	// dRing holds the last depth drain cycles (depth <= 6 in the Table 2
+	// and extended domains; SimulateAnnotatedBatch rejects depth > 16);
+	// a fixed-size array lets the runners index it with ri&15, which
+	// the compiler proves in-bounds.
 	dRing [16]int64
 	ri    int
 
@@ -218,8 +222,8 @@ type blane struct {
 // bstream is one (width, memory plane, branch plane) decomposition
 // shared by all lanes (depth/frequency points) on those components.
 // mask has bit c set when I-side annotation class c costs a non-zero
-// refill on this stream's lanes: the scalar kernel only breaks a fetch
-// group when the decoded latency is positive, and a latency that
+// refill on this stream's lanes: Simulate only breaks a fetch group
+// when the I-side miss latency is positive, and a latency that
 // rounds to zero cycles must not break here either. Lanes whose
 // latency tables zero out different classes get their own stream.
 type bstream struct {
@@ -755,17 +759,12 @@ func (s *bstream) runW1(limit int) {
 // SimulateAnnotatedBatch replays tr on every design point in pts in a
 // single chunk-major pass: each 16K-instruction chunk's uops and
 // groups are computed once and consumed by every lane while they are
-// cache-resident. Each point's Result is bit-identical to
-// SimulateAnnotated(tr, pts[i].Cfg, pts[i].Ann).
-func SimulateAnnotatedBatch(tr *trace.Trace, pts []BatchPoint) ([]Result, error) {
-	return SimulateAnnotatedBatchCtx(context.Background(), tr, pts)
-}
-
-// SimulateAnnotatedBatchCtx is SimulateAnnotatedBatch under a context:
-// cancellation is polled once per chunk of work and aborts the whole
-// batch with ctx.Err(). A completed batch is unaffected by the
-// context.
-func SimulateAnnotatedBatchCtx(ctx context.Context, tr *trace.Trace, pts []BatchPoint) ([]Result, error) {
+// cache-resident. When pts[i].Ann holds the planes of pts[i].Cfg's
+// hierarchy and predictor, each point's Result is bit-identical to
+// Simulate(tr, pts[i].Cfg). Front-end depths above 16 are rejected.
+// Cancellation is polled once per block of work and aborts the whole
+// batch with ctx.Err(); a completed batch is unaffected by ctx.
+func SimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []BatchPoint) ([]Result, error) {
 	results := make([]Result, len(pts))
 	n := tr.Len()
 	for i := range pts {

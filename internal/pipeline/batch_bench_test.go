@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -113,7 +114,7 @@ func BenchmarkBatchKernel(b *testing.B) {
 	b.ResetTimer()
 	b.ReportMetric(float64(len(pts)), "lanes")
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.SimulateAnnotatedBatch(pw.Trace, pts); err != nil {
+		if _, err := pipeline.SimulateAnnotatedBatch(context.Background(), pw.Trace, pts); err != nil {
 			b.Fatal(err)
 		}
 	}

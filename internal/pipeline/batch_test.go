@@ -2,6 +2,8 @@ package pipeline_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -44,10 +46,34 @@ func batchPointsFor(t *testing.T, tr *trace.Trace, cfgs []uarch.Config) []pipeli
 	return pts
 }
 
-// TestBatchMatchesAnnotatedTable2 pins SimulateAnnotatedBatch ==
-// SimulateAnnotated (the full Result struct, including cache stats)
-// on a real workload trace across all 192 Table 2 design points
-// evaluated in a single batch.
+// checkBatchMatchesAnnotated replays every config in one batch over
+// pooled planes and pins each lane (the full Result struct, including
+// cache stats) against the same point replayed alone as a one-lane
+// batch: a lane's result must not depend on the lanes sharing its
+// batch. TestAnnotatedMatchesSimulate* pins the one-lane replay
+// against Simulate.
+func checkBatchMatchesAnnotated(t *testing.T, tr *trace.Trace, cfgs []uarch.Config) {
+	t.Helper()
+	pts := batchPointsFor(t, tr, cfgs)
+	got, err := pipeline.SimulateAnnotatedBatch(context.Background(), tr, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cfgs) {
+		t.Fatalf("batch returned %d results for %d points", len(got), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		want, err := simulateOne(context.Background(), tr, cfg, pts[i].Ann)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffResults(t, cfg.Name, want, got[i])
+	}
+}
+
+// TestBatchMatchesAnnotatedTable2 pins the batch kernel on a real
+// workload trace across all 192 Table 2 design points evaluated in a
+// single batch.
 func TestBatchMatchesAnnotatedTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("192-config differential sweep")
@@ -60,22 +86,7 @@ func TestBatchMatchesAnnotatedTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := dse.Space(uarch.Default())
-	pts := batchPointsFor(t, pw.Trace, space)
-	got, err := pipeline.SimulateAnnotatedBatch(pw.Trace, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(space) {
-		t.Fatalf("batch returned %d results for %d points", len(got), len(space))
-	}
-	for i, cfg := range space {
-		want, err := pipeline.SimulateAnnotated(pw.Trace, cfg, pts[i].Ann)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResults(t, cfg.Name, want, got[i])
-	}
+	checkBatchMatchesAnnotated(t, pw.Trace, dse.Space(uarch.Default()))
 }
 
 // TestBatchMatchesAnnotatedRandom differentially tests the batch
@@ -90,34 +101,21 @@ func TestBatchMatchesAnnotatedRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cfgs []uarch.Config
-		for i := int(seed) - 1; i < len(space); i += 6 {
-			cfgs = append(cfgs, space[i])
-		}
-		pts := batchPointsFor(t, pw.Trace, cfgs)
-		got, err := pipeline.SimulateAnnotatedBatch(pw.Trace, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, cfg := range cfgs {
-			want, err := pipeline.SimulateAnnotated(pw.Trace, cfg, pts[i].Ann)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, cfg.Name, want, got[i])
-		}
+		checkBatchMatchesAnnotated(t, pw.Trace, strided(space, seed))
 	}
 }
 
 // TestBatchEdgeCases covers the degenerate inputs: no points, an
-// invalid config, and mismatched planes.
+// invalid config, mismatched planes, and a front-end deeper than the
+// kernel's 16-slot drain ring.
 func TestBatchEdgeCases(t *testing.T) {
 	p := randprog.Generate(randprog.Default(42))
 	pw, err := harness.ProfileProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.SimulateAnnotatedBatch(pw.Trace, nil)
+	ctx := context.Background()
+	res, err := pipeline.SimulateAnnotatedBatch(ctx, pw.Trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,20 +125,42 @@ func TestBatchEdgeCases(t *testing.T) {
 
 	bad := uarch.Default()
 	bad.Width = 0
-	if _, err := pipeline.SimulateAnnotatedBatch(pw.Trace, []pipeline.BatchPoint{{Cfg: bad}}); err == nil {
+	if _, err := pipeline.SimulateAnnotatedBatch(ctx, pw.Trace, []pipeline.BatchPoint{{Cfg: bad}}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 
 	cfg := uarch.Default()
 	ann := annotationFor(t, pw.Trace, cfg)
 	short := pipeline.Annotation{Mem: trace.NewBytePlaneBuilder().Plane(), Br: ann.Br}
-	if _, err := pipeline.SimulateAnnotatedBatch(pw.Trace, []pipeline.BatchPoint{{Cfg: cfg, Ann: short}}); err == nil {
+	if _, err := pipeline.SimulateAnnotatedBatch(ctx, pw.Trace, []pipeline.BatchPoint{{Cfg: cfg, Ann: short}}); err == nil {
 		t.Fatal("mismatched annotation plane accepted")
 	}
+
+	deep := cfg
+	deep.FrontEndDepth = 17
+	if err := deep.Validate(); err != nil {
+		t.Fatalf("depth-17 config should be a valid uarch.Config: %v", err)
+	}
+	if _, err := pipeline.SimulateAnnotatedBatch(ctx, pw.Trace, []pipeline.BatchPoint{{Cfg: deep, Ann: ann}}); err == nil {
+		t.Fatal("front-end depth 17 accepted")
+	}
+	edge := cfg
+	edge.FrontEndDepth = 16
+	got, err := pipeline.SimulateAnnotatedBatch(ctx, pw.Trace, []pipeline.BatchPoint{{Cfg: edge, Ann: ann}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipeline.Simulate(pw.Trace, edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffResults(t, "front-end depth 16", want, got[0])
 }
 
-// TestBatchCancel verifies a cancelled context aborts the batch with
-// ctx.Err() and an uncancelled run is unaffected.
+// TestBatchCancel pins the batch-cancellation contract on a
+// multi-lane batch: a pre-cancelled context aborts it with
+// context.Canceled instead of replaying, and an uncancelled run is
+// bit-identical to Simulate on every lane.
 func TestBatchCancel(t *testing.T) {
 	spec, err := workloads.ByName("sha")
 	if err != nil {
@@ -150,20 +170,27 @@ func TestBatchCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := uarch.Default()
-	pts := batchPointsFor(t, pw.Trace, []uarch.Config{cfg})
+	var cfgs []uarch.Config
+	for w := 1; w <= 4; w++ {
+		cfg := uarch.Default()
+		cfg.Width = w
+		cfgs = append(cfgs, cfg)
+	}
+	pts := batchPointsFor(t, pw.Trace, cfgs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pipeline.SimulateAnnotatedBatchCtx(ctx, pw.Trace, pts); err != context.Canceled {
+	if _, err := pipeline.SimulateAnnotatedBatch(ctx, pw.Trace, pts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
 	}
-	got, err := pipeline.SimulateAnnotatedBatch(pw.Trace, pts)
+	got, err := pipeline.SimulateAnnotatedBatch(context.Background(), pw.Trace, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pipeline.SimulateAnnotated(pw.Trace, cfg, pts[0].Ann)
-	if err != nil {
-		t.Fatal(err)
+	for i, cfg := range cfgs {
+		want, err := pipeline.Simulate(pw.Trace, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffResults(t, fmt.Sprintf("width %d", cfg.Width), want, got[i])
 	}
-	diffResults(t, cfg.Name, want, got[0])
 }

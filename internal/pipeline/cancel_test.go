@@ -11,9 +11,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestSimulateAnnotatedCtx pins the replay-cancellation contract: an
-// uncancelled run is bit-identical to SimulateAnnotated, and a
-// pre-cancelled context aborts with its error instead of replaying.
+// TestSimulateAnnotatedCtx pins the single-point replay-cancellation
+// contract: an uncancelled one-lane run is bit-identical to Simulate,
+// and a pre-cancelled context aborts with its error instead of
+// replaying.
 func TestSimulateAnnotatedCtx(t *testing.T) {
 	spec, err := workloads.ByName("crc32")
 	if err != nil {
@@ -26,11 +27,11 @@ func TestSimulateAnnotatedCtx(t *testing.T) {
 	cfg := uarch.Default()
 	ann := annotationFor(t, pw.Trace, cfg)
 
-	want, err := pipeline.SimulateAnnotated(pw.Trace, cfg, ann)
+	want, err := pipeline.Simulate(pw.Trace, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pipeline.SimulateAnnotatedCtx(context.Background(), pw.Trace, cfg, ann)
+	got, err := simulateOne(context.Background(), pw.Trace, cfg, ann)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestSimulateAnnotatedCtx(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pipeline.SimulateAnnotatedCtx(ctx, pw.Trace, cfg, ann); !errors.Is(err, context.Canceled) {
+	if _, err := simulateOne(ctx, pw.Trace, cfg, ann); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay returned %v, want context.Canceled", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // serveCtx drives one request through the full handler chain under an
@@ -430,7 +431,7 @@ func TestClientDisconnectStopsExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := pw.SimulateDetailed(cfg)
+	sim, err := pipeline.Simulate(pw.Trace, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

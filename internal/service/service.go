@@ -757,11 +757,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if validate {
-		sim, err := pw.SimulateDetailedCtx(ctx, cfg)
+		sims, err := pw.SimulateDetailedBatchCtx(ctx, []uarch.Config{cfg}, n)
 		if err != nil {
 			s.writeErr(w, err, codeInternal)
 			return
 		}
+		sim := sims[0]
 		sj := &SimJSON{Cycles: sim.Cycles, CPI: sim.CPI()}
 		if sim.CPI() != 0 {
 			sj.CPIErrPercent = 100 * abs(st.CPI()-sim.CPI()) / sim.CPI()

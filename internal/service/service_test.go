@@ -11,6 +11,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/dse"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
@@ -62,8 +63,9 @@ func profiledDirect(t *testing.T, name string) *harness.Profiled {
 
 // TestPredictMatchesHarness pins the acceptance contract: a validated
 // /v1/predict answer is bit-identical to what the inorder-model CLI
-// computes through pw.Predict and pw.SimulateDetailed. Profiling is
-// deterministic, so an independently profiled reference reproduces the
+// computes through pw.Predict, and its detailed result to
+// pipeline.Simulate — the oracle the validation path is pinned
+// against. Profiling is deterministic, so an independently profiled reference reproduces the
 // service's floats exactly (JSON round-trips float64 losslessly).
 func TestPredictMatchesHarness(t *testing.T) {
 	ts := newTestServer(t, Config{})
@@ -82,7 +84,7 @@ func TestPredictMatchesHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := pw.SimulateDetailed(cfg)
+	sim, err := pipeline.Simulate(pw.Trace, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

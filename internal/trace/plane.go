@@ -15,7 +15,7 @@ import (
 // machine component) — cache/TLB outcome classes of one hierarchy,
 // mispredict flags of one predictor — computed once by an annotation
 // pass and then replayed by timing-only simulations (see
-// pipeline.SimulateAnnotated). Two encodings exist: BytePlane (one
+// pipeline.SimulateAnnotatedBatch). Two encodings exist: BytePlane (one
 // byte per instruction) and BitPlane (one bit per instruction).
 
 // Memory-event class bits of a cache annotation byte. The low three
