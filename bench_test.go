@@ -253,7 +253,7 @@ func BenchmarkMultiMachineStats(b *testing.B) {
 	space := dse.Space(uarch.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.CollectMultiStats(pw.Trace, space); err != nil {
+		if _, err := pw.MultiInputsCtx(context.Background(), space); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,7 +282,7 @@ func BenchmarkDetailedSimulation(b *testing.B) {
 func BenchmarkDetailedSimulationAnnotated(b *testing.B) {
 	pw := profiledFor(b, "gsm_c")
 	cfg := uarch.Default()
-	ann, err := pw.Annotation(cfg)
+	ann, err := pw.AnnotationCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

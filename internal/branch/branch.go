@@ -1,8 +1,9 @@
 // Package branch implements the branch-predictor substrate: static,
 // bimodal, gshare (global history) and hybrid local/global predictors,
-// plus collectors that simulate one or many predictors in a single pass
-// over a trace — mirroring the paper's single-run collection of branch
-// misprediction rates for multiple predictor configurations.
+// plus a collector that simulates one predictor over a trace (several
+// share a single pass through a trace.Tee) — mirroring the paper's
+// single-run collection of branch misprediction rates for multiple
+// predictor configurations.
 //
 // Prediction is direction-only: targets of direct branches and jumps
 // are assumed available from a branch target buffer, as in the paper's
@@ -320,34 +321,4 @@ func (c *Collector) Consume(d *trace.DynInst) {
 		c.S.PredictedTaken++
 	}
 	c.P.Update(d.PC, d.Taken)
-}
-
-// MultiCollector simulates several predictors in one pass.
-type MultiCollector struct {
-	Collectors []*Collector
-}
-
-// NewMultiCollector wraps each predictor in a collector.
-func NewMultiCollector(ps ...Predictor) *MultiCollector {
-	m := &MultiCollector{}
-	for _, p := range ps {
-		m.Collectors = append(m.Collectors, NewCollector(p))
-	}
-	return m
-}
-
-// Consume implements trace.Consumer.
-func (m *MultiCollector) Consume(d *trace.DynInst) {
-	for _, c := range m.Collectors {
-		c.Consume(d)
-	}
-}
-
-// Stats returns per-predictor statistics in construction order.
-func (m *MultiCollector) Stats() []Stats {
-	out := make([]Stats, len(m.Collectors))
-	for i, c := range m.Collectors {
-		out[i] = c.S
-	}
-	return out
 }

@@ -159,15 +159,15 @@ func TestCollectorCounts(t *testing.T) {
 	}
 }
 
+// TestMultiCollectorIndependence pins that predictors sharing one
+// stream through a trace.Tee do not interfere.
 func TestMultiCollectorIndependence(t *testing.T) {
-	m := NewMultiCollector(StaticNotTaken{}, NewBimodal(64))
+	cs := []*Collector{NewCollector(StaticNotTaken{}), NewCollector(NewBimodal(64))}
+	tee := trace.Tee{cs[0], cs[1]}
 	for i := 0; i < 100; i++ {
-		m.Consume(&trace.DynInst{IsBranch: true, Taken: true, PC: 3})
+		tee.Consume(&trace.DynInst{IsBranch: true, Taken: true, PC: 3})
 	}
-	st := m.Stats()
-	if len(st) != 2 {
-		t.Fatalf("got %d stats", len(st))
-	}
+	st := []Stats{cs[0].S, cs[1].S}
 	if st[0].Mispredicts != 100 {
 		t.Errorf("static-NT mispredicts = %d, want 100", st[0].Mispredicts)
 	}

@@ -1,9 +1,9 @@
 // Package cache implements the memory-hierarchy substrate: LRU
-// set-associative caches, a two-level hierarchy with TLBs, a
-// multi-configuration single-pass simulator, and a stack-distance
-// (all-associativity) simulator in the style of Mattson et al. and
-// Hill & Smith — the single-pass techniques the paper cites for
-// collecting cache statistics for many configurations in one run.
+// set-associative caches, a two-level hierarchy with TLBs, and a
+// single-pass engine over stack-distance (all-associativity)
+// simulators in the style of Mattson et al. and Hill & Smith — the
+// single-pass techniques the paper cites for collecting cache
+// statistics for many configurations in one run.
 package cache
 
 import "fmt"

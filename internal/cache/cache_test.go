@@ -160,14 +160,14 @@ func TestStackSimMatchesExactCaches(t *testing.T) {
 		block = 64
 	)
 	rng := rand.New(rand.NewSource(42))
-	ss := NewStackSim(sets, block)
+	ss := NewWBStackSim(sets, block)
 	caches := map[int]*Cache{}
 	for _, ways := range []int{1, 2, 4, 8} {
 		caches[ways] = MustNew(cfg(sets*int64(ways)*block, ways, block))
 	}
 	for i := 0; i < 20000; i++ {
 		addr := int64(rng.Intn(400)) * block / 2 // overlapping, reused blocks
-		ss.Access(addr)
+		ss.Access(addr, StreamLoad, false)
 		for _, c := range caches {
 			c.Access(addr, false)
 		}
@@ -176,8 +176,8 @@ func TestStackSimMatchesExactCaches(t *testing.T) {
 		if got, want := ss.MissesFor(ways), c.Misses; got != want {
 			t.Errorf("assoc %d: stack-distance misses %d, exact %d", ways, got, want)
 		}
-		if got := ss.HitsFor(ways); got != ss.Accesses-c.Misses {
-			t.Errorf("assoc %d: hits %d inconsistent", ways, got)
+		if got := ss.ClassAccesses(StreamLoad); got != c.Accesses {
+			t.Errorf("assoc %d: accesses %d, exact %d", ways, got, c.Accesses)
 		}
 	}
 }
@@ -185,9 +185,10 @@ func TestStackSimMatchesExactCaches(t *testing.T) {
 func TestStackSimMonotoneInAssociativity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ss := NewStackSim(4, 64)
+		ss := NewWBStackSim(4, 64)
 		for i := 0; i < 500; i++ {
-			ss.Access(int64(rng.Intn(64)) * 64)
+			class := StreamClass(rng.Intn(int(NumStreamClasses)))
+			ss.Access(int64(rng.Intn(64))*64, class, class == StreamStore || class == StreamWriteback)
 		}
 		prev := ss.MissesFor(1)
 		for a := 2; a <= 16; a++ {
@@ -279,32 +280,37 @@ func TestWritebackGoesToVictimLine(t *testing.T) {
 	}
 }
 
+// TestMultiCollectorMatchesIndividual pins the single-pass engine
+// against one dedicated Collector per hierarchy of a shared front.
 func TestMultiCollectorMatchesIndividual(t *testing.T) {
-	cfgs := []HierarchyConfig{
-		{IL1: cfg(128, 1, 64), DL1: cfg(128, 1, 64), L2: cfg(1024, 2, 64),
-			ITLBEntries: 2, DTLBEntries: 2, PageBytes: 4096},
-		{IL1: cfg(256, 2, 64), DL1: cfg(256, 2, 64), L2: cfg(2048, 2, 64),
-			ITLBEntries: 4, DTLBEntries: 4, PageBytes: 4096},
-	}
-	mc, err := NewMultiCollector(cfgs)
+	front := HierarchyConfig{IL1: cfg(128, 1, 64), DL1: cfg(128, 1, 64),
+		ITLBEntries: 2, DTLBEntries: 2, PageBytes: 4096}
+	l2s := []Config{cfg(1024, 2, 64), cfg(2048, 2, 64), cfg(2048, 4, 64)}
+	eng, err := NewL2SpaceSim(front, l2s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind := []*Collector{
-		NewCollector(MustNewHierarchy(cfgs[0])),
-		NewCollector(MustNewHierarchy(cfgs[1])),
+	ind := make([]*Collector, len(l2s))
+	for i, l2 := range l2s {
+		h := front
+		h.L2 = l2
+		ind[i] = NewCollector(MustNewHierarchy(h))
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		d := randomMemInst(rng, int64(i))
-		mc.Consume(&d)
+		eng.Consume(&d)
 		for _, c := range ind {
 			c.Consume(&d)
 		}
 	}
-	for i, s := range mc.Stats() {
+	for i, l2 := range l2s {
+		s, err := eng.StatsFor(l2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if s != ind[i].Stats() {
-			t.Errorf("config %d: multi %+v != individual %+v", i, s, ind[i].Stats())
+			t.Errorf("config %d: single-pass %+v != individual %+v", i, s, ind[i].Stats())
 		}
 	}
 }
@@ -316,8 +322,8 @@ func TestNewRejectsInvalid(t *testing.T) {
 	if _, err := NewHierarchy(HierarchyConfig{}); err == nil {
 		t.Error("zero hierarchy accepted")
 	}
-	if _, err := NewMultiCollector([]HierarchyConfig{{}}); err == nil {
-		t.Error("multi-collector with bad config accepted")
+	if _, err := NewL2SpaceSim(HierarchyConfig{}, []Config{{}}); err == nil {
+		t.Error("single-pass engine with bad config accepted")
 	}
 }
 

@@ -286,39 +286,3 @@ func (c *Collector) Consume(d *trace.DynInst) {
 
 // Stats returns the accumulated statistics.
 func (c *Collector) Stats() Stats { return c.H.S }
-
-// MultiCollector simulates several hierarchy configurations in a single
-// pass over the trace — the "single-pass cache simulation" the paper
-// relies on to cover the design space with one profiling run.
-type MultiCollector struct {
-	Collectors []*Collector
-}
-
-// NewMultiCollector builds one collector per configuration.
-func NewMultiCollector(cfgs []HierarchyConfig) (*MultiCollector, error) {
-	m := &MultiCollector{}
-	for _, cfg := range cfgs {
-		h, err := NewHierarchy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Collectors = append(m.Collectors, NewCollector(h))
-	}
-	return m, nil
-}
-
-// Consume implements trace.Consumer.
-func (m *MultiCollector) Consume(d *trace.DynInst) {
-	for _, c := range m.Collectors {
-		c.Consume(d)
-	}
-}
-
-// Stats returns per-configuration statistics in configuration order.
-func (m *MultiCollector) Stats() []Stats {
-	out := make([]Stats, len(m.Collectors))
-	for i, c := range m.Collectors {
-		out[i] = c.H.S
-	}
-	return out
-}

@@ -1,74 +1,5 @@
 package cache
 
-// StackSim is an all-associativity stack-distance simulator in the
-// style of Mattson et al. (1970) and Hill & Smith (1989): for a fixed
-// number of sets and block size, one pass over the address stream
-// yields hit counts for *every* associativity simultaneously, because
-// under LRU a reference hits in an A-way cache iff its depth in the
-// per-set LRU stack is < A (stack inclusion property).
-type StackSim struct {
-	sets     int64
-	blkShift uint
-
-	stacks [][]int64 // per-set LRU stacks, MRU first (unbounded)
-	// DepthHist[d] counts references found at stack depth d (0-based);
-	// references to blocks never seen before are counted in ColdMisses.
-	DepthHist  []int64
-	ColdMisses int64
-	Accesses   int64
-}
-
-// NewStackSim builds a stack simulator for the given set count and
-// block size (both powers of two).
-func NewStackSim(sets int64, blockBytes int64) *StackSim {
-	return &StackSim{
-		sets:     sets,
-		blkShift: log2(blockBytes),
-		stacks:   make([][]int64, sets),
-	}
-}
-
-// Access records a reference to byteAddr.
-func (s *StackSim) Access(byteAddr int64) {
-	s.Accesses++
-	tag := byteAddr >> s.blkShift
-	set := tag & (s.sets - 1)
-	st := s.stacks[set]
-	for i, t := range st {
-		if t == tag {
-			if i >= len(s.DepthHist) {
-				grown := make([]int64, i+1)
-				copy(grown, s.DepthHist)
-				s.DepthHist = grown
-			}
-			s.DepthHist[i]++
-			copy(st[1:i+1], st[0:i])
-			st[0] = tag
-			return
-		}
-	}
-	s.ColdMisses++
-	s.stacks[set] = append(st, 0)
-	st = s.stacks[set]
-	copy(st[1:], st[0:len(st)-1])
-	st[0] = tag
-}
-
-// MissesFor returns the number of misses the stream would incur in an
-// LRU cache with this simulator's set count and the given associativity.
-func (s *StackSim) MissesFor(assoc int) int64 {
-	misses := s.ColdMisses
-	for d := assoc; d < len(s.DepthHist); d++ {
-		misses += s.DepthHist[d]
-	}
-	return misses
-}
-
-// HitsFor returns hits for the given associativity.
-func (s *StackSim) HitsFor(assoc int) int64 {
-	return s.Accesses - s.MissesFor(assoc)
-}
-
 // StreamClass labels one reference of a cache's input stream so a
 // single stack simulation can attribute its per-associativity miss
 // counts to the sources the model distinguishes (instruction fetches,
@@ -98,11 +29,14 @@ type wbEntry struct {
 	cleanLimit int32
 }
 
-// WBStackSim extends the stack-distance simulation with per-class
-// depth histograms and exact per-associativity writeback counts. One
-// pass over a cache's input stream yields, for every associativity at
-// this set count, the same per-class miss counts and dirty-eviction
-// counts a real LRU write-back cache of that geometry would observe.
+// WBStackSim is an all-associativity stack-distance simulator in the
+// style of Mattson et al. (1970) and Hill & Smith (1989) — under LRU a
+// reference hits in an A-way cache iff its depth in the per-set LRU
+// stack is < A (stack inclusion) — with per-class depth histograms and
+// exact per-associativity writeback counts. One pass over a cache's
+// input stream yields, for every associativity at this set count, the
+// same per-class miss counts and dirty-eviction counts a real LRU
+// write-back cache of that geometry would observe.
 //
 // Writeback counting exploits that a block's stack depth grows by at
 // most one per access: an entry pushed from depth A-1 to depth A is,

@@ -62,7 +62,7 @@ type Point struct {
 // Explore evaluates the model on every configuration. A single trace
 // replay collects the mixed statistics for the entire space at once —
 // every L2 geometry via stack-distance simulation, every predictor
-// simultaneously (harness.CollectMultiStats); model evaluation itself
+// simultaneously (harness.InputsSet); model evaluation itself
 // is closed-form.
 func Explore(pw *harness.Profiled, cfgs []uarch.Config, pm power.Model) ([]Point, error) {
 	return ExploreCtx(context.Background(), pw, cfgs, pm)
@@ -79,15 +79,7 @@ func ExploreCtx(ctx context.Context, pw *harness.Profiled, cfgs []uarch.Config, 
 	return explore(memo, cfgs, pm)
 }
 
-// inputsSource yields the model inputs for one design point. Both
-// harness.InputsSet (whole-space memo) and harness.StatsCache (the
-// search's incremental accumulator) satisfy it; the statistics they
-// hand out are bit-identical for the same trace and configuration.
-type inputsSource interface {
-	Inputs(cfg uarch.Config) (core.Inputs, error)
-}
-
-func explore(src inputsSource, cfgs []uarch.Config, pm power.Model) ([]Point, error) {
+func explore(src *harness.InputsSet, cfgs []uarch.Config, pm power.Model) ([]Point, error) {
 	out := make([]Point, 0, len(cfgs))
 	for _, cfg := range cfgs {
 		in, err := src.Inputs(cfg)
@@ -118,7 +110,7 @@ func explore(src inputsSource, cfgs []uarch.Config, pm power.Model) ([]Point, er
 
 // fillSim fills one point's simulation-side fields from a detailed
 // run, using the same power model and inputs as the model side.
-func fillSim(p *Point, sim pipeline.Result, src inputsSource, pm power.Model) error {
+func fillSim(p *Point, sim pipeline.Result, src *harness.InputsSet, pm power.Model) error {
 	in, err := src.Inputs(p.Cfg)
 	if err != nil {
 		return err

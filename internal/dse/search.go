@@ -18,7 +18,7 @@ import (
 // point mutation), deduplicates against everything already evaluated,
 // tops the batch up with random unevaluated points, and evaluates the
 // batch with the mechanistic model — the machine statistics arrive
-// through a harness.StatsCache, so a generation costs at most one
+// through one harness.InputsSet, so a generation costs at most one
 // trace replay and only for components not yet seen.
 //
 // Determinism: with a fixed seed, trace and options, the evaluation
@@ -72,7 +72,7 @@ type SearchResult struct {
 	// Generations counts evaluated batches.
 	Generations int
 	// Replays counts trace traversals spent collecting statistics
-	// (harness.StatsCache economy; annotation/timing replays of
+	// (harness.InputsSet economy; annotation/timing replays of
 	// Validate are not included).
 	Replays int
 	// Front is the Pareto front over every evaluated point, ordered by
@@ -101,7 +101,7 @@ func Search(ctx context.Context, pw *harness.Profiled, d *uarch.Domain, base uar
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	sc := pw.NewStatsCache()
+	sc := pw.NewInputsSet()
 	var (
 		all     []Point       // every evaluated point, evaluation order
 		allPts  []uarch.Point // axis-index vector per evaluated point
@@ -169,10 +169,10 @@ func Search(ctx context.Context, pw *harness.Profiled, d *uarch.Domain, base uar
 }
 
 // evalSearchBatch evaluates one generation: statistics through the
-// incremental cache (at most one replay), closed-form model per point,
+// incremental set (at most one replay), closed-form model per point,
 // plus the detailed simulator when validating.
-func evalSearchBatch(ctx context.Context, sc *harness.StatsCache, pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, opts SearchOptions) ([]Point, error) {
-	if err := sc.AddCtx(ctx, cfgs); err != nil {
+func evalSearchBatch(ctx context.Context, sc *harness.InputsSet, pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, opts SearchOptions) ([]Point, error) {
+	if err := sc.Add(ctx, cfgs); err != nil {
 		return nil, err
 	}
 	pts, err := explore(sc, cfgs, pm)

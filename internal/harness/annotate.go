@@ -74,17 +74,10 @@ func groupByFront(hiers []cache.HierarchyConfig) ([]hierFront, map[hierFront][]c
 	return fronts, byFront
 }
 
-// annotateFront runs one annotation traversal for every hierarchy
-// sharing one L1/TLB front: the shared stack-distance engine resolves
-// each instruction's L2 outcome for all candidate geometries at once.
-// Cancellation is observed at trace chunk boundaries; an aborted
-// traversal returns ctx.Err() and publishes nothing.
-//
-// The second return value carries each hierarchy's raw end-of-run
-// statistics (before the I-stall fold below) — bit-identical to what
-// CollectMultiStats' plain engine reports, so a caller that needs both
-// planes and model inputs pays one traversal (see ExploreInputs).
-func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (map[cache.HierarchyConfig]*MemPlane, map[cache.HierarchyConfig]cache.Stats, error) {
+// newFrontSim builds the stack-distance engine that covers every L2
+// geometry of one front's hierarchies in a single traversal, returning
+// it with those geometries.
+func newFrontSim(f hierFront, group []cache.HierarchyConfig) (*cache.L2SpaceSim, []cache.Config, error) {
 	base := cache.HierarchyConfig{
 		IL1: f.il1, DL1: f.dl1,
 		ITLBEntries: f.itlbEntries, DTLBEntries: f.dtlbEntries,
@@ -95,6 +88,21 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 		l2s[k] = h.L2
 	}
 	eng, err := cache.NewL2SpaceSim(base, l2s)
+	return eng, l2s, err
+}
+
+// annotateFront runs one annotation traversal for every hierarchy
+// sharing one L1/TLB front: the shared stack-distance engine resolves
+// each instruction's L2 outcome for all candidate geometries at once.
+// Cancellation is observed at trace chunk boundaries; an aborted
+// traversal returns ctx.Err() and publishes nothing.
+//
+// The second return value carries each hierarchy's raw end-of-run
+// statistics (before the I-stall fold below) — bit-identical to what
+// InputsSet.Add's plain engine reports, so a caller that needs both
+// planes and model inputs pays one traversal (see ExploreInputsCtx).
+func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (map[cache.HierarchyConfig]*MemPlane, map[cache.HierarchyConfig]cache.Stats, error) {
+	eng, l2s, err := newFrontSim(f, group)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,7 +170,7 @@ func safeAnnotateBranch(ctx context.Context, tr *trace.Trace, pk uarch.Predictor
 			p, bs, err = nil, branch.Stats{}, fmt.Errorf("harness: branch annotation for %v panicked: %v", pk, r)
 		}
 	}()
-	p, bs, err = branch.AnnotateMispredictsStatsCtx(ctx, tr, pk.New())
+	p, bs, err = branch.AnnotateMispredicts(ctx, tr, pk.New())
 	if err != nil {
 		return nil, branch.Stats{}, err
 	}
@@ -210,7 +218,10 @@ func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int)
 	out := make(map[uarch.PredictorKind]*trace.BitPlane, len(kinds))
 	var mu sync.Mutex
 	err := par.ForEach(workers, len(kinds), func(i int) error {
-		p := branch.AnnotateMispredicts(tr, kinds[i].New())
+		p, _, err := branch.AnnotateMispredicts(context.Background(), tr, kinds[i].New())
+		if err != nil {
+			return err
+		}
 		mu.Lock()
 		out[kinds[i]] = p
 		mu.Unlock()
@@ -459,42 +470,78 @@ func timingKeyOf(cfg uarch.Config, mem *trace.BytePlane, br *trace.BitPlane) tim
 	}
 }
 
-// EnsureAnnotated computes (or waits for) the annotation planes of
+// EnsureAnnotatedCtx computes (or waits for) the annotation planes of
 // every distinct hierarchy and predictor in cfgs: one cache-annotation
 // traversal per distinct front covers all its L2 geometries, and each
 // distinct predictor is annotated once. Front and predictor traversals
 // are independent, so they all fan out through one worker pool.
-// Subsequent Annotation/SimulateDetailedBatchCtx calls for these
+// Subsequent AnnotationCtx/SimulateDetailedBatchCtx calls for these
 // configurations are cache hits; a component whose annotation failed
 // is evicted so a later call can retry it.
-func (pw *Profiled) EnsureAnnotated(cfgs []uarch.Config, workers int) error {
-	return pw.EnsureAnnotatedCtx(context.Background(), cfgs, workers)
+//
+// The claimed traversals run under ctx (cancellation lands at trace
+// chunk boundaries), and waits on other requests' claims abandon once
+// ctx ends. A cancellation error observed from some other request's
+// claim while this ctx is still live is not reported (see
+// retryCancelled).
+func (pw *Profiled) EnsureAnnotatedCtx(ctx context.Context, cfgs []uarch.Config, workers int) error {
+	_, err := retryCancelled(ctx, func() ([]pipeline.Annotation, error) {
+		return pw.ensureAnnotated(ctx, cfgs, workers, nil)
+	})
+	return err
 }
 
-// EnsureAnnotatedCtx is EnsureAnnotated under a request context. The
-// claimed traversals run under ctx (cancellation lands at trace chunk
-// boundaries), and waits on other requests' claims abandon once ctx
-// ends. A cancellation error observed from some other request's claim
-// while this ctx is still live is not reported — the failed entry was
-// evicted for retry, so this call re-claims and computes it itself;
-// that self-claimed run can only be cancelled by this ctx, which
-// bounds the retries.
-func (pw *Profiled) EnsureAnnotatedCtx(ctx context.Context, cfgs []uarch.Config, workers int) error {
-	for {
-		err := pw.ensureAnnotated(ctx, cfgs, workers, nil)
-		if err != nil && isCancellation(err) && ctx.Err() == nil {
-			continue
-		}
-		return err
+// AnnotationCtx returns the annotation planes for one design point,
+// computing and caching them if needed, under the EnsureAnnotatedCtx
+// contract.
+func (pw *Profiled) AnnotationCtx(ctx context.Context, cfg uarch.Config) (pipeline.Annotation, error) {
+	anns, err := retryCancelled(ctx, func() ([]pipeline.Annotation, error) {
+		return pw.ensureAnnotated(ctx, []uarch.Config{cfg}, 1, nil)
+	})
+	if err != nil {
+		return pipeline.Annotation{}, err
 	}
+	return anns[0], nil
+}
+
+// claimLocked returns m's entry for k, stamping its use, or installs a
+// fresh in-flight entry the caller has claimed and must resolve.
+// Callers hold st.mu.
+func claimLocked[K comparable, T any](st *annotStore, m map[K]*annotEntry[T], k K) (e *annotEntry[T], mine bool) {
+	if e, ok := m[k]; ok {
+		st.touchLocked(&e.lastUse)
+		return e, false
+	}
+	e = &annotEntry[T]{done: make(chan struct{})}
+	m[k] = e
+	return e, true
+}
+
+// await returns a resolved entry's outcome, waiting for an in-flight
+// one until ctx ends. An entry already resolved is returned even when
+// ctx has ended.
+func await[T any](ctx context.Context, e *annotEntry[T]) (T, error) {
+	if !entryDone(e) {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			var zero T
+			return zero, ctx.Err()
+		}
+	}
+	return e.val, e.err
 }
 
 // ensureAnnotated is one claim/compute/publish attempt over the
-// distinct components of cfgs. When fused is non-nil, every component
-// this call computes fresh also deposits its raw machine statistics
-// there — the fused statistics side-channel behind ExploreInputs;
-// cache-hit and disk-loaded components deposit nothing.
-func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, workers int, fused *fusedStats) error {
+// distinct components of cfgs. It returns the annotation of every
+// configuration, indexed like cfgs, from the entries this call
+// published or waited on — so the planes stay valid even when the
+// byte budget evicts those entries at once. When sink is non-nil,
+// every component this call computes fresh also deposits its raw
+// machine statistics there — the fused statistics behind
+// ExploreInputsCtx; cache-hit and disk-loaded components deposit
+// nothing.
+func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, workers int, sink *InputsSet) ([]pipeline.Annotation, error) {
 	st := &pw.annot
 	st.mu.Lock()
 	if st.mem == nil {
@@ -502,36 +549,22 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		st.br = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
 	}
 	var (
-		mineH    []cache.HierarchyConfig
-		mineP    []uarch.PredictorKind
-		waitH    []*annotEntry[*MemPlane]
-		waitP    []*annotEntry[*trace.BitPlane]
-		claimed  = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
-		claimedP = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
+		mineH []cache.HierarchyConfig
+		mineP []uarch.PredictorKind
+		memE  = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
+		brE   = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
 	)
 	for _, cfg := range cfgs {
-		if e, ok := st.mem[cfg.Hier]; ok {
-			st.touchLocked(&e.lastUse)
-			if claimed[cfg.Hier] == nil {
-				waitH = append(waitH, e)
-			}
-		} else {
-			e := &annotEntry[*MemPlane]{done: make(chan struct{})}
-			st.mem[cfg.Hier] = e
-			claimed[cfg.Hier] = e
+		e, mine := claimLocked(st, st.mem, cfg.Hier)
+		if mine {
 			mineH = append(mineH, cfg.Hier)
 		}
-		if e, ok := st.br[cfg.Predictor]; ok {
-			st.touchLocked(&e.lastUse)
-			if claimedP[cfg.Predictor] == nil {
-				waitP = append(waitP, e)
-			}
-		} else {
-			e := &annotEntry[*trace.BitPlane]{done: make(chan struct{})}
-			st.br[cfg.Predictor] = e
-			claimedP[cfg.Predictor] = e
+		memE[cfg.Hier] = e
+		be, mine := claimLocked(st, st.br, cfg.Predictor)
+		if mine {
 			mineP = append(mineP, cfg.Predictor)
 		}
+		brE[cfg.Predictor] = be
 	}
 	// Snapshot canonicalization seeds — but only when this call
 	// actually claimed annotation work: a newly computed plane equal
@@ -546,7 +579,6 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 	}
 	st.mu.Unlock()
 
-	var firstErr error
 	if len(mineH)+len(mineP) > 0 {
 		// Disk tier: rehydrate claimed components from the artifact
 		// store first. A stored plane is bit-identical to a computed
@@ -602,25 +634,18 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 			return nil
 		})
-		for i := range frontErr {
+		for i, f := range fronts {
 			if frontErr[i] == nil && frontRes[i] == nil {
 				frontErr[i] = cutErr
 			}
-		}
-		for i := range brErr {
-			if brErr[i] == nil && brRes[i] == nil {
-				brErr[i] = cutErr
-			}
-		}
-		for i, f := range fronts {
 			for _, h := range byFront[f] {
 				if frontErr[i] != nil {
 					memErrs[h] = frontErr[i]
 					continue
 				}
 				mp := frontRes[i][h]
-				if fused != nil {
-					fused.mem[h] = frontRaw[i][h]
+				if sink != nil {
+					sink.mem[h] = frontRaw[i][h]
 				}
 				// Write-through before canonicalization swaps pointers
 				// (contents are equal either way). Save errors are
@@ -632,12 +657,15 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 		}
 		for i, pk := range computeP {
+			if brErr[i] == nil && brRes[i] == nil {
+				brErr[i] = cutErr
+			}
 			if brErr[i] != nil {
 				brErrs[pk] = brErr[i]
 				continue
 			}
-			if fused != nil {
-				fused.br[pk] = brSt[i]
+			if sink != nil {
+				sink.br[pk] = brSt[i]
 			}
 			if pw.store != nil {
 				_ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), brRes[i])
@@ -665,16 +693,13 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 		}
 
+		// Failed entries are removed so a later call can retry;
+		// waiters of this attempt observe the error.
+		var firstErr error
 		st.mu.Lock()
 		for _, h := range mineH {
-			e := claimed[h]
-			if err := memErrs[h]; err != nil {
-				// Failed entries are removed so a later call can
-				// retry; waiters of this batch observe the error.
-				e.err = err
-				if firstErr == nil {
-					firstErr = err
-				}
+			e := memE[h]
+			if e.err = memErrs[h]; e.err != nil {
 				if st.mem[h] == e {
 					delete(st.mem, h)
 				}
@@ -682,15 +707,14 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 				e.val = memRes[h]
 				st.chargeMemLocked(e)
 			}
+			if firstErr == nil {
+				firstErr = e.err
+			}
 			close(e.done)
 		}
 		for _, pk := range mineP {
-			e := claimedP[pk]
-			if err := brErrs[pk]; err != nil {
-				e.err = err
-				if firstErr == nil {
-					firstErr = err
-				}
+			e := brE[pk]
+			if e.err = brErrs[pk]; e.err != nil {
 				if st.br[pk] == e {
 					delete(st.br, pk)
 				}
@@ -698,197 +722,32 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 				e.val = brResM[pk]
 				st.chargeBrLocked(e)
 			}
+			if firstErr == nil {
+				firstErr = e.err
+			}
 			close(e.done)
 		}
 		st.evictLocked()
 		st.mu.Unlock()
-	}
-	// Waits on other requests' claims abandon when ctx ends — every
-	// claim of this call is already resolved above, so leaving early
-	// wedges nobody.
-	for _, e := range waitH {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if e.err != nil && firstErr == nil {
-			firstErr = e.err
+		if firstErr != nil {
+			return nil, firstErr
 		}
 	}
-	for _, e := range waitP {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return ctx.Err()
+	// Every claim of this call is resolved above, so abandoning a wait
+	// on another request's claim when ctx ends wedges nobody.
+	anns := make([]pipeline.Annotation, len(cfgs))
+	for i, cfg := range cfgs {
+		mp, err := await(ctx, memE[cfg.Hier])
+		if err != nil {
+			return nil, err
 		}
-		if e.err != nil && firstErr == nil {
-			firstErr = e.err
+		bp, err := await(ctx, brE[cfg.Predictor])
+		if err != nil {
+			return nil, err
 		}
+		anns[i] = pipeline.Annotation{Mem: mp.Classes, MemStats: mp.Stats, Br: bp}
 	}
-	return firstErr
-}
-
-// Annotation returns the annotation planes for one design point,
-// computing and caching them if needed (singleflight per component).
-// The claimed entries' values are returned directly, so the result is
-// valid even if a tight byte budget evicts the cache entries
-// immediately: the planes are computed exactly once per call and never
-// thrown away unread. The claim/seed/publish discipline mirrors the
-// batched EnsureAnnotated — changes to charging, canonicalization or
-// error eviction must be applied to both.
-func (pw *Profiled) Annotation(cfg uarch.Config) (pipeline.Annotation, error) {
-	return pw.AnnotationCtx(context.Background(), cfg)
-}
-
-// AnnotationCtx is Annotation under a request context, with the same
-// claimant/waiter cancellation contract as EnsureAnnotatedCtx: own
-// claims compute under ctx, waits on other requests' claims abandon
-// when ctx ends, and another request's cancellation is retried rather
-// than reported.
-func (pw *Profiled) AnnotationCtx(ctx context.Context, cfg uarch.Config) (pipeline.Annotation, error) {
-	for {
-		ann, err := pw.annotation(ctx, cfg)
-		if err != nil && isCancellation(err) && ctx.Err() == nil {
-			continue
-		}
-		return ann, err
-	}
-}
-
-func (pw *Profiled) annotation(ctx context.Context, cfg uarch.Config) (pipeline.Annotation, error) {
-	st := &pw.annot
-	st.mu.Lock()
-	if st.mem == nil {
-		st.mem = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
-		st.br = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
-	}
-	me, haveM := st.mem[cfg.Hier]
-	if haveM {
-		st.touchLocked(&me.lastUse)
-	} else {
-		me = &annotEntry[*MemPlane]{done: make(chan struct{})}
-		st.mem[cfg.Hier] = me
-	}
-	be, haveB := st.br[cfg.Predictor]
-	if haveB {
-		st.touchLocked(&be.lastUse)
-	} else {
-		be = &annotEntry[*trace.BitPlane]{done: make(chan struct{})}
-		st.br[cfg.Predictor] = be
-	}
-	var memSeeds []*trace.BytePlane
-	var brSeeds []*trace.BitPlane
-	if !haveM || !haveB {
-		memSeeds, brSeeds = st.seedsLocked()
-	}
-	st.mu.Unlock()
-
-	// Resolve every claimed piece before any early return: a claimed
-	// entry left unresolved would block its waiters forever.
-	// Canonicalization against already-cached planes happens outside
-	// the lock (the comparison walks whole chunks) so timing
-	// memoization keeps sharing replays.
-	var (
-		mp *MemPlane
-		bp *trace.BitPlane
-	)
-	var memErr, brErr error
-	if !haveB {
-		// Disk tier first: a stored plane skips the traversal (and
-		// the annotation counter); a computed one is written through.
-		if pw.store != nil {
-			if q, err := pw.store.LoadBranchPlane(pw.storeKey, uarch.PredictorName(cfg.Predictor)); err == nil {
-				bp = q
-			}
-		}
-		if bp == nil {
-			bp, _, brErr = safeAnnotateBranch(ctx, pw.Trace, cfg.Predictor)
-			if brErr == nil && pw.store != nil {
-				_ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(cfg.Predictor), bp)
-			}
-		}
-		st.mu.Lock()
-		if brErr != nil {
-			// Failed entries are removed so a later call can retry.
-			be.err = brErr
-			if st.br[cfg.Predictor] == be {
-				delete(st.br, cfg.Predictor)
-			}
-		} else {
-			bp = canonicalize(brSeeds, bp)
-			be.val = bp
-			st.chargeBrLocked(be)
-		}
-		close(be.done)
-		st.evictLocked()
-		st.mu.Unlock()
-	}
-	if !haveM {
-		// Computed and published with its own outcome even when the
-		// branch half failed: one bad component must not poison the
-		// other's waiters.
-		if pw.store != nil {
-			if classes, stats, err := pw.store.LoadMemPlane(pw.storeKey, cfg.Hier); err == nil {
-				mp = &MemPlane{Classes: classes, Stats: stats}
-			}
-		}
-		if mp == nil {
-			var part map[cache.HierarchyConfig]*MemPlane
-			part, _, memErr = safeAnnotateFront(ctx, pw.Trace, frontOf(cfg.Hier), []cache.HierarchyConfig{cfg.Hier})
-			if memErr == nil {
-				mp = part[cfg.Hier]
-				if pw.store != nil {
-					_ = pw.store.SaveMemPlane(pw.storeKey, cfg.Hier, mp.Classes, mp.Stats)
-				}
-			}
-		}
-		if memErr == nil {
-			mp.Classes = canonicalize(memSeeds, mp.Classes)
-		}
-		st.mu.Lock()
-		if memErr != nil {
-			me.err = memErr
-			if st.mem[cfg.Hier] == me {
-				delete(st.mem, cfg.Hier)
-			}
-		} else {
-			me.val = mp
-			st.chargeMemLocked(me)
-		}
-		close(me.done)
-		st.evictLocked()
-		st.mu.Unlock()
-	}
-	if memErr != nil {
-		return pipeline.Annotation{}, memErr
-	}
-	if brErr != nil {
-		return pipeline.Annotation{}, brErr
-	}
-	if haveM {
-		select {
-		case <-me.done:
-		case <-ctx.Done():
-			return pipeline.Annotation{}, ctx.Err()
-		}
-		if me.err != nil {
-			return pipeline.Annotation{}, me.err
-		}
-		mp = me.val
-	}
-	if haveB {
-		select {
-		case <-be.done:
-		case <-ctx.Done():
-			return pipeline.Annotation{}, ctx.Err()
-		}
-		if be.err != nil {
-			return pipeline.Annotation{}, be.err
-		}
-		bp = be.val
-	}
-	return pipeline.Annotation{Mem: mp.Classes, MemStats: mp.Stats, Br: bp}, nil
+	return anns, nil
 }
 
 // SetAnnotBudget bounds the resident bytes of the annotation-plane and

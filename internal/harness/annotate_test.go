@@ -66,8 +66,8 @@ func TestEnsureAnnotatedFailureIsRetryable(t *testing.T) {
 	bad := uarch.Default()
 	bad.Hier.ITLBEntries = 0 // invalid front
 
-	if err := pw.EnsureAnnotated([]uarch.Config{bad, good}, 2); err == nil {
-		t.Fatal("EnsureAnnotated accepted an invalid hierarchy")
+	if err := pw.EnsureAnnotatedCtx(context.Background(), []uarch.Config{bad, good}, 2); err == nil {
+		t.Fatal("EnsureAnnotatedCtx accepted an invalid hierarchy")
 	}
 	// The valid hierarchy from the same batch must be usable.
 	if _, err := simulateOne(pw, good); err != nil {
@@ -75,8 +75,8 @@ func TestEnsureAnnotatedFailureIsRetryable(t *testing.T) {
 	}
 	// The invalid one must fail again (fresh attempt, not a stale
 	// cached error on a zombie entry).
-	if err := pw.EnsureAnnotated([]uarch.Config{bad}, 1); err == nil {
-		t.Error("second EnsureAnnotated of invalid hierarchy did not error")
+	if err := pw.EnsureAnnotatedCtx(context.Background(), []uarch.Config{bad}, 1); err == nil {
+		t.Error("second EnsureAnnotatedCtx of invalid hierarchy did not error")
 	}
 	if _, err := simulateOne(pw, good); err != nil {
 		t.Errorf("valid config broken after retry of invalid one: %v", err)

@@ -25,8 +25,9 @@ func budgetSpaceConfigs() []uarch.Config {
 // TestAnnotBudgetKeepsBytesBounded pins the eviction contract: with
 // any byte budget — including one smaller than a single plane — the
 // resident cache bytes never exceed the budget after a request
-// completes, evictions actually happen, and every simulation stays
-// bit-identical to the unbounded path.
+// completes, evictions actually happen, every simulation stays
+// bit-identical to the unbounded path, and no component is annotated
+// twice within one call.
 func TestAnnotBudgetKeepsBytesBounded(t *testing.T) {
 	spec, err := workloads.ByName("crc32")
 	if err != nil {
@@ -35,10 +36,17 @@ func TestAnnotBudgetKeepsBytesBounded(t *testing.T) {
 	for _, budget := range []int64{32 << 10, 1 << 30} {
 		pw := MustProfileProgram(spec.Build())
 		pw.SetAnnotBudget(budget)
-		for _, cfg := range budgetSpaceConfigs() {
+		for i, cfg := range budgetSpaceConfigs() {
+			c0, b0 := CacheAnnotationCount(), BranchAnnotationCount()
 			got, err := simulateOne(pw, cfg)
 			if err != nil {
 				t.Fatalf("budget %d, cfg %s: %v", budget, cfg, err)
+			}
+			// The planes a call resolves are the ones it simulates
+			// with, even when the budget evicts them at once: the
+			// first point annotates its hierarchy and predictor once.
+			if dc, db := CacheAnnotationCount()-c0, BranchAnnotationCount()-b0; i == 0 && (dc != 1 || db != 1) {
+				t.Errorf("budget %d: first point annotated %d hierarchies and %d predictors, want 1 and 1", budget, dc, db)
 			}
 			want, err := pipeline.Simulate(pw.Trace, cfg)
 			if err != nil {

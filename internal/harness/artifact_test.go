@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -263,7 +264,7 @@ func TestPlaneDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0, b0 := CacheAnnotationCount(), BranchAnnotationCount()
-	if err := pwCold.EnsureAnnotated(cfgs, 2); err != nil {
+	if err := pwCold.EnsureAnnotatedCtx(context.Background(), cfgs, 2); err != nil {
 		t.Fatal(err)
 	}
 	cCold, bCold := CacheAnnotationCount()-c0, BranchAnnotationCount()-b0
@@ -291,7 +292,7 @@ func TestPlaneDiskTier(t *testing.T) {
 		t.Fatal("second process did not rehydrate the workload from disk")
 	}
 	c1, b1 := CacheAnnotationCount(), BranchAnnotationCount()
-	if err := pwWarm.EnsureAnnotated(cfgs, 2); err != nil {
+	if err := pwWarm.EnsureAnnotatedCtx(context.Background(), cfgs, 2); err != nil {
 		t.Fatal(err)
 	}
 	if dc, db := CacheAnnotationCount()-c1, BranchAnnotationCount()-b1; dc != 0 || db != 0 {

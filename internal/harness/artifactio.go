@@ -7,7 +7,7 @@ import (
 
 // AttachArtifacts gives the workload a persistent annotation tier: the
 // store holds this workload's trace/profile under key, and the plane
-// cache (EnsureAnnotated / Annotation) will rehydrate per-component
+// cache (EnsureAnnotatedCtx / AnnotationCtx) will rehydrate per-component
 // planes from it before computing and write freshly computed planes
 // through to it. Attach before sharing pw across goroutines — the
 // fields are read without locking on the annotation paths.

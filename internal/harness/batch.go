@@ -45,29 +45,18 @@ func safeSimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []pipe
 // cancelled batch resolves and removes every timing entry it claimed —
 // no partial memo entries survive.
 func (pw *Profiled) SimulateDetailedBatchCtx(ctx context.Context, cfgs []uarch.Config, workers int) ([]pipeline.Result, error) {
-	for {
-		res, err := pw.simulateDetailedBatch(ctx, cfgs, workers)
-		if err != nil && isCancellation(err) && ctx.Err() == nil {
-			continue
-		}
-		return res, err
-	}
+	return retryCancelled(ctx, func() ([]pipeline.Result, error) {
+		return pw.simulateDetailedBatch(ctx, cfgs, workers)
+	})
 }
 
 func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Config, workers int) ([]pipeline.Result, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
-	if err := pw.ensureAnnotated(ctx, cfgs, workers, nil); err != nil {
+	anns, err := pw.ensureAnnotated(ctx, cfgs, workers, nil)
+	if err != nil {
 		return nil, err
-	}
-	anns := make([]pipeline.Annotation, len(cfgs))
-	for i, cfg := range cfgs {
-		ann, err := pw.annotation(ctx, cfg) // cache hit after ensureAnnotated
-		if err != nil {
-			return nil, err
-		}
-		anns[i] = ann
 	}
 
 	// Partition the points over the timing memo: the first point of
@@ -90,16 +79,13 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 		if _, mine := own[k]; mine {
 			continue
 		}
-		if e, ok := st.timing[k]; ok {
-			st.touchLocked(&e.lastUse)
+		if e, mine := claimLocked(st, st.timing, k); mine {
+			own[k] = e
+			claimKeys = append(claimKeys, k)
+			claimRep = append(claimRep, i)
+		} else {
 			waits[k] = e
-			continue
 		}
-		e := &annotEntry[pipeline.Result]{done: make(chan struct{})}
-		st.timing[k] = e
-		own[k] = e
-		claimKeys = append(claimKeys, k)
-		claimRep = append(claimRep, i)
 	}
 	st.mu.Unlock()
 
@@ -166,15 +152,11 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	// claim of this call is already resolved above.
 	waitRes := make(map[timingKey]pipeline.Result, len(waits))
 	for k, e := range waits {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		res, err := await(ctx, e)
+		if err != nil {
+			return nil, err
 		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		waitRes[k] = e.val
+		waitRes[k] = res
 	}
 
 	out := make([]pipeline.Result, len(cfgs))

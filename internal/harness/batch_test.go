@@ -171,7 +171,7 @@ func TestSimulateDetailedBatchCancelLeavesNoPartialMemo(t *testing.T) {
 	}
 	pw := MustProfileProgram(spec.Build())
 	cfgs := batchTestConfigs()
-	if err := pw.EnsureAnnotated(cfgs, 2); err != nil {
+	if err := pw.EnsureAnnotatedCtx(context.Background(), cfgs, 2); err != nil {
 		t.Fatal(err)
 	}
 

@@ -27,7 +27,7 @@ import (
 // replayed for every design point of interest. Annotation planes —
 // precomputed per-instruction machine events consumed by the detailed
 // simulator's fast path — are cached here keyed by the machine
-// component they depend on (see EnsureAnnotated), so figures sharing a
+// component they depend on (see EnsureAnnotatedCtx), so figures sharing a
 // workload share the annotation work.
 type Profiled struct {
 	Name  string

@@ -8,6 +8,7 @@ import (
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/uarch"
 )
@@ -42,206 +43,150 @@ func frontOf(h cache.HierarchyConfig) hierFront {
 	}
 }
 
-// MultiStats holds the mixed program/machine statistics for every
-// design point of a space, collected in a single traversal of the
-// trace: one stack-distance engine per distinct L1/TLB front covers
-// all L2 geometries, and every distinct branch predictor runs
-// simultaneously on the same stream.
-type MultiStats struct {
-	cacheStats  map[cache.HierarchyConfig]cache.Stats
-	branchStats map[uarch.PredictorKind]branch.Stats
-}
-
-// CollectMultiStats collects machine statistics for every
-// configuration in cfgs in one pass over tr. The returned MultiStats
-// is immutable and safe for concurrent use.
-func CollectMultiStats(tr *trace.Trace, cfgs []uarch.Config) (*MultiStats, error) {
-	return CollectMultiStatsCtx(context.Background(), tr, cfgs)
-}
-
-// CollectMultiStatsCtx is CollectMultiStats under a context: the
-// single statistics traversal aborts at a trace chunk boundary once
-// ctx ends, returning ctx.Err() with nothing collected.
-func CollectMultiStatsCtx(ctx context.Context, tr *trace.Trace, cfgs []uarch.Config) (*MultiStats, error) {
-	m := &MultiStats{
-		cacheStats:  make(map[cache.HierarchyConfig]cache.Stats),
-		branchStats: make(map[uarch.PredictorKind]branch.Stats),
-	}
-	if len(cfgs) == 0 {
-		return m, nil
-	}
-
-	// One engine per distinct fixed front; one collector per predictor.
-	engines := make(map[hierFront]*cache.L2SpaceSim)
-	l2sByFront := make(map[hierFront][]cache.Config)
-	var hiers []cache.HierarchyConfig
-	for _, cfg := range cfgs {
-		if _, dup := m.cacheStats[cfg.Hier]; !dup {
-			m.cacheStats[cfg.Hier] = cache.Stats{} // mark wanted
-			hiers = append(hiers, cfg.Hier)
-			f := frontOf(cfg.Hier)
-			l2sByFront[f] = append(l2sByFront[f], cfg.Hier.L2)
-		}
-		if _, dup := m.branchStats[cfg.Predictor]; !dup {
-			m.branchStats[cfg.Predictor] = branch.Stats{}
-		}
-	}
-	consumers := make(trace.Tee, 0, len(l2sByFront)+len(m.branchStats))
-	for f, l2s := range l2sByFront {
-		base := cache.HierarchyConfig{
-			IL1: f.il1, DL1: f.dl1,
-			ITLBEntries: f.itlbEntries, DTLBEntries: f.dtlbEntries,
-			PageBytes: f.pageBytes,
-		}
-		eng, err := cache.NewL2SpaceSim(base, l2s)
-		if err != nil {
-			return nil, err
-		}
-		engines[f] = eng
-		consumers = append(consumers, eng)
-	}
-	bcs := make(map[uarch.PredictorKind]*branch.Collector, len(m.branchStats))
-	for pk := range m.branchStats {
-		bc := branch.NewCollector(pk.New())
-		bcs[pk] = bc
-		consumers = append(consumers, bc)
-	}
-
-	replays.Add(1)
-	if err := tr.ReplayCtx(ctx, consumers); err != nil {
-		return nil, err
-	}
-
-	for _, h := range hiers {
-		cs, err := engines[frontOf(h)].StatsFor(h.L2)
-		if err != nil {
-			return nil, err
-		}
-		m.cacheStats[h] = cs
-	}
-	for pk, bc := range bcs {
-		m.branchStats[pk] = bc.S
-	}
-	return m, nil
-}
-
-// Stats returns the machine statistics for one design point of the
-// collected space.
-func (m *MultiStats) Stats(cfg uarch.Config) (cache.Stats, branch.Stats, error) {
-	cs, ok := m.cacheStats[cfg.Hier]
-	if !ok {
-		return cache.Stats{}, branch.Stats{}, fmt.Errorf("harness: hierarchy %v not in collected space", cfg.Hier)
-	}
-	bs, ok := m.branchStats[cfg.Predictor]
-	if !ok {
-		return cache.Stats{}, branch.Stats{}, fmt.Errorf("harness: predictor %v not in collected space", cfg.Predictor)
-	}
-	return cs, bs, nil
-}
-
-// MultiInputs collects statistics for the whole space in one pass and
-// returns the per-configuration model inputs, keyed by the memo
-// accessor. See CollectMultiStats.
-func (pw *Profiled) MultiInputs(cfgs []uarch.Config) (*InputsSet, error) {
-	return pw.MultiInputsCtx(context.Background(), cfgs)
-}
-
-// MultiInputsCtx is MultiInputs under a context (see
-// CollectMultiStatsCtx).
-func (pw *Profiled) MultiInputsCtx(ctx context.Context, cfgs []uarch.Config) (*InputsSet, error) {
-	ms, err := CollectMultiStatsCtx(ctx, pw.Trace, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	return &InputsSet{pw: pw, ms: ms}, nil
-}
-
-// InputsSet resolves model inputs for any configuration of a collected
-// space. It is immutable and safe for concurrent use.
+// InputsSet accumulates the mixed program/machine statistics of a set
+// of design points and resolves the model inputs of any of them. Each
+// Add collects only the components (distinct cache hierarchies,
+// distinct branch predictors) not yet in the set, in at most one trace
+// traversal: one stack-distance engine per distinct L1/TLB front
+// covers all its L2 geometries, and every missing predictor runs on the
+// same stream. A batch whose components are all present costs no
+// replay — the economy of the heuristic search (dse.Search), whose
+// generations arrive one batch at a time. The statistics are
+// bit-identical however the components are split across Adds: each
+// engine's and predictor's results are independent of what else shares
+// its traversal.
+//
+// Add is not safe for concurrent use; Inputs is, once no Add runs.
 type InputsSet struct {
-	pw *Profiled
-	ms *MultiStats
+	pw      *Profiled
+	mem     map[cache.HierarchyConfig]cache.Stats
+	br      map[uarch.PredictorKind]branch.Stats
+	replays int
 }
 
-// fusedStats is the statistics side-channel of a fused
-// annotation+inputs pass (ExploreInputs): each annotation traversal
-// deposits the raw end-of-run statistics its engines produced, keyed
-// like MultiStats. It is written only from the sequential publish
-// section of ensureAnnotated, so it needs no locking.
-type fusedStats struct {
-	mem map[cache.HierarchyConfig]cache.Stats // raw engine stats (no I-stall fold)
-	br  map[uarch.PredictorKind]branch.Stats
+// NewInputsSet returns an empty set over pw's trace.
+func (pw *Profiled) NewInputsSet() *InputsSet {
+	return &InputsSet{
+		pw:  pw,
+		mem: make(map[cache.HierarchyConfig]cache.Stats),
+		br:  make(map[uarch.PredictorKind]branch.Stats),
+	}
 }
 
-// ExploreInputs is ExploreInputsCtx with a background context.
-func (pw *Profiled) ExploreInputs(cfgs []uarch.Config, workers int) (*InputsSet, error) {
-	return pw.ExploreInputsCtx(context.Background(), cfgs, workers)
+// MultiInputsCtx collects the statistics of every configuration in
+// cfgs in one pass over the trace (see InputsSet.Add).
+func (pw *Profiled) MultiInputsCtx(ctx context.Context, cfgs []uarch.Config) (*InputsSet, error) {
+	s := pw.NewInputsSet()
+	if err := s.Add(ctx, cfgs); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // ExploreInputsCtx computes the annotation planes AND the model inputs
 // of every configuration in cfgs from one fused pass: the cache engine
 // and predictor that compute a component's plane see exactly the
-// stream CollectMultiStats would replay, so their end-of-run
-// statistics double as the model inputs. A cold validated exploration
-// therefore performs no separate statistics traversal at all.
-// Components that were already annotated (cache or disk hits) carry no
-// fused statistics; one supplemental CollectMultiStats replay covers
-// exactly those. The returned inputs are bit-identical to
+// stream Add would replay, so their end-of-run statistics double as
+// the model inputs. A cold validated exploration therefore performs no
+// separate statistics traversal at all. Components that were already
+// annotated (cache or disk hits) carry no fused statistics; one Add
+// covers exactly those. The returned inputs are bit-identical to
 // MultiInputsCtx's, and the annotation cache is left exactly as
-// EnsureAnnotatedCtx would leave it.
+// EnsureAnnotatedCtx would leave it. Statistics deposited by completed
+// traversals of an attempt that another request's cancellation cut
+// stay valid: their components are published, so the retry computes
+// only the rest.
 func (pw *Profiled) ExploreInputsCtx(ctx context.Context, cfgs []uarch.Config, workers int) (*InputsSet, error) {
-	fs := &fusedStats{
-		mem: make(map[cache.HierarchyConfig]cache.Stats),
-		br:  make(map[uarch.PredictorKind]branch.Stats),
-	}
-	// Same retry contract as EnsureAnnotatedCtx: another request's
-	// cancellation re-claims rather than reports. Statistics deposited
-	// by completed traversals of an aborted attempt stay valid — their
-	// components are published, so the retry recomputes only the rest.
-	for {
-		err := pw.ensureAnnotated(ctx, cfgs, workers, fs)
-		if err == nil {
-			break
-		}
-		if isCancellation(err) && ctx.Err() == nil {
-			continue
-		}
+	s := pw.NewInputsSet()
+	_, err := retryCancelled(ctx, func() ([]pipeline.Annotation, error) {
+		return pw.ensureAnnotated(ctx, cfgs, workers, s)
+	})
+	if err != nil {
 		return nil, err
 	}
-	var missing []uarch.Config
-	for _, cfg := range cfgs {
-		_, okH := fs.mem[cfg.Hier]
-		_, okP := fs.br[cfg.Predictor]
-		if !okH || !okP {
-			missing = append(missing, cfg)
-		}
+	if err := s.Add(ctx, cfgs); err != nil {
+		return nil, err
 	}
-	if len(missing) > 0 {
-		ms, err := CollectMultiStatsCtx(ctx, pw.Trace, missing)
-		if err != nil {
-			return nil, err
-		}
-		// Merge only the missing keys: fused values are bit-identical
-		// anyway, but the guard keeps the precedence explicit.
-		for h, cs := range ms.cacheStats {
-			if _, ok := fs.mem[h]; !ok {
-				fs.mem[h] = cs
-			}
-		}
-		for pk, bs := range ms.branchStats {
-			if _, ok := fs.br[pk]; !ok {
-				fs.br[pk] = bs
-			}
-		}
-	}
-	return &InputsSet{pw: pw, ms: &MultiStats{cacheStats: fs.mem, branchStats: fs.br}}, nil
+	return s, nil
 }
 
-// Inputs assembles the model inputs for one design point.
+// Add ensures every configuration in cfgs has its statistics in the
+// set, collecting the missing components in at most one trace
+// traversal (aborted at a chunk boundary once ctx ends, adding
+// nothing).
+func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
+	var (
+		hiers []cache.HierarchyConfig
+		kinds []uarch.PredictorKind
+		seenH = make(map[cache.HierarchyConfig]bool)
+		seenP = make(map[uarch.PredictorKind]bool)
+	)
+	for _, cfg := range cfgs {
+		if _, ok := s.mem[cfg.Hier]; !ok && !seenH[cfg.Hier] {
+			seenH[cfg.Hier] = true
+			hiers = append(hiers, cfg.Hier)
+		}
+		if _, ok := s.br[cfg.Predictor]; !ok && !seenP[cfg.Predictor] {
+			seenP[cfg.Predictor] = true
+			kinds = append(kinds, cfg.Predictor)
+		}
+	}
+	if len(hiers)+len(kinds) == 0 {
+		return nil
+	}
+
+	// One engine per distinct front; one collector per predictor.
+	fronts, byFront := groupByFront(hiers)
+	consumers := make(trace.Tee, 0, len(fronts)+len(kinds))
+	engines := make([]*cache.L2SpaceSim, len(fronts))
+	for i, f := range fronts {
+		eng, _, err := newFrontSim(f, byFront[f])
+		if err != nil {
+			return err
+		}
+		engines[i] = eng
+		consumers = append(consumers, eng)
+	}
+	bcs := make([]*branch.Collector, len(kinds))
+	for i, pk := range kinds {
+		bcs[i] = branch.NewCollector(pk.New())
+		consumers = append(consumers, bcs[i])
+	}
+
+	replays.Add(1)
+	if err := s.pw.Trace.ReplayCtx(ctx, consumers); err != nil {
+		return err
+	}
+	s.replays++
+	for i, f := range fronts {
+		for _, h := range byFront[f] {
+			cs, err := engines[i].StatsFor(h.L2)
+			if err != nil {
+				return err
+			}
+			s.mem[h] = cs
+		}
+	}
+	for i, pk := range kinds {
+		s.br[pk] = bcs[i].S
+	}
+	return nil
+}
+
+// Inputs assembles the model inputs for one design point of the set; a
+// configuration never added is an error.
 func (s *InputsSet) Inputs(cfg uarch.Config) (core.Inputs, error) {
-	cs, bs, err := s.ms.Stats(cfg)
-	if err != nil {
-		return core.Inputs{}, err
+	cs, ok := s.mem[cfg.Hier]
+	if !ok {
+		return core.Inputs{}, fmt.Errorf("harness: hierarchy %v not in collected space", cfg.Hier)
+	}
+	bs, ok := s.br[cfg.Predictor]
+	if !ok {
+		return core.Inputs{}, fmt.Errorf("harness: predictor %v not in collected space", cfg.Predictor)
 	}
 	return core.Inputs{Prof: s.pw.Prof, Mem: cs, Branch: bs}, nil
 }
+
+// Replays returns the number of trace traversals this set's Adds have
+// performed — the search's statistics-economy counter.
+func (s *InputsSet) Replays() int { return s.replays }

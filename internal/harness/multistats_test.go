@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/uarch"
@@ -35,7 +36,7 @@ func TestMultiStatsMatchesPerConfigReplay(t *testing.T) {
 			}
 			pw := MustProfileProgram(spec.Build())
 			combos := table2Combos()
-			ms, err := CollectMultiStats(pw.Trace, combos)
+			set, err := pw.MultiInputsCtx(context.Background(), combos)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,15 +45,15 @@ func TestMultiStatsMatchesPerConfigReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotC, gotB, err := ms.Stats(cfg)
+				got, err := set.Inputs(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gotC != wantC {
-					t.Errorf("%s: cache stats diverge\n got  %+v\n want %+v", cfg, gotC, wantC)
+				if got.Mem != wantC {
+					t.Errorf("%s: cache stats diverge\n got  %+v\n want %+v", cfg, got.Mem, wantC)
 				}
-				if gotB != wantB {
-					t.Errorf("%s: branch stats diverge\n got  %+v\n want %+v", cfg, gotB, wantB)
+				if got.Branch != wantB {
+					t.Errorf("%s: branch stats diverge\n got  %+v\n want %+v", cfg, got.Branch, wantB)
 				}
 			}
 		})
@@ -68,11 +69,12 @@ func TestCollectMultiStatsSinglePass(t *testing.T) {
 	}
 	pw := MustProfileProgram(spec.Build())
 	before := ReplayCount()
-	if _, err := CollectMultiStats(pw.Trace, table2Combos()); err != nil {
+	set, err := pw.MultiInputsCtx(context.Background(), table2Combos())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ReplayCount() - before; got != 1 {
-		t.Errorf("CollectMultiStats over 16 combos took %d replays, want 1", got)
+	if got := ReplayCount() - before; got != 1 || set.Replays() != 1 {
+		t.Errorf("MultiInputsCtx over 16 combos took %d replays (set counted %d), want 1", got, set.Replays())
 	}
 }
 
@@ -85,14 +87,145 @@ func TestMultiStatsUnknownConfig(t *testing.T) {
 	}
 	pw := MustProfileProgram(spec.Build())
 	base := uarch.Default()
-	ms, err := CollectMultiStats(pw.Trace, []uarch.Config{base})
+	set, err := pw.MultiInputsCtx(context.Background(), []uarch.Config{base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ms.Stats(base.WithL2(128, 16)); err == nil {
+	if _, err := set.Inputs(base.WithL2(128, 16)); err == nil {
 		t.Error("unknown hierarchy accepted")
 	}
-	if _, _, err := ms.Stats(base.WithPredictor(uarch.PredBimodal2KB)); err == nil {
+	if _, err := set.Inputs(base.WithPredictor(uarch.PredBimodal2KB)); err == nil {
 		t.Error("unknown predictor accepted")
+	}
+}
+
+// TestInputsSetMatchesOneShot pins the search's statistics economy
+// AND its bit-identity claim at once: feeding the Table 2 component
+// combinations to an InputsSet in several incremental batches must
+// cost one replay per batch that actually misses, zero for covered
+// batches, and hand out inputs bit-identical to one MultiInputsCtx
+// pass over the union.
+func TestInputsSetMatchesOneShot(t *testing.T) {
+	spec, err := workloads.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw := MustProfileProgram(spec.Build())
+	cfgs := table2Combos()
+
+	ctx := context.Background()
+	oneShot, err := pw.MultiInputsCtx(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sc := pw.NewInputsSet()
+	// Three overlapping batches: the second re-adds half of the first
+	// (already covered, but alongside new hierarchies), the third is
+	// fully covered and must not replay.
+	if err := sc.Add(ctx, cfgs[:6]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Add(ctx, cfgs[3:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Replays(); got != 2 {
+		t.Fatalf("replays after two missing batches = %d, want 2", got)
+	}
+	if err := sc.Add(ctx, cfgs); err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Replays(); got != 2 {
+		t.Fatalf("covered batch replayed: %d traversals, want still 2", got)
+	}
+
+	for _, cfg := range cfgs {
+		want, err := oneShot.Inputs(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := sc.Inputs(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Mem != want.Mem {
+			t.Fatalf("%s: cache stats differ from one-shot:\n got %+v\nwant %+v", cfg.Name, in.Mem, want.Mem)
+		}
+		if in.Branch != want.Branch {
+			t.Fatalf("%s: branch stats differ from one-shot:\n got %+v\nwant %+v", cfg.Name, in.Branch, want.Branch)
+		}
+		if in.Prof != pw.Prof {
+			t.Fatalf("%s: profile pointer differs", cfg.Name)
+		}
+	}
+}
+
+// TestExploreInputsMatchesMultiInputs pins the fused annotation+inputs
+// pass against the plain statistics pass: whatever mix of freshly
+// computed, already-resident and disk-loaded components the annotation
+// step meets, every design point's inputs are bit-identical to
+// MultiInputsCtx's, and the leftover statistics collection replays the
+// trace only when some component carried no fused statistics.
+func TestExploreInputsMatchesMultiInputs(t *testing.T) {
+	ctx := context.Background()
+	combos := table2Combos()
+	for _, name := range []string{"crc32", "sha"} {
+		spec := mustSpec(t, name)
+		store := openTestStore(t)
+		ref, _, err := ProfileProgramCached(store, name, 0, spec.Build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Fresh().MultiInputsCtx(ctx, combos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := ref.Fresh()
+		if err := half.EnsureAnnotatedCtx(ctx, combos[:len(combos)/2], 2); err != nil {
+			t.Fatal(err)
+		}
+		// ref writes every plane through to the store, so the
+		// rehydrated workload below loads them all from disk.
+		if err := ref.EnsureAnnotatedCtx(ctx, combos, 2); err != nil {
+			t.Fatal(err)
+		}
+		warm, fromDisk, err := ProfileProgramCached(store, name, 0, spec.Build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fromDisk {
+			t.Fatalf("%s: workload did not rehydrate from the store", name)
+		}
+		for _, st := range []struct {
+			state   string
+			pw      *Profiled
+			replays int64
+		}{
+			{"cold", ref.Fresh(), 0},
+			{"half-annotated", half, 1},
+			{"rehydrated", warm, 1},
+		} {
+			before := ReplayCount()
+			got, err := st.pw.ExploreInputsCtx(ctx, combos, 2)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, st.state, err)
+			}
+			if n := ReplayCount() - before; n != st.replays {
+				t.Errorf("%s/%s: leftover collection took %d replays, want %d", name, st.state, n, st.replays)
+			}
+			for _, cfg := range combos {
+				g, err := got.Inputs(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.Inputs(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Mem != w.Mem || g.Branch != w.Branch {
+					t.Errorf("%s/%s, %s: fused inputs diverge\n got  %+v %+v\n want %+v %+v", name, st.state, cfg.Name, g.Mem, g.Branch, w.Mem, w.Branch)
+				}
+			}
+		}
 	}
 }

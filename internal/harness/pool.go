@@ -212,6 +212,20 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// retryCancelled runs attempt until it succeeds, fails for a reason
+// other than cancellation, or ctx itself ends. A cancellation observed
+// while ctx is still live came from another request's claim, which was
+// evicted for retry; the retry re-claims and computes it under ctx, so
+// only ctx can cancel it again, which bounds the retries.
+func retryCancelled[T any](ctx context.Context, attempt func() (T, error)) (T, error) {
+	for {
+		v, err := attempt()
+		if err == nil || !isCancellation(err) || ctx.Err() != nil {
+			return v, err
+		}
+	}
+}
+
 // admit joins (or creates) the singleflight admission for name and
 // waits for it under ctx. The admission runs detached, so the entry is
 // always resolved no matter which requests come and go; a request that

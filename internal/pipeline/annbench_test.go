@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/harness"
@@ -42,7 +43,7 @@ func BenchmarkAnnotate(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := pw.Annotation(cfg); err != nil {
+		if _, err := pw.AnnotationCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,8 +44,11 @@ func annotationFor(t *testing.T, tr *trace.Trace, cfg uarch.Config) pipeline.Ann
 	}
 }
 
+// branchPlane annotates pk's mispredicts; under a context that never
+// ends the annotation cannot fail.
 func branchPlane(tr *trace.Trace, pk uarch.PredictorKind) *trace.BitPlane {
-	return branch.AnnotateMispredicts(tr, pk.New())
+	p, _, _ := branch.AnnotateMispredicts(context.Background(), tr, pk.New())
+	return p
 }
 
 // simulateOne replays a single annotated design point as a one-lane

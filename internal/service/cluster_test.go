@@ -213,6 +213,11 @@ func TestClusterPeerArtifactRehydration(t *testing.T) {
 	if n := b.srv.artifactsServed.Load(); n == 0 {
 		t.Fatal("owner served no raw artifacts")
 	}
+	// The owner's /metrics counts the peer's artifact fetches under
+	// their own request key, the key their latency histogram uses.
+	if n, served := b.srv.MetricsSnapshot().Requests["artifact_get"], b.srv.artifactsServed.Load(); n < served {
+		t.Fatalf("owner counted %d artifact_get requests but served %d artifacts", n, served)
+	}
 }
 
 // TestClusterOwnerDownFallsBackLocal: killing the owner must not fail

@@ -1366,13 +1366,14 @@ type Metrics struct {
 func (s *Server) MetricsSnapshot() Metrics {
 	m := Metrics{
 		Requests: map[string]int64{
-			"predict":   s.reqPredict.Load(),
-			"explore":   s.reqExplore.Load(),
-			"workloads": s.reqWorkloads.Load(),
-			"artifacts": s.reqArtifacts.Load(),
-			"ingest":    s.reqIngest.Load(),
-			"healthz":   s.reqHealth.Load(),
-			"metrics":   s.reqMetrics.Load(),
+			"predict":      s.reqPredict.Load(),
+			"explore":      s.reqExplore.Load(),
+			"workloads":    s.reqWorkloads.Load(),
+			"artifacts":    s.reqArtifacts.Load(),
+			"artifact_get": s.reqArtifactGet.Load(),
+			"ingest":       s.reqIngest.Load(),
+			"healthz":      s.reqHealth.Load(),
+			"metrics":      s.reqMetrics.Load(),
 		},
 		Errors:           s.errCount.Load(),
 		InFlight:         s.inFlight.Load(),
