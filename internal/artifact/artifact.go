@@ -59,8 +59,10 @@ import (
 // so readers of the new version never even look at old files.
 // Version 2 added the per-section CRC-32C that the mapped load path
 // verifies in place of the whole-file digest; version 3 re-encodes the
-// trace section as a static-tuple dictionary plus two 4-byte columns.
-const FormatVersion = 3
+// trace section as a static-tuple dictionary plus two 4-byte columns;
+// version 4 stores addresses for loads and stores only, with their
+// count in the trace header.
+const FormatVersion = 4
 
 // Ext is the artifact file extension.
 const Ext = ".rpaf"
@@ -470,7 +472,7 @@ func (s *Store) LoadWorkload(id WorkloadID) (*trace.Trace, *profile.Profile, err
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: workload artifact has no profile section", ErrInvalid)
 	}
-	tr, err := trace.ReadTraceFrom(bytes.NewReader(tb))
+	tr, err := trace.MapTrace(tb) // exact-size framing: no trailing bytes
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}

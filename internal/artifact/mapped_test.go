@@ -147,10 +147,11 @@ func TestMappedLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// resignTraceSection applies mutate to the trace stream inside an
-// artifact file image, then recomputes the section CRC and the
-// whole-file digest, so every checksum on the way passes.
-func resignTraceSection(d []byte, mutate func(stream []byte)) []byte {
+// resignTraceSection replaces the trace stream inside an artifact file
+// image with mutate's result, which may change its length, then
+// recomputes the section length and CRC and the whole-file digest, so
+// every checksum on the way passes.
+func resignTraceSection(d []byte, mutate func(stream []byte) []byte) []byte {
 	le := binary.LittleEndian
 	off := 9 // magic, version, kind
 	off += 4 + int(le.Uint32(d[off:]))
@@ -161,40 +162,79 @@ func resignTraceSection(d []byte, mutate func(stream []byte)) []byte {
 		name := string(d[off+4 : off+4+nameLen])
 		off += 4 + nameLen
 		n := int(le.Uint64(d[off:]))
-		off += 8
 		if name == "trace" {
-			mutate(d[off : off+n])
-			le.PutUint32(d[off+n:], crc32c(d[off:off+n]))
+			st := mutate(append([]byte(nil), d[off+8:off+8+n]...))
+			out := le.AppendUint64(append([]byte(nil), d[:off]...), uint64(len(st)))
+			out = le.AppendUint32(append(out, st...), crc32c(st))
+			return resign(append(out, d[off+8+n+4:]...))
 		}
-		off += n + 4
+		off += 8 + n + 4
 	}
-	return resign(d)
+	panic("artifact has no trace section")
 }
 
 func crc32c(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
 
 // TestLoadRejectsResignedOutOfRangeTrace damages a stored trace behind
 // re-signed checksums — an instruction referencing an entry past the
-// dictionary, a dictionary entry naming a register outside the ISA —
-// so only the trace decoders' range checks can reject it. Both load
-// paths must refuse it, and the cached profiling entry point must fall
-// back to fresh profiling.
+// dictionary, a dictionary entry naming a register outside the ISA, a
+// header count of loads and stores that disagrees with the ids, an
+// address column one entry short or long — so only the trace decoders'
+// range, count and framing checks can reject it. Both load paths must
+// refuse it, and the cached profiling entry point must fall back to
+// fresh profiling.
 func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 	le := binary.LittleEndian
-	const tupleBytes = 14 // encoded dictionary entry
-	cases := map[string]func(stream []byte){
-		"dictionary-id": func(st []byte) {
-			m := le.Uint32(st[8:])
-			chunk0 := 12 + tupleBytes*int(m) + 4
-			body := st[chunk0 : chunk0+8*int(min(le.Uint64(st), trace.ChunkLen))]
-			le.PutUint32(body, m)
-			le.PutUint32(st[chunk0+len(body):], crc32c(body))
+	// The trace stream layout (see internal/trace/codec.go): a 16-byte
+	// header (instructions, loads and stores), the dictionary count and
+	// 14-byte tuples (flags at byte 10) behind a CRC, then chunk 0's id
+	// column, address column and CRC.
+	const hdr, tupleBytes = 16, 14
+	chunk0 := func(st []byte) (dictEnd int, ids []byte, naddr int) {
+		dictEnd = hdr + 4 + tupleBytes*int(le.Uint32(st[hdr:]))
+		ids = st[dictEnd+4 : dictEnd+4+4*int(min(le.Uint64(st), trace.ChunkLen))]
+		for i := 0; i < len(ids); i += 4 {
+			if st[hdr+4+tupleBytes*int(le.Uint32(ids[i:]))+10]&trace.FlagMem != 0 {
+				naddr++
+			}
+		}
+		return dictEnd, ids, naddr
+	}
+	// resize gives chunk 0's address column delta more (or fewer)
+	// entries and the header count to match, then re-signs the chunk.
+	resize := func(st []byte, delta int) []byte {
+		dictEnd, ids, naddr := chunk0(st)
+		start := dictEnd + 4
+		end := start + len(ids) + 4*naddr
+		body := append([]byte(nil), st[start:end+4*min(delta, 0)]...)
+		for ; delta > 0; delta-- {
+			body = le.AppendUint32(body, 7)
+		}
+		out := append(append([]byte(nil), st[:start]...), body...)
+		out = le.AppendUint32(out, crc32c(body))
+		le.PutUint64(out[8:], uint64(int(le.Uint64(st[8:]))+(len(body)-(end-start))/4))
+		return append(out, st[end+4:]...)
+	}
+	cases := map[string]func(stream []byte) []byte{
+		"dictionary-id": func(st []byte) []byte {
+			dictEnd, ids, naddr := chunk0(st)
+			le.PutUint32(ids, le.Uint32(st[hdr:]))
+			body := st[dictEnd+4 : dictEnd+4+len(ids)+4*naddr]
+			le.PutUint32(st[dictEnd+4+len(body):], crc32c(body))
+			return st
 		},
-		"register": func(st []byte) {
-			dictEnd := 12 + tupleBytes*int(le.Uint32(st[8:]))
-			st[12+11] = isa.NumRegs // entry 0's Dst byte
-			le.PutUint32(st[dictEnd:], crc32c(st[8:dictEnd]))
+		"register": func(st []byte) []byte {
+			dictEnd, _, _ := chunk0(st)
+			st[hdr+4+11] = isa.NumRegs // entry 0's Dst byte
+			le.PutUint32(st[dictEnd:], crc32c(st[hdr:dictEnd]))
+			return st
 		},
+		"header-count": func(st []byte) []byte {
+			le.PutUint64(st[8:], le.Uint64(st[8:])+1)
+			return st
+		},
+		"truncated-addr": func(st []byte) []byte { return resize(st, -1) },
+		"trailing-addr":  func(st []byte) []byte { return resize(st, 1) },
 	}
 	spec, err := workloads.ByName("sha")
 	if err != nil {

@@ -57,8 +57,9 @@ type Machine struct {
 	prog *program.Program
 	data [][2]int64
 
-	// ids caches, per (PC, taken) slot, 1 + the dictionary id of the
-	// slot's tuple in the builder idsFor (0: not interned yet).
+	// ids caches, per (PC, taken) slot, the dictionary id of the slot's
+	// tuple in the builder idsFor as (1+id)<<1 | mem, where mem is 1 for
+	// a load or store (0: not interned yet).
 	ids    []uint32
 	idsFor *trace.Builder
 }
@@ -130,11 +131,11 @@ func (m *Machine) Run(b *trace.Builder) (int64, error) {
 // the partial retirement count). A background context adds no per-
 // instruction work; Run and RunCtx retire identical streams.
 //
-// Recording costs a table lookup and two stores per instruction: every
-// execution of one static instruction that goes the same way records
-// the same trace.Static tuple, so the tuple is derived and interned
-// once per (PC, taken) and its id cached. The cache belongs to b, and
-// persists across runs into the same builder.
+// Recording costs a table lookup and one store per instruction, two
+// for a load or store: every execution of one static instruction that
+// goes the same way records the same trace.Static tuple, so the tuple
+// is derived and interned once per (PC, taken) and its id cached. The
+// cache belongs to b, and persists across runs into the same builder.
 func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 	maxN := m.MaxInstructions
 	if maxN <= 0 {
@@ -269,12 +270,15 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 		}
 		if record {
 			slot := m.PC<<1 | taken
-			id := ids[slot]
-			if id == 0 {
-				id = m.intern(b, slot)
+			e := ids[slot]
+			if e == 0 {
+				e = m.intern(b, slot)
 			}
-			// Addresses are below memLen <= program.MaxMemWords.
-			b.AppendID(id-1, uint32(ea))
+			b.AppendID(e>>1 - 1)
+			if e&1 != 0 {
+				// Addresses are below memLen <= program.MaxMemWords.
+				b.AppendAddr(uint32(ea))
+			}
 		}
 
 		m.PC = nextPC
@@ -284,12 +288,16 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 }
 
 // intern interns the tuple of slot (PC<<1 | taken) into b and caches
-// 1 + its id.
+// and returns its ids entry.
 func (m *Machine) intern(b *trace.Builder, slot int64) uint32 {
 	pc := slot >> 1
-	id := b.Intern(static(pc, &m.Instrs[pc], slot&1 != 0)) + 1
-	m.ids[slot] = id
-	return id
+	s := static(pc, &m.Instrs[pc], slot&1 != 0)
+	e := (b.Intern(s) + 1) << 1
+	if s.Flags&trace.FlagMem != 0 {
+		e |= 1
+	}
+	m.ids[slot] = e
+	return e
 }
 
 // static derives the trace tuple that every execution of in at pc

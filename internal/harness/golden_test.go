@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/program"
 	"repro/internal/randprog"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -19,7 +21,9 @@ import (
 // generated programs. It was generated by the record path that
 // streamed one DynInst per instruction through a Consumer, before that
 // path was replaced, so it is an oracle independent of the current
-// recorder and profiler.
+// recorder and profiler. A change of the trace format re-pins only
+// trace_sha256: the record digest, the profile, the fingerprint and
+// the length pin the content and must not move.
 const goldenFile = "testdata/golden_profiles.json"
 
 // goldenEntry is one program's digests.
@@ -27,6 +31,7 @@ type goldenEntry struct {
 	Name        string `json:"name"`
 	Fingerprint string `json:"fingerprint"`
 	N           int64  `json:"n"`
+	Records     string `json:"records_sha256"` // SHA-256 of the replayed records (recordsDigest)
 	Trace       string `json:"trace_sha256"`   // SHA-256 of Trace.WriteTo
 	Profile     string `json:"profile_sha256"` // SHA-256 of the profile's JSON encoding
 }
@@ -85,9 +90,38 @@ func goldenDigest(t *testing.T, c goldenCase) goldenEntry {
 		Name:        c.name,
 		Fingerprint: p.Fingerprint(),
 		N:           pw.Trace.Len(),
+		Records:     recordsDigest(pw.Trace),
 		Trace:       hex.EncodeToString(th.Sum(nil)),
 		Profile:     hex.EncodeToString(ph[:]),
 	}
+}
+
+// recordsDigest hashes every field of every record tr replays, in
+// order and in a fixed little-endian layout. It depends only on the
+// instruction stream, not on how the trace store encodes it, so it
+// holds across changes of the trace format.
+func recordsDigest(tr *trace.Trace) string {
+	h := sha256.New()
+	var buf []byte
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	tr.Replay(trace.ConsumerFunc(func(d *trace.DynInst) {
+		buf = buf[:0]
+		for _, v := range []uint64{
+			uint64(d.Seq), uint64(d.PC), uint64(d.Op), uint64(d.Class),
+			uint64(d.Dst), b(d.HasDst), uint64(d.Src[0]), uint64(d.Src[1]), uint64(d.NumSrc),
+			uint64(d.EffAddr), b(d.Taken), uint64(d.Target), uint64(d.NextPC),
+			b(d.IsLoad), b(d.IsStore), b(d.IsBranch), b(d.IsJump),
+		} {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		h.Write(buf)
+	}))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGoldenProfiles records and profiles the golden corpus and checks

@@ -76,10 +76,10 @@ type group struct {
 func (g *group) empty() bool { return g.head >= g.n }
 
 // Simulate replays tr on the design point cfg. The inner loops read
-// the trace's columns directly — each instruction's dictionary id and
-// effective address, with its static fields from the L1-resident
-// dictionary — instead of decoding DynInst records, so the replay
-// streams compact arrays.
+// the trace's columns directly — each instruction's dictionary id, with
+// its static fields from the L1-resident dictionary, and each load's or
+// store's effective address — instead of decoding DynInst records, so
+// the replay streams compact arrays.
 func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -132,6 +132,8 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 		emptyStages    = D   // stages currently holding no instructions
 		maxRegReady    int64 // upper bound on every regReady entry
 		warmIFetches   int64 // batched same-block I-fetch hits (IWarmHit)
+		addrChunk      int64 // chunk whose Addr column addrK walks
+		addrK          int   // Addr index of the next load or store admitted
 	)
 
 	for pos < n || inFlight > 0 {
@@ -183,6 +185,16 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 			admitted++
 			lastAdmit = cycle
 			stop := false
+			var eff int64
+			if fl&trace.FlagMem != 0 {
+				// Execute admits in trace order, so one cursor walks
+				// each chunk's dense address column.
+				if c := idx >> trace.ChunkShift; c != addrChunk {
+					addrChunk, addrK = c, 0
+				}
+				eff = int64(ck.Addr[addrK])
+				addrK++
+			}
 
 			switch class := st.Class; class {
 			case isa.ClassMul, isa.ClassDiv:
@@ -201,7 +213,6 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 				stop = true // newer instructions stall behind the blocked EX
 			case isa.ClassLoad, isa.ClassStore:
 				var extra int64
-				eff := int64(ck.EffAddr[j])
 				isStore := fl&trace.FlagStore != 0
 				if !hier.AccessDWarm(eff, isStore) {
 					r := hier.AccessD(eff, isStore)

@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -14,18 +15,27 @@ func TestReplayCtx(t *testing.T) {
 	b := NewBuilder()
 	var d DynInst
 	const n = 3*ChunkLen + 17
+	var want []DynInst
 	for i := 0; i < n; i++ {
-		d.PC = int64(i % 100)
+		d.Seq, d.PC, d.NextPC = int64(i), int64(i%100), int64(i%100+1)
+		// Every third instruction is a load, so the replay threads the
+		// dense address column's running index across chunks.
+		d.IsLoad = i%3 == 0
+		d.EffAddr = 0
+		if d.IsLoad {
+			d.EffAddr = int64(i)
+		}
 		b.Append(&d)
+		want = append(want, d)
 	}
 	tr := b.Trace()
 
-	var count int64
-	if err := tr.ReplayCtx(context.Background(), ConsumerFunc(func(*DynInst) { count++ })); err != nil {
+	var got []DynInst
+	if err := tr.ReplayCtx(context.Background(), ConsumerFunc(func(d *DynInst) { got = append(got, *d) })); err != nil {
 		t.Fatalf("ReplayCtx with live context: %v", err)
 	}
-	if count != n {
-		t.Fatalf("ReplayCtx observed %d instructions, want %d", count, n)
+	if !slices.Equal(got, want) {
+		t.Fatalf("ReplayCtx observed %d instructions, not the %d appended", len(got), n)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

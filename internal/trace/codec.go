@@ -22,20 +22,21 @@ import (
 //
 // Layout (all integers little-endian):
 //
-//	Trace:      u64 n; the dictionary: u32 count m, m tuples of 14
-//	            bytes (PC i32, Target i32, Op u8, Class u8, Flags u8,
-//	            Dst u8, Src1 u8, Src2 u8), u32 CRC-32C of the count and
-//	            tuples; then per chunk: the ID column then the EffAddr
-//	            column (u32 each, truncated to the chunk's live
-//	            length), followed by a u32 CRC-32C of the chunk's
+//	Trace:      u64 n; u64 a, the number of loads and stores; the
+//	            dictionary: u32 count m, m tuples of 14 bytes (PC i32,
+//	            Target i32, Op u8, Class u8, Flags u8, Dst u8, Src1 u8,
+//	            Src2 u8), u32 CRC-32C of the count and tuples; then per
+//	            chunk: the ID column (u32, the chunk's live length),
+//	            the Addr column (u32, one per load or store, as the
+//	            chunk's ids imply), and a u32 CRC-32C of the chunk's
 //	            encoded bytes.
 //	BytePlane:  u64 n, then per chunk: the live bytes + u32 CRC-32C.
 //	BitPlane:   u64 n, then per chunk: the live u64 words + u32 CRC-32C.
 //
 // Derivable framing (chunk count, per-chunk lengths, Base) is not
-// stored: it all follows from n (and m) and the fixed chunk geometry,
-// so a reader can also predict the exact encoded size up front and
-// reject a stream whose length disagrees before allocating anything.
+// stored: it all follows from n, a, m and the fixed chunk geometry, so
+// a reader can also predict the exact encoded size up front and reject
+// a stream whose length disagrees before allocating anything.
 
 // ErrCorrupt is wrapped by every decode failure caused by damaged
 // input (bad checksum, impossible length, truncation, out-of-range
@@ -69,11 +70,11 @@ func decodeLen(r io.Reader, what string) (int64, error) {
 	return n, nil
 }
 
-// Encoded sizes of one dictionary tuple and of one instruction (its
-// dictionary id and word address).
+// Encoded sizes of the trace header (n and a) and of one dictionary
+// tuple.
 const (
+	traceHdrBytes  = 8 + 8
 	staticEncBytes = 4 + 4 + 6
-	traceInstBytes = 4 + 4
 )
 
 // chunkCount returns the number of chunks holding n entries.
@@ -90,15 +91,15 @@ func chunkLive(n int64, c int64) int {
 	return int(live)
 }
 
-// traceEncodedSize is the exact stream size of n instructions over an
-// m-entry dictionary.
-func traceEncodedSize(n, m int64) int64 {
-	return 8 + 4 + m*staticEncBytes + 4 + n*traceInstBytes + 4*chunkCount(n)
+// traceEncodedSize is the exact stream size of n instructions, a of
+// them loads or stores, over an m-entry dictionary.
+func traceEncodedSize(n, a, m int64) int64 {
+	return traceHdrBytes + 4 + m*staticEncBytes + 4 + 4*n + 4*a + 4*chunkCount(n)
 }
 
 // EncodedSize returns the exact number of bytes WriteTo will produce.
 func (t *Trace) EncodedSize() int64 {
-	return traceEncodedSize(t.Len(), int64(len(t.Dictionary())))
+	return traceEncodedSize(t.Len(), t.mem, int64(len(t.Dictionary())))
 }
 
 // WriteTo serializes the trace; it implements io.WriterTo. The stream
@@ -107,24 +108,25 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
 	le := binary.LittleEndian
 	dict := t.Dictionary()
-	enc := le.AppendUint64(make([]byte, 0, 16+len(dict)*staticEncBytes), uint64(t.Len()))
+	enc := le.AppendUint64(make([]byte, 0, traceHdrBytes+8+len(dict)*staticEncBytes), uint64(t.Len()))
+	enc = le.AppendUint64(enc, uint64(t.mem))
 	enc = le.AppendUint32(enc, uint32(len(dict)))
 	for _, s := range dict {
 		enc = le.AppendUint32(enc, uint32(s.PC))
 		enc = le.AppendUint32(enc, uint32(s.Target))
 		enc = append(enc, uint8(s.Op), uint8(s.Class), s.Flags, uint8(s.Dst), uint8(s.Src1), uint8(s.Src2))
 	}
-	enc = le.AppendUint32(enc, crc32.Checksum(enc[8:], crcTable))
+	enc = le.AppendUint32(enc, crc32.Checksum(enc[traceHdrBytes:], crcTable))
 	if _, err := cw.Write(enc); err != nil {
 		return cw.n, err
 	}
-	buf := make([]byte, 0, ChunkLen*traceInstBytes+4)
+	buf := make([]byte, 0, 2*4*ChunkLen+4)
 	for _, ck := range t.Chunks() {
 		enc := buf[:0]
 		for _, v := range ck.ID[:ck.N] {
 			enc = le.AppendUint32(enc, v)
 		}
-		for _, v := range ck.EffAddr[:ck.N] {
+		for _, v := range ck.Addr {
 			enc = le.AppendUint32(enc, v)
 		}
 		enc = le.AppendUint32(enc, crc32.Checksum(enc, crcTable))
@@ -139,20 +141,23 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 // returned trace is bit-identical to the one that was written, down to
 // SizeBytes. Damaged input yields an error wrapping ErrCorrupt: a bad
 // checksum or length, a dictionary tuple whose opcode, class, register
-// or source count lies outside this binary's ISA, or an id beyond the
-// dictionary — consumers index fixed-size tables with all of these.
-// The reader never allocates ahead of the bytes really present.
+// or source count lies outside this binary's ISA, an id beyond the
+// dictionary — consumers index fixed-size tables with all of these —
+// or chunks whose ids imply a different number of loads and stores
+// than the header. The reader never allocates ahead of the bytes
+// really present.
 func ReadTraceFrom(r io.Reader) (*Trace, error) {
 	le := binary.LittleEndian
 	n, err := decodeLen(r, "trace")
 	if err != nil {
 		return nil, err
 	}
-	var mb [4]byte
-	if _, err := io.ReadFull(r, mb[:]); err != nil {
+	var hb [12]byte // u64 loads and stores, u32 dictionary count
+	if _, err := io.ReadFull(r, hb[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading trace dictionary header: %v", ErrCorrupt, err)
 	}
-	m := int64(le.Uint32(mb[:]))
+	a, mb := int64(le.Uint64(hb[:])), hb[8:]
+	m := int64(le.Uint32(mb))
 	if m > n {
 		// Every entry of a built dictionary is used at least once.
 		return nil, fmt.Errorf("%w: trace dictionary of %d entries for %d instructions", ErrCorrupt, m, n)
@@ -162,10 +167,10 @@ func ReadTraceFrom(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("%w: trace dictionary truncated", ErrCorrupt)
 	}
 	body, tail := enc[:len(enc)-4], enc[len(enc)-4:]
-	if got, want := crc32.Update(crc32.Checksum(mb[:], crcTable), crcTable, body), le.Uint32(tail); got != want {
+	if got, want := crc32.Update(crc32.Checksum(mb, crcTable), crcTable, body), le.Uint32(tail); got != want {
 		return nil, fmt.Errorf("%w: trace dictionary checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
 	}
-	t := &Trace{n: n, static: make([]Static, m)}
+	t := &Trace{n: n, mem: a, static: make([]Static, m)}
 	for i := range t.static {
 		b := body[i*staticEncBytes:]
 		s := Static{
@@ -179,25 +184,37 @@ func ReadTraceFrom(r io.Reader) (*Trace, error) {
 		}
 		t.static[i] = s
 	}
-	buf := make([]byte, ChunkLen*traceInstBytes+4)
+	buf := make([]byte, 2*4*ChunkLen+4)
 	for c := int64(0); c < chunkCount(n); c++ {
 		live := chunkLive(n, c)
-		enc := buf[:live*traceInstBytes+4]
+		enc := buf[:4*live]
 		if _, err := io.ReadFull(r, enc); err != nil {
+			return nil, fmt.Errorf("%w: trace chunk %d truncated: %v", ErrCorrupt, c, err)
+		}
+		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static, ID: make([]uint32, live)}
+		for i := range ck.ID {
+			if ck.ID[i] = le.Uint32(enc[4*i:]); int64(ck.ID[i]) >= m {
+				return nil, fmt.Errorf("%w: trace instruction %d references dictionary entry %d of %d", ErrCorrupt, ck.Base+int64(i), ck.ID[i], m)
+			}
+		}
+		k := memCount(t.static, ck.ID)
+		a -= int64(k)
+		enc = buf[:4*(live+k)+4]
+		if _, err := io.ReadFull(r, enc[4*live:]); err != nil {
 			return nil, fmt.Errorf("%w: trace chunk %d truncated: %v", ErrCorrupt, c, err)
 		}
 		body, tail := enc[:len(enc)-4], enc[len(enc)-4:]
 		if got, want := crc32.Checksum(body, crcTable), le.Uint32(tail); got != want {
 			return nil, fmt.Errorf("%w: trace chunk %d checksum mismatch (got %08x, want %08x)", ErrCorrupt, c, got, want)
 		}
-		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static, ID: make([]uint32, live), EffAddr: make([]uint32, live)}
-		for i := range ck.ID {
-			if ck.ID[i] = le.Uint32(body[4*i:]); int64(ck.ID[i]) >= m {
-				return nil, fmt.Errorf("%w: trace instruction %d references dictionary entry %d of %d", ErrCorrupt, ck.Base+int64(i), ck.ID[i], m)
-			}
-			ck.EffAddr[i] = le.Uint32(body[4*(live+i):])
+		ck.Addr = make([]uint32, k)
+		for i := range ck.Addr {
+			ck.Addr[i] = le.Uint32(body[4*(live+i):])
 		}
 		t.chunks = append(t.chunks, ck)
+	}
+	if a != 0 {
+		return nil, fmt.Errorf("%w: trace ids and header disagree on the number of loads and stores (by %d)", ErrCorrupt, a)
 	}
 	return t, nil
 }
@@ -211,14 +228,15 @@ func ReadTraceFrom(r io.Reader) (*Trace, error) {
 // (their in-stream alignment varies), so the trace shares no memory
 // with data and the caller may release the mapping on return.
 func MapTrace(data []byte) (*Trace, error) {
-	if len(data) < 12 {
+	le := binary.LittleEndian
+	if len(data) < traceHdrBytes+4 {
 		return nil, fmt.Errorf("%w: trace stream shorter than its header", ErrCorrupt)
 	}
-	n := int64(binary.LittleEndian.Uint64(data))
-	if n < 0 || n > maxDecodeLen {
-		return nil, fmt.Errorf("%w: implausible trace length %d", ErrCorrupt, uint64(n))
+	n, a := int64(le.Uint64(data)), int64(le.Uint64(data[8:]))
+	if n < 0 || n > maxDecodeLen || a < 0 || a > n {
+		return nil, fmt.Errorf("%w: implausible trace length %d with %d loads and stores", ErrCorrupt, uint64(n), uint64(a))
 	}
-	if want := traceEncodedSize(n, int64(binary.LittleEndian.Uint32(data[8:]))); int64(len(data)) != want {
+	if want := traceEncodedSize(n, a, int64(le.Uint32(data[traceHdrBytes:]))); int64(len(data)) != want {
 		return nil, fmt.Errorf("%w: trace stream is %d bytes, header implies %d", ErrCorrupt, len(data), want)
 	}
 	return ReadTraceFrom(bytes.NewReader(data))

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -31,13 +34,15 @@ func buildTestTrace(n int64) *Trace {
 			HasDst:   r&1 != 0,
 			Src:      [2]isa.Reg{isa.Reg((r >> 8) % isa.NumRegs), isa.Reg((r >> 16) % isa.NumRegs)},
 			NumSrc:   int(r % 3),
-			EffAddr:  int64(r>>24) % program.MaxMemWords,
 			Taken:    r&2 != 0,
 			Target:   int64(uint32(r>>4) % 5000),
 			IsLoad:   r&4 != 0,
 			IsStore:  r&8 != 0,
 			IsBranch: r&16 != 0,
 			IsJump:   r&32 != 0,
+		}
+		if d.IsLoad || d.IsStore {
+			d.EffAddr = int64(r>>24) % program.MaxMemWords
 		}
 		if d.Taken {
 			d.NextPC = d.Target
@@ -49,40 +54,59 @@ func buildTestTrace(n int64) *Trace {
 	return b.Trace()
 }
 
+// memTrace builds an n-instruction trace in which instruction i is a
+// store when mem(i) holds and an ALU operation otherwise.
+func memTrace(n int64, mem func(i int64) bool) *Trace {
+	b := NewBuilder()
+	for i := int64(0); i < n; i++ {
+		d := DynInst{Seq: i, PC: i % 7, NextPC: i%7 + 1, Op: isa.ADD, Class: isa.ClassALU}
+		if mem(i) {
+			d.Op, d.Class, d.IsStore, d.EffAddr = isa.ST, isa.ClassStore, true, 3*i+1
+		}
+		b.Append(&d)
+	}
+	return b.Trace()
+}
+
 func TestTraceCodecRoundTripBitIdentity(t *testing.T) {
+	traces := map[string]*Trace{
+		// No loads or stores at all, and nothing but stores.
+		"no-memory":   memTrace(ChunkLen+5, func(int64) bool { return false }),
+		"only-memory": memTrace(ChunkLen+5, func(int64) bool { return true }),
+	}
 	for _, n := range []int64{0, 1, ChunkLen - 1, ChunkLen, ChunkLen + 1, 2*ChunkLen + 777} {
-		tr := buildTestTrace(n)
+		traces[fmt.Sprint(n)] = buildTestTrace(n)
+	}
+	for name, tr := range traces {
 		var buf bytes.Buffer
 		wrote, err := tr.WriteTo(&buf)
 		if err != nil {
-			t.Fatalf("n=%d: WriteTo: %v", n, err)
+			t.Fatalf("%s: WriteTo: %v", name, err)
 		}
 		if wrote != tr.EncodedSize() {
-			t.Fatalf("n=%d: WriteTo wrote %d bytes, EncodedSize says %d", n, wrote, tr.EncodedSize())
+			t.Fatalf("%s: WriteTo wrote %d bytes, EncodedSize says %d", name, wrote, tr.EncodedSize())
 		}
 		got, err := ReadTraceFrom(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("n=%d: ReadTraceFrom: %v", n, err)
+			t.Fatalf("%s: ReadTraceFrom: %v", name, err)
 		}
 		if got.Len() != tr.Len() {
-			t.Fatalf("n=%d: Len = %d, want %d", n, got.Len(), tr.Len())
+			t.Fatalf("%s: Len = %d, want %d", name, got.Len(), tr.Len())
 		}
 		if got.SizeBytes() != tr.SizeBytes() {
-			t.Fatalf("n=%d: SizeBytes = %d, want %d (chunk capacity must match the builder's)", n, got.SizeBytes(), tr.SizeBytes())
+			t.Fatalf("%s: SizeBytes = %d, want %d (chunk capacity must match the builder's)", name, got.SizeBytes(), tr.SizeBytes())
 		}
-		for i := int64(0); i < n; i++ {
-			if a, b := tr.At(i), got.At(i); a != b {
-				t.Fatalf("n=%d: instruction %d differs after round trip:\n  wrote %+v\n  read  %+v", n, i, a, b)
-			}
+		if want, got := tr.Materialize(), got.Materialize(); !slices.Equal(got, want) {
+			t.Fatalf("%s: records differ after round trip", name)
 		}
 		// Re-encoding the decoded trace must be byte-identical: the
 		// artifact store's content addressing depends on it.
 		var buf2 bytes.Buffer
 		if _, err := got.WriteTo(&buf2); err != nil {
-			t.Fatalf("n=%d: re-encode: %v", n, err)
+			t.Fatalf("%s: re-encode: %v", name, err)
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Fatalf("n=%d: re-encoded stream differs from original", n)
+			t.Fatalf("%s: re-encoded stream differs from original", name)
 		}
 	}
 }
@@ -145,35 +169,60 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 	})
 }
 
-// resignedCorruptions damages an encoded trace behind valid checksums,
-// so only the decoders' range checks stand between the damage and a
-// consumer indexing past a table: one instruction references the entry
-// after the dictionary's last, and dictionary entry 0 names a
-// destination register outside the ISA.
-func resignedCorruptions(enc []byte) map[string][]byte {
+// resignedCorruptions damages tr's encoding behind valid checksums,
+// so only the decoders' range and count checks stand between the
+// damage and a consumer indexing past a table or a column. Chunk 0
+// must hold a load or store.
+//
+//   - dictionary-id: one instruction references the entry after the
+//     dictionary's last.
+//   - register: dictionary entry 0 names a destination register
+//     outside the ISA.
+//   - header-count-high, header-count-low: the header's count of loads
+//     and stores disagrees with the ids.
+//   - truncated-addr, trailing-addr: chunk 0's address column is one
+//     entry shorter or longer than its ids imply, with the header count
+//     adjusted to match, so the stream has exactly the size its header
+//     implies.
+func resignedCorruptions(tr *Trace) map[string][]byte {
 	le := binary.LittleEndian
-	m := int(le.Uint32(enc[8:]))
-	dictEnd := 12 + m*staticEncBytes
-	chunk0 := dictEnd + 4
-	live := int(min(int64(le.Uint64(enc)), ChunkLen))
-
-	badID := append([]byte(nil), enc...)
-	le.PutUint32(badID[chunk0:], uint32(m))
-	body := badID[chunk0 : chunk0+live*traceInstBytes]
-	le.PutUint32(badID[chunk0+len(body):], crc32.Checksum(body, crcTable))
-
-	badReg := append([]byte(nil), enc...)
-	badReg[12+11] = isa.NumRegs // entry 0's Dst byte
-	le.PutUint32(badReg[dictEnd:], crc32.Checksum(badReg[8:dictEnd], crcTable))
-	return map[string][]byte{"dictionary-id": badID, "register": badReg}
+	m := len(tr.static)
+	dictEnd := traceHdrBytes + 4 + m*staticEncBytes
+	ck := tr.chunks[0]
+	// enc encodes tr with header count a and chunk 0's columns replaced
+	// by ids and addr, the chunk re-signed.
+	enc := func(a int64, ids, addr []uint32) []byte {
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			panic(err)
+		}
+		full := buf.Bytes()
+		le.PutUint64(full[8:], uint64(a))
+		out := append([]byte(nil), full[:dictEnd+4]...)
+		for _, v := range append(slices.Clone(ids), addr...) {
+			out = le.AppendUint32(out, v)
+		}
+		out = le.AppendUint32(out, crc32.Checksum(out[dictEnd+4:], crcTable))
+		return append(out, full[dictEnd+4+4*(ck.N+len(ck.Addr))+4:]...)
+	}
+	a := tr.mem
+	badID := slices.Clone(ck.ID[:ck.N])
+	badID[0] = uint32(m)
+	badReg := enc(a, ck.ID[:ck.N], ck.Addr)
+	badReg[traceHdrBytes+4+11] = isa.NumRegs // entry 0's Dst byte
+	le.PutUint32(badReg[dictEnd:], crc32.Checksum(badReg[traceHdrBytes:dictEnd], crcTable))
+	return map[string][]byte{
+		"dictionary-id":     enc(a, badID, ck.Addr),
+		"register":          badReg,
+		"header-count-high": enc(a+1, ck.ID[:ck.N], ck.Addr),
+		"header-count-low":  enc(a-1, ck.ID[:ck.N], ck.Addr),
+		"truncated-addr":    enc(a-1, ck.ID[:ck.N], ck.Addr[:len(ck.Addr)-1]),
+		"trailing-addr":     enc(a+1, ck.ID[:ck.N], append(slices.Clone(ck.Addr), 7)),
+	}
 }
 
 func TestTraceCodecRejectsResignedOutOfRange(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := buildTestTrace(ChunkLen + 123).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range resignedCorruptions(buf.Bytes()) {
+	for name, bad := range resignedCorruptions(buildTestTrace(ChunkLen + 123)) {
 		if _, err := ReadTraceFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: ReadTraceFrom err = %v, want ErrCorrupt", name, err)
 		}
@@ -187,18 +236,24 @@ func TestTraceCodecRejectsResignedOutOfRange(t *testing.T) {
 // must reject the input as ErrCorrupt or return a trace that decodes
 // every instruction and re-encodes to exactly the bytes it consumed.
 func FuzzTraceCodec(f *testing.F) {
-	// Small seeds keep the minimization of new inputs fast.
-	for _, n := range []int64{0, 1, 40} {
+	// Small seeds keep the minimization of new inputs fast; the one
+	// chunk-sized seed has a run of stores straddling the boundary.
+	seeds := []*Trace{
+		buildTestTrace(0), buildTestTrace(1), buildTestTrace(40),
+		memTrace(40, func(int64) bool { return false }),
+		memTrace(40, func(int64) bool { return true }),
+		memTrace(ChunkLen+4, func(i int64) bool { return i >= ChunkLen-4 }),
+	}
+	for _, tr := range seeds {
 		var buf bytes.Buffer
-		if _, err := buildTestTrace(n).WriteTo(&buf); err != nil {
+		if _, err := tr.WriteTo(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
-		if n == 40 {
-			for _, bad := range resignedCorruptions(buf.Bytes()) {
-				f.Add(bad)
-			}
-		}
+	}
+	bad := resignedCorruptions(seeds[2])
+	for _, name := range slices.Sorted(maps.Keys(bad)) {
+		f.Add(bad[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoders := map[string]func([]byte) (*Trace, error){

@@ -27,7 +27,6 @@ func mapTestTrace(t *testing.T, n int) *Trace {
 		d.Src[0] = isa.Reg(i % 31)
 		d.Src[1] = isa.Reg(i % 23)
 		d.NumSrc = i % 3
-		d.EffAddr = int64(i) * 524287 % program.MaxMemWords
 		d.Taken = i%7 == 0
 		d.Target = int64((i * 13) % 911)
 		if d.Taken {
@@ -36,6 +35,10 @@ func mapTestTrace(t *testing.T, n int) *Trace {
 			d.NextPC = d.PC + 1
 		}
 		d.IsLoad = i%5 == 0
+		d.EffAddr = 0
+		if d.IsLoad {
+			d.EffAddr = int64(i) * 524287 % program.MaxMemWords
+		}
 		d.IsBranch = i%7 == 0
 		b.Append(&d)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/isa"
@@ -15,11 +16,13 @@ import (
 // instruction — PC, opcode, class, registers, flags (including the
 // taken outcome) and target — is stored once, as a Static tuple in a
 // per-trace dictionary. Each dynamic instruction keeps only a uint32
-// dictionary id and a uint32 effective word address: 8 bytes per
-// instruction instead of 72 for []DynInst. Seq is implicit in position
-// and NextPC follows from the taken flag and target. Real workloads
-// have a few hundred tuples, so the dictionary stays L1-resident while
-// replay and detailed simulation stream the two columns.
+// dictionary id, and each load or store also a uint32 effective word
+// address in a separate column: 4 bytes per instruction plus 4 per
+// memory access, instead of 72 for []DynInst. Seq is implicit in
+// position, NextPC follows from the taken flag and target, and the
+// address of every other instruction is 0. Real workloads have a few
+// hundred tuples, so the dictionary stays L1-resident while replay and
+// detailed simulation stream the two columns.
 //
 // A Trace is built once through a Builder and is immutable (and safe
 // for concurrent readers) afterwards. Three access paths exist:
@@ -33,13 +36,12 @@ import (
 type Trace struct {
 	static []Static
 	chunks []Columns
-	n      int64
+	n, mem int64 // instructions, loads and stores
 }
 
-// Chunk geometry: 1<<ChunkShift instructions per chunk. Random access
-// is two shifts; a chunk's two columns total 128 KiB, comfortably
-// inside L2, and only the last chunk is partial (stored at its live
-// size).
+// Chunk geometry: 1<<ChunkShift instructions per chunk. A chunk's id
+// column is 64 KiB, comfortably inside L2, and only the last chunk is
+// partial (stored at its live size).
 const (
 	ChunkShift = 14
 	ChunkLen   = 1 << ChunkShift
@@ -55,6 +57,7 @@ const (
 	FlagStore
 	FlagBranch
 	FlagJump
+	FlagMem = FlagLoad | FlagStore // an entry in its chunk's Addr column
 )
 
 // NumSrcShift is the bit offset of the 2-bit source count within the
@@ -81,20 +84,34 @@ type Static struct {
 // Columns is the raw view of one chunk. Entries [0, N) are valid; Base
 // is the dynamic sequence number (= trace index) of entry 0. The static
 // fields of entry j are Static[ID[j]], where Static is the trace-wide
-// dictionary shared by every chunk.
+// dictionary shared by every chunk. Addr holds one entry per load or
+// store, in order, so a reader walking the chunk keeps a running index.
 type Columns struct {
 	Base int64
 	N    int
 
-	Static  []Static
-	ID      []uint32 // dictionary id
-	EffAddr []uint32 // effective word address (loads and stores)
+	Static []Static
+	ID     []uint32 // dictionary id
+	Addr   []uint32 // effective word addresses of the loads and stores
 }
 
-// Decode reconstructs entry j into d. The derived fields follow the
-// functional simulator's invariants: Seq is Base+j and NextPC is the
-// target when the taken flag is set, the fall-through PC otherwise.
-func (ck *Columns) Decode(j int, d *DynInst) {
+// memCount returns how many of ids are loads or stores.
+func memCount(static []Static, ids []uint32) int {
+	k := 0
+	for _, id := range ids {
+		if static[id].Flags&FlagMem != 0 {
+			k++
+		}
+	}
+	return k
+}
+
+// Decode reconstructs entry j into d, given k, the number of loads and
+// stores before it, and returns k for entry j+1. The derived fields
+// follow the functional simulator's invariants: Seq is Base+j, NextPC
+// is the target when the taken flag is set, the fall-through PC
+// otherwise, and EffAddr is 0 unless the instruction is a load or store.
+func (ck *Columns) Decode(j, k int, d *DynInst) int {
 	s := &ck.Static[ck.ID[j]]
 	fl := s.Flags
 	pc := int64(s.PC)
@@ -108,7 +125,10 @@ func (ck *Columns) Decode(j int, d *DynInst) {
 	d.Src[0] = s.Src1
 	d.Src[1] = s.Src2
 	d.NumSrc = int(fl >> NumSrcShift)
-	d.EffAddr = int64(ck.EffAddr[j])
+	d.EffAddr = 0
+	if fl&FlagMem != 0 {
+		d.EffAddr, k = int64(ck.Addr[k]), k+1
+	}
 	d.Taken = fl&FlagTaken != 0
 	d.Target = tgt
 	if fl&FlagTaken != 0 {
@@ -120,6 +140,7 @@ func (ck *Columns) Decode(j int, d *DynInst) {
 	d.IsStore = fl&FlagStore != 0
 	d.IsBranch = fl&FlagBranch != 0
 	d.IsJump = fl&FlagJump != 0
+	return k
 }
 
 // Len returns the number of recorded instructions. A nil Trace is
@@ -157,13 +178,20 @@ func (t *Trace) Dictionary() []Static {
 	return t.static
 }
 
-// At reconstructs instruction i; i must be in [0, Len()).
+// At reconstructs instruction i; i must be in [0, Len()). For a load
+// or store it counts the ones before i in its chunk: a test and adapter
+// path.
 func (t *Trace) At(i int64) DynInst {
 	if i < 0 || i >= t.Len() {
 		panic("trace: At index out of range")
 	}
 	var d DynInst
-	t.chunks[i>>ChunkShift].Decode(int(i&ChunkMask), &d)
+	ck := &t.chunks[i>>ChunkShift]
+	j, k := int(i&ChunkMask), 0
+	if ck.Static[ck.ID[j]].Flags&FlagMem != 0 {
+		k = memCount(ck.Static, ck.ID[:j])
+	}
+	ck.Decode(j, k, &d)
 	return d
 }
 
@@ -202,8 +230,8 @@ func (t *Trace) Replay(sink Consumer) {
 		if !ok {
 			return
 		}
-		for j := 0; j < ck.N; j++ {
-			ck.Decode(j, &d)
+		for j, k := 0, 0; j < ck.N; j++ {
+			k = ck.Decode(j, k, &d)
 			sink.Consume(&d)
 		}
 	}
@@ -227,8 +255,8 @@ func (t *Trace) ReplayCtx(ctx context.Context, sink Consumer) error {
 		if !ok {
 			return nil
 		}
-		for j := 0; j < ck.N; j++ {
-			ck.Decode(j, &d)
+		for j, k := 0, 0; j < ck.N; j++ {
+			k = ck.Decode(j, k, &d)
 			sink.Consume(&d)
 		}
 	}
@@ -246,8 +274,8 @@ func (t *Trace) Materialize() []DynInst {
 		if !ok {
 			return out
 		}
-		for j := 0; j < ck.N; j++ {
-			ck.Decode(j, &out[i])
+		for j, k := 0, 0; j < ck.N; j++ {
+			k = ck.Decode(j, k, &out[i])
 			i++
 		}
 	}
@@ -262,7 +290,7 @@ func (t *Trace) SizeBytes() int64 {
 	}
 	sz := int64(cap(t.static)) * int64(unsafe.Sizeof(Static{}))
 	for i := range t.chunks {
-		sz += 4 * int64(cap(t.chunks[i].ID)+cap(t.chunks[i].EffAddr))
+		sz += 4 * int64(cap(t.chunks[i].ID)+cap(t.chunks[i].Addr))
 	}
 	return sz
 }
@@ -281,33 +309,33 @@ func Of(ds ...DynInst) *Trace {
 //
 // Recording is two calls. Intern maps a Static tuple to its dictionary
 // id, assigning ids in first-appearance order so that equal streams
-// encode to equal bytes; AppendID writes one instruction as its id and
-// effective word address. A recorder that derives each tuple once and
-// caches its id, as the functional simulator does per (PC, taken),
-// records an instruction with two stores.
+// encode to equal bytes; AppendID writes one instruction as its id,
+// followed for a load or store by AppendAddr with its effective word
+// address. A recorder that derives each tuple once and caches its id,
+// as the functional simulator does per (PC, taken), records an
+// instruction with one or two stores.
 type Builder struct {
 	static []Static          // the dictionary, in id order
 	index  map[Static]uint32 // every interned tuple
 
-	// The chunks appended so far; the last, cur, holds fill entries.
-	// fill == ChunkLen means a new chunk is due.
-	bufs []*chunkBuf
-	cur  *chunkBuf
-	fill int
+	// The closed chunks, then the open one: its ids in cur[:fill]
+	// (fill == ChunkLen means a new chunk is due) and its addresses in
+	// addr, which every chunk reuses and copies at its exact length.
+	chunks []Columns
+	cur    *[ChunkLen]uint32
+	fill   int
+	addr   []uint32
 }
 
-// chunkBuf holds one chunk's two columns while it is being filled.
-type chunkBuf struct{ id, addr [ChunkLen]uint32 }
-
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder { return &Builder{fill: ChunkLen} }
+func NewBuilder() *Builder { return &Builder{fill: ChunkLen, addr: make([]uint32, 0, ChunkLen)} }
 
 // Len returns the number of instructions appended so far.
 func (b *Builder) Len() int64 {
-	if len(b.bufs) == 0 {
+	if b.cur == nil {
 		return 0
 	}
-	return int64(len(b.bufs)-1)*ChunkLen + int64(b.fill)
+	return int64(len(b.chunks))*ChunkLen + int64(b.fill)
 }
 
 // Intern returns s's dictionary id, adding s if it is new.
@@ -325,34 +353,39 @@ func (b *Builder) Intern(s Static) uint32 {
 }
 
 // AppendID appends one instruction: id is a dictionary id returned by
-// Intern and word its effective word address (0 for instructions that
-// do not access memory). It is small enough to inline into a
-// recorder's loop.
-func (b *Builder) AppendID(id, word uint32) {
+// Intern. It is small enough to inline into a recorder's loop.
+func (b *Builder) AppendID(id uint32) {
 	if b.fill == ChunkLen {
 		b.grow()
 	}
-	b.cur.id[b.fill&ChunkMask] = id
-	b.cur.addr[b.fill&ChunkMask] = word
+	b.cur[b.fill&ChunkMask] = id
 	b.fill++
 }
 
-// grow starts a new chunk.
+// AppendAddr records the effective word address of the load or store
+// (a tuple with a FlagMem bit) that AppendID appended last.
+func (b *Builder) AppendAddr(word uint32) { b.addr = append(b.addr, word) }
+
+// grow closes the open chunk, if any, and starts a new one.
 func (b *Builder) grow() {
-	b.cur, b.fill = new(chunkBuf), 0
-	b.bufs = append(b.bufs, b.cur)
+	if b.cur != nil {
+		b.chunks = append(b.chunks, Columns{Base: int64(len(b.chunks)) * ChunkLen, N: ChunkLen, ID: b.cur[:], Addr: exact(b.addr)})
+	}
+	b.cur, b.fill, b.addr = new([ChunkLen]uint32), 0, b.addr[:0]
 }
 
 // Append encodes d at the next position, interning its static fields.
 // Seq and NextPC are not stored: Seq is implicit in position and NextPC
 // is re-derived on decode from the taken flag, target and PC (the
 // invariant every funcsim-produced record satisfies). Effective
-// addresses are word addresses below program.MaxMemWords; one outside
-// 32 bits breaks that invariant and panics. Append is the adapter for
-// explicit records (Of and tests); recorders call Intern and AppendID.
+// addresses are word addresses below program.MaxMemWords and are
+// stored for loads and stores only; an address outside 32 bits, or a
+// non-zero one on an instruction that is neither, breaks those
+// invariants and panics. Append is the adapter for explicit records
+// (Of and tests); recorders call Intern, AppendID and AppendAddr.
 func (b *Builder) Append(d *DynInst) {
-	if uint64(d.EffAddr) > math.MaxUint32 {
-		panic(fmt.Sprintf("trace: effective word address %d outside 32 bits", d.EffAddr))
+	if uint64(d.EffAddr) > math.MaxUint32 || d.EffAddr != 0 && !d.IsLoad && !d.IsStore {
+		panic(fmt.Sprintf("trace: effective word address %d outside 32 bits or on a non-memory instruction", d.EffAddr))
 	}
 	fl := uint8(d.NumSrc) << NumSrcShift
 	if d.HasDst {
@@ -377,23 +410,24 @@ func (b *Builder) Append(d *DynInst) {
 		PC: int32(d.PC), Target: int32(d.Target),
 		Op: d.Op, Class: d.Class, Flags: fl,
 		Dst: d.Dst, Src1: d.Src[0], Src2: d.Src[1],
-	}), uint32(d.EffAddr))
+	}))
+	if fl&FlagMem != 0 {
+		b.AppendAddr(uint32(d.EffAddr))
+	}
 }
 
-// Trace returns the built trace, with the dictionary and the partial
-// last chunk copied at their live sizes, so that the trace does not
-// keep the builder's spare capacity alive. Call it once appending is
-// done: the trace shares the builder's full chunks.
+// Trace returns the built trace, with the dictionary and the open
+// chunk's columns copied at their live sizes, so that the trace does
+// not keep the builder's spare capacity alive. Call it once appending
+// is done: the trace shares the builder's closed chunks.
 func (b *Builder) Trace() *Trace {
-	t := &Trace{n: b.Len(), static: exact(b.static), chunks: make([]Columns, len(b.bufs))}
-	for i, cb := range b.bufs {
-		t.chunks[i] = Columns{Base: int64(i) * ChunkLen, N: ChunkLen, Static: t.static, ID: cb.id[:], EffAddr: cb.addr[:]}
+	t := &Trace{n: b.Len(), static: exact(b.static)}
+	if b.cur != nil {
+		t.chunks = append(slices.Clip(b.chunks), Columns{Base: int64(len(b.chunks)) * ChunkLen, N: b.fill, ID: exact(b.cur[:b.fill]), Addr: exact(b.addr)})
 	}
-	if k := len(t.chunks); k > 0 && b.fill < ChunkLen {
-		ck := &t.chunks[k-1]
-		ck.N = b.fill
-		ck.ID = exact(ck.ID[:ck.N])
-		ck.EffAddr = exact(ck.EffAddr[:ck.N])
+	for i := range t.chunks {
+		t.chunks[i].Static = t.static
+		t.mem += int64(len(t.chunks[i].Addr))
 	}
 	return t
 }

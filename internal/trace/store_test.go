@@ -3,6 +3,8 @@ package trace_test
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -162,6 +164,33 @@ func TestEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsBrokenAddresses pins the invariants the dense
+// address column relies on: Append panics on an address outside 32
+// bits and on a non-zero address of an instruction that is neither a
+// load nor a store, and accepts an address on a load or store.
+func TestAppendRejectsBrokenAddresses(t *testing.T) {
+	cases := []struct {
+		name  string
+		d     trace.DynInst
+		panic bool
+	}{
+		{"load-beyond-32-bits", trace.DynInst{IsLoad: true, EffAddr: 1 << 32}, true},
+		{"alu-with-address", trace.DynInst{Op: isa.ADD, Class: isa.ClassALU, EffAddr: 5}, true},
+		{"store-with-address", trace.DynInst{Op: isa.ST, Class: isa.ClassStore, IsStore: true, EffAddr: 5}, false},
+		{"alu-without-address", trace.DynInst{Op: isa.ADD, Class: isa.ClassALU}, false},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if got := recover() != nil; got != c.panic {
+					t.Errorf("%s: Append panicked = %v, want %v", c.name, got, c.panic)
+				}
+			}()
+			trace.NewBuilder().Append(&c.d)
+		}()
+	}
+}
+
 // record runs p into a fresh Builder.
 func record(t *testing.T, p *program.Program) *trace.Trace {
 	t.Helper()
@@ -182,19 +211,46 @@ func encode(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceDensity pins the dictionary encoding's footprint: 8 bytes
-// per instruction plus the dictionary's share, reported identically by
-// built, decoded and mapped traces.
+// TestTraceDensity pins the dense encoding's footprint: 4 bytes per
+// instruction plus 4 per load or store, plus the dictionary's share,
+// reported identically by built, decoded and mapped traces. The heap a
+// built trace holds after a collection must match SizeBytes within
+// 10%, so a builder that pins spare column capacity fails it.
 func TestTraceDensity(t *testing.T) {
+	rand := randprog.Default(105)
+	rand.OuterTrips *= 60 // ~200k instructions, as in the golden corpus
+	progs := map[string]func() *program.Program{
+		"rand-105": func() *program.Program { return randprog.Generate(rand) },
+	}
 	for _, name := range []string{"gsm_c", "bitcount"} {
 		spec, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := record(t, spec.Build())
+		progs[name] = spec.Build
+	}
+	for name, build := range progs {
+		p := build()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr := record(t, p)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(p) // only the trace may change the live heap
+		heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if size := tr.SizeBytes(); math.Abs(float64(heap-size)) > 0.1*float64(size) {
+			t.Errorf("%s: built trace holds %d heap bytes, SizeBytes %d", name, heap, size)
+		}
+
+		var mem int64
+		for _, ck := range tr.Chunks() {
+			mem += int64(len(ck.Addr))
+		}
+		frac := float64(mem) / float64(tr.Len())
 		dict := int64(len(tr.Dictionary())) * int64(unsafe.Sizeof(trace.Static{}))
-		if perInst := float64(tr.SizeBytes()-dict) / float64(tr.Len()); perInst > 8 {
-			t.Errorf("%s: %.3f bytes/inst beyond the dictionary's %d bytes, want <= 8", name, perInst, dict)
+		if perInst, bound := float64(tr.SizeBytes()-dict)/float64(tr.Len()), 4+4*frac+0.05; perInst > bound {
+			t.Errorf("%s: %.3f bytes/inst beyond the dictionary's %d bytes, want <= %.3f (%.1f%% loads and stores)", name, perInst, dict, bound, 100*frac)
 		}
 		enc := encode(t, tr)
 		decoded, err := trace.ReadTraceFrom(bytes.NewReader(enc))

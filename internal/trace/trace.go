@@ -4,7 +4,8 @@
 //
 // The functional simulator records a run straight into the chunked,
 // dictionary-encoded Trace store (see store.go) through a Builder, at
-// two stores per instruction; the trace is then replayed across every
+// one store per instruction and a second for a load or store's
+// address; the trace is then replayed across every
 // machine configuration of interest. Consumers read its columns
 // directly, or receive reconstructed DynInst records through Replay
 // and a Consumer.
