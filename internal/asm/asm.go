@@ -37,7 +37,9 @@ var ErrLimit = errors.New("asm: source exceeds limit")
 // Limits bounds what AssembleLimited accepts. Zero fields are
 // unlimited (up to program.MaxMemWords, which Build always enforces).
 // The limits are checked while parsing, so a hostile source fails
-// fast instead of building an arbitrarily large IR first.
+// fast instead of building an arbitrarily large IR first: the data
+// limit fires by the time twice its words have been written, or at the
+// end of the source.
 type Limits struct {
 	MaxSourceBytes int   // length of the source text
 	MaxBlocks      int   // labeled basic blocks
@@ -72,6 +74,11 @@ func AssembleLimited(name, src string, lim Limits) (*program.Program, error) {
 			return nil, fmt.Errorf("asm: line %d: %w", ln+1, err)
 		}
 	}
+	if a.lim.MaxDataEntries > 0 && a.dataWords > a.lim.MaxDataEntries {
+		if err := a.countData(); err != nil {
+			return nil, fmt.Errorf("asm: %w", err)
+		}
+	}
 	if a.prog.MemWords == 0 {
 		return nil, fmt.Errorf("asm: missing .mem directive")
 	}
@@ -86,6 +93,23 @@ type assembler struct {
 	cur   *program.Builder
 	lim   Limits
 	insts int
+	// dataWords bounds the distinct .data words from above: the exact
+	// count at the last countData plus the words written since.
+	dataWords int
+}
+
+// countData enforces MaxDataEntries on the distinct .data words so
+// far. Counting them merges overwritten words, which costs time in
+// the number of words written, so the parser counts only when
+// dataWords passes twice the limit, and once at the end: each count
+// then follows at least MaxDataEntries writes, which keeps the check
+// linear in the source.
+func (a *assembler) countData() error {
+	a.dataWords = a.prog.Data.Len()
+	if a.dataWords > a.lim.MaxDataEntries {
+		return fmt.Errorf("%w: more than %d data words", ErrLimit, a.lim.MaxDataEntries)
+	}
+	return nil
 }
 
 func (a *assembler) line(line string) error {
@@ -139,12 +163,13 @@ func (a *assembler) directive(line string) error {
 			if err != nil {
 				return err
 			}
-			if a.lim.MaxDataEntries > 0 && len(a.prog.Data) >= a.lim.MaxDataEntries {
-				if _, exists := a.prog.Data[addr+int64(i)]; !exists {
-					return fmt.Errorf("%w: more than %d data words", ErrLimit, a.lim.MaxDataEntries)
+			a.prog.SetData(addr+int64(i), v)
+			a.dataWords++
+			if a.lim.MaxDataEntries > 0 && a.dataWords > 2*a.lim.MaxDataEntries {
+				if err := a.countData(); err != nil {
+					return err
 				}
 			}
-			a.prog.SetData(addr+int64(i), v)
 		}
 		return nil
 	case ".loop":
@@ -315,8 +340,10 @@ func parseInt(s string) (int64, error) {
 func Disassemble(p *program.Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; %s\n.mem %d\n", p.Name, p.MemWords)
-	for _, addr := range p.DataAddrs() {
-		fmt.Fprintf(&b, ".data %d %d\n", addr, p.Data[addr])
+	for _, r := range p.Data.Runs() {
+		for i, v := range r.Vals {
+			fmt.Fprintf(&b, ".data %d %d\n", r.Base+int64(i), v)
+		}
 	}
 	var loops []string
 	for _, blk := range p.Blocks {

@@ -2,8 +2,11 @@ package asm
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestAssembleLimited: each static limit rejects with ErrLimit, and
@@ -56,4 +59,87 @@ func TestDataOverwriteNotDoubleCounted(t *testing.T) {
 	if _, err := AssembleLimited("t", src, Limits{MaxDataEntries: 1}); err != nil {
 		t.Fatalf("overwrites double-counted: %v", err)
 	}
+}
+
+// TestDataLimitCountsDistinctWords: MaxDataEntries bounds distinct
+// words however often they are rewritten, both when the count runs
+// mid-source (past twice the limit) and when it runs at the end.
+func TestDataLimitCountsDistinctWords(t *testing.T) {
+	const lim = 4
+	var dup strings.Builder
+	dup.WriteString(".mem 64\n")
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&dup, ".data %d %d\n.data 0 2 1 0\n", 3-i%4, i)
+	}
+	dup.WriteString("main:\n halt\n")
+	if _, err := AssembleLimited("t", dup.String(), Limits{MaxDataEntries: lim}); err != nil {
+		t.Fatalf("rewrites of %d words counted against a limit of %d: %v", lim, lim, err)
+	}
+	for _, src := range []string{
+		".mem 64\n.data 9 1 2 3 4 5 6 7 8 9\nmain:\n halt\n",             // mid-source
+		".mem 64\n.data 0 1\n.data 0 2\n.data 1 3 4 5 6\nmain:\n halt\n", // at the end
+	} {
+		if _, err := AssembleLimited("t", src, Limits{MaxDataEntries: lim}); !errors.Is(err, ErrLimit) {
+			t.Errorf("5 distinct words under a limit of %d: err = %v, want ErrLimit", lim, err)
+		}
+	}
+}
+
+// TestDataLimitLinear: a source of the ingestion maximum (1 MiB) made
+// of single-word .data lines at scattered, often repeated addresses
+// assembles in time linear in its size: within 8x the time of a
+// source of the same size made of instructions. Counting the distinct
+// words at every word would take minutes, so the test gives up on a
+// run at that bound instead of waiting for it.
+func TestDataLimitLinear(t *testing.T) {
+	lim := Limits{MaxSourceBytes: 1 << 20, MaxDataEntries: 1 << 16, MaxMemWords: 1 << 21}
+	source := func(line func(i int) string) string {
+		var b strings.Builder
+		b.WriteString(".mem 65536\nmain:\n")
+		for i := 0; b.Len() < lim.MaxSourceBytes-32; i++ {
+			b.WriteString(line(i))
+		}
+		b.WriteString(" halt\n")
+		return b.String()
+	}
+	x := uint32(1)
+	data := source(func(int) string {
+		x = x*1664525 + 1013904223
+		return fmt.Sprintf(".data %d %d\n", x>>16, x&0xff)
+	})
+	code := source(func(i int) string { return fmt.Sprintf(" addi r1, r1, %d\n", i&0xff) })
+	assemble := func(src string) (time.Duration, error) {
+		t0 := time.Now()
+		_, err := AssembleLimited("t", src, lim)
+		return time.Since(t0), err
+	}
+	base := time.Duration(math.MaxInt64)
+	for range 3 {
+		d, err := assemble(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = min(base, d)
+	}
+	var took []time.Duration
+	for range 3 {
+		done := make(chan error, 1)
+		t0 := time.Now()
+		go func() {
+			_, err := assemble(data)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took = append(took, time.Since(t0)); took[len(took)-1] <= 8*base {
+				return
+			}
+		case <-time.After(8 * base):
+			t.Fatalf("1 MiB of scattered .data still assembling after %v, 8x the %v of 1 MiB of instructions", 8*base, base)
+		}
+	}
+	t.Errorf("1 MiB of scattered .data took %v, 1 MiB of instructions %v: not linear", took, base)
 }

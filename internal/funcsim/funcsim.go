@@ -52,10 +52,9 @@ type Machine struct {
 	// MaxInstructions bounds the run; DefaultMaxInstructions if zero.
 	MaxInstructions int64
 
-	// prog is the program New built the machine for; data caches its
-	// initial data image as (address, value) pairs for Reset.
+	// prog is the program New built the machine for; Reset restores
+	// its initial data.
 	prog *program.Program
-	data [][2]int64
 
 	// ids caches, per (PC, taken) slot, the dictionary id of the slot's
 	// tuple in the builder idsFor as (1+id)<<1 | mem, where mem is 1 for
@@ -79,13 +78,11 @@ func New(p *program.Program) (*Machine, error) {
 	if p.MemWords > program.MaxMemWords {
 		return nil, fmt.Errorf("funcsim: program %q wants %d memory words, above the %d-word ceiling", p.Name, p.MemWords, int64(program.MaxMemWords))
 	}
-	m := &Machine{Instrs: ins, Mem: make([]int64, p.MemWords), prog: p}
-	for a, v := range p.Data {
-		if a < 0 || a >= p.MemWords {
-			return nil, fmt.Errorf("funcsim: program %q: data init address %d out of range [0,%d)", p.Name, a, p.MemWords)
-		}
-		m.Mem[a] = v
+	if a, bad := p.Data.FirstOutside(p.MemWords); bad {
+		return nil, fmt.Errorf("funcsim: program %q: data init address %d out of range [0,%d)", p.Name, a, p.MemWords)
 	}
+	m := &Machine{Instrs: ins, Mem: make([]int64, p.MemWords), prog: p}
+	m.loadData()
 	return m, nil
 }
 
@@ -98,21 +95,18 @@ func MustNew(p *program.Program) *Machine {
 	return m
 }
 
+// loadData copies the program's initialized words into memory.
+func (m *Machine) loadData() {
+	for _, r := range m.prog.Data.Runs() {
+		copy(m.Mem[r.Base:], r.Vals)
+	}
+}
+
 // Reset returns the machine to the state New left it in, so the program
-// can run again without being re-assembled. The first Reset caches the
-// data image, so single runs never pay for it and later resets do not
-// re-walk the program's data map.
+// can run again without being re-assembled.
 func (m *Machine) Reset() {
-	if m.data == nil && m.prog != nil {
-		m.data = make([][2]int64, 0, len(m.prog.Data))
-		for a, v := range m.prog.Data {
-			m.data = append(m.data, [2]int64{a, v})
-		}
-	}
 	clear(m.Mem)
-	for _, w := range m.data {
-		m.Mem[w[0]] = w[1]
-	}
+	m.loadData()
 	m.Regs = [isa.NumRegs]int64{}
 	m.PC, m.Retired, m.Halted = 0, 0, false
 }

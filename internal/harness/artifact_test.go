@@ -230,11 +230,10 @@ func TestPoolDiskTierKeyedByProgramCode(t *testing.T) {
 	edited := func() *program.Program {
 		prog := spec.Build()
 		// Model a kernel edit: perturb one initialized data word.
-		addrs := prog.DataAddrs()
-		if len(addrs) == 0 {
+		if runs := prog.Data.Runs(); len(runs) == 0 {
 			prog.SetData(0, 1)
 		} else {
-			prog.SetData(addrs[0], prog.Data[addrs[0]]+1)
+			prog.SetData(runs[0].Base, runs[0].Vals[0]+1)
 		}
 		return prog
 	}

@@ -158,7 +158,7 @@ func CheckProgram(p *program.Program, lim Limits) error {
 	if n := p.StaticLen(); n > lim.MaxInsts {
 		return fmt.Errorf("%w: %d static instructions, cap %d", ErrInvalid, n, lim.MaxInsts)
 	}
-	if n := len(p.Data); n > lim.MaxDataEntries {
+	if n := p.Data.Len(); n > lim.MaxDataEntries {
 		return fmt.Errorf("%w: %d initialized data words, cap %d", ErrInvalid, n, lim.MaxDataEntries)
 	}
 	if p.MemWords <= 0 {
@@ -167,10 +167,8 @@ func CheckProgram(p *program.Program, lim Limits) error {
 	if p.MemWords > lim.MaxMemWords {
 		return fmt.Errorf("%w: %d memory words, cap %d", ErrInvalid, p.MemWords, lim.MaxMemWords)
 	}
-	for a := range p.Data {
-		if a < 0 || a >= p.MemWords {
-			return fmt.Errorf("%w: data init address %d outside memory [0,%d)", ErrInvalid, a, p.MemWords)
-		}
+	if a, bad := p.Data.FirstOutside(p.MemWords); bad {
+		return fmt.Errorf("%w: data init address %d outside memory [0,%d)", ErrInvalid, a, p.MemWords)
 	}
 	return nil
 }

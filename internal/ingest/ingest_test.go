@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/funcsim"
+	"repro/internal/program"
 	"repro/internal/workloads"
 )
 
@@ -135,7 +136,7 @@ func TestCheckProgramBuiltinsPass(t *testing.T) {
 	passed, skipped := 0, 0
 	for _, spec := range workloads.All() {
 		p := spec.Build()
-		if p.MemWords > lim.MaxMemWords || len(p.Data) > lim.MaxDataEntries {
+		if p.MemWords > lim.MaxMemWords || p.Data.Len() > lim.MaxDataEntries {
 			skipped++
 			continue
 		}
@@ -391,5 +392,50 @@ func TestCleanTenant(t *testing.T) {
 	}
 	if _, err := CleanTenant(strings.Repeat("x", MaxTenantName+1)); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("overlong tenant: %v, want ErrInvalid", err)
+	}
+}
+
+// outOfRangeSrc initializes words 10..17 of a 4-word memory.
+const outOfRangeSrc = ".mem 4\n.data 10 1 2 3 4 5 6 7 8\nmain:\n halt\n"
+
+// TestDataRangeRejectionDeterministic: every validator names the
+// lowest out-of-range data address, so rejecting the same program
+// again always gives the same message.
+func TestDataRangeRejectionDeterministic(t *testing.T) {
+	p := program.New("t", 4)
+	p.SetDataSlice(10, []int64{1, 2, 3, 4, 5, 6, 7, 8})
+	p.SetData(2, 9)
+	p.Block("main").Halt()
+	checks := map[string]func() error{
+		"Parse": func() error {
+			_, err := Parse(outOfRangeSrc, Limits{})
+			return err
+		},
+		"CheckProgram": func() error { return CheckProgram(p, Limits{}) },
+		"Build": func() error {
+			_, err := p.Build()
+			return err
+		},
+		"funcsim.New": func() error {
+			_, err := funcsim.New(p)
+			return err
+		},
+	}
+	for name, check := range checks {
+		msgs := map[string]bool{}
+		for range 200 {
+			if err := check(); err != nil {
+				msgs[err.Error()] = true
+			}
+		}
+		if len(msgs) != 1 {
+			t.Errorf("%s: %d distinct rejections, want 1: %v", name, len(msgs), msgs)
+			continue
+		}
+		for msg := range msgs {
+			if !strings.Contains(msg, "address 10 ") {
+				t.Errorf("%s: %q does not name the lowest out-of-range address, 10", name, msg)
+			}
+		}
 	}
 }

@@ -49,10 +49,11 @@ func (p *Program) Fingerprint() string {
 			wi(int64(in.Op), int64(in.Dst), int64(in.Src1), int64(in.Src2), in.Imm)
 		}
 	}
-	addrs := p.DataAddrs()
-	wi(int64(len(addrs)))
-	for _, a := range addrs {
-		wi(a, p.Data[a])
+	wi(int64(p.Data.Len()))
+	for _, r := range p.Data.Runs() {
+		for i, v := range r.Vals {
+			wi(r.Base+int64(i), v)
+		}
 	}
 	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))

@@ -10,7 +10,6 @@ package program
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/isa"
 )
@@ -56,28 +55,29 @@ const MaxMemWords = 1 << 26
 type Program struct {
 	Name   string
 	Blocks []*Block
-	// Data maps word addresses to initial values. All other memory
-	// words start at zero.
-	Data map[int64]int64
+	// Data holds the initial values of the initialized memory words,
+	// as runs of consecutive addresses that readers see sorted and
+	// disjoint (see Image). All other memory words start at zero.
+	// SetData and SetDataSlice write it.
+	Data Image
 	// MemWords is the size of the data memory in words.
 	MemWords int64
 }
 
 // New returns an empty program with the given name and memory size.
 func New(name string, memWords int64) *Program {
-	return &Program{Name: name, Data: make(map[int64]int64), MemWords: memWords}
+	return &Program{Name: name, MemWords: memWords}
 }
 
 // SetData initializes one memory word.
 func (p *Program) SetData(addr, val int64) {
-	p.Data[addr] = val
+	p.Data.set(addr, val)
 }
 
-// SetDataSlice initializes consecutive memory words starting at base.
+// SetDataSlice initializes consecutive memory words starting at base,
+// copying vals.
 func (p *Program) SetDataSlice(base int64, vals []int64) {
-	for i, v := range vals {
-		p.Data[base+int64(i)] = v
-	}
+	p.Data.setSlice(base, vals)
 }
 
 // Block appends a new basic block with the given label and returns a
@@ -119,8 +119,8 @@ func (p *Program) FindBlock(label string) *Block {
 // clones so the original stays intact.
 func (p *Program) Clone() *Program {
 	q := New(p.Name, p.MemWords)
-	for a, v := range p.Data {
-		q.Data[a] = v
+	for _, r := range p.Data.Runs() {
+		q.SetDataSlice(r.Base, r.Vals)
 	}
 	for _, b := range p.Blocks {
 		nb := &Block{
@@ -158,10 +158,8 @@ func (p *Program) Build() ([]isa.Instr, error) {
 		return nil, fmt.Errorf("program %q: memory size %d words exceeds the %d-word ceiling", p.Name, p.MemWords, int64(MaxMemWords))
 	}
 	if p.MemWords > 0 {
-		for a := range p.Data {
-			if a < 0 || a >= p.MemWords {
-				return nil, fmt.Errorf("program %q: data init address %d outside memory [0,%d)", p.Name, a, p.MemWords)
-			}
+		if a, bad := p.Data.FirstOutside(p.MemWords); bad {
+			return nil, fmt.Errorf("program %q: data init address %d outside memory [0,%d)", p.Name, a, p.MemWords)
 		}
 	}
 	addr := make(map[string]int, len(p.Blocks))
@@ -203,17 +201,6 @@ func (p *Program) MustBuild() []isa.Instr {
 		panic(err)
 	}
 	return ins
-}
-
-// DataAddrs returns the initialized addresses in sorted order (for
-// deterministic iteration in tests).
-func (p *Program) DataAddrs() []int64 {
-	out := make([]int64, 0, len(p.Data))
-	for a := range p.Data {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // Builder offers a fluent instruction-emission API over one block.

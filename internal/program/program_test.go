@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,15 +108,21 @@ func TestCloneIsDeep(t *testing.T) {
 	b.Addi(1, 1, 1)
 	b.Blt(1, 2, "loop")
 
+	p.SetDataSlice(8, []int64{1, 2})
+
 	q := p.Clone()
 	q.Blocks[0].Insts[0].Imm = 99
+	q.SetData(10, 3) // extends the clone's last run
 	q.SetData(3, 7)
 
 	if p.Blocks[0].Insts[0].Imm != 1 {
 		t.Error("clone shares instruction storage with original")
 	}
-	if p.Data[3] != 42 {
-		t.Error("clone shares data map with original")
+	if got := p.Data.Runs(); !reflect.DeepEqual(got, []Run{{3, []int64{42}}, {8, []int64{1, 2}}}) {
+		t.Errorf("writes to the clone changed the original's data: %v", got)
+	}
+	if got := q.Data.Runs(); !reflect.DeepEqual(got, []Run{{3, []int64{7}}, {8, []int64{1, 2, 3}}}) {
+		t.Errorf("clone data = %v", got)
 	}
 	if !q.Blocks[0].LoopHead || q.Blocks[0].TripMultiple != 4 || q.Blocks[0].LoopLatch != "loop" {
 		t.Error("clone lost loop metadata")
@@ -126,15 +133,18 @@ func TestSetDataSliceAndAddrs(t *testing.T) {
 	p := New("t", 64)
 	p.SetDataSlice(10, []int64{1, 2, 3})
 	p.SetData(5, 9)
-	addrs := p.DataAddrs()
-	want := []int64{5, 10, 11, 12}
-	if len(addrs) != len(want) {
-		t.Fatalf("addrs = %v, want %v", addrs, want)
+	p.SetData(11, 4) // overwrites, and the later write wins
+	if got, want := p.Data.Runs(), []Run{{5, []int64{9}}, {10, []int64{1, 4, 3}}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("runs = %v, want %v", got, want)
 	}
-	for i := range want {
-		if addrs[i] != want[i] {
-			t.Fatalf("addrs = %v, want %v", addrs, want)
-		}
+	if n := p.Data.Len(); n != 4 {
+		t.Errorf("Len = %d, want 4", n)
+	}
+	if v, ok := p.Data.Get(11); !ok || v != 4 {
+		t.Errorf("Get(11) = %d, %v, want 4, true", v, ok)
+	}
+	if _, ok := p.Data.Get(6); ok {
+		t.Error("Get(6) found an uninitialized word")
 	}
 }
 

@@ -365,3 +365,26 @@ func TestIngestEvictionReprofilesUnderSandbox(t *testing.T) {
 		t.Fatalf("profiling runs = %d, want 3 (two admissions + one re-profile)", pc)
 	}
 }
+
+// TestIngestDataRangeRejectionDeterministic: the same out-of-range
+// submission gets a byte-identical error body every time, naming the
+// lowest out-of-range data address.
+func TestIngestDataRangeRejectionDeterministic(t *testing.T) {
+	srv := mustNew(t, Config{})
+	const body = ".mem 4\n.data 10 1 2 3 4 5 6 7 8\nmain:\n halt\n"
+	var first string
+	for i := range 50 {
+		rec := postCtx(srv, context.Background(), "/v1/workloads", body, "")
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("answered %d (%s), want 400", rec.Code, rec.Body.String())
+		}
+		if i == 0 {
+			first = rec.Body.String()
+			if !strings.Contains(first, "address 10 ") {
+				t.Fatalf("body %s does not name the lowest out-of-range address, 10", first)
+			}
+		} else if got := rec.Body.String(); got != first {
+			t.Fatalf("rejection %d differs:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/funcsim"
 	"repro/internal/isa"
@@ -193,4 +195,25 @@ func programForRotl() *program.Program {
 	emitRotl(b, 2, 1, 1, 32, 3, 4)
 	b.Halt()
 	return p
+}
+
+// TestProgramDensity: a built program holds its initialized data at
+// about 8 bytes a word. mcf_like, the suite's largest data image
+// (512K words), may keep at most 1.25x that plus its code live on the
+// heap.
+func TestProgramDensity(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := McfLike()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	code := int64(unsafe.Sizeof(program.Block{})) * int64(len(p.Blocks))
+	code += int64(unsafe.Sizeof(program.Inst{})) * int64(p.StaticLen())
+	words := int64(p.Data.Len())
+	if bound := 1.25*8*float64(words) + float64(code); float64(heap) > bound {
+		t.Errorf("mcf_like holds %d heap bytes for %d data words and %d bytes of code, want <= %.0f", heap, words, code, bound)
+	}
+	runtime.KeepAlive(p)
 }
