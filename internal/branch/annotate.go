@@ -14,45 +14,50 @@ import (
 // same trace (same Predict/Update ordering on the identical branch
 // stream), so callers that need both pay one traversal. The plane is a
 // pure function of (trace, predictor kind), so one annotation serves
-// every design point sharing the predictor. Cancellation is observed
-// between trace chunks (the same granularity as trace.ReplayCtx),
-// returning ctx.Err() with a nil plane; a completed annotation is
-// bit-identical to an uncancelled one.
+// every design point sharing the predictor. It is one Collector's
+// ConsumeChunk per chunk, recording the plane. Cancellation is
+// observed between trace chunks (trace.EachChunk), returning ctx.Err()
+// with a nil plane; a completed annotation is bit-identical to an
+// uncancelled one.
 func AnnotateMispredicts(ctx context.Context, tr *trace.Trace, p Predictor) (*trace.BitPlane, Stats, error) {
-	done := ctx.Done()
-	var s Stats
+	c := NewCollector(p)
 	b := trace.NewBitPlaneBuilder()
-	for cur := tr.Cursor(); ; {
-		select {
-		case <-done:
-			return nil, Stats{}, ctx.Err()
-		default:
-		}
-		ck, ok := cur.Next()
-		if !ok {
-			return b.Plane(), s, nil
-		}
-		for j := 0; j < ck.N; j++ {
-			st := &ck.Static[ck.ID[j]]
-			fl := st.Flags
-			if fl&(trace.FlagBranch|trace.FlagJump) != trace.FlagBranch {
-				if fl&trace.FlagJump != 0 {
-					s.Jumps++
-				}
-				b.Append(false)
-				continue
+	if err := tr.EachChunk(ctx, func(ck *trace.Columns) { c.ConsumeChunk(ck, b.AppendChunk(ck.N)) }); err != nil {
+		return nil, Stats{}, err
+	}
+	return b.Plane(), c.S, nil
+}
+
+// ConsumeChunk simulates the predictor over one trace chunk, reading
+// its id column directly: the per-chunk step of both Collector and
+// AnnotateMispredicts. When mis is non-nil (the chunk's words of a bit
+// plane, zeroed) it also sets bit j for every mispredicted branch j of
+// the chunk. The statistics are exactly Consume's over the same
+// instructions.
+func (c *Collector) ConsumeChunk(ck *trace.Columns, mis []uint64) {
+	for j, id := range ck.ID[:ck.N] {
+		st := &ck.Static[id]
+		fl := st.Flags
+		if fl&(trace.FlagBranch|trace.FlagJump) != trace.FlagBranch {
+			if fl&trace.FlagJump != 0 {
+				c.S.Jumps++
 			}
-			pc := int64(st.PC)
-			taken := fl&trace.FlagTaken != 0
-			pred := p.Predict(pc)
-			p.Update(pc, taken)
-			s.Branches++
-			if pred != taken {
-				s.Mispredicts++
-			} else if taken {
-				s.PredictedTaken++
+			continue
+		}
+		pc := int64(st.PC)
+		taken := fl&trace.FlagTaken != 0
+		pred := c.P.Predict(pc)
+		c.P.Update(pc, taken)
+		c.S.Branches++
+		if pred == taken {
+			if taken {
+				c.S.PredictedTaken++
 			}
-			b.Append(pred != taken)
+			continue
+		}
+		c.S.Mispredicts++
+		if mis != nil {
+			mis[j>>6] |= 1 << uint(j&63)
 		}
 	}
 }

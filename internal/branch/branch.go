@@ -1,7 +1,7 @@
 // Package branch implements the branch-predictor substrate: static,
 // bimodal, gshare (global history) and hybrid local/global predictors,
 // plus a collector that simulates one predictor over a trace (several
-// share a single pass through a trace.Tee) — mirroring the paper's
+// share a single walk over its chunks) — mirroring the paper's
 // single-run collection of branch misprediction rates for multiple
 // predictor configurations.
 //

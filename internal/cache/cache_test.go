@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -297,12 +298,16 @@ func TestMultiCollectorMatchesIndividual(t *testing.T) {
 		ind[i] = NewCollector(MustNewHierarchy(h))
 	}
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		d := randomMemInst(rng, int64(i))
-		eng.Consume(&d)
-		for _, c := range ind {
-			c.Consume(&d)
-		}
+	ds := make([]trace.DynInst, 5000)
+	for i := range ds {
+		ds[i] = randomMemInst(rng, int64(i))
+	}
+	tr := trace.Of(ds...)
+	if err := tr.EachChunk(context.Background(), eng.ConsumeChunk); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ind {
+		tr.Replay(c)
 	}
 	for i, l2 := range l2s {
 		s, err := eng.StatsFor(l2)

@@ -15,6 +15,12 @@ import (
 // pair via the stack-inclusion property. This is the single-pass
 // engine that collapses the per-configuration trace replays of the
 // design-space exploration into one traversal.
+//
+// The engine walks trace chunks (ConsumeChunk), reading the id and
+// address columns directly; it never reconstructs a DynInst. Both of
+// its uses, statistics (StatsFor) and annotation planes (RecordPlanes,
+// PlaneFor), run on that one walk. cache.Hierarchy, driven one DynInst
+// at a time, stays as its independent reference.
 type L2SpaceSim struct {
 	il1, dl1   *Cache
 	itlb, dtlb *TLB
@@ -24,9 +30,11 @@ type L2SpaceSim struct {
 	sims    []*WBStackSim // one per distinct L2 set count
 	bySets  map[int64]int // set count -> index into sims
 
+	n int64 // instructions consumed
+
 	// Annotation-plane recording (RecordPlanes): per-access stack
-	// depths of the current instruction's L2 accesses, and one
-	// byte-plane builder per recorded geometry.
+	// depths of the current instruction's L2 accesses, non-nil once
+	// recording, and one byte-plane builder per recorded geometry.
 	rec     []planeGeom
 	iDepths []int32 // depth per sims[k] of this instruction's I-side L2 access
 	dDepths []int32 // ... and of its demand D-side L2 access
@@ -99,41 +107,52 @@ func NewL2SpaceSim(base HierarchyConfig, l2s []Config) (*L2SpaceSim, error) {
 	return s, nil
 }
 
-func (s *L2SpaceSim) l2Access(byteAddr int64, class StreamClass, write bool) {
-	for _, sim := range s.sims {
-		sim.Access(byteAddr, class, write)
+// l2Access presents one reference to every set-count simulator. With
+// depths non-nil (annotation mode) it records each simulator's stack
+// depth into depths.
+func (s *L2SpaceSim) l2Access(byteAddr int64, class StreamClass, write bool, depths []int32) {
+	if depths == nil {
+		for _, sim := range s.sims {
+			sim.Access(byteAddr, class, write)
+		}
+		return
 	}
-}
-
-// l2AccessDepths is l2Access recording each simulator's stack depth
-// into depths (annotation mode).
-func (s *L2SpaceSim) l2AccessDepths(byteAddr int64, class StreamClass, write bool, depths []int32) {
 	for k, sim := range s.sims {
 		depths[k] = int32(sim.Access(byteAddr, class, write))
 	}
 }
 
 // planeGeom is one recorded L2 geometry: which shared simulator
-// resolves it and at what associativity, plus the plane being built.
+// resolves it and at what associativity, plus the plane being built
+// and its chunk under construction.
 type planeGeom struct {
 	sim  int // index into sims
 	ways int32
 	b    *trace.BytePlaneBuilder
+	cur  []uint8
 }
 
 // RecordPlanes switches the engine into annotation mode: from now on
 // every consumed instruction appends one memory-event class byte (see
-// trace.Ann* bits) to a plane per candidate L2 geometry. Must be
-// called before the first Consume. The front outcomes (TLB and L1
-// bits) are shared across geometries; the per-geometry L2 bits are
-// decided by the reference's stack depth in the geometry's set-count
-// simulator (hit iff depth < ways).
+// trace.Ann* bits) to a plane per candidate L2 geometry. The front
+// outcomes (TLB and L1 bits) are shared across geometries; the
+// per-geometry L2 bits are decided by the reference's stack depth in
+// the geometry's set-count simulator (hit iff depth < ways). It is an
+// error to call it after the engine has consumed input (the planes
+// would be shorter than the trace) or more than once.
 func (s *L2SpaceSim) RecordPlanes(l2s []Config) error {
+	if s.iDepths != nil {
+		return fmt.Errorf("cache: L2SpaceSim: RecordPlanes called twice")
+	}
+	if s.n > 0 {
+		return fmt.Errorf("cache: L2SpaceSim: RecordPlanes after %d instructions were consumed", s.n)
+	}
 	type key struct {
 		sim  int
 		ways int32
 	}
 	seen := make(map[key]bool)
+	var rec []planeGeom
 	for _, l2 := range l2s {
 		if err := l2.Validate(); err != nil {
 			return err
@@ -151,8 +170,9 @@ func (s *L2SpaceSim) RecordPlanes(l2s []Config) error {
 			continue
 		}
 		seen[id] = true
-		s.rec = append(s.rec, planeGeom{sim: k, ways: int32(l2.Ways), b: trace.NewBytePlaneBuilder()})
+		rec = append(rec, planeGeom{sim: k, ways: int32(l2.Ways), b: trace.NewBytePlaneBuilder()})
 	}
+	s.rec = rec
 	s.iDepths = make([]int32, len(s.sims))
 	s.dDepths = make([]int32, len(s.sims))
 	return nil
@@ -175,98 +195,115 @@ func (s *L2SpaceSim) PlaneFor(l2 Config) (*trace.BytePlane, error) {
 	return nil, fmt.Errorf("cache: L2SpaceSim: geometry %dKB/%dw not recorded", l2.SizeBytes/1024, l2.Ways)
 }
 
-// Consume implements trace.Consumer, mirroring Hierarchy's access
-// sequence exactly: I-fetch first, then (for loads/stores) the dirty
-// L1 victim's L2 writeback, then the demand data access. In annotation
-// mode it additionally appends this instruction's event-class byte to
-// every recorded geometry's plane.
-func (s *L2SpaceSim) Consume(d *trace.DynInst) {
-	var front uint8 // shared TLB/L1 outcome bits of this instruction
-	il1Miss, dl1Miss := false, false
-
-	byteAddr := d.PC * InstrBytes
-	if tag := byteAddr >> s.il1.blkShift; s.iWarm && tag == s.lastITag {
-		s.fixed.IL1Accesses++
-		s.il1.Accesses++
-		s.itlb.Accesses++
-	} else {
-		tlbHit := s.itlb.Access(byteAddr)
-		if !tlbHit {
-			s.fixed.ITLBMisses++
-			front |= trace.AnnITLBMiss
-		}
-		s.fixed.IL1Accesses++
-		hit, _, _ := s.il1.Access(byteAddr, false)
-		if !hit {
-			s.fixed.IL1Misses++
-			front |= trace.AnnIL1Miss
-			il1Miss = true
-			if s.rec != nil {
-				s.l2AccessDepths(byteAddr, StreamInstr, false, s.iDepths)
-			} else {
-				s.l2Access(byteAddr, StreamInstr, false)
-			}
-		}
-		s.lastITag = tag
-		s.iWarm = s.warmOK && hit && tlbHit
-		if front != 0 {
-			s.iStalls++
-		}
-	}
-
-	if d.IsLoad || d.IsStore {
-		write := d.IsStore
-		byteAddr = d.EffAddr * WordBytes
-		if tag := byteAddr >> s.dl1.blkShift; s.dWarm && tag == s.lastDTag && (s.dDirty || !write) {
-			s.fixed.DL1Accesses++
-			s.dl1.Accesses++
-			s.dtlb.Accesses++
-		} else {
-			tlbHit := s.dtlb.Access(byteAddr)
-			if !tlbHit {
-				s.fixed.DTLBMisses++
-				front |= trace.AnnDTLBMiss
-			}
-			s.fixed.DL1Accesses++
-			hit, wb, victim := s.dl1.Access(byteAddr, write)
-			if wb {
-				s.l2Access(victim, StreamWriteback, true)
-			}
-			if !hit {
-				s.fixed.DL1Misses++
-				front |= trace.AnnDL1Miss
-				dl1Miss = true
-				class := StreamStore
-				if !write {
-					s.fixed.DL1LoadMisses++
-					class = StreamLoad
-				}
-				if s.rec != nil {
-					s.l2AccessDepths(byteAddr, class, write, s.dDepths)
-				} else {
-					s.l2Access(byteAddr, class, write)
-				}
-			}
-			s.lastDTag = byteAddr >> s.dl1.blkShift
-			s.dWarm = s.warmOK && hit && tlbHit
-			s.dDirty = write
-		}
-	}
-
-	if s.rec == nil {
-		return
-	}
+// ConsumeChunk advances the engine over one trace chunk, mirroring
+// Hierarchy's access sequence exactly: per instruction the I-fetch
+// first, then (for loads/stores) the dirty L1 victim's L2 writeback,
+// then the demand data access. It reads the chunk's columns directly:
+// PC and flags from the dictionary, addresses from the Addr column
+// with a running index. In annotation mode it takes one zeroed chunk
+// per recorded geometry from that geometry's plane builder and writes
+// only the instructions whose event byte is non-zero.
+func (s *L2SpaceSim) ConsumeChunk(ck *trace.Columns) {
+	s.n += int64(ck.N)
 	for i := range s.rec {
-		g := &s.rec[i]
-		b := front
-		if il1Miss && s.iDepths[g.sim] >= g.ways {
-			b |= trace.AnnIL2Miss
-		}
-		if dl1Miss && s.dDepths[g.sim] >= g.ways {
-			b |= trace.AnnDL2Miss
-		}
-		g.b.Append(b)
+		s.rec[i].cur = s.rec[i].b.AppendChunk(ck.N)
 	}
+	// The warm state and the warm-hit counts live in locals for the
+	// chunk: a warm access only bumps access counters, so they are
+	// credited once at the end.
+	il1Shift, dl1Shift := s.il1.blkShift, s.dl1.blkShift
+	iWarm, lastITag := s.iWarm, s.lastITag
+	dWarm, dDirty, lastDTag := s.dWarm, s.dDirty, s.lastDTag
+	var iWarmHits, dWarmHits int64
+	k := 0 // running index into ck.Addr
+	for j, id := range ck.ID[:ck.N] {
+		st := &ck.Static[id]
+		var front uint8 // shared TLB/L1 outcome bits of this instruction
+		il1Miss, dl1Miss := false, false
+
+		byteAddr := int64(st.PC) * InstrBytes
+		if tag := byteAddr >> il1Shift; iWarm && tag == lastITag {
+			iWarmHits++
+		} else {
+			tlbHit := s.itlb.Access(byteAddr)
+			if !tlbHit {
+				s.fixed.ITLBMisses++
+				front |= trace.AnnITLBMiss
+			}
+			s.fixed.IL1Accesses++
+			hit, _, _ := s.il1.Access(byteAddr, false)
+			if !hit {
+				s.fixed.IL1Misses++
+				front |= trace.AnnIL1Miss
+				il1Miss = true
+				s.l2Access(byteAddr, StreamInstr, false, s.iDepths)
+			}
+			lastITag = tag
+			iWarm = s.warmOK && hit && tlbHit
+			if front != 0 {
+				s.iStalls++
+			}
+		}
+
+		if fl := st.Flags; fl&trace.FlagMem != 0 {
+			write := fl&trace.FlagStore != 0
+			byteAddr = int64(ck.Addr[k]) * WordBytes
+			k++
+			if tag := byteAddr >> dl1Shift; dWarm && tag == lastDTag && (dDirty || !write) {
+				dWarmHits++
+			} else {
+				tlbHit := s.dtlb.Access(byteAddr)
+				if !tlbHit {
+					s.fixed.DTLBMisses++
+					front |= trace.AnnDTLBMiss
+				}
+				s.fixed.DL1Accesses++
+				hit, wb, victim := s.dl1.Access(byteAddr, write)
+				if wb {
+					s.l2Access(victim, StreamWriteback, true, nil)
+				}
+				if !hit {
+					s.fixed.DL1Misses++
+					front |= trace.AnnDL1Miss
+					dl1Miss = true
+					class := StreamStore
+					if !write {
+						s.fixed.DL1LoadMisses++
+						class = StreamLoad
+					}
+					s.l2Access(byteAddr, class, write, s.dDepths)
+				}
+				lastDTag = tag
+				dWarm = s.warmOK && hit && tlbHit
+				dDirty = write
+			}
+		}
+
+		// A zero byte (every access hit) is already in the plane, and
+		// the L2 bits are only ever set behind an L1 miss.
+		if front == 0 {
+			continue
+		}
+		for i := range s.rec {
+			g := &s.rec[i]
+			b := front
+			if il1Miss && s.iDepths[g.sim] >= g.ways {
+				b |= trace.AnnIL2Miss
+			}
+			if dl1Miss && s.dDepths[g.sim] >= g.ways {
+				b |= trace.AnnDL2Miss
+			}
+			g.cur[j] = b
+		}
+	}
+	s.iWarm, s.lastITag = iWarm, lastITag
+	s.dWarm, s.dDirty, s.lastDTag = dWarm, dDirty, lastDTag
+	s.fixed.IL1Accesses += iWarmHits
+	s.il1.Accesses += iWarmHits
+	s.itlb.Accesses += iWarmHits
+	s.fixed.DL1Accesses += dWarmHits
+	s.dl1.Accesses += dWarmHits
+	s.dtlb.Accesses += dWarmHits
 }
 
 // IStallEvents returns the number of instruction fetches that stalled

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -56,9 +58,10 @@ func randTrace(rng *rand.Rand, n int) []trace.DynInst {
 }
 
 // TestL2SpaceSimMatchesHierarchy is the tentpole equivalence property:
-// for every Table 2 L2 geometry, the single-pass engine must
-// reconstruct the exact Stats a dedicated Hierarchy replay collects —
-// including the load/store miss split and dirty writeback counts.
+// for every Table 2 L2 geometry, the single-pass engine walking the
+// trace's chunks must reconstruct the exact Stats and plane a
+// dedicated Hierarchy replay collects — including the load/store miss
+// split and dirty writeback counts.
 func TestL2SpaceSimMatchesHierarchy(t *testing.T) {
 	front := testFront()
 	l2s := table2L2s()
@@ -69,29 +72,98 @@ func TestL2SpaceSimMatchesHierarchy(t *testing.T) {
 		Config{Name: "l2", SizeBytes: 8 * 1024, Ways: 1, BlockBytes: 64},
 	)
 	for _, seed := range []int64{1, 7, 42} {
-		tr := randTrace(rand.New(rand.NewSource(seed)), 60000)
-		eng, err := NewL2SpaceSim(front, l2s)
+		checkL2SpaceSim(t, front, l2s, trace.Of(randTrace(rand.New(rand.NewSource(seed)), 60000)...))
+	}
+}
+
+// recordedEngine runs a recording L2SpaceSim for l2s over tr's chunks.
+func recordedEngine(t *testing.T, front HierarchyConfig, l2s []Config, tr *trace.Trace) *L2SpaceSim {
+	t.Helper()
+	eng, err := NewL2SpaceSim(front, l2s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RecordPlanes(l2s); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.EachChunk(context.Background(), eng.ConsumeChunk); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// hierarchyOracle replays tr one DynInst at a time through a dedicated
+// Hierarchy, as Collector does, and derives each instruction's
+// memory-event class byte from the AccessIWarm/AccessI and
+// AccessDWarm/AccessD results. It returns the classes, the Collector's
+// statistics and the number of fetches that missed a TLB or L1.
+func hierarchyOracle(cfg HierarchyConfig, tr *trace.Trace) (classes []uint8, st Stats, iStalls int64) {
+	col := NewCollector(MustNewHierarchy(cfg))
+	h := col.H
+	tr.Replay(trace.ConsumerFunc(func(d *trace.DynInst) {
+		var b uint8
+		if !h.AccessIWarm(d.PC) {
+			r := h.AccessI(d.PC)
+			if !r.TLBHit {
+				b |= trace.AnnITLBMiss
+			}
+			if !r.L1Hit {
+				b |= trace.AnnIL1Miss
+				if !r.L2Hit {
+					b |= trace.AnnIL2Miss
+				}
+			}
+			if b != 0 {
+				iStalls++
+			}
+		}
+		if write := d.IsStore; (d.IsLoad || write) && !h.AccessDWarm(d.EffAddr, write) {
+			r := h.AccessD(d.EffAddr, write)
+			if !r.TLBHit {
+				b |= trace.AnnDTLBMiss
+			}
+			if !r.L1Hit {
+				b |= trace.AnnDL1Miss
+				if !r.L2Hit {
+					b |= trace.AnnDL2Miss
+				}
+			}
+		}
+		classes = append(classes, b)
+	}))
+	return classes, col.Stats(), iStalls
+}
+
+// checkL2SpaceSim checks one recording engine over tr against a
+// dedicated Hierarchy per geometry: every plane byte, StatsFor and
+// IStallEvents.
+func checkL2SpaceSim(t *testing.T, front HierarchyConfig, l2s []Config, tr *trace.Trace) {
+	t.Helper()
+	eng := recordedEngine(t, front, l2s, tr)
+	for _, l2 := range l2s {
+		hcfg := front
+		hcfg.L2 = l2
+		classes, want, iStalls := hierarchyOracle(hcfg, tr)
+		got, err := eng.StatsFor(l2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range tr {
-			eng.Consume(&tr[i])
+		if got != want {
+			t.Errorf("%s: single-pass stats diverge\n got  %+v\n want %+v", l2, got, want)
 		}
-		for _, l2 := range l2s {
-			hcfg := front
-			hcfg.L2 = l2
-			h := MustNewHierarchy(hcfg)
-			col := NewCollector(h)
-			for i := range tr {
-				col.Consume(&tr[i])
-			}
-			got, err := eng.StatsFor(l2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != col.Stats() {
-				t.Errorf("seed %d, %s: single-pass stats diverge\n got  %+v\n want %+v",
-					seed, l2, got, col.Stats())
+		if got := eng.IStallEvents(); got != iStalls {
+			t.Errorf("%s: %d I-side stalls, hierarchy has %d", l2, got, iStalls)
+		}
+		plane, err := eng.PlaneFor(l2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plane.Len() != tr.Len() {
+			t.Fatalf("%s: plane covers %d instructions, trace has %d", l2, plane.Len(), tr.Len())
+		}
+		for i, want := range classes {
+			if got := plane.At(int64(i)); got != want {
+				t.Fatalf("%s: instruction %d has class %#x, hierarchy derives %#x", l2, i, got, want)
 			}
 		}
 	}
@@ -289,6 +361,89 @@ func TestHierarchyFastPathExact(t *testing.T) {
 		}
 		if h.S != raw.s {
 			t.Errorf("seed %d: fast-path stats diverge\n got  %+v\n want %+v", seed, h.S, raw.s)
+		}
+	}
+}
+
+// TestRecordPlanesMisuse pins the two misuses of RecordPlanes as
+// errors: a call after the engine has consumed input (its planes would
+// be shorter than the trace) and a second call (which would record
+// every geometry twice).
+func TestRecordPlanesMisuse(t *testing.T) {
+	front := testFront()
+	l2s := table2L2s()
+	tr := trace.Of(randTrace(rand.New(rand.NewSource(5)), 100)...)
+
+	late, err := NewL2SpaceSim(front, l2s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late.ConsumeChunk(&tr.Chunks()[0])
+	if err := late.RecordPlanes(l2s); err == nil {
+		t.Error("RecordPlanes after consumed input accepted")
+	}
+	if _, err := late.PlaneFor(l2s[0]); err == nil {
+		t.Error("rejected RecordPlanes left a plane behind")
+	}
+
+	twice, err := NewL2SpaceSim(front, l2s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twice.RecordPlanes(l2s[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := twice.RecordPlanes(l2s); err == nil {
+		t.Error("second RecordPlanes accepted")
+	}
+	// The first call's recording stands, unchanged by the rejected one.
+	twice.ConsumeChunk(&tr.Chunks()[0])
+	if p, err := twice.PlaneFor(l2s[0]); err != nil || p.Len() != tr.Len() {
+		t.Errorf("first recording: plane %v, %v; want %d entries", p.Len(), err, tr.Len())
+	}
+	if _, err := twice.PlaneFor(l2s[2]); err == nil {
+		t.Error("second RecordPlanes added a geometry")
+	}
+}
+
+// TestL2SpaceSimCancelledWalk pins the engine's chunk granularity: a
+// walk cut after its k-th chunk leaves exactly the statistics and
+// planes of an engine handed those k chunks and nothing else.
+func TestL2SpaceSimCancelledWalk(t *testing.T) {
+	front, l2s := testFront(), table2L2s()
+	ds := randTrace(rand.New(rand.NewSource(9)), 4*trace.ChunkLen+99)
+	tr := trace.Of(ds...)
+	for k := 1; k < tr.NumChunks(); k++ {
+		cut, err := NewL2SpaceSim(front, l2s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cut.RecordPlanes(l2s); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		err = tr.EachChunk(ctx, func(ck *trace.Columns) {
+			cut.ConsumeChunk(ck)
+			if seen++; seen == k {
+				cancel()
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: walk returned %v", k, err)
+		}
+		want := recordedEngine(t, front, l2s, trace.Of(ds[:k*trace.ChunkLen]...))
+		if cut.IStallEvents() != want.IStallEvents() {
+			t.Errorf("k=%d: %d I-side stalls, want %d", k, cut.IStallEvents(), want.IStallEvents())
+		}
+		for _, l2 := range l2s {
+			gs, _ := cut.StatsFor(l2)
+			ws, _ := want.StatsFor(l2)
+			gp, _ := cut.PlaneFor(l2)
+			wp, _ := want.PlaneFor(l2)
+			if gs != ws || !gp.Equal(wp) {
+				t.Fatalf("k=%d, %s: cut engine differs from one fed %d chunks", k, l2, k)
+			}
 		}
 	}
 }

@@ -109,7 +109,7 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 	if err := eng.RecordPlanes(l2s); err != nil {
 		return nil, nil, err
 	}
-	if err := tr.ReplayCtx(ctx, eng); err != nil {
+	if err := tr.EachChunk(ctx, eng.ConsumeChunk); err != nil {
 		return nil, nil, err
 	}
 	// Canonicalize: two geometries whose planes came out identical
@@ -634,6 +634,10 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 			return nil
 		})
+		// Write-through of every fresh plane, run below before
+		// canonicalization swaps pointers (contents are equal either
+		// way).
+		var saves []func()
 		for i, f := range fronts {
 			if frontErr[i] == nil && frontRes[i] == nil {
 				frontErr[i] = cutErr
@@ -647,11 +651,8 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 				if sink != nil {
 					sink.mem[h] = frontRaw[i][h]
 				}
-				// Write-through before canonicalization swaps pointers
-				// (contents are equal either way). Save errors are
-				// ignored: the disk tier can only skip work.
 				if pw.store != nil {
-					_ = pw.store.SaveMemPlane(pw.storeKey, h, mp.Classes, mp.Stats)
+					saves = append(saves, func() { _ = pw.store.SaveMemPlane(pw.storeKey, h, mp.Classes, mp.Stats) })
 				}
 				memRes[h] = mp
 			}
@@ -668,10 +669,19 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 				sink.br[pk] = brSt[i]
 			}
 			if pw.store != nil {
-				_ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), brRes[i])
+				bp := brRes[i]
+				saves = append(saves, func() { _ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), bp) })
 			}
 			brResM[pk] = brRes[i]
 		}
+		// The saves are independent files, so they fan out over the
+		// same workers; each file's bytes do not depend on the order.
+		// They all finish before the call returns. Save errors are
+		// ignored: the disk tier can only skip work.
+		_ = par.ForEach(workers, len(saves), func(i int) error {
+			saves[i]()
+			return nil
+		})
 
 		// Canonicalize outside the lock (plane comparison walks whole
 		// chunks), then publish, charge and budget-evict under it.

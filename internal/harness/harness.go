@@ -152,7 +152,10 @@ func MachineStats(tr *trace.Trace, cfg uarch.Config) (cache.Stats, branch.Stats,
 
 // MachineStatsCtx is MachineStats under a context; cancellation is
 // observed at trace chunk boundaries (see trace.ReplayCtx) and aborts
-// the traversal with ctx.Err().
+// the traversal with ctx.Err(). It replays reconstructed DynInst
+// records through a cache.Hierarchy on purpose: it shares no code with
+// the chunk-walking L2SpaceSim behind InputsSet and the annotation
+// planes, so it is their independent per-configuration reference.
 func MachineStatsCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config) (cache.Stats, branch.Stats, error) {
 	h, err := cache.NewHierarchy(cfg.Hier)
 	if err != nil {

@@ -112,8 +112,11 @@ func (pw *Profiled) ExploreInputsCtx(ctx context.Context, cfgs []uarch.Config, w
 
 // Add ensures every configuration in cfgs has its statistics in the
 // set, collecting the missing components in at most one trace
-// traversal (aborted at a chunk boundary once ctx ends, adding
-// nothing).
+// traversal: one walk over the trace's chunks (trace.EachChunk) hands
+// each chunk to every missing front's stack-distance engine and then
+// to every missing predictor, all reading the chunk's columns
+// directly. The walk is aborted at a chunk boundary once ctx ends, and
+// then adds nothing.
 func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 	var (
 		hiers []cache.HierarchyConfig
@@ -135,9 +138,9 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 		return nil
 	}
 
-	// One engine per distinct front; one collector per predictor.
+	// One engine per distinct front and one collector per predictor,
+	// each handed every chunk in turn while it is cache-resident.
 	fronts, byFront := groupByFront(hiers)
-	consumers := make(trace.Tee, 0, len(fronts)+len(kinds))
 	engines := make([]*cache.L2SpaceSim, len(fronts))
 	for i, f := range fronts {
 		eng, _, err := newFrontSim(f, byFront[f])
@@ -145,16 +148,22 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 			return err
 		}
 		engines[i] = eng
-		consumers = append(consumers, eng)
 	}
 	bcs := make([]*branch.Collector, len(kinds))
 	for i, pk := range kinds {
 		bcs[i] = branch.NewCollector(pk.New())
-		consumers = append(consumers, bcs[i])
 	}
 
 	replays.Add(1)
-	if err := s.pw.Trace.ReplayCtx(ctx, consumers); err != nil {
+	err := s.pw.Trace.EachChunk(ctx, func(ck *trace.Columns) {
+		for _, eng := range engines {
+			eng.ConsumeChunk(ck)
+		}
+		for _, bc := range bcs {
+			bc.ConsumeChunk(ck, nil)
+		}
+	})
+	if err != nil {
 		return err
 	}
 	s.replays++

@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/harness"
@@ -26,26 +25,16 @@ func BenchmarkSimulate(b *testing.B) {
 
 // BenchmarkAnnotate measures the one-time annotation pass for one
 // hierarchy plus one predictor — the cost amortized across every
-// design point sharing those components.
+// design point sharing those components: a fresh L2SpaceSim and
+// predictor walk the trace's chunks each iteration. Its MB/s reads as
+// million instructions per second.
 func BenchmarkAnnotate(b *testing.B) {
-	spec, err := workloads.ByName("gsm_c")
-	if err != nil {
-		b.Fatal(err)
-	}
+	pw := profiledBench(b, "gsm_c")
 	cfg := uarch.Default()
+	b.SetBytes(pw.Trace.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh Profiled each iteration so the plane cache cannot
-		// short-circuit the annotation.
-		b.StopTimer()
-		pw, err := harness.ProfileProgram(spec.Build())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := pw.AnnotationCtx(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
+		annotationFor(b, pw.Trace, cfg)
 	}
 }
 

@@ -18,30 +18,37 @@ import (
 // annotationFor builds the annotation planes for one design point
 // directly from the cache/branch substrates (no harness cache), so the
 // differential tests exercise the raw annotate-then-replay pipeline.
-func annotationFor(t *testing.T, tr *trace.Trace, cfg uarch.Config) pipeline.Annotation {
-	t.Helper()
+func annotationFor(tb testing.TB, tr *trace.Trace, cfg uarch.Config) pipeline.Annotation {
+	tb.Helper()
+	ann := memAnnotation(tb, tr, cfg)
+	ann.Br = branchPlane(tr, cfg.Predictor)
+	return ann
+}
+
+// memAnnotation is the cache half of annotationFor: one L2SpaceSim
+// walking the trace's chunks with its plane recorded.
+func memAnnotation(tb testing.TB, tr *trace.Trace, cfg uarch.Config) pipeline.Annotation {
+	tb.Helper()
 	eng, err := cache.NewL2SpaceSim(cfg.Hier, []cache.Config{cfg.Hier.L2})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := eng.RecordPlanes([]cache.Config{cfg.Hier.L2}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	tr.Replay(eng)
+	if err := tr.EachChunk(context.Background(), eng.ConsumeChunk); err != nil {
+		tb.Fatal(err)
+	}
 	plane, err := eng.PlaneFor(cfg.Hier.L2)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	stats, err := eng.StatsFor(cfg.Hier.L2)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	stats.IL1Accesses += eng.IStallEvents()
-	return pipeline.Annotation{
-		Mem:      plane,
-		MemStats: stats,
-		Br:       branchPlane(tr, cfg.Predictor),
-	}
+	return pipeline.Annotation{Mem: plane, MemStats: stats}
 }
 
 // branchPlane annotates pk's mispredicts; under a context that never

@@ -13,30 +13,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// benchAnnotationFor is annotationFor for benchmarks (whose helper
-// signature takes *testing.T).
-func benchAnnotationFor(b *testing.B, tr *trace.Trace, cfg uarch.Config) pipeline.Annotation {
-	b.Helper()
-	eng, err := cache.NewL2SpaceSim(cfg.Hier, []cache.Config{cfg.Hier.L2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.RecordPlanes([]cache.Config{cfg.Hier.L2}); err != nil {
-		b.Fatal(err)
-	}
-	tr.Replay(eng)
-	plane, err := eng.PlaneFor(cfg.Hier.L2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stats, err := eng.StatsFor(cfg.Hier.L2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stats.IL1Accesses += eng.IStallEvents()
-	return pipeline.Annotation{Mem: plane, MemStats: stats}
-}
-
 // uniqueTimingPoints mirrors the harness's timing-memo deduplication:
 // one BatchPoint per distinct (width, depth, latency-table,
 // plane-identity) combination of the Table 2 space — the set of lanes
@@ -59,7 +35,7 @@ func uniqueTimingPoints(b *testing.B, tr *trace.Trace, cfgs []uarch.Config) []pi
 	for _, cfg := range cfgs {
 		mem, ok := memPlanes[cfg.Hier]
 		if !ok {
-			mem = benchAnnotationFor(b, tr, cfg)
+			mem = memAnnotation(b, tr, cfg)
 			for _, c := range memCanon {
 				if c.Equal(mem.Mem) {
 					mem.Mem = c

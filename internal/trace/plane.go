@@ -157,6 +157,21 @@ func (b *BytePlaneBuilder) Append(v uint8) {
 	b.p.n++
 }
 
+// AppendChunk appends n zero bytes as one new chunk and returns that
+// chunk, for a caller that annotates a whole trace chunk at a time to
+// fill (it need only write its non-zero bytes). The builder must hold
+// whole chunks, and n must be in [1, ChunkLen]; the chunk is allocated
+// at ChunkLen bytes either way, exactly as Append allocates it.
+func (b *BytePlaneBuilder) AppendChunk(n int) []uint8 {
+	if b.p.n&ChunkMask != 0 || n < 1 || n > ChunkLen {
+		panic("trace: BytePlaneBuilder.AppendChunk off the chunk grid")
+	}
+	c := make([]uint8, ChunkLen)
+	b.p.chunks = append(b.p.chunks, c)
+	b.p.n += int64(n)
+	return c[:n]
+}
+
 // Len returns the number of bytes appended so far.
 func (b *BytePlaneBuilder) Len() int64 { return b.p.n }
 
@@ -246,6 +261,20 @@ func (b *BitPlaneBuilder) Append(v bool) {
 		b.p.chunks[len(b.p.chunks)-1][j>>6] |= 1 << uint(j&63)
 	}
 	b.p.n++
+}
+
+// AppendChunk appends n zero bits as one new chunk and returns its
+// words for the caller to set: instruction j of the chunk is bit j&63
+// of word j>>6. The builder must hold whole chunks, and n must be in
+// [1, ChunkLen].
+func (b *BitPlaneBuilder) AppendChunk(n int) []uint64 {
+	if b.p.n&ChunkMask != 0 || n < 1 || n > ChunkLen {
+		panic("trace: BitPlaneBuilder.AppendChunk off the chunk grid")
+	}
+	ws := make([]uint64, bitChunkWords)
+	b.p.chunks = append(b.p.chunks, ws)
+	b.p.n += int64(n)
+	return ws
 }
 
 // Len returns the number of bits appended so far.

@@ -135,3 +135,58 @@ func TestAnnLatencyBits(t *testing.T) {
 		t.Error("AnnSideMask does not isolate one side")
 	}
 }
+
+// TestAppendChunkMatchesAppend pins the chunk-at-a-time builders
+// against per-entry appends: the same entries written through the
+// returned chunks build equal planes of equal size, and a chunk off
+// the grid panics.
+func TestAppendChunkMatchesAppend(t *testing.T) {
+	n := 2*ChunkLen + 555 // two full chunks and a partial one
+	val := func(i int) uint8 {
+		if i%7 == 2 {
+			return uint8(i % 61)
+		}
+		return 0
+	}
+	byEntry, byChunk := NewBytePlaneBuilder(), NewBytePlaneBuilder()
+	bitEntry, bitChunk := NewBitPlaneBuilder(), NewBitPlaneBuilder()
+	for i := 0; i < n; i++ {
+		byEntry.Append(val(i))
+		bitEntry.Append(val(i) != 0)
+	}
+	for base := 0; base < n; base += ChunkLen {
+		m := min(n-base, ChunkLen)
+		c, ws := byChunk.AppendChunk(m), bitChunk.AppendChunk(m)
+		if len(c) != m {
+			t.Fatalf("byte chunk at %d has %d entries, want %d", base, len(c), m)
+		}
+		for j := 0; j < m; j++ {
+			if v := val(base + j); v != 0 {
+				c[j] = v
+				ws[j>>6] |= 1 << uint(j&63)
+			}
+		}
+	}
+	if p, q := byChunk.Plane(), byEntry.Plane(); !p.Equal(q) || p.SizeBytes() != q.SizeBytes() {
+		t.Errorf("byte planes differ: %d/%d bytes vs %d/%d", p.Len(), p.SizeBytes(), q.Len(), q.SizeBytes())
+	}
+	if p, q := bitChunk.Plane(), bitEntry.Plane(); !p.Equal(q) || p.SizeBytes() != q.SizeBytes() {
+		t.Errorf("bit planes differ: %d/%d bytes vs %d/%d", p.Len(), p.SizeBytes(), q.Len(), q.SizeBytes())
+	}
+
+	for name, f := range map[string]func(){
+		"byte after a partial chunk": func() { byChunk.AppendChunk(1) },
+		"bit after a partial chunk":  func() { bitChunk.AppendChunk(1) },
+		"byte oversize":              func() { NewBytePlaneBuilder().AppendChunk(ChunkLen + 1) },
+		"bit empty":                  func() { NewBitPlaneBuilder().AppendChunk(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AppendChunk did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

@@ -29,8 +29,9 @@ import (
 //
 //   - Replay streams reconstructed *DynInst records to a Consumer —
 //     the compatibility path every existing collector uses.
-//   - Cursor/Columns iterate chunk by chunk with zero allocation,
-//     exposing the raw columns for batch consumers.
+//   - EachChunk and Cursor/Columns iterate chunk by chunk with zero
+//     allocation, exposing the raw columns for batch consumers;
+//     EachChunk is the cancellable walk.
 //   - At / Materialize reconstruct individual records or the whole
 //     legacy slice (the seedref differential-test adapter).
 type Trace struct {
@@ -223,43 +224,36 @@ func (c *Cursor) Next() (*Columns, bool) {
 // *DynInst, reusing one record — the compatibility path for
 // per-instruction consumers. The record must not be retained across
 // calls (copy it to keep it).
-func (t *Trace) Replay(sink Consumer) {
+func (t *Trace) Replay(sink Consumer) { _ = t.ReplayCtx(context.Background(), sink) }
+
+// ReplayCtx is Replay under a context, with EachChunk's cancellation
+// contract: it returns ctx.Err() without visiting the chunks after the
+// one in progress. A completed replay is indistinguishable from
+// Replay's — the check never alters what sink observes.
+func (t *Trace) ReplayCtx(ctx context.Context, sink Consumer) error {
 	var d DynInst
-	for cur := t.Cursor(); ; {
-		ck, ok := cur.Next()
-		if !ok {
-			return
-		}
+	return t.EachChunk(ctx, func(ck *Columns) {
 		for j, k := 0, 0; j < ck.N; j++ {
 			k = ck.Decode(j, k, &d)
 			sink.Consume(&d)
 		}
-	}
+	})
 }
 
-// ReplayCtx is Replay under a context: cancellation is observed
-// between chunks (within one 16K-instruction chunk the hot loop runs
-// uninterrupted), returning ctx.Err() without visiting the remaining
-// chunks. A completed replay is indistinguishable from Replay's — the
-// check never alters what sink observes.
-func (t *Trace) ReplayCtx(ctx context.Context, sink Consumer) error {
-	done := ctx.Done()
-	var d DynInst
-	for cur := t.Cursor(); ; {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
+// EachChunk calls f on every chunk in order: the one cancellable walk
+// that every whole-trace traversal runs on. ctx is checked before each
+// chunk and after the last (within one 16K-instruction chunk f runs
+// uninterrupted); once it has ended, EachChunk returns ctx.Err()
+// without calling f again. f must not retain the chunk's columns
+// beyond the trace's lifetime or modify them.
+func (t *Trace) EachChunk(ctx context.Context, f func(*Columns)) error {
+	for i := range t.Chunks() {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		ck, ok := cur.Next()
-		if !ok {
-			return nil
-		}
-		for j, k := 0, 0; j < ck.N; j++ {
-			k = ck.Decode(j, k, &d)
-			sink.Consume(&d)
-		}
+		f(&t.chunks[i])
 	}
+	return ctx.Err()
 }
 
 // Materialize reconstructs the legacy array-of-structs trace. It is
