@@ -149,11 +149,9 @@ func Of(name string, tr *trace.Trace) *Profile {
 	}
 	var dist [4][MaxDepDist + 1]int64
 	hist := make([]int64, len(dict))
-	for cur := tr.Cursor(); ; {
-		ck, ok := cur.Next()
-		if !ok {
-			break
-		}
+	chunks := tr.Chunks()
+	for c := range chunks {
+		ck := &chunks[c]
 		i := ck.Base
 		for _, id := range ck.ID[:ck.N] {
 			hist[id]++

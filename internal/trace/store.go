@@ -29,9 +29,9 @@ import (
 //
 //   - Replay streams reconstructed *DynInst records to a Consumer —
 //     the compatibility path every existing collector uses.
-//   - EachChunk and Cursor/Columns iterate chunk by chunk with zero
-//     allocation, exposing the raw columns for batch consumers;
-//     EachChunk is the cancellable walk.
+//   - Chunks and EachChunk expose the raw columns chunk by chunk with
+//     zero allocation for batch consumers; EachChunk is the
+//     cancellable walk.
 //   - At / Materialize reconstruct individual records or the whole
 //     legacy slice (the seedref differential-test adapter).
 type Trace struct {
@@ -196,30 +196,6 @@ func (t *Trace) At(i int64) DynInst {
 	return d
 }
 
-// Cursor returns a zero-allocation chunk iterator.
-func (t *Trace) Cursor() Cursor {
-	if t == nil {
-		return Cursor{}
-	}
-	return Cursor{chunks: t.chunks}
-}
-
-// Cursor iterates a Trace chunk by chunk without allocating.
-type Cursor struct {
-	chunks []Columns
-	i      int
-}
-
-// Next returns the next chunk view, or false when exhausted.
-func (c *Cursor) Next() (*Columns, bool) {
-	if c.i >= len(c.chunks) {
-		return nil, false
-	}
-	ck := &c.chunks[c.i]
-	c.i++
-	return ck, true
-}
-
 // Replay streams every instruction to sink as a reconstructed
 // *DynInst, reusing one record — the compatibility path for
 // per-instruction consumers. The record must not be retained across
@@ -240,12 +216,12 @@ func (t *Trace) ReplayCtx(ctx context.Context, sink Consumer) error {
 	})
 }
 
-// EachChunk calls f on every chunk in order: the one cancellable walk
-// that every whole-trace traversal runs on. ctx is checked before each
-// chunk and after the last (within one 16K-instruction chunk f runs
-// uninterrupted); once it has ended, EachChunk returns ctx.Err()
-// without calling f again. f must not retain the chunk's columns
-// beyond the trace's lifetime or modify them.
+// EachChunk calls f on every chunk in order: the cancellable walk
+// under the replay, statistics and annotation traversals. ctx is
+// checked before each chunk and after the last (within one
+// 16K-instruction chunk f runs uninterrupted); once it has ended,
+// EachChunk returns ctx.Err() without calling f again. f must not
+// modify the chunk.
 func (t *Trace) EachChunk(ctx context.Context, f func(*Columns)) error {
 	for i := range t.Chunks() {
 		if err := ctx.Err(); err != nil {
@@ -262,17 +238,12 @@ func (t *Trace) EachChunk(ctx context.Context, f func(*Columns)) error {
 // paths read columns instead.
 func (t *Trace) Materialize() []DynInst {
 	out := make([]DynInst, t.Len())
-	i := 0
-	for cur := t.Cursor(); ; {
-		ck, ok := cur.Next()
-		if !ok {
-			return out
-		}
+	for _, ck := range t.Chunks() {
 		for j, k := 0, 0; j < ck.N; j++ {
-			k = ck.Decode(j, k, &out[i])
-			i++
+			k = ck.Decode(j, k, &out[ck.Base+int64(j)])
 		}
 	}
+	return out
 }
 
 // SizeBytes returns the memory footprint: the dictionary plus both

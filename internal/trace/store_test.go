@@ -136,18 +136,14 @@ func TestTraceChunkBoundaries(t *testing.T) {
 		}
 	}
 	var seen int64
-	for cur := tr.Cursor(); ; {
-		ck, ok := cur.Next()
-		if !ok {
-			break
-		}
+	for _, ck := range tr.Chunks() {
 		if ck.Base != seen {
 			t.Errorf("chunk Base = %d, want %d", ck.Base, seen)
 		}
 		seen += int64(ck.N)
 	}
 	if seen != n {
-		t.Errorf("cursor covered %d of %d", seen, n)
+		t.Errorf("chunks cover %d of %d", seen, n)
 	}
 }
 
