@@ -24,14 +24,15 @@
 //
 // Section payloads reuse the trace codecs (per-chunk CRC-32C inside)
 // and fixed-order int64 encodings for profiles and cache statistics.
-// The per-section CRC (new in format version 2) is what lets the
-// memory-mapped load path (see mapped.go) skip the whole-file SHA-256
-// pass while still rejecting any payload corruption: chunked sections
-// carry CRCs inside their codec, scalar sections are covered by the
-// section CRC. Writes go to a temp file in the store directory
-// followed by an atomic rename, so concurrent writers of one key are
-// safe: both produce identical bytes (determinism) and the last
-// rename wins.
+// Every load takes one path (see mapped.go): get the file's bytes —
+// mapped read-only where the platform allows, else read into memory
+// under the whole-file SHA-256 — then parse the frame, check the
+// identity, verify the per-section CRC of each scalar section (new in
+// format version 2) and hand the chunked sections to their codecs,
+// which carry CRCs of their own. Writes go to a temp file in the store
+// directory followed by an atomic rename, so concurrent writers of one
+// key are safe: both produce identical bytes (determinism) and the
+// last rename wins.
 package artifact
 
 import (
@@ -47,6 +48,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -57,8 +59,8 @@ import (
 // FormatVersion is the on-disk format version. Bumping it changes
 // every artifact identity (the version is part of the key preimage),
 // so readers of the new version never even look at old files.
-// Version 2 added the per-section CRC-32C that the mapped load path
-// verifies in place of the whole-file digest; version 3 re-encodes the
+// Version 2 added the per-section CRC-32C that mapped loads verify in
+// place of the whole-file digest; version 3 re-encodes the
 // trace section as a static-tuple dictionary plus two 4-byte columns;
 // version 4 stores addresses for loads and stores only, with their
 // count in the trace header.
@@ -107,7 +109,7 @@ var ErrNotFound = errors.New("artifact: not found")
 
 // ErrInvalid is wrapped by every load failure caused by an unusable
 // file: bad magic, version mismatch, digest mismatch, truncation or a
-// failing section codec.
+// failing section codec (whose trace.ErrCorrupt it wraps as well).
 var ErrInvalid = errors.New("artifact: invalid file")
 
 // Store is a content-addressed artifact directory. The zero value is
@@ -115,6 +117,8 @@ var ErrInvalid = errors.New("artifact: invalid file")
 // tier: every load misses and every save is a no-op.
 type Store struct {
 	dir string
+
+	mappedLoads atomic.Int64 // loads served through a file mapping
 }
 
 // Open prepares dir as an artifact store, creating it if needed.
@@ -134,6 +138,15 @@ func (s *Store) Dir() string {
 		return ""
 	}
 	return s.dir
+}
+
+// MappedLoadCount reports how many of this store's loads have been
+// served through a file mapping (tests pin warm paths on it).
+func (s *Store) MappedLoadCount() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.mappedLoads.Load()
 }
 
 // Probe verifies the store directory is writable by creating and
@@ -235,7 +248,7 @@ type section struct {
 // into it, so a save holds one file image, never a second copy of a
 // section or a growth copy.
 func encode(kind Kind, identity string, sections []section) ([]byte, error) {
-	size := int64(len(magic) + 4 + 1 + 4 + len(identity) + 4 + sha256.Size)
+	size := int64(headerBytes + len(identity) + 4 + sha256.Size)
 	for _, sec := range sections {
 		size += int64(4+len(sec.name)+8+4) + sec.payload.EncodedSize()
 	}
@@ -270,52 +283,72 @@ func encode(kind Kind, identity string, sections []section) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// headerBytes is the size of an artifact's fixed header: magic,
+// format version, kind and identity length.
+const headerBytes = len(magic) + 4 + 1 + 4
+
+// maxIdentityLen bounds the identity length a header may declare.
+const maxIdentityLen = 1 << 16
+
+// parseHeader extracts the kind and identity string from the start of
+// an artifact image without verifying anything behind them.
+func parseHeader(data []byte) (Kind, string, error) {
+	le := binary.LittleEndian
+	if len(data) < headerBytes {
+		return 0, "", fmt.Errorf("%w: %d bytes is shorter than the fixed header", ErrInvalid, len(data))
+	}
+	if !bytes.Equal(data[:4], magic[:]) {
+		return 0, "", fmt.Errorf("%w: bad magic %q", ErrInvalid, data[:4])
+	}
+	if v := le.Uint32(data[4:]); v != FormatVersion {
+		return 0, "", fmt.Errorf("%w: format version %d, this binary reads %d", ErrInvalid, v, FormatVersion)
+	}
+	idLen := int(le.Uint32(data[9:]))
+	if idLen > maxIdentityLen || headerBytes+idLen > len(data) {
+		return 0, "", fmt.Errorf("%w: identity length %d overruns file", ErrInvalid, idLen)
+	}
+	return Kind(data[8]), string(data[headerBytes : headerBytes+idLen]), nil
+}
+
+// verifyDigest checks an artifact image against its SHA-256 trailer.
+func verifyDigest(data []byte) error {
+	if len(data) < headerBytes+sha256.Size {
+		return fmt.Errorf("%w: %d bytes is shorter than any artifact", ErrInvalid, len(data))
+	}
+	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tail) {
+		return fmt.Errorf("%w: SHA-256 digest mismatch (truncated or corrupted)", ErrInvalid)
+	}
+	return nil
+}
+
 // secView is one parsed section: its payload plus the CRC-32C the
-// writer recorded for it. Verification is split from parsing so the
-// two load paths can check what their codecs do not already cover.
+// writer recorded for it.
 type secView struct {
 	payload []byte
 	crc     uint32
 }
 
-// verify checks the payload against the recorded section CRC.
-func (sv secView) verify(name string) error {
-	if got := crc32.Checksum(sv.payload, castagnoli); got != sv.crc {
-		return fmt.Errorf("%w: section %q checksum mismatch (got %08x, want %08x)", ErrInvalid, name, got, sv.crc)
-	}
-	return nil
-}
-
-// parseFrame parses an artifact image's framing — magic, version,
-// kind, identity, section table — without verifying any digest. Both
-// load paths build on it: decode adds the whole-file SHA-256 plus
-// every section CRC, the mapped path adds section CRCs only where a
-// section's codec has no internal checksums.
-func parseFrame(body []byte, wantKind Kind, wantIdentity string) (map[string]secView, error) {
+// parseFrame parses an artifact image's framing — header, kind,
+// identity, section table — up to its SHA-256 trailer, which it does
+// not verify.
+func parseFrame(data []byte, wantKind Kind, wantIdentity string) (map[string]secView, error) {
 	le := binary.LittleEndian
-	if len(body) < len(magic)+4+1+4+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the minimal header", ErrInvalid, len(body))
+	if len(data) < headerBytes+4+sha256.Size {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the minimal header", ErrInvalid, len(data))
 	}
-	if !bytes.Equal(body[:4], magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrInvalid, body[:4])
+	body := data[:len(data)-sha256.Size]
+	kind, id, err := parseHeader(body)
+	if err != nil {
+		return nil, err
 	}
-	if v := le.Uint32(body[4:]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: format version %d, this binary reads %d", ErrInvalid, v, FormatVersion)
+	if kind != wantKind {
+		return nil, fmt.Errorf("%w: kind %v, want %v", ErrInvalid, kind, wantKind)
 	}
-	if k := Kind(body[8]); k != wantKind {
-		return nil, fmt.Errorf("%w: kind %v, want %v", ErrInvalid, k, wantKind)
-	}
-	off := 9
-	idLen := int(le.Uint32(body[off:]))
-	off += 4
-	if idLen < 0 || off+idLen > len(body) {
-		return nil, fmt.Errorf("%w: identity length %d exceeds file", ErrInvalid, idLen)
-	}
-	id := string(body[off : off+idLen])
-	off += idLen
 	if id != wantIdentity {
 		return nil, fmt.Errorf("%w: identity %q, want %q", ErrInvalid, id, wantIdentity)
 	}
+	off := headerBytes + len(id)
 	if off+4 > len(body) {
 		return nil, fmt.Errorf("%w: truncated section table", ErrInvalid)
 	}
@@ -345,31 +378,6 @@ func parseFrame(body []byte, wantKind Kind, wantIdentity string) (map[string]sec
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after sections", ErrInvalid, len(body)-off)
-	}
-	return out, nil
-}
-
-// decode parses and verifies a file image: magic, version, kind,
-// identity, the whole-file digest and every section CRC must all
-// match before any section payload is handed to a codec.
-func decode(data []byte, wantKind Kind, wantIdentity string) (map[string][]byte, error) {
-	if len(data) < len(magic)+4+1+4+4+sha256.Size {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the minimal header", ErrInvalid, len(data))
-	}
-	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tail) {
-		return nil, fmt.Errorf("%w: SHA-256 digest mismatch (truncated or corrupted)", ErrInvalid)
-	}
-	secs, err := parseFrame(body, wantKind, wantIdentity)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(secs))
-	for name, sv := range secs {
-		if err := sv.verify(name); err != nil {
-			return nil, err
-		}
-		out[name] = sv.payload
 	}
 	return out, nil
 }
@@ -405,26 +413,6 @@ func (s *Store) write(key string, data []byte) error {
 	return nil
 }
 
-// read loads and verifies the artifact stored under identity.
-func (s *Store) read(kind Kind, identity string) (map[string][]byte, error) {
-	if s == nil {
-		return nil, ErrNotFound
-	}
-	key := KeyOf(identity)
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrNotFound
-		}
-		return nil, fmt.Errorf("artifact: reading %s: %w", key, err)
-	}
-	secs, err := decode(data, kind, identity)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", key, err)
-	}
-	return secs, nil
-}
-
 // SaveWorkload stores a profiled workload (trace + profile) and
 // returns its content key. The write is deterministic: two processes
 // profiling the same workload install byte-identical files.
@@ -450,37 +438,13 @@ func (s *Store) SaveWorkload(id WorkloadID, tr *trace.Trace, prof *profile.Profi
 // LoadWorkload rehydrates a profiled workload. A missing artifact
 // returns ErrNotFound; an unusable one returns an error wrapping
 // ErrInvalid — in both cases the caller profiles fresh.
-//
-// The load is mapped-first: on platforms with mmap the trace decodes
-// straight out of a read-only file mapping (see mapped.go), skipping
-// the read copy and the whole-file digest. Any mapped-path failure
-// falls through to the portable decode path below, which determines
-// the error the caller sees.
 func (s *Store) LoadWorkload(id WorkloadID) (*trace.Trace, *profile.Profile, error) {
-	if tr, prof, err := s.loadWorkloadMapped(id); err == nil {
-		return tr, prof, nil
-	}
-	secs, err := s.read(KindWorkload, id.Identity())
+	f, err := s.open(KindWorkload, id.Identity())
 	if err != nil {
 		return nil, nil, err
 	}
-	tb, ok := secs["trace"]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: workload artifact has no trace section", ErrInvalid)
-	}
-	pb, ok := secs["profile"]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: workload artifact has no profile section", ErrInvalid)
-	}
-	tr, err := trace.MapTrace(tb) // exact-size framing: no trailing bytes
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	prof, err := decodeProfile(pb)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, prof, nil
+	tr, prof, err := f.workload()
+	return tr, prof, s.finish(f, err, false)
 }
 
 // HasWorkload reports whether a workload artifact exists on disk (it
@@ -510,33 +474,15 @@ func (s *Store) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classe
 	return s.write(KeyOf(identity), data)
 }
 
-// LoadMemPlane rehydrates one hierarchy's plane and statistics,
-// mapped-first like LoadWorkload.
+// LoadMemPlane rehydrates one hierarchy's plane and statistics. A
+// mapped plane aliases the file mapping.
 func (s *Store) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (*trace.BytePlane, cache.Stats, error) {
-	if plane, st, err := s.loadMemPlaneMapped(workloadKey, h); err == nil {
-		return plane, st, nil
-	}
-	secs, err := s.read(KindMemPlane, memPlaneIdentity(workloadKey, h))
+	f, err := s.open(KindMemPlane, memPlaneIdentity(workloadKey, h))
 	if err != nil {
 		return nil, cache.Stats{}, err
 	}
-	cb, ok := secs["classes"]
-	if !ok {
-		return nil, cache.Stats{}, fmt.Errorf("%w: mem-plane artifact has no classes section", ErrInvalid)
-	}
-	sb, ok := secs["stats"]
-	if !ok {
-		return nil, cache.Stats{}, fmt.Errorf("%w: mem-plane artifact has no stats section", ErrInvalid)
-	}
-	plane, err := trace.ReadBytePlaneFrom(bytes.NewReader(cb))
-	if err != nil {
-		return nil, cache.Stats{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	st, err := decodeCacheStats(sb)
-	if err != nil {
-		return nil, cache.Stats{}, err
-	}
-	return plane, st, nil
+	plane, st, err := f.memPlane()
+	return plane, st, s.finish(f, err, true)
 }
 
 // SaveBranchPlane stores one predictor's mispredict plane under the
@@ -553,25 +499,14 @@ func (s *Store) SaveBranchPlane(workloadKey, predictor string, p *trace.BitPlane
 	return s.write(KeyOf(identity), data)
 }
 
-// LoadBranchPlane rehydrates one predictor's mispredict plane,
-// mapped-first like LoadWorkload.
+// LoadBranchPlane rehydrates one predictor's mispredict plane.
 func (s *Store) LoadBranchPlane(workloadKey, predictor string) (*trace.BitPlane, error) {
-	if p, err := s.loadBranchPlaneMapped(workloadKey, predictor); err == nil {
-		return p, nil
-	}
-	secs, err := s.read(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor))
+	f, err := s.open(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor))
 	if err != nil {
 		return nil, err
 	}
-	mb, ok := secs["mispredicts"]
-	if !ok {
-		return nil, fmt.Errorf("%w: branch-plane artifact has no mispredicts section", ErrInvalid)
-	}
-	p, err := trace.ReadBitPlaneFrom(bytes.NewReader(mb))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return p, nil
+	p, err := f.branchPlane()
+	return p, s.finish(f, err, false)
 }
 
 // Info describes one stored artifact for listings (/v1/artifacts).
@@ -604,12 +539,15 @@ func (s *Store) List() ([]Info, error) {
 		if fi, err := ent.Info(); err == nil {
 			info.SizeBytes = fi.Size()
 		}
-		kind, identity, err := readHeader(filepath.Join(s.dir, name))
-		if err != nil {
-			info.Kind = "unreadable"
-		} else {
-			info.Kind = kind.String()
-			info.Identity = identity
+		// Only the header is read: List is advisory; loads verify. A
+		// failed read leaves the header short, listed as unreadable.
+		info.Kind = "unreadable"
+		if f, err := os.Open(filepath.Join(s.dir, name)); err == nil {
+			head, _ := io.ReadAll(io.LimitReader(f, int64(headerBytes+maxIdentityLen)))
+			_ = f.Close()
+			if kind, identity, err := parseHeader(head); err == nil {
+				info.Kind, info.Identity = kind.String(), identity
+			}
 		}
 		out = append(out, info)
 	}
@@ -623,34 +561,4 @@ func (s *Store) List() ([]Info, error) {
 		return out[i].Key < out[j].Key
 	})
 	return out, nil
-}
-
-// readHeader parses just the fixed header and identity of an artifact
-// file, without verifying the payload digest (List is advisory; loads
-// verify).
-func readHeader(path string) (Kind, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, "", err
-	}
-	defer f.Close()
-	var fixed [13]byte // magic + version + kind + identity length
-	if _, err := io.ReadFull(f, fixed[:]); err != nil {
-		return 0, "", fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if !bytes.Equal(fixed[:4], magic[:]) {
-		return 0, "", fmt.Errorf("%w: bad magic", ErrInvalid)
-	}
-	if v := binary.LittleEndian.Uint32(fixed[4:]); v != FormatVersion {
-		return 0, "", fmt.Errorf("%w: format version %d", ErrInvalid, v)
-	}
-	idLen := binary.LittleEndian.Uint32(fixed[9:])
-	if idLen > 1<<16 {
-		return 0, "", fmt.Errorf("%w: absurd identity length %d", ErrInvalid, idLen)
-	}
-	id := make([]byte, idLen)
-	if _, err := io.ReadFull(f, id); err != nil {
-		return 0, "", fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return Kind(fixed[8]), string(id), nil
 }

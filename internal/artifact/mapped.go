@@ -2,101 +2,147 @@ package artifact
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"sync/atomic"
+	"fmt"
+	"hash/crc32"
+	"os"
 
 	"repro/internal/cache"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
-// Memory-mapped artifact rehydration: the store's loads try a mapped
-// read path first. The artifact file is mapped read-only, framing is
-// parsed in place, and the chunked payloads are handed to
-// trace.MapBytePlane, which aliases the plane bytes straight out of
-// the mapping, or decoded from it (trace.MapTrace, bit planes) without
-// a read copy. The whole-file SHA-256 pass is skipped; integrity comes
-// from the same checks at finer grain:
+// The read path. Every load opens the artifact file through one
+// opener, which returns its bytes from one of two sources:
 //
-//   - framing is bounds-checked against the mapped length, and each
+//   - mapped: the file is mapped read-only (trace.OpenMapped). The
+//     whole-file SHA-256 pass is skipped; trace.MapBytePlane aliases
+//     mem planes straight out of the mapping, and traces and bit
+//     planes are decoded from it without a read copy.
+//   - in memory: where mapping fails or the platform has no mmap, the
+//     file is read into memory and its whole-file SHA-256 is verified
+//     before anything else looks at it.
+//
+// Everything after that is shared by both sources:
+//
+//   - framing is bounds-checked against the byte length, and each
 //     codec requires its stream to be exactly the size its header
 //     implies — truncation is caught at open, not by a page fault;
-//   - chunked sections (trace, classes, mispredicts) verify their
-//     per-chunk CRC-32C inside the codec, and the trace its dictionary
-//     CRC-32C and the range of every tuple and id;
+//   - the identity string must match, so a file can never be served
+//     for the wrong key;
 //   - scalar sections (profile, stats) verify the per-section CRC-32C
 //     that format version 2 records;
-//   - the identity string must match, so a mapped file can never be
-//     served for the wrong key.
+//   - chunked sections (trace, classes, mispredicts) verify their
+//     per-chunk CRC-32C inside the codec, and the trace its dictionary
+//     CRC-32C and the range of every tuple and id.
 //
-// Any mapped-path failure — including platforms without mmap — falls
-// back to the portable decode path, which re-reads the file under the
-// full whole-file digest and produces the canonical ErrNotFound /
-// ErrInvalid. Corrupt artifacts therefore surface to callers exactly
-// as they did before this path existed, and callers' fall-back-to-
-// fresh-computation behavior is unchanged.
+// Every failure past the opener wraps ErrInvalid, whichever check
+// caught it, so callers fall back to fresh computation rather than
+// treating a damaged file as a disk fault.
 
-// mappedLoads counts loads served by the mapped path since process
-// start.
-var mappedLoads atomic.Int64
-
-// MappedLoadCount reports how many artifact loads have been served
-// through a file mapping (tests and metrics pin warm paths on it).
-func MappedLoadCount() int64 { return mappedLoads.Load() }
-
-// readMapped maps the artifact stored under identity and parses its
-// framing in place. On success the returned sections alias m's pages;
-// the caller must either hand m to a mapped codec (which retains it)
-// or Close it after copying what it needs.
-func (s *Store) readMapped(kind Kind, identity string) (map[string]secView, *trace.Mapping, error) {
-	if s == nil {
-		return nil, nil, ErrNotFound
-	}
-	m, err := trace.OpenMapped(s.path(KeyOf(identity)))
-	if err != nil {
-		return nil, nil, err
-	}
-	data := m.Bytes()
-	if len(data) < sha256.Size {
-		_ = m.Close()
-		return nil, nil, ErrInvalid
-	}
-	secs, err := parseFrame(data[:len(data)-sha256.Size], kind, identity)
-	if err != nil {
-		_ = m.Close()
-		return nil, nil, err
-	}
-	return secs, m, nil
+// file is an opened artifact: its parsed sections and the mapping they
+// lie in, nil when the bytes were read into memory.
+type file struct {
+	key  string
+	secs map[string]secView
+	m    *trace.Mapping
 }
 
-// scalarSection fetches a section that has no codec-internal
-// checksums and verifies its section CRC.
-func scalarSection(secs map[string]secView, name string) ([]byte, error) {
-	sv, ok := secs[name]
-	if !ok {
-		return nil, ErrInvalid
+// open returns the framed artifact stored under identity, its bytes
+// from the mapped source or, failing that, from readFile. A missing
+// file is ErrNotFound, an unusable one wraps ErrInvalid, and any other
+// error is a fault reading the disk.
+func (s *Store) open(kind Kind, identity string) (*file, error) {
+	if s == nil {
+		return nil, ErrNotFound
 	}
-	if err := sv.verify(name); err != nil {
+	key := KeyOf(identity)
+	var data []byte
+	m, err := trace.OpenMapped(s.path(key))
+	if err == nil {
+		data = m.Bytes()
+	} else if data, err = s.readFile(key); err != nil {
 		return nil, err
+	}
+	return newFile(key, data, m, kind, identity)
+}
+
+// newFile parses the frame of the artifact image data, stored under
+// key, which lies in mapping m (nil for in-memory bytes).
+func newFile(key string, data []byte, m *trace.Mapping, kind Kind, identity string) (*file, error) {
+	secs, err := parseFrame(data, kind, identity)
+	if err != nil {
+		_ = m.Close()
+		return nil, fmt.Errorf("artifact %s: %w", key, err)
+	}
+	return &file{key: key, secs: secs, m: m}, nil
+}
+
+// readFile is open's in-memory byte source: the file is read whole and
+// must match its SHA-256 trailer.
+func (s *Store) readFile(key string) ([]byte, error) {
+	data, err := os.ReadFile(s.path(key))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, ErrNotFound
+		}
+		return nil, fmt.Errorf("artifact: reading %s: %w", key, err)
+	}
+	if err := verifyDigest(data); err != nil {
+		return nil, fmt.Errorf("artifact %s: %w", key, err)
+	}
+	return data, nil
+}
+
+// finish ends a load of f whose decode returned err. The mapping is
+// released unless the decoded result aliases it; a successful mapped
+// load is counted.
+func (s *Store) finish(f *file, err error, aliased bool) error {
+	if err != nil || !aliased {
+		_ = f.m.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("artifact %s: %w", f.key, err)
+	}
+	if f.m != nil {
+		s.mappedLoads.Add(1)
+	}
+	return nil
+}
+
+// section returns a chunked section's payload; its codec verifies it.
+func (f *file) section(name string) ([]byte, error) {
+	sv, ok := f.secs[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: no %s section", ErrInvalid, name)
 	}
 	return sv.payload, nil
 }
 
-// loadWorkloadMapped is LoadWorkload's mapped path. The trace and the
-// profile are decoded straight out of the mapping (the trace's two
-// 4-byte columns cannot alias it: their alignment varies with the
-// dictionary size), and the mapping is released immediately.
-func (s *Store) loadWorkloadMapped(id WorkloadID) (*trace.Trace, *profile.Profile, error) {
-	secs, m, err := s.readMapped(KindWorkload, id.Identity())
+// scalar returns a section that has no codec-internal checksums,
+// verified against its section CRC.
+func (f *file) scalar(name string) ([]byte, error) {
+	b, err := f.section(name)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := crc32.Checksum(b, castagnoli), f.secs[name].crc; got != want {
+		return nil, fmt.Errorf("%w: section %q checksum mismatch (got %08x, want %08x)", ErrInvalid, name, got, want)
+	}
+	return b, nil
+}
+
+// codecErr marks a section codec's failure as an unusable file.
+func codecErr(err error) error { return fmt.Errorf("%w: %w", ErrInvalid, err) }
+
+// workload decodes a workload artifact. Both results are copies: the
+// trace's two 4-byte columns cannot alias the file, their alignment
+// varies with the dictionary size.
+func (f *file) workload() (*trace.Trace, *profile.Profile, error) {
+	tb, err := f.section("trace")
 	if err != nil {
 		return nil, nil, err
 	}
-	defer m.Close()
-	tb, ok := secs["trace"]
-	if !ok {
-		return nil, nil, ErrInvalid
-	}
-	pb, err := scalarSection(secs, "profile")
+	pb, err := f.scalar("profile")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,64 +150,46 @@ func (s *Store) loadWorkloadMapped(id WorkloadID) (*trace.Trace, *profile.Profil
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := trace.MapTrace(tb.payload)
+	tr, err := trace.MapTrace(tb)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, codecErr(err)
 	}
-	mappedLoads.Add(1)
 	return tr, prof, nil
 }
 
-// loadMemPlaneMapped is LoadMemPlane's zero-copy path. The returned
-// plane aliases the mapping; the statistics are a copy.
-func (s *Store) loadMemPlaneMapped(workloadKey string, h cache.HierarchyConfig) (*trace.BytePlane, cache.Stats, error) {
-	secs, m, err := s.readMapped(KindMemPlane, memPlaneIdentity(workloadKey, h))
+// memPlane decodes a mem-plane artifact. The plane aliases the file's
+// bytes; the statistics are a copy.
+func (f *file) memPlane() (*trace.BytePlane, cache.Stats, error) {
+	cb, err := f.section("classes")
 	if err != nil {
 		return nil, cache.Stats{}, err
 	}
-	cb, ok := secs["classes"]
-	if !ok {
-		_ = m.Close()
-		return nil, cache.Stats{}, ErrInvalid
-	}
-	sb, err := scalarSection(secs, "stats")
+	sb, err := f.scalar("stats")
 	if err != nil {
-		_ = m.Close()
 		return nil, cache.Stats{}, err
 	}
 	st, err := decodeCacheStats(sb)
 	if err != nil {
-		_ = m.Close()
 		return nil, cache.Stats{}, err
 	}
-	plane, err := trace.MapBytePlane(cb.payload, m)
+	plane, err := trace.MapBytePlane(cb, f.m)
 	if err != nil {
-		_ = m.Close()
-		return nil, cache.Stats{}, err
+		return nil, cache.Stats{}, codecErr(err)
 	}
-	mappedLoads.Add(1)
 	return plane, st, nil
 }
 
-// loadBranchPlaneMapped is LoadBranchPlane's mapped path. Bit-plane
-// chunks cannot alias the stream (their word alignment alternates
-// with the 2052-byte chunk stride), so the payload is decoded through
-// the regular CRC-checking codec — the win here is skipping the
-// whole-file digest — and the mapping is released immediately.
-func (s *Store) loadBranchPlaneMapped(workloadKey, predictor string) (*trace.BitPlane, error) {
-	secs, m, err := s.readMapped(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor))
+// branchPlane decodes a branch-plane artifact into a copy: bit-plane
+// chunks cannot alias the file (their word alignment alternates with
+// the 2052-byte chunk stride).
+func (f *file) branchPlane() (*trace.BitPlane, error) {
+	mb, err := f.section("mispredicts")
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
-	mb, ok := secs["mispredicts"]
-	if !ok {
-		return nil, ErrInvalid
-	}
-	p, err := trace.ReadBitPlaneFrom(bytes.NewReader(mb.payload))
+	p, err := trace.ReadBitPlaneFrom(bytes.NewReader(mb))
 	if err != nil {
-		return nil, err
+		return nil, codecErr(err)
 	}
-	mappedLoads.Add(1)
 	return p, nil
 }

@@ -17,8 +17,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// mmapPlatform reports whether this build serves loads through the
-// mapped path (the !unix fallback decodes everywhere).
+// mmapPlatform reports whether this build serves loads through a file
+// mapping (elsewhere every load reads the file into memory).
 func mmapPlatform() bool {
 	switch runtime.GOOS {
 	case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly":
@@ -28,9 +28,9 @@ func mmapPlatform() bool {
 }
 
 // TestLoadWorkloadUsesMappedPath pins that a healthy artifact is
-// served through the mapping: the load increments the mapped counter
-// and the returned trace is bit-identical to what was saved, down to
-// its memory footprint.
+// served through the mapping: the load increments the store's mapped
+// counter and the returned trace is bit-identical to what was saved,
+// down to its memory footprint.
 func TestLoadWorkloadUsesMappedPath(t *testing.T) {
 	if !mmapPlatform() {
 		t.Skip("mmap unsupported on this platform")
@@ -41,12 +41,11 @@ func TestLoadWorkloadUsesMappedPath(t *testing.T) {
 	if _, err := s.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
 		t.Fatal(err)
 	}
-	before := artifact.MappedLoadCount()
 	tr, prof, err := s.LoadWorkload(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if artifact.MappedLoadCount() != before+1 {
+	if s.MappedLoadCount() != 1 {
 		t.Fatal("LoadWorkload did not take the mapped path on a healthy artifact")
 	}
 	if tr.Len() != pw.Trace.Len() || tr.SizeBytes() != pw.Trace.SizeBytes() || *prof != *pw.Prof {
@@ -76,12 +75,11 @@ func TestLoadPlanesUseMappedPath(t *testing.T) {
 	if err := s.SaveMemPlane("wkey", hier, bb.Plane(), st); err != nil {
 		t.Fatal(err)
 	}
-	before := artifact.MappedLoadCount()
 	plane, got, err := s.LoadMemPlane("wkey", hier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if artifact.MappedLoadCount() != before+1 {
+	if s.MappedLoadCount() != 1 {
 		t.Fatal("LoadMemPlane did not take the mapped path")
 	}
 	if !plane.Mapped() || !plane.Equal(bb.Plane()) || got != st {
@@ -95,12 +93,11 @@ func TestLoadPlanesUseMappedPath(t *testing.T) {
 	if err := s.SaveBranchPlane("wkey", "gshare", pb.Plane()); err != nil {
 		t.Fatal(err)
 	}
-	before = artifact.MappedLoadCount()
 	bp, err := s.LoadBranchPlane("wkey", "gshare")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if artifact.MappedLoadCount() != before+1 {
+	if s.MappedLoadCount() != 2 {
 		t.Fatal("LoadBranchPlane did not take the mapped path")
 	}
 	if !bp.Equal(pb.Plane()) {
@@ -108,11 +105,10 @@ func TestLoadPlanesUseMappedPath(t *testing.T) {
 	}
 }
 
-// TestMappedLoadRejectsCorruption drives the PR 5 corruption shapes
-// through the mapped reader: every one must surface as ErrInvalid
-// (after falling back to the decode path), never as a served artifact
-// and never through the mapped counter — so callers fall back to
-// fresh profiling exactly as they did on the decode path.
+// TestMappedLoadRejectsCorruption drives the corruption shapes of the
+// store's own tests through a load: every one must surface as
+// ErrInvalid, never as a served artifact and never through the mapped
+// counter — so callers fall back to fresh profiling.
 func TestMappedLoadRejectsCorruption(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -120,14 +116,15 @@ func TestMappedLoadRejectsCorruption(t *testing.T) {
 	}{
 		{"truncated", func(d []byte) []byte { return d[:len(d)/3] }},
 		// Resigned so the whole-file digest passes: only the trace
-		// codec's per-chunk CRC — which both paths verify — catches it.
+		// codec's per-chunk CRC — which both byte sources verify —
+		// catches it.
 		{"chunk-crc", func(d []byte) []byte {
 			d[len(d)/2] ^= 0xFF
 			return resign(d)
 		}},
 		// A flip in the profile payload (a scalar section with no
 		// internal checksums), resigned: the per-section CRC is the
-		// only guard on the mapped path.
+		// only guard.
 		{"profile-crc", func(d []byte) []byte {
 			d[len(d)-40] ^= 0x01
 			return resign(d)
@@ -136,11 +133,10 @@ func TestMappedLoadRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, id := corruptSavedWorkload(t, tc.mutate)
-			before := artifact.MappedLoadCount()
 			if _, _, err := s.LoadWorkload(id); !errors.Is(err, artifact.ErrInvalid) {
 				t.Fatalf("corrupt artifact: err = %v, want ErrInvalid", err)
 			}
-			if artifact.MappedLoadCount() != before {
+			if s.MappedLoadCount() != 0 {
 				t.Fatal("corrupt artifact was served through the mapped path")
 			}
 		})
@@ -180,9 +176,9 @@ func crc32c(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Ca
 // dictionary, a dictionary entry naming a register outside the ISA, a
 // header count of loads and stores that disagrees with the ids, an
 // address column one entry short or long — so only the trace decoders'
-// range, count and framing checks can reject it. Both load paths must
-// refuse it, and the cached profiling entry point must fall back to
-// fresh profiling.
+// range, count and framing checks can reject it. The load must refuse
+// it, and the cached profiling entry point must fall back to fresh
+// profiling.
 func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 	le := binary.LittleEndian
 	// The trace stream layout (see internal/trace/codec.go): a 16-byte
@@ -256,11 +252,10 @@ func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 			if err := os.WriteFile(path, resignTraceSection(data, mutate), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			before := artifact.MappedLoadCount()
-			if _, _, err := s.LoadWorkload(id); !errors.Is(err, artifact.ErrInvalid) {
-				t.Fatalf("LoadWorkload err = %v, want ErrInvalid", err)
+			if _, _, err := s.LoadWorkload(id); !errors.Is(err, artifact.ErrInvalid) || !errors.Is(err, trace.ErrCorrupt) {
+				t.Fatalf("LoadWorkload err = %v, want ErrInvalid wrapping the codec's ErrCorrupt", err)
 			}
-			if artifact.MappedLoadCount() != before {
+			if s.MappedLoadCount() != 0 {
 				t.Fatal("corrupt trace was served through the mapped path")
 			}
 			pw, hit, err := harness.ProfileProgramCached(s, "sha", 0, spec.Build)

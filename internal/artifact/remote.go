@@ -13,9 +13,7 @@
 package artifact
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -69,26 +67,6 @@ func (s *Store) ReadRaw(key string) ([]byte, error) {
 	return data, nil
 }
 
-// parseIdentityHeader extracts the kind and identity string from a
-// complete artifact image's header without verifying payloads.
-func parseIdentityHeader(body []byte) (Kind, string, error) {
-	le := binary.LittleEndian
-	if len(body) < 13 {
-		return 0, "", fmt.Errorf("%w: %d bytes is shorter than the fixed header", ErrInvalid, len(body))
-	}
-	if !bytes.Equal(body[:4], magic[:]) {
-		return 0, "", fmt.Errorf("%w: bad magic %q", ErrInvalid, body[:4])
-	}
-	if v := le.Uint32(body[4:]); v != FormatVersion {
-		return 0, "", fmt.Errorf("%w: format version %d, this binary reads %d", ErrInvalid, v, FormatVersion)
-	}
-	idLen := int(le.Uint32(body[9:]))
-	if idLen > 1<<16 || 13+idLen > len(body) {
-		return 0, "", fmt.Errorf("%w: identity length %d overruns file", ErrInvalid, idLen)
-	}
-	return Kind(body[8]), string(body[13 : 13+idLen]), nil
-}
-
 // InstallRaw verifies data as a complete artifact whose identity
 // hashes to key, then installs it atomically. The verification is
 // exactly what makes peer replication safe against a lying or dying
@@ -103,14 +81,10 @@ func (s *Store) InstallRaw(key string, data []byte) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("%w: malformed content key %q", ErrInvalid, key)
 	}
-	if len(data) < 13+sha256.Size {
-		return fmt.Errorf("%w: %d bytes is shorter than any artifact", ErrInvalid, len(data))
+	if err := verifyDigest(data); err != nil {
+		return err
 	}
-	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tail) {
-		return fmt.Errorf("%w: SHA-256 digest mismatch (truncated or corrupted)", ErrInvalid)
-	}
-	_, identity, err := parseIdentityHeader(body)
+	_, identity, err := parseHeader(data[:len(data)-sha256.Size])
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/artifact"
@@ -125,5 +127,62 @@ func TestArtifactsEndpoint(t *testing.T) {
 	getJSON(t, plain.URL+"/v1/artifacts", &off)
 	if off.Enabled || off.Dir != "" {
 		t.Fatalf("store-less listing = %+v, want disabled", off)
+	}
+}
+
+// TestCorruptArtifactsRecomputeWithoutFaults pins that a damaged
+// artifact is an answer, not a disk fault. Every stored file — the
+// workload, its mem plane and its branch planes — gets a flipped byte
+// that only a section codec's checksums can catch. A server booting on
+// that store must recompute and answer byte-identically, and the store
+// guard must neither retry nor trip.
+func TestCorruptArtifactsRecomputeWithoutFaults(t *testing.T) {
+	dir := t.TempDir()
+	const query = "/v1/explore?bench=crc32&width=2&stages=7&l2kb=256&l2ways=8&validate=true"
+
+	cold := mustNew(t, Config{ArtifactDir: dir})
+	tsCold := httptest.NewServer(cold.Handler())
+	defer tsCold.Close()
+	coldBody := fetchBody(t, tsCold.URL+query)
+
+	store, err := artifact.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, e := range entries {
+		kinds[e.Kind]++
+		// The middle byte lies in the file's largest section: trace
+		// chunks, plane bytes or plane words.
+		path := filepath.Join(dir, e.Key+artifact.Ext)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xFF
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kinds["workload"] != 1 || kinds["mem-plane"] != 1 || kinds["branch-plane"] != 2 {
+		t.Fatalf("stored kinds = %v, want one workload, one mem plane and two branch planes", kinds)
+	}
+
+	srv := mustNew(t, Config{ArtifactDir: dir, StoreRetries: 2, StoreTripAfter: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if body := fetchBody(t, ts.URL+query); body != coldBody {
+		t.Fatalf("answer over a corrupt store differs from fresh:\n cold: %s\n got:  %s", coldBody, body)
+	}
+	if n := srv.Pool().ProfileCount(); n != 1 {
+		t.Fatalf("server over a corrupt store ran %d profiles, want 1", n)
+	}
+	m := srv.MetricsSnapshot()
+	if m.Store.Retries != 0 || m.Store.Trips != 0 || m.Store.Degraded {
+		t.Fatalf("corrupt artifacts were treated as disk faults: %+v", m.Store)
 	}
 }

@@ -5,12 +5,11 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/artifact"
 	"repro/internal/harness"
 )
 
-// mmapPlatform reports whether artifact loads go through the mapped
-// path on this build (the !unix fallback always decodes).
+// mmapPlatform reports whether artifact loads map the file on this
+// build (elsewhere they read it into memory).
 func mmapPlatform() bool {
 	switch runtime.GOOS {
 	case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly":
@@ -48,7 +47,7 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 
 	cacheBefore := harness.CacheAnnotationCount()
 	branchBefore := harness.BranchAnnotationCount()
-	mappedBefore := artifact.MappedLoadCount()
+	mappedBefore := warm.store.MappedLoadCount()
 	warmBody := fetchBody(t, tsWarm.URL+query)
 	if n := warm.Pool().ProfileCount(); n != 0 {
 		t.Fatalf("warm server ran %d profiles, want 0", n)
@@ -62,7 +61,7 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 	if mmapPlatform() {
 		// One mem plane and two branch planes rehydrate from disk; all
 		// three must come through the mapped path.
-		if d := artifact.MappedLoadCount() - mappedBefore; d < 3 {
+		if d := warm.store.MappedLoadCount() - mappedBefore; d < 3 {
 			t.Fatalf("warm explore served %d mapped loads, want >= 3", d)
 		}
 	}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,23 +51,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // repository can record while still leaving all derived arithmetic
 // (chunk counts, per-chunk sizes) comfortably inside int64.
 const maxDecodeLen = int64(1) << 40
-
-// decodeLen reads and bounds a stream's u64 entry-count header. The
-// decoders additionally never allocate ahead of the stream: chunk
-// storage is appended as each chunk's bytes actually arrive and pass
-// their checksum, so a forged header cannot cause an allocation larger
-// than (a constant factor of) the bytes really present.
-func decodeLen(r io.Reader, what string) (int64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: reading %s header: %v", ErrCorrupt, what, err)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[:]))
-	if n < 0 || n > maxDecodeLen {
-		return 0, fmt.Errorf("%w: implausible %s length %d", ErrCorrupt, what, uint64(n))
-	}
-	return n, nil
-}
 
 // Encoded sizes of the trace header (n and a) and of one dictionary
 // tuple.
@@ -137,42 +119,44 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadTraceFrom decodes a stream produced by Trace.WriteTo. The
-// returned trace is bit-identical to the one that was written, down to
-// SizeBytes. Damaged input yields an error wrapping ErrCorrupt: a bad
-// checksum or length, a dictionary tuple whose opcode, class, register
-// or source count lies outside this binary's ISA, an id beyond the
-// dictionary — consumers index fixed-size tables with all of these —
-// or chunks whose ids imply a different number of loads and stores
-// than the header. The reader never allocates ahead of the bytes
-// really present.
-func ReadTraceFrom(r io.Reader) (*Trace, error) {
+// MapTrace decodes a stream produced by Trace.WriteTo out of bytes
+// pinned in memory, typically a read-only file mapping. The returned
+// trace is bit-identical to the one that was written, down to
+// SizeBytes. The stream must be exactly the size its header and
+// dictionary count imply — truncation and trailing bytes are rejected
+// before any decoding, so nothing is allocated ahead of the bytes
+// really present. Damaged input yields an error wrapping ErrCorrupt: a
+// bad checksum or length, a dictionary tuple whose opcode, class,
+// register or source count lies outside this binary's ISA, an id
+// beyond the dictionary — consumers index fixed-size tables with all
+// of these — or chunks whose ids imply a different number of loads
+// and stores than the header. Both columns are decoded into exact-size
+// slices (their in-stream alignment varies), so the trace shares no
+// memory with data and the caller may release the mapping on return.
+func MapTrace(data []byte) (*Trace, error) {
 	le := binary.LittleEndian
-	n, err := decodeLen(r, "trace")
-	if err != nil {
-		return nil, err
+	if len(data) < traceHdrBytes+4 {
+		return nil, fmt.Errorf("%w: trace stream shorter than its header", ErrCorrupt)
 	}
-	var hb [12]byte // u64 loads and stores, u32 dictionary count
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading trace dictionary header: %v", ErrCorrupt, err)
+	n, a := int64(le.Uint64(data)), int64(le.Uint64(data[8:]))
+	if n < 0 || n > maxDecodeLen || a < 0 || a > n {
+		return nil, fmt.Errorf("%w: implausible trace length %d with %d loads and stores", ErrCorrupt, uint64(n), uint64(a))
 	}
-	a, mb := int64(le.Uint64(hb[:])), hb[8:]
-	m := int64(le.Uint32(mb))
+	m := int64(le.Uint32(data[traceHdrBytes:]))
 	if m > n {
 		// Every entry of a built dictionary is used at least once.
 		return nil, fmt.Errorf("%w: trace dictionary of %d entries for %d instructions", ErrCorrupt, m, n)
 	}
-	enc, err := io.ReadAll(io.LimitReader(r, m*staticEncBytes+4))
-	if err != nil || int64(len(enc)) != m*staticEncBytes+4 {
-		return nil, fmt.Errorf("%w: trace dictionary truncated", ErrCorrupt)
+	if want := traceEncodedSize(n, a, m); int64(len(data)) != want {
+		return nil, fmt.Errorf("%w: trace stream is %d bytes, header implies %d", ErrCorrupt, len(data), want)
 	}
-	body, tail := enc[:len(enc)-4], enc[len(enc)-4:]
-	if got, want := crc32.Update(crc32.Checksum(mb, crcTable), crcTable, body), le.Uint32(tail); got != want {
+	off := traceHdrBytes + 4 + int(m)*staticEncBytes
+	if got, want := crc32.Checksum(data[traceHdrBytes:off], crcTable), le.Uint32(data[off:]); got != want {
 		return nil, fmt.Errorf("%w: trace dictionary checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
 	}
 	t := &Trace{n: n, mem: a, static: make([]Static, m)}
 	for i := range t.static {
-		b := body[i*staticEncBytes:]
+		b := data[traceHdrBytes+4+i*staticEncBytes:]
 		s := Static{
 			PC: int32(le.Uint32(b)), Target: int32(le.Uint32(b[4:])),
 			Op: isa.Op(b[8]), Class: isa.Class(b[9]), Flags: b[10],
@@ -184,34 +168,33 @@ func ReadTraceFrom(r io.Reader) (*Trace, error) {
 		}
 		t.static[i] = s
 	}
-	buf := make([]byte, 2*4*ChunkLen+4)
+	off += 4
 	for c := int64(0); c < chunkCount(n); c++ {
 		live := chunkLive(n, c)
-		enc := buf[:4*live]
-		if _, err := io.ReadFull(r, enc); err != nil {
-			return nil, fmt.Errorf("%w: trace chunk %d truncated: %v", ErrCorrupt, c, err)
+		if off+4*live > len(data) {
+			return nil, fmt.Errorf("%w: trace chunk %d truncated", ErrCorrupt, c)
 		}
 		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static, ID: make([]uint32, live)}
 		for i := range ck.ID {
-			if ck.ID[i] = le.Uint32(enc[4*i:]); int64(ck.ID[i]) >= m {
+			if ck.ID[i] = le.Uint32(data[off+4*i:]); int64(ck.ID[i]) >= m {
 				return nil, fmt.Errorf("%w: trace instruction %d references dictionary entry %d of %d", ErrCorrupt, ck.Base+int64(i), ck.ID[i], m)
 			}
 		}
 		k := memCount(t.static, ck.ID)
 		a -= int64(k)
-		enc = buf[:4*(live+k)+4]
-		if _, err := io.ReadFull(r, enc[4*live:]); err != nil {
-			return nil, fmt.Errorf("%w: trace chunk %d truncated: %v", ErrCorrupt, c, err)
+		end := off + 4*(live+k)
+		if end+4 > len(data) {
+			return nil, fmt.Errorf("%w: trace chunk %d truncated", ErrCorrupt, c)
 		}
-		body, tail := enc[:len(enc)-4], enc[len(enc)-4:]
-		if got, want := crc32.Checksum(body, crcTable), le.Uint32(tail); got != want {
+		if got, want := crc32.Checksum(data[off:end], crcTable), le.Uint32(data[end:]); got != want {
 			return nil, fmt.Errorf("%w: trace chunk %d checksum mismatch (got %08x, want %08x)", ErrCorrupt, c, got, want)
 		}
 		ck.Addr = make([]uint32, k)
 		for i := range ck.Addr {
-			ck.Addr[i] = le.Uint32(body[4*(live+i):])
+			ck.Addr[i] = le.Uint32(data[off+4*(live+i):])
 		}
 		t.chunks = append(t.chunks, ck)
+		off = end + 4
 	}
 	if a != 0 {
 		return nil, fmt.Errorf("%w: trace ids and header disagree on the number of loads and stores (by %d)", ErrCorrupt, a)
@@ -219,34 +202,13 @@ func ReadTraceFrom(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// MapTrace decodes a trace stream pinned in memory, typically a
-// read-only file mapping. The stream must be exactly the size its
-// header and dictionary count imply — truncation and trailing bytes
-// are rejected before any decoding — and then passes ReadTraceFrom's
-// checks, so a corrupt stream yields ErrCorrupt here, never a trace
-// that fails later. Both columns are decoded into exact-size slices
-// (their in-stream alignment varies), so the trace shares no memory
-// with data and the caller may release the mapping on return.
-func MapTrace(data []byte) (*Trace, error) {
-	le := binary.LittleEndian
-	if len(data) < traceHdrBytes+4 {
-		return nil, fmt.Errorf("%w: trace stream shorter than its header", ErrCorrupt)
-	}
-	n, a := int64(le.Uint64(data)), int64(le.Uint64(data[8:]))
-	if n < 0 || n > maxDecodeLen || a < 0 || a > n {
-		return nil, fmt.Errorf("%w: implausible trace length %d with %d loads and stores", ErrCorrupt, uint64(n), uint64(a))
-	}
-	if want := traceEncodedSize(n, a, int64(le.Uint32(data[traceHdrBytes:]))); int64(len(data)) != want {
-		return nil, fmt.Errorf("%w: trace stream is %d bytes, header implies %d", ErrCorrupt, len(data), want)
-	}
-	return ReadTraceFrom(bytes.NewReader(data))
-}
-
 // MapBytePlane builds a BytePlane directly over an encoded stream
-// pinned in memory: every chunk aliases the mapped bytes (the plane's
-// payload is its live bytes verbatim). Validation mirrors MapTrace:
-// exact-size framing plus per-chunk CRC-32C, ErrCorrupt on any
-// mismatch.
+// pinned in memory: every chunk aliases data (the plane's payload is
+// its live bytes verbatim), so data must not change while the plane is
+// reachable. owner is the file mapping data lies in, which the plane
+// keeps alive; it is nil when data is an ordinary heap buffer.
+// Validation mirrors MapTrace: exact-size framing plus per-chunk
+// CRC-32C, ErrCorrupt on any mismatch.
 func MapBytePlane(data []byte, owner *Mapping) (*BytePlane, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: byte-plane stream shorter than its header", ErrCorrupt)
@@ -307,33 +269,6 @@ func (p *BytePlane) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadBytePlaneFrom decodes a stream produced by BytePlane.WriteTo.
-func ReadBytePlaneFrom(r io.Reader) (*BytePlane, error) {
-	n, err := decodeLen(r, "byte-plane")
-	if err != nil {
-		return nil, err
-	}
-	p := &BytePlane{n: n}
-	nc := chunkCount(n)
-	var tail [4]byte
-	for c := int64(0); c < nc; c++ {
-		live := chunkLive(n, c)
-		bytes := make([]uint8, ChunkLen)
-		body := bytes[:live]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, fmt.Errorf("%w: byte-plane chunk %d truncated: %v", ErrCorrupt, c, err)
-		}
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return nil, fmt.Errorf("%w: byte-plane chunk %d truncated: %v", ErrCorrupt, c, err)
-		}
-		if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail[:]); got != want {
-			return nil, fmt.Errorf("%w: byte-plane chunk %d checksum mismatch (got %08x, want %08x)", ErrCorrupt, c, got, want)
-		}
-		p.chunks = append(p.chunks, bytes)
-	}
-	return p, nil
-}
-
 // EncodedSize returns the exact number of bytes WriteTo will produce.
 func (p *BitPlane) EncodedSize() int64 {
 	n := p.Len()
@@ -377,11 +312,19 @@ func (p *BitPlane) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadBitPlaneFrom decodes a stream produced by BitPlane.WriteTo.
+// ReadBitPlaneFrom decodes a stream produced by BitPlane.WriteTo. It
+// never allocates ahead of the stream: chunk storage is appended as
+// each chunk's bytes arrive and pass their checksum, so a forged
+// length header cannot cause an allocation larger than (a constant
+// factor of) the bytes really present.
 func ReadBitPlaneFrom(r io.Reader) (*BitPlane, error) {
-	n, err := decodeLen(r, "bit-plane")
-	if err != nil {
-		return nil, err
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("%w: reading bit-plane header: %v", ErrCorrupt, err)
+	}
+	n := int64(binary.LittleEndian.Uint64(hdr[:]))
+	if n < 0 || n > maxDecodeLen {
+		return nil, fmt.Errorf("%w: implausible bit-plane length %d", ErrCorrupt, uint64(n))
 	}
 	p := &BitPlane{n: n}
 	nc := chunkCount(n)

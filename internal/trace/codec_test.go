@@ -86,9 +86,9 @@ func TestTraceCodecRoundTripBitIdentity(t *testing.T) {
 		if wrote != tr.EncodedSize() {
 			t.Fatalf("%s: WriteTo wrote %d bytes, EncodedSize says %d", name, wrote, tr.EncodedSize())
 		}
-		got, err := ReadTraceFrom(bytes.NewReader(buf.Bytes()))
+		got, err := MapTrace(buf.Bytes())
 		if err != nil {
-			t.Fatalf("%s: ReadTraceFrom: %v", name, err)
+			t.Fatalf("%s: MapTrace: %v", name, err)
 		}
 		if got.Len() != tr.Len() {
 			t.Fatalf("%s: Len = %d, want %d", name, got.Len(), tr.Len())
@@ -121,7 +121,7 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{4, len(enc) / 2, len(enc) - 1} {
-			if _, err := ReadTraceFrom(bytes.NewReader(enc[:cut])); !errors.Is(err, ErrCorrupt) {
+			if _, err := MapTrace(enc[:cut]); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
 			}
 		}
@@ -131,14 +131,14 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 		// checksum must catch it.
 		bad := append([]byte(nil), enc...)
 		bad[8+100] ^= 0xFF
-		if _, err := ReadTraceFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flipped payload byte: err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("flipped-crc", func(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		bad[len(bad)-1] ^= 0xFF // last chunk's CRC trailer
-		if _, err := ReadTraceFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flipped CRC byte: err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -147,7 +147,7 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			bad[i] = 0xFF
 		}
-		if _, err := ReadTraceFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("negative length: err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -157,10 +157,10 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 		// (not panic or OOM).
 		bad := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint64(bad[:8], 1<<50)
-		if _, err := ReadTraceFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("implausible length: err = %v, want ErrCorrupt", err)
 		}
-		if _, err := ReadBytePlaneFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := MapBytePlane(bad, nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("implausible byte-plane length: err = %v, want ErrCorrupt", err)
 		}
 		if _, err := ReadBitPlaneFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
@@ -223,18 +223,15 @@ func resignedCorruptions(tr *Trace) map[string][]byte {
 
 func TestTraceCodecRejectsResignedOutOfRange(t *testing.T) {
 	for name, bad := range resignedCorruptions(buildTestTrace(ChunkLen + 123)) {
-		if _, err := ReadTraceFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: ReadTraceFrom err = %v, want ErrCorrupt", name, err)
-		}
 		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: MapTrace err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
 
-// FuzzTraceCodec feeds arbitrary bytes to both trace decoders. Each
-// must reject the input as ErrCorrupt or return a trace that decodes
-// every instruction and re-encodes to exactly the bytes it consumed.
+// FuzzTraceCodec feeds arbitrary bytes to the trace decoder. It must
+// reject the input as ErrCorrupt or return a trace that decodes every
+// instruction and re-encodes to exactly the input.
 func FuzzTraceCodec(f *testing.F) {
 	// Small seeds keep the minimization of new inputs fast; the one
 	// chunk-sized seed has a run of stores straddling the boundary.
@@ -256,28 +253,22 @@ func FuzzTraceCodec(f *testing.F) {
 		f.Add(bad[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decoders := map[string]func([]byte) (*Trace, error){
-			"ReadTraceFrom": func(b []byte) (*Trace, error) { return ReadTraceFrom(bytes.NewReader(b)) },
-			"MapTrace":      MapTrace,
+		tr, err := MapTrace(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			return
 		}
-		for name, decode := range decoders {
-			tr, err := decode(data)
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
-				}
-				continue
-			}
-			if got := int64(len(tr.Materialize())); got != tr.Len() {
-				t.Fatalf("%s: Materialize gave %d of %d instructions", name, got, tr.Len())
-			}
-			var buf bytes.Buffer
-			if _, err := tr.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.HasPrefix(data, buf.Bytes()) || (name == "MapTrace" && buf.Len() != len(data)) {
-				t.Fatalf("%s: accepted stream does not re-encode byte-identically", name)
-			}
+		if got := int64(len(tr.Materialize())); got != tr.Len() {
+			t.Fatalf("Materialize gave %d of %d instructions", got, tr.Len())
+		}
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, buf.Bytes()) {
+			t.Fatal("accepted stream does not re-encode byte-identically")
 		}
 	})
 }
@@ -297,12 +288,21 @@ func TestBytePlaneCodecRoundTrip(t *testing.T) {
 		if wrote != p.EncodedSize() {
 			t.Fatalf("n=%d: wrote %d, EncodedSize %d", n, wrote, p.EncodedSize())
 		}
-		got, err := ReadBytePlaneFrom(bytes.NewReader(buf.Bytes()))
+		got, err := MapBytePlane(buf.Bytes(), nil)
 		if err != nil {
-			t.Fatalf("n=%d: ReadBytePlaneFrom: %v", n, err)
+			t.Fatalf("n=%d: MapBytePlane: %v", n, err)
 		}
-		if !got.Equal(p) || got.SizeBytes() != p.SizeBytes() {
-			t.Fatalf("n=%d: decoded plane differs (equal=%v, size %d vs %d)", n, got.Equal(p), got.SizeBytes(), p.SizeBytes())
+		// The decoded plane aliases exactly the stream's live bytes.
+		if !got.Equal(p) || got.SizeBytes() != n {
+			t.Fatalf("n=%d: decoded plane differs (equal=%v, size %d, want %d)", n, got.Equal(p), got.SizeBytes(), n)
+		}
+		// Re-encoding must be byte-identical, as for traces.
+		var buf2 bytes.Buffer
+		if _, err := got.WriteTo(&buf2); err != nil {
+			t.Fatalf("n=%d: re-encode: %v", n, err)
+		}
+		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			t.Fatalf("n=%d: re-encoded stream differs from original", n)
 		}
 	}
 }
@@ -319,10 +319,10 @@ func TestBytePlaneCodecRejectsCorruption(t *testing.T) {
 	enc := buf.Bytes()
 	bad := append([]byte(nil), enc...)
 	bad[8+17] ^= 0x01
-	if _, err := ReadBytePlaneFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+	if _, err := MapBytePlane(bad, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped byte: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := ReadBytePlaneFrom(bytes.NewReader(enc[:len(enc)-2])); !errors.Is(err, ErrCorrupt) {
+	if _, err := MapBytePlane(enc[:len(enc)-2], nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated: err = %v, want ErrCorrupt", err)
 	}
 }

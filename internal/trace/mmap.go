@@ -16,8 +16,9 @@ import (
 // The mapping is released by the garbage collector once the Mapping —
 // and every plane aliasing it (each holds an owner reference) — is
 // unreachable. Close releases it eagerly; it is only safe when no
-// mapped store is alive, so production code calls it solely on load
-// error paths before any alias has been handed out.
+// mapped store is alive, so production code calls it only when nothing
+// aliasing the mapping was handed out: after a copying decode (traces,
+// bit planes) or a failed load.
 //
 // The artifact store writes files with an atomic temp-file + rename,
 // so a concurrent re-save of the same key replaces the directory entry
@@ -25,13 +26,13 @@ import (
 // observe a file mutating under them. Out-of-band in-place truncation
 // is the one hazard mmap cannot checksum away (a later page fault
 // faults); the framing and checksum validation at open time is what
-// the loaders rely on, exactly like the decode path.
+// the loaders rely on.
 type Mapping struct {
 	data []byte
 }
 
 // OpenMapped maps path read-only. On platforms without mmap support it
-// returns an error and callers fall back to the decode path.
+// returns an error and callers read the file into memory instead.
 func OpenMapped(path string) (*Mapping, error) {
 	if !mmapSupported {
 		return nil, fmt.Errorf("trace: memory-mapped loads unsupported on %s", runtime.GOOS)
