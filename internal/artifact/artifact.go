@@ -63,8 +63,9 @@ import (
 // place of the whole-file digest; version 3 re-encodes the
 // trace section as a static-tuple dictionary plus two 4-byte columns;
 // version 4 stores addresses for loads and stores only, with their
-// count in the trace header.
-const FormatVersion = 4
+// count in the trace header; version 5 narrows the id column to 2
+// bytes, under a dictionary of at most trace.MaxTuples entries.
+const FormatVersion = 5
 
 // Ext is the artifact file extension.
 const Ext = ".rpaf"

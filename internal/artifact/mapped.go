@@ -135,8 +135,8 @@ func (f *file) scalar(name string) ([]byte, error) {
 func codecErr(err error) error { return fmt.Errorf("%w: %w", ErrInvalid, err) }
 
 // workload decodes a workload artifact. Both results are copies: the
-// trace's two 4-byte columns cannot alias the file, their alignment
-// varies with the dictionary size.
+// trace's two columns cannot alias the file, their alignment varies
+// with the dictionary size.
 func (f *file) workload() (*trace.Trace, *profile.Profile, error) {
 	tb, err := f.section("trace")
 	if err != nil {

@@ -174,23 +174,23 @@ func crc32c(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Ca
 // TestLoadRejectsResignedOutOfRangeTrace damages a stored trace behind
 // re-signed checksums — an instruction referencing an entry past the
 // dictionary, a dictionary entry naming a register outside the ISA, a
-// header count of loads and stores that disagrees with the ids, an
-// address column one entry short or long — so only the trace decoders'
-// range, count and framing checks can reject it. The load must refuse
-// it, and the cached profiling entry point must fall back to fresh
-// profiling.
+// dictionary of trace.MaxTuples+1 entries, a header count of loads and
+// stores that disagrees with the ids, an address column one entry short
+// or long — so only the trace decoders' range, count and framing checks
+// can reject it. The load must refuse it, and the cached profiling
+// entry point must fall back to fresh profiling.
 func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 	le := binary.LittleEndian
 	// The trace stream layout (see internal/trace/codec.go): a 16-byte
 	// header (instructions, loads and stores), the dictionary count and
-	// 14-byte tuples (flags at byte 10) behind a CRC, then chunk 0's id
-	// column, address column and CRC.
+	// 14-byte tuples (flags at byte 10) behind a CRC, then chunk 0's
+	// 2-byte id column, 4-byte address column and CRC.
 	const hdr, tupleBytes = 16, 14
 	chunk0 := func(st []byte) (dictEnd int, ids []byte, naddr int) {
 		dictEnd = hdr + 4 + tupleBytes*int(le.Uint32(st[hdr:]))
-		ids = st[dictEnd+4 : dictEnd+4+4*int(min(le.Uint64(st), trace.ChunkLen))]
-		for i := 0; i < len(ids); i += 4 {
-			if st[hdr+4+tupleBytes*int(le.Uint32(ids[i:]))+10]&trace.FlagMem != 0 {
+		ids = st[dictEnd+4 : dictEnd+4+2*int(min(le.Uint64(st), trace.ChunkLen))]
+		for i := 0; i < len(ids); i += 2 {
+			if st[hdr+4+tupleBytes*int(le.Uint16(ids[i:]))+10]&trace.FlagMem != 0 {
 				naddr++
 			}
 		}
@@ -214,7 +214,7 @@ func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 	cases := map[string]func(stream []byte) []byte{
 		"dictionary-id": func(st []byte) []byte {
 			dictEnd, ids, naddr := chunk0(st)
-			le.PutUint32(ids, le.Uint32(st[hdr:]))
+			le.PutUint16(ids, uint16(le.Uint32(st[hdr:])))
 			body := st[dictEnd+4 : dictEnd+4+len(ids)+4*naddr]
 			le.PutUint32(st[dictEnd+4+len(body):], crc32c(body))
 			return st
@@ -224,6 +224,18 @@ func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 			st[hdr+4+11] = isa.NumRegs // entry 0's Dst byte
 			le.PutUint32(st[dictEnd:], crc32c(st[hdr:dictEnd]))
 			return st
+		},
+		"dictionary-count": func(st []byte) []byte {
+			// Copies of entry 0 pad the dictionary past the cap; no id
+			// references them.
+			dictEnd, _, _ := chunk0(st)
+			out := append([]byte(nil), st[:dictEnd]...)
+			for range trace.MaxTuples + 1 - int(le.Uint32(st[hdr:])) {
+				out = append(out, st[hdr+4:hdr+4+tupleBytes]...)
+			}
+			le.PutUint32(out[hdr:], trace.MaxTuples+1)
+			out = le.AppendUint32(out, crc32c(out[hdr:]))
+			return append(out, st[dictEnd+4:]...)
 		},
 		"header-count": func(st []byte) []byte {
 			le.PutUint64(st[8:], le.Uint64(st[8:])+1)

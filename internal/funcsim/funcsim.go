@@ -58,7 +58,7 @@ type Machine struct {
 
 	// ids caches, per (PC, taken) slot, the dictionary id of the slot's
 	// tuple in the builder idsFor as (1+id)<<1 | mem, where mem is 1 for
-	// a load or store (0: not interned yet).
+	// a load or store (0: not interned yet). An entry needs 18 bits.
 	ids    []uint32
 	idsFor *trace.Builder
 }
@@ -130,6 +130,8 @@ func (m *Machine) Run(b *trace.Builder) (int64, error) {
 // goes the same way records the same trace.Static tuple, so the tuple
 // is derived and interned once per (PC, taken) and its id cached. The
 // cache belongs to b, and persists across runs into the same builder.
+// A tuple that would take b's dictionary past trace.MaxTuples stops the
+// run with an error wrapping trace.ErrDictionaryFull.
 func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 	maxN := m.MaxInstructions
 	if maxN <= 0 {
@@ -266,9 +268,12 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 			slot := m.PC<<1 | taken
 			e := ids[slot]
 			if e == 0 {
-				e = m.intern(b, slot)
+				var err error
+				if e, err = m.intern(b, slot); err != nil {
+					return m.Retired, fmt.Errorf("funcsim: PC %d: %w", m.PC, err)
+				}
 			}
-			b.AppendID(e>>1 - 1)
+			b.AppendID(uint16(e>>1 - 1))
 			if e&1 != 0 {
 				// Addresses are below memLen <= program.MaxMemWords.
 				b.AppendAddr(uint32(ea))
@@ -283,15 +288,19 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 
 // intern interns the tuple of slot (PC<<1 | taken) into b and caches
 // and returns its ids entry.
-func (m *Machine) intern(b *trace.Builder, slot int64) uint32 {
+func (m *Machine) intern(b *trace.Builder, slot int64) (uint32, error) {
 	pc := slot >> 1
 	s := static(pc, &m.Instrs[pc], slot&1 != 0)
-	e := (b.Intern(s) + 1) << 1
+	id, err := b.Intern(s)
+	if err != nil {
+		return 0, err
+	}
+	e := (uint32(id) + 1) << 1
 	if s.Flags&trace.FlagMem != 0 {
 		e |= 1
 	}
 	m.ids[slot] = e
-	return e
+	return e, nil
 }
 
 // static derives the trace tuple that every execution of in at pc

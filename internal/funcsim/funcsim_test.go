@@ -456,3 +456,31 @@ func TestNewRejectsBadPrograms(t *testing.T) {
 		t.Error("out-of-range data init accepted")
 	}
 }
+
+// straightLine returns a program of n distinct ALU instructions and a
+// HALT: one run records n dictionary tuples.
+func straightLine(n int) *program.Program {
+	p := program.New("t", 8)
+	b := p.Block("main")
+	for i := 0; i < n; i++ {
+		b.Addi(1, 1, 1)
+	}
+	b.Halt()
+	return p
+}
+
+// TestRunStopsAtDictionaryCap runs programs on both sides of the
+// dictionary cap: MaxTuples tuples record, one more stops the run with
+// an error wrapping trace.ErrDictionaryFull instead of a panic.
+func TestRunStopsAtDictionaryCap(t *testing.T) {
+	b := trace.NewBuilder()
+	if n, err := RunProgram(straightLine(trace.MaxTuples), b); err != nil || n != trace.MaxTuples {
+		t.Fatalf("MaxTuples tuples: n=%d err=%v", n, err)
+	}
+	if got := len(b.Trace().Dictionary()); got != trace.MaxTuples {
+		t.Fatalf("dictionary holds %d tuples, want %d", got, trace.MaxTuples)
+	}
+	if _, err := RunProgram(straightLine(trace.MaxTuples+1), trace.NewBuilder()); !errors.Is(err, trace.ErrDictionaryFull) {
+		t.Fatalf("MaxTuples+1 tuples: err = %v, want ErrDictionaryFull", err)
+	}
+}

@@ -25,7 +25,9 @@ import (
 	"time"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 // Taxonomy sentinels. The service maps each to a machine-readable
@@ -146,10 +148,12 @@ func CheckSource(src string, lim Limits) error {
 }
 
 // CheckProgram validates a parsed program against the structural
-// limits. Parse already enforces these during assembly; this is the
-// shared validator for callers that build IR some other way (the
-// registry re-validates what it loads from disk, tests poke it
-// directly).
+// limits and the trace dictionary's capacity: a program that could
+// record more than trace.MaxTuples distinct tuples is turned away here
+// rather than failing partway through profiling. Parse runs it after
+// assembly; it is also the shared validator for callers that build IR
+// some other way (the registry re-validates what it loads from disk,
+// tests poke it directly).
 func CheckProgram(p *program.Program, lim Limits) error {
 	lim = lim.WithDefaults()
 	if n := len(p.Blocks); n > lim.MaxBlocks {
@@ -157,6 +161,9 @@ func CheckProgram(p *program.Program, lim Limits) error {
 	}
 	if n := p.StaticLen(); n > lim.MaxInsts {
 		return fmt.Errorf("%w: %d static instructions, cap %d", ErrInvalid, n, lim.MaxInsts)
+	}
+	if n := tupleBound(p); n > trace.MaxTuples {
+		return fmt.Errorf("%w: up to %d trace tuples (static instructions plus conditional branches), cap %d", ErrInvalid, n, trace.MaxTuples)
 	}
 	if n := p.Data.Len(); n > lim.MaxDataEntries {
 		return fmt.Errorf("%w: %d initialized data words, cap %d", ErrInvalid, n, lim.MaxDataEntries)
@@ -171,6 +178,22 @@ func CheckProgram(p *program.Program, lim Limits) error {
 		return fmt.Errorf("%w: data init address %d outside memory [0,%d)", ErrInvalid, a, p.MemWords)
 	}
 	return nil
+}
+
+// tupleBound bounds the trace tuples p can record. Tuples are keyed by
+// (PC, direction) and the ISA has no indirect jumps, so a conditional
+// branch contributes at most two and every other instruction one.
+func tupleBound(p *program.Program) int {
+	n := 0
+	for _, b := range p.Blocks {
+		for _, in := range b.Insts {
+			n++
+			if isa.ClassOf(in.Op) == isa.ClassBranch {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Parse turns untrusted source text into a validated, canonically

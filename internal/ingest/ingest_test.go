@@ -12,6 +12,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/funcsim"
 	"repro/internal/program"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -123,6 +124,34 @@ func TestParseGiantMemClaimNoAlloc(t *testing.T) {
 	_, err := Parse(".mem 1099511627776\nmain:\n halt\n", Limits{})
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("terabyte .mem claim: %v, want ErrInvalid", err)
+	}
+}
+
+// TestCheckProgramTupleCap checks both sides of the dictionary bound:
+// static instructions plus conditional branches may reach
+// trace.MaxTuples but not pass it, even within the instruction cap.
+func TestCheckProgramTupleCap(t *testing.T) {
+	// alu ALU instructions, one conditional branch (two tuples) and a
+	// HALT: alu+3 tuples at most.
+	build := func(alu int) *program.Program {
+		p := program.New("t", 8)
+		b := p.Block("main")
+		for i := 0; i < alu; i++ {
+			b.Addi(1, 1, 1)
+		}
+		b.Beq(1, 0, "main").Halt()
+		return p
+	}
+	at := build(trace.MaxTuples - 3)
+	if err := CheckProgram(at, Limits{}); err != nil {
+		t.Fatalf("program at the tuple cap rejected: %v", err)
+	}
+	over := build(trace.MaxTuples - 2)
+	if over.StaticLen() > DefaultLimits().MaxInsts {
+		t.Fatalf("%d static instructions: the case must stay within the instruction cap", over.StaticLen())
+	}
+	if err := CheckProgram(over, Limits{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("program one tuple over the cap: err = %v, want ErrInvalid", err)
 	}
 }
 

@@ -25,10 +25,10 @@ import (
 //	            dictionary: u32 count m, m tuples of 14 bytes (PC i32,
 //	            Target i32, Op u8, Class u8, Flags u8, Dst u8, Src1 u8,
 //	            Src2 u8), u32 CRC-32C of the count and tuples; then per
-//	            chunk: the ID column (u32, the chunk's live length),
+//	            chunk: the ID column (u16, the chunk's live length),
 //	            the Addr column (u32, one per load or store, as the
 //	            chunk's ids imply), and a u32 CRC-32C of the chunk's
-//	            encoded bytes.
+//	            encoded bytes. m is at most MaxTuples.
 //	BytePlane:  u64 n, then per chunk: the live bytes + u32 CRC-32C.
 //	BitPlane:   u64 n, then per chunk: the live u64 words + u32 CRC-32C.
 //
@@ -76,7 +76,7 @@ func chunkLive(n int64, c int64) int {
 // traceEncodedSize is the exact stream size of n instructions, a of
 // them loads or stores, over an m-entry dictionary.
 func traceEncodedSize(n, a, m int64) int64 {
-	return traceHdrBytes + 4 + m*staticEncBytes + 4 + 4*n + 4*a + 4*chunkCount(n)
+	return traceHdrBytes + 4 + m*staticEncBytes + 4 + 2*n + 4*a + 4*chunkCount(n)
 }
 
 // EncodedSize returns the exact number of bytes WriteTo will produce.
@@ -102,11 +102,11 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	if _, err := cw.Write(enc); err != nil {
 		return cw.n, err
 	}
-	buf := make([]byte, 0, 2*4*ChunkLen+4)
+	buf := make([]byte, 0, (2+4)*ChunkLen+4)
 	for _, ck := range t.Chunks() {
 		enc := buf[:0]
 		for _, v := range ck.ID[:ck.N] {
-			enc = le.AppendUint32(enc, v)
+			enc = le.AppendUint16(enc, v)
 		}
 		for _, v := range ck.Addr {
 			enc = le.AppendUint32(enc, v)
@@ -126,13 +126,15 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 // dictionary count imply — truncation and trailing bytes are rejected
 // before any decoding, so nothing is allocated ahead of the bytes
 // really present. Damaged input yields an error wrapping ErrCorrupt: a
-// bad checksum or length, a dictionary tuple whose opcode, class,
-// register or source count lies outside this binary's ISA, an id
-// beyond the dictionary — consumers index fixed-size tables with all
-// of these — or chunks whose ids imply a different number of loads
-// and stores than the header. Both columns are decoded into exact-size
-// slices (their in-stream alignment varies), so the trace shares no
-// memory with data and the caller may release the mapping on return.
+// bad checksum or length, a dictionary of more than MaxTuples entries
+// (more than a uint16 id can address), a dictionary tuple whose
+// opcode, class, register or source count lies outside this binary's
+// ISA, an id beyond the dictionary — consumers index fixed-size tables
+// with all of these — or chunks whose ids imply a different number of
+// loads and stores than the header. Both columns are decoded into
+// exact-size slices (their in-stream alignment varies), so the trace
+// shares no memory with data and the caller may release the mapping on
+// return.
 func MapTrace(data []byte) (*Trace, error) {
 	le := binary.LittleEndian
 	if len(data) < traceHdrBytes+4 {
@@ -143,6 +145,9 @@ func MapTrace(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("%w: implausible trace length %d with %d loads and stores", ErrCorrupt, uint64(n), uint64(a))
 	}
 	m := int64(le.Uint32(data[traceHdrBytes:]))
+	if m > MaxTuples {
+		return nil, fmt.Errorf("%w: trace dictionary of %d entries, above the %d-entry cap", ErrCorrupt, m, MaxTuples)
+	}
 	if m > n {
 		// Every entry of a built dictionary is used at least once.
 		return nil, fmt.Errorf("%w: trace dictionary of %d entries for %d instructions", ErrCorrupt, m, n)
@@ -171,18 +176,18 @@ func MapTrace(data []byte) (*Trace, error) {
 	off += 4
 	for c := int64(0); c < chunkCount(n); c++ {
 		live := chunkLive(n, c)
-		if off+4*live > len(data) {
+		if off+2*live > len(data) {
 			return nil, fmt.Errorf("%w: trace chunk %d truncated", ErrCorrupt, c)
 		}
-		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static, ID: make([]uint32, live)}
+		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static, ID: make([]uint16, live)}
 		for i := range ck.ID {
-			if ck.ID[i] = le.Uint32(data[off+4*i:]); int64(ck.ID[i]) >= m {
+			if ck.ID[i] = le.Uint16(data[off+2*i:]); int64(ck.ID[i]) >= m {
 				return nil, fmt.Errorf("%w: trace instruction %d references dictionary entry %d of %d", ErrCorrupt, ck.Base+int64(i), ck.ID[i], m)
 			}
 		}
 		k := memCount(t.static, ck.ID)
 		a -= int64(k)
-		end := off + 4*(live+k)
+		end := off + 2*live + 4*k
 		if end+4 > len(data) {
 			return nil, fmt.Errorf("%w: trace chunk %d truncated", ErrCorrupt, c)
 		}
@@ -191,7 +196,7 @@ func MapTrace(data []byte) (*Trace, error) {
 		}
 		ck.Addr = make([]uint32, k)
 		for i := range ck.Addr {
-			ck.Addr[i] = le.Uint32(data[off+4*(live+i):])
+			ck.Addr[i] = le.Uint32(data[off+2*live+4*i:])
 		}
 		t.chunks = append(t.chunks, ck)
 		off = end + 4

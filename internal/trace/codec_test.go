@@ -191,7 +191,7 @@ func resignedCorruptions(tr *Trace) map[string][]byte {
 	ck := tr.chunks[0]
 	// enc encodes tr with header count a and chunk 0's columns replaced
 	// by ids and addr, the chunk re-signed.
-	enc := func(a int64, ids, addr []uint32) []byte {
+	enc := func(a int64, ids []uint16, addr []uint32) []byte {
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			panic(err)
@@ -199,15 +199,18 @@ func resignedCorruptions(tr *Trace) map[string][]byte {
 		full := buf.Bytes()
 		le.PutUint64(full[8:], uint64(a))
 		out := append([]byte(nil), full[:dictEnd+4]...)
-		for _, v := range append(slices.Clone(ids), addr...) {
+		for _, v := range ids {
+			out = le.AppendUint16(out, v)
+		}
+		for _, v := range addr {
 			out = le.AppendUint32(out, v)
 		}
 		out = le.AppendUint32(out, crc32.Checksum(out[dictEnd+4:], crcTable))
-		return append(out, full[dictEnd+4+4*(ck.N+len(ck.Addr))+4:]...)
+		return append(out, full[dictEnd+4+2*ck.N+4*len(ck.Addr)+4:]...)
 	}
 	a := tr.mem
 	badID := slices.Clone(ck.ID[:ck.N])
-	badID[0] = uint32(m)
+	badID[0] = uint16(m)
 	badReg := enc(a, ck.ID[:ck.N], ck.Addr)
 	badReg[traceHdrBytes+4+11] = isa.NumRegs // entry 0's Dst byte
 	le.PutUint32(badReg[dictEnd:], crc32.Checksum(badReg[traceHdrBytes:dictEnd], crcTable))
@@ -226,6 +229,47 @@ func TestTraceCodecRejectsResignedOutOfRange(t *testing.T) {
 		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: MapTrace err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// padDictionary returns stream, a trace encoding, with copies of
+// dictionary entry 0 appended until the dictionary has m entries, the
+// count and the dictionary checksum re-signed. No id references the
+// copies, so the stream differs from a valid one only in its count.
+func padDictionary(stream []byte, m int) []byte {
+	le := binary.LittleEndian
+	old := int(le.Uint32(stream[traceHdrBytes:]))
+	dictEnd := traceHdrBytes + 4 + old*staticEncBytes
+	out := append([]byte(nil), stream[:dictEnd]...)
+	le.PutUint32(out[traceHdrBytes:], uint32(m))
+	for i := old; i < m; i++ {
+		out = append(out, stream[traceHdrBytes+4:traceHdrBytes+4+staticEncBytes]...)
+	}
+	out = le.AppendUint32(out, crc32.Checksum(out[traceHdrBytes:], crcTable))
+	return append(out, stream[dictEnd+4:]...)
+}
+
+// TestTraceCodecRejectsOversizedDictionary checks both sides of the
+// dictionary cap on an otherwise valid stream with more instructions
+// than tuples: MaxTuples entries decode and re-encode exactly, one more
+// is ErrCorrupt.
+func TestTraceCodecRejectsOversizedDictionary(t *testing.T) {
+	tr := memTrace(MaxTuples+100, func(i int64) bool { return i%3 == 0 })
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := padDictionary(buf.Bytes(), MaxTuples)
+	got, err := MapTrace(full)
+	if err != nil {
+		t.Fatalf("dictionary of MaxTuples entries: %v", err)
+	}
+	var re bytes.Buffer
+	if _, err := got.WriteTo(&re); err != nil || !bytes.Equal(re.Bytes(), full) {
+		t.Fatalf("dictionary of MaxTuples entries does not re-encode exactly (err %v)", err)
+	}
+	if _, err := MapTrace(padDictionary(buf.Bytes(), MaxTuples+1)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("dictionary of MaxTuples+1 entries: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -15,14 +16,15 @@ import (
 // a dynamic instruction shares with other executions of the same static
 // instruction — PC, opcode, class, registers, flags (including the
 // taken outcome) and target — is stored once, as a Static tuple in a
-// per-trace dictionary. Each dynamic instruction keeps only a uint32
-// dictionary id, and each load or store also a uint32 effective word
-// address in a separate column: 4 bytes per instruction plus 4 per
-// memory access, instead of 72 for []DynInst. Seq is implicit in
-// position, NextPC follows from the taken flag and target, and the
-// address of every other instruction is 0. Real workloads have a few
-// hundred tuples, so the dictionary stays L1-resident while replay and
-// detailed simulation stream the two columns.
+// per-trace dictionary of at most MaxTuples entries. Each dynamic
+// instruction keeps only a uint16 dictionary id, and each load or store
+// also a uint32 effective word address in a separate column: 2 bytes
+// per instruction plus 4 per memory access, instead of 72 for
+// []DynInst. Seq is implicit in position, NextPC follows from the taken
+// flag and target, and the address of every other instruction is 0.
+// Real workloads have a few hundred tuples, so the dictionary stays
+// L1-resident while replay and detailed simulation stream the two
+// columns.
 //
 // A Trace is built once through a Builder and is immutable (and safe
 // for concurrent readers) afterwards. Three access paths exist:
@@ -41,7 +43,7 @@ type Trace struct {
 }
 
 // Chunk geometry: 1<<ChunkShift instructions per chunk. A chunk's id
-// column is 64 KiB, comfortably inside L2, and only the last chunk is
+// column is 32 KiB, comfortably inside L2, and only the last chunk is
 // partial (stored at its live size).
 const (
 	ChunkShift = 14
@@ -67,8 +69,9 @@ const NumSrcShift = 6
 
 // Static is one dictionary entry: the fields shared by every execution
 // of one static instruction that goes the same way. A conditional
-// branch contributes up to two entries (taken and not taken), an
-// indirect jump one per target. PC and Target are static instruction
+// branch contributes up to two entries (taken and not taken), every
+// other instruction one: the ISA has no indirect jumps, so every target
+// is static. PC and Target are static instruction
 // indices and fit in 32 bits by construction (instruction memory is an
 // in-memory Go slice).
 type Static struct {
@@ -92,12 +95,12 @@ type Columns struct {
 	N    int
 
 	Static []Static
-	ID     []uint32 // dictionary id
+	ID     []uint16 // dictionary id
 	Addr   []uint32 // effective word addresses of the loads and stores
 }
 
 // memCount returns how many of ids are loads or stores.
-func memCount(static []Static, ids []uint32) int {
+func memCount(static []Static, ids []uint16) int {
 	k := 0
 	for _, id := range ids {
 		if static[id].Flags&FlagMem != 0 {
@@ -255,7 +258,7 @@ func (t *Trace) SizeBytes() int64 {
 	}
 	sz := int64(cap(t.static)) * int64(unsafe.Sizeof(Static{}))
 	for i := range t.chunks {
-		sz += 4 * int64(cap(t.chunks[i].ID)+cap(t.chunks[i].Addr))
+		sz += 2*int64(cap(t.chunks[i].ID)) + 4*int64(cap(t.chunks[i].Addr))
 	}
 	return sz
 }
@@ -269,6 +272,16 @@ func Of(ds ...DynInst) *Trace {
 	return b.Trace()
 }
 
+// MaxTuples caps a trace's dictionary, so that every id fits in the
+// uint16 id column. Tuples are keyed by (PC, direction), so a program
+// whose static instructions plus conditional branches stay within it
+// can never overflow the dictionary.
+const MaxTuples = 1 << 16
+
+// ErrDictionaryFull is returned by Builder.Intern when a new tuple
+// would take the dictionary past MaxTuples.
+var ErrDictionaryFull = errors.New("trace: dictionary full")
+
 // Builder accumulates a Trace chunk by chunk: appends never copy
 // existing data (no doubling growth), so no sizing pre-pass is needed.
 //
@@ -281,13 +294,13 @@ func Of(ds ...DynInst) *Trace {
 // instruction with one or two stores.
 type Builder struct {
 	static []Static          // the dictionary, in id order
-	index  map[Static]uint32 // every interned tuple
+	index  map[Static]uint16 // every interned tuple
 
 	// The closed chunks, then the open one: its ids in cur[:fill]
 	// (fill == ChunkLen means a new chunk is due) and its addresses in
 	// addr, which every chunk reuses and copies at its exact length.
 	chunks []Columns
-	cur    *[ChunkLen]uint32
+	cur    *[ChunkLen]uint16
 	fill   int
 	addr   []uint32
 }
@@ -303,23 +316,28 @@ func (b *Builder) Len() int64 {
 	return int64(len(b.chunks))*ChunkLen + int64(b.fill)
 }
 
-// Intern returns s's dictionary id, adding s if it is new.
-func (b *Builder) Intern(s Static) uint32 {
+// Intern returns s's dictionary id, adding s if it is new. It fails
+// with ErrDictionaryFull if s is new and the dictionary already holds
+// MaxTuples entries.
+func (b *Builder) Intern(s Static) (uint16, error) {
 	id, ok := b.index[s]
 	if !ok {
-		if b.index == nil {
-			b.index = make(map[Static]uint32)
+		if len(b.static) == MaxTuples {
+			return 0, fmt.Errorf("%w: %d tuples", ErrDictionaryFull, MaxTuples)
 		}
-		id = uint32(len(b.static))
+		if b.index == nil {
+			b.index = make(map[Static]uint16)
+		}
+		id = uint16(len(b.static))
 		b.static = append(b.static, s)
 		b.index[s] = id
 	}
-	return id
+	return id, nil
 }
 
 // AppendID appends one instruction: id is a dictionary id returned by
 // Intern. It is small enough to inline into a recorder's loop.
-func (b *Builder) AppendID(id uint32) {
+func (b *Builder) AppendID(id uint16) {
 	if b.fill == ChunkLen {
 		b.grow()
 	}
@@ -336,7 +354,7 @@ func (b *Builder) grow() {
 	if b.cur != nil {
 		b.chunks = append(b.chunks, Columns{Base: int64(len(b.chunks)) * ChunkLen, N: ChunkLen, ID: b.cur[:], Addr: exact(b.addr)})
 	}
-	b.cur, b.fill, b.addr = new([ChunkLen]uint32), 0, b.addr[:0]
+	b.cur, b.fill, b.addr = new([ChunkLen]uint16), 0, b.addr[:0]
 }
 
 // Append encodes d at the next position, interning its static fields.
@@ -346,8 +364,9 @@ func (b *Builder) grow() {
 // addresses are word addresses below program.MaxMemWords and are
 // stored for loads and stores only; an address outside 32 bits, or a
 // non-zero one on an instruction that is neither, breaks those
-// invariants and panics. Append is the adapter for explicit records
-// (Of and tests); recorders call Intern, AppendID and AppendAddr.
+// invariants and panics, as does a full dictionary. Append is the
+// adapter for explicit records (Of and tests); recorders call Intern,
+// AppendID and AppendAddr.
 func (b *Builder) Append(d *DynInst) {
 	if uint64(d.EffAddr) > math.MaxUint32 || d.EffAddr != 0 && !d.IsLoad && !d.IsStore {
 		panic(fmt.Sprintf("trace: effective word address %d outside 32 bits or on a non-memory instruction", d.EffAddr))
@@ -371,11 +390,15 @@ func (b *Builder) Append(d *DynInst) {
 	if d.IsJump {
 		fl |= FlagJump
 	}
-	b.AppendID(b.Intern(Static{
+	id, err := b.Intern(Static{
 		PC: int32(d.PC), Target: int32(d.Target),
 		Op: d.Op, Class: d.Class, Flags: fl,
 		Dst: d.Dst, Src1: d.Src[0], Src2: d.Src[1],
-	}))
+	})
+	if err != nil {
+		panic(err)
+	}
+	b.AppendID(id)
 	if fl&FlagMem != 0 {
 		b.AppendAddr(uint32(d.EffAddr))
 	}

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -187,6 +188,32 @@ func TestAppendRejectsBrokenAddresses(t *testing.T) {
 	}
 }
 
+// TestInternCapsDictionary pins the dictionary cap: MaxTuples distinct
+// tuples intern to ids 0..MaxTuples-1, a further new tuple fails with
+// ErrDictionaryFull while known tuples still resolve, and Append, the
+// record adapter, panics on the new tuple.
+func TestInternCapsDictionary(t *testing.T) {
+	b := trace.NewBuilder()
+	for pc := int32(0); pc < trace.MaxTuples; pc++ {
+		id, err := b.Intern(trace.Static{PC: pc, Op: isa.ADD, Class: isa.ClassALU})
+		if err != nil || int32(id) != pc {
+			t.Fatalf("tuple %d: id %d, err %v", pc, id, err)
+		}
+	}
+	if _, err := b.Intern(trace.Static{PC: trace.MaxTuples, Op: isa.ADD, Class: isa.ClassALU}); !errors.Is(err, trace.ErrDictionaryFull) {
+		t.Fatalf("tuple past the cap: err = %v, want ErrDictionaryFull", err)
+	}
+	if id, err := b.Intern(trace.Static{PC: 7, Op: isa.ADD, Class: isa.ClassALU}); err != nil || id != 7 {
+		t.Fatalf("known tuple on a full dictionary: id %d, err %v", id, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append past the cap did not panic")
+		}
+	}()
+	b.Append(&trace.DynInst{PC: trace.MaxTuples, Op: isa.ADD, Class: isa.ClassALU})
+}
+
 // record runs p into a fresh Builder.
 func record(t *testing.T, p *program.Program) *trace.Trace {
 	t.Helper()
@@ -207,7 +234,7 @@ func encode(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceDensity pins the dense encoding's footprint: 4 bytes per
+// TestTraceDensity pins the dense encoding's footprint: 2 bytes per
 // instruction plus 4 per load or store, plus the dictionary's share,
 // reported identically by built, decoded and mapped traces. The heap a
 // built trace holds after a collection must match SizeBytes within
@@ -245,7 +272,7 @@ func TestTraceDensity(t *testing.T) {
 		}
 		frac := float64(mem) / float64(tr.Len())
 		dict := int64(len(tr.Dictionary())) * int64(unsafe.Sizeof(trace.Static{}))
-		if perInst, bound := float64(tr.SizeBytes()-dict)/float64(tr.Len()), 4+4*frac+0.05; perInst > bound {
+		if perInst, bound := float64(tr.SizeBytes()-dict)/float64(tr.Len()), 2+4*frac+0.05; perInst > bound {
 			t.Errorf("%s: %.3f bytes/inst beyond the dictionary's %d bytes, want <= %.3f (%.1f%% loads and stores)", name, perInst, dict, bound, 100*frac)
 		}
 		mapped, err := trace.MapTrace(encode(t, tr))
