@@ -218,7 +218,7 @@ func BenchmarkProfiling(b *testing.B) {
 func BenchmarkModelEvaluation(b *testing.B) {
 	pw := profiledFor(b, "gsm_c")
 	cfg := uarch.Default()
-	in, err := pw.Inputs(cfg)
+	in, err := pw.InputsCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func BenchmarkMachineStats(b *testing.B) {
 	cfg := uarch.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.MachineStats(pw.Trace, cfg); err != nil {
+		if _, _, err := harness.MachineStatsCtx(context.Background(), pw.Trace, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func BenchmarkModelDesignSpace(b *testing.B) {
 	pm := power.NewModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.Explore(pw, space, pm); err != nil {
+		if _, err := dse.ExploreCtx(context.Background(), pw, space, pm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,7 +320,7 @@ func BenchmarkExploreValidatedFull(b *testing.B) {
 	pm := power.NewModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.ExploreValidated(pw, space, pm, 0); err != nil {
+		if _, err := dse.ExploreValidatedCtx(context.Background(), pw, space, pm, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func BenchmarkExploreBatch(b *testing.B) {
 	pm := power.NewModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.ExploreValidated(pw.Fresh(), space, pm, 0); err != nil {
+		if _, err := dse.ExploreValidatedCtx(context.Background(), pw.Fresh(), space, pm, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

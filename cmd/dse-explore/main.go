@@ -123,9 +123,9 @@ func main() {
 		}
 		var pts []dse.Point
 		if *validate {
-			pts, err = dse.ExploreValidated(pw, cfgs, pm, *workers)
+			pts, err = dse.ExploreValidatedCtx(context.Background(), pw, cfgs, pm, *workers)
 		} else {
-			pts, err = dse.Explore(pw, cfgs, pm)
+			pts, err = dse.ExploreCtx(context.Background(), pw, cfgs, pm)
 		}
 		if err != nil {
 			log.Fatal(err)

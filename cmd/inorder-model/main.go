@@ -137,7 +137,7 @@ func main() {
 		return
 	}
 	reports := make([]strings.Builder, len(specs))
-	err = par.ForEach(*workers, len(specs), func(i int) error {
+	err = par.ForEachCtx(context.Background(), *workers, len(specs), func(i int) error {
 		if err := report(&reports[i], specs[i], cfg, *validate, *dyninsts, store); err != nil {
 			return fmt.Errorf("%s: %w", specs[i].Name, err)
 		}
@@ -208,7 +208,7 @@ func report(w io.Writer, spec workloads.Spec, cfg uarch.Config, validate bool, d
 	}
 	fmt.Fprintf(w, "%s\n", pw.Prof)
 
-	st, err := pw.Predict(cfg)
+	st, err := pw.PredictCtx(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

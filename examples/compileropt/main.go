@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -36,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := pw.Predict(cfg)
+		st, err := pw.PredictCtx(context.Background(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,7 +73,7 @@ func main() {
 	for _, w := range []int{1, 2, 4} {
 		for _, df := range uarch.DepthFreqPoints() {
 			cfg := uarch.Default().WithWidth(w).WithDepth(df)
-			st, err := pw.Predict(cfg)
+			st, err := pw.PredictCtx(context.Background(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -39,7 +40,7 @@ func main() {
 
 	space := dse.Space(uarch.Default())
 	t1 := time.Now()
-	pts, err := dse.Explore(pw, space, power.NewModel())
+	pts, err := dse.ExploreCtx(context.Background(), pw, space, power.NewModel())
 	if err != nil {
 		log.Fatal(err)
 	}

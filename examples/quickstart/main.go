@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	// 2. Choose a design point (Table 2 default: 4-wide, 9 stages at
 	//    1 GHz, 512 KB L2, 1 KB gshare) and evaluate the model.
 	cfg := uarch.Default()
-	stack, err := pw.Predict(cfg)
+	stack, err := pw.PredictCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

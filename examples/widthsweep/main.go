@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +36,7 @@ func main() {
 		"W", "base", "mul/div", "l2acc", "l2miss", "bpred", "taken", "deps", "CPI", "detail")
 	for w := 1; w <= 4; w++ {
 		cfg := uarch.Default().WithWidth(w)
-		st, err := pw.Predict(cfg)
+		st, err := pw.PredictCtx(context.Background(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -169,7 +169,7 @@ func (s *Store) Probe() error {
 // recorded trace and profile depend on.
 type WorkloadID struct {
 	Name        string // benchmark name (workloads registry)
-	MinDynInsts int64  // ProfileProgramScaled dynamic-instruction floor
+	MinDynInsts int64  // ProfileProgramScaledCtx dynamic-instruction floor
 	// Code is the content fingerprint of the built program IR
 	// (program.Fingerprint): editing a workload kernel moves its
 	// artifacts to a new key, so a populated store can never serve a

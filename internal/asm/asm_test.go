@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestAssembleAndRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := funcsim.MustNew(p)
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Mem[0x10] != 45 {
@@ -72,7 +73,7 @@ func TestHexAndNegativeLiterals(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := funcsim.MustNew(p)
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Mem[0] != 11 {
@@ -96,11 +97,11 @@ func TestRoundTripWorkloads(t *testing.T) {
 				strings.Join(strings.Split(text, "\n")[:10], "\n"))
 		}
 		m1 := funcsim.MustNew(src)
-		if _, err := m1.Run(nil); err != nil {
+		if _, err := m1.RunCtx(context.Background(), nil); err != nil {
 			t.Fatal(err)
 		}
 		m2 := funcsim.MustNew(back)
-		if _, err := m2.Run(nil); err != nil {
+		if _, err := m2.RunCtx(context.Background(), nil); err != nil {
 			t.Fatalf("%s: reassembled program failed: %v", name, err)
 		}
 		for i := 0; i < 16; i++ {
@@ -121,8 +122,8 @@ func TestRoundTripRandomPrograms(t *testing.T) {
 		}
 		m1 := funcsim.MustNew(src)
 		m2 := funcsim.MustNew(back)
-		n1, err1 := m1.Run(nil)
-		n2, err2 := m2.Run(nil)
+		n1, err1 := m1.RunCtx(context.Background(), nil)
+		n2, err2 := m2.RunCtx(context.Background(), nil)
 		if err1 != nil || err2 != nil || n1 != n2 {
 			t.Fatalf("seed %d: round trip diverged (n %d vs %d, errs %v/%v)", seed, n1, n2, err1, err2)
 		}

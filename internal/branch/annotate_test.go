@@ -46,7 +46,9 @@ func TestAnnotateMispredictsMatchesCollector(t *testing.T) {
 			t.Fatalf("%v: %v", pk, err)
 		}
 		rec := &mispredictRecorder{c: branch.NewCollector(pk.New())}
-		tr.Replay(rec)
+		if err := tr.ReplayCtx(context.Background(), rec.Consume); err != nil {
+			t.Fatal(err)
+		}
 		if st != rec.c.S {
 			t.Errorf("%v: fused stats %+v, collector %+v", pk, st, rec.c.S)
 		}

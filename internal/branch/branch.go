@@ -304,7 +304,8 @@ type Collector struct {
 // NewCollector wraps p.
 func NewCollector(p Predictor) *Collector { return &Collector{P: p} }
 
-// Consume implements trace.Consumer.
+// Consume observes one dynamic instruction: the per-record step passed
+// to trace.ReplayCtx.
 func (c *Collector) Consume(d *trace.DynInst) {
 	if d.IsJump {
 		c.S.Jumps++

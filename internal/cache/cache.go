@@ -100,9 +100,6 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// BlockAddr returns the block address of a byte address.
-func (c *Cache) BlockAddr(byteAddr int64) int64 { return byteAddr >> c.blkShift }
-
 // Access looks up the block containing byteAddr, allocating on miss
 // (write-allocate). It returns true on hit. If write is set and the
 // block is resident or allocated, it is marked dirty. On a miss that

@@ -282,7 +282,7 @@ func TestWritebackGoesToVictimLine(t *testing.T) {
 }
 
 // TestMultiCollectorMatchesIndividual pins the single-pass engine
-// against one dedicated Collector per hierarchy of a shared front.
+// against one dedicated Hierarchy per L2 of a shared front.
 func TestMultiCollectorMatchesIndividual(t *testing.T) {
 	front := HierarchyConfig{IL1: cfg(128, 1, 64), DL1: cfg(128, 1, 64),
 		ITLBEntries: 2, DTLBEntries: 2, PageBytes: 4096}
@@ -291,11 +291,11 @@ func TestMultiCollectorMatchesIndividual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind := make([]*Collector, len(l2s))
+	ind := make([]*Hierarchy, len(l2s))
 	for i, l2 := range l2s {
 		h := front
 		h.L2 = l2
-		ind[i] = NewCollector(MustNewHierarchy(h))
+		ind[i] = MustNewHierarchy(h)
 	}
 	rng := rand.New(rand.NewSource(7))
 	ds := make([]trace.DynInst, 5000)
@@ -306,16 +306,18 @@ func TestMultiCollectorMatchesIndividual(t *testing.T) {
 	if err := tr.EachChunk(context.Background(), eng.ConsumeChunk); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range ind {
-		tr.Replay(c)
+	for _, h := range ind {
+		if err := tr.ReplayCtx(context.Background(), h.Consume); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, l2 := range l2s {
 		s, err := eng.StatsFor(l2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s != ind[i].Stats() {
-			t.Errorf("config %d: single-pass %+v != individual %+v", i, s, ind[i].Stats())
+		if s != ind[i].S {
+			t.Errorf("config %d: single-pass %+v != individual %+v", i, s, ind[i].S)
 		}
 	}
 }

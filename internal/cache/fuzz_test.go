@@ -58,7 +58,7 @@ func fuzzStream(seed int64, length uint16, pattern []byte) *trace.Trace {
 // geometry (the Table 2 L2s plus an 8 KiB direct-mapped and a 16 KiB
 // 8-way one) must equal the class a dedicated Hierarchy derives from
 // its access results in trace order, and StatsFor must equal that
-// Hierarchy's Collector statistics.
+// Hierarchy's statistics.
 func FuzzL2SpaceSim(f *testing.F) {
 	f.Add(int64(1), uint16(0), []byte{0x00, 0x01, 0x12, 0x25, 0x39})
 	f.Add(int64(2), uint16(9000), []byte{0x31, 0x32, 0x08})

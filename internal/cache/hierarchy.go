@@ -258,31 +258,20 @@ func (h *Hierarchy) Reset() {
 	h.lastITag, h.lastDTag = 0, 0
 }
 
-// Collector adapts a Hierarchy to the trace.Consumer interface for
-// profiling runs: every dynamic instruction performs an I-fetch, and
-// loads/stores additionally access the data side.
-type Collector struct {
-	H *Hierarchy
-}
-
-// NewCollector wraps h.
-func NewCollector(h *Hierarchy) *Collector { return &Collector{H: h} }
-
-// Consume implements trace.Consumer.
-func (c *Collector) Consume(d *trace.DynInst) {
-	if !c.H.AccessIWarm(d.PC) {
-		c.H.AccessI(d.PC)
+// Consume is the per-record profiling step: every dynamic instruction
+// performs an I-fetch, and loads/stores additionally access the data
+// side.
+func (h *Hierarchy) Consume(d *trace.DynInst) {
+	if !h.AccessIWarm(d.PC) {
+		h.AccessI(d.PC)
 	}
 	if d.IsLoad {
-		if !c.H.AccessDWarm(d.EffAddr, false) {
-			c.H.AccessD(d.EffAddr, false)
+		if !h.AccessDWarm(d.EffAddr, false) {
+			h.AccessD(d.EffAddr, false)
 		}
 	} else if d.IsStore {
-		if !c.H.AccessDWarm(d.EffAddr, true) {
-			c.H.AccessD(d.EffAddr, true)
+		if !h.AccessDWarm(d.EffAddr, true) {
+			h.AccessD(d.EffAddr, true)
 		}
 	}
 }
-
-// Stats returns the accumulated statistics.
-func (c *Collector) Stats() Stats { return c.H.S }

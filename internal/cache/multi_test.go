@@ -93,14 +93,14 @@ func recordedEngine(t *testing.T, front HierarchyConfig, l2s []Config, tr *trace
 }
 
 // hierarchyOracle replays tr one DynInst at a time through a dedicated
-// Hierarchy, as Collector does, and derives each instruction's
+// Hierarchy, as Hierarchy.Consume does, and derives each instruction's
 // memory-event class byte from the AccessIWarm/AccessI and
-// AccessDWarm/AccessD results. It returns the classes, the Collector's
+// AccessDWarm/AccessD results. It returns the classes, the Hierarchy's
 // statistics and the number of fetches that missed a TLB or L1.
 func hierarchyOracle(cfg HierarchyConfig, tr *trace.Trace) (classes []uint8, st Stats, iStalls int64) {
-	col := NewCollector(MustNewHierarchy(cfg))
-	h := col.H
-	tr.Replay(trace.ConsumerFunc(func(d *trace.DynInst) {
+	h := MustNewHierarchy(cfg)
+	// A background context never ends, so the replay cannot fail.
+	_ = tr.ReplayCtx(context.Background(), func(d *trace.DynInst) {
 		var b uint8
 		if !h.AccessIWarm(d.PC) {
 			r := h.AccessI(d.PC)
@@ -130,8 +130,8 @@ func hierarchyOracle(cfg HierarchyConfig, tr *trace.Trace) (classes []uint8, st 
 			}
 		}
 		classes = append(classes, b)
-	}))
-	return classes, col.Stats(), iStalls
+	})
+	return classes, h.S, iStalls
 }
 
 // checkL2SpaceSim checks one recording engine over tr against a

@@ -413,7 +413,3 @@ func unrollBlock(b *program.Block, u int) ([]program.Inst, bool) {
 	out = append(out, back)
 	return out, true
 }
-
-// DynamicCount is a small helper used by tests and the case study: it
-// reports the static instruction count of a program.
-func DynamicCount(p *program.Program) int { return p.StaticLen() }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,7 +21,7 @@ func finalState(t *testing.T, p *program.Program) (int64, [32]int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := m.Run(nil)
+	n, err := m.RunCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/artifact"
@@ -36,7 +37,7 @@ func TestExploreValidatedBitIdenticalFromDisk(t *testing.T) {
 	if fromDisk {
 		t.Fatal("first run claims a disk hit on an empty store")
 	}
-	ptsFresh, err := ExploreValidated(fresh, space, pm, 4)
+	ptsFresh, err := ExploreValidatedCtx(context.Background(), fresh, space, pm, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestExploreValidatedBitIdenticalFromDisk(t *testing.T) {
 		t.Fatal("second run missed the artifact store")
 	}
 	c0, b0 := harness.CacheAnnotationCount(), harness.BranchAnnotationCount()
-	ptsDisk, err := ExploreValidated(loaded, space, pm, 4)
+	ptsDisk, err := ExploreValidatedCtx(context.Background(), loaded, space, pm, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ type Point struct {
 	ModelEDP     float64 // J·s, using model cycles
 	ModelEnergyJ float64 // total energy, using model cycles
 
-	// Populated only by ExploreValidated.
+	// Populated only by ExploreValidatedCtx.
 	Sim        *pipeline.Result
 	SimCPI     float64
 	SimSecs    float64
@@ -59,18 +59,12 @@ type Point struct {
 	CPIErr     float64 // |model-sim|/sim
 }
 
-// Explore evaluates the model on every configuration. A single trace
-// replay collects the mixed statistics for the entire space at once —
-// every L2 geometry via stack-distance simulation, every predictor
-// simultaneously (harness.InputsSet); model evaluation itself
-// is closed-form.
-func Explore(pw *harness.Profiled, cfgs []uarch.Config, pm power.Model) ([]Point, error) {
-	return ExploreCtx(context.Background(), pw, cfgs, pm)
-}
-
-// ExploreCtx is Explore under a request context: the statistics
-// traversal aborts at a trace chunk boundary once ctx ends, returning
-// ctx.Err() with no points.
+// ExploreCtx evaluates the model on every configuration. A single
+// trace replay collects the mixed statistics for the entire space at
+// once — every L2 geometry via stack-distance simulation, every
+// predictor simultaneously (harness.InputsSet); model evaluation
+// itself is closed-form. The statistics traversal aborts at a trace
+// chunk boundary once ctx ends, returning ctx.Err() with no points.
 func ExploreCtx(ctx context.Context, pw *harness.Profiled, cfgs []uarch.Config, pm power.Model) ([]Point, error) {
 	memo, err := pw.MultiInputsCtx(ctx, cfgs)
 	if err != nil {
@@ -131,21 +125,17 @@ func fillSim(p *Point, sim pipeline.Result, src *harness.InputsSet, pm power.Mod
 	return nil
 }
 
-// ExploreValidated additionally runs the detailed simulator for every
-// configuration, in parallel across workers (≤0 means the process
-// default, see par.SetDefault). The trace is annotated once per
-// distinct hierarchy and once per distinct predictor of the space
-// (itself in parallel), with the model inputs fused into the
-// annotation traversals; every memo-missing design point then replays
-// together through the config-parallel timing kernel in one pass per
-// trace chunk. A cold 192-point sweep therefore touches the trace once
-// per distinct component and once for timing, and each detailed result
-// is bit-identical to pipeline.Simulate's.
-func ExploreValidated(pw *harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([]Point, error) {
-	return ExploreValidatedCtx(context.Background(), pw, cfgs, pm, workers)
-}
-
-// ExploreValidatedCtx is ExploreValidated under a request context.
+// ExploreValidatedCtx is ExploreCtx that also runs the detailed
+// simulator for every configuration, in parallel across workers (≤0
+// means the process default, see par.SetDefault). The trace is
+// annotated once per distinct hierarchy and once per distinct
+// predictor of the space (itself in parallel), with the model inputs
+// fused into the annotation traversals; every memo-missing design
+// point then replays together through the config-parallel timing
+// kernel in one pass per trace chunk. A cold 192-point sweep therefore
+// touches the trace once per distinct component and once for timing,
+// and each detailed result is bit-identical to pipeline.Simulate's.
+//
 // Cancellation cuts every stage — the statistics pass, the annotation
 // fan-out, and the detailed replays — at chunk boundaries: no new
 // design point starts and running replays abort, returning ctx.Err().
@@ -171,18 +161,12 @@ func ExploreValidatedCtx(ctx context.Context, pw *harness.Profiled, cfgs []uarch
 	return pts, nil
 }
 
-// ExploreSuite runs the model-only exploration for several profiled
-// workloads, in parallel across benchmarks (≤0 workers means the
-// process default). Each benchmark's exploration is itself a single
-// trace replay plus closed-form evaluation; the result is indexed like
-// pws.
-func ExploreSuite(pws []*harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([][]Point, error) {
-	return ExploreSuiteCtx(context.Background(), pws, cfgs, pm, workers)
-}
-
-// ExploreSuiteCtx is ExploreSuite under a request context: no new
-// benchmark's exploration starts after ctx ends and running replays
-// abort at chunk boundaries.
+// ExploreSuiteCtx runs the model-only exploration for several
+// profiled workloads, in parallel across benchmarks (≤0 workers means
+// the process default). Each benchmark's exploration is itself a
+// single trace replay plus closed-form evaluation; the result is
+// indexed like pws. No new benchmark's exploration starts after ctx
+// ends and running replays abort at chunk boundaries.
 func ExploreSuiteCtx(ctx context.Context, pws []*harness.Profiled, cfgs []uarch.Config, pm power.Model, workers int) ([][]Point, error) {
 	out := make([][]Point, len(pws))
 	err := par.ForEachCtx(ctx, workers, len(pws), func(i int) error {
@@ -201,7 +185,7 @@ func ExploreSuiteCtx(ctx context.Context, pws []*harness.Profiled, cfgs []uarch.
 
 // BestEDP returns the index of the point with the lowest EDP according
 // to the model and according to the detailed simulator (the latter is
-// -1 unless ExploreValidated filled the simulation fields). Ties on
+// -1 unless ExploreValidatedCtx filled the simulation fields). Ties on
 // EDP break to the lowest index — the earliest point in enumeration
 // order — so the winner is deterministic and independent of how the
 // points were produced (exhaustive sweep or search).

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -55,7 +56,7 @@ func profiled(t *testing.T, name string) *harness.Profiled {
 func TestExploreModelOnly(t *testing.T) {
 	pw := profiled(t, "gsm_c")
 	space := Space(uarch.Default())[:24] // one depth point, all widths/L2s/preds
-	pts, err := Explore(pw, space, power.NewModel())
+	pts, err := ExploreCtx(context.Background(), pw, space, power.NewModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestExploreValidatedAgreesWithModel(t *testing.T) {
 	for i := 0; i < len(space); i += 16 {
 		sub = append(sub, space[i])
 	}
-	pts, err := ExploreValidated(pw, sub, power.NewModel(), 2)
+	pts, err := ExploreValidatedCtx(context.Background(), pw, sub, power.NewModel(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestExploreSingleReplay(t *testing.T) {
 	pw := profiled(t, "sha")
 	space := Space(uarch.Default())
 	before := harness.ReplayCount()
-	if _, err := Explore(pw, space, power.NewModel()); err != nil {
+	if _, err := ExploreCtx(context.Background(), pw, space, power.NewModel()); err != nil {
 		t.Fatal(err)
 	}
 	if got := harness.ReplayCount() - before; got != 1 {
@@ -134,7 +135,7 @@ func TestExploreValidatedAnnotatesOnce(t *testing.T) {
 	pw := profiled(t, "gsm_c")
 	space := Space(uarch.Default())
 	cBefore, bBefore := harness.CacheAnnotationCount(), harness.BranchAnnotationCount()
-	if _, err := ExploreValidated(pw, space, power.NewModel(), 2); err != nil {
+	if _, err := ExploreValidatedCtx(context.Background(), pw, space, power.NewModel(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := harness.CacheAnnotationCount() - cBefore; got != 8 {
@@ -144,7 +145,7 @@ func TestExploreValidatedAnnotatesOnce(t *testing.T) {
 		t.Errorf("validated exploration annotated %d predictors, want 2 (one per distinct predictor)", got)
 	}
 	cBefore, bBefore = harness.CacheAnnotationCount(), harness.BranchAnnotationCount()
-	if _, err := ExploreValidated(pw, space, power.NewModel(), 2); err != nil {
+	if _, err := ExploreValidatedCtx(context.Background(), pw, space, power.NewModel(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if c, b := harness.CacheAnnotationCount()-cBefore, harness.BranchAnnotationCount()-bBefore; c != 0 || b != 0 {
@@ -163,7 +164,7 @@ func TestExploreValidatedMatchesDirectSimulate(t *testing.T) {
 	for i := 0; i < len(space); i += 13 {
 		sub = append(sub, space[i])
 	}
-	pts, err := ExploreValidated(pw, sub, power.NewModel(), 2)
+	pts, err := ExploreValidatedCtx(context.Background(), pw, sub, power.NewModel(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestExploreValidatedMatchesDirectSimulate(t *testing.T) {
 // changes nothing observable: model CPI, cycles and EDP must be
 // bit-identical to evaluating each point from a dedicated
 // per-configuration trace replay (the seed code path, still available
-// as harness.MachineStats).
+// as harness.MachineStatsCtx).
 func TestExploreMatchesPerConfigPath(t *testing.T) {
 	pw := profiled(t, "gsm_c")
 	space := Space(uarch.Default())
@@ -194,12 +195,12 @@ func TestExploreMatchesPerConfigPath(t *testing.T) {
 		sub = append(sub, space[i])
 	}
 	pm := power.NewModel()
-	pts, err := Explore(pw, sub, pm)
+	pts, err := ExploreCtx(context.Background(), pw, sub, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range sub {
-		in, err := pw.Inputs(cfg)
+		in, err := pw.InputsCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

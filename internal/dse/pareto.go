@@ -8,8 +8,8 @@ package dse
 
 // objectivesOf returns the two Pareto objectives of a point: run time
 // in seconds and energy-delay product. Simulator numbers are used when
-// ExploreValidated (or a validating search) filled them, model numbers
-// otherwise.
+// ExploreValidatedCtx (or a validating search) filled them, model
+// numbers otherwise.
 func objectivesOf(p *Point) (delaySec, edp float64) {
 	if p.Sim != nil {
 		return p.SimSecs, p.SimEDP

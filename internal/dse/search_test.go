@@ -18,7 +18,7 @@ func TestSearchRecoversExhaustiveFront(t *testing.T) {
 	pm := power.NewModel()
 	d := uarch.Table2Domain()
 
-	pts, err := Explore(pw, Space(uarch.Default()), pm)
+	pts, err := ExploreCtx(context.Background(), pw, Space(uarch.Default()), pm)
 	if err != nil {
 		t.Fatal(err)
 	}

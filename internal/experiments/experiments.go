@@ -63,7 +63,7 @@ func Profiled(name string) (*harness.Profiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return profiledPool.GetBuilt(name, spec.Build, func(prog *program.Program) (*harness.Profiled, error) {
+	return profiledPool.GetBuiltCtx(context.Background(), name, spec.Build, func(_ context.Context, prog *program.Program) (*harness.Profiled, error) {
 		return harness.ProfileProgram(prog)
 	})
 }
@@ -92,7 +92,7 @@ type ValidationResult struct {
 // with the given configuration, in parallel across benchmarks.
 func Validate(names []string, cfg uarch.Config) (*ValidationResult, error) {
 	res := &ValidationResult{Cfg: cfg, Rows: make([]ValidationRow, len(names))}
-	err := par.ForEach(0, len(names), func(i int) error {
+	err := par.ForEachCtx(context.Background(), 0, len(names), func(i int) error {
 		name := names[i]
 		pw, err := Profiled(name)
 		if err != nil {
@@ -192,12 +192,12 @@ func Fig4() (*Fig4Result, error) {
 	base := uarch.Default()
 	const widths = 4
 	rows := make([][]WidthStack, len(res.Order))
-	err := par.ForEach(0, len(res.Order), func(bi int) error {
+	err := par.ForEachCtx(context.Background(), 0, len(res.Order), func(bi int) error {
 		pw, err := Profiled(res.Order[bi])
 		if err != nil {
 			return err
 		}
-		in, err := pw.Inputs(base)
+		in, err := pw.InputsCtx(context.Background(), base)
 		if err != nil {
 			return err
 		}
@@ -289,7 +289,7 @@ func validatedTable2(name string, workers int) ([]dse.Point, time.Duration, erro
 		return nil, 0, err
 	}
 	t0 := time.Now()
-	pts, err := dse.ExploreValidated(pw, dse.Space(uarch.Default()), power.NewModel(), workers)
+	pts, err := dse.ExploreValidatedCtx(context.Background(), pw, dse.Space(uarch.Default()), power.NewModel(), workers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -329,7 +329,7 @@ func Fig5(names []string, workers int) (*Fig5Result, error) {
 	res := &Fig5Result{Points: len(space), Benchmarks: len(names)}
 
 	pws := make([]*harness.Profiled, len(names))
-	if err := par.ForEach(workers, len(names), func(i int) error {
+	if err := par.ForEachCtx(context.Background(), workers, len(names), func(i int) error {
 		pw, err := Profiled(names[i])
 		if err != nil {
 			return err
@@ -354,7 +354,7 @@ func Fig5(names []string, workers int) (*Fig5Result, error) {
 	}
 
 	t1 := time.Now()
-	if _, err := dse.ExploreSuite(pws, space, pm, workers); err != nil {
+	if _, err := dse.ExploreSuiteCtx(context.Background(), pws, space, pm, workers); err != nil {
 		return nil, err
 	}
 	res.ModelWall = time.Since(t1)
@@ -436,13 +436,13 @@ func Fig7() (*Fig7Result, error) {
 	ooCfg := ooo.DefaultConfig()
 	names := Fig7Names()
 	res := &Fig7Result{OoOCfg: ooCfg, Rows: make([]Fig7Row, len(names))}
-	err := par.ForEach(0, len(names), func(i int) error {
+	err := par.ForEachCtx(context.Background(), 0, len(names), func(i int) error {
 		name := names[i]
 		pw, err := Profiled(name)
 		if err != nil {
 			return err
 		}
-		inStack, err := pw.Predict(inCfg)
+		inStack, err := pw.PredictCtx(context.Background(), inCfg)
 		if err != nil {
 			return err
 		}
@@ -450,7 +450,9 @@ func Fig7() (*Fig7Result, error) {
 		if err != nil {
 			return err
 		}
-		pw.Trace.Replay(col)
+		if err := pw.Trace.ReplayCtx(context.Background(), col.Consume); err != nil {
+			return err
+		}
 		ooStack, err := ooo.Predict(pw.Prof.N, col.Result(), ooCfg)
 		if err != nil {
 			return err
@@ -521,7 +523,7 @@ func Fig8() (*Fig8Result, error) {
 	res := &Fig8Result{Benchmarks: map[string][]Fig8Cell{}, Order: Fig8Names()}
 	levels := compiler.Levels()
 	rows := make([][]Fig8Cell, len(res.Order))
-	err := par.ForEach(0, len(res.Order), func(bi int) error {
+	err := par.ForEachCtx(context.Background(), 0, len(res.Order), func(bi int) error {
 		name := res.Order[bi]
 		spec, err := workloads.ByName(name)
 		if err != nil {
@@ -536,7 +538,7 @@ func Fig8() (*Fig8Result, error) {
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", name, lvl, err)
 			}
-			st, err := pw.Predict(cfg)
+			st, err := pw.PredictCtx(context.Background(), cfg)
 			if err != nil {
 				return err
 			}

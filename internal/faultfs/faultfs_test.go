@@ -1,12 +1,14 @@
 package faultfs
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/harness"
+	"repro/internal/program"
 	"repro/internal/workloads"
 )
 
@@ -158,9 +160,11 @@ func TestTierBehindPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := harness.NewPool(harness.PoolOptions{Store: tier})
-	pw, err := p.GetBuilt("crc32", spec.Build, harness.ProfileProgram)
+	pw, err := p.GetBuiltCtx(context.Background(), "crc32", spec.Build, func(_ context.Context, prog *program.Program) (*harness.Profiled, error) {
+		return harness.ProfileProgram(prog)
+	})
 	if err != nil {
-		t.Fatalf("GetBuilt over faulted tier: %v", err)
+		t.Fatalf("GetBuiltCtx over faulted tier: %v", err)
 	}
 	want, err := harness.ProfileProgram(spec.Build())
 	if err != nil {

@@ -111,19 +111,15 @@ func (m *Machine) Reset() {
 	m.PC, m.Retired, m.Halted = 0, 0, false
 }
 
-// Run executes until HALT, recording every retired instruction into b
-// (which may be nil to execute without observation). It returns the
+// RunCtx executes until HALT, recording every retired instruction into
+// b (which may be nil to execute without observation). It returns the
 // number of dynamically executed instructions (HALT itself is not
 // counted or recorded: it never enters the modeled pipeline's trace).
-func (m *Machine) Run(b *trace.Builder) (int64, error) {
-	return m.RunCtx(context.Background(), b)
-}
-
-// RunCtx is Run under a context: every ctxCheckInterval retired
-// instructions the context is polled, so a deadline or cancellation
-// stops even a tight infinite loop promptly (returning ctx.Err() with
-// the partial retirement count). A background context adds no per-
-// instruction work; Run and RunCtx retire identical streams.
+// Every ctxCheckInterval retired instructions the context is polled,
+// so a deadline or cancellation stops even a tight infinite loop
+// promptly (returning ctx.Err() with the partial retirement count). A
+// background context adds no per-instruction work, and polling never
+// changes the retired stream.
 //
 // Recording costs a table lookup and one store per instruction, two
 // for a load or store: every execution of one static instruction that
@@ -347,7 +343,7 @@ func RunProgram(p *program.Program, b *trace.Builder) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.Run(b)
+	return m.RunCtx(context.Background(), b)
 }
 
 func boolTo64(b bool) int64 {

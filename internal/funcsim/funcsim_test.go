@@ -1,6 +1,7 @@
 package funcsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -20,7 +21,7 @@ func run(t *testing.T, build func(b *program.Builder)) *Machine {
 	build(b)
 	b.Halt()
 	m := MustNew(p)
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -104,7 +105,7 @@ func TestDataInitialization(t *testing.T) {
 	b.Ld(2, 0, 9)
 	b.Halt()
 	m := MustNew(p)
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Regs[1] != 5 || m.Regs[2] != 6 {
@@ -138,7 +139,7 @@ func TestBranchSemantics(t *testing.T) {
 	b.Halt()
 
 	m := MustNew(p)
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Regs[2] != 5 {
@@ -163,7 +164,7 @@ func TestJalRecordsReturnAddress(t *testing.T) {
 	b.Li(2, 7)
 	b.Jmp("cont")
 	m := MustNew(p)
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Regs[1] != 2 {
@@ -179,7 +180,7 @@ func TestOutOfRangeAccessesFail(t *testing.T) {
 		p := program.New("t", 8)
 		p.Block("m").Ld(1, 0, 100).Halt()
 		m := MustNew(p)
-		if _, err := m.Run(nil); err == nil {
+		if _, err := m.RunCtx(context.Background(), nil); err == nil {
 			t.Error("out-of-range load succeeded")
 		}
 	})
@@ -187,7 +188,7 @@ func TestOutOfRangeAccessesFail(t *testing.T) {
 		p := program.New("t", 8)
 		p.Block("m").Li(1, -3).St(1, 1, 0).Halt()
 		m := MustNew(p)
-		if _, err := m.Run(nil); err == nil {
+		if _, err := m.RunCtx(context.Background(), nil); err == nil {
 			t.Error("negative-address store succeeded")
 		}
 	})
@@ -198,7 +199,7 @@ func TestInstructionLimit(t *testing.T) {
 	p.Block("spin").Jmp("spin")
 	m := MustNew(p)
 	m.MaxInstructions = 100
-	_, err := m.Run(nil)
+	_, err := m.RunCtx(context.Background(), nil)
 	if !errors.Is(err, ErrMaxInstructions) {
 		t.Errorf("err = %v, want ErrMaxInstructions", err)
 	}
@@ -298,7 +299,7 @@ func TestRecordedStatic(t *testing.T) {
 		m := &Machine{Instrs: []isa.Instr{in, {Op: isa.HALT}, {Op: isa.HALT}}, Mem: make([]int64, 16)}
 		m.Regs[5], m.Regs[7] = 4, v7
 		tb := trace.NewBuilder()
-		if n, err := m.Run(tb); err != nil || n != 1 {
+		if n, err := m.RunCtx(context.Background(), tb); err != nil || n != 1 {
 			t.Fatalf("retired %d, err %v", n, err)
 		}
 		tr := tb.Trace()
@@ -381,7 +382,7 @@ func TestResetRerunsIdentically(t *testing.T) {
 
 	m := MustNew(p)
 	tb := trace.NewBuilder()
-	n1, err := m.Run(tb)
+	n1, err := m.RunCtx(context.Background(), tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestResetRerunsIdentically(t *testing.T) {
 	if m.PC != 0 || m.Retired != 0 || m.Halted || m.Regs != ([isa.NumRegs]int64{}) || m.Mem[1] != 8 {
 		t.Fatalf("Reset left PC %d retired %d halted %v mem[1] %d", m.PC, m.Retired, m.Halted, m.Mem[1])
 	}
-	n2, err := m.Run(tb)
+	n2, err := m.RunCtx(context.Background(), tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestResetRerunsIdentically(t *testing.T) {
 		}
 	}
 	fresh := trace.NewBuilder()
-	if _, err := MustNew(p).Run(fresh); err != nil {
+	if _, err := MustNew(p).RunCtx(context.Background(), fresh); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(tr.Dictionary(), fresh.Trace().Dictionary()) {
@@ -433,8 +434,8 @@ func TestDeterminism(t *testing.T) {
 		return p
 	}
 	m1, m2 := MustNew(build()), MustNew(build())
-	n1, _ := m1.Run(nil)
-	n2, _ := m2.Run(nil)
+	n1, _ := m1.RunCtx(context.Background(), nil)
+	n2, _ := m2.RunCtx(context.Background(), nil)
 	if n1 != n2 || m1.Regs[3] != m2.Regs[3] {
 		t.Errorf("non-deterministic execution: n=%d/%d sum=%d/%d", n1, n2, m1.Regs[3], m2.Regs[3])
 	}

@@ -28,8 +28,9 @@ func TestRunCtxStopsInfiniteLoop(t *testing.T) {
 	}
 }
 
-// TestRunCtxUncancellableMatchesRun: without a cancellable context the
-// polling path must not change behavior or results.
+// TestRunCtxUncancellableMatchesRun: the polling path a cancellable
+// context turns on must not change behavior or results against an
+// uncancellable background context.
 func TestRunCtxUncancellableMatchesRun(t *testing.T) {
 	build := func() *Machine {
 		p := program.New("t", 64)
@@ -41,14 +42,16 @@ func TestRunCtxUncancellableMatchesRun(t *testing.T) {
 		return MustNew(p)
 	}
 	m1 := build()
-	n1, err1 := m1.Run(nil)
+	n1, err1 := m1.RunCtx(context.Background(), nil)
 	m2 := build()
-	n2, err2 := m2.RunCtx(context.Background(), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n2, err2 := m2.RunCtx(ctx, nil)
 	if err1 != nil || err2 != nil || n1 != n2 {
-		t.Fatalf("Run/RunCtx diverged: n %d/%d, errs %v/%v", n1, n2, err1, err2)
+		t.Fatalf("background/cancellable RunCtx diverged: n %d/%d, errs %v/%v", n1, n2, err1, err2)
 	}
 	if m1.Mem[16] != m2.Mem[16] {
-		t.Fatal("Run/RunCtx computed different results")
+		t.Fatal("background/cancellable RunCtx computed different results")
 	}
 }
 
@@ -58,14 +61,14 @@ func TestFaultSentinels(t *testing.T) {
 	t.Run("load", func(t *testing.T) {
 		p := program.New("t", 8)
 		p.Block("m").Ld(1, 0, 100).Halt()
-		if _, err := MustNew(p).Run(nil); !errors.Is(err, ErrMemFault) {
+		if _, err := MustNew(p).RunCtx(context.Background(), nil); !errors.Is(err, ErrMemFault) {
 			t.Errorf("err = %v, want ErrMemFault", err)
 		}
 	})
 	t.Run("store", func(t *testing.T) {
 		p := program.New("t", 8)
 		p.Block("m").Li(1, -3).St(1, 1, 0).Halt()
-		if _, err := MustNew(p).Run(nil); !errors.Is(err, ErrMemFault) {
+		if _, err := MustNew(p).RunCtx(context.Background(), nil); !errors.Is(err, ErrMemFault) {
 			t.Errorf("err = %v, want ErrMemFault", err)
 		}
 	})

@@ -186,7 +186,7 @@ func AnnotateCaches(tr *trace.Trace, hiers []cache.HierarchyConfig, workers int)
 	fronts, byFront := groupByFront(hiers)
 	out := make(map[cache.HierarchyConfig]*MemPlane)
 	var mu sync.Mutex
-	err := par.ForEach(workers, len(fronts), func(i int) error {
+	err := par.ForEachCtx(context.Background(), workers, len(fronts), func(i int) error {
 		part, _, err := annotateFront(context.Background(), tr, fronts[i], byFront[fronts[i]])
 		if err != nil {
 			return err
@@ -217,7 +217,7 @@ func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int)
 	}
 	out := make(map[uarch.PredictorKind]*trace.BitPlane, len(kinds))
 	var mu sync.Mutex
-	err := par.ForEach(workers, len(kinds), func(i int) error {
+	err := par.ForEachCtx(context.Background(), workers, len(kinds), func(i int) error {
 		p, _, err := branch.AnnotateMispredicts(context.Background(), tr, kinds[i].New())
 		if err != nil {
 			return err
@@ -678,7 +678,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		// same workers; each file's bytes do not depend on the order.
 		// They all finish before the call returns. Save errors are
 		// ignored: the disk tier can only skip work.
-		_ = par.ForEach(workers, len(saves), func(i int) error {
+		_ = par.ForEachCtx(context.Background(), workers, len(saves), func(i int) error {
 			saves[i]()
 			return nil
 		})

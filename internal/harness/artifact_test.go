@@ -57,7 +57,7 @@ func table2Subset(t *testing.T) []uarch.Config {
 func getBuilt(t *testing.T, p *Pool, name string) (*Profiled, error) {
 	t.Helper()
 	spec := mustSpec(t, name)
-	return p.GetBuilt(name, spec.Build, func(prog *program.Program) (*Profiled, error) {
+	return p.GetBuiltCtx(context.Background(), name, spec.Build, func(_ context.Context, prog *program.Program) (*Profiled, error) {
 		return ProfileProgram(prog)
 	})
 }
@@ -78,7 +78,7 @@ func TestPoolDiskTierWriteThroughAndWarm(t *testing.T) {
 	}
 
 	warm := NewPool(PoolOptions{Store: store})
-	pwWarm, err := warm.GetBuilt("sha", mustSpec(t, "sha").Build, func(prog *program.Program) (*Profiled, error) {
+	pwWarm, err := warm.GetBuiltCtx(context.Background(), "sha", mustSpec(t, "sha").Build, func(_ context.Context, prog *program.Program) (*Profiled, error) {
 		t.Error("warm pool ran the profile func despite a valid artifact")
 		return ProfileProgram(prog)
 	})
@@ -94,11 +94,11 @@ func TestPoolDiskTierWriteThroughAndWarm(t *testing.T) {
 	}
 
 	for _, cfg := range table2Subset(t) {
-		mc, err := pwCold.Predict(cfg)
+		mc, err := pwCold.PredictCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mw, err := pwWarm.Predict(cfg)
+		mw, err := pwWarm.PredictCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestPoolDiskTierFallsBackOnCorruptArtifact(t *testing.T) {
 
 	// The rewrite healed the store: a third pool is warm again.
 	healed := NewPool(PoolOptions{Store: store})
-	if _, err := healed.GetBuilt("crc32", mustSpec(t, "crc32").Build, func(*program.Program) (*Profiled, error) {
+	if _, err := healed.GetBuiltCtx(context.Background(), "crc32", mustSpec(t, "crc32").Build, func(context.Context, *program.Program) (*Profiled, error) {
 		t.Error("healed store still triggered profiling")
 		return nil, errors.New("unreachable")
 	}); err != nil {
@@ -189,8 +189,8 @@ func TestPoolDiskTierKeyedByDynInsts(t *testing.T) {
 	minDyn := 4 * pw0.Trace.Len()
 	spec := mustSpec(t, "crc32")
 	p1 := NewPool(PoolOptions{Store: store, MinDynInsts: minDyn})
-	pw1, err := p1.GetBuilt("crc32", spec.Build, func(prog *program.Program) (*Profiled, error) {
-		return ProfileProgramScaled(prog, minDyn)
+	pw1, err := p1.GetBuiltCtx(context.Background(), "crc32", spec.Build, func(_ context.Context, prog *program.Program) (*Profiled, error) {
+		return ProfileProgramScaledCtx(context.Background(), prog, minDyn)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestPoolDiskTierKeyedByDynInsts(t *testing.T) {
 	}
 	// And a second scaled pool hits the scaled artifact.
 	p2 := NewPool(PoolOptions{Store: store, MinDynInsts: minDyn})
-	pw2, err := p2.GetBuilt("crc32", spec.Build, func(*program.Program) (*Profiled, error) {
+	pw2, err := p2.GetBuiltCtx(context.Background(), "crc32", spec.Build, func(context.Context, *program.Program) (*Profiled, error) {
 		t.Error("scaled artifact should have been served from disk")
 		return nil, errors.New("unreachable")
 	})
@@ -241,7 +241,7 @@ func TestPoolDiskTierKeyedByProgramCode(t *testing.T) {
 		t.Fatal("edited program fingerprint did not change")
 	}
 	p1 := NewPool(PoolOptions{Store: store})
-	if _, err := p1.GetBuilt("crc32", edited, func(prog *program.Program) (*Profiled, error) {
+	if _, err := p1.GetBuiltCtx(context.Background(), "crc32", edited, func(_ context.Context, prog *program.Program) (*Profiled, error) {
 		return ProfileProgram(prog)
 	}); err != nil {
 		t.Fatal(err)
@@ -350,11 +350,11 @@ func TestArtifactRoundTripRandprog(t *testing.T) {
 		loaded := &Profiled{Name: prog.Name, Trace: tr, Prof: prof}
 		loaded.AttachArtifacts(store, key)
 
-		mf, err := fresh.Predict(cfg)
+		mf, err := fresh.PredictCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ml, err := loaded.Predict(cfg)
+		ml, err := loaded.PredictCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

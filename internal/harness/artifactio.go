@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+
 	"repro/internal/artifact"
 	"repro/internal/program"
 )
@@ -20,7 +22,7 @@ func (pw *Profiled) AttachArtifacts(s ArtifactTier, key string) {
 // under ("" when no store is attached).
 func (pw *Profiled) ArtifactKey() string { return pw.storeKey }
 
-// ProfileProgramCached is ProfileProgramScaled behind the artifact
+// ProfileProgramCached is ProfileProgramScaledCtx behind the artifact
 // store: a valid stored artifact rehydrates the workload without
 // executing it (bit-identical — the codecs round-trip the trace and
 // profile exactly), a miss profiles fresh and writes through. The
@@ -40,7 +42,7 @@ func ProfileProgramCached(store ArtifactTier, name string, minDyn int64, build f
 		}
 		// Missing or unusable artifact: profile fresh either way.
 	}
-	pw, err := ProfileProgramScaled(prog, minDyn)
+	pw, err := ProfileProgramScaledCtx(context.Background(), prog, minDyn)
 	if err != nil {
 		return nil, false, err
 	}

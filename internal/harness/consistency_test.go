@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/uarch"
@@ -22,7 +23,7 @@ func TestCollectorsMatchSimulatorCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			pw := MustProfileProgram(spec.Build())
-			ms, bs, err := MachineStats(pw.Trace, cfg)
+			ms, bs, err := MachineStatsCtx(context.Background(), pw.Trace, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +68,7 @@ func TestProfileOnceSufficesAcrossWidths(t *testing.T) {
 	first := make(map[int]float64)
 	for round := 0; round < 2; round++ {
 		for w := 1; w <= 4; w++ {
-			st, err := pw.Predict(cfg.WithWidth(w))
+			st, err := pw.PredictCtx(context.Background(), cfg.WithWidth(w))
 			if err != nil {
 				t.Fatal(err)
 			}

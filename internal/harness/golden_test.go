@@ -19,7 +19,7 @@ import (
 // goldenFile pins the recorded trace encoding, the profile and the
 // program fingerprint of every named workload and a set of seeded
 // generated programs. It was generated by the record path that
-// streamed one DynInst per instruction through a Consumer, before that
+// streamed one DynInst per instruction to a per-record consumer, before that
 // path was replaced, so it is an oracle independent of the current
 // recorder and profiler. A change of the trace format re-pins only
 // trace_sha256: the record digest, the profile, the fingerprint and
@@ -56,7 +56,9 @@ func goldenCorpus() []goldenCase {
 	for _, s := range workloads.All() {
 		out = append(out, goldenCase{s.Name, s.Build, ProfileProgram})
 	}
-	scaled := func(p *program.Program) (*Profiled, error) { return ProfileProgramScaled(p, goldenFloor) }
+	scaled := func(p *program.Program) (*Profiled, error) {
+		return ProfileProgramScaledCtx(context.Background(), p, goldenFloor)
+	}
 	for seed := int64(100); seed <= 105; seed++ {
 		c := randprog.Default(seed)
 		out = append(out, goldenCase{fmt.Sprintf("rand-%d", seed), func() *program.Program { return randprog.Generate(c) }, scaled})
@@ -109,7 +111,8 @@ func recordsDigest(tr *trace.Trace) string {
 		}
 		return 0
 	}
-	tr.Replay(trace.ConsumerFunc(func(d *trace.DynInst) {
+	// A background context never ends, so the replay cannot fail.
+	_ = tr.ReplayCtx(context.Background(), func(d *trace.DynInst) {
 		buf = buf[:0]
 		for _, v := range []uint64{
 			uint64(d.Seq), uint64(d.PC), uint64(d.Op), uint64(d.Class),
@@ -120,7 +123,7 @@ func recordsDigest(tr *trace.Trace) string {
 			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 		h.Write(buf)
-	}))
+	})
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -48,24 +48,19 @@ type Profiled struct {
 // single pass: the chunked trace builder appends without growth
 // copies, so no sizing pre-pass (and no second execution) is needed.
 func ProfileProgram(p *program.Program) (*Profiled, error) {
-	return ProfileProgramScaled(p, 0)
+	return ProfileProgramScaledCtx(context.Background(), p, 0)
 }
 
-// ProfileProgramScaled is ProfileProgram with a dynamic-instruction
+// ProfileProgramScaledCtx is ProfileProgram with a dynamic-instruction
 // floor: the program is re-executed (fresh machine state, same binary)
 // until at least minDyn instructions have been recorded, appending
 // every run to one trace and one profile as if it were a single long
 // execution. minDyn ≤ 0 means one run. This is the -dyninsts scaling
 // knob: the columnar store keeps 10×+ workloads affordable.
-func ProfileProgramScaled(p *program.Program, minDyn int64) (*Profiled, error) {
-	return ProfileProgramScaledCtx(context.Background(), p, minDyn)
-}
-
-// ProfileProgramScaledCtx is ProfileProgramScaled under a context.
 // Cancellation is observed between executions of the program (one run
 // is the atomic unit of profiling — a partially recorded run would not
 // satisfy the profile's invariants), so with minDyn ≤ one run's length
-// the func behaves like the uncancellable original.
+// ctx is checked only before the first run.
 func ProfileProgramScaledCtx(ctx context.Context, p *program.Program, minDyn int64) (*Profiled, error) {
 	return profileRuns(ctx, context.Background(), p, minDyn, 0)
 }
@@ -143,39 +138,32 @@ func MustProfileProgram(p *program.Program) *Profiled {
 	return pw
 }
 
-// MachineStats replays the trace through the cache hierarchy and
+// MachineStatsCtx replays the trace through the cache hierarchy and
 // branch predictor of cfg, producing the mixed program/machine inputs
-// of the model.
-func MachineStats(tr *trace.Trace, cfg uarch.Config) (cache.Stats, branch.Stats, error) {
-	return MachineStatsCtx(context.Background(), tr, cfg)
-}
-
-// MachineStatsCtx is MachineStats under a context; cancellation is
-// observed at trace chunk boundaries (see trace.ReplayCtx) and aborts
-// the traversal with ctx.Err(). It replays reconstructed DynInst
-// records through a cache.Hierarchy on purpose: it shares no code with
-// the chunk-walking L2SpaceSim behind InputsSet and the annotation
-// planes, so it is their independent per-configuration reference.
+// of the model. Cancellation is observed at trace chunk boundaries
+// (see trace.ReplayCtx) and aborts the traversal with ctx.Err(). It
+// replays reconstructed DynInst records through cache.Hierarchy.Consume
+// and branch.Collector.Consume on purpose: it shares no code with the
+// chunk-walking L2SpaceSim behind InputsSet and the annotation planes,
+// so it is their independent per-configuration reference.
 func MachineStatsCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config) (cache.Stats, branch.Stats, error) {
 	h, err := cache.NewHierarchy(cfg.Hier)
 	if err != nil {
 		return cache.Stats{}, branch.Stats{}, err
 	}
-	cc := cache.NewCollector(h)
 	bc := branch.NewCollector(cfg.Predictor.New())
 	replays.Add(1)
-	if err := tr.ReplayCtx(ctx, trace.Tee{cc, bc}); err != nil {
+	if err := tr.ReplayCtx(ctx, func(d *trace.DynInst) {
+		h.Consume(d)
+		bc.Consume(d)
+	}); err != nil {
 		return cache.Stats{}, branch.Stats{}, err
 	}
-	return cc.Stats(), bc.S, nil
+	return h.S, bc.S, nil
 }
 
-// Inputs assembles the full model inputs for one design point.
-func (pw *Profiled) Inputs(cfg uarch.Config) (core.Inputs, error) {
-	return pw.InputsCtx(context.Background(), cfg)
-}
-
-// InputsCtx is Inputs under a context (see MachineStatsCtx).
+// InputsCtx assembles the full model inputs for one design point
+// (cancellation as in MachineStatsCtx).
 func (pw *Profiled) InputsCtx(ctx context.Context, cfg uarch.Config) (core.Inputs, error) {
 	ms, bs, err := MachineStatsCtx(ctx, pw.Trace, cfg)
 	if err != nil {
@@ -184,29 +172,15 @@ func (pw *Profiled) InputsCtx(ctx context.Context, cfg uarch.Config) (core.Input
 	return core.Inputs{Prof: pw.Prof, Mem: ms, Branch: bs}, nil
 }
 
-// Predict profiles-to-prediction for one design point.
-func (pw *Profiled) Predict(cfg uarch.Config) (*core.Stack, error) {
-	return pw.PredictOpts(cfg, core.Options{})
-}
-
-// PredictCtx is Predict under a context: the statistics replay aborts
-// at a chunk boundary once ctx ends, returning ctx.Err().
+// PredictCtx goes from profile to prediction for one design point:
+// the statistics replay aborts at a chunk boundary once ctx ends,
+// returning ctx.Err().
 func (pw *Profiled) PredictCtx(ctx context.Context, cfg uarch.Config) (*core.Stack, error) {
 	in, err := pw.InputsCtx(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return core.PredictOpts(in, cfg, core.Options{})
-}
-
-// PredictOpts is Predict with explicit model options (for the
-// second-order-correction ablations).
-func (pw *Profiled) PredictOpts(cfg uarch.Config, opt core.Options) (*core.Stack, error) {
-	in, err := pw.Inputs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.PredictOpts(in, cfg, opt)
+	return core.Predict(in, cfg)
 }
 
 // Validation compares the model against the detailed simulator on one
@@ -228,17 +202,13 @@ func (v Validation) AbsErr() float64 {
 	return math.Abs(v.ModelCPI-v.SimCPI) / v.SimCPI
 }
 
-// Validate runs both the model and the detailed simulator.
+// Validate runs both the model and the detailed simulator. The
+// detailed reference is a one-point SimulateDetailedBatchCtx on one
+// worker: bit-identical to pipeline.Simulate, and the annotation is
+// cached on pw for every later design point sharing its hierarchy or
+// predictor.
 func (pw *Profiled) Validate(cfg uarch.Config) (Validation, error) {
-	return pw.ValidateOpts(cfg, core.Options{})
-}
-
-// ValidateOpts is Validate with explicit model options. The detailed
-// reference is a one-point SimulateDetailedBatchCtx on one worker:
-// bit-identical to pipeline.Simulate, and the annotation is cached on
-// pw for every later design point sharing its hierarchy or predictor.
-func (pw *Profiled) ValidateOpts(cfg uarch.Config, opt core.Options) (Validation, error) {
-	st, err := pw.PredictOpts(cfg, opt)
+	st, err := pw.PredictCtx(context.Background(), cfg)
 	if err != nil {
 		return Validation{}, err
 	}

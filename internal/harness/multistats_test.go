@@ -41,7 +41,7 @@ func TestMultiStatsMatchesPerConfigReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cfg := range combos {
-				wantC, wantB, err := MachineStats(pw.Trace, cfg)
+				wantC, wantB, err := MachineStatsCtx(context.Background(), pw.Trace, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

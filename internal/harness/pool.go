@@ -38,8 +38,8 @@ type PoolOptions struct {
 // PoolStats is a snapshot of a Pool's counters. The json tags shape
 // the service's /metrics output.
 type PoolStats struct {
-	Hits       int64 `json:"hits"`        // Get calls answered by a resident (or in-flight) entry
-	Misses     int64 `json:"misses"`      // Get calls that had to admit a new entry
+	Hits       int64 `json:"hits"`        // lookups answered by a resident (or in-flight) entry
+	Misses     int64 `json:"misses"`      // lookups that had to admit a new entry
 	Evictions  int64 `json:"evictions"`   // workloads evicted by the MaxWorkloads bound
 	Profiles   int64 `json:"profiles"`    // profiling runs actually executed (disk hits skip one)
 	DiskHits   int64 `json:"disk_hits"`   // admissions served by the artifact store
@@ -52,7 +52,7 @@ type PoolStats struct {
 
 // Pool is a bounded, concurrent cache of Profiled workloads — the
 // resource-management layer behind a long-running prediction service.
-// Admission is singleflight (concurrent Gets for the same name profile
+// Admission is singleflight (concurrent lookups for the same name profile
 // it once, everyone waits on that run), residency is LRU-bounded by
 // MaxWorkloads, and each resident workload's annotation store is given
 // an equal slice of MaxPlaneBytes so total plane/timing memory stays
@@ -128,27 +128,21 @@ type admitResult struct {
 	badDisk  bool // unusable artifact or failed write (profiling proceeded)
 }
 
-// Get returns the profiled workload named name, admitting it via
+// GetCtx returns the profiled workload named name, admitting it via
 // profile if absent. Concurrent calls for an absent name share one
 // profiling run. A failed admission is not cached; the next call
 // retries.
 //
-// Get never touches the disk tier: the artifact identity includes the
-// program's content fingerprint, which only the builder-aware GetBuilt
-// can compute. Production callers use GetBuilt; Get remains for
-// callers (and tests) that hand the pool an opaque profile func.
-func (p *Pool) Get(name string, profile func() (*Profiled, error)) (*Profiled, error) {
-	return p.GetCtx(context.Background(), name, func(context.Context) (*Profiled, error) {
-		return profile()
-	})
-}
-
-// GetCtx is Get under a request context. The profile func receives the
-// admission's work context — NOT ctx: the admission is shared by every
-// concurrent request for name and outlives any one of them. It is
-// cancelled only when the last interested request abandons the wait
-// (and on such a cancelled admission, requests that arrived late
-// simply re-admit). A caller whose ctx ends while waiting detaches
+// GetCtx never touches the disk tier: the artifact identity includes
+// the program's content fingerprint, which only the builder-aware
+// GetBuiltCtx can compute. It is for callers that hand the pool an
+// opaque profile func.
+//
+// The profile func receives the admission's work context — NOT ctx:
+// the admission is shared by every concurrent request for name and
+// outlives any one of them. It is cancelled only when the last
+// interested request abandons the wait (and on such a cancelled
+// admission, requests that arrived late simply re-admit). A caller whose ctx ends while waiting detaches
 // immediately with ctx.Err(); the shared run continues for the others.
 func (p *Pool) GetCtx(ctx context.Context, name string, profile func(ctx context.Context) (*Profiled, error)) (*Profiled, error) {
 	return p.admit(ctx, name, func(wctx context.Context) (r admitResult) {
@@ -157,22 +151,15 @@ func (p *Pool) GetCtx(ctx context.Context, name string, profile func(ctx context
 	})
 }
 
-// GetBuilt returns the profiled workload named name, admitting it
+// GetBuiltCtx returns the profiled workload named name, admitting it
 // through the write-through disk tier: build derives the program (and
 // with it the content-addressed artifact identity), a valid stored
 // artifact rehydrates the workload bit-identically without executing
 // it, and a miss runs profile on the built program and installs the
-// result. Singleflight and LRU behavior match Get; build and profile
-// run at most once per admission.
-func (p *Pool) GetBuilt(name string, build func() *program.Program, profile func(prog *program.Program) (*Profiled, error)) (*Profiled, error) {
-	return p.GetBuiltCtx(context.Background(), name, build, func(_ context.Context, prog *program.Program) (*Profiled, error) {
-		return profile(prog)
-	})
-}
-
-// GetBuiltCtx is GetBuilt under a request context; the profile func
-// receives the shared admission's work context (see GetCtx for the
-// cancellation contract).
+// result. Singleflight and LRU behavior match GetCtx; build and
+// profile run at most once per admission. The profile func receives
+// the shared admission's work context (see GetCtx for the cancellation
+// contract).
 func (p *Pool) GetBuiltCtx(ctx context.Context, name string, build func() *program.Program, profile func(ctx context.Context, prog *program.Program) (*Profiled, error)) (*Profiled, error) {
 	return p.admit(ctx, name, func(wctx context.Context) (r admitResult) {
 		prog := build()
@@ -306,7 +293,7 @@ func (p *Pool) runAdmission(wctx context.Context, name string, e *poolEntry, adm
 
 	// The admission runs arbitrary workload-build code; convert a
 	// panic into a failed admission so the entry is always resolved —
-	// an unclosed done channel would wedge every future Get for this
+	// an unclosed done channel would wedge every future lookup for this
 	// name (net/http recovers handler panics, so a long-running
 	// service would otherwise keep the dead entry forever).
 	r := func() (r admitResult) {
@@ -357,7 +344,7 @@ func (p *Pool) runAdmission(wctx context.Context, name string, e *poolEntry, adm
 // evictLocked enforces MaxWorkloads, evicting completed entries
 // least-recently-used-first. The just-admitted entry keep is never
 // evicted; in-flight admissions are skipped (they are bounded by the
-// number of concurrent Get callers and complete quickly). Callers hold
+// number of concurrent callers and complete quickly). Callers hold
 // p.mu.
 func (p *Pool) evictLocked(keep *poolEntry) {
 	if p.opt.MaxWorkloads <= 0 {
@@ -428,7 +415,7 @@ func (p *Pool) Resident(name string) bool {
 // Stats snapshots the pool's counters. The per-workload byte totals
 // are summed after releasing p.mu: AnnotBytes takes each workload's
 // annotation-store lock, and holding p.mu across those would serialize
-// every concurrent Get behind a metrics scrape.
+// every concurrent lookup behind a metrics scrape.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	s := PoolStats{

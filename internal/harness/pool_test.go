@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -10,17 +11,17 @@ import (
 	"repro/internal/workloads"
 )
 
-func buildFor(t *testing.T, name string) func() (*Profiled, error) {
+func buildFor(t *testing.T, name string) func(context.Context) (*Profiled, error) {
 	t.Helper()
 	spec, err := workloads.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func() (*Profiled, error) { return ProfileProgram(spec.Build()) }
+	return func(context.Context) (*Profiled, error) { return ProfileProgram(spec.Build()) }
 }
 
 // TestPoolSingleflight pins the admission contract: any number of
-// concurrent Gets for one absent benchmark run exactly one profiling
+// concurrent GetCtx calls for one absent benchmark run exactly one profiling
 // execution, and everyone receives the same Profiled.
 func TestPoolSingleflight(t *testing.T) {
 	p := NewPool(PoolOptions{MaxWorkloads: 4})
@@ -35,9 +36,9 @@ func TestPoolSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pw, err := p.Get("crc32", build)
+			pw, err := p.GetCtx(context.Background(), "crc32", build)
 			if err != nil {
-				t.Errorf("Get: %v", err)
+				t.Errorf("GetCtx: %v", err)
 				return
 			}
 			mu.Lock()
@@ -47,10 +48,10 @@ func TestPoolSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 	if len(got) != 1 {
-		t.Fatalf("concurrent Gets observed %d distinct Profiled values, want 1", len(got))
+		t.Fatalf("concurrent GetCtx calls observed %d distinct Profiled values, want 1", len(got))
 	}
 	if n := p.ProfileCount(); n != 1 {
-		t.Fatalf("ProfileCount = %d after %d concurrent Gets, want 1", n, callers)
+		t.Fatalf("ProfileCount = %d after %d concurrent GetCtx calls, want 1", n, callers)
 	}
 	st := p.Stats()
 	if st.Misses != 1 || st.Hits != callers-1 {
@@ -64,15 +65,15 @@ func TestPoolSingleflight(t *testing.T) {
 func TestPoolLRUEviction(t *testing.T) {
 	p := NewPool(PoolOptions{MaxWorkloads: 2})
 	for _, name := range []string{"crc32", "sha"} {
-		if _, err := p.Get(name, buildFor(t, name)); err != nil {
+		if _, err := p.GetCtx(context.Background(), name, buildFor(t, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch crc32 so sha is the LRU entry.
-	if _, err := p.Get("crc32", buildFor(t, "crc32")); err != nil {
+	if _, err := p.GetCtx(context.Background(), "crc32", buildFor(t, "crc32")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Get("dijkstra", buildFor(t, "dijkstra")); err != nil {
+	if _, err := p.GetCtx(context.Background(), "dijkstra", buildFor(t, "dijkstra")); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -87,7 +88,7 @@ func TestPoolLRUEviction(t *testing.T) {
 	}
 	// Re-requesting the evicted workload profiles again.
 	before := p.ProfileCount()
-	if _, err := p.Get("sha", buildFor(t, "sha")); err != nil {
+	if _, err := p.GetCtx(context.Background(), "sha", buildFor(t, "sha")); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.ProfileCount(); got != before+1 {
@@ -109,7 +110,7 @@ func TestPoolConcurrentColdAdmissionsReconverge(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			if _, err := p.Get(name, buildFor(t, name)); err != nil {
+			if _, err := p.GetCtx(context.Background(), name, buildFor(t, name)); err != nil {
 				t.Error(err)
 			}
 		}(name)
@@ -125,16 +126,16 @@ func TestPoolConcurrentColdAdmissionsReconverge(t *testing.T) {
 }
 
 // TestPoolFailedAdmissionRetries pins the error path: a failed
-// profiling run is not cached, and the next Get retries.
+// profiling run is not cached, and the next GetCtx retries.
 func TestPoolFailedAdmissionRetries(t *testing.T) {
 	p := NewPool(PoolOptions{})
 	boom := errors.New("boom")
-	if _, err := p.Get("x", func() (*Profiled, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("first Get error = %v, want boom", err)
+	if _, err := p.GetCtx(context.Background(), "x", func(context.Context) (*Profiled, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("first GetCtx error = %v, want boom", err)
 	}
-	pw, err := p.Get("x", buildFor(t, "crc32"))
+	pw, err := p.GetCtx(context.Background(), "x", buildFor(t, "crc32"))
 	if err != nil || pw == nil {
-		t.Fatalf("retry Get = %v, %v; want success", pw, err)
+		t.Fatalf("retry GetCtx = %v, %v; want success", pw, err)
 	}
 	if n := p.ProfileCount(); n != 2 {
 		t.Fatalf("ProfileCount = %d, want 2 (failure plus retry)", n)
@@ -143,17 +144,17 @@ func TestPoolFailedAdmissionRetries(t *testing.T) {
 
 // TestPoolPanickingProfileDoesNotWedge pins the panic path: a profile
 // func that panics must resolve the singleflight entry as a failed
-// admission (returned as an error), so the next Get retries instead of
+// admission (returned as an error), so the next GetCtx retries instead of
 // blocking forever on a never-closed done channel.
 func TestPoolPanickingProfileDoesNotWedge(t *testing.T) {
 	p := NewPool(PoolOptions{})
-	_, err := p.Get("x", func() (*Profiled, error) { panic("boom") })
+	_, err := p.GetCtx(context.Background(), "x", func(context.Context) (*Profiled, error) { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panicking profile returned %v, want a panicked error", err)
 	}
-	pw, err := p.Get("x", buildFor(t, "crc32"))
+	pw, err := p.GetCtx(context.Background(), "x", buildFor(t, "crc32"))
 	if err != nil || pw == nil {
-		t.Fatalf("Get after panic = %v, %v; want a successful retry", pw, err)
+		t.Fatalf("GetCtx after panic = %v, %v; want a successful retry", pw, err)
 	}
 }
 
@@ -167,7 +168,7 @@ func TestPoolPlaneBudgetSlices(t *testing.T) {
 	// requests below.
 	const budget = 128 << 10
 	p := NewPool(PoolOptions{MaxWorkloads: 2, MaxPlaneBytes: budget})
-	pw, err := p.Get("crc32", buildFor(t, "crc32"))
+	pw, err := p.GetCtx(context.Background(), "crc32", buildFor(t, "crc32"))
 	if err != nil {
 		t.Fatal(err)
 	}

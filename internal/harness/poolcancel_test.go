@@ -47,7 +47,7 @@ func TestPoolGetCtxCancelledLeaderHandsOff(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return buildFor(t, "crc32")()
+		return buildFor(t, "crc32")(ctx)
 	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -134,11 +134,9 @@ func TestPoolGetCtxLastWaiterCancelsWork(t *testing.T) {
 
 	// The cancelled admission must not be cached: a fresh request
 	// profiles again and succeeds.
-	pw, err := p.GetCtx(context.Background(), "x", func(context.Context) (*Profiled, error) {
-		return buildFor(t, "crc32")()
-	})
+	pw, err := p.GetCtx(context.Background(), "x", buildFor(t, "crc32"))
 	if err != nil || pw == nil {
-		t.Fatalf("Get after cancelled admission = %v, %v; want success", pw, err)
+		t.Fatalf("GetCtx after cancelled admission = %v, %v; want success", pw, err)
 	}
 	waitSettled(t, base+1, "cancelled admission") // +1: the fresh entry holds no goroutine; slack for test runner
 }
@@ -179,9 +177,7 @@ func TestPoolLateWaiterRetriesCancelledAdmission(t *testing.T) {
 	// the late request joins exactly that doomed entry.
 	late := make(chan error, 1)
 	go func() {
-		pw, err := p.GetCtx(context.Background(), "x", func(context.Context) (*Profiled, error) {
-			return buildFor(t, "crc32")()
-		})
+		pw, err := p.GetCtx(context.Background(), "x", buildFor(t, "crc32"))
 		if err == nil && pw == nil {
 			err = errors.New("nil workload without error")
 		}
@@ -210,7 +206,7 @@ func TestPoolLateWaiterRetriesCancelledAdmission(t *testing.T) {
 }
 
 // TestPoolEvictionRacesCancelledGetBuilt is the -race stress for the
-// satellite contract: a MaxWorkloads=1 pool under concurrent GetBuilt
+// satellite contract: a MaxWorkloads=1 pool under concurrent GetBuiltCtx
 // for several names, with requests cancelled mid-admission while
 // others wait, must neither corrupt the singleflight table nor leak
 // the detached admission goroutines — afterwards every name is still

@@ -25,9 +25,6 @@ type Entry struct {
 	Stored      bool // persisted to the registry dir (false = memory-only or a failed write)
 }
 
-// SourceBytes is what the entry charges against tenant byte quotas.
-func (e *Entry) SourceBytes() int64 { return int64(len(e.Source)) }
-
 // Registry is the named set of ingested workloads, persisted (when a
 // directory is configured) as one canonical .asm file per fingerprint
 // so a restarted server re-registers every accepted submission before

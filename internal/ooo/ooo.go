@@ -119,7 +119,8 @@ func NewCollector(cfg Config) (*Collector, error) {
 	return c, nil
 }
 
-// Consume implements trace.Consumer.
+// Consume observes one dynamic instruction: the per-record step passed
+// to trace.ReplayCtx.
 func (c *Collector) Consume(d *trace.DynInst) {
 	c.hier.AccessI(d.PC)
 	if d.IsBranch {

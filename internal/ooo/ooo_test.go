@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/harness"
@@ -160,7 +161,7 @@ func TestOoOFasterThanInOrderOnRealWorkloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		pw := harness.MustProfileProgram(spec.Build())
-		inStack, err := pw.Predict(inCfg)
+		inStack, err := pw.PredictCtx(context.Background(), inCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,9 @@ func TestOoOFasterThanInOrderOnRealWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pw.Trace.Replay(col)
+		if err := pw.Trace.ReplayCtx(context.Background(), col.Consume); err != nil {
+			t.Fatal(err)
+		}
 		ooStack, err := Predict(pw.Prof.N, col.Result(), ooCfg)
 		if err != nil {
 			t.Fatal(err)

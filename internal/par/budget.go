@@ -4,7 +4,7 @@ import "context"
 
 // Budget is a pot of worker tokens shared by concurrent requests. A
 // long-running fan-out (a validated design-space exploration) acquires
-// a bounded number of tokens and passes that count as its ForEach
+// a bounded number of tokens and passes that count as its ForEachCtx
 // worker argument, so it can never monopolize the process: concurrent
 // small requests still find tokens, and every requester is guaranteed
 // at least one token once the pot drains back.

@@ -1,7 +1,7 @@
 // Package par is the shared worker-pool helper behind every parallel
 // loop in the repository: the figure-level experiment loops, the
 // design-space validation and the CLI binaries all fan work out
-// through ForEach, and the -workers flags of cmd/experiments and
+// through ForEachCtx, and the -workers flags of cmd/experiments and
 // cmd/inorder-model plumb into SetDefault.
 package par
 
@@ -38,21 +38,18 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs f(i) for every i in [0, n) across Workers(workers)
+// ForEachCtx runs f(i) for every i in [0, n) across Workers(workers)
 // goroutines and returns the first error encountered. All iterations
 // run regardless of earlier failures (results are index-addressed by
 // callers, so partial slices never appear); f must be safe for
 // concurrent invocation on distinct indices.
-func ForEach(workers, n int, f func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, f)
-}
-
-// ForEachCtx is ForEach under a context: once ctx is done, no new
-// iteration starts (iterations already running finish) and the loop
-// returns ctx.Err() if it cut any iteration — so a cancelled caller
-// must treat its index-addressed results as partial. An earlier
-// iteration error still wins over the cancellation, matching ForEach's
-// first-error contract.
+//
+// Once ctx is done, no new iteration starts (iterations already
+// running finish) and the loop returns ctx.Err() if it cut any
+// iteration — so a cancelled caller must treat its index-addressed
+// results as partial. A ctx that ends after the last iteration has
+// started cuts nothing, so the loop then reports no cancellation. An
+// earlier iteration error still wins over the cancellation.
 func ForEachCtx(ctx context.Context, workers, n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -95,15 +92,16 @@ func ForEachCtx(ctx context.Context, workers, n int, f func(i int) error) error 
 		go func() {
 			defer wg.Done()
 			for {
+				// Claim first: only an unclaimed index can be cut.
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
 				select {
 				case <-done:
 					cut.Store(true)
 					return
 				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
 				}
 				if err := f(i); err != nil {
 					mu.Lock()

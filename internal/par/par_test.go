@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -11,7 +12,7 @@ import (
 func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		var hits [100]atomic.Int32
-		if err := ForEach(workers, len(hits), func(i int) error {
+		if err := ForEachCtx(context.Background(), workers, len(hits), func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -28,7 +29,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 func TestForEachReturnsAnErrorAndFinishes(t *testing.T) {
 	bad := errors.New("boom")
 	var ran atomic.Int32
-	err := ForEach(4, 50, func(i int) error {
+	err := ForEachCtx(context.Background(), 4, 50, func(i int) error {
 		ran.Add(1)
 		if i%10 == 3 {
 			return fmt.Errorf("%d: %w", i, bad)
@@ -44,7 +45,7 @@ func TestForEachReturnsAnErrorAndFinishes(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }

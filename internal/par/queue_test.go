@@ -138,7 +138,7 @@ func TestQueueClose(t *testing.T) {
 }
 
 // TestForEachCtxCancellation pins that cancellation stops claiming new
-// iterations and surfaces ctx.Err, while a clean run matches ForEach.
+// iterations and surfaces ctx.Err, while a clean run runs them all.
 func TestForEachCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran, maxSeen int
@@ -189,5 +189,39 @@ func TestForEachCtxFirstErrorWins(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("ForEachCtx returned %v, want the iteration error", err)
+	}
+}
+
+// TestForEachCtxLateCancelCutsNothing pins that a ctx ending inside the
+// last iteration, once every index has been claimed, is no
+// cancellation: nothing was cut, so every worker count returns nil.
+// With several workers all n iterations meet at a barrier and the last
+// to arrive cancels, so each worker loops back into a done ctx.
+func TestForEachCtxLateCancelCutsNothing(t *testing.T) {
+	const n = 4
+	for _, workers := range []int{1, n} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var (
+			mu      sync.Mutex
+			arrived int
+			all     = make(chan struct{})
+		)
+		err := ForEachCtx(ctx, workers, n, func(int) error {
+			mu.Lock()
+			arrived++
+			if arrived == n {
+				cancel()
+				close(all)
+			}
+			mu.Unlock()
+			if workers > 1 {
+				<-all
+			}
+			return nil
+		})
+		cancel()
+		if err != nil || arrived != n {
+			t.Errorf("workers=%d: ForEachCtx = %v after %d of %d iterations, want nil after all", workers, err, arrived, n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -130,7 +131,7 @@ func recordRuns(t *testing.T, p *program.Program, runs int) (*trace.Trace, []int
 		if r > 0 {
 			m.Reset()
 		}
-		if lens[r], err = m.Run(tb); err != nil {
+		if lens[r], err = m.RunCtx(context.Background(), tb); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package program_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -229,7 +230,7 @@ func TestConcurrentReadsOfFreshProgram(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, err := m.Run(nil); err != nil {
+			if _, err := m.RunCtx(context.Background(), nil); err != nil {
 				return err
 			}
 			if m.Mem[250] != 8 {

@@ -1,6 +1,7 @@
 package randprog
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compiler"
@@ -23,7 +24,7 @@ func fingerprint(p *program.Program) ([8]int64, error) {
 		return [8]int64{}, err
 	}
 	m.MaxInstructions = 3_000_000
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		return [8]int64{}, err
 	}
 	var out [8]int64
@@ -41,7 +42,7 @@ func TestGeneratedProgramsTerminate(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		m.MaxInstructions = 3_000_000
-		if _, err := m.Run(nil); err != nil {
+		if _, err := m.RunCtx(context.Background(), nil); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

@@ -427,7 +427,7 @@ func TestClientDisconnectStopsExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := pw.Predict(cfg)
+	st, err := pw.PredictCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

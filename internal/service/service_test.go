@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -80,7 +81,7 @@ func TestPredictMatchesHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw := profiledDirect(t, "crc32")
-	st, err := pw.Predict(cfg)
+	st, err := pw.PredictCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestPredictMatchesHarness(t *testing.T) {
 }
 
 // TestExploreMatchesDSE pins the exploration contract: a validated,
-// filtered /v1/explore returns exactly dse.ExploreValidated's numbers
+// filtered /v1/explore returns exactly dse.ExploreValidatedCtx's numbers
 // for the same filtered space, point for point.
 func TestExploreMatchesDSE(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 2})
@@ -130,7 +131,7 @@ func TestExploreMatchesDSE(t *testing.T) {
 		t.Fatalf("filtered space: service %d points, reference %d", got.Count, len(space))
 	}
 	pw := profiledDirect(t, "crc32")
-	want, err := dse.ExploreValidated(pw, space, power.NewModel(), 2)
+	want, err := dse.ExploreValidatedCtx(context.Background(), pw, space, power.NewModel(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

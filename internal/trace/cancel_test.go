@@ -8,7 +8,7 @@ import (
 )
 
 // TestReplayCtx pins the chunk-boundary cancellation contract: a live
-// context observes every instruction exactly like Replay, and a
+// context observes every instruction in order, and a
 // context cancelled mid-replay stops the traversal at the next chunk
 // boundary instead of finishing the trace.
 func TestReplayCtx(t *testing.T) {
@@ -31,7 +31,7 @@ func TestReplayCtx(t *testing.T) {
 	tr := b.Trace()
 
 	var got []DynInst
-	if err := tr.ReplayCtx(context.Background(), ConsumerFunc(func(d *DynInst) { got = append(got, *d) })); err != nil {
+	if err := tr.ReplayCtx(context.Background(), func(d *DynInst) { got = append(got, *d) }); err != nil {
 		t.Fatalf("ReplayCtx with live context: %v", err)
 	}
 	if !slices.Equal(got, want) {
@@ -40,12 +40,12 @@ func TestReplayCtx(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen int64
-	err := tr.ReplayCtx(ctx, ConsumerFunc(func(*DynInst) {
+	err := tr.ReplayCtx(ctx, func(*DynInst) {
 		seen++
 		if seen == ChunkLen/2 {
 			cancel()
 		}
-	}))
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ReplayCtx returned %v, want context.Canceled", err)
 	}

@@ -29,8 +29,9 @@ import (
 // A Trace is built once through a Builder and is immutable (and safe
 // for concurrent readers) afterwards. Three access paths exist:
 //
-//   - Replay streams reconstructed *DynInst records to a Consumer —
-//     the compatibility path every existing collector uses.
+//   - ReplayCtx calls a function with each reconstructed *DynInst
+//     record: the per-record walk of the reference statistics replay
+//     and the out-of-order collector.
 //   - Chunks and EachChunk expose the raw columns chunk by chunk with
 //     zero allocation for batch consumers; EachChunk is the
 //     cancellable walk.
@@ -199,22 +200,18 @@ func (t *Trace) At(i int64) DynInst {
 	return d
 }
 
-// Replay streams every instruction to sink as a reconstructed
-// *DynInst, reusing one record — the compatibility path for
-// per-instruction consumers. The record must not be retained across
-// calls (copy it to keep it).
-func (t *Trace) Replay(sink Consumer) { _ = t.ReplayCtx(context.Background(), sink) }
-
-// ReplayCtx is Replay under a context, with EachChunk's cancellation
-// contract: it returns ctx.Err() without visiting the chunks after the
-// one in progress. A completed replay is indistinguishable from
-// Replay's — the check never alters what sink observes.
-func (t *Trace) ReplayCtx(ctx context.Context, sink Consumer) error {
+// ReplayCtx calls sink with every instruction as a reconstructed
+// *DynInst, reusing one record: the per-record walk. The record must
+// not be retained across calls (copy it to keep it). It has
+// EachChunk's cancellation contract: it returns ctx.Err() without
+// visiting the chunks after the one in progress, and the check never
+// alters what sink observes.
+func (t *Trace) ReplayCtx(ctx context.Context, sink func(*DynInst)) error {
 	var d DynInst
 	return t.EachChunk(ctx, func(ck *Columns) {
 		for j, k := 0, 0; j < ck.N; j++ {
 			k = ck.Decode(j, k, &d)
-			sink.Consume(&d)
+			sink(&d)
 		}
 	})
 }

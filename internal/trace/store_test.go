@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -76,20 +77,26 @@ func TestTraceReplayMatchesAoSDownstream(t *testing.T) {
 			tr := record(t, build)
 			aos := tr.Materialize()
 
-			collect := func(feed func(trace.Consumer)) (cache.Stats, branch.Stats) {
+			collect := func(feed func(func(*trace.DynInst))) (cache.Stats, branch.Stats) {
 				h, err := cache.NewHierarchy(cfg.Hier)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cc := cache.NewCollector(h)
 				bc := branch.NewCollector(cfg.Predictor.New())
-				feed(trace.Tee{cc, bc})
-				return cc.Stats(), bc.S
+				feed(func(d *trace.DynInst) {
+					h.Consume(d)
+					bc.Consume(d)
+				})
+				return h.S, bc.S
 			}
-			gotC, gotB := collect(tr.Replay)
-			wantC, wantB := collect(func(c trace.Consumer) {
+			gotC, gotB := collect(func(sink func(*trace.DynInst)) {
+				if err := tr.ReplayCtx(context.Background(), sink); err != nil {
+					t.Fatal(err)
+				}
+			})
+			wantC, wantB := collect(func(sink func(*trace.DynInst)) {
 				for i := range aos {
-					c.Consume(&aos[i])
+					sink(&aos[i])
 				}
 			})
 			if gotC != wantC {
@@ -154,7 +161,9 @@ func TestEmptyTrace(t *testing.T) {
 	if nilTr.Len() != 0 || nilTr.NumChunks() != 0 || nilTr.SizeBytes() != 0 {
 		t.Error("nil trace not empty")
 	}
-	nilTr.Replay(trace.ConsumerFunc(func(*trace.DynInst) { t.Error("replayed from nil trace") }))
+	if err := nilTr.ReplayCtx(context.Background(), func(*trace.DynInst) { t.Error("replayed from nil trace") }); err != nil {
+		t.Errorf("nil trace replay: %v", err)
+	}
 	tr := trace.NewBuilder().Trace()
 	if tr.Len() != 0 || len(tr.Materialize()) != 0 {
 		t.Error("fresh builder trace not empty")

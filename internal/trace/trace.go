@@ -6,9 +6,9 @@
 // dictionary-encoded Trace store (see store.go) through a Builder, at
 // one store per instruction and a second for a load or store's
 // address; the trace is then replayed across every
-// machine configuration of interest. Consumers read its columns
-// directly, or receive reconstructed DynInst records through Replay
-// and a Consumer.
+// machine configuration of interest. Readers walk its columns
+// directly, or receive reconstructed DynInst records through a
+// ReplayCtx callback.
 package trace
 
 import "repro/internal/isa"
@@ -32,26 +32,4 @@ type DynInst struct {
 	IsStore  bool
 	IsBranch bool // conditional branch
 	IsJump   bool // unconditional control
-}
-
-// Consumer receives a stream of dynamic instructions.
-type Consumer interface {
-	// Consume observes one dynamic instruction.
-	Consume(*DynInst)
-}
-
-// ConsumerFunc adapts a function to the Consumer interface.
-type ConsumerFunc func(*DynInst)
-
-// Consume calls f(d).
-func (f ConsumerFunc) Consume(d *DynInst) { f(d) }
-
-// Tee fans one stream out to several consumers in order.
-type Tee []Consumer
-
-// Consume forwards d to every consumer.
-func (t Tee) Consume(d *DynInst) {
-	for _, c := range t {
-		c.Consume(d)
-	}
 }

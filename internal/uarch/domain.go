@@ -145,9 +145,6 @@ func (a *Axis) Values() []string {
 	return out
 }
 
-// Frag returns the point-name fragment of the i-th value.
-func (a *Axis) Frag(i int) string { return a.frags[i] }
-
 // label returns the error-message noun.
 func (a *Axis) label() string {
 	if a.Label != "" {

@@ -19,16 +19,6 @@ func Table2Widths() []int {
 	return append([]int(nil), a.ints...)
 }
 
-// Table2Stages returns the pipeline depths of the Table 2 space,
-// derived from the depth/frequency pairings.
-func Table2Stages() []int {
-	var out []int
-	for _, df := range DepthFreqPoints() {
-		out = append(out, df.Stages)
-	}
-	return out
-}
-
 // Table2L2SizesKB returns the L2 sizes (in KB) of the Table 2 space.
 func Table2L2SizesKB() []int {
 	a, _, _ := Table2Domain().AxisByName("l2kb")

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -59,7 +60,7 @@ func TestAllWorkloadsRunToCompletion(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.MaxInstructions = 5_000_000
-			n, err := m.Run(nil)
+			n, err := m.RunCtx(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +79,7 @@ func TestWorkloadsAreDeterministic(t *testing.T) {
 		}
 		run := func() (int64, [8]int64) {
 			m := funcsim.MustNew(s.Build())
-			n, err := m.Run(nil)
+			n, err := m.RunCtx(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +181,7 @@ func TestEmitRotl(t *testing.T) {
 	// rotl(0x80000001, 1, 32 bits) = 0x00000003.
 	p := programForRotl()
 	m := funcsim.MustNew(p)
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Regs[2]; got != 0x3 {
