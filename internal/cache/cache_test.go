@@ -161,7 +161,7 @@ func TestStackSimMatchesExactCaches(t *testing.T) {
 		block = 64
 	)
 	rng := rand.New(rand.NewSource(42))
-	ss := NewWBStackSim(sets, block)
+	ss := NewWBStackSim(sets, block, 8)
 	caches := map[int]*Cache{}
 	for _, ways := range []int{1, 2, 4, 8} {
 		caches[ways] = MustNew(cfg(sets*int64(ways)*block, ways, block))
@@ -186,7 +186,7 @@ func TestStackSimMatchesExactCaches(t *testing.T) {
 func TestStackSimMonotoneInAssociativity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ss := NewWBStackSim(4, 64)
+		ss := NewWBStackSim(4, 64, 16)
 		for i := 0; i < 500; i++ {
 			class := StreamClass(rng.Intn(int(NumStreamClasses)))
 			ss.Access(int64(rng.Intn(64))*64, class, class == StreamStore || class == StreamWriteback)

@@ -81,7 +81,9 @@ func NewL2SpaceSim(base HierarchyConfig, l2s []Config) (*L2SpaceSim, error) {
 	if s.dtlb, err = NewTLB(base.DTLBEntries, base.PageBytes); err != nil {
 		return nil, err
 	}
-	setCounts := map[int64]bool{}
+	// Each set count's stack is bounded by the deepest associativity
+	// asked of it.
+	setCounts := map[int64]int{}
 	for _, l2 := range l2s {
 		if err := l2.Validate(); err != nil {
 			return nil, err
@@ -90,7 +92,7 @@ func NewL2SpaceSim(base HierarchyConfig, l2s []Config) (*L2SpaceSim, error) {
 			return nil, fmt.Errorf("cache: L2SpaceSim: mixed L2 block sizes %d and %d",
 				s.l2Block, l2.BlockBytes)
 		}
-		setCounts[l2.Sets()] = true
+		setCounts[l2.Sets()] = max(setCounts[l2.Sets()], l2.Ways)
 	}
 	// Deterministic simulator order (stats are order-independent, but
 	// determinism keeps memory layout and profiles stable).
@@ -101,7 +103,7 @@ func NewL2SpaceSim(base HierarchyConfig, l2s []Config) (*L2SpaceSim, error) {
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
 	for _, sc := range ordered {
 		s.bySets[sc] = len(s.sims)
-		s.sims = append(s.sims, NewWBStackSim(sc, s.l2Block))
+		s.sims = append(s.sims, NewWBStackSim(sc, s.l2Block, setCounts[sc]))
 	}
 	s.warmOK = base.IL1.BlockBytes <= base.PageBytes && base.DL1.BlockBytes <= base.PageBytes
 	return s, nil
@@ -120,6 +122,29 @@ func (s *L2SpaceSim) l2Access(byteAddr int64, class StreamClass, write bool, dep
 	for k, sim := range s.sims {
 		depths[k] = int32(sim.Access(byteAddr, class, write))
 	}
+}
+
+// simFor returns the index of the set-count simulator that answers the
+// L2 geometry l2: an error if its block size, its set count or its
+// associativity (beyond the stack bound of its set count) is not
+// simulated.
+func (s *L2SpaceSim) simFor(l2 Config) (int, error) {
+	if err := l2.Validate(); err != nil {
+		return 0, err
+	}
+	if l2.BlockBytes != s.l2Block {
+		return 0, fmt.Errorf("cache: L2SpaceSim: block size %d not simulated (engine uses %d)",
+			l2.BlockBytes, s.l2Block)
+	}
+	k, ok := s.bySets[l2.Sets()]
+	if !ok {
+		return 0, fmt.Errorf("cache: L2SpaceSim: set count %d not simulated", l2.Sets())
+	}
+	if bound := s.sims[k].Ways(); l2.Ways > bound {
+		return 0, fmt.Errorf("cache: L2SpaceSim: %d ways exceed the %d-way stack bound of set count %d",
+			l2.Ways, bound, l2.Sets())
+	}
+	return k, nil
 }
 
 // planeGeom is one recorded L2 geometry: which shared simulator
@@ -154,16 +179,9 @@ func (s *L2SpaceSim) RecordPlanes(l2s []Config) error {
 	seen := make(map[key]bool)
 	var rec []planeGeom
 	for _, l2 := range l2s {
-		if err := l2.Validate(); err != nil {
+		k, err := s.simFor(l2)
+		if err != nil {
 			return err
-		}
-		if l2.BlockBytes != s.l2Block {
-			return fmt.Errorf("cache: L2SpaceSim: block size %d not simulated (engine uses %d)",
-				l2.BlockBytes, s.l2Block)
-		}
-		k, ok := s.bySets[l2.Sets()]
-		if !ok {
-			return fmt.Errorf("cache: L2SpaceSim: set count %d not simulated", l2.Sets())
 		}
 		id := key{sim: k, ways: int32(l2.Ways)}
 		if seen[id] {
@@ -180,12 +198,9 @@ func (s *L2SpaceSim) RecordPlanes(l2s []Config) error {
 
 // PlaneFor returns the recorded annotation plane of one L2 geometry.
 func (s *L2SpaceSim) PlaneFor(l2 Config) (*trace.BytePlane, error) {
-	if err := l2.Validate(); err != nil {
+	k, err := s.simFor(l2)
+	if err != nil {
 		return nil, err
-	}
-	k, ok := s.bySets[l2.Sets()]
-	if !ok {
-		return nil, fmt.Errorf("cache: L2SpaceSim: set count %d not simulated", l2.Sets())
 	}
 	for _, g := range s.rec {
 		if g.sim == k && g.ways == int32(l2.Ways) {
@@ -316,16 +331,9 @@ func (s *L2SpaceSim) IStallEvents() int64 { return s.iStalls }
 // StatsFor reconstructs the full Stats a Hierarchy with the fixed
 // front and the given L2 would have collected over the same stream.
 func (s *L2SpaceSim) StatsFor(l2 Config) (Stats, error) {
-	if err := l2.Validate(); err != nil {
+	i, err := s.simFor(l2)
+	if err != nil {
 		return Stats{}, err
-	}
-	if l2.BlockBytes != s.l2Block {
-		return Stats{}, fmt.Errorf("cache: L2SpaceSim: block size %d not simulated (engine uses %d)",
-			l2.BlockBytes, s.l2Block)
-	}
-	i, ok := s.bySets[l2.Sets()]
-	if !ok {
-		return Stats{}, fmt.Errorf("cache: L2SpaceSim: set count %d not simulated", l2.Sets())
 	}
 	sim := s.sims[i]
 	out := s.fixed

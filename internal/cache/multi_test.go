@@ -184,7 +184,7 @@ func TestWBStackSimMatchesExactCaches(t *testing.T) {
 		misses [NumStreamClasses]int64
 	}
 	rng := rand.New(rand.NewSource(99))
-	ss := NewWBStackSim(sets, block)
+	ss := NewWBStackSim(sets, block, 16)
 	shadows := map[int]*shadow{}
 	for _, ways := range []int{1, 2, 4, 8, 16} {
 		shadows[ways] = &shadow{c: MustNew(Config{

@@ -1,5 +1,7 @@
 package cache
 
+import "fmt"
+
 // StreamClass labels one reference of a cache's input stream so a
 // single stack simulation can attribute its per-associativity miss
 // counts to the sources the model distinguishes (instruction fetches,
@@ -18,25 +20,31 @@ const (
 // cleanAll marks a stack entry that is clean in every cache.
 const cleanAll = int32(1<<31 - 1)
 
-// wbEntry is one block in a WBStackSim LRU stack. cleanLimit encodes
-// the per-associativity dirty state compactly: the block is dirty in
-// the A-way cache iff A > cleanLimit. A write sets cleanLimit to 0
-// (write-allocate marks every cache's copy dirty); a read hit at stack
-// depth d raises it to at least d (caches with ≤ d ways missed and
-// refilled the block clean); cleanAll means dirty nowhere.
-type wbEntry struct {
-	tag        int64
-	cleanLimit int32
-}
-
 // WBStackSim is an all-associativity stack-distance simulator in the
 // style of Mattson et al. (1970) and Hill & Smith (1989) — under LRU a
 // reference hits in an A-way cache iff its depth in the per-set LRU
 // stack is < A (stack inclusion) — with per-class depth histograms and
 // exact per-associativity writeback counts. One pass over a cache's
-// input stream yields, for every associativity at this set count, the
-// same per-class miss counts and dirty-eviction counts a real LRU
-// write-back cache of that geometry would observe.
+// input stream yields, for every associativity up to the simulator's
+// bound at this set count, the same per-class miss counts and
+// dirty-eviction counts a real LRU write-back cache of that geometry
+// would observe.
+//
+// Only depths below the bound K — the largest associativity any query
+// will ask — can change an answer, so each set's stack keeps at most K
+// blocks, in one flat sets×K array: a block pushed past depth K-1
+// leaves, and a later reference to it is cold. That is a miss at every
+// A ≤ K, exactly as its true depth ≥ K is. A dropped block comes back
+// clean at every A ≤ K (a read refills it clean, a write dirties it
+// everywhere), just as the deep hit of an unbounded stack would leave
+// it.
+//
+// Each stack entry carries a cleanLimit that encodes its
+// per-associativity dirty state compactly: the block is dirty in the
+// A-way cache iff A > cleanLimit. A write sets cleanLimit to 0
+// (write-allocate marks every cache's copy dirty); a read hit at stack
+// depth d raises it to at least d (caches with ≤ d ways missed and
+// refilled the block clean); cleanAll means dirty nowhere.
 //
 // Writeback counting exploits that a block's stack depth grows by at
 // most one per access: an entry pushed from depth A-1 to depth A is,
@@ -45,96 +53,143 @@ type wbEntry struct {
 type WBStackSim struct {
 	sets     int64
 	blkShift uint
+	k        int // stack bound: the largest associativity answered
 
-	stacks [][]wbEntry
-	hist   [NumStreamClasses][]int64 // hist[class][depth]
-	cold   [NumStreamClasses]int64
-	acc    [NumStreamClasses]int64
-	wb     []int64 // wb[A]: dirty evictions in the A-way cache; index 0 unused
+	// The stack of set s is tags[s*k:s*k+fill[s]], most recent first,
+	// with each entry's cleanLimit at the same index of clean.
+	tags  []int64
+	clean []int32
+	fill  []int32
+
+	hist [NumStreamClasses][]int64 // hist[class][depth], depth < k
+	cold [NumStreamClasses]int64   // references not among their set's k entries
+	acc  [NumStreamClasses]int64
+	wb   []int64 // wb[A]: dirty evictions in the A-way cache, 1 ≤ A ≤ k
 }
 
 // NewWBStackSim builds a class-attributed, writeback-counting stack
-// simulator for the given set count and block size (powers of two).
-func NewWBStackSim(sets int64, blockBytes int64) *WBStackSim {
-	return &WBStackSim{
+// simulator for the given set count and block size (powers of two)
+// that answers every associativity up to maxWays (positive).
+func NewWBStackSim(sets int64, blockBytes int64, maxWays int) *WBStackSim {
+	if maxWays <= 0 {
+		panic(fmt.Sprintf("cache: stack bound %d not positive", maxWays))
+	}
+	n := sets * int64(maxWays)
+	s := &WBStackSim{
 		sets:     sets,
 		blkShift: log2(blockBytes),
-		stacks:   make([][]wbEntry, sets),
+		k:        maxWays,
+		tags:     make([]int64, n),
+		clean:    make([]int32, n),
+		fill:     make([]int32, sets),
+		wb:       make([]int64, maxWays+1),
 	}
+	for c := range s.hist {
+		s.hist[c] = make([]int64, maxWays)
+	}
+	return s
 }
 
 // Sets returns the simulated set count.
 func (s *WBStackSim) Sets() int64 { return s.sets }
 
-// ColdDepth is the stack depth Access reports for a never-seen block:
-// deeper than any finite associativity, so `depth < ways` uniformly
-// decides hit/miss.
+// Ways returns the stack bound: the largest associativity the
+// simulator answers.
+func (s *WBStackSim) Ways() int { return s.k }
+
+// ColdDepth is the stack depth Access reports for a block not among
+// its set's stack entries: deeper than any finite associativity, so
+// `depth < ways` uniformly decides hit/miss.
 const ColdDepth = int(1) << 30
 
 // Access records one reference of the given class; write marks the
 // block dirty exactly as a write-allocate write-back cache would. It
 // returns the reference's LRU stack depth (0-based; ColdDepth for a
 // cold reference): by stack inclusion the reference hits an A-way
-// cache of this set count iff depth < A, which is how annotation
-// passes recover the per-access outcome for every candidate geometry
-// from the one shared simulation.
+// cache of this set count (A up to the bound) iff depth < A, which is
+// how annotation passes recover the per-access outcome for every
+// candidate geometry from the one shared simulation.
 func (s *WBStackSim) Access(byteAddr int64, class StreamClass, write bool) int {
-	s.acc[class]++
 	tag := byteAddr >> s.blkShift
 	set := tag & (s.sets - 1)
-	st := s.stacks[set]
-	for i := range st {
-		if st[i].tag != tag {
-			continue
+	d := s.find(set, tag)
+	s.touch(set, d, tag, class, write)
+	return d
+}
+
+// find returns the depth of tag in set's stack, or ColdDepth.
+func (s *WBStackSim) find(set, tag int64) int {
+	base := set * int64(s.k)
+	for i, t := range s.tags[base : base+int64(s.fill[set])] {
+		if t == tag {
+			return i
 		}
-		// Reference at depth i: a hit for every associativity > i.
-		if i >= len(s.hist[class]) {
-			grown := make([]int64, i+1)
-			copy(grown, s.hist[class])
-			s.hist[class] = grown
-		}
-		s.hist[class][i]++
-		e := st[i]
-		s.sink(st[:i])
-		if write {
-			e.cleanLimit = 0
-		} else if int32(i) > e.cleanLimit {
-			// Caches with ≤ i ways missed and refilled clean.
-			e.cleanLimit = int32(i)
-		}
-		st[0] = e
-		return i
 	}
-	// Cold reference: a miss at every associativity.
-	s.cold[class]++
-	st = append(st, wbEntry{})
-	s.stacks[set] = st
-	s.sink(st[:len(st)-1])
-	e := wbEntry{tag: tag, cleanLimit: cleanAll}
-	if write {
-		e.cleanLimit = 0
-	}
-	st[0] = e
 	return ColdDepth
 }
 
-// sink pushes every entry of st one position deeper, charging the
-// writeback each crossing implies. st aliases the head of the per-set
-// stack, whose backing array has room for one more entry.
-func (s *WBStackSim) sink(st []wbEntry) {
-	full := st[:len(st)+1]
-	for p := len(st) - 1; p >= 0; p-- {
-		e := st[p]
-		if int32(p+1) > e.cleanLimit {
-			// The (p+1)-way cache evicts this block now, dirty.
-			if p+1 >= len(s.wb) {
-				grown := make([]int64, p+2)
-				copy(grown, s.wb)
-				s.wb = grown
+// touch completes a reference that find placed at depth d: it moves
+// the block to the top of set's stack, pushing every entry above d one
+// position deeper and charging the writeback each crossing implies.
+func (s *WBStackSim) touch(set int64, d int, tag int64, class StreamClass, write bool) {
+	s.acc[class]++
+	base := int(set) * s.k
+	cl := cleanAll
+	if d == ColdDepth {
+		// A miss at every associativity.
+		s.cold[class]++
+		d = int(s.fill[set])
+		if d == s.k {
+			// The bottom entry crosses from depth k-1 to k: the k-way
+			// cache evicts it now, and no tracked cache holds it after.
+			if int32(s.k) > s.clean[base+d-1] {
+				s.wb[s.k]++
 			}
+			d--
+		} else {
+			s.fill[set]++
+		}
+	} else {
+		// A hit for every associativity > d; caches with ≤ d ways
+		// missed and refilled the block clean.
+		s.hist[class][d]++
+		if cl = s.clean[base+d]; int32(d) > cl {
+			cl = int32(d)
+		}
+	}
+	if write {
+		cl = 0
+	}
+	tags, clean := s.tags[base:base+d+1], s.clean[base:base+d+1]
+	for p := d - 1; p >= 0; p-- {
+		c := clean[p]
+		if int32(p+1) > c {
+			// The (p+1)-way cache evicts this block now, dirty.
 			s.wb[p+1]++
 		}
-		full[p+1] = e
+		tags[p+1], clean[p+1] = tags[p], c
+	}
+	tags[0], clean[0] = tag, cl
+}
+
+// victim returns the block an A-way cache of this set count evicts
+// when set's next reference misses it (A ≤ the bound): the entry at
+// depth A-1, as a byte address, and whether it is dirty at A ways. ok
+// is false while the set holds fewer than A blocks.
+func (s *WBStackSim) victim(set int64, ways int) (byteAddr int64, dirty, ok bool) {
+	if int(s.fill[set]) < ways {
+		return 0, false, false
+	}
+	i := int(set)*s.k + ways - 1
+	return s.tags[i] << s.blkShift, int32(ways) > s.clean[i], true
+}
+
+// checkWays panics on an associativity beyond the bound: the stacks
+// no longer hold what it would need, and a wrong count must not pass
+// silently.
+func (s *WBStackSim) checkWays(assoc int) {
+	if assoc > s.k {
+		panic(fmt.Sprintf("cache: %d ways asked of a stack bounded at %d", assoc, s.k))
 	}
 }
 
@@ -142,12 +197,13 @@ func (s *WBStackSim) sink(st []wbEntry) {
 func (s *WBStackSim) ClassAccesses(class StreamClass) int64 { return s.acc[class] }
 
 // ClassMisses returns the misses references of one class would incur
-// in an LRU cache with this set count and the given associativity.
+// in an LRU cache with this set count and the given associativity (at
+// most the bound).
 func (s *WBStackSim) ClassMisses(class StreamClass, assoc int) int64 {
+	s.checkWays(assoc)
 	misses := s.cold[class]
-	h := s.hist[class]
-	for d := assoc; d < len(h); d++ {
-		misses += h[d]
+	for _, n := range s.hist[class][assoc:] {
+		misses += n
 	}
 	return misses
 }
@@ -163,11 +219,9 @@ func (s *WBStackSim) MissesFor(assoc int) int64 {
 }
 
 // Writebacks returns the number of dirty blocks an LRU write-back
-// cache with this set count and the given associativity would have
-// evicted over the stream.
+// cache with this set count and the given associativity (at most the
+// bound) would have evicted over the stream.
 func (s *WBStackSim) Writebacks(assoc int) int64 {
-	if assoc < len(s.wb) {
-		return s.wb[assoc]
-	}
-	return 0
+	s.checkWays(assoc)
+	return s.wb[assoc]
 }
