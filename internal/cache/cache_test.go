@@ -287,7 +287,7 @@ func TestMultiCollectorMatchesIndividual(t *testing.T) {
 	front := HierarchyConfig{IL1: cfg(128, 1, 64), DL1: cfg(128, 1, 64),
 		ITLBEntries: 2, DTLBEntries: 2, PageBytes: 4096}
 	l2s := []Config{cfg(1024, 2, 64), cfg(2048, 2, 64), cfg(2048, 4, 64)}
-	eng, err := NewL2SpaceSim(front, l2s)
+	eng, err := NewL2SpaceSim(withL2s(front, l2s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestMultiCollectorMatchesIndividual(t *testing.T) {
 		}
 	}
 	for i, l2 := range l2s {
-		s, err := eng.StatsFor(l2)
+		s, err := eng.StatsFor(withL2(front, l2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestNewRejectsInvalid(t *testing.T) {
 	if _, err := NewHierarchy(HierarchyConfig{}); err == nil {
 		t.Error("zero hierarchy accepted")
 	}
-	if _, err := NewL2SpaceSim(HierarchyConfig{}, []Config{{}}); err == nil {
+	if _, err := NewL2SpaceSim([]HierarchyConfig{{}}); err == nil {
 		t.Error("single-pass engine with bad config accepted")
 	}
 }

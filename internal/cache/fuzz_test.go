@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -53,12 +54,34 @@ func fuzzStream(seed int64, length uint16, pattern []byte) *trace.Trace {
 	return trace.Of(ds...)
 }
 
+// fuzzFronts returns the L1/TLB fronts one fuzzed engine walks
+// together: the test front; a direct-mapped and a larger 2-way L1 whose
+// equal set counts share one stack at two ways; a 4-way I-side beside a
+// D-side that shares the test front's data stack, with TLBs and pages
+// of its own; and 32 B L1 blocks, which move the same-block fast path
+// to 32 B for every front.
+func fuzzFronts() []HierarchyConfig {
+	l1 := func(name string, size int64, ways int, block int64) Config {
+		return Config{Name: name, SizeBytes: size, Ways: ways, BlockBytes: block}
+	}
+	base := testFront()
+	dm, wide, mixed, small := base, base, base, base
+	dm.IL1, dm.DL1 = l1("il1", 2048, 1, 64), l1("dl1", 2048, 1, 64)
+	wide.IL1, wide.DL1 = l1("il1", 4096, 2, 64), l1("dl1", 4096, 2, 64)
+	mixed.IL1, mixed.DL1 = l1("il1", 2048, 4, 64), l1("dl1", 1024, 1, 64)
+	mixed.ITLBEntries, mixed.DTLBEntries, mixed.PageBytes = 8, 2, 2048
+	small.IL1, small.DL1 = l1("il1", 2048, 2, 32), l1("dl1", 2048, 2, 32)
+	return []HierarchyConfig{base, dm, wide, mixed, small}
+}
+
 // FuzzL2SpaceSim is the per-instruction oracle of the column engine:
-// over arbitrary instruction streams, every plane byte of every
-// geometry (the Table 2 L2s plus an 8 KiB direct-mapped and a 16 KiB
-// 8-way one) must equal the class a dedicated Hierarchy derives from
-// its access results in trace order, and StatsFor must equal that
-// Hierarchy's statistics.
+// over arbitrary instruction streams, one engine walks several L1
+// fronts (fuzzFronts) with L2 geometries behind each (the Table 2 L2s
+// plus an 8 KiB direct-mapped and a 16 KiB 8-way one), and every
+// plane byte of every hierarchy must equal the class a dedicated
+// Hierarchy derives from its access results in trace order, StatsFor
+// must equal that Hierarchy's statistics and IStallEvents its stalled
+// fetches.
 func FuzzL2SpaceSim(f *testing.F) {
 	f.Add(int64(1), uint16(0), []byte{0x00, 0x01, 0x12, 0x25, 0x39})
 	f.Add(int64(2), uint16(9000), []byte{0x31, 0x32, 0x08})
@@ -68,7 +91,14 @@ func FuzzL2SpaceSim(f *testing.F) {
 		Config{Name: "l2", SizeBytes: 8 * 1024, Ways: 1, BlockBytes: 64},
 		Config{Name: "l2", SizeBytes: 16 * 1024, Ways: 8, BlockBytes: 64},
 	)
+	// The other fronts take a smaller L2 set (both small L2s and both
+	// 128 KiB ones) to keep the oracle's replays affordable.
+	fronts := fuzzFronts()
+	hiers := withL2s(fronts[0], l2s)
+	for _, front := range fronts[1:] {
+		hiers = append(hiers, withL2s(front, slices.Concat(l2s[len(l2s)-2:], l2s[:2]))...)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, length uint16, pattern []byte) {
-		checkL2SpaceSim(t, testFront(), l2s, fuzzStream(seed, length, pattern))
+		checkL2SpaceSim(t, hiers, fuzzStream(seed, length, pattern))
 	})
 }

@@ -39,6 +39,14 @@ func (h HierarchyConfig) Validate() error {
 	return nil
 }
 
+// Front reduces h to its front: everything but the L2 geometry, of
+// which only the block size stays. Hierarchies with one front differ
+// only in their L2, so they see one L2 input stream (see L2SpaceSim).
+func (h HierarchyConfig) Front() HierarchyConfig {
+	h.L2 = Config{BlockBytes: h.L2.BlockBytes}
+	return h
+}
+
 // Result reports the outcome of one hierarchy access.
 type Result struct {
 	L1Hit    bool

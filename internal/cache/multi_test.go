@@ -3,7 +3,9 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -17,6 +19,21 @@ func table2L2s() []Config {
 		for _, ways := range []int{8, 16} {
 			out = append(out, Config{Name: "l2", SizeBytes: sizeKB * 1024, Ways: ways, BlockBytes: 64})
 		}
+	}
+	return out
+}
+
+// withL2 returns front completed with the L2 l2.
+func withL2(front HierarchyConfig, l2 Config) HierarchyConfig {
+	front.L2 = l2
+	return front
+}
+
+// withL2s returns one hierarchy per L2 of l2s behind front.
+func withL2s(front HierarchyConfig, l2s []Config) []HierarchyConfig {
+	out := make([]HierarchyConfig, len(l2s))
+	for i, l2 := range l2s {
+		out[i] = withL2(front, l2)
 	}
 	return out
 }
@@ -72,18 +89,19 @@ func TestL2SpaceSimMatchesHierarchy(t *testing.T) {
 		Config{Name: "l2", SizeBytes: 8 * 1024, Ways: 1, BlockBytes: 64},
 	)
 	for _, seed := range []int64{1, 7, 42} {
-		checkL2SpaceSim(t, front, l2s, trace.Of(randTrace(rand.New(rand.NewSource(seed)), 60000)...))
+		checkL2SpaceSim(t, withL2s(front, l2s), trace.Of(randTrace(rand.New(rand.NewSource(seed)), 60000)...))
 	}
 }
 
-// recordedEngine runs a recording L2SpaceSim for l2s over tr's chunks.
-func recordedEngine(t *testing.T, front HierarchyConfig, l2s []Config, tr *trace.Trace) *L2SpaceSim {
+// recordedEngine runs a recording L2SpaceSim for hiers over tr's
+// chunks.
+func recordedEngine(t *testing.T, hiers []HierarchyConfig, tr *trace.Trace) *L2SpaceSim {
 	t.Helper()
-	eng, err := NewL2SpaceSim(front, l2s)
+	eng, err := NewL2SpaceSim(hiers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RecordPlanes(l2s); err != nil {
+	if err := eng.RecordPlanes(hiers); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.EachChunk(context.Background(), eng.ConsumeChunk); err != nil {
@@ -134,36 +152,35 @@ func hierarchyOracle(cfg HierarchyConfig, tr *trace.Trace) (classes []uint8, st 
 	return classes, h.S, iStalls
 }
 
-// checkL2SpaceSim checks one recording engine over tr against a
-// dedicated Hierarchy per geometry: every plane byte, StatsFor and
-// IStallEvents.
-func checkL2SpaceSim(t *testing.T, front HierarchyConfig, l2s []Config, tr *trace.Trace) {
+// checkL2SpaceSim checks one recording engine for hiers over tr
+// against a dedicated Hierarchy per hierarchy: every plane byte,
+// StatsFor and IStallEvents.
+func checkL2SpaceSim(t *testing.T, hiers []HierarchyConfig, tr *trace.Trace) {
 	t.Helper()
-	eng := recordedEngine(t, front, l2s, tr)
-	for _, l2 := range l2s {
-		hcfg := front
-		hcfg.L2 = l2
-		classes, want, iStalls := hierarchyOracle(hcfg, tr)
-		got, err := eng.StatsFor(l2)
+	eng := recordedEngine(t, hiers, tr)
+	for _, h := range hiers {
+		name := fmt.Sprintf("%s %s %s", h.IL1, h.DL1, h.L2)
+		classes, want, iStalls := hierarchyOracle(h, tr)
+		got, err := eng.StatsFor(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("%s: single-pass stats diverge\n got  %+v\n want %+v", l2, got, want)
+			t.Errorf("%s: single-pass stats diverge\n got  %+v\n want %+v", name, got, want)
 		}
-		if got := eng.IStallEvents(); got != iStalls {
-			t.Errorf("%s: %d I-side stalls, hierarchy has %d", l2, got, iStalls)
+		if got, err := eng.IStallEvents(h); err != nil || got != iStalls {
+			t.Errorf("%s: %d I-side stalls (%v), hierarchy has %d", name, got, err, iStalls)
 		}
-		plane, err := eng.PlaneFor(l2)
+		plane, err := eng.PlaneFor(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if plane.Len() != tr.Len() {
-			t.Fatalf("%s: plane covers %d instructions, trace has %d", l2, plane.Len(), tr.Len())
+			t.Fatalf("%s: plane covers %d instructions, trace has %d", name, plane.Len(), tr.Len())
 		}
 		for i, want := range classes {
 			if got := plane.At(int64(i)); got != want {
-				t.Fatalf("%s: instruction %d has class %#x, hierarchy derives %#x", l2, i, got, want)
+				t.Fatalf("%s: instruction %d has class %#x, hierarchy derives %#x", name, i, got, want)
 			}
 		}
 	}
@@ -223,25 +240,63 @@ func TestWBStackSimMatchesExactCaches(t *testing.T) {
 
 func TestL2SpaceSimRejectsBadInput(t *testing.T) {
 	front := testFront()
-	if _, err := NewL2SpaceSim(front, nil); err == nil {
-		t.Error("empty L2 set accepted")
+	if _, err := NewL2SpaceSim(nil); err == nil {
+		t.Error("empty hierarchy set accepted")
 	}
 	mixed := []Config{
 		{Name: "a", SizeBytes: 128 * 1024, Ways: 8, BlockBytes: 64},
 		{Name: "b", SizeBytes: 128 * 1024, Ways: 8, BlockBytes: 32},
 	}
-	if _, err := NewL2SpaceSim(front, mixed); err == nil {
-		t.Error("mixed block sizes accepted")
-	}
-	eng, err := NewL2SpaceSim(front, mixed[:1])
+	// Two L2 block sizes make two fronts, each with its own L2 stacks.
+	two, err := NewL2SpaceSim(withL2s(front, mixed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.StatsFor(Config{Name: "c", SizeBytes: 64 * 1024, Ways: 1, BlockBytes: 64}); err == nil {
+	for _, l2 := range mixed {
+		if _, err := two.StatsFor(withL2(front, l2)); err != nil {
+			t.Errorf("%s: %v", l2, err)
+		}
+	}
+	eng, err := NewL2SpaceSim(withL2s(front, mixed[:1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.StatsFor(withL2(front, Config{Name: "c", SizeBytes: 64 * 1024, Ways: 1, BlockBytes: 64})); err == nil {
 		t.Error("unregistered set count accepted")
 	}
-	if _, err := eng.StatsFor(mixed[1]); err == nil {
+	if _, err := eng.StatsFor(withL2(front, mixed[1])); err == nil {
 		t.Error("wrong block size accepted")
+	}
+	other := front
+	other.DL1.Ways = 1
+	if _, err := eng.StatsFor(withL2(other, mixed[0])); err == nil {
+		t.Error("unregistered front accepted")
+	}
+
+	// The stack of mixed[0]'s set count is bounded at its 8 ways: a
+	// 16-way L2 of the same set count would need blocks the stacks no
+	// longer hold, so every query for it is an error, not a guess.
+	deep := withL2(front, Config{Name: "d", SizeBytes: 256 * 1024, Ways: 16, BlockBytes: 64})
+	if deep.L2.Sets() != mixed[0].Sets() {
+		t.Fatalf("test geometry has %d sets, want %d", deep.L2.Sets(), mixed[0].Sets())
+	}
+	if _, err := eng.StatsFor(deep); err == nil {
+		t.Error("StatsFor answered an associativity beyond the stack bound")
+	}
+	if _, err := eng.IStallEvents(deep); err == nil {
+		t.Error("IStallEvents answered an associativity beyond the stack bound")
+	}
+	if err := eng.RecordPlanes([]HierarchyConfig{deep}); err == nil {
+		t.Error("RecordPlanes accepted an associativity beyond the stack bound")
+	}
+	if err := eng.RecordPlanes(withL2s(front, mixed[:1])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.PlaneFor(deep); err == nil {
+		t.Error("PlaneFor answered an associativity beyond the stack bound")
+	}
+	if _, err := eng.StatsFor(withL2(front, Config{Name: "e", SizeBytes: 64 * 1024, Ways: 4, BlockBytes: 64})); err != nil {
+		t.Errorf("associativity within the bound rejected: %v", err)
 	}
 }
 
@@ -370,38 +425,37 @@ func TestHierarchyFastPathExact(t *testing.T) {
 // be shorter than the trace) and a second call (which would record
 // every geometry twice).
 func TestRecordPlanesMisuse(t *testing.T) {
-	front := testFront()
-	l2s := table2L2s()
+	hiers := withL2s(testFront(), table2L2s())
 	tr := trace.Of(randTrace(rand.New(rand.NewSource(5)), 100)...)
 
-	late, err := NewL2SpaceSim(front, l2s)
+	late, err := NewL2SpaceSim(hiers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	late.ConsumeChunk(&tr.Chunks()[0])
-	if err := late.RecordPlanes(l2s); err == nil {
+	if err := late.RecordPlanes(hiers); err == nil {
 		t.Error("RecordPlanes after consumed input accepted")
 	}
-	if _, err := late.PlaneFor(l2s[0]); err == nil {
+	if _, err := late.PlaneFor(hiers[0]); err == nil {
 		t.Error("rejected RecordPlanes left a plane behind")
 	}
 
-	twice, err := NewL2SpaceSim(front, l2s)
+	twice, err := NewL2SpaceSim(hiers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twice.RecordPlanes(l2s[:2]); err != nil {
+	if err := twice.RecordPlanes(hiers[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := twice.RecordPlanes(l2s); err == nil {
+	if err := twice.RecordPlanes(hiers); err == nil {
 		t.Error("second RecordPlanes accepted")
 	}
 	// The first call's recording stands, unchanged by the rejected one.
 	twice.ConsumeChunk(&tr.Chunks()[0])
-	if p, err := twice.PlaneFor(l2s[0]); err != nil || p.Len() != tr.Len() {
+	if p, err := twice.PlaneFor(hiers[0]); err != nil || p.Len() != tr.Len() {
 		t.Errorf("first recording: plane %v, %v; want %d entries", p.Len(), err, tr.Len())
 	}
-	if _, err := twice.PlaneFor(l2s[2]); err == nil {
+	if _, err := twice.PlaneFor(hiers[2]); err == nil {
 		t.Error("second RecordPlanes added a geometry")
 	}
 }
@@ -410,15 +464,15 @@ func TestRecordPlanesMisuse(t *testing.T) {
 // walk cut after its k-th chunk leaves exactly the statistics and
 // planes of an engine handed those k chunks and nothing else.
 func TestL2SpaceSimCancelledWalk(t *testing.T) {
-	front, l2s := testFront(), table2L2s()
+	hiers := withL2s(testFront(), table2L2s())
 	ds := randTrace(rand.New(rand.NewSource(9)), 4*trace.ChunkLen+99)
 	tr := trace.Of(ds...)
 	for k := 1; k < tr.NumChunks(); k++ {
-		cut, err := NewL2SpaceSim(front, l2s)
+		cut, err := NewL2SpaceSim(hiers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cut.RecordPlanes(l2s); err != nil {
+		if err := cut.RecordPlanes(hiers); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -432,18 +486,75 @@ func TestL2SpaceSimCancelledWalk(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: walk returned %v", k, err)
 		}
-		want := recordedEngine(t, front, l2s, trace.Of(ds[:k*trace.ChunkLen]...))
-		if cut.IStallEvents() != want.IStallEvents() {
-			t.Errorf("k=%d: %d I-side stalls, want %d", k, cut.IStallEvents(), want.IStallEvents())
-		}
-		for _, l2 := range l2s {
-			gs, _ := cut.StatsFor(l2)
-			ws, _ := want.StatsFor(l2)
-			gp, _ := cut.PlaneFor(l2)
-			wp, _ := want.PlaneFor(l2)
-			if gs != ws || !gp.Equal(wp) {
-				t.Fatalf("k=%d, %s: cut engine differs from one fed %d chunks", k, l2, k)
+		want := recordedEngine(t, hiers, trace.Of(ds[:k*trace.ChunkLen]...))
+		for _, h := range hiers {
+			gi, _ := cut.IStallEvents(h)
+			wi, _ := want.IStallEvents(h)
+			gs, _ := cut.StatsFor(h)
+			ws, _ := want.StatsFor(h)
+			gp, _ := cut.PlaneFor(h)
+			wp, _ := want.PlaneFor(h)
+			if gi != wi || gs != ws || !gp.Equal(wp) {
+				t.Fatalf("k=%d, %s: cut engine differs from one fed %d chunks", k, h.L2, k)
 			}
 		}
 	}
+}
+
+// TestL2SpaceSimMemoryIsBounded feeds an engine with the Table 2 L2s a
+// stream of loads touching 2^20 distinct L2 blocks, each once, and
+// checks that the heap the engine retains stays under Σ sets × (8 ×
+// bound + 1) bytes over its L2 stacks (8 bytes per entry, one fill byte
+// per set) plus a fixed slack for the L1 stacks, TLBs and counters: the
+// stacks never hold more than the bound per set, whatever the
+// footprint.
+func TestL2SpaceSimMemoryIsBounded(t *testing.T) {
+	hiers := withL2s(testFront(), table2L2s())
+	bound := make(map[int64]int) // L2 set count -> largest ways
+	for _, h := range hiers {
+		bound[h.L2.Sets()] = max(bound[h.L2.Sets()], h.L2.Ways)
+	}
+	var limit int64
+	for sets, ways := range bound {
+		limit += sets * (8*int64(ways) + 1)
+	}
+	const slack = 256 << 10
+
+	// One chunk of loads at one PC above the data, rewritten with fresh
+	// block addresses before each pass.
+	ck := trace.Columns{
+		N:      trace.ChunkLen,
+		Static: []trace.Static{{PC: 1 << 28, Flags: trace.FlagLoad}},
+		ID:     make([]uint16, trace.ChunkLen),
+		Addr:   make([]uint32, trace.ChunkLen),
+	}
+	const blocks = 1 << 20
+	const wordsPerBlock = 64 / WordBytes
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng, err := NewL2SpaceSim(hiers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < blocks; b += trace.ChunkLen {
+		for j := range ck.Addr {
+			ck.Addr[j] = uint32((b + j) * wordsPerBlock)
+		}
+		eng.ConsumeChunk(&ck)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if retained > limit+slack {
+		t.Errorf("engine retains %d bytes after %d distinct blocks, bound %d + slack %d", retained, blocks, limit, slack)
+	}
+	st, err := eng.StatsFor(hiers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DL2Misses != blocks {
+		t.Errorf("%d L2 misses over %d distinct blocks", st.DL2Misses, blocks)
+	}
+	runtime.KeepAlive(eng)
 }

@@ -17,8 +17,14 @@ const (
 	NumStreamClasses
 )
 
-// cleanAll marks a stack entry that is clean in every cache.
-const cleanAll = int32(1<<31 - 1)
+// MaxStackWays is the largest stack bound a WBStackSim takes: each
+// entry keeps its cleanLimit in 8 bits, with cleanAll above every
+// depth.
+const MaxStackWays = 255
+
+// cleanAll is the cleanLimit of a stack entry that is clean in every
+// cache.
+const cleanAll = 0xff
 
 // WBStackSim is an all-associativity stack-distance simulator in the
 // style of Mattson et al. (1970) and Hill & Smith (1989) — under LRU a
@@ -39,9 +45,10 @@ const cleanAll = int32(1<<31 - 1)
 // everywhere), just as the deep hit of an unbounded stack would leave
 // it.
 //
-// Each stack entry carries a cleanLimit that encodes its
-// per-associativity dirty state compactly: the block is dirty in the
-// A-way cache iff A > cleanLimit. A write sets cleanLimit to 0
+// Each stack entry packs a block's tag (a byte address shifted by the
+// block size, below 2^56) above an 8-bit cleanLimit, which encodes the
+// entry's per-associativity dirty state compactly: the block is dirty
+// in the A-way cache iff A > cleanLimit. A write sets cleanLimit to 0
 // (write-allocate marks every cache's copy dirty); a read hit at stack
 // depth d raises it to at least d (caches with ≤ d ways missed and
 // refilled the block clean); cleanAll means dirty nowhere.
@@ -50,16 +57,22 @@ const cleanAll = int32(1<<31 - 1)
 // most one per access: an entry pushed from depth A-1 to depth A is,
 // at that instant, the block the A-way cache evicts (stack inclusion),
 // and the eviction writes back iff the block is dirty there.
+//
+// Memory is fixed at construction: 8 bytes per entry of the sets×K
+// array plus one fill count byte per set.
 type WBStackSim struct {
 	sets     int64
 	blkShift uint
 	k        int // stack bound: the largest associativity answered
 
-	// The stack of set s is tags[s*k:s*k+fill[s]], most recent first,
-	// with each entry's cleanLimit at the same index of clean.
-	tags  []int64
-	clean []int32
-	fill  []int32
+	// The stack of set s is stack[s*k:s*k+fill[s]], most recent first.
+	stack []uint64
+	fill  []uint8
+
+	// The entry the last access pushed off the bottom of a full stack,
+	// if it did (see victim).
+	dropped bool
+	drop    uint64
 
 	hist [NumStreamClasses][]int64 // hist[class][depth], depth < k
 	cold [NumStreamClasses]int64   // references not among their set's k entries
@@ -69,19 +82,17 @@ type WBStackSim struct {
 
 // NewWBStackSim builds a class-attributed, writeback-counting stack
 // simulator for the given set count and block size (powers of two)
-// that answers every associativity up to maxWays (positive).
+// that answers every associativity up to maxWays (1 to MaxStackWays).
 func NewWBStackSim(sets int64, blockBytes int64, maxWays int) *WBStackSim {
-	if maxWays <= 0 {
-		panic(fmt.Sprintf("cache: stack bound %d not positive", maxWays))
+	if maxWays <= 0 || maxWays > MaxStackWays {
+		panic(fmt.Sprintf("cache: stack bound %d outside 1..%d", maxWays, MaxStackWays))
 	}
-	n := sets * int64(maxWays)
 	s := &WBStackSim{
 		sets:     sets,
 		blkShift: log2(blockBytes),
 		k:        maxWays,
-		tags:     make([]int64, n),
-		clean:    make([]int32, n),
-		fill:     make([]int32, sets),
+		stack:    make([]uint64, sets*int64(maxWays)),
+		fill:     make([]uint8, sets),
 		wb:       make([]int64, maxWays+1),
 	}
 	for c := range s.hist {
@@ -110,78 +121,82 @@ const ColdDepth = int(1) << 30
 // how annotation passes recover the per-access outcome for every
 // candidate geometry from the one shared simulation.
 func (s *WBStackSim) Access(byteAddr int64, class StreamClass, write bool) int {
-	tag := byteAddr >> s.blkShift
-	set := tag & (s.sets - 1)
-	d := s.find(set, tag)
-	s.touch(set, d, tag, class, write)
-	return d
-}
-
-// find returns the depth of tag in set's stack, or ColdDepth.
-func (s *WBStackSim) find(set, tag int64) int {
-	base := set * int64(s.k)
-	for i, t := range s.tags[base : base+int64(s.fill[set])] {
-		if t == tag {
-			return i
+	s.acc[class]++
+	tag := uint64(byteAddr >> s.blkShift)
+	set := int(tag & uint64(s.sets-1))
+	st := s.stack[set*s.k : (set+1)*s.k]
+	// One walk down the stack pushes each entry above the block one
+	// position deeper, charging the writeback each crossing implies:
+	// moving is the entry moving into position p (position 0 is
+	// rewritten at the end).
+	n := int(s.fill[set])
+	s.dropped = false
+	if e := st[0]; n > 0 && e>>8 == tag {
+		// A re-reference of the top block moves nothing.
+		s.hist[class][0]++
+		if write {
+			st[0] = tag << 8
 		}
+		return 0
 	}
+	moving := tag<<8 | cleanAll
+	for p := 0; p < n; p++ {
+		e := st[p]
+		st[p] = moving
+		if e>>8 == tag {
+			// A hit for every associativity > p; caches with ≤ p ways
+			// missed and refilled the block clean.
+			s.hist[class][p]++
+			c := max(e&0xff, uint64(p))
+			if write {
+				c = 0
+			}
+			st[0] = tag<<8 | c
+			return p
+		}
+		if uint64(p+1) > e&0xff {
+			// The (p+1)-way cache evicts this block now, dirty. At
+			// p+1 == k the block leaves the stack below.
+			s.wb[p+1]++
+		}
+		moving = e
+	}
+	// A miss at every associativity. The entry pushed off the bottom
+	// of a full stack is cached in no tracked geometry any more.
+	s.cold[class]++
+	if n < s.k {
+		st[n] = moving
+		s.fill[set]++
+	} else {
+		s.dropped, s.drop = true, moving
+	}
+	c := uint64(cleanAll)
+	if write {
+		c = 0
+	}
+	st[0] = tag<<8 | c
 	return ColdDepth
 }
 
-// touch completes a reference that find placed at depth d: it moves
-// the block to the top of set's stack, pushing every entry above d one
-// position deeper and charging the writeback each crossing implies.
-func (s *WBStackSim) touch(set int64, d int, tag int64, class StreamClass, write bool) {
-	s.acc[class]++
-	base := int(set) * s.k
-	cl := cleanAll
-	if d == ColdDepth {
-		// A miss at every associativity.
-		s.cold[class]++
-		d = int(s.fill[set])
-		if d == s.k {
-			// The bottom entry crosses from depth k-1 to k: the k-way
-			// cache evicts it now, and no tracked cache holds it after.
-			if int32(s.k) > s.clean[base+d-1] {
-				s.wb[s.k]++
-			}
-			d--
-		} else {
-			s.fill[set]++
-		}
-	} else {
-		// A hit for every associativity > d; caches with ≤ d ways
-		// missed and refilled the block clean.
-		s.hist[class][d]++
-		if cl = s.clean[base+d]; int32(d) > cl {
-			cl = int32(d)
-		}
+// victim returns the block an A-way cache of this set count (A ≤ the
+// bound) evicted on the last access, which must have missed it (depth
+// ≥ A), as a byte address of that access's set, and whether it was
+// dirty at A ways. The evicted block is the one that crossed from depth
+// A-1 to A: it now sits at depth A, or, when A is the bound, it was
+// pushed off the bottom. It is never dirty when the set held fewer than
+// A blocks (the cache filled a free way).
+func (s *WBStackSim) victim(byteAddr int64, ways int) (victim int64, dirty bool) {
+	set := int((byteAddr >> s.blkShift) & (s.sets - 1))
+	var e uint64
+	switch {
+	case ways < int(s.fill[set]):
+		e = s.stack[set*s.k+ways]
+	case ways == s.k && s.dropped:
+		e = s.drop
+	default:
+		return 0, false
 	}
-	if write {
-		cl = 0
-	}
-	tags, clean := s.tags[base:base+d+1], s.clean[base:base+d+1]
-	for p := d - 1; p >= 0; p-- {
-		c := clean[p]
-		if int32(p+1) > c {
-			// The (p+1)-way cache evicts this block now, dirty.
-			s.wb[p+1]++
-		}
-		tags[p+1], clean[p+1] = tags[p], c
-	}
-	tags[0], clean[0] = tag, cl
-}
-
-// victim returns the block an A-way cache of this set count evicts
-// when set's next reference misses it (A ≤ the bound): the entry at
-// depth A-1, as a byte address, and whether it is dirty at A ways. ok
-// is false while the set holds fewer than A blocks.
-func (s *WBStackSim) victim(set int64, ways int) (byteAddr int64, dirty, ok bool) {
-	if int(s.fill[set]) < ways {
-		return 0, false, false
-	}
-	i := int(set)*s.k + ways - 1
-	return s.tags[i] << s.blkShift, int32(ways) > s.clean[i], true
+	return int64(e>>8) << s.blkShift, uint64(ways) > e&0xff
 }
 
 // checkWays panics on an associativity beyond the bound: the stacks

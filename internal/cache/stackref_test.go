@@ -61,7 +61,7 @@ func (s *refStackSim) access(byteAddr int64, class StreamClass, write bool) int 
 	st = append(st, refEntry{})
 	s.stacks[set] = st
 	s.sink(st[:len(st)-1])
-	e := refEntry{tag: tag, cleanLimit: cleanAll}
+	e := refEntry{tag: tag, cleanLimit: 1<<31 - 1}
 	if write {
 		e.cleanLimit = 0
 	}

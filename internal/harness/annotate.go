@@ -55,40 +55,26 @@ type MemPlane struct {
 }
 
 // groupByFront buckets distinct hierarchies by their L1/TLB front —
-// the unit one annotation traversal covers.
-func groupByFront(hiers []cache.HierarchyConfig) ([]hierFront, map[hierFront][]cache.HierarchyConfig) {
-	byFront := make(map[hierFront][]cache.HierarchyConfig)
+// the unit one annotation traversal covers — in first-appearance order.
+func groupByFront(hiers []cache.HierarchyConfig) [][]cache.HierarchyConfig {
+	index := make(map[cache.HierarchyConfig]int)
 	seen := make(map[cache.HierarchyConfig]bool)
-	var fronts []hierFront
+	var groups [][]cache.HierarchyConfig
 	for _, h := range hiers {
 		if seen[h] {
 			continue
 		}
 		seen[h] = true
-		f := frontOf(h)
-		if _, ok := byFront[f]; !ok {
-			fronts = append(fronts, f)
+		f := h.Front()
+		i, ok := index[f]
+		if !ok {
+			i = len(groups)
+			index[f] = i
+			groups = append(groups, nil)
 		}
-		byFront[f] = append(byFront[f], h)
+		groups[i] = append(groups[i], h)
 	}
-	return fronts, byFront
-}
-
-// newFrontSim builds the stack-distance engine that covers every L2
-// geometry of one front's hierarchies in a single traversal, returning
-// it with those geometries.
-func newFrontSim(f hierFront, group []cache.HierarchyConfig) (*cache.L2SpaceSim, []cache.Config, error) {
-	base := cache.HierarchyConfig{
-		IL1: f.il1, DL1: f.dl1,
-		ITLBEntries: f.itlbEntries, DTLBEntries: f.dtlbEntries,
-		PageBytes: f.pageBytes,
-	}
-	l2s := make([]cache.Config, len(group))
-	for k, h := range group {
-		l2s[k] = h.L2
-	}
-	eng, err := cache.NewL2SpaceSim(base, l2s)
-	return eng, l2s, err
+	return groups
 }
 
 // annotateFront runs one annotation traversal for every hierarchy
@@ -101,12 +87,12 @@ func newFrontSim(f hierFront, group []cache.HierarchyConfig) (*cache.L2SpaceSim,
 // statistics (before the I-stall fold below) — bit-identical to what
 // InputsSet.Add's plain engine reports, so a caller that needs both
 // planes and model inputs pays one traversal (see ExploreInputsCtx).
-func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (map[cache.HierarchyConfig]*MemPlane, map[cache.HierarchyConfig]cache.Stats, error) {
-	eng, l2s, err := newFrontSim(f, group)
+func annotateFront(ctx context.Context, tr *trace.Trace, group []cache.HierarchyConfig) (map[cache.HierarchyConfig]*MemPlane, map[cache.HierarchyConfig]cache.Stats, error) {
+	eng, err := cache.NewL2SpaceSim(group)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := eng.RecordPlanes(l2s); err != nil {
+	if err := eng.RecordPlanes(group); err != nil {
 		return nil, nil, err
 	}
 	if err := tr.EachChunk(ctx, eng.ConsumeChunk); err != nil {
@@ -121,7 +107,7 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 	raw := make(map[cache.HierarchyConfig]cache.Stats, len(group))
 	var canon []*trace.BytePlane
 	for _, h := range group {
-		plane, err := eng.PlaneFor(h.L2)
+		plane, err := eng.PlaneFor(h)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -130,7 +116,11 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 		} else {
 			canon = append(canon, plane)
 		}
-		stats, err := eng.StatsFor(h.L2)
+		stats, err := eng.StatsFor(h)
+		if err != nil {
+			return nil, nil, err
+		}
+		iStalls, err := eng.IStallEvents(h)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -139,7 +129,7 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 		// I-side stall when fetch resumes (a guaranteed hit that
 		// bumps only IL1Accesses); fold that in so MemPlane.Stats
 		// is bit-identical to Simulate's Result.Cache.
-		stats.IL1Accesses += eng.IStallEvents()
+		stats.IL1Accesses += iStalls
 		out[h] = &MemPlane{Classes: plane, Stats: stats}
 	}
 	cacheAnnotates.Add(int64(len(group)))
@@ -151,13 +141,13 @@ func annotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []ca
 // done channel unclosed and wedge every future request for the
 // component (net/http recovers handler panics, so a long-running
 // service would otherwise keep the dead claim forever).
-func safeAnnotateFront(ctx context.Context, tr *trace.Trace, f hierFront, group []cache.HierarchyConfig) (out map[cache.HierarchyConfig]*MemPlane, raw map[cache.HierarchyConfig]cache.Stats, err error) {
+func safeAnnotateFront(ctx context.Context, tr *trace.Trace, group []cache.HierarchyConfig) (out map[cache.HierarchyConfig]*MemPlane, raw map[cache.HierarchyConfig]cache.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, raw, err = nil, nil, fmt.Errorf("harness: cache annotation panicked: %v", r)
 		}
 	}()
-	return annotateFront(ctx, tr, f, group)
+	return annotateFront(ctx, tr, group)
 }
 
 // safeAnnotateBranch annotates one predictor with the same panic
@@ -183,11 +173,11 @@ func safeAnnotateBranch(ctx context.Context, tr *trace.Trace, pk uarch.Predictor
 // Fronts are annotated in parallel across workers (≤0 means the
 // process default).
 func AnnotateCaches(tr *trace.Trace, hiers []cache.HierarchyConfig, workers int) (map[cache.HierarchyConfig]*MemPlane, error) {
-	fronts, byFront := groupByFront(hiers)
+	groups := groupByFront(hiers)
 	out := make(map[cache.HierarchyConfig]*MemPlane)
 	var mu sync.Mutex
-	err := par.ForEachCtx(context.Background(), workers, len(fronts), func(i int) error {
-		part, _, err := annotateFront(context.Background(), tr, fronts[i], byFront[fronts[i]])
+	err := par.ForEachCtx(context.Background(), workers, len(groups), func(i int) error {
+		part, _, err := annotateFront(context.Background(), tr, groups[i])
 		if err != nil {
 			return err
 		}
@@ -610,8 +600,8 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 		}
 
-		fronts, byFront := groupByFront(computeH)
-		nf := len(fronts)
+		groups := groupByFront(computeH)
+		nf := len(groups)
 		frontRes := make([]map[cache.HierarchyConfig]*MemPlane, nf)
 		frontRaw := make([]map[cache.HierarchyConfig]cache.Stats, nf)
 		frontErr := make([]error, nf)
@@ -628,7 +618,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		// with the cancellation error below so their claims resolve.
 		cutErr := par.ForEachCtx(ctx, workers, nf+len(computeP), func(i int) error {
 			if i < nf {
-				frontRes[i], frontRaw[i], frontErr[i] = safeAnnotateFront(ctx, pw.Trace, fronts[i], byFront[fronts[i]])
+				frontRes[i], frontRaw[i], frontErr[i] = safeAnnotateFront(ctx, pw.Trace, groups[i])
 			} else {
 				brRes[i-nf], brSt[i-nf], brErr[i-nf] = safeAnnotateBranch(ctx, pw.Trace, computeP[i-nf])
 			}
@@ -638,11 +628,11 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		// canonicalization swaps pointers (contents are equal either
 		// way).
 		var saves []func()
-		for i, f := range fronts {
+		for i, group := range groups {
 			if frontErr[i] == nil && frontRes[i] == nil {
 				frontErr[i] = cutErr
 			}
-			for _, h := range byFront[f] {
+			for _, h := range group {
 				if frontErr[i] != nil {
 					memErrs[h] = frontErr[i]
 					continue

@@ -68,14 +68,14 @@ func TestAnnotateFrontCancelAfterChunk(t *testing.T) {
 	for _, cfg := range cfgs {
 		hiers = append(hiers, cfg.Hier)
 	}
-	fronts, byFront := groupByFront(hiers)
+	groups := groupByFront(hiers)
 	ref := pw.Fresh()
 	if err := ref.EnsureAnnotatedCtx(context.Background(), cfgs, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, pw.Trace.NumChunks() / 2, pw.Trace.NumChunks() - 1} {
 		ctx := cutAfterChunks(k)
-		out, raw, err := annotateFront(ctx, pw.Trace, fronts[0], byFront[fronts[0]])
+		out, raw, err := annotateFront(ctx, pw.Trace, groups[0])
 		if !errors.Is(err, context.Canceled) || out != nil || raw != nil {
 			t.Fatalf("k=%d: annotateFront returned %d planes, %d stats, err %v", k, len(out), len(raw), err)
 		}

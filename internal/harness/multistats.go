@@ -22,27 +22,6 @@ var replays atomic.Int64
 // traversals performed so far in this process.
 func ReplayCount() int64 { return replays.Load() }
 
-// hierFront identifies the L2-independent part of a hierarchy plus the
-// L2 block size — the unit one single-pass engine covers.
-type hierFront struct {
-	il1, dl1    cache.Config
-	itlbEntries int
-	dtlbEntries int
-	pageBytes   int64
-	l2Block     int64
-}
-
-func frontOf(h cache.HierarchyConfig) hierFront {
-	return hierFront{
-		il1:         h.IL1,
-		dl1:         h.DL1,
-		itlbEntries: h.ITLBEntries,
-		dtlbEntries: h.DTLBEntries,
-		pageBytes:   h.PageBytes,
-		l2Block:     h.L2.BlockBytes,
-	}
-}
-
 // InputsSet accumulates the mixed program/machine statistics of a set
 // of design points and resolves the model inputs of any of them. Each
 // Add collects only the components (distinct cache hierarchies,
@@ -113,8 +92,8 @@ func (pw *Profiled) ExploreInputsCtx(ctx context.Context, cfgs []uarch.Config, w
 // Add ensures every configuration in cfgs has its statistics in the
 // set, collecting the missing components in at most one trace
 // traversal: one walk over the trace's chunks (trace.EachChunk) hands
-// each chunk to every missing front's stack-distance engine and then
-// to every missing predictor, all reading the chunk's columns
+// each chunk to one stack-distance engine for every missing hierarchy
+// and then to every missing predictor, all reading the chunk's columns
 // directly. The walk is aborted at a chunk boundary once ctx ends, and
 // then adds nothing.
 func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
@@ -138,16 +117,14 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 		return nil
 	}
 
-	// One engine per distinct front and one collector per predictor,
+	// One engine for every hierarchy and one collector per predictor,
 	// each handed every chunk in turn while it is cache-resident.
-	fronts, byFront := groupByFront(hiers)
-	engines := make([]*cache.L2SpaceSim, len(fronts))
-	for i, f := range fronts {
-		eng, _, err := newFrontSim(f, byFront[f])
-		if err != nil {
+	var eng *cache.L2SpaceSim
+	if len(hiers) > 0 {
+		var err error
+		if eng, err = cache.NewL2SpaceSim(hiers); err != nil {
 			return err
 		}
-		engines[i] = eng
 	}
 	bcs := make([]*branch.Collector, len(kinds))
 	for i, pk := range kinds {
@@ -156,7 +133,7 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 
 	replays.Add(1)
 	err := s.pw.Trace.EachChunk(ctx, func(ck *trace.Columns) {
-		for _, eng := range engines {
+		if eng != nil {
 			eng.ConsumeChunk(ck)
 		}
 		for _, bc := range bcs {
@@ -167,14 +144,12 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 		return err
 	}
 	s.replays++
-	for i, f := range fronts {
-		for _, h := range byFront[f] {
-			cs, err := engines[i].StatsFor(h.L2)
-			if err != nil {
-				return err
-			}
-			s.mem[h] = cs
+	for _, h := range hiers {
+		cs, err := eng.StatsFor(h)
+		if err != nil {
+			return err
 		}
+		s.mem[h] = cs
 	}
 	for i, pk := range kinds {
 		s.br[pk] = bcs[i].S

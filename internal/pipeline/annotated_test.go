@@ -29,25 +29,30 @@ func annotationFor(tb testing.TB, tr *trace.Trace, cfg uarch.Config) pipeline.An
 // walking the trace's chunks with its plane recorded.
 func memAnnotation(tb testing.TB, tr *trace.Trace, cfg uarch.Config) pipeline.Annotation {
 	tb.Helper()
-	eng, err := cache.NewL2SpaceSim(cfg.Hier, []cache.Config{cfg.Hier.L2})
+	hiers := []cache.HierarchyConfig{cfg.Hier}
+	eng, err := cache.NewL2SpaceSim(hiers)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := eng.RecordPlanes([]cache.Config{cfg.Hier.L2}); err != nil {
+	if err := eng.RecordPlanes(hiers); err != nil {
 		tb.Fatal(err)
 	}
 	if err := tr.EachChunk(context.Background(), eng.ConsumeChunk); err != nil {
 		tb.Fatal(err)
 	}
-	plane, err := eng.PlaneFor(cfg.Hier.L2)
+	plane, err := eng.PlaneFor(cfg.Hier)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stats, err := eng.StatsFor(cfg.Hier.L2)
+	stats, err := eng.StatsFor(cfg.Hier)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stats.IL1Accesses += eng.IStallEvents()
+	iStalls, err := eng.IStallEvents(cfg.Hier)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stats.IL1Accesses += iStalls
 	return pipeline.Annotation{Mem: plane, MemStats: stats}
 }
 
