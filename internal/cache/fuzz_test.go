@@ -58,8 +58,10 @@ func fuzzStream(seed int64, length uint16, pattern []byte) *trace.Trace {
 // together: the test front; a direct-mapped and a larger 2-way L1 whose
 // equal set counts share one stack at two ways; a 4-way I-side beside a
 // D-side that shares the test front's data stack, with TLBs and pages
-// of its own; and 32 B L1 blocks, which move the same-block fast path
-// to 32 B for every front.
+// of its own; and a 32 B L1-I block, which moves the I-side same-block
+// fast path to 32 B for every front and, with blocks of two sizes,
+// turns off the I-side top-of-set check (l1Side.coarse). The first
+// four fronts share 64 B blocks on both sides.
 func fuzzFronts() []HierarchyConfig {
 	l1 := func(name string, size int64, ways int, block int64) Config {
 		return Config{Name: name, SizeBytes: size, Ways: ways, BlockBytes: block}
@@ -70,7 +72,7 @@ func fuzzFronts() []HierarchyConfig {
 	wide.IL1, wide.DL1 = l1("il1", 4096, 2, 64), l1("dl1", 4096, 2, 64)
 	mixed.IL1, mixed.DL1 = l1("il1", 2048, 4, 64), l1("dl1", 1024, 1, 64)
 	mixed.ITLBEntries, mixed.DTLBEntries, mixed.PageBytes = 8, 2, 2048
-	small.IL1, small.DL1 = l1("il1", 2048, 2, 32), l1("dl1", 2048, 2, 32)
+	small.IL1 = l1("il1", 2048, 2, 32)
 	return []HierarchyConfig{base, dm, wide, mixed, small}
 }
 

@@ -74,6 +74,13 @@ type l1Side struct {
 	depth  []int
 
 	minWays []int // per stack: the fewest ways of an L1 on it
+
+	// coarse is the stack with the fewest sets when every stack has the
+	// same block size, else -1. The set mapping of every other stack
+	// refines its mapping, so a block that is the most recent of its
+	// set there is the most recent of its set in every stack (Hill and
+	// Smith's set-refinement inclusion).
+	coarse int
 }
 
 // access presents one reference to every TLB and stack of the side,
@@ -84,6 +91,12 @@ func (sd *l1Side) access(byteAddr int64, class StreamClass, write bool) (miss bo
 		hit := tlb.Access(byteAddr)
 		sd.tlbHit[t] = hit
 		miss = miss || !hit
+	}
+	if !write && sd.coarse >= 0 && sd.stacks[sd.coarse].isTop(byteAddr) {
+		// A read of a block on top of its set in every stack hits
+		// every L1 and moves nothing.
+		clear(sd.depth)
+		return miss
 	}
 	for k, st := range sd.stacks {
 		d := st.Access(byteAddr, class, write)
@@ -191,6 +204,16 @@ func (b *sideBuilder) build() (l1Side, error) {
 		minPage = min(minPage, t.PageBytes)
 	}
 	sd.shift, sd.warmOK = log2(minBlock), minBlock <= minPage
+	sd.coarse = 0
+	for k, st := range b.stacks {
+		if st.block != b.stacks[0].block {
+			sd.coarse = -1
+			break
+		}
+		if st.sets < b.stacks[sd.coarse].sets {
+			sd.coarse = k
+		}
+	}
 	sd.tlbHit = make([]bool, len(sd.tlbs))
 	sd.depth = make([]int, len(sd.stacks))
 	return sd, nil

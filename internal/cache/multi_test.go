@@ -88,8 +88,17 @@ func TestL2SpaceSimMatchesHierarchy(t *testing.T) {
 		Config{Name: "l2", SizeBytes: 32 * 1024, Ways: 16, BlockBytes: 64},
 		Config{Name: "l2", SizeBytes: 8 * 1024, Ways: 1, BlockBytes: 64},
 	)
+	// Several fronts with one block size share stacks across set
+	// counts, where a read on top of its set in the stack with the
+	// fewest sets skips every stack.
+	var shared []HierarchyConfig
+	for _, f := range fuzzFronts()[:4] {
+		shared = append(shared, withL2s(f, l2s[len(l2s)-3:])...)
+	}
 	for _, seed := range []int64{1, 7, 42} {
-		checkL2SpaceSim(t, withL2s(front, l2s), trace.Of(randTrace(rand.New(rand.NewSource(seed)), 60000)...))
+		tr := trace.Of(randTrace(rand.New(rand.NewSource(seed)), 60000)...)
+		checkL2SpaceSim(t, withL2s(front, l2s), tr)
+		checkL2SpaceSim(t, shared, tr)
 	}
 }
 

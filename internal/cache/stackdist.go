@@ -178,6 +178,14 @@ func (s *WBStackSim) Access(byteAddr int64, class StreamClass, write bool) int {
 	return ColdDepth
 }
 
+// isTop reports whether the block holding byteAddr is the most recent
+// of its set: a read of it would change nothing but the counters.
+func (s *WBStackSim) isTop(byteAddr int64) bool {
+	tag := uint64(byteAddr >> s.blkShift)
+	set := int(tag & uint64(s.sets-1))
+	return s.fill[set] > 0 && s.stack[set*s.k]>>8 == tag
+}
+
 // victim returns the block an A-way cache of this set count (A ≤ the
 // bound) evicted on the last access, which must have missed it (depth
 // ≥ A), as a byte address of that access's set, and whether it was
