@@ -125,10 +125,6 @@ func (s *WBStackSim) Access(byteAddr int64, class StreamClass, write bool) int {
 	tag := uint64(byteAddr >> s.blkShift)
 	set := int(tag & uint64(s.sets-1))
 	st := s.stack[set*s.k : (set+1)*s.k]
-	// One walk down the stack pushes each entry above the block one
-	// position deeper, charging the writeback each crossing implies:
-	// moving is the entry moving into position p (position 0 is
-	// rewritten at the end).
 	n := int(s.fill[set])
 	s.dropped = false
 	if e := st[0]; n > 0 && e>>8 == tag {
@@ -139,6 +135,10 @@ func (s *WBStackSim) Access(byteAddr int64, class StreamClass, write bool) int {
 		}
 		return 0
 	}
+	// One walk down the stack pushes each entry above the block one
+	// position deeper, charging the writeback each crossing implies:
+	// moving is the entry moving into position p (position 0 is
+	// rewritten at the end).
 	moving := tag<<8 | cleanAll
 	for p := 0; p < n; p++ {
 		e := st[p]
@@ -188,8 +188,8 @@ func (s *WBStackSim) isTop(byteAddr int64) bool {
 
 // victim returns the block an A-way cache of this set count (A ≤ the
 // bound) evicted on the last access, which must have missed it (depth
-// ≥ A), as a byte address of that access's set, and whether it was
-// dirty at A ways. The evicted block is the one that crossed from depth
+// ≥ A) and was to byteAddr, as the evicted block's byte address, and
+// whether it was dirty at A ways. The evicted block is the one that crossed from depth
 // A-1 to A: it now sits at depth A, or, when A is the bound, it was
 // pushed off the bottom. It is never dirty when the set held fewer than
 // A blocks (the cache filled a free way).
