@@ -252,6 +252,10 @@ func TestL2SpaceSimRejectsBadInput(t *testing.T) {
 	if _, err := NewL2SpaceSim(nil); err == nil {
 		t.Error("empty hierarchy set accepted")
 	}
+	wide := withL2(front, Config{Name: "w", SizeBytes: 2 * (MaxStackWays + 1) * 64, Ways: MaxStackWays + 1, BlockBytes: 64})
+	if _, err := NewL2SpaceSim([]HierarchyConfig{wide}); err == nil {
+		t.Errorf("%d-way L2 accepted beyond the %d ways a stack entry can track", wide.L2.Ways, MaxStackWays)
+	}
 	mixed := []Config{
 		{Name: "a", SizeBytes: 128 * 1024, Ways: 8, BlockBytes: 64},
 		{Name: "b", SizeBytes: 128 * 1024, Ways: 8, BlockBytes: 32},
