@@ -50,7 +50,11 @@ func sourceStore(t *testing.T) (s *Store, id WorkloadID, hier cache.HierarchyCon
 		t.Fatal(err)
 	}
 	id = WorkloadID{Name: "sha"}
-	if _, err := s.SaveWorkload(id, tr, profile.Of("sha", tr)); err != nil {
+	prof := new(profile.Profiler)
+	for i := range tr.Chunks() {
+		prof.Add(&tr.Chunks()[i])
+	}
+	if _, err := s.SaveWorkload(id, tr, prof.Finish("sha", tr.Dictionary())); err != nil {
 		t.Fatal(err)
 	}
 	hier = uarch.Default().Hier

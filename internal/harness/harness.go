@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -83,17 +84,43 @@ func ProfileProgramSandboxedCtx(ctx context.Context, p *program.Program, minDyn,
 	return profileRuns(ctx, ctx, p, minDyn, maxDyn)
 }
 
+// addChunk is the profiler goroutine's step, replaced by tests.
+var addChunk = (*profile.Profiler).Add
+
 // profileRuns executes p into one trace, resetting the machine between
-// runs, until at least minDyn instructions are recorded, then profiles
-// the trace. ctx is checked before every run and runCtx polled inside
-// each (see funcsim.RunCtx); maxDyn > 0 caps the instructions of all
-// runs together.
+// runs, until at least minDyn instructions are recorded, and profiles
+// the trace beside the execution: a Profiler on a goroutine of its own
+// takes each chunk the builder seals, then the final open chunk, is
+// joined on every exit path and returns a panic of its own as the
+// error. Its queue of four chunks rides out a scheduling delay yet
+// holds the interpreter back if the profiler falls behind. ctx is
+// checked before every run and runCtx polled inside each (see
+// funcsim.RunCtx); maxDyn > 0 caps the instructions of all runs.
 func profileRuns(ctx, runCtx context.Context, p *program.Program, minDyn, maxDyn int64) (*Profiled, error) {
 	m, err := funcsim.New(p)
 	if err != nil {
 		return nil, fmt.Errorf("harness: profiling %q: %w", p.Name, err)
 	}
+	prof := new(profile.Profiler)
+	queue, done := make(chan trace.Columns, 4), make(chan error, 1)
+	go func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				for range queue {
+				}
+				done <- fmt.Errorf("harness: profiling %q panicked: %v", p.Name, rec)
+			}
+		}()
+		for ck := range queue {
+			addChunk(prof, &ck)
+		}
+		done <- nil
+	}()
+	join := sync.OnceValue(func() error { close(queue); return <-done })
+	defer join()
+
 	b := trace.NewBuilder()
+	b.OnSeal(func(ck trace.Columns) { queue <- ck })
 	for total := int64(0); total == 0 || total < minDyn; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -117,7 +144,11 @@ func profileRuns(ctx, runCtx context.Context, p *program.Program, minDyn, maxDyn
 		total += n
 	}
 	tr := b.Trace()
-	return &Profiled{Name: p.Name, Trace: tr, Prof: profile.Of(p.Name, tr)}, nil
+	queue <- tr.Chunks()[tr.NumChunks()-1]
+	if err := join(); err != nil {
+		return nil, err
+	}
+	return &Profiled{Name: p.Name, Trace: tr, Prof: prof.Finish(p.Name, tr.Dictionary())}, nil
 }
 
 // Fresh returns a Profiled sharing this one's trace and profile but

@@ -5,12 +5,13 @@
 //
 // These statistics are a property of the program binary alone: one
 // profiling pass suffices to drive the mechanistic model across the
-// whole microarchitecture design space.
+// whole microarchitecture design space. The pass (Profiler) reads a
+// trace chunk by chunk, so it can run beside the functional execution
+// that records the trace, on each chunk as soon as it is sealed.
 package profile
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -105,20 +106,36 @@ const (
 	noDst
 )
 
-// Of computes the profile of a recorded trace in one pass over its
-// dictionary-id column. Everything but the dependency distances is a
-// property of the dictionary tuple alone, so the counts are folded from
-// a histogram of ids. For the distances each tuple's sources,
-// destination and producer kind are precomputed; the pass keeps, per
-// register, the position of its last writer and that writer's kind.
-// Positions are trace positions, so a trace that concatenates several
-// runs of a program is profiled as one continuous execution.
-func Of(name string, tr *trace.Trace) *Profile {
-	type deps struct{ src1, src2, dst, kind uint8 }
-	dict := tr.Dictionary()
-	meta := make([]deps, len(dict))
-	for id, s := range dict {
-		e := deps{src1: noSrc, src2: noSrc, dst: noDst, kind: uint8(prodUnit)}
+// Profiler computes a trace's profile chunk by chunk, in trace order,
+// over each chunk's dictionary-id column, so that it can run beside
+// the execution that records the trace. Everything but the dependency
+// distances is a property of the dictionary tuple alone, so the counts
+// are folded from a histogram of ids. For the distances each tuple's
+// sources, destination and producer kind are derived as its id first
+// appears; the pass keeps, per register, the position of its last
+// writer and that writer's kind, across chunks. Positions are trace
+// positions, so a trace that concatenates several runs of a program is
+// profiled as one continuous execution. The zero Profiler has seen no
+// instruction.
+type Profiler struct {
+	meta []struct{ src1, src2, dst, kind uint8 }
+	hist []int64
+
+	// last[r] is (bias+position)<<2 | kind of register r's latest
+	// writer. The nearest producer of two sources is then the larger
+	// entry: equal positions are one writer, so its kind is
+	// unambiguous. The zero entry, "no writer", sits far enough below
+	// every biased position that its distance is never counted. 256
+	// entries let a uint8 index go unchecked.
+	last [256]int64
+	dist [4][MaxDepDist + 1]int64
+}
+
+// Add profiles the next chunk of the trace. ck.Static must extend the
+// dictionary prefix the earlier chunks were given.
+func (pf *Profiler) Add(ck *trace.Columns) {
+	for _, s := range ck.Static[len(pf.meta):] {
+		e := struct{ src1, src2, dst, kind uint8 }{noSrc, noSrc, noDst, uint8(prodUnit)}
 		switch s.Class {
 		case isa.ClassMul, isa.ClassDiv:
 			e.kind = uint8(prodLL)
@@ -134,42 +151,31 @@ func Of(name string, tr *trace.Trace) *Profile {
 		if s.Flags&trace.FlagHasDst != 0 {
 			e.dst = uint8(s.Dst)
 		}
-		meta[id] = e
+		pf.meta, pf.hist = append(pf.meta, e), append(pf.hist, 0)
 	}
-
-	// last[r] is position<<2 | kind of register r's latest writer. The
-	// nearest producer of two sources is then the larger entry: equal
-	// positions are one writer, so its kind is unambiguous. "No writer"
-	// sits far enough below every position that its distance is never
-	// counted. 256 entries let a uint8 index go unchecked.
-	const none = math.MinInt64
-	var last [256]int64
-	for r := range last {
-		last[r] = none
-	}
-	var dist [4][MaxDepDist + 1]int64
-	hist := make([]int64, len(dict))
-	chunks := tr.Chunks()
-	for c := range chunks {
-		ck := &chunks[c]
-		i := ck.Base
-		for _, id := range ck.ID[:ck.N] {
-			hist[id]++
-			e := meta[id]
-			w := max(last[e.src1], last[e.src2])
-			if d := i - w>>2; uint64(d-1) < MaxDepDist {
-				dist[w&3][d]++
-			}
-			last[e.dst] = i<<2 | int64(e.kind)
-			i++
+	const bias = 1 << 40
+	meta, hist, last, dist := pf.meta, pf.hist, &pf.last, &pf.dist
+	i := bias + ck.Base
+	for _, id := range ck.ID[:ck.N] {
+		hist[id]++
+		e := meta[id]
+		w := max(last[e.src1], last[e.src2])
+		if d := i - w>>2; uint64(d-1) < MaxDepDist {
+			dist[w&3][d]++
 		}
+		last[e.dst] = i<<2 | int64(e.kind)
+		i++
 	}
+}
 
+// Finish returns the profile of the chunks added so far; dict is the
+// trace's whole dictionary.
+func (pf *Profiler) Finish(name string, dict []trace.Static) *Profile {
 	p := &Profile{Name: name}
-	p.DepsUnit.Count = dist[prodUnit]
-	p.DepsLL.Count = dist[prodLL]
-	p.DepsLd.Count = dist[prodLoad]
-	for id, n := range hist {
+	p.DepsUnit.Count = pf.dist[prodUnit]
+	p.DepsLL.Count = pf.dist[prodLL]
+	p.DepsLd.Count = pf.dist[prodLoad]
+	for id, n := range pf.hist {
 		s := &dict[id]
 		p.N += n
 		p.ByClass[s.Class] += n

@@ -15,8 +15,20 @@ import (
 	"repro/internal/workloads"
 )
 
-// reference is the per-record profiler that Of replaced, kept as its
-// oracle: it walks the materialized records one by one, tracking each
+// Of profiles a finished trace in one pass: every chunk through one
+// Profiler, as if the chunks had been handed over while it was
+// recorded.
+func Of(name string, tr *trace.Trace) *Profile {
+	p := new(Profiler)
+	chunks := tr.Chunks()
+	for i := range chunks {
+		p.Add(&chunks[i])
+	}
+	return p.Finish(name, tr.Dictionary())
+}
+
+// reference is the per-record profiler that the column pass replaced,
+// kept as its oracle: it walks the materialized records one by one, tracking each
 // register's most recent writer by sequence number and attributing a
 // consumer to its nearest producer (on equal distances, loads over
 // long-latency ops over unit-latency ops).
@@ -100,6 +112,9 @@ func reference(name string, tr *trace.Trace) *Profile {
 	}
 	return p
 }
+
+// Reference is reference, for the external fuzz target.
+var Reference = reference
 
 // checkOf profiles tr with Of and fails t unless the reference agrees.
 func checkOf(t *testing.T, name string, tr *trace.Trace) *Profile {

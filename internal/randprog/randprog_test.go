@@ -8,7 +8,6 @@ import (
 	"repro/internal/funcsim"
 	"repro/internal/harness"
 	"repro/internal/pipeline"
-	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/uarch"
@@ -127,12 +126,15 @@ func TestModelTracksSimulatorOnRandomPrograms(t *testing.T) {
 func TestProfilerAccountsEveryInstruction(t *testing.T) {
 	for seed := int64(300); seed < 300+fuzzSeeds; seed++ {
 		p := Generate(Default(seed))
-		tb := trace.NewBuilder()
-		n, err := funcsim.RunProgram(p, tb)
+		n, err := funcsim.RunProgram(p, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		prof := profile.Of(p.Name, tb.Trace())
+		pw, err := harness.ProfileProgram(p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		prof := pw.Prof
 		if prof.N != n {
 			t.Errorf("seed %d: profile N=%d, executed %d", seed, prof.N, n)
 		}

@@ -300,6 +300,7 @@ type Builder struct {
 	cur    *[ChunkLen]uint16
 	fill   int
 	addr   []uint32
+	sealed func(Columns) // see OnSeal
 }
 
 // NewBuilder returns an empty Builder.
@@ -346,10 +347,21 @@ func (b *Builder) AppendID(id uint16) {
 // (a tuple with a FlagMem bit) that AppendID appended last.
 func (b *Builder) AppendAddr(word uint32) { b.addr = append(b.addr, word) }
 
+// OnSeal registers f to receive each chunk the builder closes from now
+// on, its Static set to the dictionary prefix its ids can reference. f
+// runs inside AppendID; the chunk and the prefix are never written
+// again, so f may hand them to another goroutine. The open chunk, full
+// or not, is never sealed: it becomes the last chunk of Trace().
+func (b *Builder) OnSeal(f func(Columns)) { b.sealed = f }
+
 // grow closes the open chunk, if any, and starts a new one.
 func (b *Builder) grow() {
 	if b.cur != nil {
-		b.chunks = append(b.chunks, Columns{Base: int64(len(b.chunks)) * ChunkLen, N: ChunkLen, ID: b.cur[:], Addr: exact(b.addr)})
+		ck := Columns{Base: int64(len(b.chunks)) * ChunkLen, N: ChunkLen, Static: slices.Clip(b.static), ID: b.cur[:], Addr: exact(b.addr)}
+		b.chunks = append(b.chunks, ck)
+		if b.sealed != nil {
+			b.sealed(ck)
+		}
 	}
 	b.cur, b.fill, b.addr = new([ChunkLen]uint16), 0, b.addr[:0]
 }

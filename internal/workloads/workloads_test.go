@@ -7,10 +7,10 @@ import (
 	"unsafe"
 
 	"repro/internal/funcsim"
+	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/program"
-	"repro/internal/trace"
 )
 
 func TestRegistry(t *testing.T) {
@@ -105,11 +105,11 @@ func TestWorkloadCharacters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb := trace.NewBuilder()
-		if _, err := funcsim.RunProgram(s.Build(), tb); err != nil {
+		pw, err := harness.ProfileProgram(s.Build())
+		if err != nil {
 			t.Fatal(err)
 		}
-		return profile.Of(name, tb.Trace())
+		return pw.Prof
 	}
 
 	sha := prof("sha")
