@@ -14,50 +14,60 @@ import (
 // same trace (same Predict/Update ordering on the identical branch
 // stream), so callers that need both pay one traversal. The plane is a
 // pure function of (trace, predictor kind), so one annotation serves
-// every design point sharing the predictor. It is one Collector's
-// ConsumeChunk per chunk, recording the plane. Cancellation is
+// every design point sharing the predictor. It is ConsumeChunk on one
+// Collector per chunk, recording the plane. Cancellation is
 // observed between trace chunks (trace.EachChunk), returning ctx.Err()
 // with a nil plane; a completed annotation is bit-identical to an
 // uncancelled one.
 func AnnotateMispredicts(ctx context.Context, tr *trace.Trace, p Predictor) (*trace.BitPlane, Stats, error) {
-	c := NewCollector(p)
+	cs, mis := []*Collector{NewCollector(p)}, make([][]uint64, 1)
 	b := trace.NewBitPlaneBuilder()
-	if err := tr.EachChunk(ctx, func(ck *trace.Columns) { c.ConsumeChunk(ck, b.AppendChunk(ck.N)) }); err != nil {
+	if err := tr.EachChunk(ctx, func(ck *trace.Columns) {
+		mis[0] = b.AppendChunk(ck.N)
+		ConsumeChunk(ck, cs, mis)
+	}); err != nil {
 		return nil, Stats{}, err
 	}
-	return b.Plane(), c.S, nil
+	return b.Plane(), cs[0].S, nil
 }
 
-// ConsumeChunk simulates the predictor over one trace chunk, reading
-// its id column directly: the per-chunk step of both Collector and
-// AnnotateMispredicts. When mis is non-nil (the chunk's words of a bit
-// plane, zeroed) it also sets bit j for every mispredicted branch j of
-// the chunk. The statistics are exactly Consume's over the same
-// instructions.
-func (c *Collector) ConsumeChunk(ck *trace.Columns, mis []uint64) {
+// ConsumeChunk simulates the predictor of every collector in cs over
+// one trace chunk, reading its id column directly: each conditional
+// branch's position, PC and direction are decoded, and the jumps
+// counted, once for all of them. When mis is non-nil, mis[i] is the
+// chunk's words of collector i's bit plane, zeroed, and bit j is set
+// in it for every branch j the collector mispredicts. The statistics
+// are exactly Consume's over the same instructions.
+func ConsumeChunk(ck *trace.Columns, cs []*Collector, mis [][]uint64) {
+	if len(cs) == 0 {
+		return
+	}
+	var jumps int64
 	for j, id := range ck.ID[:ck.N] {
 		st := &ck.Static[id]
 		fl := st.Flags
 		if fl&(trace.FlagBranch|trace.FlagJump) != trace.FlagBranch {
 			if fl&trace.FlagJump != 0 {
-				c.S.Jumps++
+				jumps++
 			}
 			continue
 		}
-		pc := int64(st.PC)
-		taken := fl&trace.FlagTaken != 0
-		pred := c.P.Predict(pc)
-		c.P.Update(pc, taken)
-		c.S.Branches++
-		if pred == taken {
-			if taken {
-				c.S.PredictedTaken++
+		pc, taken := int64(st.PC), fl&trace.FlagTaken != 0
+		for i, c := range cs {
+			c.S.Branches++
+			if c.P.Step(pc, taken) == taken {
+				if taken {
+					c.S.PredictedTaken++
+				}
+				continue
 			}
-			continue
+			c.S.Mispredicts++
+			if mis != nil {
+				mis[i][j>>6] |= 1 << uint(j&63)
+			}
 		}
-		c.S.Mispredicts++
-		if mis != nil {
-			mis[j>>6] |= 1 << uint(j&63)
-		}
+	}
+	for _, c := range cs {
+		c.S.Jumps += jumps
 	}
 }

@@ -1,7 +1,7 @@
 // Package branch implements the branch-predictor substrate: static,
 // bimodal, gshare (global history) and hybrid local/global predictors,
 // plus a collector that simulates one predictor over a trace (several
-// share a single walk over its chunks) — mirroring the paper's
+// share one decoding of each chunk's branches) — mirroring the paper's
 // single-run collection of branch misprediction rates for multiple
 // predictor configurations.
 //
@@ -24,6 +24,9 @@ type Predictor interface {
 	Predict(pc int64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc int64, taken bool)
+	// Step is Predict then Update on one branch, reading each table
+	// entry once: it returns the prediction made before training.
+	Step(pc int64, taken bool) bool
 	// Reset restores the initial state.
 	Reset()
 }
@@ -33,17 +36,18 @@ type counter uint8
 
 func (c counter) taken() bool { return c >= 2 }
 
-func (c counter) update(taken bool) counter {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return c
-	}
-	if c > 0 {
-		return c - 1
-	}
-	return c
+// trained[t][c] is counter c after a branch that went taken (t = 1)
+// or not (t = 0): a table, so that the predictors' steps stay small
+// enough to inline.
+var trained = [2][4]counter{{0, 0, 1, 2}, {1, 2, 3, 3}}
+
+func (c counter) update(taken bool) counter { return trained[boolBit(taken)][c&3] }
+
+// step trains *c and returns its prediction from before.
+func (c *counter) step(taken bool) bool {
+	old := *c
+	*c = old.update(taken)
+	return old.taken()
 }
 
 // StaticNotTaken always predicts not taken.
@@ -57,6 +61,9 @@ func (StaticNotTaken) Predict(int64) bool { return false }
 
 // Update implements Predictor.
 func (StaticNotTaken) Update(int64, bool) {}
+
+// Step implements Predictor.
+func (StaticNotTaken) Step(int64, bool) bool { return false }
 
 // Reset implements Predictor.
 func (StaticNotTaken) Reset() {}
@@ -87,10 +94,10 @@ func (b *Bimodal) Name() string { return b.name }
 func (b *Bimodal) Predict(pc int64) bool { return b.tab[pc&b.mask].taken() }
 
 // Update implements Predictor.
-func (b *Bimodal) Update(pc int64, taken bool) {
-	i := pc & b.mask
-	b.tab[i] = b.tab[i].update(taken)
-}
+func (b *Bimodal) Update(pc int64, taken bool) { b.Step(pc, taken) }
+
+// Step implements Predictor.
+func (b *Bimodal) Step(pc int64, taken bool) bool { return b.tab[pc&b.mask].step(taken) }
 
 // Reset implements Predictor.
 func (b *Bimodal) Reset() {
@@ -132,10 +139,13 @@ func (g *GShare) Name() string { return g.name }
 func (g *GShare) Predict(pc int64) bool { return g.tab[g.index(pc)].taken() }
 
 // Update implements Predictor.
-func (g *GShare) Update(pc int64, taken bool) {
-	i := g.index(pc)
-	g.tab[i] = g.tab[i].update(taken)
+func (g *GShare) Update(pc int64, taken bool) { g.Step(pc, taken) }
+
+// Step implements Predictor.
+func (g *GShare) Step(pc int64, taken bool) bool {
+	pred := g.tab[g.index(pc)].step(taken)
 	g.hist = ((g.hist << 1) | boolBit(taken)) & g.mask
+	return pred
 }
 
 // Reset implements Predictor.
@@ -185,11 +195,14 @@ func (l *Local) Predict(pc int64) bool {
 }
 
 // Update implements Predictor.
-func (l *Local) Update(pc int64, taken bool) {
-	li := pc & l.lhMask
-	h := l.localHist[li] & l.phtMask
-	l.pht[h] = l.pht[h].update(taken)
-	l.localHist[li] = ((l.localHist[li] << 1) | boolBit(taken)) & l.phtMask
+func (l *Local) Update(pc int64, taken bool) { l.Step(pc, taken) }
+
+// Step implements Predictor.
+func (l *Local) Step(pc int64, taken bool) bool {
+	h := &l.localHist[pc&l.lhMask]
+	pred := l.pht[*h&l.phtMask].step(taken)
+	*h = (*h<<1 | boolBit(taken)) & l.phtMask
+	return pred
 }
 
 // Reset implements Predictor.
@@ -247,15 +260,22 @@ func (h *Hybrid) Predict(pc int64) bool {
 }
 
 // Update implements Predictor.
-func (h *Hybrid) Update(pc int64, taken bool) {
-	lp := h.local.Predict(pc)
-	gp := h.global.Predict(pc)
+func (h *Hybrid) Update(pc int64, taken bool) { h.Step(pc, taken) }
+
+// Step implements Predictor. The chooser, trained on the components'
+// predictions when they disagree, picks the prediction returned.
+func (h *Hybrid) Step(pc int64, taken bool) bool {
+	i := pc & h.mask
+	ch := h.chooser[i]
+	lp := h.local.Step(pc, taken)
+	gp := h.global.Step(pc, taken)
 	if lp != gp {
-		i := pc & h.mask
-		h.chooser[i] = h.chooser[i].update(gp == taken)
+		h.chooser[i] = ch.update(gp == taken)
 	}
-	h.local.Update(pc, taken)
-	h.global.Update(pc, taken)
+	if ch.taken() {
+		return gp
+	}
+	return lp
 }
 
 // Reset implements Predictor.

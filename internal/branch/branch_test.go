@@ -204,3 +204,111 @@ func TestConstructorsRejectBadSizes(t *testing.T) {
 		}()
 	}
 }
+
+// refTable is the original predict-then-update code of the 2-bit
+// counter tables, kept as the reference of Step: Update now trains
+// through Step, so checking Step against the predictors' own Predict
+// and Update would share the training under test. index maps a branch
+// to its counter; after trains the index state (a history) on the
+// outcome.
+type refTable struct {
+	tab   []counter
+	index func(pc int64) int64
+	after func(pc int64, taken bool)
+}
+
+func newRefTable(entries int, index func(int64) int64, after func(int64, bool)) *refTable {
+	r := &refTable{tab: make([]counter, entries), index: index, after: after}
+	for i := range r.tab {
+		r.tab[i] = 1
+	}
+	return r
+}
+
+func (r *refTable) predict(pc int64) bool { return r.tab[r.index(pc)].taken() }
+
+func (r *refTable) update(pc int64, taken bool) {
+	i := r.index(pc)
+	r.tab[i] = r.tab[i].update(taken)
+	r.after(pc, taken)
+}
+
+func refGShare(histBits uint) *refTable {
+	var hist int64
+	mask := int64(1)<<histBits - 1
+	return newRefTable(1<<histBits, func(pc int64) int64 { return (pc ^ hist) & mask },
+		func(_ int64, taken bool) { hist = (hist<<1 | boolBit(taken)) & mask })
+}
+
+func refLocal(lhEntries int, histBits uint) *refTable {
+	hist := make([]int64, lhEntries)
+	lhMask, phtMask := int64(lhEntries-1), int64(1)<<histBits-1
+	return newRefTable(1<<histBits, func(pc int64) int64 { return hist[pc&lhMask] & phtMask },
+		func(pc int64, taken bool) { hist[pc&lhMask] = (hist[pc&lhMask]<<1 | boolBit(taken)) & phtMask })
+}
+
+// refHybrid is the original hybrid: the chooser is trained on the
+// components' predictions, recomputed before they are updated.
+type refHybrid struct {
+	local, global *refTable
+	chooser       *refTable
+}
+
+func (h *refHybrid) predict(pc int64) bool {
+	if h.chooser.predict(pc) {
+		return h.global.predict(pc)
+	}
+	return h.local.predict(pc)
+}
+
+func (h *refHybrid) update(pc int64, taken bool) {
+	if lp, gp := h.local.predict(pc), h.global.predict(pc); lp != gp {
+		h.chooser.update(pc, gp == taken)
+	}
+	h.local.update(pc, taken)
+	h.global.update(pc, taken)
+}
+
+// TestStepMatchesPredictUpdate checks the fused step of every predictor
+// against the original predict-then-update code, on a pseudo-random
+// stream over more branches than the small tables hold, so entries
+// alias.
+func TestStepMatchesPredictUpdate(t *testing.T) {
+	type ref interface {
+		predict(pc int64) bool
+		update(pc int64, taken bool)
+	}
+	chooser := func(entries int) *refTable {
+		return newRefTable(entries, func(pc int64) int64 { return pc & int64(entries-1) }, func(int64, bool) {})
+	}
+	cases := []struct {
+		p   Predictor
+		ref ref
+	}{
+		{NewBimodal(16), chooser(16)},
+		{NewGShare(4), refGShare(4)},
+		{NewLocal(8, 3), refLocal(8, 3)},
+		{NewHybrid(NewLocal(8, 3), NewGShare(4), 16), &refHybrid{refLocal(8, 3), refGShare(4), chooser(16)}},
+		{NewPaperHybrid(), &refHybrid{refLocal(1024, 10), refGShare(12), chooser(4096)}},
+	}
+	for _, c := range cases {
+		x := uint64(1)
+		for i := 0; i < 20000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			pc, taken := int64(x%61), x>>40%3 != 0
+			want := c.ref.predict(pc)
+			c.ref.update(pc, taken)
+			if got := c.p.Step(pc, taken); got != want {
+				t.Fatalf("%s: branch %d: Step predicted %v, the reference %v", c.p.Name(), i, got, want)
+			}
+			if got := c.p.Predict(pc); got != c.ref.predict(pc) {
+				t.Fatalf("%s: branch %d: Predict disagrees with the reference after the step", c.p.Name(), i)
+			}
+		}
+	}
+	if (StaticNotTaken{}).Step(3, true) {
+		t.Error("static-nt stepped to taken")
+	}
+}

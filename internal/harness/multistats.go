@@ -94,7 +94,8 @@ func (pw *Profiled) ExploreInputsCtx(ctx context.Context, cfgs []uarch.Config, w
 // traversal: one walk over the trace's chunks (trace.EachChunk) hands
 // each chunk to one stack-distance engine for every missing hierarchy
 // and then to every missing predictor, all reading the chunk's columns
-// directly. The walk is aborted at a chunk boundary once ctx ends, and
+// directly; each branch is decoded once for all the predictors. The
+// walk is aborted at a chunk boundary once ctx ends, and
 // then adds nothing.
 func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 	var (
@@ -136,9 +137,7 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 		if eng != nil {
 			eng.ConsumeChunk(ck)
 		}
-		for _, bc := range bcs {
-			bc.ConsumeChunk(ck, nil)
-		}
+		branch.ConsumeChunk(ck, bcs, nil)
 	})
 	if err != nil {
 		return err
