@@ -19,33 +19,19 @@ import (
 func TestOneSignaturePerOperation(t *testing.T) {
 	type key struct{ dir, recv, name string }
 	decls := map[key]string{} // exported func -> position
-	fset := token.NewFileSet()
-	for _, top := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	eachSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
+			k := key{dir: filepath.Dir(path), name: fn.Name.Name}
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				k.recv = receiverType(fn.Recv.List[0].Type)
 			}
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || !fn.Name.IsExported() {
-					continue
-				}
-				k := key{dir: filepath.Dir(path), name: fn.Name.Name}
-				if fn.Recv != nil && len(fn.Recv.List) == 1 {
-					k.recv = receiverType(fn.Recv.List[0].Type)
-				}
-				decls[k] = fset.Position(fn.Pos()).String()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			decls[k] = fset.Position(fn.Pos()).String()
 		}
-	}
+	})
 	if len(decls) == 0 {
 		t.Fatal("no exported declarations found: run from the module root")
 	}
@@ -62,6 +48,95 @@ func TestOneSignaturePerOperation(t *testing.T) {
 	sort.Strings(twins)
 	for _, msg := range twins {
 		t.Error(msg)
+	}
+}
+
+// TestNoPackageAtomics keeps telemetry on instances: no non-test file
+// under internal/ or cmd/ may declare a package-level variable of a
+// sync/atomic type, because a process-wide counter makes every test
+// that reads it depend on what ran before it and beside it.
+func TestNoPackageAtomics(t *testing.T) {
+	allowed := map[string]bool{
+		// The process default worker count is a setting, not a
+		// counter; moving it onto instances is a later step.
+		"internal/par.defaultWorkers": true,
+	}
+	eachSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+		pkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync/atomic"` {
+				pkg = "atomic"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			return
+		}
+		// isAtomic reports whether e names a sync/atomic type, or
+		// builds a value of one (T{}, new(T), &T{}).
+		var isAtomic func(e ast.Expr) bool
+		isAtomic = func(e ast.Expr) bool {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				id, ok := x.X.(*ast.Ident)
+				return ok && id.Name == pkg
+			case *ast.StarExpr:
+				return isAtomic(x.X)
+			case *ast.IndexExpr: // atomic.Pointer[T]
+				return isAtomic(x.X)
+			case *ast.UnaryExpr:
+				return isAtomic(x.X)
+			case *ast.CompositeLit:
+				return isAtomic(x.Type)
+			case *ast.CallExpr:
+				id, ok := x.Fun.(*ast.Ident)
+				return ok && id.Name == "new" && len(x.Args) == 1 && isAtomic(x.Args[0])
+			}
+			return false
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					atomicVar := vs.Type != nil && isAtomic(vs.Type)
+					if i < len(vs.Values) {
+						atomicVar = atomicVar || isAtomic(vs.Values[i])
+					}
+					if atomicVar && !allowed[filepath.ToSlash(filepath.Dir(path))+"."+name.Name] {
+						t.Errorf("%s: package-level atomic %s; keep counters on the instance they describe", fset.Position(name.Pos()), name.Name)
+					}
+				}
+			}
+		}
+	})
+}
+
+// eachSource parses every non-test Go file under internal/ and cmd/
+// and hands it to fn.
+func eachSource(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	for _, top := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			fn(fset, path, f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

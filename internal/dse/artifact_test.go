@@ -51,13 +51,12 @@ func TestExploreValidatedBitIdenticalFromDisk(t *testing.T) {
 	if !fromDisk {
 		t.Fatal("second run missed the artifact store")
 	}
-	c0, b0 := harness.CacheAnnotationCount(), harness.BranchAnnotationCount()
 	ptsDisk, err := ExploreValidatedCtx(context.Background(), loaded, space, pm, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dc, db := harness.CacheAnnotationCount()-c0, harness.BranchAnnotationCount()-b0; dc != 0 || db != 0 {
-		t.Fatalf("rehydrated exploration annotated %d hierarchies and %d predictors, want 0 (planes must load from disk)", dc, db)
+	if c := loaded.Counters(); c.CacheAnnotations != 0 || c.BranchAnnotations != 0 {
+		t.Fatalf("rehydrated exploration annotated %d hierarchies and %d predictors, want 0 (planes must load from disk)", c.CacheAnnotations, c.BranchAnnotations)
 	}
 
 	if len(ptsFresh) != len(ptsDisk) {

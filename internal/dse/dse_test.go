@@ -116,11 +116,10 @@ func TestExploreValidatedAgreesWithModel(t *testing.T) {
 func TestExploreSingleReplay(t *testing.T) {
 	pw := profiled(t, "sha")
 	space := Space(uarch.Default())
-	before := harness.ReplayCount()
 	if _, err := ExploreCtx(context.Background(), pw, space, power.NewModel()); err != nil {
 		t.Fatal(err)
 	}
-	if got := harness.ReplayCount() - before; got != 1 {
+	if got := pw.Counters().StatsTraversals; got != 1 {
 		t.Errorf("Explore over %d points took %d trace replays, want 1", len(space), got)
 	}
 }
@@ -134,22 +133,63 @@ func TestExploreSingleReplay(t *testing.T) {
 func TestExploreValidatedAnnotatesOnce(t *testing.T) {
 	pw := profiled(t, "gsm_c")
 	space := Space(uarch.Default())
-	cBefore, bBefore := harness.CacheAnnotationCount(), harness.BranchAnnotationCount()
 	if _, err := ExploreValidatedCtx(context.Background(), pw, space, power.NewModel(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := harness.CacheAnnotationCount() - cBefore; got != 8 {
+	if got := pw.Counters().CacheAnnotations; got != 8 {
 		t.Errorf("validated exploration annotated %d hierarchies, want 8 (one per distinct hierarchy)", got)
 	}
-	if got := harness.BranchAnnotationCount() - bBefore; got != 2 {
+	if got := pw.Counters().BranchAnnotations; got != 2 {
 		t.Errorf("validated exploration annotated %d predictors, want 2 (one per distinct predictor)", got)
 	}
-	cBefore, bBefore = harness.CacheAnnotationCount(), harness.BranchAnnotationCount()
+	before := pw.Counters()
 	if _, err := ExploreValidatedCtx(context.Background(), pw, space, power.NewModel(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if c, b := harness.CacheAnnotationCount()-cBefore, harness.BranchAnnotationCount()-bBefore; c != 0 || b != 0 {
+	if c, b := pw.Counters().CacheAnnotations-before.CacheAnnotations, pw.Counters().BranchAnnotations-before.BranchAnnotations; c != 0 || b != 0 {
 		t.Errorf("repeated exploration re-annotated (%d hierarchies, %d predictors), want cached planes", c, b)
+	}
+}
+
+// TestExploreValidatedCountsPerWorkload pins that the annotation
+// counts belong to one workload, not to the process: two Fresh copies
+// of one Profiled sweeping Table 2 at the same time each annotate the
+// 8 hierarchies and 2 predictors once, and a repeat sweep on either
+// annotates nothing more.
+func TestExploreValidatedCountsPerWorkload(t *testing.T) {
+	pw := profiled(t, "crc32")
+	space := Space(uarch.Default())
+	copies := []*harness.Profiled{pw.Fresh(), pw.Fresh()}
+	sweep := func(c *harness.Profiled) error {
+		_, err := ExploreValidatedCtx(context.Background(), c, space, power.NewModel(), 2)
+		return err
+	}
+	errs := make(chan error, len(copies))
+	for _, c := range copies {
+		go func() { errs <- sweep(c) }()
+	}
+	for range copies {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range copies {
+		if got := c.Counters(); got.CacheAnnotations != 8 || got.BranchAnnotations != 2 {
+			t.Errorf("copy %d annotated %d hierarchies and %d predictors, want 8 and 2", i, got.CacheAnnotations, got.BranchAnnotations)
+		}
+	}
+	for i, c := range copies {
+		before := c.Counters()
+		if err := sweep(c); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Counters(); got.CacheAnnotations != before.CacheAnnotations || got.BranchAnnotations != before.BranchAnnotations {
+			t.Errorf("a repeat sweep on copy %d annotated %d hierarchies and %d predictors more, want 0", i,
+				got.CacheAnnotations-before.CacheAnnotations, got.BranchAnnotations-before.BranchAnnotations)
+		}
+	}
+	if got := pw.Counters(); got != (harness.Counters{}) {
+		t.Errorf("the copies' work was counted on the original: %+v", got)
 	}
 }
 

@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -13,23 +13,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/uarch"
 )
-
-// cacheAnnotates / branchAnnotates count distinct machine components
-// annotated (not traversals: one traversal can cover several L2
-// geometries sharing a front). Tests pin the exploration invariant
-// "one annotation per distinct hierarchy and per distinct predictor".
-var (
-	cacheAnnotates  atomic.Int64
-	branchAnnotates atomic.Int64
-)
-
-// CacheAnnotationCount returns the number of distinct cache
-// hierarchies annotated so far in this process.
-func CacheAnnotationCount() int64 { return cacheAnnotates.Load() }
-
-// BranchAnnotationCount returns the number of distinct branch
-// predictors annotated so far in this process.
-func BranchAnnotationCount() int64 { return branchAnnotates.Load() }
 
 // canonicalize returns the first plane in seeds with contents equal to
 // p — sharing its pointer, so timing memoization can key on plane
@@ -132,7 +115,6 @@ func annotateFront(ctx context.Context, tr *trace.Trace, group []cache.Hierarchy
 		stats.IL1Accesses += iStalls
 		out[h] = &MemPlane{Classes: plane, Stats: stats}
 	}
-	cacheAnnotates.Add(int64(len(group)))
 	return out, raw, nil
 }
 
@@ -152,26 +134,21 @@ func safeAnnotateFront(ctx context.Context, tr *trace.Trace, group []cache.Hiera
 
 // safeAnnotateBranch annotates one predictor with the same panic
 // protection (see safeAnnotateFront), returning the fused end-of-run
-// predictor statistics alongside the plane. The annotation counter is
-// bumped only on completion: a cancelled traversal annotated nothing.
+// predictor statistics alongside the plane.
 func safeAnnotateBranch(ctx context.Context, tr *trace.Trace, pk uarch.PredictorKind) (p *trace.BitPlane, bs branch.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p, bs, err = nil, branch.Stats{}, fmt.Errorf("harness: branch annotation for %v panicked: %v", pk, r)
 		}
 	}()
-	p, bs, err = branch.AnnotateMispredicts(ctx, tr, pk.New())
-	if err != nil {
-		return nil, branch.Stats{}, err
-	}
-	branchAnnotates.Add(1)
-	return p, bs, nil
+	return branch.AnnotateMispredicts(ctx, tr, pk.New())
 }
 
 // AnnotateCaches computes memory-event planes for every distinct
 // hierarchy in hiers, one trace traversal per distinct L1/TLB front.
 // Fronts are annotated in parallel across workers (≤0 means the
-// process default).
+// process default). It is a layer probe outside any Profiled's memo:
+// nothing is cached and nothing counted.
 func AnnotateCaches(tr *trace.Trace, hiers []cache.HierarchyConfig, workers int) (map[cache.HierarchyConfig]*MemPlane, error) {
 	groups := groupByFront(hiers)
 	out := make(map[cache.HierarchyConfig]*MemPlane)
@@ -195,7 +172,8 @@ func AnnotateCaches(tr *trace.Trace, hiers []cache.HierarchyConfig, workers int)
 }
 
 // AnnotateBranches computes mispredict planes for every distinct
-// predictor kind, in parallel across workers.
+// predictor kind, in parallel across workers. Like AnnotateCaches it
+// caches and counts nothing.
 func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int) (map[uarch.PredictorKind]*trace.BitPlane, error) {
 	var kinds []uarch.PredictorKind
 	seen := make(map[uarch.PredictorKind]bool)
@@ -215,7 +193,6 @@ func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int)
 		mu.Lock()
 		out[kinds[i]] = p
 		mu.Unlock()
-		branchAnnotates.Add(1)
 		return nil
 	})
 	if err != nil {
@@ -234,39 +211,69 @@ func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int)
 	return out, nil
 }
 
-// annotStore is the per-Profiled plane cache: planes are keyed by the
-// machine component they depend on, so every design point (and every
-// figure) sharing a hierarchy or predictor shares the one annotation.
-// Entries are singleflight: concurrent requesters of the same
-// component wait for the first computation instead of repeating it.
+// annotStore is the per-Profiled memo: planes are keyed by the machine
+// component they depend on, so every design point (and every figure)
+// sharing a hierarchy or predictor shares the one annotation, and
+// timing results are keyed by timingKey. All three tables are
+// singleflight (see memo), and the store counts the work done on its
+// workload (see Counters).
 //
 // The store is byte-accounted: every resident plane (counted once per
 // distinct object — canonicalized planes shared by several entries are
 // charged once) plus a fixed per-entry overhead contributes to
-// usedBytes, and when a budget is set (SetAnnotBudget) completed
+// counts.Bytes, and when a budget is set (SetAnnotBudget) completed
 // entries are evicted least-recently-used until the store fits. A
 // long-running process can therefore serve an unbounded stream of
 // design points in bounded memory; evicted components are simply
 // recomputed on next use.
 type annotStore struct {
 	mu     sync.Mutex
-	mem    map[cache.HierarchyConfig]*annotEntry[*MemPlane]
-	br     map[uarch.PredictorKind]*annotEntry[*trace.BitPlane]
-	timing map[timingKey]*annotEntry[pipeline.Result]
+	mem    memo[cache.HierarchyConfig, *MemPlane]
+	br     memo[uarch.PredictorKind, *trace.BitPlane]
+	timing memo[timingKey, pipeline.Result]
 
-	budget    int64 // resident-byte budget; ≤ 0 means unbounded
-	usedBytes int64 // bytes charged for resident completed entries
-	clock     int64 // LRU clock; entries stamp it on insert and touch
-	evictions int64
-	planeRefs map[any]*planeRef // distinct plane object -> charge state
+	budget    int64               // resident-byte budget; ≤ 0 means unbounded
+	clock     int64               // LRU clock; entries stamp it on insert and touch
+	planeRefs map[plane]*planeRef // distinct plane object -> charge state
+	counts    Counters            // work counters and charged bytes
 }
 
-type annotEntry[T any] struct {
+// Counters is a snapshot of one workload's annotation and statistics
+// work and of its memo's residency. A Fresh copy starts from zero.
+type Counters struct {
+	CacheAnnotations  int64 // hierarchies annotated fresh (disk loads count nothing)
+	BranchAnnotations int64 // predictors annotated fresh (disk loads count nothing)
+	StatsTraversals   int64 // completed trace traversals of InputsSet.Add
+	Bytes             int64 // bytes charged for resident planes and timing results
+	Evictions         int64 // memo entries the byte budget evicted
+}
+
+// memo is one singleflight table of the store: the first requester of
+// a key claims an in-flight entry and resolves it exactly once, later
+// requesters await it, and the budget evicts completed entries least
+// recently used first. planes lists the plane objects a completed
+// entry keeps charged; overhead is its fixed per-entry charge. Every
+// method runs under the store's lock.
+type memo[K comparable, V any] struct {
+	entries  map[K]*memoEntry[V]
+	overhead int64
+	planes   func(K, V) []plane
+}
+
+// table is what eviction needs of a memo, whatever its key and value.
+type table interface {
+	oldest(*annotStore) (int64, func())
+}
+
+type memoEntry[V any] struct {
 	done    chan struct{}
-	val     T
+	val     V
 	err     error
 	lastUse int64
 }
+
+// plane is a charged plane object (*trace.BytePlane or *trace.BitPlane).
+type plane interface{ SizeBytes() int64 }
 
 // planeRef tracks how many resident entries reference one distinct
 // plane object, so shared (canonicalized) planes are charged once and
@@ -283,13 +290,121 @@ const (
 	timingEntryOverheadBytes = 512
 )
 
-// entryDone reports whether an entry's computation has completed.
-func entryDone[T any](e *annotEntry[T]) bool {
+func newMemo[K comparable, V any](overhead int64, planes func(K, V) []plane) memo[K, V] {
+	return memo[K, V]{entries: make(map[K]*memoEntry[V]), overhead: overhead, planes: planes}
+}
+
+// lock takes st.mu, readying the tables on first use: a zero store is
+// an empty one.
+func (st *annotStore) lock() {
+	st.mu.Lock()
+	if st.mem.entries == nil {
+		st.mem = newMemo(annotEntryOverheadBytes, func(_ cache.HierarchyConfig, mp *MemPlane) []plane { return []plane{mp.Classes} })
+		st.br = newMemo(annotEntryOverheadBytes, func(_ uarch.PredictorKind, bp *trace.BitPlane) []plane { return []plane{bp} })
+		// A timing result keeps the planes of its key charged while it
+		// stays resident.
+		st.timing = newMemo(timingEntryOverheadBytes, func(k timingKey, _ pipeline.Result) []plane { return []plane{k.mem, k.br} })
+		st.planeRefs = make(map[plane]*planeRef)
+	}
+}
+
+// claim returns the entry for k, stamping its use, or installs a fresh
+// in-flight entry the caller has claimed and must resolve.
+func (t *memo[K, V]) claim(st *annotStore, k K) (e *memoEntry[V], mine bool) {
+	if e, ok := t.entries[k]; ok {
+		st.touchLocked(&e.lastUse)
+		return e, false
+	}
+	e = &memoEntry[V]{done: make(chan struct{})}
+	t.entries[k] = e
+	return e, true
+}
+
+// resolve settles a claimed entry and releases its waiters: a value is
+// published and charged, a failure removed so a later call can retry
+// (this attempt's waiters observe the error). It returns err.
+func (t *memo[K, V]) resolve(st *annotStore, k K, e *memoEntry[V], v V, err error) error {
+	if e.err = err; err != nil {
+		if t.entries[k] == e {
+			delete(t.entries, k)
+		}
+	} else {
+		e.val = v
+		for _, p := range t.planes(k, v) {
+			st.retainLocked(p)
+		}
+		st.counts.Bytes += t.overhead
+		st.touchLocked(&e.lastUse)
+	}
+	close(e.done)
+	return err
+}
+
+// oldest returns the last use of the table's least recently used
+// completed entry and a function evicting it; evict is nil when every
+// entry is in flight.
+func (t *memo[K, V]) oldest(st *annotStore) (lastUse int64, evict func()) {
+	var key K
+	found := false
+	for k, e := range t.entries {
+		if e.resolved() && (!found || e.lastUse < lastUse) {
+			key, lastUse, found = k, e.lastUse, true
+		}
+	}
+	if !found {
+		return 0, nil
+	}
+	return lastUse, func() {
+		for _, p := range t.planes(key, t.entries[key].val) {
+			st.releaseLocked(p)
+		}
+		st.counts.Bytes -= t.overhead
+		delete(t.entries, key)
+	}
+}
+
+// resolved reports whether an entry's computation has completed.
+func (e *memoEntry[V]) resolved() bool {
 	select {
 	case <-e.done:
 		return true
 	default:
 		return false
+	}
+}
+
+// await returns a resolved entry's outcome, waiting for an in-flight
+// one until ctx ends. An entry already resolved is returned even when
+// ctx has ended. It is the one memo operation run without the lock.
+func (e *memoEntry[V]) await(ctx context.Context) (V, error) {
+	if !e.resolved() {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			var zero V
+			return zero, ctx.Err()
+		}
+	}
+	return e.val, e.err
+}
+
+// evictLocked evicts completed entries of any table least-recently-
+// used-first until the store fits its budget (or only in-flight
+// entries remain). Callers hold st.mu.
+func (st *annotStore) evictLocked() {
+	for st.budget > 0 && st.counts.Bytes > st.budget {
+		var oldest int64
+		var evict func()
+		for _, t := range []table{&st.mem, &st.br, &st.timing} {
+			if use, ev := t.oldest(st); ev != nil && (evict == nil || use < oldest) {
+				oldest, evict = use, ev
+			}
+		}
+		if evict == nil {
+			return // everything resident is in flight; retry on next publish
+		}
+		evict()
+		st.counts.Evictions++
 	}
 }
 
@@ -301,36 +416,24 @@ func (st *annotStore) touchLocked(lastUse *int64) {
 
 // retainLocked charges one reference to a plane object, adding its
 // bytes on the first reference. Callers hold st.mu.
-func (st *annotStore) retainLocked(p any, bytes int64) {
-	if p == nil {
-		return
-	}
-	if st.planeRefs == nil {
-		st.planeRefs = make(map[any]*planeRef)
-	}
+func (st *annotStore) retainLocked(p plane) {
 	r := st.planeRefs[p]
 	if r == nil {
-		r = &planeRef{bytes: bytes}
+		r = &planeRef{bytes: p.SizeBytes()}
 		st.planeRefs[p] = r
-		st.usedBytes += bytes
+		st.counts.Bytes += r.bytes
 	}
 	r.refs++
 }
 
 // releaseLocked drops one reference to a plane object, uncharging its
 // bytes when the last reference goes. Callers hold st.mu.
-func (st *annotStore) releaseLocked(p any) {
-	if p == nil {
-		return
-	}
-	r := st.planeRefs[p]
-	if r == nil {
-		return
-	}
-	r.refs--
-	if r.refs <= 0 {
-		st.usedBytes -= r.bytes
-		delete(st.planeRefs, p)
+func (st *annotStore) releaseLocked(p plane) {
+	if r := st.planeRefs[p]; r != nil {
+		if r.refs--; r.refs <= 0 {
+			st.counts.Bytes -= r.bytes
+			delete(st.planeRefs, p)
+		}
 	}
 }
 
@@ -351,88 +454,6 @@ func (st *annotStore) seedsLocked() (mem []*trace.BytePlane, br []*trace.BitPlan
 		}
 	}
 	return mem, br
-}
-
-// chargeMemLocked publishes a completed cache-annotation entry into
-// the accounting. Callers hold st.mu.
-func (st *annotStore) chargeMemLocked(e *annotEntry[*MemPlane]) {
-	st.retainLocked(e.val.Classes, e.val.Classes.SizeBytes())
-	st.usedBytes += annotEntryOverheadBytes
-	st.touchLocked(&e.lastUse)
-}
-
-// chargeBrLocked publishes a completed branch-annotation entry.
-func (st *annotStore) chargeBrLocked(e *annotEntry[*trace.BitPlane]) {
-	st.retainLocked(e.val, e.val.SizeBytes())
-	st.usedBytes += annotEntryOverheadBytes
-	st.touchLocked(&e.lastUse)
-}
-
-// chargeTimingLocked publishes a completed memoized timing entry; the
-// key's plane references keep shared planes charged while any timing
-// result depends on them.
-func (st *annotStore) chargeTimingLocked(key timingKey, e *annotEntry[pipeline.Result]) {
-	st.retainLocked(key.mem, key.mem.SizeBytes())
-	st.retainLocked(key.br, key.br.SizeBytes())
-	st.usedBytes += timingEntryOverheadBytes
-	st.touchLocked(&e.lastUse)
-}
-
-// evictLocked evicts completed entries least-recently-used-first until
-// the store fits its budget (or only in-flight entries remain).
-// Callers hold st.mu.
-func (st *annotStore) evictLocked() {
-	if st.budget <= 0 {
-		return
-	}
-	for st.usedBytes > st.budget {
-		const (
-			kindNone = iota
-			kindMem
-			kindBr
-			kindTiming
-		)
-		kind, oldest := kindNone, int64(0)
-		var (
-			memK cache.HierarchyConfig
-			brK  uarch.PredictorKind
-			timK timingKey
-		)
-		better := func(lastUse int64) bool { return kind == kindNone || lastUse < oldest }
-		for k, e := range st.mem {
-			if entryDone(e) && better(e.lastUse) {
-				kind, oldest, memK = kindMem, e.lastUse, k
-			}
-		}
-		for k, e := range st.br {
-			if entryDone(e) && better(e.lastUse) {
-				kind, oldest, brK = kindBr, e.lastUse, k
-			}
-		}
-		for k, e := range st.timing {
-			if entryDone(e) && better(e.lastUse) {
-				kind, oldest, timK = kindTiming, e.lastUse, k
-			}
-		}
-		switch kind {
-		case kindNone:
-			return // everything resident is in flight; retry on next publish
-		case kindMem:
-			st.releaseLocked(st.mem[memK].val.Classes)
-			st.usedBytes -= annotEntryOverheadBytes
-			delete(st.mem, memK)
-		case kindBr:
-			st.releaseLocked(st.br[brK].val)
-			st.usedBytes -= annotEntryOverheadBytes
-			delete(st.br, brK)
-		case kindTiming:
-			st.releaseLocked(timK.mem)
-			st.releaseLocked(timK.br)
-			st.usedBytes -= timingEntryOverheadBytes
-			delete(st.timing, timK)
-		}
-		st.evictions++
-	}
 }
 
 // timingKey captures every input of one design point's replay in
@@ -494,34 +515,6 @@ func (pw *Profiled) AnnotationCtx(ctx context.Context, cfg uarch.Config) (pipeli
 	return anns[0], nil
 }
 
-// claimLocked returns m's entry for k, stamping its use, or installs a
-// fresh in-flight entry the caller has claimed and must resolve.
-// Callers hold st.mu.
-func claimLocked[K comparable, T any](st *annotStore, m map[K]*annotEntry[T], k K) (e *annotEntry[T], mine bool) {
-	if e, ok := m[k]; ok {
-		st.touchLocked(&e.lastUse)
-		return e, false
-	}
-	e = &annotEntry[T]{done: make(chan struct{})}
-	m[k] = e
-	return e, true
-}
-
-// await returns a resolved entry's outcome, waiting for an in-flight
-// one until ctx ends. An entry already resolved is returned even when
-// ctx has ended.
-func await[T any](ctx context.Context, e *annotEntry[T]) (T, error) {
-	if !entryDone(e) {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			var zero T
-			return zero, ctx.Err()
-		}
-	}
-	return e.val, e.err
-}
-
 // ensureAnnotated is one claim/compute/publish attempt over the
 // distinct components of cfgs. It returns the annotation of every
 // configuration, indexed like cfgs, from the entries this call
@@ -533,24 +526,20 @@ func await[T any](ctx context.Context, e *annotEntry[T]) (T, error) {
 // nothing.
 func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, workers int, sink *InputsSet) ([]pipeline.Annotation, error) {
 	st := &pw.annot
-	st.mu.Lock()
-	if st.mem == nil {
-		st.mem = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
-		st.br = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
-	}
+	st.lock()
 	var (
 		mineH []cache.HierarchyConfig
 		mineP []uarch.PredictorKind
-		memE  = make(map[cache.HierarchyConfig]*annotEntry[*MemPlane])
-		brE   = make(map[uarch.PredictorKind]*annotEntry[*trace.BitPlane])
+		memE  = make(map[cache.HierarchyConfig]*memoEntry[*MemPlane])
+		brE   = make(map[uarch.PredictorKind]*memoEntry[*trace.BitPlane])
 	)
 	for _, cfg := range cfgs {
-		e, mine := claimLocked(st, st.mem, cfg.Hier)
+		e, mine := st.mem.claim(st, cfg.Hier)
 		if mine {
 			mineH = append(mineH, cfg.Hier)
 		}
 		memE[cfg.Hier] = e
-		be, mine := claimLocked(st, st.br, cfg.Predictor)
+		be, mine := st.br.claim(st, cfg.Predictor)
 		if mine {
 			mineP = append(mineP, cfg.Predictor)
 		}
@@ -628,6 +617,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		// canonicalization swaps pointers (contents are equal either
 		// way).
 		var saves []func()
+		var freshH, freshP int64
 		for i, group := range groups {
 			if frontErr[i] == nil && frontRes[i] == nil {
 				frontErr[i] = cutErr
@@ -638,6 +628,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 					continue
 				}
 				mp := frontRes[i][h]
+				freshH++
 				if sink != nil {
 					sink.mem[h] = frontRaw[i][h]
 				}
@@ -655,6 +646,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 				brErrs[pk] = brErr[i]
 				continue
 			}
+			freshP++
 			if sink != nil {
 				sink.br[pk] = brSt[i]
 			}
@@ -693,39 +685,15 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 		}
 
-		// Failed entries are removed so a later call can retry;
-		// waiters of this attempt observe the error.
 		var firstErr error
 		st.mu.Lock()
+		st.counts.CacheAnnotations += freshH
+		st.counts.BranchAnnotations += freshP
 		for _, h := range mineH {
-			e := memE[h]
-			if e.err = memErrs[h]; e.err != nil {
-				if st.mem[h] == e {
-					delete(st.mem, h)
-				}
-			} else {
-				e.val = memRes[h]
-				st.chargeMemLocked(e)
-			}
-			if firstErr == nil {
-				firstErr = e.err
-			}
-			close(e.done)
+			firstErr = cmp.Or(firstErr, st.mem.resolve(st, h, memE[h], memRes[h], memErrs[h]))
 		}
 		for _, pk := range mineP {
-			e := brE[pk]
-			if e.err = brErrs[pk]; e.err != nil {
-				if st.br[pk] == e {
-					delete(st.br, pk)
-				}
-			} else {
-				e.val = brResM[pk]
-				st.chargeBrLocked(e)
-			}
-			if firstErr == nil {
-				firstErr = e.err
-			}
-			close(e.done)
+			firstErr = cmp.Or(firstErr, st.br.resolve(st, pk, brE[pk], brResM[pk], brErrs[pk]))
 		}
 		st.evictLocked()
 		st.mu.Unlock()
@@ -737,11 +705,11 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 	// on another request's claim when ctx ends wedges nobody.
 	anns := make([]pipeline.Annotation, len(cfgs))
 	for i, cfg := range cfgs {
-		mp, err := await(ctx, memE[cfg.Hier])
+		mp, err := memE[cfg.Hier].await(ctx)
 		if err != nil {
 			return nil, err
 		}
-		bp, err := await(ctx, brE[cfg.Predictor])
+		bp, err := brE[cfg.Predictor].await(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -758,26 +726,17 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 // recomputed transparently on next use.
 func (pw *Profiled) SetAnnotBudget(bytes int64) {
 	st := &pw.annot
-	st.mu.Lock()
+	st.lock()
 	st.budget = bytes
 	st.evictLocked()
 	st.mu.Unlock()
 }
 
-// AnnotBytes returns the bytes currently charged for resident
-// annotation planes and memoized timing results.
-func (pw *Profiled) AnnotBytes() int64 {
+// Counters snapshots this workload's work counters and the bytes its
+// memo holds resident (Pool.Stats sums the bytes across workloads).
+func (pw *Profiled) Counters() Counters {
 	st := &pw.annot
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.usedBytes
-}
-
-// AnnotEvictions returns how many cache entries the byte budget has
-// evicted from this workload's annotation store.
-func (pw *Profiled) AnnotEvictions() int64 {
-	st := &pw.annot
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.evictions
+	return st.counts
 }

@@ -37,7 +37,6 @@ func TestAnnotBudgetKeepsBytesBounded(t *testing.T) {
 		pw := MustProfileProgram(spec.Build())
 		pw.SetAnnotBudget(budget)
 		for i, cfg := range budgetSpaceConfigs() {
-			c0, b0 := CacheAnnotationCount(), BranchAnnotationCount()
 			got, err := simulateOne(pw, cfg)
 			if err != nil {
 				t.Fatalf("budget %d, cfg %s: %v", budget, cfg, err)
@@ -45,8 +44,8 @@ func TestAnnotBudgetKeepsBytesBounded(t *testing.T) {
 			// The planes a call resolves are the ones it simulates
 			// with, even when the budget evicts them at once: the
 			// first point annotates its hierarchy and predictor once.
-			if dc, db := CacheAnnotationCount()-c0, BranchAnnotationCount()-b0; i == 0 && (dc != 1 || db != 1) {
-				t.Errorf("budget %d: first point annotated %d hierarchies and %d predictors, want 1 and 1", budget, dc, db)
+			if c := pw.Counters(); i == 0 && (c.CacheAnnotations != 1 || c.BranchAnnotations != 1) {
+				t.Errorf("budget %d: first point annotated %d hierarchies and %d predictors, want 1 and 1", budget, c.CacheAnnotations, c.BranchAnnotations)
 			}
 			want, err := pipeline.Simulate(pw.Trace, cfg)
 			if err != nil {
@@ -56,15 +55,15 @@ func TestAnnotBudgetKeepsBytesBounded(t *testing.T) {
 				t.Errorf("budget %d, cfg %s: single-point simulation diverges under eviction:\n got  %+v\n want %+v",
 					budget, cfg, got, want)
 			}
-			if used := pw.AnnotBytes(); used > budget {
+			if used := pw.Counters().Bytes; used > budget {
 				t.Fatalf("budget %d: resident bytes %d exceed budget", budget, used)
 			}
 		}
-		if budget < 1<<20 && pw.AnnotEvictions() == 0 {
+		if budget < 1<<20 && pw.Counters().Evictions == 0 {
 			t.Errorf("tiny budget %d evicted nothing", budget)
 		}
-		if budget == 1<<30 && pw.AnnotEvictions() != 0 {
-			t.Errorf("large budget %d evicted %d entries, want 0", budget, pw.AnnotEvictions())
+		if budget == 1<<30 && pw.Counters().Evictions != 0 {
+			t.Errorf("large budget %d evicted %d entries, want 0", budget, pw.Counters().Evictions)
 		}
 	}
 }
@@ -83,10 +82,10 @@ func TestAnnotBudgetUnsetNeverEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pw.AnnotEvictions() != 0 {
-		t.Fatalf("unbounded store evicted %d entries", pw.AnnotEvictions())
+	if pw.Counters().Evictions != 0 {
+		t.Fatalf("unbounded store evicted %d entries", pw.Counters().Evictions)
 	}
-	if pw.AnnotBytes() == 0 {
+	if pw.Counters().Bytes == 0 {
 		t.Fatal("accounting recorded zero bytes for a populated store")
 	}
 }
@@ -104,16 +103,16 @@ func TestSetAnnotBudgetEvictsRetroactively(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	grown := pw.AnnotBytes()
+	grown := pw.Counters().Bytes
 	if grown == 0 {
 		t.Fatal("store empty before budget change")
 	}
 	const budget = 16 << 10
 	pw.SetAnnotBudget(budget)
-	if used := pw.AnnotBytes(); used > budget {
+	if used := pw.Counters().Bytes; used > budget {
 		t.Fatalf("resident bytes %d exceed new budget %d", used, budget)
 	}
-	if pw.AnnotEvictions() == 0 {
+	if pw.Counters().Evictions == 0 {
 		t.Fatal("no evictions after budget drop")
 	}
 	// The store keeps answering correctly after the purge.

@@ -262,13 +262,11 @@ func TestPlaneDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, b0 := CacheAnnotationCount(), BranchAnnotationCount()
 	if err := pwCold.EnsureAnnotatedCtx(context.Background(), cfgs, 2); err != nil {
 		t.Fatal(err)
 	}
-	cCold, bCold := CacheAnnotationCount()-c0, BranchAnnotationCount()-b0
-	if cCold == 0 || bCold == 0 {
-		t.Fatalf("cold run annotated %d hierarchies, %d predictors; want > 0 each", cCold, bCold)
+	if c := pwCold.Counters(); c.CacheAnnotations == 0 || c.BranchAnnotations == 0 {
+		t.Fatalf("cold run annotated %d hierarchies, %d predictors; want > 0 each", c.CacheAnnotations, c.BranchAnnotations)
 	}
 	coldRes := make([]pipeline.Result, len(cfgs))
 	for i, cfg := range cfgs {
@@ -290,12 +288,11 @@ func TestPlaneDiskTier(t *testing.T) {
 	if !fromDisk {
 		t.Fatal("second process did not rehydrate the workload from disk")
 	}
-	c1, b1 := CacheAnnotationCount(), BranchAnnotationCount()
 	if err := pwWarm.EnsureAnnotatedCtx(context.Background(), cfgs, 2); err != nil {
 		t.Fatal(err)
 	}
-	if dc, db := CacheAnnotationCount()-c1, BranchAnnotationCount()-b1; dc != 0 || db != 0 {
-		t.Fatalf("warm run annotated %d hierarchies, %d predictors; want 0 (planes must come from disk)", dc, db)
+	if c := pwWarm.Counters(); c.CacheAnnotations != 0 || c.BranchAnnotations != 0 {
+		t.Fatalf("warm run annotated %d hierarchies, %d predictors; want 0 (planes must come from disk)", c.CacheAnnotations, c.BranchAnnotations)
 	}
 	for i, cfg := range cfgs {
 		r, err := simulateOne(pwWarm, cfg)
@@ -312,13 +309,12 @@ func TestPlaneDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, b2 := CacheAnnotationCount(), BranchAnnotationCount()
 	r, err := simulateOne(pwOne, cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dc, db := CacheAnnotationCount()-c2, BranchAnnotationCount()-b2; dc != 0 || db != 0 {
-		t.Fatalf("single-point warm path annotated %d/%d components, want 0", dc, db)
+	if c := pwOne.Counters(); c.CacheAnnotations != 0 || c.BranchAnnotations != 0 {
+		t.Fatalf("single-point warm path annotated %d/%d components, want 0", c.CacheAnnotations, c.BranchAnnotations)
 	}
 	if r != coldRes[0] {
 		t.Fatal("single-point warm simulation differs from cold run")

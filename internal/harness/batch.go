@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -62,29 +63,24 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	// Partition the points over the timing memo: the first point of
 	// each memo-missing key claims it (singleflight — concurrent
 	// requests for the same key wait below), repeat keys within this
-	// call ride the claim, and present keys are waited on.
+	// call ride the first point's entry, and present keys are waited on.
 	st := &pw.annot
-	st.mu.Lock()
-	if st.timing == nil {
-		st.timing = make(map[timingKey]*annotEntry[pipeline.Result])
-	}
+	st.lock()
 	keys := make([]timingKey, len(cfgs))
-	own := make(map[timingKey]*annotEntry[pipeline.Result])
-	waits := make(map[timingKey]*annotEntry[pipeline.Result])
+	entries := make(map[timingKey]*memoEntry[pipeline.Result])
 	var claimKeys []timingKey
 	var claimRep []int // index of the claiming (representative) config
 	for i, cfg := range cfgs {
 		k := timingKeyOf(cfg, anns[i].Mem, anns[i].Br)
 		keys[i] = k
-		if _, mine := own[k]; mine {
+		if _, seen := entries[k]; seen {
 			continue
 		}
-		if e, mine := claimLocked(st, st.timing, k); mine {
-			own[k] = e
+		e, mine := st.timing.claim(st, k)
+		entries[k] = e
+		if mine {
 			claimKeys = append(claimKeys, k)
 			claimRep = append(claimRep, i)
-		} else {
-			waits[k] = e
 		}
 	}
 	st.mu.Unlock()
@@ -95,7 +91,6 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	// claims with the error and removes them so a later call retries;
 	// completed shards publish even when a sibling failed, so their
 	// work is kept.
-	ownRes := make(map[timingKey]pipeline.Result, len(claimKeys))
 	if len(claimKeys) > 0 {
 		ns := par.Workers(workers)
 		if ns > len(claimKeys) {
@@ -123,22 +118,12 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 			}
 			for j := lo(s); j < lo(s+1); j++ {
 				k := claimKeys[j]
-				e := own[k]
-				if err != nil {
-					e.err = err
-					if firstErr == nil {
-						firstErr = err
-					}
-					if st.timing[k] == e {
-						delete(st.timing, k)
-					}
-				} else {
-					e.val = shardRes[s][j-lo(s)]
-					e.val.Cache = cache.Stats{} // stamped per configuration on use
-					st.chargeTimingLocked(k, e)
-					ownRes[k] = e.val
+				var res pipeline.Result
+				if err == nil {
+					res = shardRes[s][j-lo(s)]
+					res.Cache = cache.Stats{} // stamped per configuration on use
 				}
-				close(e.done)
+				firstErr = cmp.Or(firstErr, st.timing.resolve(st, k, entries[k], res, err))
 			}
 		}
 		st.evictLocked()
@@ -150,20 +135,11 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 
 	// Waits on other requests' claims abandon when ctx ends — every
 	// claim of this call is already resolved above.
-	waitRes := make(map[timingKey]pipeline.Result, len(waits))
-	for k, e := range waits {
-		res, err := await(ctx, e)
-		if err != nil {
-			return nil, err
-		}
-		waitRes[k] = res
-	}
-
 	out := make([]pipeline.Result, len(cfgs))
 	for i := range cfgs {
-		res, ok := ownRes[keys[i]]
-		if !ok {
-			res = waitRes[keys[i]]
+		res, err := entries[keys[i]].await(ctx)
+		if err != nil {
+			return nil, err
 		}
 		res.Cache = anns[i].MemStats
 		out[i] = res

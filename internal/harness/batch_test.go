@@ -64,7 +64,7 @@ func TestSimulateDetailedBatchMatchesSimulate(t *testing.T) {
 func timingEntries(pw *Profiled) int {
 	pw.annot.mu.Lock()
 	defer pw.annot.mu.Unlock()
-	return len(pw.annot.timing)
+	return len(pw.annot.timing.entries)
 }
 
 // TestSimulateDetailedConcurrentSinglePoints drives single-point

@@ -97,10 +97,10 @@ func TestAnnotateFrontCancelAfterChunk(t *testing.T) {
 			t.Fatalf("k=%d: ensureAnnotated returned %v, want context.Canceled", k, err)
 		}
 		fresh.annot.mu.Lock()
-		claims := len(fresh.annot.mem) + len(fresh.annot.br)
+		claims := len(fresh.annot.mem.entries) + len(fresh.annot.br.entries)
 		fresh.annot.mu.Unlock()
-		if claims != 0 || fresh.AnnotBytes() != 0 {
-			t.Fatalf("k=%d: cut annotation left %d entries, %d bytes", k, claims, fresh.AnnotBytes())
+		if claims != 0 || fresh.Counters().Bytes != 0 {
+			t.Fatalf("k=%d: cut annotation left %d entries, %d bytes", k, claims, fresh.Counters().Bytes)
 		}
 		if saved, err := store.List(); err != nil || len(saved) != 0 {
 			t.Fatalf("k=%d: cut annotation wrote %d artifacts (%v)", k, len(saved), err)

@@ -29,7 +29,8 @@ import (
 // precomputed per-instruction machine events consumed by the detailed
 // simulator's fast path — are cached here keyed by the machine
 // component they depend on (see EnsureAnnotatedCtx), so figures sharing a
-// workload share the annotation work.
+// workload share the annotation work. The work done on the workload is
+// counted here too (see Counters).
 type Profiled struct {
 	Name  string
 	Trace *trace.Trace
@@ -152,7 +153,8 @@ func profileRuns(ctx, runCtx context.Context, p *program.Program, minDyn, maxDyn
 }
 
 // Fresh returns a Profiled sharing this one's trace and profile but
-// with an empty annotation/timing cache and no artifact tier attached.
+// with an empty annotation/timing cache, zero Counters and no artifact
+// tier attached.
 // Benchmarks use it to measure cold exploration paths repeatedly
 // without paying for re-profiling, and without warm-cache iterations
 // polluting the mean.
@@ -183,7 +185,6 @@ func MachineStatsCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config) (ca
 		return cache.Stats{}, branch.Stats{}, err
 	}
 	bc := branch.NewCollector(cfg.Predictor.New())
-	replays.Add(1)
 	if err := tr.ReplayCtx(ctx, func(d *trace.DynInst) {
 		h.Consume(d)
 		bc.Consume(d)

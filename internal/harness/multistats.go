@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -12,15 +11,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/uarch"
 )
-
-// replays counts full-trace traversals performed for machine-statistics
-// collection. Tests use it to pin the single-pass property of the
-// design-space exploration: 192 design points, one replay.
-var replays atomic.Int64
-
-// ReplayCount returns the number of machine-statistics trace
-// traversals performed so far in this process.
-func ReplayCount() int64 { return replays.Load() }
 
 // InputsSet accumulates the mixed program/machine statistics of a set
 // of design points and resolves the model inputs of any of them. Each
@@ -37,10 +27,10 @@ func ReplayCount() int64 { return replays.Load() }
 //
 // Add is not safe for concurrent use; Inputs is, once no Add runs.
 type InputsSet struct {
-	pw      *Profiled
-	mem     map[cache.HierarchyConfig]cache.Stats
-	br      map[uarch.PredictorKind]branch.Stats
-	replays int
+	pw         *Profiled
+	mem        map[cache.HierarchyConfig]cache.Stats
+	br         map[uarch.PredictorKind]branch.Stats
+	traversals int
 }
 
 // NewInputsSet returns an empty set over pw's trace.
@@ -132,7 +122,6 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 		bcs[i] = branch.NewCollector(pk.New())
 	}
 
-	replays.Add(1)
 	err := s.pw.Trace.EachChunk(ctx, func(ck *trace.Columns) {
 		if eng != nil {
 			eng.ConsumeChunk(ck)
@@ -142,7 +131,10 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 	if err != nil {
 		return err
 	}
-	s.replays++
+	s.traversals++
+	s.pw.annot.mu.Lock()
+	s.pw.annot.counts.StatsTraversals++
+	s.pw.annot.mu.Unlock()
 	for _, h := range hiers {
 		cs, err := eng.StatsFor(h)
 		if err != nil {
@@ -171,5 +163,6 @@ func (s *InputsSet) Inputs(cfg uarch.Config) (core.Inputs, error) {
 }
 
 // Replays returns the number of trace traversals this set's Adds have
-// performed — the search's statistics-economy counter.
-func (s *InputsSet) Replays() int { return s.replays }
+// performed — the search's statistics-economy counter. The set's
+// Profiled counts them too, across all its sets (see Counters).
+func (s *InputsSet) Replays() int { return s.traversals }

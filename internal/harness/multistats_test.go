@@ -68,12 +68,11 @@ func TestCollectMultiStatsSinglePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw := MustProfileProgram(spec.Build())
-	before := ReplayCount()
 	set, err := pw.MultiInputsCtx(context.Background(), table2Combos())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ReplayCount() - before; got != 1 || set.Replays() != 1 {
+	if got := pw.Counters().StatsTraversals; got != 1 || set.Replays() != 1 {
 		t.Errorf("MultiInputsCtx over 16 combos took %d replays (set counted %d), want 1", got, set.Replays())
 	}
 }
@@ -197,21 +196,21 @@ func TestExploreInputsMatchesMultiInputs(t *testing.T) {
 			t.Fatalf("%s: workload did not rehydrate from the store", name)
 		}
 		for _, st := range []struct {
-			state   string
-			pw      *Profiled
-			replays int64
+			state      string
+			pw         *Profiled
+			traversals int64
 		}{
 			{"cold", ref.Fresh(), 0},
 			{"half-annotated", half, 1},
 			{"rehydrated", warm, 1},
 		} {
-			before := ReplayCount()
+			before := st.pw.Counters().StatsTraversals
 			got, err := st.pw.ExploreInputsCtx(ctx, combos, 2)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, st.state, err)
 			}
-			if n := ReplayCount() - before; n != st.replays {
-				t.Errorf("%s/%s: leftover collection took %d replays, want %d", name, st.state, n, st.replays)
+			if n := st.pw.Counters().StatsTraversals - before; n != st.traversals {
+				t.Errorf("%s/%s: leftover collection took %d replays, want %d", name, st.state, n, st.traversals)
 			}
 			for _, cfg := range combos {
 				g, err := got.Inputs(cfg)

@@ -413,7 +413,7 @@ func (p *Pool) Resident(name string) bool {
 }
 
 // Stats snapshots the pool's counters. The per-workload byte totals
-// are summed after releasing p.mu: AnnotBytes takes each workload's
+// are summed after releasing p.mu: Counters takes each workload's
 // annotation-store lock, and holding p.mu across those would serialize
 // every concurrent lookup behind a metrics scrape.
 func (p *Pool) Stats() PoolStats {
@@ -441,7 +441,7 @@ func (p *Pool) Stats() PoolStats {
 	}
 	p.mu.Unlock()
 	for _, pw := range resident {
-		s.PlaneBytes += pw.AnnotBytes()
+		s.PlaneBytes += pw.Counters().Bytes
 	}
 	return s
 }

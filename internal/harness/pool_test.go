@@ -178,7 +178,7 @@ func TestPoolPlaneBudgetSlices(t *testing.T) {
 			if _, err := simulateOne(pw, base.WithL2(kb, ways)); err != nil {
 				t.Fatal(err)
 			}
-			if got := pw.AnnotBytes(); got > budget/2 {
+			if got := pw.Counters().Bytes; got > budget/2 {
 				t.Fatalf("workload annot bytes %d exceed slice %d", got, budget/2)
 			}
 		}
@@ -186,7 +186,7 @@ func TestPoolPlaneBudgetSlices(t *testing.T) {
 	if st := p.Stats(); st.PlaneBytes > budget {
 		t.Fatalf("pool plane bytes %d exceed budget %d", st.PlaneBytes, budget)
 	}
-	if pw.AnnotEvictions() == 0 {
+	if pw.Counters().Evictions == 0 {
 		t.Fatal("expected the byte budget to evict at least one entry")
 	}
 }

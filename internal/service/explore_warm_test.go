@@ -1,11 +1,10 @@
 package service
 
 import (
+	"context"
 	"net/http/httptest"
 	"runtime"
 	"testing"
-
-	"repro/internal/harness"
 )
 
 // mmapPlatform reports whether artifact loads map the file on this
@@ -45,17 +44,23 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 	tsWarm := httptest.NewServer(warm.Handler())
 	defer tsWarm.Close()
 
-	cacheBefore := harness.CacheAnnotationCount()
-	branchBefore := harness.BranchAnnotationCount()
+	// The warm-started workload the request is served from.
+	pw, _, err := warm.profiled(context.Background(), "crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
 	mappedBefore := warm.store.MappedLoadCount()
 	warmBody := fetchBody(t, tsWarm.URL+query)
 	if n := warm.Pool().ProfileCount(); n != 0 {
 		t.Fatalf("warm server ran %d profiles, want 0", n)
 	}
-	if d := harness.CacheAnnotationCount() - cacheBefore; d != 0 {
+	if served, _, err := warm.profiled(context.Background(), "crc32"); err != nil || served != pw {
+		t.Fatalf("warm explore was not served from the warm-started workload (%v)", err)
+	}
+	if d := pw.Counters().CacheAnnotations; d != 0 {
 		t.Fatalf("warm explore ran %d cache annotation traversals, want 0", d)
 	}
-	if d := harness.BranchAnnotationCount() - branchBefore; d != 0 {
+	if d := pw.Counters().BranchAnnotations; d != 0 {
 		t.Fatalf("warm explore ran %d branch annotation traversals, want 0", d)
 	}
 	if mmapPlatform() {

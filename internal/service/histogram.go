@@ -21,6 +21,13 @@ var latencyBoundsSeconds = []float64{
 // the +Inf overflow.
 const numLatencyBuckets = 15
 
+// endpoint is one counted endpoint's telemetry: its request count and
+// its latency histogram, both safe for concurrent update.
+type endpoint struct {
+	requests atomic.Int64
+	latency  histogram
+}
+
 // histogram is a cheap fixed-bucket latency histogram, safe for
 // concurrent observation.
 type histogram struct {

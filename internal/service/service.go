@@ -160,20 +160,13 @@ type Server struct {
 	remote      *artifact.RemoteTier
 	proxyClient *http.Client
 
-	// latency holds one fixed-bucket histogram per counted endpoint,
-	// keyed by the endpoint name used in the requests map.
-	latency map[string]*histogram
+	// endpoints holds each counted endpoint's request counter and
+	// latency histogram, keyed by the name /metrics reports. It is
+	// filled in New and only read after.
+	endpoints map[string]*endpoint
 
-	reqPredict     atomic.Int64
-	reqExplore     atomic.Int64
-	reqWorkloads   atomic.Int64
-	reqArtifacts   atomic.Int64
-	reqArtifactGet atomic.Int64
-	reqIngest      atomic.Int64
-	reqHealth      atomic.Int64
-	reqMetrics     atomic.Int64
-	errCount       atomic.Int64
-	inFlight       atomic.Int64
+	errCount atomic.Int64
+	inFlight atomic.Int64
 
 	proxied         atomic.Int64 // requests this node forwarded to their owner
 	proxyReceived   atomic.Int64 // forwarded requests this node served (loop guard)
@@ -311,19 +304,19 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		store:    store,
-		guard:    guard,
-		pool:     harness.NewPool(poolOpts),
-		budget:   budget,
-		queue:    par.NewQueue(budget, cfg.QueueDepth, cfg.QueueWait),
-		pm:       power.NewModel(),
-		mux:      http.NewServeMux(),
-		registry: registry,
-		quotas:   ingest.NewQuotas(cfg.Quota),
-		ring:     ring,
-		remote:   remote,
-		latency:  make(map[string]*histogram),
+		cfg:       cfg,
+		store:     store,
+		guard:     guard,
+		pool:      harness.NewPool(poolOpts),
+		budget:    budget,
+		queue:     par.NewQueue(budget, cfg.QueueDepth, cfg.QueueWait),
+		pm:        power.NewModel(),
+		mux:       http.NewServeMux(),
+		registry:  registry,
+		quotas:    ingest.NewQuotas(cfg.Quota),
+		ring:      ring,
+		remote:    remote,
+		endpoints: make(map[string]*endpoint),
 	}
 	if ring != nil {
 		pt := cfg.ProxyTimeout
@@ -338,14 +331,14 @@ func New(cfg Config) (*Server, error) {
 	if s.cfg.ExploreWorkers < 1 {
 		s.cfg.ExploreWorkers = 1
 	}
-	s.mux.HandleFunc("GET /v1/predict", s.count("predict", &s.reqPredict, s.handlePredict))
-	s.mux.HandleFunc("GET /v1/explore", s.count("explore", &s.reqExplore, s.handleExplore))
-	s.mux.HandleFunc("GET /v1/workloads", s.count("workloads", &s.reqWorkloads, s.handleWorkloads))
-	s.mux.HandleFunc("POST /v1/workloads", s.count("ingest", &s.reqIngest, s.handleIngest))
-	s.mux.HandleFunc("GET /v1/artifacts", s.count("artifacts", &s.reqArtifacts, s.handleArtifacts))
-	s.mux.HandleFunc("GET /v1/artifacts/{key}", s.count("artifact_get", &s.reqArtifactGet, s.handleArtifactGet))
-	s.mux.HandleFunc("GET /healthz", s.count("healthz", &s.reqHealth, s.handleHealth))
-	s.mux.HandleFunc("GET /metrics", s.count("metrics", &s.reqMetrics, s.handleMetrics))
+	s.mux.HandleFunc("GET /v1/predict", s.count("predict", s.handlePredict))
+	s.mux.HandleFunc("GET /v1/explore", s.count("explore", s.handleExplore))
+	s.mux.HandleFunc("GET /v1/workloads", s.count("workloads", s.handleWorkloads))
+	s.mux.HandleFunc("POST /v1/workloads", s.count("ingest", s.handleIngest))
+	s.mux.HandleFunc("GET /v1/artifacts", s.count("artifacts", s.handleArtifacts))
+	s.mux.HandleFunc("GET /v1/artifacts/{key}", s.count("artifact_get", s.handleArtifactGet))
+	s.mux.HandleFunc("GET /healthz", s.count("healthz", s.handleHealth))
+	s.mux.HandleFunc("GET /metrics", s.count("metrics", s.handleMetrics))
 	return s, nil
 }
 
@@ -451,16 +444,16 @@ func (s *Server) maxBodyBytes() int64 {
 // observation, in-flight tracking, the shared body cap, the chaos
 // hook, and panic recovery — a panicking handler answers 500
 // {"error":{"code":"panic"}} and bumps a counter instead of killing
-// the process. Histograms are registered at New time (one per counted
-// endpoint), so observation is lock-free.
-func (s *Server) count(name string, c *atomic.Int64, h http.HandlerFunc) http.HandlerFunc {
-	hist := &histogram{}
-	s.latency[name] = hist
+// the process. Each endpoint's counter and histogram are registered
+// under name at New time, so observation is lock-free.
+func (s *Server) count(name string, h http.HandlerFunc) http.HandlerFunc {
+	ep := &endpoint{}
+	s.endpoints[name] = ep
 	return func(w http.ResponseWriter, r *http.Request) {
-		c.Add(1)
+		ep.requests.Add(1)
 		s.inFlight.Add(1)
 		start := time.Now()
-		defer func() { hist.observe(time.Since(start)) }()
+		defer func() { ep.latency.observe(time.Since(start)) }()
 		defer s.inFlight.Add(-1)
 		defer func() {
 			if v := recover(); v != nil {
@@ -1365,16 +1358,8 @@ type Metrics struct {
 // /metrics).
 func (s *Server) MetricsSnapshot() Metrics {
 	m := Metrics{
-		Requests: map[string]int64{
-			"predict":      s.reqPredict.Load(),
-			"explore":      s.reqExplore.Load(),
-			"workloads":    s.reqWorkloads.Load(),
-			"artifacts":    s.reqArtifacts.Load(),
-			"artifact_get": s.reqArtifactGet.Load(),
-			"ingest":       s.reqIngest.Load(),
-			"healthz":      s.reqHealth.Load(),
-			"metrics":      s.reqMetrics.Load(),
-		},
+		Requests:         make(map[string]int64, len(s.endpoints)),
+		Latency:          make(map[string]HistogramJSON, len(s.endpoints)),
 		Errors:           s.errCount.Load(),
 		InFlight:         s.inFlight.Load(),
 		Pool:             s.pool.Stats(),
@@ -1413,9 +1398,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 		st := s.remote.Stats()
 		m.Cluster.ArtifactFetch = &st
 	}
-	m.Latency = make(map[string]HistogramJSON, len(s.latency))
-	for name, h := range s.latency {
-		m.Latency[name] = h.snapshot()
+	for name, ep := range s.endpoints {
+		m.Requests[name] = ep.requests.Load()
+		m.Latency[name] = ep.latency.snapshot()
 	}
 	m.Ingest.Submitted = s.ingSubmitted.Load()
 	m.Ingest.Accepted = s.ingAccepted.Load()
