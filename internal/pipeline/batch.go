@@ -43,12 +43,15 @@ import (
 //     touches cycles where something happens.
 //
 // Per instruction the batch kernel reads one pre-decoded 32-bit uop
-// (sources, destination, class kind, latency classes, control flags)
-// built once per distinct memory plane and shared by every lane, so a
-// chunk's working set stays cache-resident while the config axis
-// streams. Results are bit-identical to Simulate for every point,
-// differentially tested across the full Table 2 space, both as one
-// batch and as one-lane batches.
+// (sources, destination, class kind, latency classes, control flags).
+// Uops are decoded a block at a time into one window per distinct
+// memory plane, refilled before any lane runs the block and shared by
+// every lane on that plane, so a block's working set stays
+// cache-resident while the config axis streams, and the kernel's
+// memory is bounded by the block, not the trace. Results are
+// bit-identical to Simulate for every point, differentially tested
+// across the full Table 2 space, both as one batch and as one-lane
+// batches.
 
 // BatchPoint pairs one design point with its annotation planes. Points
 // sharing a component should share the plane pointers (the harness's
@@ -113,23 +116,67 @@ type bgroup struct {
 // MinInt64 that the +1 arithmetic cannot wrap.
 const minCycle = math.MinInt64 / 4
 
-// buildUops pre-decodes the trace columns and one memory plane into
-// packed uops plus a fetch-event bitset (one bit per instruction, set
-// when the instruction can end a fetch group: control transfer or
-// I-side miss). LLBlocks (the mul/div count, identical for every
-// design point) falls out of the same pass.
-func buildUops(tr *trace.Trace, mem *trace.BytePlane) (uops []uint32, ev []uint64, llBlocks int64) {
-	n := int(tr.Len())
-	uops = make([]uint32, n)
-	ev = make([]uint64, (n+63)/64)
-	cols := tr.Chunks()
-	memCh := mem.Chunks()
-	for ci := range cols {
+// blockLen is the kernel's unit of work: every stream decomposes and
+// every lane replays one block before any moves to the next. A quarter
+// chunk keeps one block's uop window (16 KB) L1-resident across the
+// lane passes.
+const blockLen = trace.ChunkLen / 4
+
+// windowLen is a uop window's capacity. A block's last fetch group
+// starts before the block's end, so at most uarch.MaxWidth-1 of its
+// instructions lie past it, and a window of uarch.MaxWidth more than
+// the block holds them all.
+const windowLen = blockLen + uarch.MaxWidth
+
+// bmem is the per-memory-plane shared state: the packed uops of the
+// instructions [base, base+len(uops)) and a fetch-event bitset over the
+// same window (bit i set when instruction base+i can end a fetch
+// group: control transfer or I-side miss), refilled for every block.
+type bmem struct {
+	plane    [][]uint8
+	base     int
+	uops     []uint32
+	ev       []uint64
+	llBlocks int64
+}
+
+func newBmem(plane *trace.BytePlane) *bmem {
+	return &bmem{
+		plane: plane.Chunks(),
+		uops:  make([]uint32, 0, windowLen),
+		ev:    make([]uint64, 0, (windowLen+63)/64),
+	}
+}
+
+// fill refills the window for the block [cs, limit) of an n-instruction
+// trace: instructions [cs, min(limit+uarch.MaxWidth, n)). LLBlocks (the
+// mul/div count, identical for every design point) is counted over the
+// block alone, so each instruction is counted once.
+func (bm *bmem) fill(cols []trace.Columns, cs, limit, n int) {
+	end := min(limit+uarch.MaxWidth, n)
+	bm.base = cs
+	bm.uops = bm.uops[:end-cs]
+	bm.ev = bm.ev[:(end-cs+63)/64]
+	clear(bm.ev)
+	bm.llBlocks += bm.decode(cols, cs, limit)
+	bm.decode(cols, limit, end)
+}
+
+// decode packs instructions [from, to) of the window, walking the trace
+// and plane columns chunk by chunk, and returns how many of them are
+// multiplies or divides.
+func (bm *bmem) decode(cols []trace.Columns, from, to int) (llBlocks int64) {
+	ev := bm.ev
+	for from < to {
+		ci := from >> trace.ChunkShift
 		ck := &cols[ci]
-		mb := memCh[ci]
-		base := ci << trace.ChunkShift
-		for j := 0; j < ck.N; j++ {
-			st := &ck.Static[ck.ID[j]]
+		j0 := from & trace.ChunkMask
+		ids := ck.ID[j0:min(to-ci<<trace.ChunkShift, ck.N)]
+		mb := bm.plane[ci][j0:][:len(ids)]
+		off := from - bm.base
+		out := bm.uops[off:][:len(ids)]
+		for j, id := range ids {
+			st := &ck.Static[id]
 			fl := st.Flags
 			m := mb[j]
 			s1, s2, dst := uint32(uRegDummy), uint32(uRegDummy), uint32(uRegTrash)
@@ -168,21 +215,15 @@ func buildUops(tr *trace.Trace, mem *trace.BytePlane) (uops []uint32, ev []uint6
 			if fl&trace.FlagTaken != 0 {
 				u |= uTaken
 			}
-			uops[base+j] = u
+			out[j] = u
 			if fl&(trace.FlagJump|trace.FlagBranch) != 0 || m&trace.AnnSideMask != 0 {
-				i := base + j
+				i := off + j
 				ev[i>>6] |= 1 << uint(i&63)
 			}
 		}
+		from += len(ids)
 	}
-	return uops, ev, llBlocks
-}
-
-// bmem is the per-memory-plane shared state: uops and event bitset.
-type bmem struct {
-	uops     []uint32
-	ev       []uint64
-	llBlocks int64
+	return llBlocks
 }
 
 // blane is one design point's private timing state. Everything here is
@@ -236,7 +277,6 @@ type bstream struct {
 
 	pos     int // next instruction to decompose
 	stalled int // instruction whose I-stall was already charged
-	evPos   int // next fetch-event index >= pos (cached)
 	groups  []bgroup
 
 	mispredicts  int64
@@ -244,6 +284,15 @@ type bstream struct {
 }
 
 // nextEvent returns the first set bit of ev at index >= from, or n.
+//
+// Searching a window, n is the window's end, which is not an event. A
+// decomposition never reaches it, unless it is the trace's end: a
+// block's groups start before the block's end and hold at most
+// uarch.MaxWidth instructions, so they stop short of the window's end.
+// Were one to reach it, stopping there would still be neutral: an
+// instruction without an event bit has I-side class 0 and no control
+// flag, so the per-instruction path lets it join the group, exactly as
+// the bulk path would.
 func nextEvent(ev []uint64, from, n int) int {
 	if from >= n {
 		return n
@@ -266,21 +315,24 @@ func nextEvent(ev []uint64, from, n int) int {
 
 // decompose extends the stream's fetch-group decomposition until every
 // group starting before limit has been emitted (the final group may
-// extend past limit; the next call resumes after it). n is the trace
-// length.
-func (s *bstream) decompose(limit, n int) {
+// extend past limit; the next call resumes after it). It reads the
+// memory plane's window, filled for the block ending at limit, and
+// works in window-relative positions.
+func (s *bstream) decompose(limit int) {
 	s.groups = s.groups[:0]
 	uops := s.mem.uops
 	ev := s.mem.ev
+	base := s.mem.base
+	n := len(uops)
 	W := s.width
-	pos := s.pos
-	stalled := s.stalled
-	evPos := s.evPos
+	pos := s.pos - base
+	stalled := s.stalled - base
+	limit -= base
+	// evPos >= pos holds throughout: the bulk path stops at it, and
+	// every other step that passes it searches again.
+	evPos := nextEvent(ev, pos, n)
 	for pos < limit {
 		var g bgroup
-		if evPos < pos {
-			evPos = nextEvent(ev, pos, n)
-		}
 		if pos == evPos && pos < n {
 			// A not-yet-charged I-side miss on the group's first
 			// instruction stalls an empty fetch attempt before the
@@ -298,9 +350,6 @@ func (s *bstream) decompose(limit, n int) {
 				m := evPos - pos
 				if m > W-size {
 					m = W - size
-				}
-				if pos+m > n {
-					m = n - pos
 				}
 				size += m
 				pos += m
@@ -325,7 +374,7 @@ func (s *bstream) decompose(limit, n int) {
 				break
 			}
 			if u&uBranch != 0 {
-				i := pos - 1
+				i := base + pos - 1
 				if s.br[i>>trace.ChunkShift][uint(i&trace.ChunkMask)>>6]&(1<<uint(i&63)) != 0 {
 					g.kind = bkMispredict
 					s.mispredicts++
@@ -342,9 +391,8 @@ func (s *bstream) decompose(limit, n int) {
 		g.size = uint8(size)
 		s.groups = append(s.groups, g)
 	}
-	s.pos = pos
-	s.stalled = stalled
-	s.evPos = evPos
+	s.pos = base + pos
+	s.stalled = base + stalled
 }
 
 // run replays the decomposed groups on one lane, advancing its timing
@@ -355,7 +403,8 @@ func (s *bstream) decompose(limit, n int) {
 // +refill with refill > 0 by the stream mask, mispredict c+1 with
 // c >= f+D >= f+1), and the initial state has fPrev = minCycle. The
 // fetch recurrence therefore needs no fPrev term.
-func (ln *blane) run(uops []uint32, groups []bgroup) {
+func (ln *blane) run(mem *bmem, groups []bgroup) {
+	uops := mem.uops
 	extraTab := &ln.extraTab
 	regReady := &ln.regReady
 	nf, fPrev, dPrev := ln.nf, ln.fPrev, ln.dPrev
@@ -365,7 +414,7 @@ func (ln *blane) run(uops []uint32, groups []bgroup) {
 	D := ln.depth
 	dLen := int(D)
 	mulLat, divLat := ln.mulLat, ln.divLat
-	pos := ln.pos
+	pos := ln.pos - mem.base
 
 	for _, g := range groups {
 		// Fetch cycle: first cycle >= the next-fetch constraint with
@@ -465,7 +514,7 @@ func (ln *blane) run(uops []uint32, groups []bgroup) {
 	ln.exB, ln.memFree = exB, memFree
 	ln.depStall = depStall
 	ln.lastAdmit = dPrev
-	ln.pos = pos
+	ln.pos = mem.base + pos
 }
 
 // stallTo resolves a dependence stall at cycle c against operand-ready
@@ -503,7 +552,7 @@ func (s *bstream) runMulti(groups []bgroup) {
 	}
 	uops := s.mem.uops
 	lanes := s.lanes
-	pos := lanes[0].pos
+	pos := lanes[0].pos - s.mem.base
 
 	// Prologue of the first group; every later group's prologue is
 	// fused into its predecessor's epilogue below, so each group costs
@@ -656,7 +705,7 @@ func (s *bstream) runMulti(groups []bgroup) {
 					ln.ri = 0
 				}
 				ln.lastAdmit = c
-				ln.pos = pos
+				ln.pos = s.mem.base + pos
 			}
 		}
 	}
@@ -671,9 +720,10 @@ func (s *bstream) runMulti(groups []bgroup) {
 // lane state register-resident. bkIMiss never occurs at width 1 — a
 // leading I-refill is charged by the empty fetch attempt instead.
 func (s *bstream) runW1(limit int) {
-	uops := s.mem.uops[:limit]
+	base := s.mem.base
+	uops := s.mem.uops[:limit-base]
 	br := s.br
-	pos0 := s.pos
+	pos0 := s.pos - base
 	mask := s.mask
 	for li, ln := range s.lanes {
 		nf, fPrev, dPrev := ln.nf, ln.fPrev, ln.dPrev
@@ -686,7 +736,7 @@ func (s *bstream) runW1(limit int) {
 		regReady := &ln.regReady
 		mulLat, divLat := ln.mulLat, ln.divLat
 
-		for p := pos0; p < limit; p++ {
+		for p := pos0; p < len(uops); p++ {
 			u := uops[p]
 			// Built-in max compiles to CMOV chains: the comparisons
 			// here are data-dependent and mispredict as branches.
@@ -725,7 +775,7 @@ func (s *bstream) runW1(limit int) {
 					s.takenBubbles++
 				}
 			} else if u&uBranch != 0 {
-				if br[p>>trace.ChunkShift][uint(p&trace.ChunkMask)>>6]&(1<<uint(p&63)) != 0 {
+				if i := base + p; br[i>>trace.ChunkShift][uint(i&trace.ChunkMask)>>6]&(1<<uint(i&63)) != 0 {
 					nf = c + 1
 					if li == 0 {
 						s.mispredicts++
@@ -757,10 +807,11 @@ func (s *bstream) runW1(limit int) {
 }
 
 // SimulateAnnotatedBatch replays tr on every design point in pts in a
-// single chunk-major pass: each 16K-instruction chunk's uops and
-// groups are computed once and consumed by every lane while they are
-// cache-resident. When pts[i].Ann holds the planes of pts[i].Cfg's
-// hierarchy and predictor, each point's Result is bit-identical to
+// single chunk-major pass: each 4K-instruction block's uops and groups
+// are computed once and consumed by every lane while they are
+// cache-resident, so the replay's memory does not grow with the trace.
+// When pts[i].Ann holds the planes of pts[i].Cfg's hierarchy and
+// predictor, each point's Result is bit-identical to
 // Simulate(tr, pts[i].Cfg). Front-end depths above 16 are rejected.
 // Cancellation is polled once per block of work and aborts the whole
 // batch with ctx.Err(); a completed batch is unaffected by ctx.
@@ -784,9 +835,10 @@ func SimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []BatchPoi
 		}
 	}
 
-	// Pool shared work: uops per distinct memory plane, decomposition
-	// per distinct (width, memory plane, branch plane).
-	mems := make(map[*trace.BytePlane]*bmem)
+	// Pool shared work: a uop window per distinct memory plane,
+	// decomposition per distinct (width, memory plane, branch plane).
+	memOf := make(map[*trace.BytePlane]*bmem)
+	var mems []*bmem
 	type streamKey struct {
 		mem  *trace.BytePlane
 		br   *trace.BitPlane
@@ -803,11 +855,11 @@ func SimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []BatchPoi
 			// deepest pipeline needs 6); reject rather than corrupt.
 			return nil, fmt.Errorf("pipeline: batch replay supports front-end depth <= 16, got %d", cfg.FrontEndDepth)
 		}
-		bm := mems[ann.Mem]
+		bm := memOf[ann.Mem]
 		if bm == nil {
-			uops, ev, ll := buildUops(tr, ann.Mem)
-			bm = &bmem{uops: uops, ev: ev, llBlocks: ll}
-			mems[ann.Mem] = bm
+			bm = newBmem(ann.Mem)
+			memOf[ann.Mem] = bm
+			mems = append(mems, bm)
 		}
 		ln := &blane{
 			out:     &results[i],
@@ -847,18 +899,17 @@ func SimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []BatchPoi
 		key := streamKey{mem: ann.Mem, br: ann.Br, w: cfg.Width, mask: mask}
 		st := streams[key]
 		if st == nil {
-			st = &bstream{mem: bm, br: ann.Br.Chunks(), width: cfg.Width, mask: mask, stalled: -1, evPos: -1}
+			st = &bstream{mem: bm, br: ann.Br.Chunks(), width: cfg.Width, mask: mask, stalled: -1}
 			streams[key] = st
 			order = append(order, st)
 		}
 		st.lanes = append(st.lanes, ln)
 	}
 
-	// Chunk-major sweep: decompose each block once per stream and run
-	// every lane over it while the uops and groups are hot. Blocks are
-	// a quarter chunk so one block's uop column (16 KB) stays
-	// L1-resident across the lane passes.
-	const blockLen = trace.ChunkLen / 4
+	// Chunk-major sweep: fill each plane's window with a block, then
+	// decompose the block once per stream and run every lane over it
+	// while the uops and groups are hot.
+	cols := tr.Chunks()
 	ctxDone := ctx.Done()
 	nInt := int(n)
 	for cs := 0; cs < nInt; cs += blockLen {
@@ -867,18 +918,18 @@ func SimulateAnnotatedBatch(ctx context.Context, tr *trace.Trace, pts []BatchPoi
 			return nil, ctx.Err()
 		default:
 		}
-		limit := cs + blockLen
-		if limit > nInt {
-			limit = nInt
+		limit := min(cs+blockLen, nInt)
+		for _, bm := range mems {
+			bm.fill(cols, cs, limit, nInt)
 		}
 		for _, st := range order {
 			if st.width == 1 {
 				st.runW1(limit)
 				continue
 			}
-			st.decompose(limit, nInt)
+			st.decompose(limit)
 			if len(st.lanes) == 1 {
-				st.lanes[0].run(st.mem.uops, st.groups)
+				st.lanes[0].run(st.mem, st.groups)
 			} else {
 				st.runMulti(st.groups)
 			}

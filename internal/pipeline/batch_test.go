@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -192,5 +193,46 @@ func TestBatchCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffResults(t, fmt.Sprintf("width %d", cfg.Width), want, got[i])
+	}
+}
+
+// TestBatchAllocBudget pins the batch kernel's memory to its block
+// window: the bytes one call allocates, averaged over several calls,
+// may not grow with trace length by more than 64 KB between a trace of
+// about 4 chunks and one of about 32, on one lane and on the 192 Table
+// 2 lanes (one memory plane per distinct hierarchy).
+func TestBatchAllocBudget(t *testing.T) {
+	const budget = 64 << 10
+	long, err := harness.ProfileProgramScaledCtx(context.Background(), randprog.Generate(randprog.Default(5)), 32*trace.ChunkLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := truncated(long.Trace, 4*trace.ChunkLen)
+	perCall := func(tr *trace.Trace, cfgs []uarch.Config) uint64 {
+		pts := batchPointsFor(t, tr, cfgs)
+		const calls = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			if _, err := pipeline.SimulateAnnotatedBatch(context.Background(), tr, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	for _, c := range []struct {
+		name string
+		cfgs []uarch.Config
+	}{
+		{"one lane", []uarch.Config{uarch.Default()}},
+		{"Table 2", dse.Space(uarch.Default())},
+	} {
+		s, l := perCall(short, c.cfgs), perCall(long.Trace, c.cfgs)
+		t.Logf("%s: %d B/call at %d instructions, %d B/call at %d", c.name, s, short.Len(), l, long.Trace.Len())
+		if l > s+budget {
+			t.Errorf("%s: a call allocates %d B more on a %d-instruction trace than on a %d-instruction one (budget %d B)",
+				c.name, l-s, long.Trace.Len(), short.Len(), budget)
+		}
 	}
 }

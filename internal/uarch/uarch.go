@@ -57,6 +57,9 @@ func (k PredictorKind) New() branch.Predictor {
 	panic("uarch: unknown predictor kind")
 }
 
+// MaxWidth is the widest pipeline a Config may describe.
+const MaxWidth = 8
+
 // Config is one superscalar in-order processor design point.
 type Config struct {
 	Name string
@@ -105,8 +108,8 @@ func (c Config) PipelineStages() int { return c.FrontEndDepth + 3 }
 
 // Validate checks the design point.
 func (c Config) Validate() error {
-	if c.Width < 1 || c.Width > 8 {
-		return fmt.Errorf("uarch %q: width %d out of [1,8]", c.Name, c.Width)
+	if c.Width < 1 || c.Width > MaxWidth {
+		return fmt.Errorf("uarch %q: width %d out of [1,%d]", c.Name, c.Width, MaxWidth)
 	}
 	if c.FrontEndDepth < 1 {
 		return fmt.Errorf("uarch %q: front-end depth %d < 1", c.Name, c.FrontEndDepth)
