@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/isa"
+	"repro/internal/program"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
@@ -34,5 +38,19 @@ func TestValidationDefaultConfig(t *testing.T) {
 	}
 	if n > 0 {
 		t.Logf("average error %.2f%% over %d benchmarks", 100*sumErr/float64(n), n)
+	}
+}
+
+// TestProfileRejectsOutOfRangeRegister checks that a hand-built program
+// naming a register beyond the register file fails profiling with
+// Build's error instead of panicking in the interpreter.
+func TestProfileRejectsOutOfRangeRegister(t *testing.T) {
+	p := program.New("bad_register", 16)
+	p.Block("entry").Add(3, isa.Reg(200), 1).Halt()
+	if _, err := ProfileProgram(p); err == nil || !strings.Contains(err.Error(), "register") {
+		t.Errorf("ProfileProgram: err = %v, want an out-of-range register error", err)
+	}
+	if _, err := ProfileProgramSandboxedCtx(context.Background(), p, 0, 0); err == nil || !strings.Contains(err.Error(), "register") {
+		t.Errorf("ProfileProgramSandboxedCtx: err = %v, want an out-of-range register error", err)
 	}
 }

@@ -146,7 +146,8 @@ func (p *Program) StaticLen() int {
 
 // Build resolves labels and returns the flat instruction array. The
 // program must end every path in HALT to terminate; Build does not
-// verify reachability but does verify label resolution.
+// verify reachability but does verify label resolution and that every
+// register operand names one of the isa.NumRegs registers.
 func (p *Program) Build() ([]isa.Instr, error) {
 	if len(p.Blocks) == 0 {
 		return nil, fmt.Errorf("program %q: no blocks", p.Name)
@@ -177,6 +178,9 @@ func (p *Program) Build() ([]isa.Instr, error) {
 	out := make([]isa.Instr, 0, n)
 	for _, b := range p.Blocks {
 		for _, in := range b.Insts {
+			if r := max(in.Dst, in.Src1, in.Src2); r >= isa.NumRegs {
+				return nil, fmt.Errorf("program %q: block %q: %v names register %v, beyond %v", p.Name, b.Label, in.Op, r, isa.Reg(isa.NumRegs-1))
+			}
 			mi := isa.Instr{Op: in.Op, Dst: in.Dst, Src1: in.Src1, Src2: in.Src2, Imm: in.Imm}
 			if in.Label != "" {
 				t, ok := addr[in.Label]

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,6 +67,21 @@ func TestBuildErrors(t *testing.T) {
 			t.Error("unlabeled block built without error")
 		}
 	})
+	for _, in := range []Inst{
+		{Op: isa.ADD, Dst: isa.NumRegs, Src1: 1, Src2: 2},
+		{Op: isa.ADD, Dst: 3, Src1: 200, Src2: 1},
+		{Op: isa.ADD, Dst: 3, Src1: 1, Src2: 255},
+	} {
+		t.Run(fmt.Sprintf("register out of range %d-%d-%d", in.Dst, in.Src1, in.Src2), func(t *testing.T) {
+			p := New("t", 16)
+			b := p.Block("a")
+			b.blk.Insts = append(b.blk.Insts, in)
+			b.Halt()
+			if _, err := p.Build(); err == nil || !strings.Contains(err.Error(), "register") {
+				t.Errorf("err = %v, want register-out-of-range error", err)
+			}
+		})
+	}
 }
 
 func TestBuilderEmitsExpectedOpcodes(t *testing.T) {
