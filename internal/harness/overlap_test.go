@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/funcsim"
-	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/trace"
@@ -115,6 +114,22 @@ func TestOverlappedProfileScaledRuns(t *testing.T) {
 	checkOverlap(t, pw)
 }
 
+// panicCtx panics from its polls-th Err call. The interpreter polls
+// Err on the goroutine that executes the program, so the panic comes
+// from inside a run, after chunks have gone to the profiler. No program
+// can make execution panic, since Build rejects out-of-range registers.
+type panicCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *panicCtx) Err() error {
+	if c.polls--; c.polls == 0 {
+		panic("execution")
+	}
+	return c.Context.Err()
+}
+
 // TestProfilerGoroutineJoinedOnFailure drives the sandboxed entry
 // point through every way a profile fails after the profiler goroutine
 // has started, most of them after it has been handed chunks: each must
@@ -148,6 +163,7 @@ func TestProfilerGoroutineJoinedOnFailure(t *testing.T) {
 		name    string
 		prog    func() *program.Program
 		timeout time.Duration
+		polls   int // the context panics on this Err call, if set
 		maxDyn  int64
 		want    error  // matched with errors.Is, if set
 		substr  string // otherwise matched against the message
@@ -162,9 +178,11 @@ func TestProfilerGoroutineJoinedOnFailure(t *testing.T) {
 			return after(func(b *program.Builder) { b.Nop() })
 		}, want: funcsim.ErrPCFault},
 		{name: "dictionary full", prog: wide, want: trace.ErrDictionaryFull},
+		// One poll before the run, then one every 4 chunks within it:
+		// the fourth comes 8 chunks into the run.
 		{name: "panic in execution", prog: func() *program.Program {
-			return after(func(b *program.Builder) { b.Add(3, isa.Reg(200), 1).Halt() })
-		}, substr: "panicked"},
+			return after(func(b *program.Builder) { b.Halt() })
+		}, polls: 4, substr: "panicked: execution"},
 		{name: "panic in the profiler", prog: func() *program.Program {
 			return after(func(b *program.Builder) { b.Halt() })
 		}, substr: "panicked: profiler", hook: func(*profile.Profiler, *trace.Columns) { panic("profiler") }},
@@ -177,6 +195,10 @@ func TestProfilerGoroutineJoinedOnFailure(t *testing.T) {
 		ctx, cancel := context.Background(), context.CancelFunc(func() {})
 		if c.timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		}
+		if c.polls > 0 {
+			ctx, cancel = context.WithCancel(ctx)
+			ctx = &panicCtx{Context: ctx, polls: c.polls}
 		}
 		type result struct {
 			pw  *Profiled
