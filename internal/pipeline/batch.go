@@ -285,14 +285,12 @@ type bstream struct {
 
 // nextEvent returns the first set bit of ev at index >= from, or n.
 //
-// Searching a window, n is the window's end, which is not an event. A
-// decomposition never reaches it, unless it is the trace's end: a
-// block's groups start before the block's end and hold at most
-// uarch.MaxWidth instructions, so they stop short of the window's end.
-// Were one to reach it, stopping there would still be neutral: an
-// instruction without an event bit has I-side class 0 and no control
-// flag, so the per-instruction path lets it join the group, exactly as
-// the bulk path would.
+// Searching a window, n is the window's end. Unless that is also the
+// trace's end, n is not an event: returning it says only that the
+// window holds no event at or after from. decompose never reaches it,
+// because a block's groups start before the block's end and hold at
+// most uarch.MaxWidth instructions, so the group width caps every bulk
+// step short of the window's end.
 func nextEvent(ev []uint64, from, n int) int {
 	if from >= n {
 		return n
