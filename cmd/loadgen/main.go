@@ -187,7 +187,7 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(q*float64(len(sorted)) + 0.5)
+	rank := int(float64(q*float64(len(sorted))) + 0.5)
 	if rank < 1 {
 		rank = 1
 	}

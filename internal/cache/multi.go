@@ -219,6 +219,20 @@ func (b *sideBuilder) build() (l1Side, error) {
 	return sd, nil
 }
 
+// Stackable reports why NewL2SpaceSim cannot take h, if it cannot: h
+// is invalid, or one of its caches has more than MaxStackWays ways.
+func Stackable(h HierarchyConfig) error {
+	if err := h.Validate(); err != nil {
+		return err
+	}
+	for _, c := range []Config{h.IL1, h.DL1, h.L2} {
+		if c.Ways > MaxStackWays {
+			return fmt.Errorf("cache: L2SpaceSim: %s has more than %d ways", c, MaxStackWays)
+		}
+	}
+	return nil
+}
+
 // NewL2SpaceSim builds the engine for the hierarchies hiers: one front
 // per distinct L1/TLB front and L2 block size, and behind each front
 // one L2 stack per distinct set count, bounded by the largest
@@ -232,13 +246,8 @@ func NewL2SpaceSim(hiers []HierarchyConfig) (*L2SpaceSim, error) {
 	var l2Ways []map[int64]int // per front: L2 set count -> largest ways
 	var l2Block []int64        // per front: L2 block size
 	for _, h := range hiers {
-		if err := h.Validate(); err != nil {
+		if err := Stackable(h); err != nil {
 			return nil, err
-		}
-		for _, c := range []Config{h.IL1, h.DL1, h.L2} {
-			if c.Ways > MaxStackWays {
-				return nil, fmt.Errorf("cache: L2SpaceSim: %s has more than %d ways", c, MaxStackWays)
-			}
 		}
 		key := h.Front()
 		fi, ok := s.byFront[key]

@@ -160,8 +160,8 @@ func PredictOpts(in Inputs, cfg uarch.Config, opt Options) (*Stack, error) {
 	s.Cycles[Base] = float64(p.N) / W
 
 	// Long-latency instructions: Eq. 5/6 with penalty (lat-1) - adj.
-	s.Cycles[MulDiv] = float64(p.NMul)*llPenalty(cfg.MulLatency, adj) +
-		float64(p.NDiv)*llPenalty(cfg.DivLatency, adj)
+	s.Cycles[MulDiv] = float64(float64(p.NMul)*llPenalty(cfg.MulLatency, adj)) +
+		float64(float64(p.NDiv)*llPenalty(cfg.DivLatency, adj))
 
 	// Miss events: Eq. 2/3 with penalty MissLatency - adj. L2-hit loads
 	// are the paper's "L2 cache hits due to loads" long-latency class;
@@ -185,7 +185,7 @@ func PredictOpts(in Inputs, cfg uarch.Config, opt Options) (*Stack, error) {
 	taken := float64(in.Branch.TakenBubbles())
 	s.Cycles[BrTaken] = taken
 	if opt.TakenFragmentation {
-		s.Cycles[BrTaken] += taken * adj
+		s.Cycles[BrTaken] += float64(taken * adj)
 	}
 
 	// Dependencies.
@@ -194,7 +194,7 @@ func PredictOpts(in Inputs, cfg uarch.Config, opt Options) (*Stack, error) {
 	var du float64
 	for d := 1; d < wi; d++ {
 		f := (W - float64(d)) / W
-		du += float64(p.DepsUnit.Count[d]) * f * f
+		du += float64(float64(p.DepsUnit.Count[d]) * f * f)
 	}
 	s.Cycles[DepUnit] = du
 	// Eq. 12: long-latency producers, d in [1, W-1].
@@ -207,11 +207,11 @@ func PredictOpts(in Inputs, cfg uarch.Config, opt Options) (*Stack, error) {
 	var dld float64
 	for d := 1; d < wi; d++ {
 		fd := float64(d)
-		dld += float64(p.DepsLd.Count[d]) * ((W-fd)/W*(2*W-fd)/W + fd/W)
+		dld += float64(float64(p.DepsLd.Count[d]) * ((W-fd)/W*(2*W-fd)/W + fd/W))
 	}
 	for d := wi; d < 2*wi; d++ {
 		f := (2*W - float64(d)) / W
-		dld += float64(p.DepsLd.Count[d]) * f * f
+		dld += float64(float64(p.DepsLd.Count[d]) * f * f)
 	}
 	s.Cycles[DepLd] = dld
 

@@ -59,12 +59,13 @@ type Point struct {
 	CPIErr     float64 // |model-sim|/sim
 }
 
-// ExploreCtx evaluates the model on every configuration. A single
-// trace replay collects the mixed statistics for the entire space at
-// once — every L2 geometry via stack-distance simulation, every
-// predictor simultaneously (harness.InputsSet); model evaluation
-// itself is closed-form. The statistics traversal aborts at a trace
-// chunk boundary once ctx ends, returning ctx.Err() with no points.
+// ExploreCtx evaluates the model on every configuration. The mixed
+// statistics come from the workload's statistics memo
+// (harness.InputsSet), and a single trace walk collects every
+// component it lacks at once — every L2 geometry via stack-distance
+// simulation, every predictor simultaneously; model evaluation itself
+// is closed-form. The walk aborts at a trace chunk boundary once ctx
+// ends, returning ctx.Err() with no points.
 func ExploreCtx(ctx context.Context, pw *harness.Profiled, cfgs []uarch.Config, pm power.Model) ([]Point, error) {
 	memo, err := pw.MultiInputsCtx(ctx, cfgs)
 	if err != nil {

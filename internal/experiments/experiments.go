@@ -575,9 +575,9 @@ func (r *Fig8Result) Render() string {
 		for _, c := range r.Benchmarks[name] {
 			s := c.Stack
 			norm := c.Cycles
-			base := s.Cycles[core.Base] / norm * c.Normalized
-			deps := (s.Cycles[core.DepUnit] + s.Cycles[core.DepLL] + s.Cycles[core.DepLd]) / norm * c.Normalized
-			taken := s.Cycles[core.BrTaken] / norm * c.Normalized
+			base := float64(s.Cycles[core.Base] / norm * c.Normalized)
+			deps := float64((s.Cycles[core.DepUnit] + s.Cycles[core.DepLL] + s.Cycles[core.DepLd]) / norm * c.Normalized)
+			taken := float64(s.Cycles[core.BrTaken] / norm * c.Normalized)
 			other := c.Normalized - base - deps - taken
 			fmt.Fprintf(&b, "%-14s %-8s %9d %8.3f %8.3f %8.3f %8.3f %8.3f\n",
 				name, c.Level, c.N, c.Normalized, base, deps, taken, other)

@@ -68,8 +68,9 @@ func groupByFront(hiers []cache.HierarchyConfig) [][]cache.HierarchyConfig {
 //
 // The second return value carries each hierarchy's raw end-of-run
 // statistics (before the I-stall fold below) — bit-identical to what
-// InputsSet.Add's plain engine reports, so a caller that needs both
-// planes and model inputs pays one traversal (see ExploreInputsCtx).
+// the statistics walk reports, so ensureAnnotated publishes them into
+// the statistics memo and a caller that needs both planes and model
+// inputs pays one traversal (see ExploreInputsCtx).
 func annotateFront(ctx context.Context, tr *trace.Trace, group []cache.HierarchyConfig) (map[cache.HierarchyConfig]*MemPlane, map[cache.HierarchyConfig]cache.Stats, error) {
 	eng, err := cache.NewL2SpaceSim(group)
 	if err != nil {
@@ -211,12 +212,13 @@ func AnnotateBranches(tr *trace.Trace, preds []uarch.PredictorKind, workers int)
 	return out, nil
 }
 
-// annotStore is the per-Profiled memo: planes are keyed by the machine
-// component they depend on, so every design point (and every figure)
-// sharing a hierarchy or predictor shares the one annotation, and
-// timing results are keyed by timingKey. All three tables are
-// singleflight (see memo), and the store counts the work done on its
-// workload (see Counters).
+// annotStore is the per-Profiled memo: planes and model-input
+// statistics are keyed by the machine component they depend on, so
+// every design point (and every figure, exploration and served
+// prediction) sharing a hierarchy or predictor shares the one
+// annotation and the one statistics walk, and timing results are keyed
+// by timingKey. All five tables are singleflight (see memo), and the
+// store counts the work done on its workload (see Counters).
 //
 // The store is byte-accounted: every resident plane (counted once per
 // distinct object — canonicalized planes shared by several entries are
@@ -231,6 +233,8 @@ type annotStore struct {
 	mem    memo[cache.HierarchyConfig, *MemPlane]
 	br     memo[uarch.PredictorKind, *trace.BitPlane]
 	timing memo[timingKey, pipeline.Result]
+	cstats memo[cache.HierarchyConfig, cache.Stats] // model inputs by hierarchy (see InputsSet)
+	bstats memo[uarch.PredictorKind, branch.Stats]  // model inputs by predictor
 
 	budget    int64               // resident-byte budget; ≤ 0 means unbounded
 	clock     int64               // LRU clock; entries stamp it on insert and touch
@@ -243,8 +247,8 @@ type annotStore struct {
 type Counters struct {
 	CacheAnnotations  int64 // hierarchies annotated fresh (disk loads count nothing)
 	BranchAnnotations int64 // predictors annotated fresh (disk loads count nothing)
-	StatsTraversals   int64 // completed trace traversals of InputsSet.Add
-	Bytes             int64 // bytes charged for resident planes and timing results
+	StatsTraversals   int64 // completed statistics walks (memo misses of InputsSet.Add)
+	Bytes             int64 // bytes charged for resident planes, timing results and statistics
 	Evictions         int64 // memo entries the byte budget evicted
 }
 
@@ -284,10 +288,12 @@ type planeRef struct {
 }
 
 // Fixed per-entry charges covering the entry, key and map-slot
-// footprint beyond the planes themselves.
+// footprint beyond the planes themselves; a statistics entry holds its
+// value inline (a cache.Stats is 88 bytes, a branch.Stats 32).
 const (
 	annotEntryOverheadBytes  = 160
 	timingEntryOverheadBytes = 512
+	statsEntryOverheadBytes  = 256
 )
 
 func newMemo[K comparable, V any](overhead int64, planes func(K, V) []plane) memo[K, V] {
@@ -304,6 +310,8 @@ func (st *annotStore) lock() {
 		// A timing result keeps the planes of its key charged while it
 		// stays resident.
 		st.timing = newMemo(timingEntryOverheadBytes, func(k timingKey, _ pipeline.Result) []plane { return []plane{k.mem, k.br} })
+		st.cstats = newMemo(statsEntryOverheadBytes, func(cache.HierarchyConfig, cache.Stats) []plane { return nil })
+		st.bstats = newMemo(statsEntryOverheadBytes, func(uarch.PredictorKind, branch.Stats) []plane { return nil })
 		st.planeRefs = make(map[plane]*planeRef)
 	}
 }
@@ -338,6 +346,14 @@ func (t *memo[K, V]) resolve(st *annotStore, k K, e *memoEntry[V], v V, err erro
 	}
 	close(e.done)
 	return err
+}
+
+// offer publishes v under k unless k already has an entry, resolved
+// or in flight.
+func (t *memo[K, V]) offer(st *annotStore, k K, v V) {
+	if e, mine := t.claim(st, k); mine {
+		t.resolve(st, k, e, v, nil)
+	}
 }
 
 // oldest returns the last use of the table's least recently used
@@ -395,7 +411,7 @@ func (st *annotStore) evictLocked() {
 	for st.budget > 0 && st.counts.Bytes > st.budget {
 		var oldest int64
 		var evict func()
-		for _, t := range []table{&st.mem, &st.br, &st.timing} {
+		for _, t := range []table{&st.mem, &st.br, &st.timing, &st.cstats, &st.bstats} {
 			if use, ev := t.oldest(st); ev != nil && (evict == nil || use < oldest) {
 				oldest, evict = use, ev
 			}
@@ -497,7 +513,7 @@ func timingKeyOf(cfg uarch.Config, mem *trace.BytePlane, br *trace.BitPlane) tim
 // retryCancelled).
 func (pw *Profiled) EnsureAnnotatedCtx(ctx context.Context, cfgs []uarch.Config, workers int) error {
 	_, err := retryCancelled(ctx, func() ([]pipeline.Annotation, error) {
-		return pw.ensureAnnotated(ctx, cfgs, workers, nil)
+		return pw.ensureAnnotated(ctx, cfgs, workers)
 	})
 	return err
 }
@@ -507,7 +523,7 @@ func (pw *Profiled) EnsureAnnotatedCtx(ctx context.Context, cfgs []uarch.Config,
 // contract.
 func (pw *Profiled) AnnotationCtx(ctx context.Context, cfg uarch.Config) (pipeline.Annotation, error) {
 	anns, err := retryCancelled(ctx, func() ([]pipeline.Annotation, error) {
-		return pw.ensureAnnotated(ctx, []uarch.Config{cfg}, 1, nil)
+		return pw.ensureAnnotated(ctx, []uarch.Config{cfg}, 1)
 	})
 	if err != nil {
 		return pipeline.Annotation{}, err
@@ -519,12 +535,12 @@ func (pw *Profiled) AnnotationCtx(ctx context.Context, cfg uarch.Config) (pipeli
 // distinct components of cfgs. It returns the annotation of every
 // configuration, indexed like cfgs, from the entries this call
 // published or waited on — so the planes stay valid even when the
-// byte budget evicts those entries at once. When sink is non-nil,
-// every component this call computes fresh also deposits its raw
-// machine statistics there — the fused statistics behind
-// ExploreInputsCtx; cache-hit and disk-loaded components deposit
-// nothing.
-func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, workers int, sink *InputsSet) ([]pipeline.Annotation, error) {
+// byte budget evicts those entries at once. Every component this call
+// computes fresh also publishes its raw machine statistics into the
+// statistics memo unless a request already holds them — the fused
+// statistics behind ExploreInputsCtx; cache-hit and disk-loaded
+// components publish nothing.
+func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, workers int) ([]pipeline.Annotation, error) {
 	st := &pw.annot
 	st.lock()
 	var (
@@ -617,7 +633,8 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		// canonicalization swaps pointers (contents are equal either
 		// way).
 		var saves []func()
-		var freshH, freshP int64
+		rawH := make(map[cache.HierarchyConfig]cache.Stats)
+		rawP := make(map[uarch.PredictorKind]branch.Stats)
 		for i, group := range groups {
 			if frontErr[i] == nil && frontRes[i] == nil {
 				frontErr[i] = cutErr
@@ -628,10 +645,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 					continue
 				}
 				mp := frontRes[i][h]
-				freshH++
-				if sink != nil {
-					sink.mem[h] = frontRaw[i][h]
-				}
+				rawH[h] = frontRaw[i][h]
 				if pw.store != nil {
 					saves = append(saves, func() { _ = pw.store.SaveMemPlane(pw.storeKey, h, mp.Classes, mp.Stats) })
 				}
@@ -646,10 +660,7 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 				brErrs[pk] = brErr[i]
 				continue
 			}
-			freshP++
-			if sink != nil {
-				sink.br[pk] = brSt[i]
-			}
+			rawP[pk] = brSt[i]
 			if pw.store != nil {
 				bp := brRes[i]
 				saves = append(saves, func() { _ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), bp) })
@@ -687,13 +698,19 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 
 		var firstErr error
 		st.mu.Lock()
-		st.counts.CacheAnnotations += freshH
-		st.counts.BranchAnnotations += freshP
+		st.counts.CacheAnnotations += int64(len(rawH))
+		st.counts.BranchAnnotations += int64(len(rawP))
 		for _, h := range mineH {
 			firstErr = cmp.Or(firstErr, st.mem.resolve(st, h, memE[h], memRes[h], memErrs[h]))
+			if cs, ok := rawH[h]; ok {
+				st.cstats.offer(st, h, cs)
+			}
 		}
 		for _, pk := range mineP {
 			firstErr = cmp.Or(firstErr, st.br.resolve(st, pk, brE[pk], brResM[pk], brErrs[pk]))
+			if bs, ok := rawP[pk]; ok {
+				st.bstats.offer(st, pk, bs)
+			}
 		}
 		st.evictLocked()
 		st.mu.Unlock()

@@ -55,7 +55,7 @@ func (pw *Profiled) simulateDetailedBatch(ctx context.Context, cfgs []uarch.Conf
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
-	anns, err := pw.ensureAnnotated(ctx, cfgs, workers, nil)
+	anns, err := pw.ensureAnnotated(ctx, cfgs, workers)
 	if err != nil {
 		return nil, err
 	}

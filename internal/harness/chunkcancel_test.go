@@ -93,7 +93,7 @@ func TestAnnotateFrontCancelAfterChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh.AttachArtifacts(store, "cut")
-		if _, err := fresh.ensureAnnotated(cutAfterChunks(k), cfgs, 1, nil); !errors.Is(err, context.Canceled) {
+		if _, err := fresh.ensureAnnotated(cutAfterChunks(k), cfgs, 1); !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: ensureAnnotated returned %v, want context.Canceled", k, err)
 		}
 		fresh.annot.mu.Lock()
@@ -125,17 +125,18 @@ func TestAnnotateFrontCancelAfterChunk(t *testing.T) {
 }
 
 // TestInputsSetAddCancelAfterChunk cuts InputsSet.Add's one walk after
-// its k-th chunk: Add returns ctx.Err() and adds no statistics and no
-// replay, and a retry on the same set collects exactly what an uncut
-// set does.
+// its k-th chunk: Add returns ctx.Err() and adds no statistics, no
+// replay and no memo entry, and a retry on the same set collects
+// exactly what an uncut set does.
 func TestInputsSetAddCancelAfterChunk(t *testing.T) {
 	pw, cfgs := cancelCorpus(t)
-	ref, err := pw.MultiInputsCtx(context.Background(), cfgs)
+	ref, err := pw.Fresh().MultiInputsCtx(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, pw.Trace.NumChunks() / 2, pw.Trace.NumChunks() - 1} {
-		s := pw.NewInputsSet()
+		fresh := pw.Fresh()
+		s := fresh.NewInputsSet()
 		ctx := cutAfterChunks(k)
 		if err := s.Add(ctx, cfgs); !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: Add returned %v, want context.Canceled", k, err)
@@ -145,6 +146,9 @@ func TestInputsSetAddCancelAfterChunk(t *testing.T) {
 		}
 		if len(s.mem)+len(s.br) != 0 || s.Replays() != 0 {
 			t.Fatalf("k=%d: cut Add left %d hierarchies, %d predictors, %d replays", k, len(s.mem), len(s.br), s.Replays())
+		}
+		if n := statsEntries(fresh); n != 0 || fresh.Counters() != (Counters{}) {
+			t.Fatalf("k=%d: cut Add left %d memo entries, counters %+v", k, n, fresh.Counters())
 		}
 		if _, err := s.Inputs(cfgs[0]); err == nil {
 			t.Fatalf("k=%d: cut Add published inputs", k)
@@ -166,4 +170,12 @@ func TestInputsSetAddCancelAfterChunk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// statsEntries counts pw's statistics memo entries, resolved or in
+// flight.
+func statsEntries(pw *Profiled) int {
+	pw.annot.lock()
+	defer pw.annot.mu.Unlock()
+	return len(pw.annot.cstats.entries) + len(pw.annot.bstats.entries)
 }

@@ -7,33 +7,32 @@ import (
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
-// InputsSet accumulates the mixed program/machine statistics of a set
-// of design points and resolves the model inputs of any of them. Each
-// Add collects only the components (distinct cache hierarchies,
-// distinct branch predictors) not yet in the set, in at most one trace
-// traversal: one stack-distance engine per distinct L1/TLB front
-// covers all its L2 geometries, and every missing predictor runs on the
-// same stream. A batch whose components are all present costs no
-// replay — the economy of the heuristic search (dse.Search), whose
-// generations arrive one batch at a time. The statistics are
-// bit-identical however the components are split across Adds: each
+// InputsSet is one caller's view of its workload's statistics memo:
+// the mixed program/machine statistics of the design points added to
+// it, from which it resolves the model inputs of any of them. The memo
+// (two tables of the Profiled's annotStore: cache.Stats by hierarchy,
+// branch.Stats by predictor) is shared by every set, exploration and
+// served prediction on the workload, so a component is collected once
+// while it stays resident, whoever asks first. A batch whose components
+// are all resident costs no walk of the trace. The statistics are
+// bit-identical however the components are split across walks: each
 // engine's and predictor's results are independent of what else shares
-// its traversal.
+// its walk.
 //
-// Add is not safe for concurrent use; Inputs is, once no Add runs.
+// Add is not safe for concurrent use on one set; Inputs is, once no
+// Add runs. Distinct sets on one workload may Add concurrently.
 type InputsSet struct {
-	pw         *Profiled
-	mem        map[cache.HierarchyConfig]cache.Stats
-	br         map[uarch.PredictorKind]branch.Stats
-	traversals int
+	pw   *Profiled
+	mem  map[cache.HierarchyConfig]cache.Stats
+	br   map[uarch.PredictorKind]branch.Stats
+	adds int
 }
 
-// NewInputsSet returns an empty set over pw's trace.
+// NewInputsSet returns an empty set over pw's memo.
 func (pw *Profiled) NewInputsSet() *InputsSet {
 	return &InputsSet{
 		pw:  pw,
@@ -42,8 +41,9 @@ func (pw *Profiled) NewInputsSet() *InputsSet {
 	}
 }
 
-// MultiInputsCtx collects the statistics of every configuration in
-// cfgs in one pass over the trace (see InputsSet.Add).
+// MultiInputsCtx resolves the statistics of every configuration in
+// cfgs from the workload's memo, collecting the missing components in
+// at most one walk of the trace (see InputsSet.Add).
 func (pw *Profiled) MultiInputsCtx(ctx context.Context, cfgs []uarch.Config) (*InputsSet, error) {
 	s := pw.NewInputsSet()
 	if err := s.Add(ctx, cfgs); err != nil {
@@ -53,40 +53,27 @@ func (pw *Profiled) MultiInputsCtx(ctx context.Context, cfgs []uarch.Config) (*I
 }
 
 // ExploreInputsCtx computes the annotation planes AND the model inputs
-// of every configuration in cfgs from one fused pass: the cache engine
-// and predictor that compute a component's plane see exactly the
-// stream Add would replay, so their end-of-run statistics double as
-// the model inputs. A cold validated exploration therefore performs no
-// separate statistics traversal at all. Components that were already
-// annotated (cache or disk hits) carry no fused statistics; one Add
-// covers exactly those. The returned inputs are bit-identical to
-// MultiInputsCtx's, and the annotation cache is left exactly as
-// EnsureAnnotatedCtx would leave it. Statistics deposited by completed
-// traversals of an attempt that another request's cancellation cut
-// stay valid: their components are published, so the retry computes
-// only the rest.
+// of every configuration in cfgs. The cache engine and predictor that
+// compute a component's plane see exactly the stream the statistics
+// walk would, so each annotation walk publishes its end-of-run
+// statistics into the memo, and a cold validated exploration performs
+// no separate statistics walk at all. Components that were already
+// annotated (memo or disk hits) carry no fresh statistics; one walk
+// covers those of them the memo lacks. The returned inputs are
+// bit-identical to MultiInputsCtx's, and the annotation cache is left
+// exactly as EnsureAnnotatedCtx leaves it.
 func (pw *Profiled) ExploreInputsCtx(ctx context.Context, cfgs []uarch.Config, workers int) (*InputsSet, error) {
-	s := pw.NewInputsSet()
-	_, err := retryCancelled(ctx, func() ([]pipeline.Annotation, error) {
-		return pw.ensureAnnotated(ctx, cfgs, workers, s)
-	})
-	if err != nil {
+	if err := pw.EnsureAnnotatedCtx(ctx, cfgs, workers); err != nil {
 		return nil, err
 	}
-	if err := s.Add(ctx, cfgs); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return pw.MultiInputsCtx(ctx, cfgs)
 }
 
 // Add ensures every configuration in cfgs has its statistics in the
-// set, collecting the missing components in at most one trace
-// traversal: one walk over the trace's chunks (trace.EachChunk) hands
-// each chunk to one stack-distance engine for every missing hierarchy
-// and then to every missing predictor, all reading the chunk's columns
-// directly; each branch is decoded once for all the predictors. The
-// walk is aborted at a chunk boundary once ctx ends, and
-// then adds nothing.
+// set. The components new to the set are resolved from the memo: the
+// ones no request holds are claimed and collected in one walk of the
+// trace (see collectStats), the rest are awaited. The walk is aborted
+// at a chunk boundary once ctx ends, and Add then adds nothing.
 func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 	var (
 		hiers []cache.HierarchyConfig
@@ -107,44 +94,17 @@ func (s *InputsSet) Add(ctx context.Context, cfgs []uarch.Config) error {
 	if len(hiers)+len(kinds) == 0 {
 		return nil
 	}
-
-	// One engine for every hierarchy and one collector per predictor,
-	// each handed every chunk in turn while it is cache-resident.
-	var eng *cache.L2SpaceSim
-	if len(hiers) > 0 {
-		var err error
-		if eng, err = cache.NewL2SpaceSim(hiers); err != nil {
-			return err
-		}
-	}
-	bcs := make([]*branch.Collector, len(kinds))
-	for i, pk := range kinds {
-		bcs[i] = branch.NewCollector(pk.New())
-	}
-
-	err := s.pw.Trace.EachChunk(ctx, func(ck *trace.Columns) {
-		if eng != nil {
-			eng.ConsumeChunk(ck)
-		}
-		branch.ConsumeChunk(ck, bcs, nil)
-	})
+	ms, bs, err := s.pw.statistics(ctx, hiers, kinds)
 	if err != nil {
 		return err
 	}
-	s.traversals++
-	s.pw.annot.mu.Lock()
-	s.pw.annot.counts.StatsTraversals++
-	s.pw.annot.mu.Unlock()
-	for _, h := range hiers {
-		cs, err := eng.StatsFor(h)
-		if err != nil {
-			return err
-		}
-		s.mem[h] = cs
+	for i, h := range hiers {
+		s.mem[h] = ms[i]
 	}
 	for i, pk := range kinds {
-		s.br[pk] = bcs[i].S
+		s.br[pk] = bs[i]
 	}
+	s.adds++
 	return nil
 }
 
@@ -162,7 +122,156 @@ func (s *InputsSet) Inputs(cfg uarch.Config) (core.Inputs, error) {
 	return core.Inputs{Prof: s.pw.Prof, Mem: cs, Branch: bs}, nil
 }
 
-// Replays returns the number of trace traversals this set's Adds have
-// performed — the search's statistics-economy counter. The set's
-// Profiled counts them too, across all its sets (see Counters).
-func (s *InputsSet) Replays() int { return s.traversals }
+// Replays returns the number of this set's Adds that brought it
+// components it did not hold — the search's statistics-economy
+// counter, one per generation that needed new statistics. Whether such
+// an Add walked the trace depends on the memo; the walks themselves
+// are counted per workload (see Counters).
+func (s *InputsSet) Replays() int { return s.adds }
+
+// statistics resolves the statistics of the distinct components hiers
+// and kinds from the memo, indexed like them: it claims the components
+// no request holds, collects all of those in one walk, publishes them
+// and awaits the others. A wait that ends in another request's
+// cancellation while ctx is still live claims again (as retryCancelled
+// does); this call's own failed walk is returned as it is.
+func (pw *Profiled) statistics(ctx context.Context, hiers []cache.HierarchyConfig, kinds []uarch.PredictorKind) ([]cache.Stats, []branch.Stats, error) {
+	// An unusable hierarchy fails this call before it claims anything,
+	// so it never fails another request's wait.
+	for _, h := range hiers {
+		if err := cache.Stackable(h); err != nil {
+			return nil, nil, err
+		}
+	}
+	st := &pw.annot
+	memE := make([]*memoEntry[cache.Stats], len(hiers))
+	brE := make([]*memoEntry[branch.Stats], len(kinds))
+	ms := make([]cache.Stats, len(hiers))
+	bs := make([]branch.Stats, len(kinds))
+	for {
+		var mineH, mineP []int // indices of the components this call claims
+		st.lock()
+		for i, h := range hiers {
+			e, mine := st.cstats.claim(st, h)
+			if mine {
+				mineH = append(mineH, i)
+			}
+			memE[i] = e
+		}
+		for i, pk := range kinds {
+			e, mine := st.bstats.claim(st, pk)
+			if mine {
+				mineP = append(mineP, i)
+			}
+			brE[i] = e
+		}
+		st.mu.Unlock()
+
+		if len(mineH)+len(mineP) > 0 {
+			cs, ps, err := collectStats(ctx, pw.Trace, pick(hiers, mineH), pick(kinds, mineP))
+			st.mu.Lock()
+			if err == nil {
+				st.counts.StatsTraversals++
+			}
+			for j, i := range mineH {
+				var v cache.Stats
+				if err == nil {
+					v = cs[j]
+				}
+				st.cstats.resolve(st, hiers[i], memE[i], v, err)
+			}
+			for j, i := range mineP {
+				var v branch.Stats
+				if err == nil {
+					v = ps[j]
+				}
+				st.bstats.resolve(st, kinds[i], brE[i], v, err)
+			}
+			st.evictLocked()
+			st.mu.Unlock()
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+
+		// Every claim of this call is resolved above, so abandoning a
+		// wait when ctx ends wedges nobody.
+		err := awaitAll(ctx, memE, ms)
+		if err == nil {
+			err = awaitAll(ctx, brE, bs)
+		}
+		if err == nil {
+			return ms, bs, nil
+		}
+		if !isCancellation(err) || ctx.Err() != nil {
+			return nil, nil, err
+		}
+	}
+}
+
+// awaitAll awaits every entry into out, indexed alike.
+func awaitAll[V any](ctx context.Context, es []*memoEntry[V], out []V) error {
+	for i, e := range es {
+		v, err := e.await(ctx)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
+// pick returns the elements of ks at the indices idx.
+func pick[K any](ks []K, idx []int) []K {
+	out := make([]K, len(idx))
+	for j, i := range idx {
+		out[j] = ks[i]
+	}
+	return out
+}
+
+// collectStats is the statistics walk: one walk over the trace's
+// chunks (trace.EachChunk) hands each chunk to one stack-distance
+// engine for every hierarchy of hiers and then to every predictor of
+// kinds, all reading the chunk's columns directly; each branch is
+// decoded once for all the predictors. The results are indexed like
+// hiers and kinds. Cancellation aborts the walk at a chunk boundary
+// with ctx.Err(), and a panic is returned as an error, so a claimed
+// memo entry is always resolved.
+func collectStats(ctx context.Context, tr *trace.Trace, hiers []cache.HierarchyConfig, kinds []uarch.PredictorKind) (ms []cache.Stats, bs []branch.Stats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ms, bs, err = nil, nil, fmt.Errorf("harness: statistics walk panicked: %v", r)
+		}
+	}()
+	var eng *cache.L2SpaceSim
+	if len(hiers) > 0 {
+		if eng, err = cache.NewL2SpaceSim(hiers); err != nil {
+			return nil, nil, err
+		}
+	}
+	bcs := make([]*branch.Collector, len(kinds))
+	for i, pk := range kinds {
+		bcs[i] = branch.NewCollector(pk.New())
+	}
+	err = tr.EachChunk(ctx, func(ck *trace.Columns) {
+		if eng != nil {
+			eng.ConsumeChunk(ck)
+		}
+		branch.ConsumeChunk(ck, bcs, nil)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	ms = make([]cache.Stats, len(hiers))
+	for i, h := range hiers {
+		if ms[i], err = eng.StatsFor(h); err != nil {
+			return nil, nil, err
+		}
+	}
+	bs = make([]branch.Stats, len(kinds))
+	for i, bc := range bcs {
+		bs[i] = bc.S
+	}
+	return ms, bs, nil
+}

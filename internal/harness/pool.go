@@ -38,16 +38,17 @@ type PoolOptions struct {
 // PoolStats is a snapshot of a Pool's counters. The json tags shape
 // the service's /metrics output.
 type PoolStats struct {
-	Hits       int64 `json:"hits"`        // lookups answered by a resident (or in-flight) entry
-	Misses     int64 `json:"misses"`      // lookups that had to admit a new entry
-	Evictions  int64 `json:"evictions"`   // workloads evicted by the MaxWorkloads bound
-	Profiles   int64 `json:"profiles"`    // profiling runs actually executed (disk hits skip one)
-	DiskHits   int64 `json:"disk_hits"`   // admissions served by the artifact store
-	DiskWrites int64 `json:"disk_writes"` // freshly profiled workloads written through to disk
-	DiskErrors int64 `json:"disk_errors"` // unusable artifacts or failed writes (profiling proceeded)
-	Resident   int   `json:"resident"`    // completed workloads currently resident
-	InFlight   int   `json:"in_flight"`   // admissions currently profiling
-	PlaneBytes int64 `json:"plane_bytes"` // annotation/timing bytes resident across all workloads
+	Hits            int64 `json:"hits"`             // lookups answered by a resident (or in-flight) entry
+	Misses          int64 `json:"misses"`           // lookups that had to admit a new entry
+	Evictions       int64 `json:"evictions"`        // workloads evicted by the MaxWorkloads bound
+	Profiles        int64 `json:"profiles"`         // profiling runs actually executed (disk hits skip one)
+	DiskHits        int64 `json:"disk_hits"`        // admissions served by the artifact store
+	DiskWrites      int64 `json:"disk_writes"`      // freshly profiled workloads written through to disk
+	DiskErrors      int64 `json:"disk_errors"`      // unusable artifacts or failed writes (profiling proceeded)
+	Resident        int   `json:"resident"`         // completed workloads currently resident
+	InFlight        int   `json:"in_flight"`        // admissions currently profiling
+	PlaneBytes      int64 `json:"plane_bytes"`      // annotation/timing/statistics bytes resident across all workloads
+	StatsTraversals int64 `json:"stats_traversals"` // statistics walks run by the resident workloads (Counters.StatsTraversals)
 }
 
 // Pool is a bounded, concurrent cache of Profiled workloads — the
@@ -412,8 +413,8 @@ func (p *Pool) Resident(name string) bool {
 	}
 }
 
-// Stats snapshots the pool's counters. The per-workload byte totals
-// are summed after releasing p.mu: Counters takes each workload's
+// Stats snapshots the pool's counters. The per-workload byte and
+// statistics-walk totals are summed after releasing p.mu: Counters takes each workload's
 // annotation-store lock, and holding p.mu across those would serialize
 // every concurrent lookup behind a metrics scrape.
 func (p *Pool) Stats() PoolStats {
@@ -441,7 +442,9 @@ func (p *Pool) Stats() PoolStats {
 	}
 	p.mu.Unlock()
 	for _, pw := range resident {
-		s.PlaneBytes += pw.Counters().Bytes
+		c := pw.Counters()
+		s.PlaneBytes += c.Bytes
+		s.StatsTraversals += c.StatsTraversals
 	}
 	return s
 }

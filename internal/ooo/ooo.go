@@ -266,7 +266,7 @@ func Predict(n int64, st Stats, cfg Config) (*Stack, error) {
 	}
 	s.Cycles[DL1Miss] = float64(st.Mem.DL1Misses-st.Mem.DL2Misses) * shortPenalty
 	exposed := float64(st.L2MissClusters)
-	s.Cycles[DL2Miss] = exposed*l2miss + float64(st.Mem.DTLBMisses+st.Mem.ITLBMisses)*walk
+	s.Cycles[DL2Miss] = float64(exposed*l2miss) + float64(float64(st.Mem.DTLBMisses+st.Mem.ITLBMisses)*walk)
 
 	s.Cycles[BrMiss] = float64(st.Mispredict) * (D + resolution)
 	return s, nil

@@ -122,11 +122,11 @@ func (m Model) Energy(ev Events, cfg uarch.Config, cycles float64) (Breakdown, e
 	seconds := cfg.Seconds(cycles)
 
 	const nj = 1e-9
-	perInstr := m.InstrNJ * (1 + m.WidthFactor*float64(cfg.Width-1)) *
-		(1 + m.DepthFactor*float64(cfg.PipelineStages()-5))
+	perInstr := m.InstrNJ * (1 + float64(m.WidthFactor*float64(cfg.Width-1))) *
+		(1 + float64(m.DepthFactor*float64(cfg.PipelineStages()-5)))
 
 	l2KB := float64(cfg.Hier.L2.SizeBytes) / 1024
-	l2PerAccess := m.L2BaseNJ * math.Sqrt(l2KB/512) * (1 + 0.04*float64(cfg.Hier.L2.Ways-8))
+	l2PerAccess := m.L2BaseNJ * math.Sqrt(l2KB/512) * (1 + float64(0.04*float64(cfg.Hier.L2.Ways-8)))
 
 	bpredPer := m.BpredNJ
 	if cfg.Predictor == uarch.PredHybrid3_5KB {
@@ -134,12 +134,12 @@ func (m Model) Energy(ev Events, cfg uarch.Config, cycles float64) (Breakdown, e
 	}
 
 	var b Breakdown
-	b.Core = dyn * nj * (perInstr*float64(ev.N) + m.MulDivNJ*float64(ev.MulDiv))
+	b.Core = dyn * nj * (float64(perInstr*float64(ev.N)) + float64(m.MulDivNJ*float64(ev.MulDiv)))
 	b.L1 = dyn * nj * m.L1AccessNJ * float64(ev.IL1Accesses+ev.DL1Accesses)
 	b.L2 = dyn * nj * l2PerAccess * float64(ev.L2Accesses)
 	b.Memory = dyn * nj * m.MemNJ * float64(ev.MemAccesses)
 	b.Bpred = dyn * nj * bpredPer * float64(ev.Branches)
-	leakW := leak * (m.CoreLeakW*float64(cfg.Width) + m.L2LeakWPerKB*l2KB)
+	leakW := leak * (float64(m.CoreLeakW*float64(cfg.Width)) + float64(m.L2LeakWPerKB*l2KB))
 	b.Leakage = leakW * seconds
 	return b, nil
 }

@@ -82,7 +82,7 @@ func quantileUpperBound(counts []int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	rank := int64(q*float64(total) + 0.5)
+	rank := int64(float64(q*float64(total)) + 0.5)
 	if rank < 1 {
 		rank = 1
 	}

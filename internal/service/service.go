@@ -727,28 +727,25 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.budget.Release(n)
 
-	st, err := pw.PredictCtx(ctx, cfg)
+	// The workload's statistics memo answers a design point whose
+	// hierarchy and predictor it holds without walking the trace, so
+	// after first touch a prediction is one model evaluation.
+	set, err := pw.MultiInputsCtx(ctx, []uarch.Config{cfg})
 	if err != nil {
 		s.writeErr(w, err, codeInternal)
 		return
 	}
-	stack := make(map[string]float64)
-	for c := core.Component(0); c < core.NumComponents; c++ {
-		if st.Cycles[c] != 0 {
-			stack[c.String()] = st.CPIOf(c)
-		}
+	in, err := set.Inputs(cfg)
+	if err != nil {
+		s.writeErr(w, err, codeInternal)
+		return
 	}
-	resp := PredictResponse{
-		Benchmark:    bench,
-		Instructions: pw.Prof.N,
-		Config:       configJSON(cfg),
-		Model: ModelJSON{
-			Cycles:   st.Total(),
-			CPI:      st.CPI(),
-			Seconds:  cfg.Seconds(st.Total()),
-			CPIStack: stack,
-		},
+	st, err := core.Predict(in, cfg)
+	if err != nil {
+		s.writeErr(w, err, codeInternal)
+		return
 	}
+	resp := predictResponse(bench, pw.Prof.N, cfg, st)
 	if validate {
 		sims, err := pw.SimulateDetailedBatchCtx(ctx, []uarch.Config{cfg}, n)
 		if err != nil {
@@ -763,6 +760,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.Sim = sj
 	}
 	s.writeJSON(w, resp)
+}
+
+// predictResponse is the model half of a /v1/predict answer: st is
+// the prediction for cfg on bench, a program of n instructions.
+func predictResponse(bench string, n int64, cfg uarch.Config, st *core.Stack) PredictResponse {
+	stack := make(map[string]float64)
+	for c := core.Component(0); c < core.NumComponents; c++ {
+		if st.Cycles[c] != 0 {
+			stack[c.String()] = st.CPIOf(c)
+		}
+	}
+	return PredictResponse{
+		Benchmark:    bench,
+		Instructions: n,
+		Config:       configJSON(cfg),
+		Model: ModelJSON{
+			Cycles:   st.Total(),
+			CPI:      st.CPI(),
+			Seconds:  cfg.Seconds(st.Total()),
+			CPIStack: stack,
+		},
+	}
 }
 
 // ExplorePoint is one design point of an exploration response. Errors

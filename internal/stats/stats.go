@@ -57,14 +57,14 @@ func Quantile(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // CDFPoint is one point of an empirical CDF.

@@ -581,7 +581,7 @@ var extendedDomain = sync.OnceValue(func() *Domain {
 
 	fscales := []float64{0.8, 1.0, 1.2}
 	fscale := FloatAxis("fscale", fscales, "f", func(c Config, i int) Config {
-		c.FreqMHz = int(float64(c.FreqMHz)*fscales[i] + 0.5)
+		c.FreqMHz = int(float64(float64(c.FreqMHz)*fscales[i]) + 0.5)
 		return c
 	})
 	fscale.Label = "frequency scale"

@@ -82,7 +82,7 @@ type Config struct {
 // cyclesFor converts a latency in nanoseconds to (rounded-up) cycles at
 // the configured frequency, with a minimum of 1 cycle.
 func (c Config) cyclesFor(ns float64) int {
-	cyc := int((ns*float64(c.FreqMHz) + 999) / 1000)
+	cyc := int((float64(ns*float64(c.FreqMHz)) + 999) / 1000)
 	if cyc < 1 {
 		cyc = 1
 	}
