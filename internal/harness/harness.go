@@ -206,7 +206,10 @@ func (pw *Profiled) InputsCtx(ctx context.Context, cfg uarch.Config) (core.Input
 
 // PredictCtx goes from profile to prediction for one design point:
 // the statistics replay aborts at a chunk boundary once ctx ends,
-// returning ctx.Err().
+// returning ctx.Err(). It replays the trace on every call and shares
+// no code with the statistics memo, which makes it the per-point
+// reference; a caller predicting many points of one workload resolves
+// MultiInputsCtx and core.Predict instead, as modeld does.
 func (pw *Profiled) PredictCtx(ctx context.Context, cfg uarch.Config) (*core.Stack, error) {
 	in, err := pw.InputsCtx(ctx, cfg)
 	if err != nil {
