@@ -225,7 +225,6 @@ func TestProgramDensity(t *testing.T) {
 // fingerprint it, so a second copy of the array shows up on each.
 func TestMcfLikeBuildAllocation(t *testing.T) {
 	const ceiling = 6.5 * (1 << 20)
-	McfLike() // first-use allocations outside the build itself
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p := McfLike()
