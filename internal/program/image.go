@@ -47,19 +47,19 @@ func (d *Image) set(addr, val int64) {
 	d.add(Run{Base: addr, Vals: []int64{val}})
 }
 
-// setSlice writes consecutive words as one run of its own, keeping
-// vals as the run's storage. A slice running past the top of the
-// address space wraps to its bottom, as consecutive set calls would.
+// setSlice writes consecutive words as one run of its own. A slice
+// running past the top of the address space wraps to its bottom, as
+// consecutive set calls would.
 func (d *Image) setSlice(base int64, vals []int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if base > 0 && int64(len(vals))-1 > math.MaxInt64-base {
 		k := math.MaxInt64 - base + 1
-		d.add(Run{Base: base, Vals: vals[:k:k]})
+		d.add(Run{Base: base, Vals: slices.Clone(vals[:k])})
 		base, vals = math.MinInt64, vals[k:]
 	}
 	if len(vals) > 0 {
-		d.add(Run{Base: base, Vals: vals})
+		d.add(Run{Base: base, Vals: slices.Clone(vals)})
 	}
 }
 

@@ -10,7 +10,6 @@ package program
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/isa"
 )
@@ -78,14 +77,6 @@ func (p *Program) SetData(addr, val int64) {
 // SetDataSlice initializes consecutive memory words starting at base,
 // copying vals.
 func (p *Program) SetDataSlice(base int64, vals []int64) {
-	p.Data.setSlice(base, slices.Clone(vals))
-}
-
-// AdoptDataSlice is SetDataSlice without the copy: the program keeps
-// vals as the words' storage, so the caller must not modify it
-// afterwards. A generator that builds a large array for the image
-// alone hands it over this way instead of holding it twice.
-func (p *Program) AdoptDataSlice(base int64, vals []int64) {
 	p.Data.setSlice(base, vals)
 }
 

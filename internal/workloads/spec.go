@@ -25,13 +25,9 @@ func McfLike() *program.Program {
 	// Build one random permutation cycle so the chase never repeats a
 	// block until the whole region has been visited.
 	r := newRNG(0x3CF1)
-	// The permutation is kept as int32 and the successor array handed
-	// to the image without a copy, so a build allocates the 4 MB image
-	// and a 2 MB permutation only: every cached load builds the program
-	// to fingerprint it.
-	perm := make([]int32, nodesWords)
+	perm := make([]int64, nodesWords)
 	for i := range perm {
-		perm[i] = int32(i)
+		perm[i] = int64(i)
 	}
 	for i := len(perm) - 1; i > 0; i-- {
 		j := r.intn(int64(i + 1))
@@ -39,9 +35,9 @@ func McfLike() *program.Program {
 	}
 	next := make([]int64, nodesWords)
 	for i := 0; i < len(perm); i++ {
-		next[perm[i]] = int64(perm[(i+1)%len(perm)])
+		next[perm[i]] = perm[(i+1)%len(perm)]
 	}
-	p.AdoptDataSlice(chainBase, next)
+	p.SetDataSlice(chainBase, next)
 
 	node, cnt, n := R(1), R(2), R(3)
 	acc, t := R(4), R(5)

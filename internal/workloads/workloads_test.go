@@ -218,19 +218,3 @@ func TestProgramDensity(t *testing.T) {
 	}
 	runtime.KeepAlive(p)
 }
-
-// TestMcfLikeBuildAllocation pins what one mcf_like build allocates:
-// its 4 MB successor array, held once by the program image, and a 2 MB
-// int32 permutation. Every cached load builds the program to
-// fingerprint it, so a second copy of the array shows up on each.
-func TestMcfLikeBuildAllocation(t *testing.T) {
-	const ceiling = 6.5 * (1 << 20)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p := McfLike()
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-		t.Fatalf("one mcf_like build allocated %.1f MB, ceiling %.1f MB", float64(got)/(1<<20), ceiling/(1<<20))
-	}
-	runtime.KeepAlive(p)
-}
