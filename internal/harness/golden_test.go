@@ -49,8 +49,11 @@ type goldenCase struct {
 }
 
 // goldenCorpus returns the 30 named workloads, randprog.Default(100)
-// through Default(105) scaled to goldenFloor, and one generated program
-// profiled through the sandboxed entry point.
+// through Default(105) scaled to goldenFloor, one generated program
+// profiled through the sandboxed entry point, and one larger generated
+// program, rand-wide, whose 277 tuples take its dictionary past 256
+// entries: its 257th tuple is first interned at instruction 976, in
+// the middle of the first chunk.
 func goldenCorpus() []goldenCase {
 	var out []goldenCase
 	for _, s := range workloads.All() {
@@ -68,6 +71,8 @@ func goldenCorpus() []goldenCase {
 		func(p *program.Program) (*Profiled, error) {
 			return ProfileProgramSandboxedCtx(context.Background(), p, goldenFloor, 4*goldenFloor)
 		}})
+	wide := randprog.Config{Seed: 202, MaxBlocks: 20, MaxInsts: 24, OuterTrips: 50, MemWords: 1 << 12}
+	out = append(out, goldenCase{"rand-wide", func() *program.Program { return randprog.Generate(wide) }, scaled})
 	return out
 }
 
