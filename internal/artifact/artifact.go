@@ -64,8 +64,10 @@ import (
 // trace section as a static-tuple dictionary plus two 4-byte columns;
 // version 4 stores addresses for loads and stores only, with their
 // count in the trace header; version 5 narrows the id column to 2
-// bytes, under a dictionary of at most trace.MaxTuples entries.
-const FormatVersion = 5
+// bytes, under a dictionary of at most trace.MaxTuples entries; version
+// 6 stores the ids of every chunk recorded while the dictionary fits a
+// byte in 1 byte each, behind a width byte per chunk.
+const FormatVersion = 6
 
 // Ext is the artifact file extension.
 const Ext = ".rpaf"

@@ -183,25 +183,30 @@ func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 	le := binary.LittleEndian
 	// The trace stream layout (see internal/trace/codec.go): a 16-byte
 	// header (instructions, loads and stores), the dictionary count and
-	// 14-byte tuples (flags at byte 10) behind a CRC, then chunk 0's
-	// 2-byte id column, 4-byte address column and CRC.
+	// 14-byte tuples (flags at byte 10) behind a CRC, then chunk 0's id
+	// width w, w-byte id column, 4-byte address column and CRC.
 	const hdr, tupleBytes = 16, 14
-	chunk0 := func(st []byte) (dictEnd int, ids []byte, naddr int) {
+	chunk0 := func(st []byte) (dictEnd, w int, ids []byte, naddr int) {
 		dictEnd = hdr + 4 + tupleBytes*int(le.Uint32(st[hdr:]))
-		ids = st[dictEnd+4 : dictEnd+4+2*int(min(le.Uint64(st), trace.ChunkLen))]
-		for i := 0; i < len(ids); i += 2 {
-			if st[hdr+4+tupleBytes*int(le.Uint16(ids[i:]))+10]&trace.FlagMem != 0 {
+		w = int(st[dictEnd+4])
+		ids = st[dictEnd+5 : dictEnd+5+w*int(min(le.Uint64(st), trace.ChunkLen))]
+		for i := 0; i < len(ids); i += w {
+			id := int(ids[i])
+			if w == 2 {
+				id = int(le.Uint16(ids[i:]))
+			}
+			if st[hdr+4+tupleBytes*id+10]&trace.FlagMem != 0 {
 				naddr++
 			}
 		}
-		return dictEnd, ids, naddr
+		return dictEnd, w, ids, naddr
 	}
 	// resize gives chunk 0's address column delta more (or fewer)
 	// entries and the header count to match, then re-signs the chunk.
 	resize := func(st []byte, delta int) []byte {
-		dictEnd, ids, naddr := chunk0(st)
+		dictEnd, _, ids, naddr := chunk0(st)
 		start := dictEnd + 4
-		end := start + len(ids) + 4*naddr
+		end := start + 1 + len(ids) + 4*naddr
 		body := append([]byte(nil), st[start:end+4*min(delta, 0)]...)
 		for ; delta > 0; delta-- {
 			body = le.AppendUint32(body, 7)
@@ -213,14 +218,18 @@ func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 	}
 	cases := map[string]func(stream []byte) []byte{
 		"dictionary-id": func(st []byte) []byte {
-			dictEnd, ids, naddr := chunk0(st)
-			le.PutUint16(ids, uint16(le.Uint32(st[hdr:])))
-			body := st[dictEnd+4 : dictEnd+4+len(ids)+4*naddr]
+			dictEnd, w, ids, naddr := chunk0(st)
+			if m := le.Uint32(st[hdr:]); w == 2 {
+				le.PutUint16(ids, uint16(m))
+			} else {
+				ids[0] = uint8(m)
+			}
+			body := st[dictEnd+4 : dictEnd+5+len(ids)+4*naddr]
 			le.PutUint32(st[dictEnd+4+len(body):], crc32c(body))
 			return st
 		},
 		"register": func(st []byte) []byte {
-			dictEnd, _, _ := chunk0(st)
+			dictEnd, _, _, _ := chunk0(st)
 			st[hdr+4+11] = isa.NumRegs // entry 0's Dst byte
 			le.PutUint32(st[dictEnd:], crc32c(st[hdr:dictEnd]))
 			return st
@@ -228,7 +237,7 @@ func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 		"dictionary-count": func(st []byte) []byte {
 			// Copies of entry 0 pad the dictionary past the cap; no id
 			// references them.
-			dictEnd, _, _ := chunk0(st)
+			dictEnd, _, _, _ := chunk0(st)
 			out := append([]byte(nil), st[:dictEnd]...)
 			for range trace.MaxTuples + 1 - int(le.Uint32(st[hdr:])) {
 				out = append(out, st[hdr+4:hdr+4+tupleBytes]...)

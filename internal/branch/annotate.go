@@ -42,9 +42,18 @@ func ConsumeChunk(ck *trace.Columns, cs []*Collector, mis [][]uint64) {
 	if len(cs) == 0 {
 		return
 	}
+	if ck.Wide() {
+		consumeChunk(ck.Static, ck.ID16[:ck.N], cs, mis)
+	} else {
+		consumeChunk(ck.Static, ck.ID8[:ck.N], cs, mis)
+	}
+}
+
+// consumeChunk is ConsumeChunk over one chunk's id column ids.
+func consumeChunk[I trace.ID](static []trace.Static, ids []I, cs []*Collector, mis [][]uint64) {
 	var jumps int64
-	for j, id := range ck.ID[:ck.N] {
-		st := &ck.Static[id]
+	for j, id := range ids {
+		st := &static[id]
 		fl := st.Flags
 		if fl&(trace.FlagBranch|trace.FlagJump) != trace.FlagBranch {
 			if fl&trace.FlagJump != 0 {

@@ -376,6 +376,15 @@ func (s *L2SpaceSim) PlaneFor(h HierarchyConfig) (*trace.BytePlane, error) {
 // chunk per recorded geometry from that geometry's plane builder and
 // writes only the instructions whose event byte is non-zero.
 func (s *L2SpaceSim) ConsumeChunk(ck *trace.Columns) {
+	if ck.Wide() {
+		consumeChunk(s, ck, ck.ID16[:ck.N])
+	} else {
+		consumeChunk(s, ck, ck.ID8[:ck.N])
+	}
+}
+
+// consumeChunk is ConsumeChunk over the chunk's id column ids.
+func consumeChunk[I trace.ID](s *L2SpaceSim, ck *trace.Columns, ids []I) {
 	s.n += int64(ck.N)
 	fronts := s.fronts
 	for fi := range fronts {
@@ -391,7 +400,7 @@ func (s *L2SpaceSim) ConsumeChunk(ck *trace.Columns) {
 	iWarm, lastI := is.warm, is.last
 	dWarm, dDirty, lastD := ds.warm, ds.dirty, ds.last
 	k := 0 // running index into ck.Addr
-	for j, id := range ck.ID[:ck.N] {
+	for j, id := range ids {
 		st := &ck.Static[id]
 		ev := false // some front saw a TLB or L1 miss (see l1Side.access)
 

@@ -538,7 +538,7 @@ func TestL2SpaceSimMemoryIsBounded(t *testing.T) {
 	ck := trace.Columns{
 		N:      trace.ChunkLen,
 		Static: []trace.Static{{PC: 1 << 28, Flags: trace.FlagLoad}},
-		ID:     make([]uint16, trace.ChunkLen),
+		ID8:    make([]uint8, trace.ChunkLen),
 		Addr:   make([]uint32, trace.ChunkLen),
 	}
 	const blocks = 1 << 20

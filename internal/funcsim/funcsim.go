@@ -129,6 +129,9 @@ func (m *Machine) Reset() {
 // A tuple that would take b's dictionary past trace.MaxTuples stops the
 // run with an error wrapping trace.ErrDictionaryFull.
 func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
+	if m.Halted {
+		return m.Retired, nil
+	}
 	maxN := m.MaxInstructions
 	if maxN <= 0 {
 		maxN = DefaultMaxInstructions
@@ -139,29 +142,38 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 	}
 	ids := m.ids
 	watched := ctx.Done() != nil
-	memLen := int64(len(m.Mem))
-	for !m.Halted {
-		if watched && m.Retired&(ctxCheckInterval-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return m.Retired, err
+	instrs, mem := m.Instrs, m.Mem
+	memLen := int64(len(mem))
+	// The architectural state lives in locals for the whole run, so the
+	// interpreter keeps it in registers across the stores into memory
+	// and the trace; every exit below writes it back.
+	pc, retired, regs := m.PC, m.Retired, m.Regs
+	var err error
+run:
+	for {
+		if watched && retired&(ctxCheckInterval-1) == 0 {
+			if err = ctx.Err(); err != nil {
+				break
 			}
 		}
-		if m.PC < 0 || m.PC >= int64(len(m.Instrs)) {
-			return m.Retired, fmt.Errorf("%w: PC %d outside [0,%d)", ErrPCFault, m.PC, len(m.Instrs))
+		if pc < 0 || pc >= int64(len(instrs)) {
+			err = fmt.Errorf("%w: PC %d outside [0,%d)", ErrPCFault, pc, len(instrs))
+			break
 		}
-		in := &m.Instrs[m.PC]
+		in := &instrs[pc]
 		if in.Op == isa.HALT {
 			m.Halted = true
 			break
 		}
-		if m.Retired >= maxN {
-			return m.Retired, ErrMaxInstructions
+		if retired >= maxN {
+			err = ErrMaxInstructions
+			break
 		}
 
-		nextPC := m.PC + 1
+		nextPC := pc + 1
 		var ea, taken int64 // effective word address; 1 if control transferred
-		s1 := m.Regs[in.Src1]
-		s2 := m.Regs[in.Src2]
+		s1 := regs[in.Src1]
+		s2 := regs[in.Src2]
 		var wval int64
 		writes := false
 
@@ -222,15 +234,17 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 		case isa.LD:
 			ea = s1 + in.Imm
 			if ea < 0 || ea >= memLen {
-				return m.Retired, fmt.Errorf("%w: load address %d at PC %d (%v)", ErrMemFault, ea, m.PC, in)
+				err = fmt.Errorf("%w: load address %d at PC %d (%v)", ErrMemFault, ea, pc, in)
+				break run
 			}
-			wval, writes = m.Mem[ea], true
+			wval, writes = mem[ea], true
 		case isa.ST:
 			ea = s1 + in.Imm
 			if ea < 0 || ea >= memLen {
-				return m.Retired, fmt.Errorf("%w: store address %d at PC %d (%v)", ErrMemFault, ea, m.PC, in)
+				err = fmt.Errorf("%w: store address %d at PC %d (%v)", ErrMemFault, ea, pc, in)
+				break run
 			}
-			m.Mem[ea] = s2
+			mem[ea] = s2
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
 			var t bool
 			switch in.Op {
@@ -250,23 +264,24 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 			nextPC, taken = int64(in.Target), 1
 		case isa.JAL:
 			if in.Dst != isa.Zero {
-				wval, writes = m.PC+1, true
+				wval, writes = pc+1, true
 			}
 			nextPC, taken = int64(in.Target), 1
 		default:
-			return m.Retired, fmt.Errorf("funcsim: unimplemented opcode %v at PC %d", in.Op, m.PC)
+			err = fmt.Errorf("funcsim: unimplemented opcode %v at PC %d", in.Op, pc)
+			break run
 		}
 
 		if writes && in.Dst != isa.Zero {
-			m.Regs[in.Dst] = wval
+			regs[in.Dst] = wval
 		}
 		if record {
-			slot := m.PC<<1 | taken
+			slot := pc<<1 | taken
 			e := ids[slot]
 			if e == 0 {
-				var err error
 				if e, err = m.intern(b, slot); err != nil {
-					return m.Retired, fmt.Errorf("funcsim: PC %d: %w", m.PC, err)
+					err = fmt.Errorf("funcsim: PC %d: %w", pc, err)
+					break
 				}
 			}
 			b.AppendID(uint16(e>>1 - 1))
@@ -276,10 +291,11 @@ func (m *Machine) RunCtx(ctx context.Context, b *trace.Builder) (int64, error) {
 			}
 		}
 
-		m.PC = nextPC
-		m.Retired++
+		pc = nextPC
+		retired++
 	}
-	return m.Retired, nil
+	m.PC, m.Retired, m.Regs = pc, retired, regs
+	return retired, err
 }
 
 // intern interns the tuple of slot (PC<<1 | taken) into b and caches

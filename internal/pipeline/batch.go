@@ -166,62 +166,72 @@ func (bm *bmem) fill(cols []trace.Columns, cs, limit, n int) {
 // and plane columns chunk by chunk, and returns how many of them are
 // multiplies or divides.
 func (bm *bmem) decode(cols []trace.Columns, from, to int) (llBlocks int64) {
-	ev := bm.ev
 	for from < to {
 		ci := from >> trace.ChunkShift
 		ck := &cols[ci]
-		j0 := from & trace.ChunkMask
-		ids := ck.ID[j0:min(to-ci<<trace.ChunkShift, ck.N)]
-		mb := bm.plane[ci][j0:][:len(ids)]
-		off := from - bm.base
-		out := bm.uops[off:][:len(ids)]
-		for j, id := range ids {
-			st := &ck.Static[id]
-			fl := st.Flags
-			m := mb[j]
-			s1, s2, dst := uint32(uRegDummy), uint32(uRegDummy), uint32(uRegTrash)
-			switch fl >> trace.NumSrcShift {
-			case 2:
-				s2 = uint32(st.Src2)
-				fallthrough
-			case 1:
-				s1 = uint32(st.Src1)
-			}
-			if fl&trace.FlagHasDst != 0 {
-				dst = uint32(st.Dst)
-			}
-			u := s1 | s2<<uSrc2Shift | dst<<uDstShift |
-				uint32(m&trace.AnnSideMask)<<uIClsShift |
-				uint32((m>>trace.AnnDShift)&trace.AnnSideMask)<<uDClsShift
-			switch st.Class {
-			case isa.ClassMul:
-				u |= ukMul << uKindShift
-				llBlocks++
-			case isa.ClassDiv:
-				u |= ukDiv << uKindShift
-				llBlocks++
-			case isa.ClassLoad, isa.ClassStore:
-				u |= ukMem << uKindShift
-				if fl&(trace.FlagLoad|trace.FlagHasDst) == trace.FlagLoad|trace.FlagHasDst {
-					u |= uLoadFwd
-				}
-			}
-			if fl&trace.FlagJump != 0 {
-				u |= uJump
-			}
-			if fl&trace.FlagBranch != 0 {
-				u |= uBranch
-			}
-			if fl&trace.FlagTaken != 0 {
-				u |= uTaken
-			}
-			out[j] = u
-			if fl&(trace.FlagJump|trace.FlagBranch) != 0 || m&trace.AnnSideMask != 0 {
-				i := off + j
-				ev[i>>6] |= 1 << uint(i&63)
+		j0, j1 := from&trace.ChunkMask, min(to-ci<<trace.ChunkShift, ck.N)
+		if ck.Wide() {
+			llBlocks += decodeIDs(bm, ck.Static, ck.ID16[j0:j1], bm.plane[ci][j0:j1], from-bm.base)
+		} else {
+			llBlocks += decodeIDs(bm, ck.Static, ck.ID8[j0:j1], bm.plane[ci][j0:j1], from-bm.base)
+		}
+		from += j1 - j0
+	}
+	return llBlocks
+}
+
+// decodeIDs packs the instructions of ids, whose memory-plane bytes are
+// mb, into the window from position off, and returns how many of them
+// are multiplies or divides.
+func decodeIDs[I trace.ID](bm *bmem, static []trace.Static, ids []I, mb []uint8, off int) (llBlocks int64) {
+	ev := bm.ev
+	out := bm.uops[off:][:len(ids)]
+	mb = mb[:len(ids)]
+	for j, id := range ids {
+		st := &static[id]
+		fl := st.Flags
+		m := mb[j]
+		s1, s2, dst := uint32(uRegDummy), uint32(uRegDummy), uint32(uRegTrash)
+		switch fl >> trace.NumSrcShift {
+		case 2:
+			s2 = uint32(st.Src2)
+			fallthrough
+		case 1:
+			s1 = uint32(st.Src1)
+		}
+		if fl&trace.FlagHasDst != 0 {
+			dst = uint32(st.Dst)
+		}
+		u := s1 | s2<<uSrc2Shift | dst<<uDstShift |
+			uint32(m&trace.AnnSideMask)<<uIClsShift |
+			uint32((m>>trace.AnnDShift)&trace.AnnSideMask)<<uDClsShift
+		switch st.Class {
+		case isa.ClassMul:
+			u |= ukMul << uKindShift
+			llBlocks++
+		case isa.ClassDiv:
+			u |= ukDiv << uKindShift
+			llBlocks++
+		case isa.ClassLoad, isa.ClassStore:
+			u |= ukMem << uKindShift
+			if fl&(trace.FlagLoad|trace.FlagHasDst) == trace.FlagLoad|trace.FlagHasDst {
+				u |= uLoadFwd
 			}
 		}
-		from += len(ids)
+		if fl&trace.FlagJump != 0 {
+			u |= uJump
+		}
+		if fl&trace.FlagBranch != 0 {
+			u |= uBranch
+		}
+		if fl&trace.FlagTaken != 0 {
+			u |= uTaken
+		}
+		out[j] = u
+		if fl&(trace.FlagJump|trace.FlagBranch) != 0 || m&trace.AnnSideMask != 0 {
+			i := off + j
+			ev[i>>6] |= 1 << uint(i&63)
+		}
 	}
 	return llBlocks
 }

@@ -151,7 +151,7 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 			idx := g.idx[g.head]
 			ck := &cols[idx>>trace.ChunkShift]
 			j := int(idx & trace.ChunkMask)
-			st := &ck.Static[ck.ID[j]]
+			st := ck.Tuple(j)
 			fl := st.Flags
 			srcOK := true
 			if maxRegReady > cycle {
@@ -298,7 +298,7 @@ func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 			redirected := false
 			for ng.n < W && pos < n {
 				ck := &cols[pos>>trace.ChunkShift]
-				st := &ck.Static[ck.ID[pos&trace.ChunkMask]]
+				st := ck.Tuple(int(pos & trace.ChunkMask))
 				pc := int64(st.PC)
 				fl := st.Flags
 				var extra int64

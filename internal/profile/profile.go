@@ -153,10 +153,20 @@ func (pf *Profiler) Add(ck *trace.Columns) {
 		}
 		pf.meta, pf.hist = append(pf.meta, e), append(pf.hist, 0)
 	}
+	if ck.Wide() {
+		add(pf, ck.Base, ck.ID16[:ck.N])
+	} else {
+		add(pf, ck.Base, ck.ID8[:ck.N])
+	}
+}
+
+// add profiles the ids of a chunk whose first entry is instruction
+// base.
+func add[I trace.ID](pf *Profiler, base int64, ids []I) {
 	const bias = 1 << 40
 	meta, hist, last, dist := pf.meta, pf.hist, &pf.last, &pf.dist
-	i := bias + ck.Base
-	for _, id := range ck.ID[:ck.N] {
+	i := bias + base
+	for _, id := range ids {
 		hist[id]++
 		e := meta[id]
 		w := max(last[e.src1], last[e.src2])

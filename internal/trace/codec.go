@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -25,17 +26,20 @@ import (
 //	            dictionary: u32 count m, m tuples of 14 bytes (PC i32,
 //	            Target i32, Op u8, Class u8, Flags u8, Dst u8, Src1 u8,
 //	            Src2 u8), u32 CRC-32C of the count and tuples; then per
-//	            chunk: the ID column (u16, the chunk's live length),
-//	            the Addr column (u32, one per load or store, as the
-//	            chunk's ids imply), and a u32 CRC-32C of the chunk's
-//	            encoded bytes. m is at most MaxTuples.
+//	            chunk: the id width w (u8: 1 narrow, 2 wide), the ID
+//	            column (w bytes per id, the chunk's live length), the
+//	            Addr column (u32, one per load or store, as the chunk's
+//	            ids imply), and a u32 CRC-32C of the chunk's encoded
+//	            bytes. m is at most MaxTuples, and a wide chunk needs
+//	            m > NarrowTuples.
 //	BytePlane:  u64 n, then per chunk: the live bytes + u32 CRC-32C.
 //	BitPlane:   u64 n, then per chunk: the live u64 words + u32 CRC-32C.
 //
 // Derivable framing (chunk count, per-chunk lengths, Base) is not
 // stored: it all follows from n, a, m and the fixed chunk geometry, so
-// a reader can also predict the exact encoded size up front and reject
-// a stream whose length disagrees before allocating anything.
+// a reader can also bound the encoded size up front (every chunk narrow
+// or every chunk wide) and reject a stream outside the bounds before
+// allocating anything.
 
 // ErrCorrupt is wrapped by every decode failure caused by damaged
 // input (bad checksum, impossible length, truncation, out-of-range
@@ -73,15 +77,57 @@ func chunkLive(n int64, c int64) int {
 	return int(live)
 }
 
-// traceEncodedSize is the exact stream size of n instructions, a of
-// them loads or stores, over an m-entry dictionary.
-func traceEncodedSize(n, a, m int64) int64 {
-	return traceHdrBytes + 4 + m*staticEncBytes + 4 + 2*n + 4*a + 4*chunkCount(n)
+// traceEncodedSize is the exact stream size of n instructions, wide of
+// them in wide chunks and a of them loads or stores, over an m-entry
+// dictionary.
+func traceEncodedSize(n, wide, a, m int64) int64 {
+	return traceHdrBytes + 4 + m*staticEncBytes + 4 + n + wide + 4*a + (1+4)*chunkCount(n)
 }
 
 // EncodedSize returns the exact number of bytes WriteTo will produce.
 func (t *Trace) EncodedSize() int64 {
-	return traceEncodedSize(t.Len(), t.mem, int64(len(t.Dictionary())))
+	var wide int64
+	for i := range t.Chunks() {
+		if t.chunks[i].Wide() {
+			wide += int64(t.chunks[i].N)
+		}
+	}
+	return traceEncodedSize(t.Len(), wide, t.mem, int64(len(t.Dictionary())))
+}
+
+// idWidth is the encoded width of an I id, in bytes.
+func idWidth[I ID]() int { return int(unsafe.Sizeof(I(0))) }
+
+// appendIDs appends the width byte and the ids of one chunk.
+func appendIDs[I ID](enc []byte, ids []I) []byte {
+	w := idWidth[I]()
+	enc = append(enc, uint8(w))
+	for _, v := range ids {
+		enc = append(enc, uint8(v))
+		if w == 2 {
+			enc = append(enc, uint8(uint16(v)>>8))
+		}
+	}
+	return enc
+}
+
+// mapIDs decodes a chunk's live ids from data and counts its loads and
+// stores; static is the dictionary. It fails on an id beyond the
+// dictionary.
+func mapIDs[I ID](data []byte, static []Static, base int64, live int) ([]I, int, error) {
+	w := idWidth[I]()
+	ids := make([]I, live)
+	for i := range ids {
+		v := uint16(data[w*i])
+		if w == 2 {
+			v |= uint16(data[w*i+1]) << 8
+		}
+		if int(v) >= len(static) {
+			return nil, 0, fmt.Errorf("%w: trace instruction %d references dictionary entry %d of %d", ErrCorrupt, base+int64(i), v, len(static))
+		}
+		ids[i] = I(v)
+	}
+	return ids, memCount(static, ids), nil
 }
 
 // WriteTo serializes the trace; it implements io.WriterTo. The stream
@@ -102,11 +148,13 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	if _, err := cw.Write(enc); err != nil {
 		return cw.n, err
 	}
-	buf := make([]byte, 0, (2+4)*ChunkLen+4)
+	buf := make([]byte, 0, 1+(2+4)*ChunkLen+4)
 	for _, ck := range t.Chunks() {
-		enc := buf[:0]
-		for _, v := range ck.ID[:ck.N] {
-			enc = le.AppendUint16(enc, v)
+		var enc []byte
+		if ck.Wide() {
+			enc = appendIDs(buf[:0], ck.ID16[:ck.N])
+		} else {
+			enc = appendIDs(buf[:0], ck.ID8[:ck.N])
 		}
 		for _, v := range ck.Addr {
 			enc = le.AppendUint32(enc, v)
@@ -122,19 +170,21 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 // MapTrace decodes a stream produced by Trace.WriteTo out of bytes
 // pinned in memory, typically a read-only file mapping. The returned
 // trace is bit-identical to the one that was written, down to
-// SizeBytes. The stream must be exactly the size its header and
-// dictionary count imply — truncation and trailing bytes are rejected
-// before any decoding, so nothing is allocated ahead of the bytes
-// really present. Damaged input yields an error wrapping ErrCorrupt: a
-// bad checksum or length, a dictionary of more than MaxTuples entries
-// (more than a uint16 id can address), a dictionary tuple whose
-// opcode, class, register or source count lies outside this binary's
-// ISA, an id beyond the dictionary — consumers index fixed-size tables
-// with all of these — or chunks whose ids imply a different number of
-// loads and stores than the header. Both columns are decoded into
-// exact-size slices (their in-stream alignment varies), so the trace
-// shares no memory with data and the caller may release the mapping on
-// return.
+// SizeBytes. The stream must lie within the sizes its header and
+// dictionary count allow before any decoding, and every chunk is
+// checked against the bytes left before its columns are allocated, so
+// nothing is allocated ahead of the bytes really present; trailing
+// bytes are rejected. Damaged input yields an error wrapping
+// ErrCorrupt: a bad checksum or length, a dictionary of more than
+// MaxTuples entries (more than a uint16 id can address), a dictionary
+// tuple whose opcode, class, register or source count lies outside this
+// binary's ISA, an id width other than 1 or 2, a wide chunk under a
+// dictionary that fits a byte, an id beyond the dictionary — consumers
+// index fixed-size tables with all of these — or chunks whose ids imply
+// a different number of loads and stores than the header. The columns
+// are decoded into exact-size slices (their in-stream alignment
+// varies), so the trace shares no memory with data and the caller may
+// release the mapping on return.
 func MapTrace(data []byte) (*Trace, error) {
 	le := binary.LittleEndian
 	if len(data) < traceHdrBytes+4 {
@@ -152,8 +202,8 @@ func MapTrace(data []byte) (*Trace, error) {
 		// Every entry of a built dictionary is used at least once.
 		return nil, fmt.Errorf("%w: trace dictionary of %d entries for %d instructions", ErrCorrupt, m, n)
 	}
-	if want := traceEncodedSize(n, a, m); int64(len(data)) != want {
-		return nil, fmt.Errorf("%w: trace stream is %d bytes, header implies %d", ErrCorrupt, len(data), want)
+	if lo, hi := traceEncodedSize(n, 0, a, m), traceEncodedSize(n, n, a, m); int64(len(data)) < lo || int64(len(data)) > hi {
+		return nil, fmt.Errorf("%w: trace stream is %d bytes, header implies %d to %d", ErrCorrupt, len(data), lo, hi)
 	}
 	off := traceHdrBytes + 4 + int(m)*staticEncBytes
 	if got, want := crc32.Checksum(data[traceHdrBytes:off], crcTable), le.Uint32(data[off:]); got != want {
@@ -176,18 +226,33 @@ func MapTrace(data []byte) (*Trace, error) {
 	off += 4
 	for c := int64(0); c < chunkCount(n); c++ {
 		live := chunkLive(n, c)
-		if off+2*live > len(data) {
+		if off >= len(data) {
 			return nil, fmt.Errorf("%w: trace chunk %d truncated", ErrCorrupt, c)
 		}
-		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static, ID: make([]uint16, live)}
-		for i := range ck.ID {
-			if ck.ID[i] = le.Uint16(data[off+2*i:]); int64(ck.ID[i]) >= m {
-				return nil, fmt.Errorf("%w: trace instruction %d references dictionary entry %d of %d", ErrCorrupt, ck.Base+int64(i), ck.ID[i], m)
-			}
+		w := int(data[off])
+		if w != 1 && w != 2 {
+			return nil, fmt.Errorf("%w: trace chunk %d has id width %d", ErrCorrupt, c, w)
 		}
-		k := memCount(t.static, ck.ID)
+		if w == 2 && m <= NarrowTuples {
+			return nil, fmt.Errorf("%w: trace chunk %d is wide under a %d-entry dictionary", ErrCorrupt, c, m)
+		}
+		addrOff := off + 1 + w*live
+		if addrOff > len(data) {
+			return nil, fmt.Errorf("%w: trace chunk %d truncated", ErrCorrupt, c)
+		}
+		ck := Columns{Base: c << ChunkShift, N: live, Static: t.static}
+		var k int
+		var err error
+		if w == 2 {
+			ck.ID16, k, err = mapIDs[uint16](data[off+1:], t.static, ck.Base, live)
+		} else {
+			ck.ID8, k, err = mapIDs[uint8](data[off+1:], t.static, ck.Base, live)
+		}
+		if err != nil {
+			return nil, err
+		}
 		a -= int64(k)
-		end := off + 2*live + 4*k
+		end := addrOff + 4*k
 		if end+4 > len(data) {
 			return nil, fmt.Errorf("%w: trace chunk %d truncated", ErrCorrupt, c)
 		}
@@ -196,13 +261,16 @@ func MapTrace(data []byte) (*Trace, error) {
 		}
 		ck.Addr = make([]uint32, k)
 		for i := range ck.Addr {
-			ck.Addr[i] = le.Uint32(data[off+2*live+4*i:])
+			ck.Addr[i] = le.Uint32(data[addrOff+4*i:])
 		}
 		t.chunks = append(t.chunks, ck)
 		off = end + 4
 	}
 	if a != 0 {
 		return nil, fmt.Errorf("%w: trace ids and header disagree on the number of loads and stores (by %d)", ErrCorrupt, a)
+	}
+	if off != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the trace", ErrCorrupt, len(data)-off)
 	}
 	return t, nil
 }

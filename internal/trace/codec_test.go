@@ -77,6 +77,11 @@ func TestTraceCodecRoundTripBitIdentity(t *testing.T) {
 	for _, n := range []int64{0, 1, ChunkLen - 1, ChunkLen, ChunkLen + 1, 2*ChunkLen + 777} {
 		traces[fmt.Sprint(n)] = buildTestTrace(n)
 	}
+	// Widened early and mid-way in the first chunk, and a narrow chunk
+	// then a widened one and a wide one.
+	for _, at := range []int64{300, ChunkLen / 2, ChunkLen + 400} {
+		traces[fmt.Sprintf("crossing-at-%d", at)] = crossingTrace(2*ChunkLen+5, at)
+	}
 	for name, tr := range traces {
 		var buf bytes.Buffer
 		wrote, err := tr.WriteTo(&buf)
@@ -178,20 +183,34 @@ func TestTraceCodecRejectsCorruption(t *testing.T) {
 //     dictionary's last.
 //   - register: dictionary entry 0 names a destination register
 //     outside the ISA.
+//   - id-width: chunk 0 declares ids of 3 bytes.
 //   - header-count-high, header-count-low: the header's count of loads
 //     and stores disagrees with the ids.
 //   - truncated-addr, trailing-addr: chunk 0's address column is one
 //     entry shorter or longer than its ids imply, with the header count
 //     adjusted to match, so the stream has exactly the size its header
 //     implies.
+//
+// A trace whose dictionary fits a byte adds wide-chunk: chunk 0
+// re-encoded with 2-byte ids, which no Builder writes under such a
+// dictionary.
 func resignedCorruptions(tr *Trace) map[string][]byte {
 	le := binary.LittleEndian
 	m := len(tr.static)
 	dictEnd := traceHdrBytes + 4 + m*staticEncBytes
 	ck := tr.chunks[0]
+	ids, w := make([]uint16, ck.N), byte(1)
+	for j := range ids {
+		if ck.Wide() {
+			ids[j], w = ck.ID16[j], 2
+		} else {
+			ids[j] = uint16(ck.ID8[j])
+		}
+	}
+	chunk0 := 1 + int(w)*ck.N + 4*len(ck.Addr) + 4 // chunk 0's encoded size
 	// enc encodes tr with header count a and chunk 0's columns replaced
-	// by ids and addr, the chunk re-signed.
-	enc := func(a int64, ids []uint16, addr []uint32) []byte {
+	// by ids, written w bytes each, and addr, the chunk re-signed.
+	enc := func(a int64, w byte, ids []uint16, addr []uint32) []byte {
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			panic(err)
@@ -199,35 +218,49 @@ func resignedCorruptions(tr *Trace) map[string][]byte {
 		full := buf.Bytes()
 		le.PutUint64(full[8:], uint64(a))
 		out := append([]byte(nil), full[:dictEnd+4]...)
+		out = append(out, w)
 		for _, v := range ids {
-			out = le.AppendUint16(out, v)
+			out = append(out, byte(v))
+			if w > 1 {
+				out = append(out, byte(v>>8))
+			}
+			for range int(w) - 2 {
+				out = append(out, 0)
+			}
 		}
 		for _, v := range addr {
 			out = le.AppendUint32(out, v)
 		}
 		out = le.AppendUint32(out, crc32.Checksum(out[dictEnd+4:], crcTable))
-		return append(out, full[dictEnd+4+2*ck.N+4*len(ck.Addr)+4:]...)
+		return append(out, full[dictEnd+4+chunk0:]...)
 	}
 	a := tr.mem
-	badID := slices.Clone(ck.ID[:ck.N])
+	badID := slices.Clone(ids)
 	badID[0] = uint16(m)
-	badReg := enc(a, ck.ID[:ck.N], ck.Addr)
+	badReg := enc(a, w, ids, ck.Addr)
 	badReg[traceHdrBytes+4+11] = isa.NumRegs // entry 0's Dst byte
 	le.PutUint32(badReg[dictEnd:], crc32.Checksum(badReg[traceHdrBytes:dictEnd], crcTable))
-	return map[string][]byte{
-		"dictionary-id":     enc(a, badID, ck.Addr),
+	out := map[string][]byte{
+		"dictionary-id":     enc(a, w, badID, ck.Addr),
 		"register":          badReg,
-		"header-count-high": enc(a+1, ck.ID[:ck.N], ck.Addr),
-		"header-count-low":  enc(a-1, ck.ID[:ck.N], ck.Addr),
-		"truncated-addr":    enc(a-1, ck.ID[:ck.N], ck.Addr[:len(ck.Addr)-1]),
-		"trailing-addr":     enc(a+1, ck.ID[:ck.N], append(slices.Clone(ck.Addr), 7)),
+		"id-width":          enc(a, 3, ids, ck.Addr),
+		"header-count-high": enc(a+1, w, ids, ck.Addr),
+		"header-count-low":  enc(a-1, w, ids, ck.Addr),
+		"truncated-addr":    enc(a-1, w, ids, ck.Addr[:len(ck.Addr)-1]),
+		"trailing-addr":     enc(a+1, w, ids, append(slices.Clone(ck.Addr), 7)),
 	}
+	if m <= NarrowTuples {
+		out["wide-chunk"] = enc(a, 2, ids, ck.Addr)
+	}
+	return out
 }
 
 func TestTraceCodecRejectsResignedOutOfRange(t *testing.T) {
-	for name, bad := range resignedCorruptions(buildTestTrace(ChunkLen + 123)) {
-		if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: MapTrace err = %v, want ErrCorrupt", name, err)
+	for _, tr := range []*Trace{buildTestTrace(ChunkLen + 123), crossingTrace(ChunkLen+123, ChunkLen+300)} {
+		for name, bad := range resignedCorruptions(tr) {
+			if _, err := MapTrace(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%d tuples, %s: MapTrace err = %v, want ErrCorrupt", len(tr.static), name, err)
+			}
 		}
 	}
 }
@@ -277,13 +310,16 @@ func TestTraceCodecRejectsOversizedDictionary(t *testing.T) {
 // reject the input as ErrCorrupt or return a trace that decodes every
 // instruction and re-encodes to exactly the input.
 func FuzzTraceCodec(f *testing.F) {
-	// Small seeds keep the minimization of new inputs fast; the one
-	// chunk-sized seed has a run of stores straddling the boundary.
+	// Small seeds keep the minimization of new inputs fast; the
+	// chunk-sized seeds have a run of stores straddling the boundary,
+	// and a narrow chunk, a widened one and a wide one in turn.
 	seeds := []*Trace{
 		buildTestTrace(0), buildTestTrace(1), buildTestTrace(40),
 		memTrace(40, func(int64) bool { return false }),
 		memTrace(40, func(int64) bool { return true }),
 		memTrace(ChunkLen+4, func(i int64) bool { return i >= ChunkLen-4 }),
+		crossingTrace(300, 260),
+		crossingTrace(2*ChunkLen+40, ChunkLen+300),
 	}
 	for _, tr := range seeds {
 		var buf bytes.Buffer
@@ -292,9 +328,11 @@ func FuzzTraceCodec(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	bad := resignedCorruptions(seeds[2])
-	for _, name := range slices.Sorted(maps.Keys(bad)) {
-		f.Add(bad[name])
+	for _, tr := range []*Trace{seeds[2], seeds[6]} {
+		bad := resignedCorruptions(tr)
+		for _, name := range slices.Sorted(maps.Keys(bad)) {
+			f.Add(bad[name])
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := MapTrace(data)

@@ -17,12 +17,14 @@ import (
 // instruction — PC, opcode, class, registers, flags (including the
 // taken outcome) and target — is stored once, as a Static tuple in a
 // per-trace dictionary of at most MaxTuples entries. Each dynamic
-// instruction keeps only a uint16 dictionary id, and each load or store
-// also a uint32 effective word address in a separate column: 2 bytes
-// per instruction plus 4 per memory access, instead of 72 for
-// []DynInst. Seq is implicit in position, NextPC follows from the taken
-// flag and target, and the address of every other instruction is 0.
-// Real workloads have a few hundred tuples, so the dictionary stays
+// instruction keeps only a dictionary id, and each load or store also a
+// uint32 effective word address in a separate column. A chunk recorded
+// while the dictionary fits a byte (at most NarrowTuples tuples) stores
+// its ids as uint8, any later chunk as uint16: 1 or 2 bytes per
+// instruction plus 4 per memory access, instead of 72 for []DynInst.
+// Seq is implicit in position, NextPC follows from the taken flag and
+// target, and the address of every other instruction is 0. Real
+// workloads have a few hundred tuples, so the dictionary stays
 // L1-resident while replay and detailed simulation stream the two
 // columns.
 //
@@ -44,8 +46,8 @@ type Trace struct {
 }
 
 // Chunk geometry: 1<<ChunkShift instructions per chunk. A chunk's id
-// column is 32 KiB, comfortably inside L2, and only the last chunk is
-// partial (stored at its live size).
+// column is 16 or 32 KiB, comfortably inside L2, and only the last
+// chunk is partial (stored at its live size).
 const (
 	ChunkShift = 14
 	ChunkLen   = 1 << ChunkShift
@@ -88,20 +90,44 @@ type Static struct {
 
 // Columns is the raw view of one chunk. Entries [0, N) are valid; Base
 // is the dynamic sequence number (= trace index) of entry 0. The static
-// fields of entry j are Static[ID[j]], where Static is the trace-wide
-// dictionary shared by every chunk. Addr holds one entry per load or
-// store, in order, so a reader walking the chunk keeps a running index.
+// fields of entry j are Static[id], where id is entry j of the chunk's
+// id column and Static is the trace-wide dictionary shared by every
+// chunk. The id column is ID8 in a narrow chunk and ID16 in a wide
+// one; the other is nil. Batch readers dispatch once per chunk into one loop
+// generic over ID; Tuple is the random-access read. Addr holds one
+// entry per load or store, in order, so a reader walking the chunk
+// keeps a running index.
 type Columns struct {
 	Base int64
 	N    int
 
 	Static []Static
-	ID     []uint16 // dictionary id
+	ID8    []uint8  // dictionary ids of a narrow chunk
+	ID16   []uint16 // dictionary ids of a wide chunk
 	Addr   []uint32 // effective word addresses of the loads and stores
 }
 
+// ID is the element type of an id column.
+type ID interface{ uint8 | uint16 }
+
+// NarrowTuples is the largest dictionary whose ids all fit a narrow
+// (uint8) id column.
+const NarrowTuples = 1 << 8
+
+// Wide reports whether the chunk's ids are in ID16.
+func (ck *Columns) Wide() bool { return ck.ID16 != nil }
+
+// Tuple returns the dictionary tuple of entry j: the random-access read
+// for readers that do not walk the chunk in order.
+func (ck *Columns) Tuple(j int) *Static {
+	if ck.ID16 != nil {
+		return &ck.Static[ck.ID16[j]]
+	}
+	return &ck.Static[ck.ID8[j]]
+}
+
 // memCount returns how many of ids are loads or stores.
-func memCount(static []Static, ids []uint16) int {
+func memCount[I ID](static []Static, ids []I) int {
 	k := 0
 	for _, id := range ids {
 		if static[id].Flags&FlagMem != 0 {
@@ -117,7 +143,7 @@ func memCount(static []Static, ids []uint16) int {
 // is the target when the taken flag is set, the fall-through PC
 // otherwise, and EffAddr is 0 unless the instruction is a load or store.
 func (ck *Columns) Decode(j, k int, d *DynInst) int {
-	s := &ck.Static[ck.ID[j]]
+	s := ck.Tuple(j)
 	fl := s.Flags
 	pc := int64(s.PC)
 	tgt := int64(s.Target)
@@ -193,8 +219,12 @@ func (t *Trace) At(i int64) DynInst {
 	var d DynInst
 	ck := &t.chunks[i>>ChunkShift]
 	j, k := int(i&ChunkMask), 0
-	if ck.Static[ck.ID[j]].Flags&FlagMem != 0 {
-		k = memCount(ck.Static, ck.ID[:j])
+	if ck.Tuple(j).Flags&FlagMem != 0 {
+		if ck.ID16 != nil {
+			k = memCount(ck.Static, ck.ID16[:j])
+		} else {
+			k = memCount(ck.Static, ck.ID8[:j])
+		}
 	}
 	ck.Decode(j, k, &d)
 	return d
@@ -246,16 +276,18 @@ func (t *Trace) Materialize() []DynInst {
 	return out
 }
 
-// SizeBytes returns the memory footprint: the dictionary plus both
-// columns at their allocated capacity. Built, decoded and mapped
-// traces of equal contents report equal sizes.
+// SizeBytes returns the memory footprint: the dictionary plus the
+// columns at their allocated capacity, one byte per narrow id and two
+// per wide one. Built, decoded and mapped traces of equal contents
+// report equal sizes.
 func (t *Trace) SizeBytes() int64 {
 	if t == nil {
 		return 0
 	}
 	sz := int64(cap(t.static)) * int64(unsafe.Sizeof(Static{}))
 	for i := range t.chunks {
-		sz += 2*int64(cap(t.chunks[i].ID)) + 4*int64(cap(t.chunks[i].Addr))
+		ck := &t.chunks[i]
+		sz += int64(cap(ck.ID8)) + 2*int64(cap(ck.ID16)) + 4*int64(cap(ck.Addr))
 	}
 	return sz
 }
@@ -269,8 +301,8 @@ func Of(ds ...DynInst) *Trace {
 	return b.Trace()
 }
 
-// MaxTuples caps a trace's dictionary, so that every id fits in the
-// uint16 id column. Tuples are keyed by (PC, direction), so a program
+// MaxTuples caps a trace's dictionary, so that every id fits in a
+// wide (uint16) id column. Tuples are keyed by (PC, direction), so a program
 // whose static instructions plus conditional branches stay within it
 // can never overflow the dictionary.
 const MaxTuples = 1 << 16
@@ -281,6 +313,11 @@ var ErrDictionaryFull = errors.New("trace: dictionary full")
 
 // Builder accumulates a Trace chunk by chunk: appends never copy
 // existing data (no doubling growth), so no sizing pre-pass is needed.
+// Chunks open narrow. When Intern assigns the first id that does not
+// fit a byte, the open chunk is widened in place, a copy of at most
+// ChunkLen ids, and every chunk opened from then on is wide; a sealed
+// chunk is never rewritten. So every chunk of a trace whose dictionary
+// fits a byte is narrow.
 //
 // Recording is two calls. Intern maps a Static tuple to its dictionary
 // id, assigning ids in first-appearance order so that equal streams
@@ -293,11 +330,15 @@ type Builder struct {
 	static []Static          // the dictionary, in id order
 	index  map[Static]uint16 // every interned tuple
 
-	// The closed chunks, then the open one: its ids in cur[:fill]
-	// (fill == ChunkLen means a new chunk is due) and its addresses in
-	// addr, which every chunk reuses and copies at its exact length.
+	// The closed chunks, then the open one: its ids in cur8[:fill] while
+	// it is narrow, when room is ChunkLen, or in cur16[:fill] once it is
+	// wide, when room is 0 (fill == ChunkLen means a new chunk is due),
+	// and its addresses in addr, which every chunk reuses and copies at
+	// its exact length.
 	chunks []Columns
-	cur    *[ChunkLen]uint16
+	cur8   *[ChunkLen]uint8
+	cur16  *[ChunkLen]uint16
+	room   int
 	fill   int
 	addr   []uint32
 	sealed func(Columns) // see OnSeal
@@ -308,7 +349,7 @@ func NewBuilder() *Builder { return &Builder{fill: ChunkLen, addr: make([]uint32
 
 // Len returns the number of instructions appended so far.
 func (b *Builder) Len() int64 {
-	if b.cur == nil {
+	if b.cur8 == nil && b.cur16 == nil {
 		return 0
 	}
 	return int64(len(b.chunks))*ChunkLen + int64(b.fill)
@@ -329,17 +370,38 @@ func (b *Builder) Intern(s Static) (uint16, error) {
 		id = uint16(len(b.static))
 		b.static = append(b.static, s)
 		b.index[s] = id
+		if id == NarrowTuples {
+			b.widen()
+		}
 	}
 	return id, nil
 }
 
 // AppendID appends one instruction: id is a dictionary id returned by
-// Intern. It is small enough to inline into a recorder's loop.
+// Intern. Its narrow path is small enough to inline into a recorder's
+// loop; a new chunk and a wide one take appendSlow.
 func (b *Builder) AppendID(id uint16) {
+	if b.fill >= b.room {
+		b.appendSlow(id)
+		return
+	}
+	b.cur8[b.fill] = uint8(id)
+	b.fill++
+}
+
+// appendSlow is AppendID when the open chunk is full or wide. It is
+// kept out of line, so that AppendID stays within the inlining budget.
+//
+//go:noinline
+func (b *Builder) appendSlow(id uint16) {
 	if b.fill == ChunkLen {
 		b.grow()
 	}
-	b.cur[b.fill&ChunkMask] = id
+	if b.cur8 != nil {
+		b.cur8[b.fill] = uint8(id)
+	} else {
+		b.cur16[b.fill] = id
+	}
 	b.fill++
 }
 
@@ -354,16 +416,49 @@ func (b *Builder) AppendAddr(word uint32) { b.addr = append(b.addr, word) }
 // or not, is never sealed: it becomes the last chunk of Trace().
 func (b *Builder) OnSeal(f func(Columns)) { b.sealed = f }
 
+// widen moves the open chunk's ids to a wide column, once the
+// dictionary has outgrown a byte. A full open chunk stays narrow: it is
+// sealed before the next id is appended, and grow opens wide chunks
+// from now on.
+func (b *Builder) widen() {
+	if b.cur8 == nil || b.fill == ChunkLen {
+		return
+	}
+	b.cur16 = new([ChunkLen]uint16)
+	for i, id := range b.cur8[:b.fill] {
+		b.cur16[i] = uint16(id)
+	}
+	b.cur8, b.room = nil, 0
+}
+
+// open returns the open chunk's columns up to fill, aliasing its
+// arrays.
+func (b *Builder) open() Columns {
+	ck := Columns{Base: int64(len(b.chunks)) * ChunkLen, N: b.fill, Addr: b.addr}
+	if b.cur8 != nil {
+		ck.ID8 = b.cur8[:b.fill]
+	} else {
+		ck.ID16 = b.cur16[:b.fill]
+	}
+	return ck
+}
+
 // grow closes the open chunk, if any, and starts a new one.
 func (b *Builder) grow() {
-	if b.cur != nil {
-		ck := Columns{Base: int64(len(b.chunks)) * ChunkLen, N: ChunkLen, Static: slices.Clip(b.static), ID: b.cur[:], Addr: exact(b.addr)}
+	if b.cur8 != nil || b.cur16 != nil {
+		ck := b.open()
+		ck.Static, ck.Addr = slices.Clip(b.static), exact(ck.Addr)
 		b.chunks = append(b.chunks, ck)
 		if b.sealed != nil {
 			b.sealed(ck)
 		}
 	}
-	b.cur, b.fill, b.addr = new([ChunkLen]uint16), 0, b.addr[:0]
+	if len(b.static) > NarrowTuples {
+		b.cur8, b.cur16, b.room = nil, new([ChunkLen]uint16), 0
+	} else {
+		b.cur8, b.cur16, b.room = new([ChunkLen]uint8), nil, ChunkLen
+	}
+	b.fill, b.addr = 0, b.addr[:0]
 }
 
 // Append encodes d at the next position, interning its static fields.
@@ -419,8 +514,15 @@ func (b *Builder) Append(d *DynInst) {
 // is done: the trace shares the builder's closed chunks.
 func (b *Builder) Trace() *Trace {
 	t := &Trace{n: b.Len(), static: exact(b.static)}
-	if b.cur != nil {
-		t.chunks = append(slices.Clip(b.chunks), Columns{Base: int64(len(b.chunks)) * ChunkLen, N: b.fill, ID: exact(b.cur[:b.fill]), Addr: exact(b.addr)})
+	if b.cur8 != nil || b.cur16 != nil {
+		ck := b.open()
+		if ck.Wide() {
+			ck.ID16 = exact(ck.ID16)
+		} else {
+			ck.ID8 = exact(ck.ID8)
+		}
+		ck.Addr = exact(ck.Addr)
+		t.chunks = append(slices.Clip(b.chunks), ck)
 	}
 	for i := range t.chunks {
 		t.chunks[i].Static = t.static

@@ -243,16 +243,19 @@ func encode(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceDensity pins the dense encoding's footprint: 2 bytes per
-// instruction plus 4 per load or store, plus the dictionary's share,
-// reported identically by built, decoded and mapped traces. The heap a
-// built trace holds after a collection must match SizeBytes within
-// 10%, so a builder that pins spare column capacity fails it.
+// TestTraceDensity pins the dense encoding's footprint: 1 byte per
+// instruction under a dictionary that fits a byte, 2 under a larger
+// one, plus 4 per load or store, plus the dictionary's share, reported
+// identically by built, decoded and mapped traces. The heap a built
+// trace holds after a collection must match SizeBytes within 10%, so a
+// builder that pins spare column capacity fails it.
 func TestTraceDensity(t *testing.T) {
 	rand := randprog.Default(105)
 	rand.OuterTrips *= 60 // ~200k instructions, as in the golden corpus
+	wide := randprog.Config{Seed: 202, MaxBlocks: 20, MaxInsts: 24, OuterTrips: 350, MemWords: 1 << 12}
 	progs := map[string]func() *program.Program{
-		"rand-105": func() *program.Program { return randprog.Generate(rand) },
+		"rand-105":  func() *program.Program { return randprog.Generate(rand) },
+		"rand-wide": func() *program.Program { return randprog.Generate(wide) }, // 277 tuples
 	}
 	for _, name := range []string{"gsm_c", "bitcount"} {
 		spec, err := workloads.ByName(name)
@@ -281,7 +284,11 @@ func TestTraceDensity(t *testing.T) {
 		}
 		frac := float64(mem) / float64(tr.Len())
 		dict := int64(len(tr.Dictionary())) * int64(unsafe.Sizeof(trace.Static{}))
-		if perInst, bound := float64(tr.SizeBytes()-dict)/float64(tr.Len()), 2+4*frac+0.05; perInst > bound {
+		idBytes := 1.0
+		if len(tr.Dictionary()) > trace.NarrowTuples {
+			idBytes = 2
+		}
+		if perInst, bound := float64(tr.SizeBytes()-dict)/float64(tr.Len()), idBytes+4*frac+0.05; perInst > bound {
 			t.Errorf("%s: %.3f bytes/inst beyond the dictionary's %d bytes, want <= %.3f (%.1f%% loads and stores)", name, perInst, dict, bound, 100*frac)
 		}
 		mapped, err := trace.MapTrace(encode(t, tr))
