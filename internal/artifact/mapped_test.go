@@ -323,3 +323,43 @@ func TestMappedLoadSurvivesRewrite(t *testing.T) {
 		t.Fatal("reloaded trace differs after rewrite")
 	}
 }
+
+// TestPreviousFormatVersionIsProfiledAgain stores a workload under the
+// previous format version (version 5: two-byte ids in every chunk),
+// re-signed so that only the version check can reject it. The load
+// must refuse it, and the cached profiling entry point must profile the
+// program again and store a current-version artifact in its place.
+func TestPreviousFormatVersionIsProfiledAgain(t *testing.T) {
+	spec, err := workloads.ByName("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t)
+	fresh, _, err := harness.ProfileProgramCached(s, "sha", 0, spec.Build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := artifact.WorkloadID{Name: "sha", Code: spec.Build().Fingerprint()}
+	path := storedPath(s, s.WorkloadKey(id))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[4:], artifact.FormatVersion-1)
+	if err := os.WriteFile(path, resign(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.LoadWorkload(id); !errors.Is(err, artifact.ErrInvalid) {
+		t.Fatalf("LoadWorkload of a version %d artifact: err = %v, want ErrInvalid", artifact.FormatVersion-1, err)
+	}
+	pw, hit, err := harness.ProfileProgramCached(s, "sha", 0, spec.Build)
+	if err != nil || hit {
+		t.Fatalf("previous-version artifact: hit=%v err=%v, want a fresh profile", hit, err)
+	}
+	if pw.Trace.EncodedSize() != fresh.Trace.EncodedSize() || pw.Trace.At(pw.Trace.Len()-1) != fresh.Trace.At(fresh.Trace.Len()-1) {
+		t.Fatal("profile taken again differs from the original")
+	}
+	if _, _, err := s.LoadWorkload(id); err != nil {
+		t.Fatalf("the artifact stored in its place does not load: %v", err)
+	}
+}

@@ -98,6 +98,73 @@ func TestOverlappedProfileChunkEdges(t *testing.T) {
 	}
 }
 
+// crossingProgram returns a program whose 257th trace tuple, the first
+// whose id does not fit a byte, is first executed at instruction at (at
+// >= 260): two counted loops, of three and two instructions, whose trip
+// counts place the start of a straight run of 300 distinct
+// instructions. The loops and the two counters' set-up make nine
+// tuples, so the run's 248th instruction has id 256.
+func crossingProgram(t *testing.T, at int64) *program.Program {
+	t.Helper()
+	const before, run = trace.NarrowTuples - 9, 300
+	left := at - before - 2 // the loops' instructions: 3a + 2c
+	c := int64(2)
+	for (left-2*c)%3 != 0 {
+		c++
+	}
+	p := program.New("crossing", 8)
+	p.Block("init").Li(1, (left-2*c)/3).Li(3, c)
+	p.Block("a").Addi(2, 2, 1).Addi(1, 1, -1).Bne(1, 0, "a")
+	p.Block("b").Addi(3, 3, -1).Bne(3, 0, "b")
+	tail := p.Block("tail")
+	for range run {
+		tail.Addi(4, 4, 1)
+	}
+	tail.Halt()
+	return p
+}
+
+// TestOverlappedProfileWidthCrossing puts the first id that does not
+// fit a byte at the last instruction of the first chunk, at the first
+// of the second and one after it, with the profiler goroutine taking
+// the sealed chunks. The chunk it lands in is wide, every chunk before
+// it narrow, the profile equals the one-pass profile of the finished
+// trace, and no goroutine is left behind.
+func TestOverlappedProfileWidthCrossing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, at := range []int64{trace.ChunkLen - 1, trace.ChunkLen, trace.ChunkLen + 1} {
+		pw, err := ProfileProgram(crossingProgram(t, at))
+		if err != nil {
+			t.Fatalf("at=%d: %v", at, err)
+		}
+		tr := pw.Trace
+		chunks := tr.Chunks()
+		first := int64(-1)
+		for i := int64(0); i < tr.Len() && first < 0; i++ {
+			ck := &chunks[i>>trace.ChunkShift]
+			if ck.Tuple(int(i&trace.ChunkMask)) == &tr.Dictionary()[trace.NarrowTuples] {
+				first = i
+			}
+		}
+		if first != at {
+			t.Fatalf("at=%d: the 257th tuple first runs at %d", at, first)
+		}
+		for c := range chunks {
+			if want := int64(c) >= at>>trace.ChunkShift; chunks[c].Wide() != want {
+				t.Fatalf("at=%d: chunk %d wide=%v, want %v", at, c, chunks[c].Wide(), want)
+			}
+		}
+		checkOverlap(t, pw)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, started from %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestOverlappedProfileScaledRuns covers a program re-executed up to a
 // minDyn floor, whose runs straddle chunk edges: the dependencies of
 // each run's first instructions reach back into the previous run, in
