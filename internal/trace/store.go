@@ -93,8 +93,8 @@ type Static struct {
 // fields of entry j are Static[id], where id is entry j of the chunk's
 // id column and Static is the trace-wide dictionary shared by every
 // chunk. The id column is ID8 in a narrow chunk and ID16 in a wide
-// one; the other is nil. Batch readers dispatch once per chunk into one loop
-// generic over ID; Tuple is the random-access read. Addr holds one
+// one; the other is nil. Batch readers dispatch once per chunk into one
+// loop generic over ID; Tuple is the random-access read. Addr holds one
 // entry per load or store, in order, so a reader walking the chunk
 // keeps a running index.
 type Columns struct {
@@ -120,7 +120,7 @@ func (ck *Columns) Wide() bool { return ck.ID16 != nil }
 // Tuple returns the dictionary tuple of entry j: the random-access read
 // for readers that do not walk the chunk in order.
 func (ck *Columns) Tuple(j int) *Static {
-	if ck.ID16 != nil {
+	if ck.Wide() {
 		return &ck.Static[ck.ID16[j]]
 	}
 	return &ck.Static[ck.ID8[j]]
@@ -220,7 +220,7 @@ func (t *Trace) At(i int64) DynInst {
 	ck := &t.chunks[i>>ChunkShift]
 	j, k := int(i&ChunkMask), 0
 	if ck.Tuple(j).Flags&FlagMem != 0 {
-		if ck.ID16 != nil {
+		if ck.Wide() {
 			k = memCount(ck.Static, ck.ID16[:j])
 		} else {
 			k = memCount(ck.Static, ck.ID8[:j])
@@ -301,8 +301,8 @@ func Of(ds ...DynInst) *Trace {
 	return b.Trace()
 }
 
-// MaxTuples caps a trace's dictionary, so that every id fits in a
-// wide (uint16) id column. Tuples are keyed by (PC, direction), so a program
+// MaxTuples caps a trace's dictionary, so that every id fits in a wide
+// (uint16) id column. Tuples are keyed by (PC, direction), so a program
 // whose static instructions plus conditional branches stay within it
 // can never overflow the dictionary.
 const MaxTuples = 1 << 16
@@ -389,10 +389,7 @@ func (b *Builder) AppendID(id uint16) {
 	b.fill++
 }
 
-// appendSlow is AppendID when the open chunk is full or wide. It is
-// kept out of line, so that AppendID stays within the inlining budget.
-//
-//go:noinline
+// appendSlow is AppendID when the open chunk is full or wide.
 func (b *Builder) appendSlow(id uint16) {
 	if b.fill == ChunkLen {
 		b.grow()
