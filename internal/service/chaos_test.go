@@ -423,7 +423,7 @@ func TestClientDisconnectStopsExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw := profiledDirect(t, "crc32")
-	cfg, err := decodeConfig(httptest.NewRequest("GET", "/v1/predict?bench=crc32", nil))
+	cfg, err := decodeConfig(httptest.NewRequest("GET", "/v1/predict?bench=crc32", nil).URL.Query())
 	if err != nil {
 		t.Fatal(err)
 	}

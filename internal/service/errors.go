@@ -92,35 +92,32 @@ type ErrorBody struct {
 	} `json:"error"`
 }
 
-// countErr classifies err against the taxonomy (fallback names the
-// handler's own diagnosis) and bumps the matching counters without
-// writing anything — the NDJSON streaming path reports errors as a
-// trailing line on an already-started 200 stream, where the status and
-// headers are long gone.
-func (s *Server) countErr(err error, fallback string) string {
-	code := classify(err, fallback)
+// errorBody classifies err against the taxonomy (fallback names the
+// handler's own diagnosis), bumps the matching counters and returns
+// the body that reports it: a response (writeErr) or the last line of
+// an NDJSON stream whose status is long gone.
+func (s *Server) errorBody(err error, fallback string) ErrorBody {
+	var body ErrorBody
+	body.Error.Code = classify(err, fallback)
+	body.Error.Message = err.Error()
 	s.errCount.Add(1)
-	switch code {
+	switch body.Error.Code {
 	case codeCancelled:
 		s.cancelled.Add(1)
 	case codeDeadline:
 		s.deadlineExceeded.Add(1)
 	}
-	return code
+	return body
 }
 
-// writeErr classifies and counts err via countErr, then writes the
-// error body. Shed responses carry Retry-After so well-behaved
-// clients back off.
+// writeErr answers with err's error body. Shed responses carry
+// Retry-After so well-behaved clients back off.
 func (s *Server) writeErr(w http.ResponseWriter, err error, fallback string) {
-	code := s.countErr(err, fallback)
+	body := s.errorBody(err, fallback)
 	w.Header().Set("Content-Type", "application/json")
-	if code == codeOverloaded {
+	if body.Error.Code == codeOverloaded {
 		w.Header().Set("Retry-After", "1")
 	}
-	w.WriteHeader(codeStatus[code])
-	var body ErrorBody
-	body.Error.Code = code
-	body.Error.Message = err.Error()
+	w.WriteHeader(codeStatus[body.Error.Code])
 	_ = json.NewEncoder(w).Encode(body)
 }

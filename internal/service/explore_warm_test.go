@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // mmapPlatform reports whether artifact loads map the file on this
@@ -45,7 +47,7 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 	defer tsWarm.Close()
 
 	// The warm-started workload the request is served from.
-	pw, _, err := warm.profiled(context.Background(), "crc32")
+	pw, err := resident(warm, "crc32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 	if n := warm.Pool().ProfileCount(); n != 0 {
 		t.Fatalf("warm server ran %d profiles, want 0", n)
 	}
-	if served, _, err := warm.profiled(context.Background(), "crc32"); err != nil || served != pw {
+	if served, err := resident(warm, "crc32"); err != nil || served != pw {
 		t.Fatalf("warm explore was not served from the warm-started workload (%v)", err)
 	}
 	if d := pw.Counters().CacheAnnotations; d != 0 {
@@ -73,4 +75,14 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 	if coldBody != warmBody {
 		t.Fatalf("warm exploration differs from fresh:\n cold: %s\n warm: %s", coldBody, warmBody)
 	}
+}
+
+// resident returns the workload srv serves name from, admitting it
+// first if it is not resident.
+func resident(srv *Server, name string) (*harness.Profiled, error) {
+	sv, err := srv.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return srv.admit(context.Background(), sv)
 }

@@ -1,25 +1,17 @@
 package service
 
 import (
-	"context"
 	"io"
 	"net/http"
 
 	"repro/internal/asm"
-	"repro/internal/harness"
 	"repro/internal/ingest"
-	"repro/internal/program"
 )
 
 // TenantHeader names the request header carrying the submitter's
 // identity. Absent means ingest.DefaultTenant: anonymous submitters
 // share one quota bucket instead of minting a fresh one per request.
 const TenantHeader = "X-Tenant"
-
-// tenantOf extracts and normalizes the request's tenant identity.
-func tenantOf(r *http.Request) (string, error) {
-	return ingest.CleanTenant(r.Header.Get(TenantHeader))
-}
 
 // IngestResponse answers POST /v1/workloads. Name is usable anywhere a
 // built-in benchmark name is: /v1/predict, /v1/explore, /v1/workloads.
@@ -52,33 +44,38 @@ type IngestResponse struct {
 // restart (201 on first registration, 200 for duplicates).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingSubmitted.Add(1)
-	resp, status, err, fallback := s.ingestOne(r)
+	resp, fallback, err := s.ingestOne(r)
 	if err != nil {
 		s.ingRejected.Add(1)
 		s.writeErr(w, err, fallback)
 		return
 	}
 	s.ingAccepted.Add(1)
-	s.writeJSONStatus(w, status, resp)
+	status := http.StatusOK
+	if resp.Created {
+		s.ingCreated.Add(1)
+		status = http.StatusCreated
+	}
+	writeJSON(w, status, resp)
 }
 
-// ingestOne runs one submission through the gauntlet, returning either
-// a response with its HTTP status or an error with its fallback code.
-func (s *Server) ingestOne(r *http.Request) (*IngestResponse, int, error, string) {
-	tenant, err := tenantOf(r)
+// ingestOne runs one submission through the gauntlet, returning its
+// response or an error with its fallback code.
+func (s *Server) ingestOne(r *http.Request) (*IngestResponse, string, error) {
+	tenant, err := ingest.CleanTenant(r.Header.Get(TenantHeader))
 	if err != nil {
-		return nil, 0, err, codeBadRequest
+		return nil, codeBadRequest, err
 	}
 	// The shared MaxBytesReader cap (see count) surfaces here as
 	// *http.MaxBytesError → payload_too_large.
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, 0, err, codeBadRequest
+		return nil, codeBadRequest, err
 	}
 	src := string(body)
 	lim := s.cfg.Ingest
 	if err := ingest.CheckSource(src, lim); err != nil {
-		return nil, 0, err, codeBadRequest
+		return nil, codeBadRequest, err
 	}
 
 	// Reserve the tenant's in-flight slot for everything that follows —
@@ -86,13 +83,13 @@ func (s *Server) ingestOne(r *http.Request) (*IngestResponse, int, error, string
 	// wider than profiling runs.
 	release, err := s.quotas.Begin(tenant)
 	if err != nil {
-		return nil, 0, err, codeQuotaExceeded
+		return nil, codeQuotaExceeded, err
 	}
 	defer release()
 
 	prog, err := ingest.Parse(src, lim)
 	if err != nil {
-		return nil, 0, err, codeInvalidProgram
+		return nil, codeInvalidProgram, err
 	}
 	fp := prog.Fingerprint()
 	name := ingest.WorkloadName(fp)
@@ -102,40 +99,19 @@ func (s *Server) ingestOne(r *http.Request) (*IngestResponse, int, error, string
 	// server parsing, never a profiling run.
 	charged, err := s.quotas.Charge(tenant, name, int64(len(canon)))
 	if err != nil {
-		return nil, 0, err, codeQuotaExceeded
+		return nil, codeQuotaExceeded, err
 	}
 
-	pw, err := s.pool.GetBuiltCtx(r.Context(), name,
-		func() *program.Program { return prog },
-		func(wctx context.Context, p *program.Program) (*harness.Profiled, error) {
-			n, err := s.queue.Acquire(wctx, 1)
-			if err != nil {
-				return nil, err
-			}
-			defer s.budget.Release(n)
-			pw, err := ingest.Profile(wctx, p, s.cfg.MinDynInsts, lim)
-			if err != nil {
-				return nil, err
-			}
-			// The program was assembled under the canonical content name;
-			// the resident entry answers to the public one.
-			pw.Name = name
-			return pw, nil
-		})
+	pw, err := s.admit(r.Context(), ingested(name, prog))
 	if err != nil {
 		// The workload never became servable; undo this tenant's bill.
 		if charged {
 			s.quotas.Refund(tenant, name)
 		}
-		return nil, 0, err, codeInternal
+		return nil, codeInternal, err
 	}
 
 	entry, created := s.registry.Add(prog, canon)
-	status := http.StatusOK
-	if created {
-		s.ingCreated.Add(1)
-		status = http.StatusCreated
-	}
 	return &IngestResponse{
 		Name:         name,
 		Fingerprint:  fp,
@@ -145,5 +121,5 @@ func (s *Server) ingestOne(r *http.Request) (*IngestResponse, int, error, string
 		Stored:       entry.Stored,
 		Resident:     s.pool.Resident(name),
 		Tenant:       tenant,
-	}, status, nil, ""
+	}, "", nil
 }

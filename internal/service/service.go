@@ -8,10 +8,12 @@
 // bit-identical to the cmd/inorder-model and cmd/dse-explore CLIs: the
 // handlers call the exact same harness/dse entry points.
 //
-// Every handler runs under the request's context plus an optional
-// per-endpoint deadline: a disconnected client or an elapsed deadline
-// cancels the compute stack at trace-chunk granularity, and the
-// response carries a machine-readable error code (see errors.go).
+// Predict, sweep and search share one request lifecycle (lifecycle.go):
+// parse, admit, compute, encode, each endpoint supplying only its parse
+// and compute steps. A request runs under its own context plus an
+// optional per-endpoint deadline: a disconnected client or an elapsed
+// deadline cancels the compute stack at trace-chunk granularity, and
+// the response carries a machine-readable error code (see errors.go).
 // Worker tokens are handed out through a bounded admission queue that
 // sheds load early (429) instead of letting waiters pile up, and the
 // artifact tier sits behind a retry/circuit-breaker guard so a dying
@@ -20,16 +22,16 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/url"
+	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"path/filepath"
 
 	"repro/internal/artifact"
 	"repro/internal/cluster"
@@ -39,9 +41,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/par"
 	"repro/internal/power"
-	"repro/internal/program"
 	"repro/internal/uarch"
-	"repro/internal/workloads"
 )
 
 // Hooks are test seams: chaos tests inject handler panics and disk
@@ -187,26 +187,9 @@ type Server struct {
 	searchGenerations atomic.Int64
 	searchReplays     atomic.Int64
 
-	// ids memoizes each benchmark's artifact identity (building the
-	// program once per process to fingerprint its IR), so listing and
-	// warm-start paths don't rebuild every workload per request.
-	ids sync.Map // string -> artifact.WorkloadID
-}
-
-// workloadID returns the artifact identity of a benchmark under this
-// server's configuration, building (and memoizing) the program's
-// content fingerprint on first use.
-func (s *Server) workloadID(spec workloads.Spec) artifact.WorkloadID {
-	if v, ok := s.ids.Load(spec.Name); ok {
-		return v.(artifact.WorkloadID)
-	}
-	id := artifact.WorkloadID{
-		Name:        spec.Name,
-		MinDynInsts: s.cfg.MinDynInsts,
-		Code:        spec.Build().Fingerprint(),
-	}
-	s.ids.Store(spec.Name, id)
-	return id
+	// ids memoizes each benchmark's program fingerprint (see
+	// workloadID).
+	ids sync.Map // name -> string
 }
 
 // DefaultMaxBodyBytes is the request-body cap applied when
@@ -220,6 +203,9 @@ func New(cfg Config) (*Server, error) {
 	// and flags all enforce the same numbers.
 	cfg.Ingest = cfg.Ingest.WithDefaults()
 	cfg.Quota = cfg.Quota.WithDefaults()
+	if cfg.MaxBodyBytes == 0 {
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+	}
 	// Fleet membership: peers without a self identity (or vice versa)
 	// is a configuration mistake, and self must be a ring member —
 	// otherwise this node would proxy every request and own nothing.
@@ -326,13 +312,10 @@ func New(cfg Config) (*Server, error) {
 		s.proxyClient = &http.Client{Timeout: pt}
 	}
 	if s.cfg.ExploreWorkers <= 0 {
-		s.cfg.ExploreWorkers = s.budget.Cap() / 2
+		s.cfg.ExploreWorkers = max(1, s.budget.Cap()/2)
 	}
-	if s.cfg.ExploreWorkers < 1 {
-		s.cfg.ExploreWorkers = 1
-	}
-	s.mux.HandleFunc("GET /v1/predict", s.count("predict", s.handlePredict))
-	s.mux.HandleFunc("GET /v1/explore", s.count("explore", s.handleExplore))
+	s.mux.HandleFunc("GET /v1/predict", s.count("predict", s.lifecycle(&s.cfg.PredictTimeout, predictParams, s.parsePredict)))
+	s.mux.HandleFunc("GET /v1/explore", s.count("explore", s.lifecycle(&s.cfg.ExploreTimeout, exploreParams, s.parseExplore)))
 	s.mux.HandleFunc("GET /v1/workloads", s.count("workloads", s.handleWorkloads))
 	s.mux.HandleFunc("POST /v1/workloads", s.count("ingest", s.handleIngest))
 	s.mux.HandleFunc("GET /v1/artifacts", s.count("artifacts", s.handleArtifacts))
@@ -353,42 +336,21 @@ func (s *Server) WarmStart() (int, error) {
 	}
 	loaded := 0
 	var firstErr error
-	for _, spec := range workloads.All() {
+	// Ingested workloads warm-start like benchmarks: the registry
+	// restored their names and programs, and any whose artifact is
+	// stored rehydrate without re-executing untrusted code.
+	for _, sv := range s.servables() {
 		if s.cfg.MaxWorkloads > 0 && loaded >= s.cfg.MaxWorkloads {
 			break
 		}
 		// A fleet member warms only the workloads it owns; unowned ones
 		// are the peers' hot set and would just be evicted here.
-		if !s.owned(spec.Name) {
+		if !s.owned(sv.name) || !s.store.HasWorkload(s.workloadID(sv)) {
 			continue
 		}
-		if !s.store.HasWorkload(s.workloadID(spec)) {
-			continue
-		}
-		if _, _, err := s.profiled(context.Background(), spec.Name); err != nil {
+		if _, err := s.admit(context.Background(), sv); err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("warm-starting %s: %w", spec.Name, err)
-			}
-			continue
-		}
-		loaded++
-	}
-	// Ingested workloads warm-start the same way: the registry restored
-	// their names and programs, and any whose artifact is stored
-	// rehydrate without re-executing untrusted code.
-	for _, entry := range s.registry.List() {
-		if s.cfg.MaxWorkloads > 0 && loaded >= s.cfg.MaxWorkloads {
-			break
-		}
-		if !s.owned(entry.Name) {
-			continue
-		}
-		if !s.store.HasWorkload(s.ingestedID(entry)) {
-			continue
-		}
-		if _, _, err := s.profiled(context.Background(), entry.Name); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("warm-starting %s: %w", entry.Name, err)
+				firstErr = fmt.Errorf("warm-starting %s: %w", sv.name, err)
 			}
 			continue
 		}
@@ -401,17 +363,6 @@ func (s *Server) WarmStart() (int, error) {
 // in single-process mode, the ring's verdict in a fleet.
 func (s *Server) owned(bench string) bool {
 	return s.ring == nil || s.ring.Owner(bench) == s.cfg.ClusterSelf
-}
-
-// ingestedID returns the artifact identity of an ingested workload —
-// the same shape GetBuiltCtx derives during admission, so warm-start
-// residency checks and admissions agree on the key.
-func (s *Server) ingestedID(entry *ingest.Entry) artifact.WorkloadID {
-	return artifact.WorkloadID{
-		Name:        entry.Name,
-		MinDynInsts: s.cfg.MinDynInsts,
-		Code:        entry.Fingerprint,
-	}
 }
 
 // Handler returns the service's HTTP handler.
@@ -427,18 +378,6 @@ func (s *Server) Pool() *harness.Pool { return s.pool }
 // http.Server.Shutdown's grace period. modeld calls this when the
 // termination signal arrives, before shutting the listener down.
 func (s *Server) BeginShutdown() { s.queue.Close() }
-
-// maxBodyBytes resolves the configured request-body cap; 0 means
-// uncapped (explicitly disabled with a negative config value).
-func (s *Server) maxBodyBytes() int64 {
-	switch {
-	case s.cfg.MaxBodyBytes > 0:
-		return s.cfg.MaxBodyBytes
-	case s.cfg.MaxBodyBytes < 0:
-		return 0
-	}
-	return DefaultMaxBodyBytes
-}
 
 // count is the per-endpoint middleware: request counting, latency
 // observation, in-flight tracking, the shared body cap, the chaos
@@ -464,8 +403,8 @@ func (s *Server) count(name string, h http.HandlerFunc) http.HandlerFunc {
 		// Every handler reads its body (if any) under one cap: a read
 		// past it fails with *http.MaxBytesError, which writeErr turns
 		// into 413 payload_too_large.
-		if max := s.maxBodyBytes(); max > 0 && r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, max)
+		if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
 		if s.cfg.Hooks.BeforeHandle != nil {
 			s.cfg.Hooks.BeforeHandle(r)
@@ -474,171 +413,26 @@ func (s *Server) count(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeJSONStatus is writeJSON with an explicit HTTP status (201 for
-// first-time ingestion registrations).
-func (s *Server) writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// deadlineCtx derives the handler context: the request's own context
-// (cancelled when the client disconnects) plus the endpoint's
-// deadline, when one is configured.
-func deadlineCtx(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// profiled resolves a benchmark through the bounded workload pool
-// under ctx, returning the taxonomy fallback code for failures: an
-// unknown name is the client's mistake (not_found), a failed profiling
-// run is ours (internal); lifecycle errors classify themselves. The
-// profiling run executes under the admission's work context — shared
-// by every singleflight waiter, alive as long as any of them stays,
-// cancelled when the last one leaves — and draws its worker token
-// through the admission queue, so profiling load is shed like any
-// other work. Singleflight waiters park tokenless, so requests for
-// resident benchmarks are never stalled behind an unrelated profiling
-// queue.
-func (s *Server) profiled(ctx context.Context, name string) (*harness.Profiled, string, error) {
-	var build func() *program.Program
-	var profile func(wctx context.Context, prog *program.Program) (*harness.Profiled, error)
-	if spec, err := workloads.ByName(name); err == nil {
-		build = spec.Build
-		profile = func(wctx context.Context, prog *program.Program) (*harness.Profiled, error) {
-			n, err := s.queue.Acquire(wctx, 1)
-			if err != nil {
-				return nil, err
-			}
-			defer s.budget.Release(n)
-			return harness.ProfileProgramScaledCtx(wctx, prog, s.cfg.MinDynInsts)
-		}
-	} else if entry, ok := s.registry.Lookup(name); ok {
-		// An ingested workload. Evicted (or never-stored) entries
-		// re-profile from the registered program, under the same
-		// sandbox budgets as first submission: registration does not
-		// promote a program to trusted.
-		build = func() *program.Program { return entry.Prog }
-		profile = func(wctx context.Context, prog *program.Program) (*harness.Profiled, error) {
-			n, err := s.queue.Acquire(wctx, 1)
-			if err != nil {
-				return nil, err
-			}
-			defer s.budget.Release(n)
-			pw, err := ingest.Profile(wctx, prog, s.cfg.MinDynInsts, s.cfg.Ingest)
-			if err != nil {
-				return nil, err
-			}
-			pw.Name = name
-			return pw, nil
-		}
-	} else {
-		return nil, codeNotFound, err
-	}
-	pw, err := s.pool.GetBuiltCtx(ctx, name, build, profile)
-	if err != nil {
-		return nil, codeInternal, err
-	}
-	return pw, "", nil
-}
-
-// checkParams rejects query parameters outside the endpoint's
-// contract: a misspelled name (predictor=, l2_kb=) would otherwise be
-// silently dropped and its default substituted — wrong numbers with a
-// 200, from a service whose decoding is strict everywhere else.
-func checkParams(r *http.Request, allowed ...string) error {
-	for k := range r.URL.Query() {
-		ok := false
-		for _, a := range allowed {
-			ok = ok || a == k
-		}
-		if !ok {
-			return fmt.Errorf("unknown parameter %q (allowed: %v)", k, allowed)
-		}
-	}
-	return nil
-}
-
-// boolParam parses a boolean query parameter (absent means false),
-// rejecting unparsable spellings with an error — consistent with the
-// strict Table 2 decoding of the numeric parameters.
-func boolParam(r *http.Request, name string) (bool, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return false, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("parameter %s=%q is not a boolean", name, v)
-	}
-	return b, nil
-}
-
-// intParam parses an integer query parameter, returning def when
-// absent.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not an integer", name, v)
-	}
-	return n, nil
-}
-
-// int64Param parses a 64-bit integer query parameter (search seeds),
-// returning def when absent.
-func int64Param(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not an integer", name, v)
-	}
-	return n, nil
-}
-
 // decodeConfig builds the requested design point from query
 // parameters, validated against the Table 2 domain by the same
 // uarch.Table2Config validator cmd/inorder-model uses.
-func decodeConfig(r *http.Request) (uarch.Config, error) {
-	width, err := intParam(r, "width", 4)
-	if err != nil {
-		return uarch.Config{}, err
+func decodeConfig(q url.Values) (uarch.Config, error) {
+	// In Table2Config's argument order, with their defaults.
+	axes := [...]struct {
+		name string
+		v    int
+	}{{"width", 4}, {"stages", 9}, {"l2kb", 512}, {"l2ways", 8}}
+	for i := range axes {
+		var err error
+		if axes[i].v, err = intParam(q, axes[i].name, axes[i].v); err != nil {
+			return uarch.Config{}, err
+		}
 	}
-	stages, err := intParam(r, "stages", 9)
-	if err != nil {
-		return uarch.Config{}, err
-	}
-	l2kb, err := intParam(r, "l2kb", 512)
-	if err != nil {
-		return uarch.Config{}, err
-	}
-	l2ways, err := intParam(r, "l2ways", 8)
-	if err != nil {
-		return uarch.Config{}, err
-	}
-	pred := r.URL.Query().Get("pred")
+	pred := q.Get("pred")
 	if pred == "" {
 		pred = "gshare"
 	}
-	return uarch.Table2Config(uarch.Default(), width, stages, l2kb, l2ways, pred)
+	return uarch.Table2Config(uarch.Default(), axes[0].v, axes[1].v, axes[2].v, axes[3].v, pred)
 }
 
 // ConfigJSON describes one design point in a response.
@@ -688,78 +482,51 @@ type PredictResponse struct {
 	Sim          *SimJSON   `json:"sim,omitempty"`
 }
 
-// handlePredict serves one (benchmark, design point) prediction —
-// the service form of `inorder-model -bench B -width ... [-validate]`.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if err := checkParams(r, "bench", "width", "stages", "l2kb", "l2ways", "pred", "validate"); err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
-	}
-	bench := r.URL.Query().Get("bench")
-	if bench == "" {
-		s.writeErr(w, fmt.Errorf("missing required parameter bench"), codeBadRequest)
-		return
-	}
-	if s.proxyToOwner(w, r, bench) {
-		return
-	}
-	cfg, err := decodeConfig(r)
-	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
-	}
-	validate, err := boolParam(r, "validate")
-	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
-	}
-	ctx, cancel := deadlineCtx(r, s.cfg.PredictTimeout)
-	defer cancel()
-	pw, fallback, err := s.profiled(ctx, bench)
-	if err != nil {
-		s.writeErr(w, err, fallback)
-		return
-	}
-	n, err := s.queue.Acquire(ctx, 1)
-	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
-	}
-	defer s.budget.Release(n)
+func predictParams(url.Values) ([]string, error) {
+	return []string{"bench", "width", "stages", "l2kb", "l2ways", "pred", "validate"}, nil
+}
 
-	// The workload's statistics memo answers a design point whose
-	// hierarchy and predictor it holds without walking the trace, so
-	// after first touch a prediction is one model evaluation.
-	set, err := pw.MultiInputsCtx(ctx, []uarch.Config{cfg})
+// parsePredict parses one (benchmark, design point) prediction — the
+// service form of `inorder-model -bench B -width ... [-validate]`.
+func (s *Server) parsePredict(q url.Values, bench string) (job, error) {
+	cfg, err := decodeConfig(q)
 	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
+		return job{}, err
 	}
-	in, err := set.Inputs(cfg)
+	validate, err := boolParam(q, "validate")
 	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
+		return job{}, err
 	}
-	st, err := core.Predict(in, cfg)
-	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
-	}
-	resp := predictResponse(bench, pw.Prof.N, cfg, st)
-	if validate {
-		sims, err := pw.SimulateDetailedBatchCtx(ctx, []uarch.Config{cfg}, n)
+	return job{tokens: 1, compute: func(ctx context.Context, pw *harness.Profiled, n int, _ *reply) (any, error) {
+		// The workload's statistics memo answers a design point whose
+		// hierarchy and predictor it holds without walking the trace,
+		// so after first touch a prediction is one model evaluation.
+		set, err := pw.MultiInputsCtx(ctx, []uarch.Config{cfg})
 		if err != nil {
-			s.writeErr(w, err, codeInternal)
-			return
+			return nil, err
 		}
-		sim := sims[0]
-		sj := &SimJSON{Cycles: sim.Cycles, CPI: sim.CPI()}
-		if sim.CPI() != 0 {
-			sj.CPIErrPercent = 100 * abs(st.CPI()-sim.CPI()) / sim.CPI()
+		in, err := set.Inputs(cfg)
+		if err != nil {
+			return nil, err
 		}
-		resp.Sim = sj
-	}
-	s.writeJSON(w, resp)
+		st, err := core.Predict(in, cfg)
+		if err != nil {
+			return nil, err
+		}
+		resp := predictResponse(bench, pw.Prof.N, cfg, st)
+		if validate {
+			sims, err := pw.SimulateDetailedBatchCtx(ctx, []uarch.Config{cfg}, n)
+			if err != nil {
+				return nil, err
+			}
+			sim := sims[0]
+			resp.Sim = &SimJSON{Cycles: sim.Cycles, CPI: sim.CPI()}
+			if sim.CPI() != 0 {
+				resp.Sim.CPIErrPercent = 100 * math.Abs(st.CPI()-sim.CPI()) / sim.CPI()
+			}
+		}
+		return resp, nil
+	}}, nil
 }
 
 // predictResponse is the model half of a /v1/predict answer: st is
@@ -816,11 +583,11 @@ type ExploreResponse struct {
 // l2kb, ..., and on the extended space also l1kb, l1ways, fscale).
 // Each present value is validated by the axis itself, so the rejection
 // lists the valid spellings dynamically.
-func domainFilter(r *http.Request, d *uarch.Domain) ([]uarch.Config, error) {
+func domainFilter(q url.Values, d *uarch.Domain) ([]uarch.Config, error) {
 	pts := d.EnumeratePoints()
 	axes := d.Axes()
 	for ai := range axes {
-		v := r.URL.Query().Get(axes[ai].Name)
+		v := q.Get(axes[ai].Name)
 		if v == "" {
 			continue
 		}
@@ -828,13 +595,7 @@ func domainFilter(r *http.Request, d *uarch.Domain) ([]uarch.Config, error) {
 		if err != nil {
 			return nil, err
 		}
-		var kept []uarch.Point
-		for _, pt := range pts {
-			if pt[ai] == idx {
-				kept = append(kept, pt)
-			}
-		}
-		pts = kept
+		pts = slices.DeleteFunc(pts, func(pt uarch.Point) bool { return pt[ai] != idx })
 	}
 	space := make([]uarch.Config, len(pts))
 	for i, pt := range pts {
@@ -847,116 +608,97 @@ func domainFilter(r *http.Request, d *uarch.Domain) ([]uarch.Config, error) {
 	return space, nil
 }
 
-// handleExplore serves design-space exploration — the service form of
-// `dse-explore -bench B [-space S] [-validate] [-search]`. The space
-// parameter picks a typed parameter domain (default table2); mode=
-// sweep (the default) evaluates every point, optionally narrowed by
-// per-axis filters, while mode=search runs the Pareto-aware heuristic
-// search and streams NDJSON batches as generations complete, ending
-// with a frontier summary line. With validate=true the detailed
-// simulator runs at every evaluated point through the annotation-plane
-// fast path, under the per-request worker budget.
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	spaceName := r.URL.Query().Get("space")
-	if spaceName == "" {
-		spaceName = "table2"
+// exploreDomain is the typed parameter domain an exploration names
+// with space= (default table2).
+func exploreDomain(q url.Values) (*uarch.Domain, error) {
+	name := q.Get("space")
+	if name == "" {
+		name = "table2"
 	}
-	domain, err := uarch.DomainByName(spaceName)
+	return uarch.DomainByName(name)
+}
+
+// exploreParams accepts the exploration parameters plus the axes of
+// the requested domain, so an unknown space is the first fault found.
+func exploreParams(q url.Values) ([]string, error) {
+	domain, err := exploreDomain(q)
 	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
+		return nil, err
 	}
 	allowed := []string{"bench", "space", "mode", "budget", "seed", "validate", "top"}
 	for _, ax := range domain.Axes() {
 		allowed = append(allowed, ax.Name)
 	}
-	if err := checkParams(r, allowed...); err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
+	return allowed, nil
+}
+
+// exploreTokens is the worker tokens an exploration of at most points
+// design points asks for: one for the model alone, and for a validated
+// run no more than points or ExploreWorkers, so concurrent requests
+// always find the rest of the pot.
+func (s *Server) exploreTokens(validate bool, points int) int {
+	if !validate {
+		return 1
 	}
-	bench := r.URL.Query().Get("bench")
-	if bench == "" {
-		s.writeErr(w, fmt.Errorf("missing required parameter bench"), codeBadRequest)
-		return
-	}
-	if s.proxyToOwner(w, r, bench) {
-		return
-	}
-	top, err := intParam(r, "top", 0)
+	return max(1, min(s.cfg.ExploreWorkers, points))
+}
+
+// parseExplore parses a design-space exploration — the service form of
+// `dse-explore -bench B [-space S] [-validate] [-search]`. mode=sweep
+// (the default) evaluates every point of the domain, optionally
+// narrowed by per-axis filters; mode=search runs the Pareto-aware
+// heuristic search (parseSearch). With validate=true the detailed
+// simulator runs at every evaluated point through the annotation-plane
+// fast path, under the per-request worker budget.
+func (s *Server) parseExplore(q url.Values, bench string) (job, error) {
+	domain, _ := exploreDomain(q) // exploreParams accepted the space
+	top, err := intParam(q, "top", 0)
 	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
+		return job{}, err
 	}
-	validate, err := boolParam(r, "validate")
+	validate, err := boolParam(q, "validate")
 	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
+		return job{}, err
 	}
-	switch mode := r.URL.Query().Get("mode"); mode {
+	switch mode := q.Get("mode"); mode {
 	case "search":
-		s.exploreSearch(w, r, domain, bench, validate, top)
-		return
+		return s.parseSearch(q, domain, bench, validate, top)
 	case "", "sweep":
 	default:
-		s.writeErr(w, fmt.Errorf("unknown mode %q (use sweep or search)", mode), codeBadRequest)
-		return
+		return job{}, fmt.Errorf("unknown mode %q (use sweep or search)", mode)
 	}
 	for _, p := range []string{"budget", "seed"} {
-		if r.URL.Query().Get(p) != "" {
-			s.writeErr(w, fmt.Errorf("parameter %s applies to mode=search only", p), codeBadRequest)
-			return
+		if q.Get(p) != "" {
+			return job{}, fmt.Errorf("parameter %s applies to mode=search only", p)
 		}
 	}
-	space, err := domainFilter(r, domain)
+	space, err := domainFilter(q, domain)
 	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
+		return job{}, err
 	}
-	ctx, cancel := deadlineCtx(r, s.cfg.ExploreTimeout)
-	defer cancel()
-	pw, fallback, err := s.profiled(ctx, bench)
-	if err != nil {
-		s.writeErr(w, err, fallback)
-		return
-	}
+	return job{tokens: s.exploreTokens(validate, len(space)), compute: func(ctx context.Context, pw *harness.Profiled, n int, _ *reply) (any, error) {
+		return s.sweep(ctx, pw, bench, space, validate, top, n)
+	}}, nil
+}
 
-	// A validated exploration fans out across worker tokens, but may
-	// hold at most ExploreWorkers of them: concurrent requests always
-	// find the rest of the pot.
-	want := 1
-	if validate {
-		// No point holding more tokens than there are design points.
-		want = s.cfg.ExploreWorkers
-		if want > len(space) {
-			want = len(space)
-		}
-		if want < 1 {
-			want = 1
-		}
-	}
-	tokens, err := s.queue.Acquire(ctx, want)
-	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
-	}
-	defer s.budget.Release(tokens)
-
+// sweep is the compute step of mode=sweep.
+func (s *Server) sweep(ctx context.Context, pw *harness.Profiled, bench string, space []uarch.Config, validate bool, top, workers int) (any, error) {
 	var pts []dse.Point
+	var err error
 	if validate {
-		pts, err = dse.ExploreValidatedCtx(ctx, pw, space, s.pm, tokens)
+		pts, err = dse.ExploreValidatedCtx(ctx, pw, space, s.pm, workers)
 	} else {
 		pts, err = dse.ExploreCtx(ctx, pw, space, s.pm)
 	}
 	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
+		return nil, err
 	}
 
 	resp := ExploreResponse{
 		Benchmark: bench,
 		Count:     len(pts),
 		Validated: validate,
-		Workers:   tokens,
+		Workers:   workers,
 	}
 	mBest, sBest := dse.BestEDP(pts)
 	if mBest >= 0 {
@@ -1000,7 +742,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		resp.AvgErrPercent = 100 * sum / float64(len(pts))
 		resp.MaxErrPercent = 100 * max
 	}
-	s.writeJSON(w, resp)
+	return resp, nil
 }
 
 // SearchPoint is one evaluated design point of a mode=search stream.
@@ -1071,121 +813,71 @@ type SearchErrorLine struct {
 	ErrorBody
 }
 
-// exploreSearch serves /v1/explore?mode=search: the heuristic search
-// over a typed domain, streamed as NDJSON — one line per generation,
-// then a summary line carrying the Pareto frontier.
-func (s *Server) exploreSearch(w http.ResponseWriter, r *http.Request, domain *uarch.Domain, bench string, validate bool, top int) {
+// parseSearch parses mode=search: the heuristic search over a typed
+// domain, streamed as NDJSON — one line per generation as it
+// completes, then a summary line carrying the Pareto frontier.
+func (s *Server) parseSearch(q url.Values, domain *uarch.Domain, bench string, validate bool, top int) (job, error) {
 	for _, ax := range domain.Axes() {
-		if r.URL.Query().Get(ax.Name) != "" {
-			s.writeErr(w, fmt.Errorf("parameter %s applies to mode=sweep only", ax.Name), codeBadRequest)
-			return
+		if q.Get(ax.Name) != "" {
+			return job{}, fmt.Errorf("parameter %s applies to mode=sweep only", ax.Name)
 		}
 	}
-	budget, err := intParam(r, "budget", 0)
+	budget, err := intParam(q, "budget", 0)
 	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
+		return job{}, err
 	}
 	if budget < 0 {
-		s.writeErr(w, fmt.Errorf("parameter budget=%d is negative", budget), codeBadRequest)
-		return
+		return job{}, fmt.Errorf("parameter budget=%d is negative", budget)
 	}
-	seed, err := int64Param(r, "seed", 0)
+	seed, err := intParam(q, "seed", int64(0))
 	if err != nil {
-		s.writeErr(w, err, codeBadRequest)
-		return
+		return job{}, err
 	}
-	ctx, cancel := deadlineCtx(r, s.cfg.ExploreTimeout)
-	defer cancel()
-	pw, fallback, err := s.profiled(ctx, bench)
-	if err != nil {
-		s.writeErr(w, err, fallback)
-		return
-	}
-	want := 1
-	if validate {
-		want = s.cfg.ExploreWorkers
-		if want < 1 {
-			want = 1
+	// A generation's size is not known up front: a validated search
+	// asks for its whole per-request share.
+	return job{tokens: s.exploreTokens(validate, math.MaxInt), stream: true, compute: func(ctx context.Context, pw *harness.Profiled, n int, out *reply) (any, error) {
+		s.searchRuns.Add(1)
+		res, err := dse.Search(ctx, pw, domain, uarch.Default(), s.pm, dse.SearchOptions{
+			Budget:   budget,
+			Seed:     seed,
+			Validate: validate,
+			Workers:  n,
+			OnBatch: func(gen int, pts []dse.Point) error {
+				return out.line(SearchBatchLine{Type: "batch", Gen: gen, Points: searchPoints(pts)})
+			},
+		})
+		s.searchEvaluated.Add(int64(res.Evaluated))
+		s.searchGenerations.Add(int64(res.Generations))
+		s.searchReplays.Add(int64(res.Replays))
+		if err != nil {
+			return nil, err
 		}
-	}
-	tokens, err := s.queue.Acquire(ctx, want)
-	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
-	}
-	defer s.budget.Release(tokens)
-
-	s.searchRuns.Add(1)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	streamed := false
-	opts := dse.SearchOptions{
-		Budget:   budget,
-		Seed:     seed,
-		Validate: validate,
-		Workers:  tokens,
-		OnBatch: func(gen int, pts []dse.Point) error {
-			if !streamed {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				streamed = true
-			}
-			if err := enc.Encode(SearchBatchLine{Type: "batch", Gen: gen, Points: searchPoints(pts)}); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		},
-	}
-	res, err := dse.Search(ctx, pw, domain, uarch.Default(), s.pm, opts)
-	s.searchEvaluated.Add(int64(res.Evaluated))
-	s.searchGenerations.Add(int64(res.Generations))
-	s.searchReplays.Add(int64(res.Replays))
-	if err != nil {
-		if !streamed {
-			s.writeErr(w, err, codeInternal)
-			return
+		summary := SearchSummaryLine{
+			Type:        "summary",
+			Benchmark:   bench,
+			Space:       domain.Name,
+			Cardinality: domain.Cardinality(),
+			Budget:      budget,
+			Seed:        seed,
+			Validated:   validate,
+			Workers:     n,
+			Evaluated:   res.Evaluated,
+			Generations: res.Generations,
+			Replays:     res.Replays,
+			FrontSize:   len(res.Front),
 		}
-		var line SearchErrorLine
-		line.Type = "error"
-		line.Error.Code = s.countErr(err, codeInternal)
-		line.Error.Message = err.Error()
-		_ = enc.Encode(line)
-		return
-	}
-	summary := SearchSummaryLine{
-		Type:        "summary",
-		Benchmark:   bench,
-		Space:       domain.Name,
-		Cardinality: domain.Cardinality(),
-		Budget:      budget,
-		Seed:        seed,
-		Validated:   validate,
-		Workers:     tokens,
-		Evaluated:   res.Evaluated,
-		Generations: res.Generations,
-		Replays:     res.Replays,
-		FrontSize:   len(res.Front),
-	}
-	if mBest, sBest := dse.BestEDP(res.Front); sBest >= 0 {
-		summary.BestEDP = res.Front[sBest].Cfg.Name
-	} else if mBest >= 0 {
-		summary.BestEDP = res.Front[mBest].Cfg.Name
-	}
-	front := res.Front
-	if top > 0 && top < len(front) {
-		front = front[:top]
-	}
-	summary.Front = searchPoints(front)
-	if !streamed {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
-	}
+		if mBest, sBest := dse.BestEDP(res.Front); sBest >= 0 {
+			summary.BestEDP = res.Front[sBest].Cfg.Name
+		} else if mBest >= 0 {
+			summary.BestEDP = res.Front[mBest].Cfg.Name
+		}
+		front := res.Front
+		if top > 0 && top < len(front) {
+			front = front[:top]
+		}
+		summary.Front = searchPoints(front)
+		return summary, nil
+	}}, nil
 }
 
 // WorkloadInfo is one /v1/workloads row.
@@ -1202,22 +894,11 @@ const IngestedDomain = "user"
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	var out []WorkloadInfo
-	for _, spec := range workloads.All() {
-		out = append(out, WorkloadInfo{
-			Name:     spec.Name,
-			Domain:   spec.Domain,
-			Resident: s.pool.Resident(spec.Name),
-		})
-	}
-	for _, entry := range s.registry.List() {
-		out = append(out, WorkloadInfo{
-			Name:     entry.Name,
-			Domain:   IngestedDomain,
-			Resident: s.pool.Resident(entry.Name),
-		})
+	for _, sv := range s.servables() {
+		out = append(out, WorkloadInfo{Name: sv.name, Domain: sv.domain, Resident: s.pool.Resident(sv.name)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	s.writeJSON(w, map[string]any{"workloads": out})
+	writeJSON(w, http.StatusOK, map[string]any{"workloads": out})
 }
 
 // StoreHealth reports the artifact store's state in /healthz.
@@ -1254,7 +935,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.ArtifactStore = sh
 	}
-	s.writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // ArtifactWorkload is one /v1/artifacts residency row: whether a known
@@ -1280,165 +961,25 @@ type ArtifactsResponse struct {
 // residency view (stored on disk / resident in memory).
 func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 	resp := ArtifactsResponse{FormatVersion: artifact.FormatVersion}
-	if s.store == nil {
-		s.writeJSON(w, resp)
-		return
+	if s.store != nil {
+		resp.Enabled = true
+		resp.Dir = s.store.Dir()
+		entries, err := s.store.List()
+		if err != nil {
+			s.writeErr(w, err, codeInternal)
+			return
+		}
+		resp.Entries = entries
+		for _, sv := range s.servables() {
+			id := s.workloadID(sv)
+			resp.Workloads = append(resp.Workloads, ArtifactWorkload{
+				Name:     sv.name,
+				Key:      s.store.WorkloadKey(id),
+				Stored:   s.store.HasWorkload(id),
+				Resident: s.pool.Resident(sv.name),
+			})
+		}
+		sort.Slice(resp.Workloads, func(i, j int) bool { return resp.Workloads[i].Name < resp.Workloads[j].Name })
 	}
-	resp.Enabled = true
-	resp.Dir = s.store.Dir()
-	entries, err := s.store.List()
-	if err != nil {
-		s.writeErr(w, err, codeInternal)
-		return
-	}
-	resp.Entries = entries
-	for _, spec := range workloads.All() {
-		id := s.workloadID(spec)
-		resp.Workloads = append(resp.Workloads, ArtifactWorkload{
-			Name:     spec.Name,
-			Key:      s.store.WorkloadKey(id),
-			Stored:   s.store.HasWorkload(id),
-			Resident: s.pool.Resident(spec.Name),
-		})
-	}
-	for _, entry := range s.registry.List() {
-		id := s.ingestedID(entry)
-		resp.Workloads = append(resp.Workloads, ArtifactWorkload{
-			Name:     entry.Name,
-			Key:      s.store.WorkloadKey(id),
-			Stored:   s.store.HasWorkload(id),
-			Resident: s.pool.Resident(entry.Name),
-		})
-	}
-	sort.Slice(resp.Workloads, func(i, j int) bool { return resp.Workloads[i].Name < resp.Workloads[j].Name })
-	s.writeJSON(w, resp)
-}
-
-// Metrics is the expvar-style counter snapshot served at /metrics.
-type Metrics struct {
-	Requests map[string]int64  `json:"requests"`
-	Errors   int64             `json:"errors"`
-	InFlight int64             `json:"in_flight"`
-	Pool     harness.PoolStats `json:"workload_cache"`
-	Workers  struct {
-		Cap        int `json:"cap"`
-		InUse      int `json:"in_use"`
-		PerExplore int `json:"per_explore"`
-	} `json:"workers"`
-	Lifecycle struct {
-		Cancelled        int64 `json:"cancelled"`
-		DeadlineExceeded int64 `json:"deadline_exceeded"`
-		Shed             int64 `json:"shed"`
-		ShedFull         int64 `json:"shed_full"`
-		ShedWait         int64 `json:"shed_wait"`
-		QueueDepth       int   `json:"queue_depth"`
-		PanicsRecovered  int64 `json:"panics_recovered"`
-	} `json:"lifecycle"`
-	Search struct {
-		Runs        int64 `json:"runs"`
-		Evaluated   int64 `json:"evaluated"`
-		Generations int64 `json:"generations"`
-		Replays     int64 `json:"stats_replays"`
-	} `json:"search"`
-	Store struct {
-		Retries  int64 `json:"store_retries"`
-		Trips    int64 `json:"store_trips"`
-		Degraded bool  `json:"store_degraded"`
-	} `json:"store"`
-	Ingest struct {
-		Submitted          int64             `json:"submitted"`
-		Accepted           int64             `json:"accepted"`
-		Created            int64             `json:"created"`
-		Rejected           int64             `json:"rejected"`
-		Registered         int               `json:"registered"`
-		RegistryLoadErrors int64             `json:"registry_load_errors"`
-		RegistrySaveErrors int64             `json:"registry_save_errors"`
-		Quota              ingest.QuotaStats `json:"quota"`
-	} `json:"ingest"`
-	Cluster struct {
-		Enabled            bool                  `json:"enabled"`
-		Self               string                `json:"self,omitempty"`
-		Peers              []string              `json:"peers,omitempty"`
-		VirtualNodes       int                   `json:"virtual_nodes,omitempty"`
-		Proxied            int64                 `json:"proxied"`
-		ProxyReceived      int64                 `json:"proxy_received"`
-		ProxyFallbackLocal int64                 `json:"proxy_fallback_local"`
-		ArtifactsServed    int64                 `json:"artifacts_served"`
-		ArtifactFetch      *artifact.RemoteStats `json:"artifact_fetch,omitempty"`
-	} `json:"cluster"`
-	// Latency is one fixed-bucket histogram per endpoint (the requests
-	// map's keys), letting a load generator's client-side percentiles
-	// be cross-checked against the server's own observations.
-	Latency          map[string]HistogramJSON `json:"latency"`
-	PlaneBudgetBytes int64                    `json:"plane_budget_bytes"`
-}
-
-// MetricsSnapshot returns the current counters (also served at
-// /metrics).
-func (s *Server) MetricsSnapshot() Metrics {
-	m := Metrics{
-		Requests:         make(map[string]int64, len(s.endpoints)),
-		Latency:          make(map[string]HistogramJSON, len(s.endpoints)),
-		Errors:           s.errCount.Load(),
-		InFlight:         s.inFlight.Load(),
-		Pool:             s.pool.Stats(),
-		PlaneBudgetBytes: s.cfg.MaxPlaneBytes,
-	}
-	m.Workers.Cap = s.budget.Cap()
-	m.Workers.InUse = s.budget.InUse()
-	m.Workers.PerExplore = s.cfg.ExploreWorkers
-	m.Lifecycle.Cancelled = s.cancelled.Load()
-	m.Lifecycle.DeadlineExceeded = s.deadlineExceeded.Load()
-	m.Lifecycle.ShedFull = s.queue.ShedFull()
-	m.Lifecycle.ShedWait = s.queue.ShedWait()
-	m.Lifecycle.Shed = m.Lifecycle.ShedFull + m.Lifecycle.ShedWait
-	m.Lifecycle.QueueDepth = s.queue.Depth()
-	m.Lifecycle.PanicsRecovered = s.panics.Load()
-	m.Search.Runs = s.searchRuns.Load()
-	m.Search.Evaluated = s.searchEvaluated.Load()
-	m.Search.Generations = s.searchGenerations.Load()
-	m.Search.Replays = s.searchReplays.Load()
-	if s.guard != nil {
-		m.Store.Retries = s.guard.Retried()
-		m.Store.Trips = s.guard.Trips()
-		m.Store.Degraded = s.guard.Degraded()
-	}
-	m.Cluster.Enabled = s.ring != nil
-	if s.ring != nil {
-		m.Cluster.Self = s.cfg.ClusterSelf
-		m.Cluster.Peers = s.ring.Nodes()
-		m.Cluster.VirtualNodes = s.ring.VirtualNodes()
-	}
-	m.Cluster.Proxied = s.proxied.Load()
-	m.Cluster.ProxyReceived = s.proxyReceived.Load()
-	m.Cluster.ProxyFallbackLocal = s.proxyFallback.Load()
-	m.Cluster.ArtifactsServed = s.artifactsServed.Load()
-	if s.remote != nil {
-		st := s.remote.Stats()
-		m.Cluster.ArtifactFetch = &st
-	}
-	for name, ep := range s.endpoints {
-		m.Requests[name] = ep.requests.Load()
-		m.Latency[name] = ep.latency.snapshot()
-	}
-	m.Ingest.Submitted = s.ingSubmitted.Load()
-	m.Ingest.Accepted = s.ingAccepted.Load()
-	m.Ingest.Created = s.ingCreated.Load()
-	m.Ingest.Rejected = s.ingRejected.Load()
-	m.Ingest.Registered = s.registry.Len()
-	m.Ingest.RegistryLoadErrors = s.registry.LoadErrors()
-	m.Ingest.RegistrySaveErrors = s.registry.SaveErrors()
-	m.Ingest.Quota = s.quotas.Stats()
-	return m
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, s.MetricsSnapshot())
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	writeJSON(w, http.StatusOK, resp)
 }
