@@ -135,12 +135,16 @@ func deadlineCtx(r *http.Request, d time.Duration) (context.Context, context.Can
 
 // checkParams rejects query parameters outside the endpoint's
 // contract: a misspelled name (predictor=, l2_kb=) would otherwise be
-// silently dropped and its default substituted — wrong numbers with a
-// 200, from a service whose decoding is strict everywhere else.
+// silently dropped and its default substituted, and a repeated one
+// read as its first value — wrong numbers with a 200, from a service
+// whose decoding is strict everywhere else.
 func checkParams(q url.Values, allowed []string) error {
-	for k := range q {
+	for k, vs := range q {
 		if !slices.Contains(allowed, k) {
 			return fmt.Errorf("unknown parameter %q (allowed: %v)", k, allowed)
+		}
+		if len(vs) > 1 {
+			return fmt.Errorf("parameter %s is given %d times; give it once", k, len(vs))
 		}
 	}
 	return nil

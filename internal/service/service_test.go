@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -313,6 +314,30 @@ func TestRequestValidation(t *testing.T) {
 		}
 		if body.Error.Message == "" {
 			t.Errorf("%s: no JSON error message", c.url)
+		}
+	}
+
+	// A repeated parameter is refused, naming it, not read as its first
+	// value.
+	for _, c := range []struct{ url, param string }{
+		{"/v1/predict?bench=sha&width=1&width=4", "width"},
+		{"/v1/predict?bench=crc32&bench=sha", "bench"},
+		{"/v1/predict?bench=crc32&validate=true&validate=true", "validate"},
+		{"/v1/explore?bench=crc32&l2kb=128&l2kb=256", "l2kb"},
+		{"/v1/explore?bench=crc32&mode=search&seed=1&seed=1", "seed"},
+	} {
+		resp, err := http.Get(ts.URL + c.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != "bad_request" {
+			t.Errorf("%s: status %d code %q, want 400 bad_request", c.url, resp.StatusCode, body.Error.Code)
+		}
+		if !strings.Contains(body.Error.Message, c.param) {
+			t.Errorf("%s: error message %q does not name parameter %s", c.url, body.Error.Message, c.param)
 		}
 	}
 
