@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -115,6 +116,57 @@ func TestNoPackageAtomics(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestOneRequestLifecycle keeps modeld's request lifecycle written
+// once: no non-test file under internal/service may derive a handler
+// deadline (deadlineCtx), take worker tokens (queue.Acquire) or admit
+// a workload (pool.GetBuiltCtx) outside the lifecycle's own functions,
+// so a new endpoint supplies its parse and compute steps and nothing
+// else.
+func TestOneRequestLifecycle(t *testing.T) {
+	allowed := map[string]bool{"lifecycle": true, "admit": true}
+	steps := []string{"deadlineCtx", "queue.Acquire", "pool.GetBuiltCtx"}
+	seen := map[string]bool{}
+	eachSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(path)) != "internal/service" {
+			return
+		}
+		for _, decl := range f.Decls {
+			owner := "" // package-level declarations belong to no function
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				owner = fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				step := ""
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					step = fun.Name
+				case *ast.SelectorExpr:
+					if recv, ok := fun.X.(*ast.SelectorExpr); ok {
+						step = recv.Sel.Name + "." + fun.Sel.Name
+					}
+				}
+				if !slices.Contains(steps, step) {
+					return true
+				}
+				seen[step] = true
+				if !allowed[owner] {
+					t.Errorf("%s: %s calls %s outside the request lifecycle", fset.Position(call.Pos()), owner, step)
+				}
+				return true
+			})
+		}
+	})
+	for _, step := range steps {
+		if !seen[step] {
+			t.Errorf("no call to %s found under internal/service: run from the module root, or update the guard", step)
+		}
+	}
 }
 
 // eachSource parses every non-test Go file under internal/ and cmd/
