@@ -80,8 +80,6 @@ func (s *Server) lifecycle(timeout *time.Duration, params func(url.Values) ([]st
 		v, err := j.compute(ctx, pw, n, &out)
 		switch {
 		case err != nil && out.sent:
-			// The status went out with the first line: the error
-			// travels in-band as the stream's last line.
 			_ = out.line(SearchErrorLine{Type: "error", ErrorBody: s.errorBody(err, codeInternal)})
 		case err != nil:
 			s.writeErr(w, err, codeInternal)

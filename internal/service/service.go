@@ -21,6 +21,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -428,10 +429,7 @@ func decodeConfig(q url.Values) (uarch.Config, error) {
 			return uarch.Config{}, err
 		}
 	}
-	pred := q.Get("pred")
-	if pred == "" {
-		pred = "gshare"
-	}
+	pred := cmp.Or(q.Get("pred"), "gshare")
 	return uarch.Table2Config(uarch.Default(), axes[0].v, axes[1].v, axes[2].v, axes[3].v, pred)
 }
 
@@ -611,11 +609,7 @@ func domainFilter(q url.Values, d *uarch.Domain) ([]uarch.Config, error) {
 // exploreDomain is the typed parameter domain an exploration names
 // with space= (default table2).
 func exploreDomain(q url.Values) (*uarch.Domain, error) {
-	name := q.Get("space")
-	if name == "" {
-		name = "table2"
-	}
-	return uarch.DomainByName(name)
+	return uarch.DomainByName(cmp.Or(q.Get("space"), "table2"))
 }
 
 // exploreParams accepts the exploration parameters plus the axes of
