@@ -12,6 +12,9 @@ import (
 	"testing"
 )
 
+// compute are the directories of the compute stack and its commands.
+var compute = []string{"internal", "cmd"}
+
 // TestOneSignaturePerOperation keeps each operation to one exported
 // signature: no exported function or method XCtx under internal/ or
 // cmd/ may have an exported sibling X (same package, same receiver)
@@ -20,7 +23,7 @@ import (
 func TestOneSignaturePerOperation(t *testing.T) {
 	type key struct{ dir, recv, name string }
 	decls := map[key]string{} // exported func -> position
-	eachSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+	eachSource(t, compute, func(fset *token.FileSet, path string, f *ast.File) {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
@@ -62,7 +65,7 @@ func TestNoPackageAtomics(t *testing.T) {
 		// counter; moving it onto instances is a later step.
 		"internal/par.defaultWorkers": true,
 	}
-	eachSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+	eachSource(t, compute, func(fset *token.FileSet, path string, f *ast.File) {
 		pkg := ""
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"sync/atomic"` {
@@ -128,7 +131,7 @@ func TestOneRequestLifecycle(t *testing.T) {
 	allowed := map[string]bool{"lifecycle": true, "admit": true}
 	steps := []string{"deadlineCtx", "queue.Acquire", "pool.GetBuiltCtx"}
 	seen := map[string]bool{}
-	eachSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+	eachSource(t, compute, func(fset *token.FileSet, path string, f *ast.File) {
 		if filepath.ToSlash(filepath.Dir(path)) != "internal/service" {
 			return
 		}
@@ -169,12 +172,26 @@ func TestOneRequestLifecycle(t *testing.T) {
 	}
 }
 
-// eachSource parses every non-test Go file under internal/ and cmd/
+// TestTracetestOnlyInTests keeps the record adapter out of the
+// program: no non-test file under internal/, cmd/, examples/ or bench/
+// may import internal/trace/tracetest, so every trace reader walks the
+// chunks' columns.
+func TestTracetestOnlyInTests(t *testing.T) {
+	eachSource(t, []string{"internal", "cmd", "examples", "bench"}, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/trace/tracetest"` {
+				t.Errorf("%s: imports internal/trace/tracetest, which only tests may use", fset.Position(imp.Pos()))
+			}
+		}
+	})
+}
+
+// eachSource parses every non-test Go file under the directories tops
 // and hands it to fn.
-func eachSource(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.File)) {
+func eachSource(t *testing.T, tops []string, fn func(fset *token.FileSet, path string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
-	for _, top := range []string{"internal", "cmd"} {
+	for _, top := range tops {
 		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err

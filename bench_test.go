@@ -24,6 +24,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
@@ -178,9 +179,10 @@ func profiledFor(b *testing.B, name string) *harness.Profiled {
 // BenchmarkTraceRecording measures recording a workload's dynamic
 // trace into the chunked columnar store, and reports the encoding
 // density: bytes per recorded instruction and the compaction factor
-// over the legacy []trace.DynInst array-of-structs layout. Run with
-// -benchmem so B/op and allocs/op land in the BENCH_N.json baseline —
-// trace-memory regressions show up there.
+// over an array of tracetest.Inst records, one per instruction with
+// every field spelled out. Run with -benchmem so B/op and allocs/op
+// land in the BENCH_N.json baseline — trace-memory regressions show up
+// there.
 func BenchmarkTraceRecording(b *testing.B) {
 	spec, err := workloads.ByName("gsm_c")
 	if err != nil {
@@ -197,7 +199,7 @@ func BenchmarkTraceRecording(b *testing.B) {
 		tr = tb.Trace()
 	}
 	b.SetBytes(tr.Len())
-	aosBytes := tr.Len() * int64(unsafe.Sizeof(trace.DynInst{}))
+	aosBytes := tr.Len() * int64(unsafe.Sizeof(tracetest.Inst{}))
 	b.ReportMetric(float64(tr.SizeBytes())/float64(tr.Len()), "bytes/inst")
 	b.ReportMetric(float64(aosBytes)/float64(tr.SizeBytes()), "compaction-x")
 }

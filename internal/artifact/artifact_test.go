@@ -16,6 +16,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
@@ -84,7 +85,7 @@ func TestWorkloadRoundTripAcrossStores(t *testing.T) {
 		t.Fatalf("loaded trace has %d instructions, want %d", tr.Len(), pw.Trace.Len())
 	}
 	for i := int64(0); i < tr.Len(); i += 997 {
-		if a, b := tr.At(i), pw.Trace.At(i); a != b {
+		if a, b := tracetest.At(tr, i), tracetest.At(pw.Trace, i); a != b {
 			t.Fatalf("instruction %d differs after disk round trip", i)
 		}
 	}

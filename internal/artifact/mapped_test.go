@@ -13,6 +13,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
@@ -52,7 +53,7 @@ func TestLoadWorkloadUsesMappedPath(t *testing.T) {
 		t.Fatal("mapped load differs from the saved workload")
 	}
 	for i := int64(0); i < tr.Len(); i += 509 {
-		if tr.At(i) != pw.Trace.At(i) {
+		if tracetest.At(tr, i) != tracetest.At(pw.Trace, i) {
 			t.Fatalf("instruction %d differs on the mapped path", i)
 		}
 	}
@@ -283,7 +284,7 @@ func TestLoadRejectsResignedOutOfRangeTrace(t *testing.T) {
 			if err != nil || hit {
 				t.Fatalf("corrupt artifact: hit=%v err=%v, want a fresh profile", hit, err)
 			}
-			if pw.Trace.Len() != fresh.Trace.Len() || pw.Trace.At(0) != fresh.Trace.At(0) {
+			if pw.Trace.Len() != fresh.Trace.Len() || tracetest.At(pw.Trace, 0) != tracetest.At(fresh.Trace, 0) {
 				t.Fatal("fallback profile differs from the original")
 			}
 		})
@@ -308,11 +309,11 @@ func TestMappedLoadSurvivesRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.At(tr.Len() / 2)
+	want := tracetest.At(tr, tr.Len()/2)
 	if _, err := s.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.At(tr.Len() / 2); got != want {
+	if got := tracetest.At(tr, tr.Len()/2); got != want {
 		t.Fatalf("mapped trace changed under a concurrent rewrite: %+v -> %+v", want, got)
 	}
 	tr2, _, err := s.LoadWorkload(id)
@@ -356,7 +357,7 @@ func TestPreviousFormatVersionIsProfiledAgain(t *testing.T) {
 	if err != nil || hit {
 		t.Fatalf("previous-version artifact: hit=%v err=%v, want a fresh profile", hit, err)
 	}
-	if pw.Trace.EncodedSize() != fresh.Trace.EncodedSize() || pw.Trace.At(pw.Trace.Len()-1) != fresh.Trace.At(fresh.Trace.Len()-1) {
+	if pw.Trace.EncodedSize() != fresh.Trace.EncodedSize() || tracetest.At(pw.Trace, pw.Trace.Len()-1) != tracetest.At(fresh.Trace, fresh.Trace.Len()-1) {
 		t.Fatal("profile taken again differs from the original")
 	}
 	if _, _, err := s.LoadWorkload(id); err != nil {

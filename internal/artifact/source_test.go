@@ -14,6 +14,7 @@ import (
 	"repro/internal/funcsim"
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
@@ -123,7 +124,7 @@ func TestReadSourceMatchesMapped(t *testing.T) {
 	if *rprof != *prof {
 		t.Fatal("profile differs between byte sources")
 	}
-	if rtr.Len() != tr.Len() || rtr.SizeBytes() != tr.SizeBytes() || !slices.Equal(rtr.Materialize(), tr.Materialize()) {
+	if rtr.Len() != tr.Len() || rtr.SizeBytes() != tr.SizeBytes() || !slices.Equal(tracetest.Records(rtr), tracetest.Records(tr)) {
 		t.Fatal("trace differs between byte sources")
 	}
 	if !bytes.Equal(encoded(t, rtr), encoded(t, tr)) {

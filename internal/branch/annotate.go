@@ -36,8 +36,9 @@ func AnnotateMispredicts(ctx context.Context, tr *trace.Trace, p Predictor) (*tr
 // branch's position, PC and direction are decoded, and the jumps
 // counted, once for all of them. When mis is non-nil, mis[i] is the
 // chunk's words of collector i's bit plane, zeroed, and bit j is set
-// in it for every branch j the collector mispredicts. The statistics
-// are exactly Consume's over the same instructions.
+// in it for every branch j the collector mispredicts. Each branch takes
+// one Step, which predicts and then trains exactly as Predict followed
+// by Update would.
 func ConsumeChunk(ck *trace.Columns, cs []*Collector, mis [][]uint64) {
 	if len(cs) == 0 {
 		return

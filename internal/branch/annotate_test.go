@@ -12,19 +12,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// mispredictRecorder runs a Collector and records, per instruction,
-// whether that instruction was a mispredicted branch.
-type mispredictRecorder struct {
-	c    *branch.Collector
-	bits []bool
-}
-
-func (r *mispredictRecorder) Consume(d *trace.DynInst) {
-	before := r.c.S.Mispredicts
-	r.c.Consume(d)
-	r.bits = append(r.bits, r.c.S.Mispredicts != before)
-}
-
 func annotateTestTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	spec, err := workloads.ByName("dijkstra")
@@ -35,9 +22,9 @@ func annotateTestTrace(t *testing.T) *trace.Trace {
 }
 
 // TestAnnotateMispredictsMatchesCollector pins the fused annotation
-// against the plain Collector for every predictor kind: the plane marks
-// exactly the branches the Collector mispredicts, and the fused Stats
-// equal the Collector's.
+// against the per-record Collector reference (ConsumeRef) for every
+// predictor kind: the plane marks exactly the branches the reference
+// mispredicts, and the fused Stats equal the reference's.
 func TestAnnotateMispredictsMatchesCollector(t *testing.T) {
 	tr := annotateTestTrace(t)
 	for _, pk := range []uarch.PredictorKind{uarch.PredGShare1KB, uarch.PredHybrid3_5KB, uarch.PredBimodal2KB, uarch.PredStaticNT} {
@@ -45,20 +32,18 @@ func TestAnnotateMispredictsMatchesCollector(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", pk, err)
 		}
-		rec := &mispredictRecorder{c: branch.NewCollector(pk.New())}
-		if err := tr.ReplayCtx(context.Background(), rec.Consume); err != nil {
-			t.Fatal(err)
+		ref := branch.NewCollector(pk.New())
+		bits := branch.ConsumeRef(ref, tr)
+		if st != ref.S {
+			t.Errorf("%v: fused stats %+v, collector %+v", pk, st, ref.S)
 		}
-		if st != rec.c.S {
-			t.Errorf("%v: fused stats %+v, collector %+v", pk, st, rec.c.S)
+		if plane.Len() != int64(len(bits)) {
+			t.Fatalf("%v: plane covers %d instructions, trace has %d", pk, plane.Len(), len(bits))
 		}
-		if plane.Len() != int64(len(rec.bits)) {
-			t.Fatalf("%v: plane covers %d instructions, trace has %d", pk, plane.Len(), len(rec.bits))
+		if plane.Count() != ref.S.Mispredicts {
+			t.Errorf("%v: plane marks %d mispredicts, collector counts %d", pk, plane.Count(), ref.S.Mispredicts)
 		}
-		if plane.Count() != rec.c.S.Mispredicts {
-			t.Errorf("%v: plane marks %d mispredicts, collector counts %d", pk, plane.Count(), rec.c.S.Mispredicts)
-		}
-		for i, want := range rec.bits {
+		for i, want := range bits {
 			if plane.Get(int64(i)) != want {
 				t.Fatalf("%v: instruction %d marked %v, collector says %v", pk, i, !want, want)
 			}

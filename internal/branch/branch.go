@@ -12,8 +12,6 @@ package branch
 
 import (
 	"fmt"
-
-	"repro/internal/trace"
 )
 
 // Predictor predicts conditional-branch directions.
@@ -315,7 +313,8 @@ func (s Stats) MispredictRate() float64 {
 	return float64(s.Mispredicts) / float64(s.Branches)
 }
 
-// Collector simulates one predictor over a trace.
+// Collector simulates one predictor over a trace, chunk by chunk
+// (ConsumeChunk).
 type Collector struct {
 	P Predictor
 	S Stats
@@ -323,23 +322,3 @@ type Collector struct {
 
 // NewCollector wraps p.
 func NewCollector(p Predictor) *Collector { return &Collector{P: p} }
-
-// Consume observes one dynamic instruction: the per-record step passed
-// to trace.ReplayCtx.
-func (c *Collector) Consume(d *trace.DynInst) {
-	if d.IsJump {
-		c.S.Jumps++
-		return
-	}
-	if !d.IsBranch {
-		return
-	}
-	c.S.Branches++
-	pred := c.P.Predict(d.PC)
-	if pred != d.Taken {
-		c.S.Mispredicts++
-	} else if d.Taken {
-		c.S.PredictedTaken++
-	}
-	c.P.Update(d.PC, d.Taken)
-}

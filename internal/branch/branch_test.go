@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 func TestCounterSaturation(t *testing.T) {
@@ -137,14 +138,17 @@ func TestHybridTracksBetterComponent(t *testing.T) {
 }
 
 func TestCollectorCounts(t *testing.T) {
-	c := NewCollector(StaticNotTaken{})
-	br := func(taken bool) *trace.DynInst {
-		return &trace.DynInst{IsBranch: true, Taken: taken, PC: 5}
+	br := func(taken bool) tracetest.Inst {
+		return tracetest.Inst{IsBranch: true, Taken: taken, PC: 5}
 	}
-	c.Consume(br(true))  // mispredicted (NT predictor, taken branch)
-	c.Consume(br(false)) // correct, not taken
-	c.Consume(&trace.DynInst{IsJump: true, Taken: true})
-	c.Consume(&trace.DynInst{}) // non-control: ignored
+	tr := tracetest.Of(
+		br(true),  // mispredicted (NT predictor, taken branch)
+		br(false), // correct, not taken
+		tracetest.Inst{IsJump: true, Taken: true},
+		tracetest.Inst{}, // non-control: ignored
+	)
+	c := NewCollector(StaticNotTaken{})
+	ConsumeChunk(&tr.Chunks()[0], []*Collector{c}, nil)
 	if c.S.Branches != 2 || c.S.Mispredicts != 1 || c.S.Jumps != 1 {
 		t.Errorf("stats = %+v", c.S)
 	}
@@ -157,17 +161,22 @@ func TestCollectorCounts(t *testing.T) {
 	if c.S.MispredictRate() != 0.5 {
 		t.Errorf("rate = %f", c.S.MispredictRate())
 	}
+	ref := NewCollector(StaticNotTaken{})
+	ConsumeRef(ref, tr)
+	if ref.S != c.S {
+		t.Errorf("per-record reference %+v, ConsumeChunk %+v", ref.S, c.S)
+	}
 }
 
 // TestMultiCollectorIndependence pins that predictors fed one stream
-// record by record do not interfere.
+// together do not interfere.
 func TestMultiCollectorIndependence(t *testing.T) {
-	cs := []*Collector{NewCollector(StaticNotTaken{}), NewCollector(NewBimodal(64))}
-	for i := 0; i < 100; i++ {
-		d := &trace.DynInst{IsBranch: true, Taken: true, PC: 3}
-		cs[0].Consume(d)
-		cs[1].Consume(d)
+	recs := make([]tracetest.Inst, 100)
+	for i := range recs {
+		recs[i] = tracetest.Inst{IsBranch: true, Taken: true, PC: 3}
 	}
+	cs := []*Collector{NewCollector(StaticNotTaken{}), NewCollector(NewBimodal(64))}
+	ConsumeChunk(&tracetest.Of(recs...).Chunks()[0], cs, nil)
 	st := []Stats{cs[0].S, cs[1].S}
 	if st[0].Mispredicts != 100 {
 		t.Errorf("static-NT mispredicts = %d, want 100", st[0].Mispredicts)
@@ -267,6 +276,33 @@ func (h *refHybrid) update(pc int64, taken bool) {
 	}
 	h.local.update(pc, taken)
 	h.global.update(pc, taken)
+}
+
+// ConsumeRef is the per-record reference of ConsumeChunk, exported to
+// this directory's external tests: it runs c's predictor over tr one
+// record at a time, Predict then Update on each conditional branch,
+// and counts the jumps. It returns, per instruction, whether it was a
+// mispredicted branch.
+func ConsumeRef(c *Collector, tr *trace.Trace) []bool {
+	var mis []bool
+	tracetest.Each(tr, func(d *tracetest.Inst) {
+		m := false
+		switch {
+		case d.IsJump:
+			c.S.Jumps++
+		case d.IsBranch:
+			c.S.Branches++
+			if c.P.Predict(d.PC) != d.Taken {
+				c.S.Mispredicts++
+				m = true
+			} else if d.Taken {
+				c.S.PredictedTaken++
+			}
+			c.P.Update(d.PC, d.Taken)
+		}
+		mis = append(mis, m)
+	})
+	return mis
 }
 
 // TestStepMatchesPredictUpdate checks the fused step of every predictor

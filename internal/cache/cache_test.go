@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 func cfg(sizeBytes int64, ways int, block int64) Config {
@@ -298,16 +298,16 @@ func TestMultiCollectorMatchesIndividual(t *testing.T) {
 		ind[i] = MustNewHierarchy(h)
 	}
 	rng := rand.New(rand.NewSource(7))
-	ds := make([]trace.DynInst, 5000)
+	ds := make([]tracetest.Inst, 5000)
 	for i := range ds {
 		ds[i] = randomMemInst(rng, int64(i))
 	}
-	tr := trace.Of(ds...)
+	tr := tracetest.Of(ds...)
 	if err := tr.EachChunk(context.Background(), eng.ConsumeChunk); err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range ind {
-		if err := tr.ReplayCtx(context.Background(), h.Consume); err != nil {
+		if err := tr.EachChunk(context.Background(), h.ConsumeChunk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,8 +336,8 @@ func TestNewRejectsInvalid(t *testing.T) {
 
 // randomMemInst builds a plausible dynamic instruction for collector
 // tests: sequential PCs, mixed loads/stores over a modest footprint.
-func randomMemInst(rng *rand.Rand, seq int64) trace.DynInst {
-	d := trace.DynInst{Seq: seq, PC: seq % 500}
+func randomMemInst(rng *rand.Rand, seq int64) tracetest.Inst {
+	d := tracetest.Inst{Seq: seq, PC: seq % 500}
 	switch rng.Intn(3) {
 	case 0:
 		d.IsLoad = true

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // fuzzStream expands a fuzz input into an instruction stream of
@@ -22,7 +23,7 @@ func fuzzStream(seed int64, length uint16, pattern []byte) *trace.Trace {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	n := trace.ChunkLen + 1 + int(length)%(trace.ChunkLen-1)
-	ds := make([]trace.DynInst, n)
+	ds := make([]tracetest.Inst, n)
 	var pc, addr int64
 	for i := range ds {
 		b := pattern[i%len(pattern)]
@@ -51,7 +52,7 @@ func fuzzStream(seed int64, length uint16, pattern []byte) *trace.Trace {
 			d.IsStore, d.EffAddr = true, addr
 		}
 	}
-	return trace.Of(ds...)
+	return tracetest.Of(ds...)
 }
 
 // fuzzFronts returns the L1/TLB fronts one fuzzed engine walks

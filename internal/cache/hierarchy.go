@@ -266,20 +266,17 @@ func (h *Hierarchy) Reset() {
 	h.lastITag, h.lastDTag = 0, 0
 }
 
-// Consume is the per-record profiling step: every dynamic instruction
-// performs an I-fetch, and loads/stores additionally access the data
-// side.
-func (h *Hierarchy) Consume(d *trace.DynInst) {
-	if !h.AccessIWarm(d.PC) {
-		h.AccessI(d.PC)
-	}
-	if d.IsLoad {
-		if !h.AccessDWarm(d.EffAddr, false) {
-			h.AccessD(d.EffAddr, false)
-		}
-	} else if d.IsStore {
-		if !h.AccessDWarm(d.EffAddr, true) {
-			h.AccessD(d.EffAddr, true)
+// ConsumeChunk is the profiling step over one trace chunk: every
+// instruction performs an I-fetch, and each load or store then
+// accesses the data side, in trace order.
+func (h *Hierarchy) ConsumeChunk(ck *trace.Columns) {
+	k := 0
+	for j := 0; j < ck.N; j++ {
+		s := ck.Tuple(j)
+		h.AccessI(int64(s.PC))
+		if s.Flags&trace.FlagMem != 0 {
+			h.AccessD(int64(ck.Addr[k]), s.Flags&trace.FlagLoad == 0)
+			k++
 		}
 	}
 }

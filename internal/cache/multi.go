@@ -30,10 +30,11 @@ import (
 // stacks and its I-side stall count stay its own.
 //
 // The engine walks trace chunks (ConsumeChunk), reading the id and
-// address columns directly; it never reconstructs a DynInst. Both of
-// its uses, statistics (StatsFor) and annotation planes (RecordPlanes,
-// PlaneFor), run on that one walk. cache.Hierarchy, driven one DynInst
-// at a time, stays as its independent reference.
+// address columns directly. Both of its uses, statistics (StatsFor)
+// and annotation planes (RecordPlanes, PlaneFor), run on that one
+// walk. cache.Hierarchy, one set-associative cache per level driven
+// access by access (Hierarchy.ConsumeChunk), stays as its independent
+// reference.
 //
 // Every stack is bounded by the largest associativity asked of it, so
 // the engine's memory is fixed at construction: Σ sets × (8 × bound +

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // table2L2s returns the eight Table 2 L2 geometries (4 sizes × 2
@@ -49,8 +50,8 @@ func testFront() HierarchyConfig {
 // randTrace synthesizes a dynamic instruction stream with clustered,
 // reused addresses so that all of L1 hits, L2 hits, L2 misses, dirty
 // evictions and TLB misses occur.
-func randTrace(rng *rand.Rand, n int) []trace.DynInst {
-	tr := make([]trace.DynInst, n)
+func randTrace(rng *rand.Rand, n int) []tracetest.Inst {
+	tr := make([]tracetest.Inst, n)
 	pc := int64(0)
 	for i := range tr {
 		d := &tr[i]
@@ -96,7 +97,7 @@ func TestL2SpaceSimMatchesHierarchy(t *testing.T) {
 		shared = append(shared, withL2s(f, l2s[len(l2s)-3:])...)
 	}
 	for _, seed := range []int64{1, 7, 42} {
-		tr := trace.Of(randTrace(rand.New(rand.NewSource(seed)), 60000)...)
+		tr := tracetest.Of(randTrace(rand.New(rand.NewSource(seed)), 60000)...)
 		checkL2SpaceSim(t, withL2s(front, l2s), tr)
 		checkL2SpaceSim(t, shared, tr)
 	}
@@ -119,15 +120,14 @@ func recordedEngine(t *testing.T, hiers []HierarchyConfig, tr *trace.Trace) *L2S
 	return eng
 }
 
-// hierarchyOracle replays tr one DynInst at a time through a dedicated
-// Hierarchy, as Hierarchy.Consume does, and derives each instruction's
+// hierarchyOracle replays tr one record at a time through a dedicated
+// Hierarchy, as Hierarchy.ConsumeChunk does, and derives each instruction's
 // memory-event class byte from the AccessIWarm/AccessI and
 // AccessDWarm/AccessD results. It returns the classes, the Hierarchy's
 // statistics and the number of fetches that missed a TLB or L1.
 func hierarchyOracle(cfg HierarchyConfig, tr *trace.Trace) (classes []uint8, st Stats, iStalls int64) {
 	h := MustNewHierarchy(cfg)
-	// A background context never ends, so the replay cannot fail.
-	_ = tr.ReplayCtx(context.Background(), func(d *trace.DynInst) {
+	tracetest.Each(tr, func(d *tracetest.Inst) {
 		var b uint8
 		if !h.AccessIWarm(d.PC) {
 			r := h.AccessI(d.PC)
@@ -332,7 +332,7 @@ func newRawHierarchy(cfg HierarchyConfig) *rawHierarchy {
 	}
 }
 
-func (h *rawHierarchy) consume(d *trace.DynInst) {
+func (h *rawHierarchy) consume(d *tracetest.Inst) {
 	byteAddr := d.PC * InstrBytes
 	if !h.itlb.Access(byteAddr) {
 		h.s.ITLBMisses++
@@ -389,7 +389,7 @@ func TestHierarchyFastPathExact(t *testing.T) {
 	cfg.L2 = Config{Name: "l2", SizeBytes: 16 * 1024, Ways: 4, BlockBytes: 64}
 	for _, seed := range []int64{3, 11} {
 		rng := rand.New(rand.NewSource(seed))
-		tr := make([]trace.DynInst, 80000)
+		tr := make([]tracetest.Inst, 80000)
 		pc := int64(0)
 		addr := int64(0)
 		for i := range tr {
@@ -439,7 +439,7 @@ func TestHierarchyFastPathExact(t *testing.T) {
 // every geometry twice).
 func TestRecordPlanesMisuse(t *testing.T) {
 	hiers := withL2s(testFront(), table2L2s())
-	tr := trace.Of(randTrace(rand.New(rand.NewSource(5)), 100)...)
+	tr := tracetest.Of(randTrace(rand.New(rand.NewSource(5)), 100)...)
 
 	late, err := NewL2SpaceSim(hiers)
 	if err != nil {
@@ -479,7 +479,7 @@ func TestRecordPlanesMisuse(t *testing.T) {
 func TestL2SpaceSimCancelledWalk(t *testing.T) {
 	hiers := withL2s(testFront(), table2L2s())
 	ds := randTrace(rand.New(rand.NewSource(9)), 4*trace.ChunkLen+99)
-	tr := trace.Of(ds...)
+	tr := tracetest.Of(ds...)
 	for k := 1; k < tr.NumChunks(); k++ {
 		cut, err := NewL2SpaceSim(hiers)
 		if err != nil {
@@ -499,7 +499,7 @@ func TestL2SpaceSimCancelledWalk(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: walk returned %v", k, err)
 		}
-		want := recordedEngine(t, hiers, trace.Of(ds[:k*trace.ChunkLen]...))
+		want := recordedEngine(t, hiers, tracetest.Of(ds[:k*trace.ChunkLen]...))
 		for _, h := range hiers {
 			gi, _ := cut.IStallEvents(h)
 			wi, _ := want.IStallEvents(h)

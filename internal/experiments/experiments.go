@@ -450,7 +450,7 @@ func Fig7() (*Fig7Result, error) {
 		if err != nil {
 			return err
 		}
-		if err := pw.Trace.ReplayCtx(context.Background(), col.Consume); err != nil {
+		if err := pw.Trace.EachChunk(context.Background(), col.ConsumeChunk); err != nil {
 			return err
 		}
 		ooStack, err := ooo.Predict(pw.Prof.N, col.Result(), ooCfg)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // run executes a freshly built single-block program and returns the
@@ -223,7 +224,7 @@ func TestTraceRecords(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("retired %d, want 4 (HALT not counted)", n)
 	}
-	ds := tb.Trace().Materialize()
+	ds := tracetest.Records(tb.Trace())
 	if !ds[1].IsStore || ds[1].EffAddr != 9 {
 		t.Errorf("store record = %+v", ds[1])
 	}
@@ -329,7 +330,7 @@ func TestRecordedStatic(t *testing.T) {
 				t.Errorf("%v: %s = %d, want %d", in, f.name, f.got, f.want)
 			}
 		}
-		d := tr.At(0)
+		d := tracetest.At(tr, 0)
 		wantEA, wantNext := int64(0), int64(1)
 		if w.class == isa.ClassLoad || w.class == isa.ClassStore {
 			wantEA = 5
@@ -400,7 +401,8 @@ func TestResetRerunsIdentically(t *testing.T) {
 		t.Fatalf("second run differs: n %d/%d, r3 %d/%d", n1, n2, regs1[3], m.Regs[3])
 	}
 	tr := tb.Trace()
-	first, second := tr.Materialize()[:n1], tr.Materialize()[n1:]
+	recs := tracetest.Records(tr)
+	first, second := recs[:n1], recs[n1:]
 	for i := range first {
 		second[i].Seq -= n1
 		if first[i] != second[i] {

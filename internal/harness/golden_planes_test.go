@@ -19,10 +19,10 @@ import (
 // goldenPlanesFile pins the annotation planes of every Table 2
 // component for every program of goldenCorpus: each hierarchy's
 // memory-event plane and its MemPlane.Stats, and each predictor's
-// mispredict plane. It was generated by the cache engine that
-// consumed one reconstructed DynInst per instruction through
-// trace.ReplayCtx and appended plane bytes one at a time, before that
-// engine was replaced by the chunk walk, so it is an oracle
+// mispredict plane. It was generated by an earlier cache engine that
+// consumed one reconstructed per-instruction record at a time and
+// appended plane bytes one at a time, before that engine was replaced
+// by the chunk walk, so it is an oracle
 // independent of the current annotation code. It must not be
 // re-pinned by a change that claims bit-identical planes.
 const goldenPlanesFile = "testdata/golden_planes.json"

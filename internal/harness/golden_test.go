@@ -13,14 +13,15 @@ import (
 	"repro/internal/program"
 	"repro/internal/randprog"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workloads"
 )
 
 // goldenFile pins the recorded trace encoding, the profile and the
 // program fingerprint of every named workload and a set of seeded
 // generated programs. It was generated by the record path that
-// streamed one DynInst per instruction to a per-record consumer, before that
-// path was replaced, so it is an oracle independent of the current
+// streamed one record per instruction to a per-record consumer, before
+// that path was replaced, so it is an oracle independent of the current
 // recorder and profiler. A change of the trace format re-pins only
 // trace_sha256: the record digest, the profile, the fingerprint and
 // the length pin the content and must not move.
@@ -103,8 +104,8 @@ func goldenDigest(t *testing.T, c goldenCase) goldenEntry {
 	}
 }
 
-// recordsDigest hashes every field of every record tr replays, in
-// order and in a fixed little-endian layout. It depends only on the
+// recordsDigest hashes every field of every record of tr
+// (tracetest.Each), in order and in a fixed little-endian layout. It depends only on the
 // instruction stream, not on how the trace store encodes it, so it
 // holds across changes of the trace format.
 func recordsDigest(tr *trace.Trace) string {
@@ -116,8 +117,7 @@ func recordsDigest(tr *trace.Trace) string {
 		}
 		return 0
 	}
-	// A background context never ends, so the replay cannot fail.
-	_ = tr.ReplayCtx(context.Background(), func(d *trace.DynInst) {
+	tracetest.Each(tr, func(d *tracetest.Inst) {
 		buf = buf[:0]
 		for _, v := range []uint64{
 			uint64(d.Seq), uint64(d.PC), uint64(d.Op), uint64(d.Class),

@@ -174,20 +174,21 @@ func MustProfileProgram(p *program.Program) *Profiled {
 // MachineStatsCtx replays the trace through the cache hierarchy and
 // branch predictor of cfg, producing the mixed program/machine inputs
 // of the model. Cancellation is observed at trace chunk boundaries
-// (see trace.ReplayCtx) and aborts the traversal with ctx.Err(). It
-// replays reconstructed DynInst records through cache.Hierarchy.Consume
-// and branch.Collector.Consume on purpose: it shares no code with the
-// chunk-walking L2SpaceSim behind InputsSet and the annotation planes,
-// so it is their independent per-configuration reference.
+// (see trace.EachChunk) and aborts the traversal with ctx.Err(). It
+// walks the chunks through cache.Hierarchy.ConsumeChunk on purpose: a
+// Hierarchy shares no code with the stack-distance L2SpaceSim behind
+// InputsSet and the annotation planes, so it is their independent
+// per-configuration reference.
 func MachineStatsCtx(ctx context.Context, tr *trace.Trace, cfg uarch.Config) (cache.Stats, branch.Stats, error) {
 	h, err := cache.NewHierarchy(cfg.Hier)
 	if err != nil {
 		return cache.Stats{}, branch.Stats{}, err
 	}
 	bc := branch.NewCollector(cfg.Predictor.New())
-	if err := tr.ReplayCtx(ctx, func(d *trace.DynInst) {
-		h.Consume(d)
-		bc.Consume(d)
+	bcs := []*branch.Collector{bc}
+	if err := tr.EachChunk(ctx, func(ck *trace.Columns) {
+		h.ConsumeChunk(ck)
+		branch.ConsumeChunk(ck, bcs, nil)
 	}); err != nil {
 		return cache.Stats{}, branch.Stats{}, err
 	}

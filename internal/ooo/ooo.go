@@ -119,44 +119,58 @@ func NewCollector(cfg Config) (*Collector, error) {
 	return c, nil
 }
 
-// Consume observes one dynamic instruction: the per-record step passed
-// to trace.ReplayCtx.
-func (c *Collector) Consume(d *trace.DynInst) {
-	c.hier.AccessI(d.PC)
-	if d.IsBranch {
-		c.s.Branches++
-		p := c.pred.Predict(d.PC)
-		c.pred.Update(d.PC, d.Taken)
-		if p != d.Taken {
-			c.s.Mispredict++
+// ConsumeChunk observes one trace chunk, instruction by instruction,
+// reading the id and address columns directly.
+func (c *Collector) ConsumeChunk(ck *trace.Columns) {
+	k := 0
+	for j := 0; j < ck.N; j++ {
+		s := ck.Tuple(j)
+		fl, pc, seq := s.Flags, int64(s.PC), ck.Base+int64(j)
+		c.hier.AccessI(pc)
+		if fl&trace.FlagBranch != 0 {
+			taken := fl&trace.FlagTaken != 0
+			c.s.Branches++
+			p := c.pred.Predict(pc)
+			c.pred.Update(pc, taken)
+			if p != taken {
+				c.s.Mispredict++
+			}
 		}
-	}
-	if d.IsLoad || d.IsStore {
-		r := c.hier.AccessD(d.EffAddr, d.IsStore)
-		if d.IsLoad && !r.L1Hit && !r.L2Hit {
-			c.s.L2LoadMisses++
-			serial := false
-			for i := 0; i < d.NumSrc; i++ {
-				if mp := c.missProducer[d.Src[i]]; mp >= 0 && d.Seq-mp < int64(c.cfg.ROB) {
-					serial = true // address depends on an in-flight miss
-				}
+		hasDst := fl&trace.FlagHasDst != 0
+		if fl&trace.FlagMem == 0 {
+			if hasDst {
+				c.missProducer[s.Dst] = -1
 			}
-			inWindow := c.clusterStart >= 0 && d.Seq-c.clusterStart < int64(c.cfg.ROB)
-			if serial || !inWindow || c.clusterSize >= int64(c.cfg.MSHRs) {
-				c.s.L2MissClusters++
-				c.clusterStart = d.Seq
-				c.clusterSize = 1
-			} else {
-				c.clusterSize++
-			}
-			if d.HasDst {
-				c.missProducer[d.Dst] = d.Seq
-			}
-		} else if d.HasDst {
-			c.missProducer[d.Dst] = -1
+			continue
 		}
-	} else if d.HasDst {
-		c.missProducer[d.Dst] = -1
+		load := fl&trace.FlagLoad != 0
+		r := c.hier.AccessD(int64(ck.Addr[k]), fl&trace.FlagStore != 0)
+		k++
+		if !load || r.L1Hit || r.L2Hit {
+			if hasDst {
+				c.missProducer[s.Dst] = -1
+			}
+			continue
+		}
+		c.s.L2LoadMisses++
+		serial := false
+		srcs := [2]isa.Reg{s.Src1, s.Src2}
+		for _, src := range srcs[:fl>>trace.NumSrcShift] {
+			if mp := c.missProducer[src]; mp >= 0 && seq-mp < int64(c.cfg.ROB) {
+				serial = true // address depends on an in-flight miss
+			}
+		}
+		inWindow := c.clusterStart >= 0 && seq-c.clusterStart < int64(c.cfg.ROB)
+		if serial || !inWindow || c.clusterSize >= int64(c.cfg.MSHRs) {
+			c.s.L2MissClusters++
+			c.clusterStart = seq
+			c.clusterSize = 1
+		} else {
+			c.clusterSize++
+		}
+		if hasDst {
+			c.missProducer[s.Dst] = seq
+		}
 	}
 }
 

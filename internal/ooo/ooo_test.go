@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/isa"
-	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
@@ -27,6 +27,14 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// consume feeds recs to col as one trace, chunk by chunk.
+func consume(t *testing.T, col *Collector, recs []tracetest.Inst) {
+	t.Helper()
+	if err := tracetest.Of(recs...).EachChunk(context.Background(), col.ConsumeChunk); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // missStream feeds the collector n loads with the given stride (words)
 // and optional serial dependence (each load's address register written
 // by the previous load).
@@ -36,8 +44,9 @@ func missStream(t *testing.T, n int, strideWords int64, serial bool) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		d := trace.DynInst{
+	recs := make([]tracetest.Inst, n)
+	for i := range recs {
+		d := tracetest.Inst{
 			Seq: int64(i), PC: int64(i % 64),
 			Op: isa.LD, Class: isa.ClassLoad, IsLoad: true,
 			// Spread far beyond the L2 so every new block misses.
@@ -48,8 +57,9 @@ func missStream(t *testing.T, n int, strideWords int64, serial bool) Stats {
 			d.Src[0] = isa.Reg(1)
 			d.NumSrc = 1
 		}
-		col.Consume(&d)
+		recs[i] = d
 	}
+	consume(t, col, recs)
 	return col.Result()
 }
 
@@ -86,18 +96,15 @@ func TestMLPWindowLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := int64(0)
+	var recs []tracetest.Inst
 	for i := 0; i < 100; i++ {
-		d := trace.DynInst{Seq: seq, Op: isa.LD, Class: isa.ClassLoad, IsLoad: true,
-			EffAddr: int64(i) << 20, Dst: 1, HasDst: true}
-		col.Consume(&d)
-		seq++
+		recs = append(recs, tracetest.Inst{Seq: int64(len(recs)), Op: isa.LD, Class: isa.ClassLoad, IsLoad: true,
+			EffAddr: int64(i) << 20, Dst: 1, HasDst: true})
 		for j := 0; j < cfg.ROB; j++ {
-			a := trace.DynInst{Seq: seq, Op: isa.ADD, Class: isa.ClassALU, Dst: 2, HasDst: true}
-			col.Consume(&a)
-			seq++
+			recs = append(recs, tracetest.Inst{Seq: int64(len(recs)), Op: isa.ADD, Class: isa.ClassALU, Dst: 2, HasDst: true})
 		}
 	}
+	consume(t, col, recs)
 	if got := col.Result().MLP(); got > 1.01 {
 		t.Errorf("window-separated MLP = %f, want 1", got)
 	}
@@ -169,7 +176,7 @@ func TestOoOFasterThanInOrderOnRealWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pw.Trace.ReplayCtx(context.Background(), col.Consume); err != nil {
+		if err := pw.Trace.EachChunk(context.Background(), col.ConsumeChunk); err != nil {
 			t.Fatal(err)
 		}
 		ooStack, err := Predict(pw.Prof.N, col.Result(), ooCfg)

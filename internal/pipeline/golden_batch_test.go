@@ -17,6 +17,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/randprog"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 )
 
@@ -50,12 +51,7 @@ var goldenBatchLens = []int64{
 // truncated returns the first n instructions of tr as a trace of their
 // own.
 func truncated(tr *trace.Trace, n int64) *trace.Trace {
-	b := trace.NewBuilder()
-	for i := int64(0); i < n; i++ {
-		d := tr.At(i)
-		b.Append(&d)
-	}
-	return b.Trace()
+	return tracetest.Of(tracetest.Records(tr)[:n]...)
 }
 
 // straightLineProgram loops six times over a body longer than a block

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/harness"
 	"repro/internal/pipeline"
-	"repro/internal/pipeline/seedref"
 	"repro/internal/program"
 	"repro/internal/randprog"
 	"repro/internal/trace"
@@ -19,9 +18,10 @@ import (
 
 // goldenSimulateFile pins every Result field of the detailed simulator
 // over a corpus of traces and point lists. It was generated by the
-// verbatim seed simulator, so it is the reference answer Simulate is
-// held to; it must not be re-pinned by a change that claims
-// bit-identical timing.
+// verbatim seed simulator (since deleted) and checked against both it
+// and Simulate in the commit that added it, so it is the reference
+// answer Simulate is held to; it must not be re-pinned by a change that
+// claims bit-identical timing.
 const goldenSimulateFile = "testdata/golden_simulate.json"
 
 // goldenSimulate is the file: a header naming where its digests came
@@ -124,22 +124,6 @@ func simulateAll(t *testing.T, tr *trace.Trace, cfgs []uarch.Config) []pipeline.
 	return out
 }
 
-// seedAll runs the seed simulator on the decoded records at every
-// point of cfgs.
-func seedAll(t *testing.T, tr *trace.Trace, cfgs []uarch.Config) []pipeline.Result {
-	t.Helper()
-	aos := tr.Materialize()
-	out := make([]pipeline.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		r, err := seedref.Simulate(aos, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = pipeline.Result(r)
-	}
-	return out
-}
-
 // TestSimulateGolden checks the detailed simulator's results on the
 // golden corpus against the committed digests, one subtest per entry.
 func TestSimulateGolden(t *testing.T) {
@@ -164,16 +148,10 @@ func TestSimulateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfgs := lists[c.points]
-			for _, sim := range []struct {
-				name string
-				run  func(*testing.T, *trace.Trace, []uarch.Config) []pipeline.Result
-			}{{"Simulate", simulateAll}, {"seedref.Simulate", seedAll}} {
-				got := goldenSimulateEntry{Trace: c.trace, Points: c.points, Len: pw.Trace.Len(),
-					Results: resultsDigest(t, sim.run(t, pw.Trace, cfgs))}
-				if got != w {
-					t.Errorf("%s, entry %d:\n got  %+v\n want %+v", sim.name, i, got, w)
-				}
+			got := goldenSimulateEntry{Trace: c.trace, Points: c.points, Len: pw.Trace.Len(),
+				Results: resultsDigest(t, simulateAll(t, pw.Trace, lists[c.points]))}
+			if got != w {
+				t.Errorf("entry %d:\n got  %+v\n want %+v", i, got, w)
 			}
 		})
 	}

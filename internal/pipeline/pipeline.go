@@ -78,8 +78,8 @@ func (g *group) empty() bool { return g.head >= g.n }
 // Simulate replays tr on the design point cfg. The inner loops read
 // the trace's columns directly — each instruction's dictionary id, with
 // its static fields from the L1-resident dictionary, and each load's or
-// store's effective address — instead of decoding DynInst records, so
-// the replay streams compact arrays.
+// store's effective address — instead of decoding per-instruction
+// records, so the replay streams compact arrays.
 func Simulate(tr *trace.Trace, cfg uarch.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 )
 
@@ -351,7 +352,7 @@ func TestEmptyTrace(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := testCfg(4, 2)
 	cfg.Width = 99
-	if _, err := Simulate(trace.Of(trace.DynInst{}), cfg); err == nil {
+	if _, err := Simulate(tracetest.Of(tracetest.Inst{}), cfg); err == nil {
 		t.Error("invalid width accepted")
 	}
 }

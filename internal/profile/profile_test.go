@@ -12,6 +12,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/randprog"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/workloads"
 )
 
@@ -48,7 +49,7 @@ func reference(name string, tr *trace.Trace) *Profile {
 		}
 		return 0
 	}
-	for _, d := range tr.Materialize() {
+	for _, d := range tracetest.Records(tr) {
 		p.N++
 		p.ByClass[d.Class]++
 		p.ByOp[d.Op]++
@@ -127,9 +128,9 @@ func checkOf(t *testing.T, name string, tr *trace.Trace) *Profile {
 }
 
 // feed profiles hand-built dynamic instructions.
-func feed(t *testing.T, ds []trace.DynInst) *Profile {
+func feed(t *testing.T, ds []tracetest.Inst) *Profile {
 	t.Helper()
-	return checkOf(t, "t", trace.Of(ds...))
+	return checkOf(t, "t", tracetest.Of(ds...))
 }
 
 // recordRuns executes p runs times into one trace, resetting the
@@ -192,12 +193,13 @@ func FuzzProfile(f *testing.F) {
 		}
 		tr, lens := recordRuns(t, p, 1+int(runs%3))
 		checkOf(t, fmt.Sprintf("fuzz-%d", seed), tr)
+		recs := tracetest.Records(tr)
 		var start int64
 		for _, n := range lens {
 			for i := start; i < start+n; i++ {
-				next := tr.At(i).NextPC
+				next := recs[i].NextPC
 				if i+1 < start+n {
-					if pc := tr.At(i + 1).PC; next != pc {
+					if pc := recs[i+1].PC; next != pc {
 						t.Fatalf("record %d: NextPC %d, next record's PC %d", i, next, pc)
 					}
 				} else if ins[next].Op != isa.HALT {
@@ -209,8 +211,8 @@ func FuzzProfile(f *testing.F) {
 	})
 }
 
-func alu(dst isa.Reg, srcs ...isa.Reg) trace.DynInst {
-	d := trace.DynInst{Op: isa.ADD, Class: isa.ClassALU, Dst: dst, HasDst: dst != 0}
+func alu(dst isa.Reg, srcs ...isa.Reg) tracetest.Inst {
+	d := tracetest.Inst{Op: isa.ADD, Class: isa.ClassALU, Dst: dst, HasDst: dst != 0}
 	for i, s := range srcs {
 		if i < 2 {
 			d.Src[i] = s
@@ -222,7 +224,7 @@ func alu(dst isa.Reg, srcs ...isa.Reg) trace.DynInst {
 
 func TestDependencyDistance(t *testing.T) {
 	// r1 written at seq 0; consumed at seq 3 -> deps_unit(3)++.
-	p := feed(t, []trace.DynInst{
+	p := feed(t, []tracetest.Inst{
 		alu(1),
 		alu(2),
 		alu(3),
@@ -239,7 +241,7 @@ func TestDependencyDistance(t *testing.T) {
 func TestNearestProducerWins(t *testing.T) {
 	// Consumer reads r1 (written at 0) and r2 (written at 2):
 	// shortest distance is 1 (to r2).
-	p := feed(t, []trace.DynInst{
+	p := feed(t, []tracetest.Inst{
 		alu(1),
 		alu(9),
 		alu(2),
@@ -251,9 +253,9 @@ func TestNearestProducerWins(t *testing.T) {
 }
 
 func TestProducerKindClassification(t *testing.T) {
-	mul := trace.DynInst{Op: isa.MUL, Class: isa.ClassMul, Dst: 2, HasDst: true}
-	ld := trace.DynInst{Op: isa.LD, Class: isa.ClassLoad, Dst: 3, HasDst: true, IsLoad: true}
-	p := feed(t, []trace.DynInst{
+	mul := tracetest.Inst{Op: isa.MUL, Class: isa.ClassMul, Dst: 2, HasDst: true}
+	ld := tracetest.Inst{Op: isa.LD, Class: isa.ClassLoad, Dst: 3, HasDst: true, IsLoad: true}
+	p := feed(t, []tracetest.Inst{
 		mul,       // writes r2
 		alu(4, 2), // dep on mul at d=1
 		ld,        // writes r3
@@ -285,8 +287,8 @@ func TestTieBreakPrefersLoad(t *testing.T) {
 	// happen with a single producer instruction; then kind priority is
 	// moot. Verify instead that equal-distance multi-source tie keeps
 	// one dependency only.
-	ld := trace.DynInst{Op: isa.LD, Class: isa.ClassLoad, Dst: 1, HasDst: true, IsLoad: true}
-	p := feed(t, []trace.DynInst{
+	ld := tracetest.Inst{Op: isa.LD, Class: isa.ClassLoad, Dst: 1, HasDst: true, IsLoad: true}
+	p := feed(t, []tracetest.Inst{
 		ld,
 		alu(9, 1, 1), // both sources are r1: one dep at d=1, kind load
 	})
@@ -301,7 +303,7 @@ func TestTieBreakPrefersLoad(t *testing.T) {
 func TestOverwriteBreaksDependency(t *testing.T) {
 	// r1 written at 0, overwritten at 1 by an instruction with no
 	// sources; consumer at 2 depends on the newer write (d=1).
-	p := feed(t, []trace.DynInst{
+	p := feed(t, []tracetest.Inst{
 		alu(1),
 		alu(1),
 		alu(2, 1),
@@ -312,13 +314,13 @@ func TestOverwriteBreaksDependency(t *testing.T) {
 }
 
 func TestClassCountsAndBranchStats(t *testing.T) {
-	br := func(taken bool) trace.DynInst {
-		return trace.DynInst{Op: isa.BEQ, Class: isa.ClassBranch, IsBranch: true, Taken: taken}
+	br := func(taken bool) tracetest.Inst {
+		return tracetest.Inst{Op: isa.BEQ, Class: isa.ClassBranch, IsBranch: true, Taken: taken}
 	}
-	jmp := trace.DynInst{Op: isa.JMP, Class: isa.ClassJump, IsJump: true, Taken: true}
-	st := trace.DynInst{Op: isa.ST, Class: isa.ClassStore, IsStore: true}
-	div := trace.DynInst{Op: isa.DIV, Class: isa.ClassDiv, Dst: 1, HasDst: true}
-	p := feed(t, []trace.DynInst{br(true), br(false), br(true), jmp, st, div})
+	jmp := tracetest.Inst{Op: isa.JMP, Class: isa.ClassJump, IsJump: true, Taken: true}
+	st := tracetest.Inst{Op: isa.ST, Class: isa.ClassStore, IsStore: true}
+	div := tracetest.Inst{Op: isa.DIV, Class: isa.ClassDiv, Dst: 1, HasDst: true}
+	p := feed(t, []tracetest.Inst{br(true), br(false), br(true), jmp, st, div})
 	if p.NBranch != 3 || p.NTaken != 2 || p.NJump != 1 || p.NStore != 1 || p.NDiv != 1 {
 		t.Errorf("counts: %+v", p)
 	}
@@ -357,9 +359,9 @@ func TestDepTotalsNeverExceedN(t *testing.T) {
 	// Property: however the stream looks, the number of recorded
 	// dependencies cannot exceed the number of instructions.
 	f := func(ops []uint8) bool {
-		ds := make([]trace.DynInst, len(ops))
+		ds := make([]tracetest.Inst, len(ops))
 		for i, o := range ops {
-			d := trace.DynInst{Op: isa.ADD, Class: isa.ClassALU}
+			d := tracetest.Inst{Op: isa.ADD, Class: isa.ClassALU}
 			d.Dst = isa.Reg(o % 8)
 			d.HasDst = d.Dst != 0
 			d.Src[0] = isa.Reg((o >> 3) % 8)
@@ -368,7 +370,7 @@ func TestDepTotalsNeverExceedN(t *testing.T) {
 			}
 			ds[i] = d
 		}
-		tr := trace.Of(ds...)
+		tr := tracetest.Of(ds...)
 		p := Of("q", tr)
 		deps := p.DepsUnit.Total() + p.DepsLL.Total() + p.DepsLd.Total()
 		return deps <= p.N && p.N == int64(len(ops)) && reflect.DeepEqual(p, reference("q", tr))
@@ -379,7 +381,7 @@ func TestDepTotalsNeverExceedN(t *testing.T) {
 }
 
 func TestProfileString(t *testing.T) {
-	p := feed(t, []trace.DynInst{alu(1)})
+	p := feed(t, []tracetest.Inst{alu(1)})
 	if p.String() == "" {
 		t.Error("empty String()")
 	}

@@ -256,6 +256,10 @@ func TestGoldenHTTP(t *testing.T) {
 		t.Fatalf("the non-owner proxied %d requests, want 2", n)
 	}
 
+	// Two unknown parameters: their names are checked in sorted order,
+	// so the answer names "bar" on every run.
+	g.do("", "GET", plain.URL, "/v1/predict?bench=sha&foo=1&bar=2", "")
+
 	got.Exchanges = g.exchanges
 	got.MetricsKeys["plain"] = metricsKeys(t, plain.URL)
 	got.MetricsKeys["store"] = metricsKeys(t, stored.URL)

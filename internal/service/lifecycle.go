@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
 	"slices"
@@ -135,9 +136,12 @@ func deadlineCtx(r *http.Request, d time.Duration) (context.Context, context.Can
 // contract: a misspelled name (predictor=, l2_kb=) would otherwise be
 // silently dropped and its default substituted, and a repeated one
 // read as its first value — wrong numbers with a 200, from a service
-// whose decoding is strict everywhere else.
+// whose decoding is strict everywhere else. Names are checked in sorted
+// order, so a request with several faulty ones always gets the same
+// answer.
 func checkParams(q url.Values, allowed []string) error {
-	for k, vs := range q {
+	for _, k := range slices.Sorted(maps.Keys(q)) {
+		vs := q[k]
 		if !slices.Contains(allowed, k) {
 			return fmt.Errorf("unknown parameter %q (allowed: %v)", k, allowed)
 		}

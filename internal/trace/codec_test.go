@@ -16,40 +16,26 @@ import (
 
 // buildTestTrace synthesizes a deterministic trace exercising every
 // column, spanning several chunks (including a partial last chunk).
+// The six flag bits of each tuple are the low bits of a random word.
 func buildTestTrace(n int64) *Trace {
 	b := NewBuilder()
-	var d DynInst
 	s := uint64(0x9E3779B97F4A7C15)
 	for i := int64(0); i < n; i++ {
 		s ^= s >> 12
 		s ^= s << 25
 		s ^= s >> 27
 		r := s * 0x2545F4914F6CDD1D
-		d = DynInst{
-			Seq:      i,
-			PC:       int64(uint32(r) % 5000),
-			Op:       isa.Op(r % uint64(isa.NumOps)),
-			Class:    isa.Class(r % uint64(isa.NumClasses)),
-			Dst:      isa.Reg(r % isa.NumRegs),
-			HasDst:   r&1 != 0,
-			Src:      [2]isa.Reg{isa.Reg((r >> 8) % isa.NumRegs), isa.Reg((r >> 16) % isa.NumRegs)},
-			NumSrc:   int(r % 3),
-			Taken:    r&2 != 0,
-			Target:   int64(uint32(r>>4) % 5000),
-			IsLoad:   r&4 != 0,
-			IsStore:  r&8 != 0,
-			IsBranch: r&16 != 0,
-			IsJump:   r&32 != 0,
+		st := Static{
+			PC:     int32(uint32(r) % 5000),
+			Target: int32(uint32(r>>4) % 5000),
+			Op:     isa.Op(r % uint64(isa.NumOps)),
+			Class:  isa.Class(r % uint64(isa.NumClasses)),
+			Flags:  uint8(r&63) | uint8(r%3)<<NumSrcShift,
+			Dst:    isa.Reg(r % isa.NumRegs),
+			Src1:   isa.Reg((r >> 8) % isa.NumRegs),
+			Src2:   isa.Reg((r >> 16) % isa.NumRegs),
 		}
-		if d.IsLoad || d.IsStore {
-			d.EffAddr = int64(r>>24) % program.MaxMemWords
-		}
-		if d.Taken {
-			d.NextPC = d.Target
-		} else {
-			d.NextPC = d.PC + 1
-		}
-		b.Append(&d)
+		appendInst(b, st, uint32(int64(r>>24)%program.MaxMemWords))
 	}
 	return b.Trace()
 }
@@ -57,15 +43,12 @@ func buildTestTrace(n int64) *Trace {
 // memTrace builds an n-instruction trace in which instruction i is a
 // store when mem(i) holds and an ALU operation otherwise.
 func memTrace(n int64, mem func(i int64) bool) *Trace {
-	b := NewBuilder()
-	for i := int64(0); i < n; i++ {
-		d := DynInst{Seq: i, PC: i % 7, NextPC: i%7 + 1, Op: isa.ADD, Class: isa.ClassALU}
+	return traceOf(n, func(i int64) (Static, uint32) {
 		if mem(i) {
-			d.Op, d.Class, d.IsStore, d.EffAddr = isa.ST, isa.ClassStore, true, 3*i+1
+			return Static{PC: int32(i % 7), Op: isa.ST, Class: isa.ClassStore, Flags: FlagStore}, uint32(3*i + 1)
 		}
-		b.Append(&d)
-	}
-	return b.Trace()
+		return Static{PC: int32(i % 7), Op: isa.ADD, Class: isa.ClassALU}, 0
+	})
 }
 
 func TestTraceCodecRoundTripBitIdentity(t *testing.T) {
@@ -101,8 +84,8 @@ func TestTraceCodecRoundTripBitIdentity(t *testing.T) {
 		if got.SizeBytes() != tr.SizeBytes() {
 			t.Fatalf("%s: SizeBytes = %d, want %d (chunk capacity must match the builder's)", name, got.SizeBytes(), tr.SizeBytes())
 		}
-		if want, got := tr.Materialize(), got.Materialize(); !slices.Equal(got, want) {
-			t.Fatalf("%s: records differ after round trip", name)
+		if !sameColumns(got, tr) {
+			t.Fatalf("%s: columns differ after round trip", name)
 		}
 		// Re-encoding the decoded trace must be byte-identical: the
 		// artifact store's content addressing depends on it.
@@ -342,8 +325,8 @@ func FuzzTraceCodec(f *testing.F) {
 			}
 			return
 		}
-		if got := int64(len(tr.Materialize())); got != tr.Len() {
-			t.Fatalf("Materialize gave %d of %d instructions", got, tr.Len())
+		if got := readAll(tr); got != tr.Len() {
+			t.Fatalf("read %d of %d instructions", got, tr.Len())
 		}
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {

@@ -15,34 +15,24 @@ import (
 // column slicing is exercised at both full and truncated live lengths.
 func mapTestTrace(t *testing.T, n int) *Trace {
 	t.Helper()
-	b := NewBuilder()
-	var d DynInst
-	for i := 0; i < n; i++ {
-		d.Seq = int64(i)
-		d.PC = int64(i % 911)
-		d.Op = 3
-		d.Class = 2
-		d.Dst = isa.Reg(i % 29)
-		d.HasDst = i%3 != 0
-		d.Src[0] = isa.Reg(i % 31)
-		d.Src[1] = isa.Reg(i % 23)
-		d.NumSrc = i % 3
-		d.Taken = i%7 == 0
-		d.Target = int64((i * 13) % 911)
-		if d.Taken {
-			d.NextPC = d.Target
-		} else {
-			d.NextPC = d.PC + 1
+	return traceOf(int64(n), func(i int64) (Static, uint32) {
+		s := Static{
+			PC: int32(i % 911), Target: int32((i * 13) % 911), Op: 3, Class: 2,
+			Flags: uint8(i%3) << NumSrcShift,
+			Dst:   isa.Reg(i % 29), Src1: isa.Reg(i % 31), Src2: isa.Reg(i % 23),
 		}
-		d.IsLoad = i%5 == 0
-		d.EffAddr = 0
-		if d.IsLoad {
-			d.EffAddr = int64(i) * 524287 % program.MaxMemWords
+		if i%3 != 0 {
+			s.Flags |= FlagHasDst
 		}
-		d.IsBranch = i%7 == 0
-		b.Append(&d)
-	}
-	return b.Trace()
+		if i%7 == 0 {
+			s.Flags |= FlagTaken | FlagBranch
+		}
+		if i%5 != 0 {
+			return s, 0
+		}
+		s.Flags |= FlagLoad
+		return s, uint32(i * 524287 % program.MaxMemWords)
+	})
 }
 
 func encodeTrace(t *testing.T, tr *Trace) []byte {
@@ -67,19 +57,16 @@ func TestMapTraceMatchesBuiltTrace(t *testing.T) {
 	if mapped.SizeBytes() != tr.SizeBytes() {
 		t.Fatalf("SizeBytes: built %d, mapped %d", tr.SizeBytes(), mapped.SizeBytes())
 	}
-	for i := int64(0); i < tr.Len(); i++ {
-		if a, b := mapped.At(i), tr.At(i); a != b {
-			t.Fatalf("instruction %d differs between mapped and built trace:\n mapped %+v\n built  %+v", i, a, b)
-		}
+	if !sameColumns(mapped, tr) {
+		t.Fatal("mapped and built trace store different columns")
 	}
 	// The mapped trace owns its columns: scribbling over the stream
 	// (as unmapping would) must not reach it.
-	want := mapped.At(0)
 	for i := range enc {
 		enc[i] = 0xFF
 	}
-	if got := mapped.At(0); got != want {
-		t.Fatalf("mapped trace aliases the encoded stream: %+v -> %+v", want, got)
+	if !sameColumns(mapped, tr) {
+		t.Fatal("mapped trace aliases the encoded stream")
 	}
 }
 
@@ -164,18 +151,16 @@ func TestOpenMappedTraceRoundTrip(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < tr.Len(); i += 101 {
-		if a, b := mapped.At(i), tr.At(i); a != b {
-			t.Fatalf("instruction %d differs after mmap round trip", i)
-		}
+	if !sameColumns(mapped, tr) {
+		t.Fatal("columns differ after mmap round trip")
 	}
 	// Unlinking the file must not affect the trace either, mirroring
 	// what a concurrent store rewrite does.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if got := mapped.At(0); got != tr.At(0) {
-		t.Fatalf("mapped trace changed after unlink: %+v", got)
+	if !sameColumns(mapped, tr) {
+		t.Fatal("mapped trace changed after unlink")
 	}
 }
 

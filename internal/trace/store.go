@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"unsafe"
 
@@ -21,24 +20,19 @@ import (
 // uint32 effective word address in a separate column. A chunk recorded
 // while the dictionary fits a byte (at most NarrowTuples tuples) stores
 // its ids as uint8, any later chunk as uint16: 1 or 2 bytes per
-// instruction plus 4 per memory access, instead of 72 for []DynInst.
-// Seq is implicit in position, NextPC follows from the taken flag and
-// target, and the address of every other instruction is 0. Real
+// instruction plus 4 per memory access, instead of 72 for a record
+// with every field spelled out. Seq is implicit in position, NextPC
+// follows from the taken flag and target, and the address of every
+// other instruction is 0. Real
 // workloads have a few hundred tuples, so the dictionary stays
 // L1-resident while replay and detailed simulation stream the two
 // columns.
 //
 // A Trace is built once through a Builder and is immutable (and safe
-// for concurrent readers) afterwards. Three access paths exist:
-//
-//   - ReplayCtx calls a function with each reconstructed *DynInst
-//     record: the per-record walk of the reference statistics replay
-//     and the out-of-order collector.
-//   - Chunks and EachChunk expose the raw columns chunk by chunk with
-//     zero allocation for batch consumers; EachChunk is the
-//     cancellable walk.
-//   - At / Materialize reconstruct individual records or the whole
-//     legacy slice (the seedref differential-test adapter).
+// for concurrent readers) afterwards. It has one access path: Chunks
+// and EachChunk expose the raw columns chunk by chunk with zero
+// allocation, EachChunk being the cancellable walk. Readers decode the
+// fields they need from the id and address columns themselves.
 type Trace struct {
 	static []Static
 	chunks []Columns
@@ -137,43 +131,6 @@ func memCount[I ID](static []Static, ids []I) int {
 	return k
 }
 
-// Decode reconstructs entry j into d, given k, the number of loads and
-// stores before it, and returns k for entry j+1. The derived fields
-// follow the functional simulator's invariants: Seq is Base+j, NextPC
-// is the target when the taken flag is set, the fall-through PC
-// otherwise, and EffAddr is 0 unless the instruction is a load or store.
-func (ck *Columns) Decode(j, k int, d *DynInst) int {
-	s := ck.Tuple(j)
-	fl := s.Flags
-	pc := int64(s.PC)
-	tgt := int64(s.Target)
-	d.Seq = ck.Base + int64(j)
-	d.PC = pc
-	d.Op = s.Op
-	d.Class = s.Class
-	d.Dst = s.Dst
-	d.HasDst = fl&FlagHasDst != 0
-	d.Src[0] = s.Src1
-	d.Src[1] = s.Src2
-	d.NumSrc = int(fl >> NumSrcShift)
-	d.EffAddr = 0
-	if fl&FlagMem != 0 {
-		d.EffAddr, k = int64(ck.Addr[k]), k+1
-	}
-	d.Taken = fl&FlagTaken != 0
-	d.Target = tgt
-	if fl&FlagTaken != 0 {
-		d.NextPC = tgt
-	} else {
-		d.NextPC = pc + 1
-	}
-	d.IsLoad = fl&FlagLoad != 0
-	d.IsStore = fl&FlagStore != 0
-	d.IsBranch = fl&FlagBranch != 0
-	d.IsJump = fl&FlagJump != 0
-	return k
-}
-
 // Len returns the number of recorded instructions. A nil Trace is
 // empty.
 func (t *Trace) Len() int64 {
@@ -209,45 +166,8 @@ func (t *Trace) Dictionary() []Static {
 	return t.static
 }
 
-// At reconstructs instruction i; i must be in [0, Len()). For a load
-// or store it counts the ones before i in its chunk: a test and adapter
-// path.
-func (t *Trace) At(i int64) DynInst {
-	if i < 0 || i >= t.Len() {
-		panic("trace: At index out of range")
-	}
-	var d DynInst
-	ck := &t.chunks[i>>ChunkShift]
-	j, k := int(i&ChunkMask), 0
-	if ck.Tuple(j).Flags&FlagMem != 0 {
-		if ck.Wide() {
-			k = memCount(ck.Static, ck.ID16[:j])
-		} else {
-			k = memCount(ck.Static, ck.ID8[:j])
-		}
-	}
-	ck.Decode(j, k, &d)
-	return d
-}
-
-// ReplayCtx calls sink with every instruction as a reconstructed
-// *DynInst, reusing one record: the per-record walk. The record must
-// not be retained across calls (copy it to keep it). It has
-// EachChunk's cancellation contract: it returns ctx.Err() without
-// visiting the chunks after the one in progress, and the check never
-// alters what sink observes.
-func (t *Trace) ReplayCtx(ctx context.Context, sink func(*DynInst)) error {
-	var d DynInst
-	return t.EachChunk(ctx, func(ck *Columns) {
-		for j, k := 0, 0; j < ck.N; j++ {
-			k = ck.Decode(j, k, &d)
-			sink(&d)
-		}
-	})
-}
-
 // EachChunk calls f on every chunk in order: the cancellable walk
-// under the replay, statistics and annotation traversals. ctx is
+// under the statistics, annotation and timing traversals. ctx is
 // checked before each chunk and after the last (within one
 // 16K-instruction chunk f runs uninterrupted); once it has ended,
 // EachChunk returns ctx.Err() without calling f again. f must not
@@ -260,20 +180,6 @@ func (t *Trace) EachChunk(ctx context.Context, f func(*Columns)) error {
 		f(&t.chunks[i])
 	}
 	return ctx.Err()
-}
-
-// Materialize reconstructs the legacy array-of-structs trace. It is
-// the adapter for the verbatim seed-reference simulator
-// (internal/pipeline/seedref) and for differential tests; production
-// paths read columns instead.
-func (t *Trace) Materialize() []DynInst {
-	out := make([]DynInst, t.Len())
-	for _, ck := range t.Chunks() {
-		for j, k := 0, 0; j < ck.N; j++ {
-			k = ck.Decode(j, k, &out[ck.Base+int64(j)])
-		}
-	}
-	return out
 }
 
 // SizeBytes returns the memory footprint: the dictionary plus the
@@ -290,15 +196,6 @@ func (t *Trace) SizeBytes() int64 {
 		sz += int64(cap(ck.ID8)) + 2*int64(cap(ck.ID16)) + 4*int64(cap(ck.Addr))
 	}
 	return sz
-}
-
-// Of builds a Trace from explicit records; intended for tests.
-func Of(ds ...DynInst) *Trace {
-	b := NewBuilder()
-	for i := range ds {
-		b.Append(&ds[i])
-	}
-	return b.Trace()
 }
 
 // MaxTuples caps a trace's dictionary, so that every id fits in a wide
@@ -456,53 +353,6 @@ func (b *Builder) grow() {
 		b.cur8, b.cur16, b.room = new([ChunkLen]uint8), nil, ChunkLen
 	}
 	b.fill, b.addr = 0, b.addr[:0]
-}
-
-// Append encodes d at the next position, interning its static fields.
-// Seq and NextPC are not stored: Seq is implicit in position and NextPC
-// is re-derived on decode from the taken flag, target and PC (the
-// invariant every funcsim-produced record satisfies). Effective
-// addresses are word addresses below program.MaxMemWords and are
-// stored for loads and stores only; an address outside 32 bits, or a
-// non-zero one on an instruction that is neither, breaks those
-// invariants and panics, as does a full dictionary. Append is the
-// adapter for explicit records (Of and tests); recorders call Intern,
-// AppendID and AppendAddr.
-func (b *Builder) Append(d *DynInst) {
-	if uint64(d.EffAddr) > math.MaxUint32 || d.EffAddr != 0 && !d.IsLoad && !d.IsStore {
-		panic(fmt.Sprintf("trace: effective word address %d outside 32 bits or on a non-memory instruction", d.EffAddr))
-	}
-	fl := uint8(d.NumSrc) << NumSrcShift
-	if d.HasDst {
-		fl |= FlagHasDst
-	}
-	if d.Taken {
-		fl |= FlagTaken
-	}
-	if d.IsLoad {
-		fl |= FlagLoad
-	}
-	if d.IsStore {
-		fl |= FlagStore
-	}
-	if d.IsBranch {
-		fl |= FlagBranch
-	}
-	if d.IsJump {
-		fl |= FlagJump
-	}
-	id, err := b.Intern(Static{
-		PC: int32(d.PC), Target: int32(d.Target),
-		Op: d.Op, Class: d.Class, Flags: fl,
-		Dst: d.Dst, Src1: d.Src[0], Src2: d.Src[1],
-	})
-	if err != nil {
-		panic(err)
-	}
-	b.AppendID(id)
-	if fl&FlagMem != 0 {
-		b.AppendAddr(uint32(d.EffAddr))
-	}
 }
 
 // Trace returns the built trace, with the dictionary and the open

@@ -16,17 +16,17 @@ import (
 	"repro/internal/funcsim"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
-	"repro/internal/pipeline/seedref"
 	"repro/internal/program"
 	"repro/internal/randprog"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
 
 // TestTraceRoundTripsRecorder verifies that what the functional
-// simulator records reads back consistently through every access path:
-// At and Materialize agree record by record, Seq is the position, every
+// simulator records reads back consistently: tracetest.At and
+// tracetest.Records agree record by record, Seq is the position, every
 // record carries the static fields of the program's instruction at its
 // PC, and NextPC is the next record's PC. The exact encodings are
 // pinned separately, by the golden digests in internal/harness.
@@ -38,13 +38,13 @@ func TestTraceRoundTripsRecorder(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := record(t, p)
-			mat := tr.Materialize()
-			if tr.Len() != int64(len(mat)) {
-				t.Fatalf("Len = %d, Materialize has %d", tr.Len(), len(mat))
+			recs := tracetest.Records(tr)
+			if tr.Len() != int64(len(recs)) {
+				t.Fatalf("Len = %d, Records has %d", tr.Len(), len(recs))
 			}
-			for i, d := range mat {
-				if got := tr.At(int64(i)); got != d {
-					t.Fatalf("inst %d:\n At          %+v\n Materialize %+v", i, got, d)
+			for i, d := range recs {
+				if got := tracetest.At(tr, int64(i)); got != d {
+					t.Fatalf("inst %d:\n At      %+v\n Records %+v", i, got, d)
 				}
 				in := ins[d.PC]
 				var srcs [2]isa.Reg
@@ -58,8 +58,8 @@ func TestTraceRoundTripsRecorder(t *testing.T) {
 					(ctl && d.Target != int64(in.Target)) || (!ctl && d.Taken) {
 					t.Fatalf("inst %d %+v does not match %v at PC %d", i, d, in, d.PC)
 				}
-				if i+1 < len(mat) && d.NextPC != mat[i+1].PC {
-					t.Fatalf("inst %d: NextPC %d, next PC %d", i, d.NextPC, mat[i+1].PC)
+				if i+1 < len(recs) && d.NextPC != recs[i+1].PC {
+					t.Fatalf("inst %d: NextPC %d, next PC %d", i, d.NextPC, recs[i+1].PC)
 				}
 			}
 		})
@@ -68,54 +68,43 @@ func TestTraceRoundTripsRecorder(t *testing.T) {
 
 // TestTraceReplayMatchesAoSDownstream verifies the downstream machine
 // statistics — cache.Stats, branch.Stats and the detailed simulator's
-// full Result — are identical whether collected from the columnar
-// replay or from the legacy slice.
+// full Result — are identical on a recorded trace and on the trace
+// rebuilt from its records.
 func TestTraceReplayMatchesAoSDownstream(t *testing.T) {
 	cfg := uarch.Default()
 	for name, build := range roundTripCorpus(t) {
 		t.Run(name, func(t *testing.T) {
 			tr := record(t, build)
-			aos := tr.Materialize()
+			rebuilt := tracetest.Of(tracetest.Records(tr)...)
 
-			collect := func(feed func(func(*trace.DynInst))) (cache.Stats, branch.Stats) {
+			collect := func(tr *trace.Trace) (cache.Stats, branch.Stats, pipeline.Result) {
 				h, err := cache.NewHierarchy(cfg.Hier)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bc := branch.NewCollector(cfg.Predictor.New())
-				feed(func(d *trace.DynInst) {
-					h.Consume(d)
-					bc.Consume(d)
-				})
-				return h.S, bc.S
-			}
-			gotC, gotB := collect(func(sink func(*trace.DynInst)) {
-				if err := tr.ReplayCtx(context.Background(), sink); err != nil {
+				bcs := []*branch.Collector{branch.NewCollector(cfg.Predictor.New())}
+				if err := tr.EachChunk(context.Background(), func(ck *trace.Columns) {
+					h.ConsumeChunk(ck)
+					branch.ConsumeChunk(ck, bcs, nil)
+				}); err != nil {
 					t.Fatal(err)
 				}
-			})
-			wantC, wantB := collect(func(sink func(*trace.DynInst)) {
-				for i := range aos {
-					sink(&aos[i])
+				sim, err := pipeline.Simulate(tr, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
+				return h.S, bcs[0].S, sim
+			}
+			gotC, gotB, gotR := collect(tr)
+			wantC, wantB, wantR := collect(rebuilt)
 			if gotC != wantC {
 				t.Errorf("cache stats diverge:\n got  %+v\n want %+v", gotC, wantC)
 			}
 			if gotB != wantB {
 				t.Errorf("branch stats diverge:\n got  %+v\n want %+v", gotB, wantB)
 			}
-
-			sim, err := pipeline.Simulate(tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := seedref.Simulate(aos, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sim != pipeline.Result(ref) {
-				t.Errorf("simulation diverges:\n got  %+v\n want %+v", sim, ref)
+			if gotR != wantR {
+				t.Errorf("simulation diverges:\n got  %+v\n want %+v", gotR, wantR)
 			}
 		})
 	}
@@ -125,12 +114,11 @@ func TestTraceReplayMatchesAoSDownstream(t *testing.T) {
 // multiple chunks with a trace longer than several chunk lengths.
 func TestTraceChunkBoundaries(t *testing.T) {
 	n := int64(3*trace.ChunkLen + 17)
-	b := trace.NewBuilder()
-	for i := int64(0); i < n; i++ {
-		d := trace.DynInst{Seq: i, PC: i % 1000, Op: 1, Class: 1}
-		b.Append(&d)
+	recs := make([]tracetest.Inst, n)
+	for i := range recs {
+		recs[i] = tracetest.Inst{Seq: int64(i), PC: int64(i) % 1000, Op: 1, Class: 1}
 	}
-	tr := b.Trace()
+	tr := tracetest.Of(recs...)
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
@@ -138,7 +126,7 @@ func TestTraceChunkBoundaries(t *testing.T) {
 		t.Fatalf("NumChunks = %d, want 4", tr.NumChunks())
 	}
 	for _, i := range []int64{0, 1, trace.ChunkLen - 1, trace.ChunkLen, 2*trace.ChunkLen + 5, n - 1} {
-		d := tr.At(i)
+		d := tracetest.At(tr, i)
 		if d.Seq != i || d.PC != i%1000 {
 			t.Errorf("At(%d) = Seq %d PC %d", i, d.Seq, d.PC)
 		}
@@ -161,46 +149,47 @@ func TestEmptyTrace(t *testing.T) {
 	if nilTr.Len() != 0 || nilTr.NumChunks() != 0 || nilTr.SizeBytes() != 0 {
 		t.Error("nil trace not empty")
 	}
-	if err := nilTr.ReplayCtx(context.Background(), func(*trace.DynInst) { t.Error("replayed from nil trace") }); err != nil {
-		t.Errorf("nil trace replay: %v", err)
+	if err := nilTr.EachChunk(context.Background(), func(*trace.Columns) { t.Error("walked a chunk of a nil trace") }); err != nil {
+		t.Errorf("nil trace walk: %v", err)
 	}
 	tr := trace.NewBuilder().Trace()
-	if tr.Len() != 0 || len(tr.Materialize()) != 0 {
+	if tr.Len() != 0 || tr.NumChunks() != 0 || len(tracetest.Records(tr)) != 0 {
 		t.Error("fresh builder trace not empty")
 	}
 }
 
 // TestAppendRejectsBrokenAddresses pins the invariants the dense
-// address column relies on: Append panics on an address outside 32
-// bits and on a non-zero address of an instruction that is neither a
-// load nor a store, and accepts an address on a load or store.
+// address column relies on, as tracetest.Of checks them: it panics on
+// an address outside 32 bits and on a non-zero address of an
+// instruction that is neither a load nor a store, and accepts an
+// address on a load or store.
 func TestAppendRejectsBrokenAddresses(t *testing.T) {
 	cases := []struct {
 		name  string
-		d     trace.DynInst
+		d     tracetest.Inst
 		panic bool
 	}{
-		{"load-beyond-32-bits", trace.DynInst{IsLoad: true, EffAddr: 1 << 32}, true},
-		{"alu-with-address", trace.DynInst{Op: isa.ADD, Class: isa.ClassALU, EffAddr: 5}, true},
-		{"store-with-address", trace.DynInst{Op: isa.ST, Class: isa.ClassStore, IsStore: true, EffAddr: 5}, false},
-		{"alu-without-address", trace.DynInst{Op: isa.ADD, Class: isa.ClassALU}, false},
+		{"load-beyond-32-bits", tracetest.Inst{IsLoad: true, EffAddr: 1 << 32}, true},
+		{"alu-with-address", tracetest.Inst{Op: isa.ADD, Class: isa.ClassALU, EffAddr: 5}, true},
+		{"store-with-address", tracetest.Inst{Op: isa.ST, Class: isa.ClassStore, IsStore: true, EffAddr: 5}, false},
+		{"alu-without-address", tracetest.Inst{Op: isa.ADD, Class: isa.ClassALU}, false},
 	}
 	for _, c := range cases {
 		func() {
 			defer func() {
 				if got := recover() != nil; got != c.panic {
-					t.Errorf("%s: Append panicked = %v, want %v", c.name, got, c.panic)
+					t.Errorf("%s: Of panicked = %v, want %v", c.name, got, c.panic)
 				}
 			}()
-			trace.NewBuilder().Append(&c.d)
+			tracetest.Of(c.d)
 		}()
 	}
 }
 
 // TestInternCapsDictionary pins the dictionary cap: MaxTuples distinct
 // tuples intern to ids 0..MaxTuples-1, a further new tuple fails with
-// ErrDictionaryFull while known tuples still resolve, and Append, the
-// record adapter, panics on the new tuple.
+// ErrDictionaryFull while known tuples still resolve, and
+// tracetest.Of panics on a stream of MaxTuples+1 tuples.
 func TestInternCapsDictionary(t *testing.T) {
 	b := trace.NewBuilder()
 	for pc := int32(0); pc < trace.MaxTuples; pc++ {
@@ -215,12 +204,16 @@ func TestInternCapsDictionary(t *testing.T) {
 	if id, err := b.Intern(trace.Static{PC: 7, Op: isa.ADD, Class: isa.ClassALU}); err != nil || id != 7 {
 		t.Fatalf("known tuple on a full dictionary: id %d, err %v", id, err)
 	}
+	recs := make([]tracetest.Inst, trace.MaxTuples+1)
+	for i := range recs {
+		recs[i] = tracetest.Inst{PC: int64(i), Op: isa.ADD, Class: isa.ClassALU}
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Append past the cap did not panic")
+			t.Fatal("Of past the cap did not panic")
 		}
 	}()
-	b.Append(&trace.DynInst{PC: trace.MaxTuples, Op: isa.ADD, Class: isa.ClassALU})
+	tracetest.Of(recs...)
 }
 
 // record runs p into a fresh Builder.
@@ -302,9 +295,9 @@ func TestTraceDensity(t *testing.T) {
 }
 
 // TestMaterializeRoundTrips rebuilds every named workload's trace, and
-// seeded generated ones, from its materialized records: the rebuilt
-// trace must encode to the same bytes (same dictionary, same ids), and
-// the decoded stream must materialize to the same records.
+// seeded generated ones, from its records (tracetest.Records): the
+// rebuilt trace must encode to the same bytes (same dictionary, same
+// ids), and the decoded stream must read back as the same records.
 func TestMaterializeRoundTrips(t *testing.T) {
 	progs := map[string]*program.Program{}
 	for _, spec := range workloads.All() {
@@ -317,17 +310,17 @@ func TestMaterializeRoundTrips(t *testing.T) {
 	}
 	for name, p := range progs {
 		tr := record(t, p)
-		mat := tr.Materialize()
+		recs := tracetest.Records(tr)
 		enc := encode(t, tr)
-		if !bytes.Equal(encode(t, trace.Of(mat...)), enc) {
-			t.Errorf("%s: trace rebuilt from Materialize encodes differently", name)
+		if !bytes.Equal(encode(t, tracetest.Of(recs...)), enc) {
+			t.Errorf("%s: trace rebuilt from its records encodes differently", name)
 		}
 		decoded, err := trace.MapTrace(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(decoded.Materialize(), mat) {
-			t.Errorf("%s: decoded trace materializes differently", name)
+		if !slices.Equal(tracetest.Records(decoded), recs) {
+			t.Errorf("%s: decoded trace reads back differently", name)
 		}
 	}
 }

@@ -9,30 +9,26 @@ import (
 	"repro/internal/isa"
 )
 
-// crossingRecords returns n instructions whose 257th tuple, the first
-// whose id does not fit a byte, first appears at instruction at (at >=
-// 256; never if at >= n). Instructions cycle over PCs 0..6, except that
-// 256 new PCs run straight through from at-249 on. Every fifth PC is a
-// store.
-func crossingRecords(n, at int64) []DynInst {
-	out := make([]DynInst, n)
-	q := at - (NarrowTuples - 7)
-	for i := range out {
-		pc := int64(i) % 7
-		if int64(i) >= q && int64(i) < q+NarrowTuples {
-			pc = 7 + int64(i) - q
-		}
-		d := DynInst{Seq: int64(i), PC: pc, NextPC: pc + 1, Op: isa.ADD, Class: isa.ClassALU}
-		if pc%5 == 0 {
-			d.Op, d.Class, d.IsStore, d.EffAddr = isa.ST, isa.ClassStore, true, 3*int64(i)+1
-		}
-		out[i] = d
+// crossingInst returns instruction i of a stream whose 257th tuple, the
+// first whose id does not fit a byte, first appears at instruction at
+// (at >= 256; never if at is past the stream). Instructions cycle over
+// PCs 0..6, except that 256 new PCs run straight through from at-249
+// on. Every fifth PC is a store.
+func crossingInst(i, at int64) (Static, uint32) {
+	pc := i % 7
+	if q := at - (NarrowTuples - 7); i >= q && i < q+NarrowTuples {
+		pc = 7 + i - q
 	}
-	return out
+	if pc%5 == 0 {
+		return Static{PC: int32(pc), Op: isa.ST, Class: isa.ClassStore, Flags: FlagStore}, uint32(3*i + 1)
+	}
+	return Static{PC: int32(pc), Op: isa.ADD, Class: isa.ClassALU}, 0
 }
 
-// crossingTrace builds the trace of crossingRecords(n, at).
-func crossingTrace(n, at int64) *Trace { return Of(crossingRecords(n, at)...) }
+// crossingTrace builds the first n instructions of crossingInst(., at).
+func crossingTrace(n, at int64) *Trace {
+	return traceOf(n, func(i int64) (Static, uint32) { return crossingInst(i, at) })
+}
 
 // widths returns "n" or "w" per chunk of tr.
 func widths(tr *Trace) string {
@@ -52,7 +48,7 @@ func widths(tr *Trace) string {
 // the third chunk. The open chunk is widened in place, a full one is
 // sealed narrow, and every chunk opened afterwards is wide. The chunks
 // handed to OnSeal are never written again, and the trace reads back
-// the records it was built from.
+// the tuples and addresses it was built from.
 func TestBuilderWidensAtCrossing(t *testing.T) {
 	const n = 3*ChunkLen + 5
 	for _, c := range []struct {
@@ -67,7 +63,7 @@ func TestBuilderWidensAtCrossing(t *testing.T) {
 		{n, "nnnn"},
 	} {
 		t.Run(fmt.Sprint(c.at), func(t *testing.T) {
-			recs := crossingRecords(n, c.at)
+			inst := func(i int64) (Static, uint32) { return crossingInst(i, c.at) }
 			b := NewBuilder()
 			var sealed []Columns
 			var copies [][]uint16
@@ -75,8 +71,9 @@ func TestBuilderWidensAtCrossing(t *testing.T) {
 				sealed = append(sealed, ck)
 				copies = append(copies, idsOf(&ck))
 			})
-			for i := range recs {
-				b.Append(&recs[i])
+			for i := int64(0); i < n; i++ {
+				s, addr := inst(i)
+				appendInst(b, s, addr)
 			}
 			tr := b.Trace()
 			if got := widths(tr); got != c.widths {
@@ -93,11 +90,14 @@ func TestBuilderWidensAtCrossing(t *testing.T) {
 					t.Fatalf("sealed chunk %d changed width", i)
 				}
 			}
-			if !slices.Equal(tr.Materialize(), recs) {
-				t.Fatal("trace does not read back its records")
+			if tr.Len() != n {
+				t.Fatalf("trace has %d instructions, want %d", tr.Len(), n)
+			}
+			if i := firstMismatch(tr, inst); i >= 0 {
+				t.Fatalf("instruction %d does not read back as built", i)
 			}
 			if c.at < n {
-				if got := tr.At(c.at); got.PC != int64(NarrowTuples) {
+				if got := tr.chunks[c.at>>ChunkShift].Tuple(int(c.at & ChunkMask)); got.PC != NarrowTuples {
 					t.Fatalf("instruction %d has PC %d, want the 257th tuple's %d", c.at, got.PC, NarrowTuples)
 				}
 			}

@@ -16,6 +16,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -75,12 +76,21 @@ func All() []Spec {
 	return append(out, Extended()...)
 }
 
+// byName indexes All by name, built on first use.
+var byName = sync.OnceValue(func() map[string]Spec {
+	m := map[string]Spec{}
+	for _, s := range All() {
+		if _, dup := m[s.Name]; !dup {
+			m[s.Name] = s
+		}
+	}
+	return m
+})
+
 // ByName returns the named workload.
 func ByName(name string) (Spec, error) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, nil
-		}
+	if s, ok := byName()[name]; ok {
+		return s, nil
 	}
 	return Spec{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 }

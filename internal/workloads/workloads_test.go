@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"context"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -50,6 +52,31 @@ func TestRegistry(t *testing.T) {
 // TestAllWorkloadsRunToCompletion executes every kernel and checks the
 // dynamic instruction count lands in the intended simulation-friendly
 // band. Out-of-range memory accesses or runaway loops fail here.
+// TestByNameIndex checks the index behind ByName: every name Names
+// lists resolves to the first spec All holds under it, an unknown name
+// fails, and a hit allocates nothing.
+func TestByNameIndex(t *testing.T) {
+	all := All()
+	for _, name := range Names() {
+		got, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(all, func(s Spec) bool { return s.Name == name })
+		want := all[i]
+		if got.Name != want.Name || got.Domain != want.Domain ||
+			reflect.ValueOf(got.Build).Pointer() != reflect.ValueOf(want.Build).Pointer() {
+			t.Errorf("ByName(%q) = %+v, All holds %+v", name, got, want)
+		}
+	}
+	if _, err := ByName("nosuch"); err == nil {
+		t.Error("ByName of an unknown name succeeded")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("sha") }); n != 0 {
+		t.Errorf("a ByName hit allocates %.1f times, want 0", n)
+	}
+}
+
 func TestAllWorkloadsRunToCompletion(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
