@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"net/url"
 	"slices"
@@ -136,20 +135,24 @@ func deadlineCtx(r *http.Request, d time.Duration) (context.Context, context.Can
 // contract: a misspelled name (predictor=, l2_kb=) would otherwise be
 // silently dropped and its default substituted, and a repeated one
 // read as its first value — wrong numbers with a 200, from a service
-// whose decoding is strict everywhere else. Names are checked in sorted
-// order, so a request with several faulty ones always gets the same
-// answer.
+// whose decoding is strict everywhere else. Of several faulty names
+// the least one is reported, so a request always gets the same answer
+// however the map orders its keys.
 func checkParams(q url.Values, allowed []string) error {
-	for _, k := range slices.Sorted(maps.Keys(q)) {
-		vs := q[k]
-		if !slices.Contains(allowed, k) {
-			return fmt.Errorf("unknown parameter %q (allowed: %v)", k, allowed)
-		}
-		if len(vs) > 1 {
-			return fmt.Errorf("parameter %s is given %d times; give it once", k, len(vs))
+	bad, found := "", false
+	for k, vs := range q {
+		if (len(vs) > 1 || !slices.Contains(allowed, k)) && (!found || k < bad) {
+			bad, found = k, true
 		}
 	}
-	return nil
+	switch {
+	case !found:
+		return nil
+	case !slices.Contains(allowed, bad):
+		return fmt.Errorf("unknown parameter %q (allowed: %v)", bad, allowed)
+	default:
+		return fmt.Errorf("parameter %s is given %d times; give it once", bad, len(q[bad]))
+	}
 }
 
 // boolParam parses a boolean query parameter (absent means false),

@@ -23,10 +23,9 @@ import (
 // instruction plus 4 per memory access, instead of 72 for a record
 // with every field spelled out. Seq is implicit in position, NextPC
 // follows from the taken flag and target, and the address of every
-// other instruction is 0. Real
-// workloads have a few hundred tuples, so the dictionary stays
-// L1-resident while replay and detailed simulation stream the two
-// columns.
+// other instruction is 0. Real workloads have a few hundred tuples, so
+// the dictionary stays L1-resident while replay and detailed
+// simulation stream the two columns.
 //
 // A Trace is built once through a Builder and is immutable (and safe
 // for concurrent readers) afterwards. It has one access path: Chunks
