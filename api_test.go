@@ -186,6 +186,48 @@ func TestTracetestOnlyInTests(t *testing.T) {
 	})
 }
 
+// TestOneArtifactSurface keeps the store's typed operations on
+// *artifact.Store alone: no non-test file under internal/, cmd/,
+// examples/ or bench/ outside internal/artifact may declare a method
+// (on a type or in an interface) named after one of them. Artifact I/O
+// policy plugs in as an artifact.Layer instead of a forwarding
+// wrapper.
+func TestOneArtifactSurface(t *testing.T) {
+	ops := []string{"LoadWorkload", "SaveWorkload", "LoadMemPlane", "SaveMemPlane", "LoadBranchPlane", "SaveBranchPlane"}
+	onStore := map[string]bool{}
+	eachSource(t, []string{"internal", "cmd", "examples", "bench"}, func(fset *token.FileSet, path string, f *ast.File) {
+		inArtifact := filepath.ToSlash(filepath.Dir(path)) == "internal/artifact"
+		ast.Inspect(f, func(n ast.Node) bool {
+			var names []*ast.Ident
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				if x.Recv == nil {
+					return false
+				}
+				if inArtifact && receiverType(x.Recv.List[0].Type) == "Store" && slices.Contains(ops, x.Name.Name) {
+					onStore[x.Name.Name] = true
+				}
+				names = []*ast.Ident{x.Name}
+			case *ast.InterfaceType:
+				for _, m := range x.Methods.List {
+					names = append(names, m.Names...)
+				}
+			}
+			for _, name := range names {
+				if !inArtifact && slices.Contains(ops, name.Name) {
+					t.Errorf("%s: declares %s; artifact I/O policy belongs in an artifact.Layer on the store", fset.Position(name.Pos()), name.Name)
+				}
+			}
+			return true
+		})
+	})
+	for _, op := range ops {
+		if !onStore[op] {
+			t.Errorf("no (*artifact.Store).%s found: run from the module root, or update the guard", op)
+		}
+	}
+}
+
 // eachSource parses every non-test Go file under the directories tops
 // and hands it to fn.
 func eachSource(t *testing.T, tops []string, fn func(fset *token.FileSet, path string, f *ast.File)) {

@@ -119,9 +119,53 @@ var ErrInvalid = errors.New("artifact: invalid file")
 // unusable; create with Open. A nil *Store is a valid "no store"
 // tier: every load misses and every save is a no-op.
 type Store struct {
-	dir string
+	dir    string
+	layers []Layer // see Use; innermost first
 
 	mappedLoads atomic.Int64 // loads served through a file mapping
+}
+
+// Op classifies the store's typed operations for layers. The values
+// are distinct bits, so a set of operations is their union.
+type Op uint8
+
+const (
+	// OpLoad covers LoadWorkload, LoadMemPlane and LoadBranchPlane.
+	OpLoad Op = 1 << iota
+	// OpSave covers SaveWorkload, SaveMemPlane and SaveBranchPlane.
+	OpSave
+)
+
+// Layer is the interposition point of artifact I/O policy (peer
+// fetch, retry and circuit breaking, fault injection). It runs around
+// one typed operation: op is its kind, key the content key of the
+// artifact it reads or writes, and do the store's own operation,
+// framing, decode and verification included. A layer may call do any
+// number of times, or not at all; the error it returns is the
+// operation's. A load whose layers return an error returns it with
+// zero values. The contract is the store's: ErrNotFound means "compute
+// fresh", any other load error marks an unusable artifact, and saves
+// are best-effort write-through.
+type Layer func(op Op, key string, do func() error) error
+
+// Use installs layers around every typed load and save. The first
+// layer given is innermost; a later Use stacks outside earlier ones.
+// Call it before the store is shared: the layers are read without
+// locking.
+func (s *Store) Use(layers ...Layer) { s.layers = append(s.layers, layers...) }
+
+// through runs do, one typed operation on key, under the store's
+// layers. Key derivation, listing and raw byte access stay outside
+// them.
+func (s *Store) through(op Op, key string, do func() error) error {
+	if s == nil {
+		return do()
+	}
+	for _, l := range s.layers {
+		inner := do
+		do = func() error { return l(op, key, inner) }
+	}
+	return do()
 }
 
 // Open prepares dir as an artifact store, creating it if needed.
@@ -423,31 +467,54 @@ func (s *Store) SaveWorkload(id WorkloadID, tr *trace.Trace, prof *profile.Profi
 	if s == nil {
 		return "", nil
 	}
-	identity := id.Identity()
-	key := KeyOf(identity)
-	data, err := encode(KindWorkload, identity, []section{
+	key, err := s.save(KindWorkload, id.Identity(), []section{
 		{"trace", tr},
 		{"profile", raw(encodeProfile(prof))},
 	})
 	if err != nil {
 		return "", err
 	}
-	if err := s.write(key, data); err != nil {
-		return "", err
-	}
 	return key, nil
+}
+
+// save encodes an artifact of kind and identity and installs it under
+// its content key, which it returns, through the store's layers.
+func (s *Store) save(kind Kind, identity string, sections []section) (string, error) {
+	key := KeyOf(identity)
+	return key, s.through(OpSave, key, func() error {
+		data, err := encode(kind, identity, sections)
+		if err != nil {
+			return err
+		}
+		return s.write(key, data)
+	})
+}
+
+// load opens the artifact of kind and identity through the store's
+// layers and hands it to decode. aliased marks results that keep
+// referencing the file mapping (see finish).
+func (s *Store) load(kind Kind, identity string, aliased bool, decode func(*file) error) error {
+	key := KeyOf(identity)
+	return s.through(OpLoad, key, func() error {
+		f, err := s.open(kind, key, identity)
+		if err != nil {
+			return err
+		}
+		return s.finish(f, decode(f), aliased)
+	})
 }
 
 // LoadWorkload rehydrates a profiled workload. A missing artifact
 // returns ErrNotFound; an unusable one returns an error wrapping
 // ErrInvalid — in both cases the caller profiles fresh.
-func (s *Store) LoadWorkload(id WorkloadID) (*trace.Trace, *profile.Profile, error) {
-	f, err := s.open(KindWorkload, id.Identity())
-	if err != nil {
+func (s *Store) LoadWorkload(id WorkloadID) (tr *trace.Trace, prof *profile.Profile, err error) {
+	if err = s.load(KindWorkload, id.Identity(), false, func(f *file) (err error) {
+		tr, prof, err = f.workload()
+		return err
+	}); err != nil {
 		return nil, nil, err
 	}
-	tr, prof, err := f.workload()
-	return tr, prof, s.finish(f, err, false)
+	return tr, prof, nil
 }
 
 // HasWorkload reports whether a workload artifact exists on disk (it
@@ -466,26 +533,23 @@ func (s *Store) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classe
 	if s == nil {
 		return nil
 	}
-	identity := memPlaneIdentity(workloadKey, h)
-	data, err := encode(KindMemPlane, identity, []section{
+	_, err := s.save(KindMemPlane, memPlaneIdentity(workloadKey, h), []section{
 		{"classes", classes},
 		{"stats", raw(encodeCacheStats(st))},
 	})
-	if err != nil {
-		return err
-	}
-	return s.write(KeyOf(identity), data)
+	return err
 }
 
 // LoadMemPlane rehydrates one hierarchy's plane and statistics. A
 // mapped plane aliases the file mapping.
-func (s *Store) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (*trace.BytePlane, cache.Stats, error) {
-	f, err := s.open(KindMemPlane, memPlaneIdentity(workloadKey, h))
-	if err != nil {
+func (s *Store) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (plane *trace.BytePlane, st cache.Stats, err error) {
+	if err = s.load(KindMemPlane, memPlaneIdentity(workloadKey, h), true, func(f *file) (err error) {
+		plane, st, err = f.memPlane()
+		return err
+	}); err != nil {
 		return nil, cache.Stats{}, err
 	}
-	plane, st, err := f.memPlane()
-	return plane, st, s.finish(f, err, true)
+	return plane, st, nil
 }
 
 // SaveBranchPlane stores one predictor's mispredict plane under the
@@ -494,22 +558,19 @@ func (s *Store) SaveBranchPlane(workloadKey, predictor string, p *trace.BitPlane
 	if s == nil {
 		return nil
 	}
-	identity := branchPlaneIdentity(workloadKey, predictor)
-	data, err := encode(KindBranchPlane, identity, []section{{"mispredicts", p}})
-	if err != nil {
-		return err
-	}
-	return s.write(KeyOf(identity), data)
+	_, err := s.save(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor), []section{{"mispredicts", p}})
+	return err
 }
 
 // LoadBranchPlane rehydrates one predictor's mispredict plane.
-func (s *Store) LoadBranchPlane(workloadKey, predictor string) (*trace.BitPlane, error) {
-	f, err := s.open(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor))
-	if err != nil {
+func (s *Store) LoadBranchPlane(workloadKey, predictor string) (p *trace.BitPlane, err error) {
+	if err = s.load(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor), false, func(f *file) (err error) {
+		p, err = f.branchPlane()
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	p, err := f.branchPlane()
-	return p, s.finish(f, err, false)
+	return p, nil
 }
 
 // Info describes one stored artifact for listings (/v1/artifacts).

@@ -47,15 +47,14 @@ type file struct {
 	m    *trace.Mapping
 }
 
-// open returns the framed artifact stored under identity, its bytes
-// from the mapped source or, failing that, from readFile. A missing
-// file is ErrNotFound, an unusable one wraps ErrInvalid, and any other
-// error is a fault reading the disk.
-func (s *Store) open(kind Kind, identity string) (*file, error) {
+// open returns the framed artifact stored under key, the content key
+// of identity, its bytes from the mapped source or, failing that, from
+// readFile. A missing file is ErrNotFound, an unusable one wraps
+// ErrInvalid, and any other error is a fault reading the disk.
+func (s *Store) open(kind Kind, key, identity string) (*file, error) {
 	if s == nil {
 		return nil, ErrNotFound
 	}
-	key := KeyOf(identity)
 	var data []byte
 	m, err := trace.OpenMapped(s.path(key))
 	if err == nil {

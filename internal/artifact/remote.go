@@ -1,6 +1,6 @@
 // This file is the shared artifact tier of a modeld fleet: raw
 // byte-level access to stored artifacts (the transport behind
-// GET /v1/artifacts/{key}) and RemoteTier, an ArtifactTier that chains
+// GET /v1/artifacts/{key}) and RemoteTier, whose store layer chains
 // local disk → peer HTTP fetch → compute. A node admitting a workload
 // it has never profiled first asks its ring peers for the finished
 // artifact; a verified copy is installed into the local store
@@ -23,10 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/cache"
-	"repro/internal/profile"
-	"repro/internal/trace"
 )
 
 // ValidKey reports whether key is a well-formed content key: exactly
@@ -98,7 +94,7 @@ func (s *Store) InstallRaw(key string, data []byte) error {
 type RemoteOptions struct {
 	// Peers are the other fleet members' base addresses ("host:port"
 	// or full "http://host:port" URLs), excluding this node. Empty
-	// peers make the tier a transparent wrapper over the local store.
+	// peers make the tier's layer a transparent pass-through.
 	Peers []string
 	// Client performs peer fetches; nil means a client with
 	// DefaultFetchTimeout.
@@ -136,12 +132,12 @@ type peerState struct {
 	until       time.Time
 }
 
-// RemoteTier chains the local artifact store with the fleet's peers:
-// loads try local disk first, then each healthy peer's
-// /v1/artifacts/{key}, installing a verified copy locally before
-// re-loading; saves are local-only (peers pull on demand, so write
-// amplification is bounded by actual reuse). All errors collapse to
-// the tier contract — a key nobody has is ErrNotFound, so callers
+// RemoteTier chains the local artifact store with the fleet's peers
+// through its Layer: loads try local disk first, then each healthy
+// peer's /v1/artifacts/{key}, installing a verified copy locally
+// before re-loading; saves are local-only (peers pull on demand, so
+// write amplification is bounded by actual reuse). All errors collapse
+// to the store contract — a key nobody has is ErrNotFound, so callers
 // compute fresh; an unusable local file that no peer can replace keeps
 // its ErrInvalid. The tier is safe for concurrent use.
 type RemoteTier struct {
@@ -162,8 +158,9 @@ type RemoteTier struct {
 	repaired atomic.Int64
 }
 
-// NewRemoteTier wraps local with peer fetch. local must be non-nil: a
-// node without a store has nowhere to install fetched artifacts.
+// NewRemoteTier prepares peer fetch into local, which must be non-nil:
+// a node without a store has nowhere to install fetched artifacts.
+// Install the tier with local.Use(t.Layer).
 func NewRemoteTier(local *Store, opt RemoteOptions) (*RemoteTier, error) {
 	if local == nil {
 		return nil, fmt.Errorf("artifact: remote tier needs a local store")
@@ -310,58 +307,17 @@ func fetchable(err error) bool {
 	return errors.Is(err, ErrNotFound) || errors.Is(err, ErrInvalid)
 }
 
-// loadVia runs the local load, consults peers on a fetchable failure,
-// and re-runs the local load after an install. The original local
-// error stands when no peer delivers.
-func (t *RemoteTier) loadVia(key string, load func() error) error {
-	err := load()
-	if err == nil || !fetchable(err) {
-		return err
-	}
-	if !t.fetch(key) {
+// Layer is the tier's store layer. On a load it runs the local load,
+// consults peers on a fetchable failure, and runs the local load again
+// after an install; the original local error stands when no peer
+// delivers. A save passes through: peers pull on demand.
+func (t *RemoteTier) Layer(op Op, key string, do func() error) error {
+	err := do()
+	if op != OpLoad || !fetchable(err) || !t.fetch(key) {
 		return err
 	}
 	if errors.Is(err, ErrInvalid) {
 		t.repaired.Add(1)
 	}
-	return load()
-}
-
-// WorkloadKey is pure computation on the local store.
-func (t *RemoteTier) WorkloadKey(id WorkloadID) string { return t.local.WorkloadKey(id) }
-
-func (t *RemoteTier) LoadWorkload(id WorkloadID) (tr *trace.Trace, prof *profile.Profile, err error) {
-	lerr := t.loadVia(t.local.WorkloadKey(id), func() error {
-		tr, prof, err = t.local.LoadWorkload(id)
-		return err
-	})
-	return tr, prof, lerr
-}
-
-func (t *RemoteTier) SaveWorkload(id WorkloadID, tr *trace.Trace, prof *profile.Profile) (string, error) {
-	return t.local.SaveWorkload(id, tr, prof)
-}
-
-func (t *RemoteTier) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (p *trace.BytePlane, st cache.Stats, err error) {
-	lerr := t.loadVia(KeyOf(memPlaneIdentity(workloadKey, h)), func() error {
-		p, st, err = t.local.LoadMemPlane(workloadKey, h)
-		return err
-	})
-	return p, st, lerr
-}
-
-func (t *RemoteTier) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classes *trace.BytePlane, st cache.Stats) error {
-	return t.local.SaveMemPlane(workloadKey, h, classes, st)
-}
-
-func (t *RemoteTier) LoadBranchPlane(workloadKey, predictor string) (p *trace.BitPlane, err error) {
-	lerr := t.loadVia(KeyOf(branchPlaneIdentity(workloadKey, predictor)), func() error {
-		p, err = t.local.LoadBranchPlane(workloadKey, predictor)
-		return err
-	})
-	return p, lerr
-}
-
-func (t *RemoteTier) SaveBranchPlane(workloadKey, predictor string, p *trace.BitPlane) error {
-	return t.local.SaveBranchPlane(workloadKey, predictor, p)
+	return do()
 }

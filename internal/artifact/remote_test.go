@@ -117,12 +117,15 @@ func servePeer(t *testing.T, src *artifact.Store) *httptest.Server {
 	return ts
 }
 
+// newRemote installs peer fetch on local, whose typed loads then run
+// through the tier's layer.
 func newRemote(t *testing.T, local *artifact.Store, opt artifact.RemoteOptions) *artifact.RemoteTier {
 	t.Helper()
 	rt, err := artifact.NewRemoteTier(local, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	local.Use(rt.Layer)
 	return rt
 }
 
@@ -142,7 +145,7 @@ func TestRemoteTierFetchesFromPeer(t *testing.T) {
 
 	local := openStore(t)
 	rt := newRemote(t, local, artifact.RemoteOptions{Peers: []string{ts.URL}})
-	tr, prof, err := rt.LoadWorkload(id)
+	tr, prof, err := local.LoadWorkload(id)
 	if err != nil {
 		t.Fatalf("load via remote tier: %v", err)
 	}
@@ -164,7 +167,7 @@ func TestRemoteTierFetchesFromPeer(t *testing.T) {
 		t.Fatalf("stats after fetch = %+v, want one fetch, one hit", st)
 	}
 	// Second load is a pure local hit.
-	if _, _, err := rt.LoadWorkload(id); err != nil {
+	if _, _, err := local.LoadWorkload(id); err != nil {
 		t.Fatal(err)
 	}
 	if st := rt.Stats(); st.Fetches != 1 {
@@ -177,8 +180,9 @@ func TestRemoteTierFetchesFromPeer(t *testing.T) {
 // contract.
 func TestRemoteTierPeerMissFallsThrough(t *testing.T) {
 	ts := servePeer(t, openStore(t)) // empty peer
-	rt := newRemote(t, openStore(t), artifact.RemoteOptions{Peers: []string{ts.URL}})
-	if _, _, err := rt.LoadWorkload(artifact.WorkloadID{Name: "sha"}); !errors.Is(err, artifact.ErrNotFound) {
+	local := openStore(t)
+	rt := newRemote(t, local, artifact.RemoteOptions{Peers: []string{ts.URL}})
+	if _, _, err := local.LoadWorkload(artifact.WorkloadID{Name: "sha"}); !errors.Is(err, artifact.ErrNotFound) {
 		t.Fatalf("miss everywhere: err = %v, want ErrNotFound", err)
 	}
 	if st := rt.Stats(); st.Misses != 1 || st.Errors != 0 {
@@ -227,7 +231,7 @@ func TestRemoteTierRejectsCorruptPeerPayloads(t *testing.T) {
 			defer ts.Close()
 			local := openStore(t)
 			rt := newRemote(t, local, artifact.RemoteOptions{Peers: []string{ts.URL}})
-			if _, _, err := rt.LoadWorkload(id); !errors.Is(err, artifact.ErrNotFound) {
+			if _, _, err := local.LoadWorkload(id); !errors.Is(err, artifact.ErrNotFound) {
 				t.Fatalf("corrupt peer payload: err = %v, want ErrNotFound (compute fresh)", err)
 			}
 			if _, err := local.ReadRaw(key); !errors.Is(err, artifact.ErrNotFound) {
@@ -247,13 +251,14 @@ func TestRemoteTierRejectsCorruptPeerPayloads(t *testing.T) {
 func TestRemoteTierDeadPeerDegradesAndBenches(t *testing.T) {
 	ts := servePeer(t, openStore(t))
 	ts.Close() // dead before the first fetch
-	rt := newRemote(t, openStore(t), artifact.RemoteOptions{
+	local := openStore(t)
+	rt := newRemote(t, local, artifact.RemoteOptions{
 		Peers:      []string{ts.URL},
 		BenchAfter: 2,
 	})
 	id := artifact.WorkloadID{Name: "sha"}
 	for i := 0; i < 4; i++ {
-		if _, _, err := rt.LoadWorkload(id); !errors.Is(err, artifact.ErrNotFound) {
+		if _, _, err := local.LoadWorkload(id); !errors.Is(err, artifact.ErrNotFound) {
 			t.Fatalf("load %d with dead peer: err = %v, want ErrNotFound", i, err)
 		}
 	}
@@ -294,7 +299,7 @@ func TestRemoteTierRepairsLocalCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := newRemote(t, local, artifact.RemoteOptions{Peers: []string{ts.URL}})
-	if _, _, err := rt.LoadWorkload(id); err != nil {
+	if _, _, err := local.LoadWorkload(id); err != nil {
 		t.Fatalf("load with corrupt local + healthy peer: %v", err)
 	}
 	if st := rt.Stats(); st.Repaired != 1 {
@@ -305,8 +310,9 @@ func TestRemoteTierRepairsLocalCorruption(t *testing.T) {
 // TestRemoteTierNoPeersIsTransparent: an empty peer list behaves
 // exactly like the bare store.
 func TestRemoteTierNoPeersIsTransparent(t *testing.T) {
-	rt := newRemote(t, openStore(t), artifact.RemoteOptions{})
-	if _, _, err := rt.LoadWorkload(artifact.WorkloadID{Name: "sha"}); !errors.Is(err, artifact.ErrNotFound) {
+	local := openStore(t)
+	rt := newRemote(t, local, artifact.RemoteOptions{})
+	if _, _, err := local.LoadWorkload(artifact.WorkloadID{Name: "sha"}); !errors.Is(err, artifact.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	if st := rt.Stats(); st.Fetches != 0 {

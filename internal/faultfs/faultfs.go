@@ -1,15 +1,15 @@
 // Package faultfs is the fault-injection harness for the persistent
-// artifact tier: a harness.ArtifactTier wrapper that can slow down or
+// artifact tier: a store layer (artifact.Layer) that can slow down or
 // fail loads and saves on command, so chaos tests can drive the
 // service through a degraded or dying disk without touching the real
-// store. Faults are injected at the tier boundary — exactly where a
-// failing filesystem would surface — which exercises every consumer
-// (pool admissions, annotation rehydration, write-through) with zero
-// knowledge in any of them.
+// store. Faults are injected at the store's typed operations — exactly
+// where a failing filesystem would surface — which exercises every
+// consumer (pool admissions, annotation rehydration, write-through)
+// with zero knowledge in any of them.
 //
-// The zero fault plan is a transparent proxy: all calls delegate
-// unchanged. Plans can change at any time, including mid-request; all
-// methods are safe for concurrent use.
+// The zero fault plan is a transparent pass-through, and the zero Tier
+// is ready to use. Plans can change at any time, including
+// mid-request; all methods are safe for concurrent use.
 package faultfs
 
 import (
@@ -18,23 +18,6 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/cache"
-	"repro/internal/harness"
-	"repro/internal/profile"
-	"repro/internal/trace"
-)
-
-// Op classifies tier operations for selective fault plans.
-type Op int
-
-const (
-	// OpLoad covers LoadWorkload, LoadMemPlane and LoadBranchPlane.
-	OpLoad Op = 1 << iota
-	// OpSave covers SaveWorkload, SaveMemPlane and SaveBranchPlane.
-	OpSave
-
-	// OpAll covers every operation.
-	OpAll = OpLoad | OpSave
 )
 
 // Plan describes the faults currently injected.
@@ -46,18 +29,17 @@ type Plan struct {
 	// Delay is slept before every matched operation, error or not —
 	// a slow disk rather than (or in addition to) a broken one.
 	Delay time.Duration
-	// Ops selects the operations the plan applies to; 0 means OpAll.
-	Ops Op
+	// Ops selects the operations the plan applies to, a union of
+	// artifact.OpLoad and artifact.OpSave; 0 means every operation.
+	Ops artifact.Op
 	// Remaining, when > 0, arms the plan for that many matched
 	// operations only; the plan then clears itself (a transient
 	// glitch). ≤ 0 means the plan persists until replaced.
 	Remaining int
 }
 
-// Tier wraps an inner ArtifactTier with the active fault plan.
+// Tier holds the active fault plan of its Layer.
 type Tier struct {
-	inner harness.ArtifactTier
-
 	mu   sync.Mutex
 	plan Plan
 
@@ -66,16 +48,11 @@ type Tier struct {
 	ops    atomic.Int64 // operations observed (faulted or not)
 }
 
-// Wrap returns a fault-injection tier over inner with no active plan.
-func Wrap(inner harness.ArtifactTier) *Tier {
-	return &Tier{inner: inner}
-}
-
 // SetPlan installs the fault plan (replacing any previous one).
 // Plan{} clears all faults.
 func (t *Tier) SetPlan(p Plan) {
 	if p.Ops == 0 {
-		p.Ops = OpAll
+		p.Ops = artifact.OpLoad | artifact.OpSave
 	}
 	t.mu.Lock()
 	t.plan = p
@@ -91,13 +68,13 @@ func (t *Tier) Faults() int64 { return t.faults.Load() }
 // Slowed returns how many operations the plan delayed.
 func (t *Tier) Slowed() int64 { return t.slowed.Load() }
 
-// Ops returns how many tier operations were observed in total.
+// Ops returns how many store operations were observed in total.
 func (t *Tier) Ops() int64 { return t.ops.Load() }
 
 // apply consumes the plan for one operation of kind op, sleeping any
 // configured delay and returning the injected error (nil for a clean
 // pass-through).
-func (t *Tier) apply(op Op) error {
+func (t *Tier) apply(op artifact.Op) error {
 	t.ops.Add(1)
 	t.mu.Lock()
 	p := t.plan
@@ -128,57 +105,11 @@ func (t *Tier) apply(op Op) error {
 	return nil
 }
 
-// WorkloadKey delegates unconditionally: key derivation is pure
-// computation, no filesystem involved.
-func (t *Tier) WorkloadKey(id artifact.WorkloadID) string { return t.inner.WorkloadKey(id) }
-
-// LoadWorkload applies the fault plan, then delegates.
-func (t *Tier) LoadWorkload(id artifact.WorkloadID) (*trace.Trace, *profile.Profile, error) {
-	if err := t.apply(OpLoad); err != nil {
-		return nil, nil, err
-	}
-	return t.inner.LoadWorkload(id)
-}
-
-// SaveWorkload applies the fault plan, then delegates.
-func (t *Tier) SaveWorkload(id artifact.WorkloadID, tr *trace.Trace, prof *profile.Profile) (string, error) {
-	if err := t.apply(OpSave); err != nil {
-		return "", err
-	}
-	return t.inner.SaveWorkload(id, tr, prof)
-}
-
-// LoadMemPlane applies the fault plan, then delegates.
-func (t *Tier) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (*trace.BytePlane, cache.Stats, error) {
-	if err := t.apply(OpLoad); err != nil {
-		return nil, cache.Stats{}, err
-	}
-	return t.inner.LoadMemPlane(workloadKey, h)
-}
-
-// SaveMemPlane applies the fault plan, then delegates.
-func (t *Tier) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classes *trace.BytePlane, st cache.Stats) error {
-	if err := t.apply(OpSave); err != nil {
+// Layer is the tier's store layer: it applies the fault plan to the
+// operation, then runs it. Install it with store.Use(t.Layer).
+func (t *Tier) Layer(op artifact.Op, _ string, do func() error) error {
+	if err := t.apply(op); err != nil {
 		return err
 	}
-	return t.inner.SaveMemPlane(workloadKey, h, classes, st)
+	return do()
 }
-
-// LoadBranchPlane applies the fault plan, then delegates.
-func (t *Tier) LoadBranchPlane(workloadKey, predictor string) (*trace.BitPlane, error) {
-	if err := t.apply(OpLoad); err != nil {
-		return nil, err
-	}
-	return t.inner.LoadBranchPlane(workloadKey, predictor)
-}
-
-// SaveBranchPlane applies the fault plan, then delegates.
-func (t *Tier) SaveBranchPlane(workloadKey, predictor string, p *trace.BitPlane) error {
-	if err := t.apply(OpSave); err != nil {
-		return err
-	}
-	return t.inner.SaveBranchPlane(workloadKey, predictor, p)
-}
-
-// Interface check.
-var _ harness.ArtifactTier = (*Tier)(nil)

@@ -35,22 +35,23 @@ func profiled(t *testing.T) (*harness.Profiled, artifact.WorkloadID) {
 	return pw, artifact.WorkloadID{Name: "crc32", Code: prog.Fingerprint()}
 }
 
-// TestTierTransparentWhenClear pins that the zero plan is a proxy: a
-// workload saved through the tier loads back through it bit-identically
-// to the underlying store.
+// TestTierTransparentWhenClear pins that the zero plan is a
+// pass-through: a workload saved through the layer is stored under its
+// plain key and loads back through it intact.
 func TestTierTransparentWhenClear(t *testing.T) {
 	store := storeFor(t)
-	tier := Wrap(store)
+	tier := &Tier{}
+	store.Use(tier.Layer)
 	pw, id := profiled(t)
 
-	key, err := tier.SaveWorkload(id, pw.Trace, pw.Prof)
+	key, err := store.SaveWorkload(id, pw.Trace, pw.Prof)
 	if err != nil {
 		t.Fatalf("SaveWorkload through clear tier: %v", err)
 	}
-	if key != store.WorkloadKey(id) || key != tier.WorkloadKey(id) {
-		t.Fatalf("key mismatch: tier %q, store %q", tier.WorkloadKey(id), store.WorkloadKey(id))
+	if key != store.WorkloadKey(id) {
+		t.Fatalf("key mismatch: saved under %q, store %q", key, store.WorkloadKey(id))
 	}
-	tr, _, err := tier.LoadWorkload(id)
+	tr, _, err := store.LoadWorkload(id)
 	if err != nil {
 		t.Fatalf("LoadWorkload through clear tier: %v", err)
 	}
@@ -67,18 +68,19 @@ func TestTierTransparentWhenClear(t *testing.T) {
 // and counts every hit.
 func TestTierInjectsErrors(t *testing.T) {
 	store := storeFor(t)
-	tier := Wrap(store)
+	tier := &Tier{}
+	store.Use(tier.Layer)
 	pw, id := profiled(t)
 	boom := errors.New("disk on fire")
 
-	tier.SetPlan(Plan{Err: boom, Ops: OpLoad})
-	if _, err := tier.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
+	tier.SetPlan(Plan{Err: boom, Ops: artifact.OpLoad})
+	if _, err := store.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
 		t.Fatalf("save under load-only fault plan: %v", err)
 	}
-	if _, _, err := tier.LoadWorkload(id); !errors.Is(err, boom) {
+	if _, _, err := store.LoadWorkload(id); !errors.Is(err, boom) {
 		t.Fatalf("faulted load returned %v, want injected error", err)
 	}
-	if _, err := tier.LoadBranchPlane("k", "p"); !errors.Is(err, boom) {
+	if _, err := store.LoadBranchPlane("k", "p"); !errors.Is(err, boom) {
 		t.Fatalf("faulted plane load returned %v, want injected error", err)
 	}
 	if f := tier.Faults(); f != 2 {
@@ -86,7 +88,7 @@ func TestTierInjectsErrors(t *testing.T) {
 	}
 
 	tier.Clear()
-	if _, _, err := tier.LoadWorkload(id); err != nil {
+	if _, _, err := store.LoadWorkload(id); err != nil {
 		t.Fatalf("load after Clear: %v", err)
 	}
 }
@@ -96,20 +98,21 @@ func TestTierInjectsErrors(t *testing.T) {
 // pass-through on its own.
 func TestTierTransientPlanSelfClears(t *testing.T) {
 	store := storeFor(t)
-	tier := Wrap(store)
+	tier := &Tier{}
+	store.Use(tier.Layer)
 	pw, id := profiled(t)
-	if _, err := tier.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
+	if _, err := store.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
 		t.Fatal(err)
 	}
 
 	boom := errors.New("transient")
 	tier.SetPlan(Plan{Err: boom, Remaining: 2})
 	for i := 0; i < 2; i++ {
-		if _, _, err := tier.LoadWorkload(id); !errors.Is(err, boom) {
+		if _, _, err := store.LoadWorkload(id); !errors.Is(err, boom) {
 			t.Fatalf("fault %d returned %v, want injected error", i, err)
 		}
 	}
-	if _, _, err := tier.LoadWorkload(id); err != nil {
+	if _, _, err := store.LoadWorkload(id); err != nil {
 		t.Fatalf("load after transient plan exhausted: %v", err)
 	}
 	if f := tier.Faults(); f != 2 {
@@ -121,16 +124,17 @@ func TestTierTransientPlanSelfClears(t *testing.T) {
 // matched operations without failing them.
 func TestTierDelays(t *testing.T) {
 	store := storeFor(t)
-	tier := Wrap(store)
+	tier := &Tier{}
+	store.Use(tier.Layer)
 	pw, id := profiled(t)
-	if _, err := tier.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
+	if _, err := store.SaveWorkload(id, pw.Trace, pw.Prof); err != nil {
 		t.Fatal(err)
 	}
 
 	const d = 30 * time.Millisecond
-	tier.SetPlan(Plan{Delay: d, Ops: OpLoad})
+	tier.SetPlan(Plan{Delay: d, Ops: artifact.OpLoad})
 	start := time.Now()
-	if _, _, err := tier.LoadWorkload(id); err != nil {
+	if _, _, err := store.LoadWorkload(id); err != nil {
 		t.Fatalf("slow load failed: %v", err)
 	}
 	if took := time.Since(start); took < d {
@@ -144,14 +148,15 @@ func TestTierDelays(t *testing.T) {
 	}
 }
 
-// TestTierBehindPool pins the integration point: a pool whose Store is
-// a fully faulted tier still serves requests compute-only — the
+// TestTierBehindPool pins the integration point: a pool whose store
+// carries a fully faulted layer still serves requests compute-only — the
 // injected errors are counted as disk errors, never surfaced to the
 // caller — and the result is bit-identical to profiling without any
 // store.
 func TestTierBehindPool(t *testing.T) {
 	store := storeFor(t)
-	tier := Wrap(store)
+	tier := &Tier{}
+	store.Use(tier.Layer)
 	boom := errors.New("no disk today")
 	tier.SetPlan(Plan{Err: boom})
 
@@ -159,7 +164,7 @@ func TestTierBehindPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := harness.NewPool(harness.PoolOptions{Store: tier})
+	p := harness.NewPool(harness.PoolOptions{Store: store})
 	pw, err := p.GetBuiltCtx(context.Background(), "crc32", spec.Build, func(_ context.Context, prog *program.Program) (*harness.Profiled, error) {
 		return harness.ProfileProgram(prog)
 	})

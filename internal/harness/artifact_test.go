@@ -89,8 +89,8 @@ func TestPoolDiskTierWriteThroughAndWarm(t *testing.T) {
 	if st.Profiles != 0 || st.DiskHits != 1 {
 		t.Fatalf("warm pool stats = %+v, want 0 profiles, 1 disk hit", st)
 	}
-	if warm.ProfileCount() != 0 {
-		t.Fatalf("warm ProfileCount = %d, want 0", warm.ProfileCount())
+	if warm.Stats().Profiles != 0 {
+		t.Fatalf("warm Profiles = %d, want 0", warm.Stats().Profiles)
 	}
 
 	for _, cfg := range table2Subset(t) {
@@ -171,8 +171,8 @@ func TestPoolDiskTierFallsBackOnCorruptArtifact(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if healed.ProfileCount() != 0 {
-		t.Fatalf("healed ProfileCount = %d, want 0", healed.ProfileCount())
+	if healed.Stats().Profiles != 0 {
+		t.Fatalf("healed Profiles = %d, want 0", healed.Stats().Profiles)
 	}
 }
 

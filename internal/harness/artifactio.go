@@ -13,7 +13,7 @@ import (
 // planes from it before computing and write freshly computed planes
 // through to it. Attach before sharing pw across goroutines — the
 // fields are read without locking on the annotation paths.
-func (pw *Profiled) AttachArtifacts(s ArtifactTier, key string) {
+func (pw *Profiled) AttachArtifacts(s *artifact.Store, key string) {
 	pw.store = s
 	pw.storeKey = key
 }
@@ -31,7 +31,7 @@ func (pw *Profiled) ArtifactKey() string { return pw.storeKey }
 // — the artifact identity includes the built program's content
 // fingerprint, so stale traces are unreachable after a kernel edit —
 // but a warm caller still skips the expensive part, the execution.
-func ProfileProgramCached(store ArtifactTier, name string, minDyn int64, build func() *program.Program) (*Profiled, bool, error) {
+func ProfileProgramCached(store *artifact.Store, name string, minDyn int64, build func() *program.Program) (*Profiled, bool, error) {
 	prog := build()
 	id := artifact.WorkloadID{Name: name, MinDynInsts: minDyn, Code: prog.Fingerprint()}
 	if store != nil {

@@ -12,6 +12,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/artifact"
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -42,7 +43,7 @@ type Profiled struct {
 	// annotation paths rehydrate per-component planes from the
 	// artifact store before computing and write computed planes
 	// through to it. storeKey is the workload's content key.
-	store    ArtifactTier
+	store    *artifact.Store
 	storeKey string
 }
 

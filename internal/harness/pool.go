@@ -26,9 +26,10 @@ type PoolOptions struct {
 	// Store is the persistent artifact tier: admissions check it
 	// before profiling and write freshly profiled workloads through to
 	// it, and admitted workloads rehydrate their annotation planes
-	// from it. nil disables the tier. A wrapper (resilience guard,
-	// fault injector) interposes here; see ArtifactTier.
-	Store ArtifactTier
+	// from it. nil disables the tier. I/O policy (resilience guard,
+	// peer fetch, fault injector) rides on the store's layers; see
+	// artifact.Layer.
+	Store *artifact.Store
 	// MinDynInsts is the dynamic-instruction floor the pool's profile
 	// funcs honor; it is part of the artifact identity, so differently
 	// scaled traces never collide on disk. ≤ 0 means one run.
@@ -376,25 +377,6 @@ func (p *Pool) evictLocked(keep *poolEntry) {
 		delete(p.entries, victim)
 		p.evictions++
 	}
-}
-
-// ProfileCount returns the number of profiling runs the pool has
-// actually executed. Without a disk tier every miss runs exactly one
-// (singleflight); with one, admissions served from the artifact store
-// do not count — a warm process answers every request with zero
-// profiling, and tests pin that.
-func (p *Pool) ProfileCount() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.profiles
-}
-
-// DiskHitCount returns the number of admissions served by the
-// artifact store.
-func (p *Pool) DiskHitCount() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.diskHits
 }
 
 // Resident reports whether a completed workload is currently resident.

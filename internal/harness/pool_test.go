@@ -50,8 +50,8 @@ func TestPoolSingleflight(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("concurrent GetCtx calls observed %d distinct Profiled values, want 1", len(got))
 	}
-	if n := p.ProfileCount(); n != 1 {
-		t.Fatalf("ProfileCount = %d after %d concurrent GetCtx calls, want 1", n, callers)
+	if n := p.Stats().Profiles; n != 1 {
+		t.Fatalf("Profiles = %d after %d concurrent GetCtx calls, want 1", n, callers)
 	}
 	st := p.Stats()
 	if st.Misses != 1 || st.Hits != callers-1 {
@@ -87,12 +87,12 @@ func TestPoolLRUEviction(t *testing.T) {
 		t.Fatal("recently used workloads were evicted")
 	}
 	// Re-requesting the evicted workload profiles again.
-	before := p.ProfileCount()
+	before := p.Stats().Profiles
 	if _, err := p.GetCtx(context.Background(), "sha", buildFor(t, "sha")); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.ProfileCount(); got != before+1 {
-		t.Fatalf("ProfileCount after re-request = %d, want %d", got, before+1)
+	if got := p.Stats().Profiles; got != before+1 {
+		t.Fatalf("Profiles after re-request = %d, want %d", got, before+1)
 	}
 }
 
@@ -137,8 +137,8 @@ func TestPoolFailedAdmissionRetries(t *testing.T) {
 	if err != nil || pw == nil {
 		t.Fatalf("retry GetCtx = %v, %v; want success", pw, err)
 	}
-	if n := p.ProfileCount(); n != 2 {
-		t.Fatalf("ProfileCount = %d, want 2 (failure plus retry)", n)
+	if n := p.Stats().Profiles; n != 2 {
+		t.Fatalf("Profiles = %d, want 2 (failure plus retry)", n)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestWarmStartServesFromDiskBitIdentically(t *testing.T) {
 	tsCold := httptest.NewServer(cold.Handler())
 	defer tsCold.Close()
 	coldBody := fetchBody(t, tsCold.URL+query)
-	if n := cold.Pool().ProfileCount(); n != 1 {
+	if n := cold.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("cold server ran %d profiles, want 1", n)
 	}
 
@@ -56,11 +56,11 @@ func TestWarmStartServesFromDiskBitIdentically(t *testing.T) {
 	tsWarm := httptest.NewServer(warm.Handler())
 	defer tsWarm.Close()
 	warmBody := fetchBody(t, tsWarm.URL+query)
-	if n := warm.Pool().ProfileCount(); n != 0 {
+	if n := warm.Pool().Stats().Profiles; n != 0 {
 		t.Fatalf("warm server ran %d profiles, want 0", n)
 	}
-	if warm.Pool().DiskHitCount() != 1 {
-		t.Fatalf("warm server disk hits = %d, want 1", warm.Pool().DiskHitCount())
+	if warm.Pool().Stats().DiskHits != 1 {
+		t.Fatalf("warm server disk hits = %d, want 1", warm.Pool().Stats().DiskHits)
 	}
 	if coldBody != warmBody {
 		t.Fatalf("from-disk prediction differs from fresh:\n cold: %s\n warm: %s", coldBody, warmBody)
@@ -172,13 +172,14 @@ func TestCorruptArtifactsRecomputeWithoutFaults(t *testing.T) {
 		t.Fatalf("stored kinds = %v, want one workload, one mem plane and two branch planes", kinds)
 	}
 
-	srv := mustNew(t, Config{ArtifactDir: dir, StoreRetries: 2, StoreTripAfter: 1})
+	srv := mustNew(t, Config{ArtifactDir: dir})
+	srv.guard.tripAfter = 1
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if body := fetchBody(t, ts.URL+query); body != coldBody {
 		t.Fatalf("answer over a corrupt store differs from fresh:\n cold: %s\n got:  %s", coldBody, body)
 	}
-	if n := srv.Pool().ProfileCount(); n != 1 {
+	if n := srv.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("server over a corrupt store ran %d profiles, want 1", n)
 	}
 	m := srv.MetricsSnapshot()

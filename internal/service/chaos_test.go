@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
-	"repro/internal/harness"
 	"repro/internal/pipeline"
 )
 
@@ -66,7 +65,7 @@ func TestCancelledRequestNeverAcquiresTokens(t *testing.T) {
 	if body := errBody(t, rec); body.Error.Code != "cancelled" {
 		t.Fatalf("cancelled request coded %q, want cancelled", body.Error.Code)
 	}
-	if n := srv.Pool().ProfileCount(); n != 0 {
+	if n := srv.Pool().Stats().Profiles; n != 0 {
 		t.Fatalf("cancelled request triggered %d profiling runs, want 0", n)
 	}
 	if st := srv.Pool().Stats(); st.InFlight != 0 {
@@ -265,16 +264,9 @@ func TestHandlerPanicRecovered(t *testing.T) {
 // succeeds, the workload still reaches the store, and no breaker
 // trips.
 func TestStoreRetriesTransientFault(t *testing.T) {
-	var ft *faultfs.Tier
-	srv := mustNew(t, Config{
-		ArtifactDir:  t.TempDir(),
-		StoreRetries: 2,
-		StoreBackoff: time.Millisecond,
-		Hooks: Hooks{WrapTier: func(inner harness.ArtifactTier) harness.ArtifactTier {
-			ft = faultfs.Wrap(inner)
-			return ft
-		}},
-	})
+	ft := &faultfs.Tier{}
+	srv := mustNew(t, Config{ArtifactDir: t.TempDir(), Hooks: Hooks{StoreLayer: ft.Layer}})
+	srv.guard.backoff = time.Millisecond
 	ft.SetPlan(faultfs.Plan{Err: errors.New("transient I/O glitch"), Remaining: 1})
 
 	if rec := serveCtx(srv, context.Background(), "/v1/predict?bench=crc32"); rec.Code != http.StatusOK {
@@ -299,17 +291,11 @@ func TestStoreRetriesTransientFault(t *testing.T) {
 // healthy again) the service returns to "ok" and resumes writing
 // through.
 func TestStoreBreakerTripsAndRecovers(t *testing.T) {
-	var ft *faultfs.Tier
-	srv := mustNew(t, Config{
-		ArtifactDir:    t.TempDir(),
-		StoreRetries:   -1, // no retries: each faulted op counts once
-		StoreTripAfter: 2,
-		StoreCooldown:  time.Hour, // expired manually below, so slow runs can't race it
-		Hooks: Hooks{WrapTier: func(inner harness.ArtifactTier) harness.ArtifactTier {
-			ft = faultfs.Wrap(inner)
-			return ft
-		}},
-	})
+	ft := &faultfs.Tier{}
+	srv := mustNew(t, Config{ArtifactDir: t.TempDir(), Hooks: Hooks{StoreLayer: ft.Layer}})
+	srv.guard.retries = 0 // no retries: each faulted op counts once
+	srv.guard.tripAfter = 2
+	srv.guard.cooldown = time.Hour // expired manually below, so slow runs can't race it
 	ft.SetPlan(faultfs.Plan{Err: errors.New("disk on fire")})
 
 	// One admission = one failed load + one failed save = the trip

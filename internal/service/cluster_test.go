@@ -126,10 +126,10 @@ func TestClusterProxiedPredictByteIdentical(t *testing.T) {
 		t.Fatalf("owner received %d forwarded requests, want 1", n)
 	}
 	// The hop is invisible to the LRU split: only the owner computed.
-	if n := a.srv.Pool().ProfileCount(); n != 0 {
+	if n := a.srv.Pool().Stats().Profiles; n != 0 {
 		t.Fatalf("non-owner profiled %d workloads, want 0", n)
 	}
-	if n := b.srv.Pool().ProfileCount(); n != 1 {
+	if n := b.srv.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("owner profiled %d workloads, want 1", n)
 	}
 }
@@ -161,7 +161,7 @@ func TestClusterDisjointHotSets(t *testing.T) {
 			t.Errorf("bench %s resident on non-owner %s: hot sets overlap", bench, other.addr)
 		}
 	}
-	if gotA, gotB := a.srv.Pool().ProfileCount(), b.srv.Pool().ProfileCount(); gotA != wantA || gotB != wantB {
+	if gotA, gotB := a.srv.Pool().Stats().Profiles, b.srv.Pool().Stats().Profiles; gotA != wantA || gotB != wantB {
 		t.Fatalf("profile counts (a=%d, b=%d) don't match ownership (a=%d, b=%d)",
 			gotA, gotB, wantA, wantB)
 	}
@@ -200,10 +200,10 @@ func TestClusterPeerArtifactRehydration(t *testing.T) {
 	if body != want {
 		t.Fatalf("peer-rehydrated predict differs from owner's:\n owner %s\n peer  %s", want, body)
 	}
-	if n := a.srv.Pool().ProfileCount(); n != 0 {
+	if n := a.srv.Pool().Stats().Profiles; n != 0 {
 		t.Fatalf("peer ran %d profiling runs, want 0 (artifact came from the owner)", n)
 	}
-	if n := a.srv.Pool().DiskHitCount(); n != 1 {
+	if n := a.srv.Pool().Stats().DiskHits; n != 1 {
 		t.Fatalf("peer disk hits = %d, want 1", n)
 	}
 	st := a.srv.remote.Stats()
@@ -239,7 +239,7 @@ func TestClusterOwnerDownFallsBackLocal(t *testing.T) {
 	if n := a.srv.proxyFallback.Load(); n < 1 {
 		t.Fatalf("proxy_fallback_local = %d, want >= 1", n)
 	}
-	if n := a.srv.Pool().ProfileCount(); n != 1 {
+	if n := a.srv.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("fallback profiled %d workloads, want 1 (local compute)", n)
 	}
 }
@@ -271,7 +271,7 @@ func TestProxyLoopGuard(t *testing.T) {
 		t.Fatalf("proxy_received = %d, want 1", n)
 	}
 	// The loop guard implies local compute.
-	if n := a.srv.Pool().ProfileCount(); n != 1 {
+	if n := a.srv.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("non-owner profiled %d workloads under the loop guard, want 1", n)
 	}
 }

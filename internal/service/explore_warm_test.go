@@ -35,7 +35,7 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 	tsCold := httptest.NewServer(cold.Handler())
 	defer tsCold.Close()
 	coldBody := fetchBody(t, tsCold.URL+query)
-	if n := cold.Pool().ProfileCount(); n != 1 {
+	if n := cold.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("cold server ran %d profiles, want 1", n)
 	}
 
@@ -53,7 +53,7 @@ func TestWarmExploreServesFromMappedArtifacts(t *testing.T) {
 	}
 	mappedBefore := warm.store.MappedLoadCount()
 	warmBody := fetchBody(t, tsWarm.URL+query)
-	if n := warm.Pool().ProfileCount(); n != 0 {
+	if n := warm.Pool().Stats().Profiles; n != 0 {
 		t.Fatalf("warm server ran %d profiles, want 0", n)
 	}
 	if served, err := resident(warm, "crc32"); err != nil || served != pw {

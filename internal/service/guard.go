@@ -7,10 +7,6 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/cache"
-	"repro/internal/harness"
-	"repro/internal/profile"
-	"repro/internal/trace"
 )
 
 // errStoreDegraded marks operations refused by the tripped breaker.
@@ -18,8 +14,8 @@ import (
 // so a degraded store costs one error per save, never a request.
 var errStoreDegraded = errors.New("service: artifact store degraded, skipping disk")
 
-// storeGuard wraps the artifact tier with retry-with-backoff and a
-// circuit breaker. A transient I/O fault is retried in place; a store
+// storeGuard is the artifact store's retry-with-backoff and circuit
+// breaker layer. A transient I/O fault is retried in place; a store
 // that keeps failing trips the breaker, and for a cooldown window the
 // service runs compute-only — loads answer ErrNotFound (profile
 // fresh), saves are skipped — instead of paying a dying disk's latency
@@ -30,7 +26,6 @@ var errStoreDegraded = errors.New("service: artifact store degraded, skipping di
 // retried: they are the store answering truthfully ("nothing here",
 // "this file is unusable"), not the disk failing to answer.
 type storeGuard struct {
-	inner     harness.ArtifactTier
 	retries   int           // extra attempts per operation after the first
 	backoff   time.Duration // sleep before retry n is backoff << (n-1)
 	tripAfter int           // consecutive failed operations that open the breaker
@@ -44,20 +39,11 @@ type storeGuard struct {
 	trips   atomic.Int64 // times the breaker opened
 }
 
-func newStoreGuard(inner harness.ArtifactTier, retries int, backoff time.Duration, tripAfter int, cooldown time.Duration) *storeGuard {
-	if retries < 0 {
-		retries = 0
-	}
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	if tripAfter < 1 {
-		tripAfter = 1
-	}
-	if cooldown <= 0 {
-		cooldown = 30 * time.Second
-	}
-	return &storeGuard{inner: inner, retries: retries, backoff: backoff, tripAfter: tripAfter, cooldown: cooldown}
+// newStoreGuard returns a guard with the service's policy: two
+// retries from 10ms, tripping after five failed operations in a row
+// for 30s.
+func newStoreGuard() *storeGuard {
+	return &storeGuard{retries: 2, backoff: 10 * time.Millisecond, tripAfter: 5, cooldown: 30 * time.Second}
 }
 
 // Degraded reports whether the breaker is currently open.
@@ -111,66 +97,13 @@ func (g *storeGuard) run(op func() error) error {
 	return err
 }
 
-// WorkloadKey is pure computation; it never touches the disk and so
-// bypasses the breaker.
-func (g *storeGuard) WorkloadKey(id artifact.WorkloadID) string { return g.inner.WorkloadKey(id) }
-
-func (g *storeGuard) LoadWorkload(id artifact.WorkloadID) (tr *trace.Trace, prof *profile.Profile, err error) {
-	rerr := g.run(func() error {
-		tr, prof, err = g.inner.LoadWorkload(id)
-		return err
-	})
-	if errors.Is(rerr, errStoreDegraded) {
-		// Compute-only mode: report a miss so the caller profiles fresh.
-		return nil, nil, artifact.ErrNotFound
+// layer is the guard's store layer: every operation runs under the
+// retry/breaker policy, and a load refused by the open breaker reports
+// a miss so the caller profiles fresh.
+func (g *storeGuard) layer(op artifact.Op, _ string, do func() error) error {
+	err := g.run(do)
+	if op == artifact.OpLoad && errors.Is(err, errStoreDegraded) {
+		return artifact.ErrNotFound
 	}
-	return tr, prof, rerr
+	return err
 }
-
-func (g *storeGuard) SaveWorkload(id artifact.WorkloadID, tr *trace.Trace, prof *profile.Profile) (key string, err error) {
-	rerr := g.run(func() error {
-		key, err = g.inner.SaveWorkload(id, tr, prof)
-		return err
-	})
-	if rerr != nil {
-		return "", rerr
-	}
-	return key, nil
-}
-
-func (g *storeGuard) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (p *trace.BytePlane, st cache.Stats, err error) {
-	rerr := g.run(func() error {
-		p, st, err = g.inner.LoadMemPlane(workloadKey, h)
-		return err
-	})
-	if errors.Is(rerr, errStoreDegraded) {
-		return nil, cache.Stats{}, artifact.ErrNotFound
-	}
-	return p, st, rerr
-}
-
-func (g *storeGuard) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classes *trace.BytePlane, st cache.Stats) error {
-	return g.run(func() error {
-		return g.inner.SaveMemPlane(workloadKey, h, classes, st)
-	})
-}
-
-func (g *storeGuard) LoadBranchPlane(workloadKey, predictor string) (p *trace.BitPlane, err error) {
-	rerr := g.run(func() error {
-		p, err = g.inner.LoadBranchPlane(workloadKey, predictor)
-		return err
-	})
-	if errors.Is(rerr, errStoreDegraded) {
-		return nil, artifact.ErrNotFound
-	}
-	return p, rerr
-}
-
-func (g *storeGuard) SaveBranchPlane(workloadKey, predictor string, p *trace.BitPlane) error {
-	return g.run(func() error {
-		return g.inner.SaveBranchPlane(workloadKey, predictor, p)
-	})
-}
-
-// Interface check.
-var _ harness.ArtifactTier = (*storeGuard)(nil)

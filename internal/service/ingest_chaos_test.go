@@ -75,7 +75,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	if dup.Created || dup.Name != resp.Name || dup.Fingerprint != resp.Fingerprint {
 		t.Fatalf("duplicate submission diverged: %+v vs %+v", dup, resp)
 	}
-	if n := srv.Pool().ProfileCount(); n != 1 {
+	if n := srv.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("profiling runs = %d, want 1 (content shared across tenants)", n)
 	}
 
@@ -258,7 +258,7 @@ func TestIngestConcurrentDuplicates(t *testing.T) {
 	if created != 1 || dup != n-1 {
 		t.Fatalf("created=%d dup=%d, want 1/%d", created, dup, n-1)
 	}
-	if pc := srv.Pool().ProfileCount(); pc != 1 {
+	if pc := srv.Pool().Stats().Profiles; pc != 1 {
 		t.Fatalf("profiling runs = %d, want 1", pc)
 	}
 	m := srv.MetricsSnapshot()
@@ -337,10 +337,10 @@ func TestIngestWarmRestart(t *testing.T) {
 	if rec1.Body.String() != rec2.Body.String() {
 		t.Fatal("warm-restarted prediction is not byte-identical")
 	}
-	if pc := srv2.Pool().ProfileCount(); pc != 0 {
+	if pc := srv2.Pool().Stats().Profiles; pc != 0 {
 		t.Fatalf("warm server executed %d profiling runs, want 0", pc)
 	}
-	if dh := srv2.Pool().DiskHitCount(); dh != 1 {
+	if dh := srv2.Pool().Stats().DiskHits; dh != 1 {
 		t.Fatalf("disk hits = %d, want 1", dh)
 	}
 	m := srv2.MetricsSnapshot()
@@ -361,7 +361,7 @@ func TestIngestEvictionReprofilesUnderSandbox(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict after eviction answered %d (%s)", rec.Code, rec.Body.String())
 	}
-	if pc := srv.Pool().ProfileCount(); pc != 3 {
+	if pc := srv.Pool().Stats().Profiles; pc != 3 {
 		t.Fatalf("profiling runs = %d, want 3 (two admissions + one re-profile)", pc)
 	}
 }

@@ -16,8 +16,9 @@
 // the response carries a machine-readable error code (see errors.go).
 // Worker tokens are handed out through a bounded admission queue that
 // sheds load early (429) instead of letting waiters pile up, and the
-// artifact tier sits behind a retry/circuit-breaker guard so a dying
-// disk degrades the service to compute-only instead of slowing it.
+// artifact store's loads and saves run under a retry/circuit-breaker
+// layer so a dying disk degrades the service to compute-only instead
+// of slowing it.
 package service
 
 import (
@@ -51,9 +52,10 @@ type Hooks struct {
 	// BeforeHandle, when non-nil, runs at the top of every counted
 	// handler, inside the panic-recovery scope.
 	BeforeHandle func(*http.Request)
-	// WrapTier, when non-nil, interposes on the artifact tier between
-	// the store and the retry/breaker guard (e.g. a faultfs.Tier).
-	WrapTier func(harness.ArtifactTier) harness.ArtifactTier
+	// StoreLayer, when non-nil, is installed on the artifact store
+	// between peer fetch and the retry/breaker guard (e.g. a
+	// faultfs.Tier's Layer).
+	StoreLayer artifact.Layer
 }
 
 // Config bounds and sizes a Server.
@@ -95,20 +97,6 @@ type Config struct {
 	// QueueWait bounds how long a request may park before being shed
 	// with 429. ≤ 0 means unbounded.
 	QueueWait time.Duration
-
-	// StoreRetries is the extra attempts per failed artifact-store
-	// operation (0 means the default of 2; negative disables retries).
-	StoreRetries int
-	// StoreBackoff is the sleep before the first retry, doubling per
-	// attempt; ≤ 0 means the default (10ms).
-	StoreBackoff time.Duration
-	// StoreTripAfter opens the circuit breaker after this many
-	// consecutive failed store operations (0 means the default of 5).
-	StoreTripAfter int
-	// StoreCooldown is how long a tripped breaker keeps the service
-	// compute-only before probing the store again; ≤ 0 means the
-	// default (30s).
-	StoreCooldown time.Duration
 
 	// MaxBodyBytes caps every request body via http.MaxBytesReader
 	// (reads past it fail and answer 413 payload_too_large). 0 means
@@ -235,12 +223,12 @@ func New(cfg Config) (*Server, error) {
 		if store, err = artifact.Open(cfg.ArtifactDir); err != nil {
 			return nil, err
 		}
-		var tier harness.ArtifactTier = store
-		// With ring peers, the remote tier sits directly over the local
-		// store: a local miss pulls the finished artifact from the
-		// workload's previous owner instead of re-profiling. The chaos
-		// WrapTier and the retry/breaker guard stack on top, so peer
-		// fetches ride the same resilience machinery as disk reads.
+		// The store's layers stack innermost first: with ring peers,
+		// peer fetch sits directly over the local disk, so a local miss
+		// pulls the finished artifact from the workload's previous owner
+		// instead of re-profiling. The chaos StoreLayer and the
+		// retry/breaker guard stack outside it, so peer fetches ride the
+		// same resilience machinery as disk reads.
 		if ring != nil && ring.Len() > 1 {
 			var others []string
 			for _, p := range ring.Nodes() {
@@ -251,32 +239,20 @@ func New(cfg Config) (*Server, error) {
 			if remote, err = artifact.NewRemoteTier(store, artifact.RemoteOptions{Peers: others}); err != nil {
 				return nil, err
 			}
-			tier = remote
+			store.Use(remote.Layer)
 		}
-		if cfg.Hooks.WrapTier != nil {
-			tier = cfg.Hooks.WrapTier(tier)
+		if cfg.Hooks.StoreLayer != nil {
+			store.Use(cfg.Hooks.StoreLayer)
 		}
-		retries := cfg.StoreRetries
-		switch {
-		case retries == 0:
-			retries = 2
-		case retries < 0:
-			retries = 0
-		}
-		tripAfter := cfg.StoreTripAfter
-		if tripAfter == 0 {
-			tripAfter = 5
-		}
-		guard = newStoreGuard(tier, retries, cfg.StoreBackoff, tripAfter, cfg.StoreCooldown)
+		guard = newStoreGuard()
+		store.Use(guard.layer)
 	}
 	budget := par.NewBudget(cfg.Workers)
 	poolOpts := harness.PoolOptions{
 		MaxWorkloads:  cfg.MaxWorkloads,
 		MaxPlaneBytes: cfg.MaxPlaneBytes,
 		MinDynInsts:   cfg.MinDynInsts,
-	}
-	if guard != nil {
-		poolOpts.Store = guard
+		Store:         store,
 	}
 	// The ingestion registry persists alongside the artifact store (an
 	// "ingest" subdirectory) so both survive the same restarts; without

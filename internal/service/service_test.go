@@ -183,7 +183,7 @@ func TestPredictSingleflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := srv.Pool().ProfileCount(); n != 1 {
+	if n := srv.Pool().Stats().Profiles; n != 1 {
 		t.Fatalf("%d concurrent predicts ran %d profiling executions, want 1", callers, n)
 	}
 	var m Metrics
