@@ -193,7 +193,7 @@ func TestTracetestOnlyInTests(t *testing.T) {
 // policy plugs in as an artifact.Layer instead of a forwarding
 // wrapper.
 func TestOneArtifactSurface(t *testing.T) {
-	ops := []string{"LoadWorkload", "SaveWorkload", "LoadMemPlane", "SaveMemPlane", "LoadBranchPlane", "SaveBranchPlane"}
+	ops := []string{"LoadWorkload", "SaveWorkload", "LoadMemPlane", "LoadMemPlanes", "SaveMemPlane", "SaveMemPlaneAlias", "LoadBranchPlane", "SaveBranchPlane"}
 	onStore := map[string]bool{}
 	eachSource(t, []string{"internal", "cmd", "examples", "bench"}, func(fset *token.FileSet, path string, f *ast.File) {
 		inArtifact := filepath.ToSlash(filepath.Dir(path)) == "internal/artifact"

@@ -24,24 +24,45 @@
 //
 // Section payloads reuse the trace codecs (per-chunk CRC-32C inside)
 // and fixed-order int64 encodings for profiles and cache statistics.
+// The sections of each kind:
+//
+//	workload:     "trace", "profile"
+//	branch-plane: "mispredicts"
+//	mem-plane:    body:  "classes" (the plane), "stats"
+//	              alias: "alias" (u64 plane length, u32 len + the
+//	                     identity of the body holding the plane),
+//	                     "stats"
+//
+// Hierarchies whose planes are equal (common: an L2 the trace fits
+// classifies every access alike at every size) share one mem-plane
+// body. The first of them stores it, every other one an alias record
+// with its own statistics, written after the body. A load follows one
+// alias hop, never two, and requires the holder to be a body of the
+// same workload of the recorded length, so a dangling, cyclic or
+// mismatched alias is an unusable file like any other.
+//
 // Every load takes one path (see mapped.go): get the file's bytes —
 // mapped read-only where the platform allows, else read into memory
 // under the whole-file SHA-256 — then parse the frame, check the
 // identity, verify the per-section CRC of each scalar section (new in
 // format version 2) and hand the chunked sections to their codecs,
-// which carry CRCs of their own. Writes go to a temp file in the store
-// directory followed by an atomic rename, so concurrent writers of one
-// key are safe: both produce identical bytes (determinism) and the
-// last rename wins.
+// which carry CRCs of their own. Writes stream the file, checksums
+// included, through a bounded buffer into a temp file in the store
+// directory followed by an atomic rename, so no save holds a file
+// image and concurrent writers of one key are safe: both produce
+// identical bytes (determinism) and the last rename wins.
 package artifact
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -66,8 +87,10 @@ import (
 // count in the trace header; version 5 narrows the id column to 2
 // bytes, under a dictionary of at most trace.MaxTuples entries; version
 // 6 stores the ids of every chunk recorded while the dictionary fits a
-// byte in 1 byte each, behind a width byte per chunk.
-const FormatVersion = 6
+// byte in 1 byte each, behind a width byte per chunk; version 7 stores
+// a mem plane shared by several hierarchies of a workload once, the
+// others holding alias records to it.
+const FormatVersion = 7
 
 // Ext is the artifact file extension.
 const Ext = ".rpaf"
@@ -122,7 +145,8 @@ type Store struct {
 	dir    string
 	layers []Layer // see Use; innermost first
 
-	mappedLoads atomic.Int64 // loads served through a file mapping
+	mappedLoads  atomic.Int64 // loads served through a file mapping
+	mappedBodies atomic.Int64 // mem-plane bodies among them
 }
 
 // Op classifies the store's typed operations for layers. The values
@@ -130,9 +154,12 @@ type Store struct {
 type Op uint8
 
 const (
-	// OpLoad covers LoadWorkload, LoadMemPlane and LoadBranchPlane.
+	// OpLoad covers LoadWorkload, LoadMemPlane(s) and LoadBranchPlane:
+	// one operation per file read, so following an alias record to
+	// its holder's body is two.
 	OpLoad Op = 1 << iota
-	// OpSave covers SaveWorkload, SaveMemPlane and SaveBranchPlane.
+	// OpSave covers SaveWorkload, SaveMemPlane, SaveMemPlaneAlias and
+	// SaveBranchPlane.
 	OpSave
 )
 
@@ -194,6 +221,16 @@ func (s *Store) MappedLoadCount() int64 {
 		return 0
 	}
 	return s.mappedLoads.Load()
+}
+
+// MappedBodyCount reports how many mem-plane bodies this store's loads
+// have mapped. A batch of loads (LoadMemPlanes) maps each body once,
+// however many alias records name it.
+func (s *Store) MappedBodyCount() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.mappedBodies.Load()
 }
 
 // Probe verifies the store directory is writable by creating and
@@ -258,7 +295,13 @@ func hierIdentity(h cache.HierarchyConfig) string {
 // memPlaneIdentity returns the key preimage of one hierarchy's plane
 // for the workload stored under workloadKey.
 func memPlaneIdentity(workloadKey string, h cache.HierarchyConfig) string {
-	return fmt.Sprintf("v%d|memplane|workload=%s|%s", FormatVersion, workloadKey, hierIdentity(h))
+	return memPlanePrefix(workloadKey) + hierIdentity(h)
+}
+
+// memPlanePrefix is the part of a mem-plane identity shared by every
+// hierarchy of the workload stored under workloadKey.
+func memPlanePrefix(workloadKey string) string {
+	return fmt.Sprintf("v%d|memplane|workload=%s|", FormatVersion, workloadKey)
 }
 
 // branchPlaneIdentity returns the key preimage of one predictor's
@@ -290,44 +333,68 @@ type section struct {
 	payload payload
 }
 
-// encode renders a complete artifact file image. The buffer is sized
-// exactly from the section lengths and every payload encodes straight
-// into it, so a save holds one file image, never a second copy of a
-// section or a growth copy.
-func encode(kind Kind, identity string, sections []section) ([]byte, error) {
-	size := int64(headerBytes + len(identity) + 4 + sha256.Size)
-	for _, sec := range sections {
-		size += int64(4+len(sec.name)+8+4) + sec.payload.EncodedSize()
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	buf.Write(magic[:])
+// encodeTo streams a complete artifact file to w: header, sections
+// with their CRC-32C, then the SHA-256 of everything before it. Every
+// payload encodes straight into w through a frameWriter, which folds
+// the bytes into both checksums on the way, so a save never holds the
+// file image (or a section of it) in memory.
+func encodeTo(w io.Writer, kind Kind, identity string, sections []section) error {
+	fw := &frameWriter{w: w, sum: sha256.New()}
 	le := binary.LittleEndian
-	var u32 [4]byte
-	var u64 [8]byte
-	le.PutUint32(u32[:], FormatVersion)
-	buf.Write(u32[:])
-	buf.WriteByte(byte(kind))
-	le.PutUint32(u32[:], uint32(len(identity)))
-	buf.Write(u32[:])
-	buf.WriteString(identity)
-	le.PutUint32(u32[:], uint32(len(sections)))
-	buf.Write(u32[:])
+	var hdr [headerBytes]byte
+	copy(hdr[:], magic[:])
+	le.PutUint32(hdr[4:], FormatVersion)
+	hdr[8] = byte(kind)
+	le.PutUint32(hdr[9:], uint32(len(identity)))
+	fw.Write(hdr[:])
+	io.WriteString(fw, identity)
+	fw.u32(uint32(len(sections)))
 	for _, sec := range sections {
-		le.PutUint32(u32[:], uint32(len(sec.name)))
-		buf.Write(u32[:])
-		buf.WriteString(sec.name)
+		fw.u32(uint32(len(sec.name)))
+		io.WriteString(fw, sec.name)
+		var u64 [8]byte
 		le.PutUint64(u64[:], uint64(sec.payload.EncodedSize()))
-		buf.Write(u64[:])
-		start := buf.Len()
-		if _, err := sec.payload.WriteTo(buf); err != nil {
-			return nil, fmt.Errorf("artifact: encoding section %q: %w", sec.name, err)
+		fw.Write(u64[:])
+		fw.crc = 0
+		if _, err := sec.payload.WriteTo(fw); err != nil && fw.err == nil {
+			fw.err = fmt.Errorf("artifact: encoding section %q: %w", sec.name, err)
 		}
-		le.PutUint32(u32[:], crc32.Checksum(buf.Bytes()[start:], castagnoli))
-		buf.Write(u32[:])
+		fw.u32(fw.crc)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	return buf.Bytes(), nil
+	if fw.err != nil {
+		return fw.err
+	}
+	_, err := w.Write(fw.sum.Sum(nil))
+	return err
+}
+
+// frameWriter passes an artifact's bytes to w while hashing all of
+// them into sum and the current section's into crc. It latches the
+// first write error and drops everything after it.
+type frameWriter struct {
+	w   io.Writer
+	sum hash.Hash
+	crc uint32
+	err error
+}
+
+func (fw *frameWriter) Write(b []byte) (int, error) {
+	if fw.err != nil {
+		return 0, fw.err
+	}
+	fw.sum.Write(b)
+	fw.crc = crc32.Update(fw.crc, castagnoli, b)
+	if _, fw.err = fw.w.Write(b); fw.err != nil {
+		return 0, fw.err
+	}
+	return len(b), nil
+}
+
+// u32 writes v little-endian.
+func (fw *frameWriter) u32(v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	fw.Write(b[:])
 }
 
 // headerBytes is the size of an artifact's fixed header: magic,
@@ -432,10 +499,15 @@ func parseFrame(data []byte, wantKind Kind, wantIdentity string) (map[string]sec
 // path returns the file path of a content key.
 func (s *Store) path(key string) string { return filepath.Join(s.dir, key+Ext) }
 
-// write atomically installs an encoded artifact under key: temp file
-// in the store directory, then rename. Concurrent writers of one key
-// race renames of byte-identical files, which is harmless.
-func (s *Store) write(key string, data []byte) error {
+// writeBufBytes bounds the buffer between an artifact's encoders and
+// its file.
+const writeBufBytes = 32 << 10
+
+// write atomically installs the artifact that fill streams under key:
+// temp file in the store directory, written through a bounded buffer,
+// then rename. Concurrent writers of one key race renames of
+// byte-identical files, which is harmless.
+func (s *Store) write(key string, fill func(io.Writer) error) error {
 	if s == nil {
 		return nil
 	}
@@ -444,7 +516,8 @@ func (s *Store) write(key string, data []byte) error {
 		return fmt.Errorf("artifact: writing %s: %w", key, err)
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
+	bw := bufio.NewWriterSize(f, writeBufBytes)
+	if err := cmp.Or(fill(bw), bw.Flush()); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
 		return fmt.Errorf("artifact: writing %s: %w", key, err)
@@ -482,25 +555,21 @@ func (s *Store) SaveWorkload(id WorkloadID, tr *trace.Trace, prof *profile.Profi
 func (s *Store) save(kind Kind, identity string, sections []section) (string, error) {
 	key := KeyOf(identity)
 	return key, s.through(OpSave, key, func() error {
-		data, err := encode(kind, identity, sections)
-		if err != nil {
-			return err
-		}
-		return s.write(key, data)
+		return s.write(key, func(w io.Writer) error { return encodeTo(w, kind, identity, sections) })
 	})
 }
 
 // load opens the artifact of kind and identity through the store's
-// layers and hands it to decode. aliased marks results that keep
-// referencing the file mapping (see finish).
-func (s *Store) load(kind Kind, identity string, aliased bool, decode func(*file) error) error {
+// layers and hands it to decode, which marks the file aliased when its
+// results keep referencing the file mapping (see finish).
+func (s *Store) load(kind Kind, identity string, decode func(*file) error) error {
 	key := KeyOf(identity)
 	return s.through(OpLoad, key, func() error {
 		f, err := s.open(kind, key, identity)
 		if err != nil {
 			return err
 		}
-		return s.finish(f, decode(f), aliased)
+		return s.finish(f, decode(f))
 	})
 }
 
@@ -508,7 +577,7 @@ func (s *Store) load(kind Kind, identity string, aliased bool, decode func(*file
 // returns ErrNotFound; an unusable one returns an error wrapping
 // ErrInvalid — in both cases the caller profiles fresh.
 func (s *Store) LoadWorkload(id WorkloadID) (tr *trace.Trace, prof *profile.Profile, err error) {
-	if err = s.load(KindWorkload, id.Identity(), false, func(f *file) (err error) {
+	if err = s.load(KindWorkload, id.Identity(), func(f *file) (err error) {
 		tr, prof, err = f.workload()
 		return err
 	}); err != nil {
@@ -528,7 +597,8 @@ func (s *Store) HasWorkload(id WorkloadID) bool {
 }
 
 // SaveMemPlane stores one hierarchy's memory-event plane and its
-// simulator-exact cache statistics under the owning workload's key.
+// simulator-exact cache statistics under the owning workload's key: a
+// mem-plane body.
 func (s *Store) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classes *trace.BytePlane, st cache.Stats) error {
 	if s == nil {
 		return nil
@@ -540,16 +610,103 @@ func (s *Store) SaveMemPlane(workloadKey string, h cache.HierarchyConfig, classe
 	return err
 }
 
-// LoadMemPlane rehydrates one hierarchy's plane and statistics. A
-// mapped plane aliases the file mapping.
-func (s *Store) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (plane *trace.BytePlane, st cache.Stats, err error) {
-	if err = s.load(KindMemPlane, memPlaneIdentity(workloadKey, h), true, func(f *file) (err error) {
-		plane, st, err = f.memPlane()
-		return err
-	}); err != nil {
-		return nil, cache.Stats{}, err
+// SaveMemPlaneAlias stores hierarchy h's cache statistics with an
+// alias record in place of its plane: h's plane, n bytes long, is the
+// one in the body saved for holder in the same workload. Save the
+// holder's body first; a load of h follows the alias to it.
+func (s *Store) SaveMemPlaneAlias(workloadKey string, h, holder cache.HierarchyConfig, n int64, st cache.Stats) error {
+	if s == nil {
+		return nil
 	}
-	return plane, st, nil
+	_, err := s.save(KindMemPlane, memPlaneIdentity(workloadKey, h), []section{
+		{"alias", raw(encodeAlias(n, memPlaneIdentity(workloadKey, holder)))},
+		{"stats", raw(encodeCacheStats(st))},
+	})
+	return err
+}
+
+// LoadMemPlane rehydrates one hierarchy's plane and statistics,
+// following an alias record to its holder's body (see LoadMemPlanes).
+// A mapped plane aliases the file mapping.
+func (s *Store) LoadMemPlane(workloadKey string, h cache.HierarchyConfig) (*trace.BytePlane, cache.Stats, error) {
+	r := s.LoadMemPlanes(workloadKey, []cache.HierarchyConfig{h})[0]
+	return r.Plane, r.Stats, r.Err
+}
+
+// LoadedMemPlane is one hierarchy's outcome of LoadMemPlanes: its
+// plane and statistics, or the error of its load.
+type LoadedMemPlane struct {
+	Plane *trace.BytePlane
+	Stats cache.Stats
+	Err   error
+}
+
+// LoadMemPlanes rehydrates the planes and statistics of the
+// hierarchies hs of one workload, indexed like hs. A hierarchy stored
+// as an alias record takes its plane from the holder's body: the load
+// follows exactly one hop, and the holder must be a mem-plane body of
+// the same workload whose plane has the length the alias records, or
+// the load wraps ErrInvalid (ErrNotFound when the holder is missing).
+// The batch opens each body once: every hierarchy whose record is, or
+// aliases, one body gets the same *trace.BytePlane.
+func (s *Store) LoadMemPlanes(workloadKey string, hs []cache.HierarchyConfig) []LoadedMemPlane {
+	out := make([]LoadedMemPlane, len(hs))
+	bodies := make(map[string]LoadedMemPlane) // identity -> loaded body
+	for i, h := range hs {
+		id := memPlaneIdentity(workloadKey, h)
+		if b, ok := bodies[id]; ok {
+			out[i] = b
+			continue
+		}
+		r, holder, n := s.loadMemRecord(id)
+		if holder == "" { // a body, or a failed load
+			bodies[id] = r
+			out[i] = r
+			continue
+		}
+		b, ok := bodies[holder]
+		if !ok {
+			b = s.loadHolder(workloadKey, holder)
+			bodies[holder] = b
+		}
+		if b.Err == nil && b.Plane.Len() != n {
+			b.Err = fmt.Errorf("%w: alias of %d instructions, holder plane has %d", ErrInvalid, n, b.Plane.Len())
+		}
+		if b.Err != nil {
+			r.Err = fmt.Errorf("artifact %s: alias holder: %w", KeyOf(id), b.Err)
+		} else {
+			r.Plane = b.Plane
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// loadMemRecord loads the mem-plane record of identity: a body's plane
+// and statistics, or an alias's statistics, its holder's identity and
+// the plane length it records.
+func (s *Store) loadMemRecord(identity string) (r LoadedMemPlane, holder string, n int64) {
+	r.Err = s.load(KindMemPlane, identity, func(f *file) (err error) {
+		r.Plane, r.Stats, holder, n, err = f.memPlane()
+		return err
+	})
+	if r.Err != nil {
+		return LoadedMemPlane{Err: r.Err}, "", 0
+	}
+	return r, holder, n
+}
+
+// loadHolder loads the body an alias of workloadKey names by its
+// identity holder, which must be a mem-plane body of that workload.
+func (s *Store) loadHolder(workloadKey, holder string) LoadedMemPlane {
+	if !strings.HasPrefix(holder, memPlanePrefix(workloadKey)) {
+		return LoadedMemPlane{Err: fmt.Errorf("%w: alias holder %q is not a mem plane of this workload", ErrInvalid, holder)}
+	}
+	b, next, _ := s.loadMemRecord(holder)
+	if next != "" {
+		return LoadedMemPlane{Err: fmt.Errorf("artifact %s: %w: alias holder is itself an alias", KeyOf(holder), ErrInvalid)}
+	}
+	return b
 }
 
 // SaveBranchPlane stores one predictor's mispredict plane under the
@@ -564,7 +721,7 @@ func (s *Store) SaveBranchPlane(workloadKey, predictor string, p *trace.BitPlane
 
 // LoadBranchPlane rehydrates one predictor's mispredict plane.
 func (s *Store) LoadBranchPlane(workloadKey, predictor string) (p *trace.BitPlane, err error) {
-	if err = s.load(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor), false, func(f *file) (err error) {
+	if err = s.load(KindBranchPlane, branchPlaneIdentity(workloadKey, predictor), func(f *file) (err error) {
 		p, err = f.branchPlane()
 		return err
 	}); err != nil {

@@ -171,3 +171,25 @@ func decodeCacheStats(data []byte) (cache.Stats, error) {
 	}
 	return st, r.finish("cache stats")
 }
+
+// encodeAlias serializes an alias record: the length n of the plane it
+// stands for and the identity of the mem-plane body that holds it.
+func encodeAlias(n int64, holder string) []byte {
+	dst := appendI64(nil, n)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(holder)))
+	return append(dst, holder...)
+}
+
+// decodeAlias rebuilds an alias record.
+func decodeAlias(data []byte) (n int64, holder string, err error) {
+	r := &i64Reader{data: data}
+	n = r.i64()
+	holder = r.str("alias holder identity")
+	if err := r.finish("alias"); err != nil {
+		return 0, "", err
+	}
+	if n < 0 || holder == "" {
+		return 0, "", fmt.Errorf("%w: alias of %d instructions held by %q", ErrInvalid, n, holder)
+	}
+	return n, holder, nil
+}

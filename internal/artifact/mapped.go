@@ -40,11 +40,13 @@ import (
 // treating a damaged file as a disk fault.
 
 // file is an opened artifact: its parsed sections and the mapping they
-// lie in, nil when the bytes were read into memory.
+// lie in, nil when the bytes were read into memory. A decode that hands
+// out results aliasing the mapping sets aliased.
 type file struct {
-	key  string
-	secs map[string]secView
-	m    *trace.Mapping
+	key     string
+	secs    map[string]secView
+	m       *trace.Mapping
+	aliased bool
 }
 
 // open returns the framed artifact stored under key, the content key
@@ -94,9 +96,9 @@ func (s *Store) readFile(key string) ([]byte, error) {
 
 // finish ends a load of f whose decode returned err. The mapping is
 // released unless the decoded result aliases it; a successful mapped
-// load is counted.
-func (s *Store) finish(f *file, err error, aliased bool) error {
-	if err != nil || !aliased {
+// load is counted, and so is a mapped mem-plane body.
+func (s *Store) finish(f *file, err error) error {
+	if err != nil || !f.aliased {
 		_ = f.m.Close()
 	}
 	if err != nil {
@@ -104,6 +106,9 @@ func (s *Store) finish(f *file, err error, aliased bool) error {
 	}
 	if f.m != nil {
 		s.mappedLoads.Add(1)
+		if f.aliased {
+			s.mappedBodies.Add(1)
+		}
 	}
 	return nil
 }
@@ -156,26 +161,38 @@ func (f *file) workload() (*trace.Trace, *profile.Profile, error) {
 	return tr, prof, nil
 }
 
-// memPlane decodes a mem-plane artifact. The plane aliases the file's
-// bytes; the statistics are a copy.
-func (f *file) memPlane() (*trace.BytePlane, cache.Stats, error) {
-	cb, err := f.section("classes")
-	if err != nil {
-		return nil, cache.Stats{}, err
-	}
+// memPlane decodes a mem-plane artifact: a body's plane, which
+// aliases the file's bytes, and statistics, or an alias record's
+// statistics, holder identity and plane length. The statistics are a
+// copy.
+func (f *file) memPlane() (plane *trace.BytePlane, st cache.Stats, holder string, n int64, err error) {
 	sb, err := f.scalar("stats")
 	if err != nil {
-		return nil, cache.Stats{}, err
+		return nil, cache.Stats{}, "", 0, err
 	}
-	st, err := decodeCacheStats(sb)
+	if st, err = decodeCacheStats(sb); err != nil {
+		return nil, cache.Stats{}, "", 0, err
+	}
+	if _, ok := f.secs["alias"]; ok {
+		ab, err := f.scalar("alias")
+		if err != nil {
+			return nil, cache.Stats{}, "", 0, err
+		}
+		n, holder, err = decodeAlias(ab)
+		if err != nil {
+			return nil, cache.Stats{}, "", 0, err
+		}
+		return nil, st, holder, n, nil
+	}
+	cb, err := f.section("classes")
 	if err != nil {
-		return nil, cache.Stats{}, err
+		return nil, cache.Stats{}, "", 0, err
 	}
-	plane, err := trace.MapBytePlane(cb, f.m)
-	if err != nil {
-		return nil, cache.Stats{}, codecErr(err)
+	if plane, err = trace.MapBytePlane(cb, f.m); err != nil {
+		return nil, cache.Stats{}, "", 0, codecErr(err)
 	}
-	return plane, st, nil
+	f.aliased = true
+	return plane, st, "", 0, nil
 }
 
 // branchPlane decodes a branch-plane artifact into a copy: bit-plane

@@ -87,7 +87,10 @@ func (s *Store) InstallRaw(key string, data []byte) error {
 	if KeyOf(identity) != key {
 		return fmt.Errorf("%w: identity %q does not hash to key %s", ErrInvalid, identity, key)
 	}
-	return s.write(key, data)
+	return s.write(key, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // RemoteOptions configures a RemoteTier.

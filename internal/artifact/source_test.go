@@ -134,7 +134,7 @@ func TestReadSourceMatchesMapped(t *testing.T) {
 	if f, err = openFromMemory(s, KindMemPlane, memPlaneIdentity(wkey, hier)); err != nil {
 		t.Fatal(err)
 	}
-	rplane, rst, err := f.memPlane()
+	rplane, rst, _, _, err := f.memPlane()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"slices"
@@ -47,7 +48,14 @@ type L2SpaceSim struct {
 	n    int64 // instructions consumed: every one is an L1-I access
 	dAcc int64 // loads and stores consumed: the L1-D accesses
 
-	recording bool // RecordPlanes was called
+	// Annotation mode (RecordPlanes): the first recorded geometry, the
+	// lead, always writes a window of its own; every other geometry
+	// takes one only once a byte of it differs from the lead's in the
+	// chunk (see sealChunk). spare holds windows free for reuse, kept
+	// the distinct chunks of the chunk being sealed.
+	recording   bool
+	lead        *planeGeom
+	spare, kept [][]uint8
 }
 
 // l1Side is one side (instruction or data) of every front: its
@@ -310,7 +318,10 @@ func (s *L2SpaceSim) locate(h HierarchyConfig) (fi, k int, err error) {
 
 // planeGeom is one recorded L2 geometry of a front: which of the
 // front's simulators resolves it and at what associativity, plus the
-// plane being built and its chunk under construction.
+// plane being built and the window its chunk under construction is
+// written into. cur is nil while the geometry follows the lead (see
+// L2SpaceSim.lead): every byte it has produced in the chunk so far
+// equals the lead's, so the lead's window holds them.
 type planeGeom struct {
 	sim  int // index into the front's sims
 	ways int32
@@ -350,7 +361,13 @@ func (s *L2SpaceSim) RecordPlanes(hiers []HierarchyConfig) error {
 		f.iDepths = make([]int32, len(f.sims))
 		f.dDepths = make([]int32, len(f.sims))
 	}
-	s.recording = true
+	for fi := range s.fronts {
+		if len(s.fronts[fi].rec) > 0 {
+			s.lead = &s.fronts[fi].rec[0]
+			break
+		}
+	}
+	s.recording = s.lead != nil
 	return nil
 }
 
@@ -373,26 +390,79 @@ func (s *L2SpaceSim) PlaneFor(h HierarchyConfig) (*trace.BytePlane, error) {
 // the I-fetch first, then (for loads/stores) the dirty L1 victim's L2
 // writeback, then the demand data access. It reads the chunk's columns
 // directly: PC and flags from the dictionary, addresses from the Addr
-// column with a running index. In annotation mode it takes one zeroed
-// chunk per recorded geometry from that geometry's plane builder and
-// writes only the instructions whose event byte is non-zero.
+// column with a running index. In annotation mode it writes each
+// recorded geometry's bytes of the chunk into a window (only the
+// instructions some front saw an event on), then appends the chunk to
+// the geometry's plane (see sealChunk).
 func (s *L2SpaceSim) ConsumeChunk(ck *trace.Columns) {
 	if ck.Wide() {
 		consumeChunk(s, ck, ck.ID16[:ck.N])
 	} else {
 		consumeChunk(s, ck, ck.ID8[:ck.N])
 	}
+	if s.recording {
+		s.sealChunk(ck.N)
+	}
+}
+
+// window returns a zeroed chunk window, reusing a spare one if any.
+func (s *L2SpaceSim) window() []uint8 {
+	if k := len(s.spare); k > 0 {
+		w := s.spare[k-1]
+		s.spare = s.spare[:k-1]
+		clear(w)
+		return w
+	}
+	return make([]uint8, trace.ChunkLen)
+}
+
+// openChunk readies the recorded geometries for a new chunk: the lead
+// gets a fresh window, and every other geometry follows it.
+func (s *L2SpaceSim) openChunk() {
+	for fi := range s.fronts {
+		for r := range s.fronts[fi].rec {
+			s.fronts[fi].rec[r].cur = nil
+		}
+	}
+	s.lead.cur = s.window()
+}
+
+// sealChunk appends the n-byte chunk each recorded geometry has just
+// produced to that geometry's plane. A geometry that followed the lead
+// through the chunk appends the lead's window itself, and one whose
+// window equals an earlier geometry's chunk appends that chunk and
+// frees its window; every other window becomes a chunk of its own. So
+// planes that agree over a chunk share one array, and memory holds
+// about one byte per instruction per distinct chunk rather than one
+// per geometry: geometries often agree (an L2 the trace's footprint
+// fits produces the same classes at every size).
+func (s *L2SpaceSim) sealChunk(n int) {
+	kept := s.kept[:0]
+	for fi := range s.fronts {
+		for r := range s.fronts[fi].rec {
+			g := &s.fronts[fi].rec[r]
+			c := g.cur
+			if c == nil {
+				c = s.lead.cur
+			} else if k := slices.IndexFunc(kept, func(k []uint8) bool { return bytes.Equal(k[:n], c[:n]) }); k >= 0 {
+				s.spare = append(s.spare, c)
+				c = kept[k]
+			} else {
+				kept = append(kept, c)
+			}
+			g.b.AppendShared(c, n)
+		}
+	}
+	s.kept = kept
 }
 
 // consumeChunk is ConsumeChunk over the chunk's id column ids.
 func consumeChunk[I trace.ID](s *L2SpaceSim, ck *trace.Columns, ids []I) {
 	s.n += int64(ck.N)
 	fronts := s.fronts
-	for fi := range fronts {
-		for r := range fronts[fi].rec {
-			g := &fronts[fi].rec[r]
-			g.cur = g.b.AppendChunk(ck.N)
-		}
+	lead := s.lead
+	if lead != nil {
+		s.openChunk()
 	}
 	// The warm state lives in locals for the chunk: a warm access
 	// changes nothing but access counts, which are derived from n and
@@ -479,6 +549,13 @@ func consumeChunk[I trace.ID](s *L2SpaceSim, ck *trace.Columns, ids []I) {
 				}
 				if b&trace.AnnDL1Miss != 0 && f.dDepths[g.sim] >= g.ways {
 					b |= trace.AnnDL2Miss
+				}
+				if g.cur == nil { // following the lead
+					if b == lead.cur[j] {
+						continue
+					}
+					g.cur = s.window()
+					copy(g.cur[:j], lead.cur[:j])
 				}
 				g.cur[j] = b
 			}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/branch"
@@ -588,9 +589,9 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		computeH, computeP := mineH, mineP
 		if pw.store != nil {
 			computeH = nil
-			for _, h := range mineH {
-				if classes, stats, err := pw.store.LoadMemPlane(pw.storeKey, h); err == nil {
-					memRes[h] = &MemPlane{Classes: classes, Stats: stats}
+			for i, r := range pw.store.LoadMemPlanes(pw.storeKey, mineH) {
+				if h := mineH[i]; r.Err == nil {
+					memRes[h] = &MemPlane{Classes: r.Plane, Stats: r.Stats}
 				} else {
 					computeH = append(computeH, h)
 				}
@@ -629,10 +630,6 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 			}
 			return nil
 		})
-		// Write-through of every fresh plane, run below before
-		// canonicalization swaps pointers (contents are equal either
-		// way).
-		var saves []func()
 		rawH := make(map[cache.HierarchyConfig]cache.Stats)
 		rawP := make(map[uarch.PredictorKind]branch.Stats)
 		for i, group := range groups {
@@ -644,12 +641,8 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 					memErrs[h] = frontErr[i]
 					continue
 				}
-				mp := frontRes[i][h]
 				rawH[h] = frontRaw[i][h]
-				if pw.store != nil {
-					saves = append(saves, func() { _ = pw.store.SaveMemPlane(pw.storeKey, h, mp.Classes, mp.Stats) })
-				}
-				memRes[h] = mp
+				memRes[h] = frontRes[i][h]
 			}
 		}
 		for i, pk := range computeP {
@@ -661,39 +654,32 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 				continue
 			}
 			rawP[pk] = brSt[i]
-			if pw.store != nil {
-				bp := brRes[i]
-				saves = append(saves, func() { _ = pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), bp) })
-			}
 			brResM[pk] = brRes[i]
 		}
-		// The saves are independent files, so they fan out over the
-		// same workers; each file's bytes do not depend on the order.
-		// They all finish before the call returns. Save errors are
-		// ignored: the disk tier can only skip work.
-		_ = par.ForEachCtx(context.Background(), workers, len(saves), func(i int) error {
-			saves[i]()
-			return nil
-		})
 
-		// Canonicalize outside the lock (plane comparison walks whole
-		// chunks), then publish, charge and budget-evict under it.
-		// Disk-loaded planes canonicalize too: two hierarchies whose
-		// stored planes coincide still collapse to one object, so the
-		// byte accounting and timing memoization behave exactly as for
-		// computed planes.
+		// Canonicalize outside the lock (plane comparison reads the
+		// chunks two planes do not share) and write through, then
+		// publish, charge and budget-evict under the lock. Disk-loaded
+		// planes canonicalize too: two hierarchies whose stored planes
+		// coincide still collapse to one object, so the byte
+		// accounting and timing memoization behave exactly as for
+		// computed planes. Each distinct object joins the seeds once.
 		for _, h := range mineH {
 			if mp := memRes[h]; mp != nil {
-				mp.Classes = canonicalize(memSeeds, mp.Classes)
-				memSeeds = append(memSeeds, mp.Classes)
+				if mp.Classes = canonicalize(memSeeds, mp.Classes); !slices.Contains(memSeeds, mp.Classes) {
+					memSeeds = append(memSeeds, mp.Classes)
+				}
 			}
 		}
 		for _, pk := range mineP {
 			if bp := brResM[pk]; bp != nil {
-				q := canonicalize(brSeeds, bp)
-				brResM[pk] = q
-				brSeeds = append(brSeeds, q)
+				if brResM[pk] = canonicalize(brSeeds, bp); !slices.Contains(brSeeds, brResM[pk]) {
+					brSeeds = append(brSeeds, brResM[pk])
+				}
 			}
+		}
+		if pw.store != nil {
+			pw.writeThrough(workers, computeH, memRes, computeP, brResM)
 		}
 
 		var firstErr error
@@ -733,6 +719,55 @@ func (pw *Profiled) ensureAnnotated(ctx context.Context, cfgs []uarch.Config, wo
 		anns[i] = pipeline.Annotation{Mem: mp.Classes, MemStats: mp.Stats, Br: bp}
 	}
 	return anns, nil
+}
+
+// writeThrough saves the freshly computed planes of hs and pks, which
+// the caller has canonicalized, to the artifact store. The first
+// hierarchy of each distinct plane object saves it as a mem-plane
+// body; every later one saves an alias record naming that holder,
+// after the body is written (an alias whose body failed to save is
+// skipped). The saves of each phase are independent files, so they
+// fan out over workers; each file's bytes do not depend on the order.
+// Save errors are ignored: the disk tier can only skip work.
+func (pw *Profiled) writeThrough(workers int, hs []cache.HierarchyConfig, mem map[cache.HierarchyConfig]*MemPlane, pks []uarch.PredictorKind, br map[uarch.PredictorKind]*trace.BitPlane) {
+	type holder struct {
+		h    cache.HierarchyConfig
+		body int // index into bodies
+	}
+	holders := make(map[*trace.BytePlane]holder)
+	var bodies, aliases []func() error
+	var holderOf []int // per alias: the index of its holder's body
+	for _, h := range hs {
+		mp := mem[h]
+		if mp == nil {
+			continue
+		}
+		if hd, ok := holders[mp.Classes]; ok {
+			aliases = append(aliases, func() error {
+				return pw.store.SaveMemPlaneAlias(pw.storeKey, h, hd.h, mp.Classes.Len(), mp.Stats)
+			})
+			holderOf = append(holderOf, hd.body)
+			continue
+		}
+		holders[mp.Classes] = holder{h, len(bodies)}
+		bodies = append(bodies, func() error { return pw.store.SaveMemPlane(pw.storeKey, h, mp.Classes, mp.Stats) })
+	}
+	for _, pk := range pks {
+		if bp := br[pk]; bp != nil {
+			bodies = append(bodies, func() error { return pw.store.SaveBranchPlane(pw.storeKey, uarch.PredictorName(pk), bp) })
+		}
+	}
+	bodyErr := make([]error, len(bodies))
+	_ = par.ForEachCtx(context.Background(), workers, len(bodies), func(i int) error {
+		bodyErr[i] = bodies[i]()
+		return nil
+	})
+	_ = par.ForEachCtx(context.Background(), workers, len(aliases), func(i int) error {
+		if bodyErr[holderOf[i]] == nil {
+			_ = aliases[i]()
+		}
+		return nil
+	})
 }
 
 // SetAnnotBudget bounds the resident bytes of the annotation-plane and

@@ -47,19 +47,23 @@ func (d *Image) set(addr, val int64) {
 	d.add(Run{Base: addr, Vals: []int64{val}})
 }
 
-// setSlice writes consecutive words as one run of its own. A slice
-// running past the top of the address space wraps to its bottom, as
-// consecutive set calls would.
-func (d *Image) setSlice(base int64, vals []int64) {
+// setSlice writes consecutive words as one run of its own, a copy of
+// vals unless owned hands vals itself over. A slice running past the
+// top of the address space wraps to its bottom, as consecutive set
+// calls would.
+func (d *Image) setSlice(base int64, vals []int64, owned bool) {
+	if !owned {
+		vals = slices.Clone(vals)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if base > 0 && int64(len(vals))-1 > math.MaxInt64-base {
 		k := math.MaxInt64 - base + 1
-		d.add(Run{Base: base, Vals: slices.Clone(vals[:k])})
+		d.add(Run{Base: base, Vals: vals[:k:k]})
 		base, vals = math.MinInt64, vals[k:]
 	}
 	if len(vals) > 0 {
-		d.add(Run{Base: base, Vals: slices.Clone(vals)})
+		d.add(Run{Base: base, Vals: vals})
 	}
 }
 

@@ -77,7 +77,15 @@ func (p *Program) SetData(addr, val int64) {
 // SetDataSlice initializes consecutive memory words starting at base,
 // copying vals.
 func (p *Program) SetDataSlice(base int64, vals []int64) {
-	p.Data.setSlice(base, vals)
+	p.Data.setSlice(base, vals, false)
+}
+
+// AdoptDataSlice is SetDataSlice without the copy: the program takes
+// ownership of vals, which the caller must not use afterwards. A
+// builder that fills a large array only to hand it over saves the
+// second copy.
+func (p *Program) AdoptDataSlice(base int64, vals []int64) {
+	p.Data.setSlice(base, vals, true)
 }
 
 // Block appends a new basic block with the given label and returns a

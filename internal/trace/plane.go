@@ -99,13 +99,20 @@ func (p *BytePlane) SizeBytes() int64 {
 // machine components frequently coincide (e.g. two L2 geometries large
 // enough that the trace's misses are all cold), and equal planes drive
 // a timing replay to identical results — callers canonicalize on this
-// to share replays.
+// to share replays. A plane is equal to itself at once, and chunks the
+// two planes share (see BytePlaneBuilder.AppendShared) are not read.
 func (p *BytePlane) Equal(q *BytePlane) bool {
+	if p == q {
+		return true
+	}
 	if p.Len() != q.Len() {
 		return false
 	}
 	for i, c := range p.Chunks() {
 		qc := q.chunks[i]
+		if &c[0] == &qc[0] {
+			continue
+		}
 		nb := int(min64(p.n-int64(i)<<ChunkShift, ChunkLen))
 		if !bytes.Equal(c[:nb], qc[:nb]) {
 			return false
@@ -117,11 +124,17 @@ func (p *BytePlane) Equal(q *BytePlane) bool {
 // Equal reports whether two bit planes are identical (see
 // BytePlane.Equal).
 func (p *BitPlane) Equal(q *BitPlane) bool {
+	if p == q {
+		return true
+	}
 	if p.Len() != q.Len() {
 		return false
 	}
 	for i, ws := range p.Chunks() {
 		qw := q.chunks[i]
+		if &ws[0] == &qw[0] {
+			continue
+		}
 		for k, w := range ws {
 			if w != qw[k] {
 				return false
@@ -157,19 +170,17 @@ func (b *BytePlaneBuilder) Append(v uint8) {
 	b.p.n++
 }
 
-// AppendChunk appends n zero bytes as one new chunk and returns that
-// chunk, for a caller that annotates a whole trace chunk at a time to
-// fill (it need only write its non-zero bytes). The builder must hold
-// whole chunks, and n must be in [1, ChunkLen]; the chunk is allocated
-// at ChunkLen bytes either way, exactly as Append allocates it.
-func (b *BytePlaneBuilder) AppendChunk(n int) []uint8 {
-	if b.p.n&ChunkMask != 0 || n < 1 || n > ChunkLen {
-		panic("trace: BytePlaneBuilder.AppendChunk off the chunk grid")
+// AppendShared appends c, a chunk of ChunkLen bytes whose first n are
+// the annotation bytes of the next n instructions, without copying it:
+// every plane c is appended to aliases the one array, which must not
+// change afterwards. The builder must hold whole chunks, and n must be
+// in [1, ChunkLen].
+func (b *BytePlaneBuilder) AppendShared(c []uint8, n int) {
+	if b.p.n&ChunkMask != 0 || n < 1 || n > ChunkLen || len(c) != ChunkLen {
+		panic("trace: BytePlaneBuilder.AppendShared off the chunk grid")
 	}
-	c := make([]uint8, ChunkLen)
 	b.p.chunks = append(b.p.chunks, c)
 	b.p.n += int64(n)
-	return c[:n]
 }
 
 // Len returns the number of bytes appended so far.

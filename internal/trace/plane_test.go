@@ -137,9 +137,9 @@ func TestAnnLatencyBits(t *testing.T) {
 }
 
 // TestAppendChunkMatchesAppend pins the chunk-at-a-time builders
-// against per-entry appends: the same entries written through the
-// returned chunks build equal planes of equal size, and a chunk off
-// the grid panics.
+// (BitPlaneBuilder.AppendChunk, BytePlaneBuilder.AppendShared) against
+// per-entry appends: the same entries written through the chunks build
+// equal planes of equal size, and a chunk off the grid panics.
 func TestAppendChunkMatchesAppend(t *testing.T) {
 	n := 2*ChunkLen + 555 // two full chunks and a partial one
 	val := func(i int) uint8 {
@@ -156,10 +156,8 @@ func TestAppendChunkMatchesAppend(t *testing.T) {
 	}
 	for base := 0; base < n; base += ChunkLen {
 		m := min(n-base, ChunkLen)
-		c, ws := byChunk.AppendChunk(m), bitChunk.AppendChunk(m)
-		if len(c) != m {
-			t.Fatalf("byte chunk at %d has %d entries, want %d", base, len(c), m)
-		}
+		c, ws := make([]uint8, ChunkLen), bitChunk.AppendChunk(m)
+		byChunk.AppendShared(c, m)
 		for j := 0; j < m; j++ {
 			if v := val(base + j); v != 0 {
 				c[j] = v
@@ -175,9 +173,10 @@ func TestAppendChunkMatchesAppend(t *testing.T) {
 	}
 
 	for name, f := range map[string]func(){
-		"byte after a partial chunk": func() { byChunk.AppendChunk(1) },
+		"byte after a partial chunk": func() { byChunk.AppendShared(make([]uint8, ChunkLen), 1) },
 		"bit after a partial chunk":  func() { bitChunk.AppendChunk(1) },
-		"byte oversize":              func() { NewBytePlaneBuilder().AppendChunk(ChunkLen + 1) },
+		"byte oversize":              func() { NewBytePlaneBuilder().AppendShared(make([]uint8, ChunkLen), ChunkLen+1) },
+		"byte short chunk":           func() { NewBytePlaneBuilder().AppendShared(make([]uint8, 9), 9) },
 		"bit empty":                  func() { NewBitPlaneBuilder().AppendChunk(0) },
 	} {
 		func() {
@@ -188,5 +187,38 @@ func TestAppendChunkMatchesAppend(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestPlaneEqualSharedChunks pins Equal's fast paths: a plane equals
+// itself, planes that share every chunk are equal without reading
+// them, and a chunk they do not share is still compared byte by byte.
+func TestPlaneEqualSharedChunks(t *testing.T) {
+	c0, c1, c2 := make([]uint8, ChunkLen), make([]uint8, ChunkLen), make([]uint8, ChunkLen)
+	c1[5], c2[5] = 1, 2
+	build := func(cs ...[]uint8) *BytePlane {
+		b := NewBytePlaneBuilder()
+		for i, c := range cs {
+			n := ChunkLen
+			if i == len(cs)-1 {
+				n = 9
+			}
+			b.AppendShared(c, n)
+		}
+		return b.Plane()
+	}
+	p := build(c0, c1)
+	if !p.Equal(p) || !p.Equal(build(c0, c1)) || !p.Equal(build(c0, append([]uint8(nil), c1...))) {
+		t.Fatal("equal planes compare unequal")
+	}
+	if p.Equal(build(c0, c2)) || p.Equal(build(c1, c1)) {
+		t.Fatal("different planes compare equal")
+	}
+	if p.Len() != ChunkLen+9 || p.SizeBytes() != 2*ChunkLen || p.At(ChunkLen+5) != 1 {
+		t.Fatalf("shared plane: len %d, size %d, byte %d", p.Len(), p.SizeBytes(), p.At(ChunkLen+5))
+	}
+	var bp BitPlane
+	if !bp.Equal(&bp) {
+		t.Fatal("a bit plane is not equal to itself")
 	}
 }

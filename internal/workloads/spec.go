@@ -25,9 +25,9 @@ func McfLike() *program.Program {
 	// Build one random permutation cycle so the chase never repeats a
 	// block until the whole region has been visited.
 	r := newRNG(0x3CF1)
-	perm := make([]int64, nodesWords)
+	perm := make([]int32, nodesWords)
 	for i := range perm {
-		perm[i] = int64(i)
+		perm[i] = int32(i)
 	}
 	for i := len(perm) - 1; i > 0; i-- {
 		j := r.intn(int64(i + 1))
@@ -35,9 +35,9 @@ func McfLike() *program.Program {
 	}
 	next := make([]int64, nodesWords)
 	for i := 0; i < len(perm); i++ {
-		next[perm[i]] = perm[(i+1)%len(perm)]
+		next[perm[i]] = int64(perm[(i+1)%len(perm)])
 	}
-	p.SetDataSlice(chainBase, next)
+	p.AdoptDataSlice(chainBase, next)
 
 	node, cnt, n := R(1), R(2), R(3)
 	acc, t := R(4), R(5)

@@ -245,3 +245,22 @@ func TestProgramDensity(t *testing.T) {
 	}
 	runtime.KeepAlive(p)
 }
+
+// TestMcfLikeBuild pins McfLike's data image, by its program
+// fingerprint, and the memory its build allocates: an int32
+// permutation and a successor array handed to the image without a
+// copy, about 6 MB where copying int64 arrays took 12.6 MB.
+func TestMcfLikeBuild(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := McfLike()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("McfLike allocated %.1f MB, want at most 8", float64(got)/(1<<20))
+	}
+	const want = "f53f2078eb1bc68ae899a2ef2f08f02c8810bb7bdf99ee36b6744f44d3af6c0a"
+	if got := p.Fingerprint(); got != want {
+		t.Fatalf("McfLike fingerprint %s, want %s", got, want)
+	}
+}
